@@ -4,7 +4,7 @@ Not a paper figure — these measure the actual Python kernels of this
 reproduction so the fitted cost-model rates can be sanity-checked, and they
 quantify the design choices DESIGN.md calls out:
 
-* SpGEMM strategy: hash vs heap vs COO-join vs the scipy fast path;
+* SpGEMM strategy: hash vs COO-join vs the scipy fast path;
 * alignment kernels: Smith-Waterman vs gapped x-drop vs ungapped
   (the XD-beats-SW speed claim at kernel level);
 * substitute-k-mer search vs brute-force enumeration;
@@ -31,7 +31,6 @@ from repro.sparse.semiring import COUNTING
 from repro.sparse.spgemm import (
     spgemm_coo,
     spgemm_hash,
-    spgemm_heap,
     spgemm_scipy,
 )
 
@@ -47,11 +46,6 @@ class TestSpGEMMStrategies:
     def test_hash(self, benchmark):
         a, at = _spgemm_operands()
         out = benchmark(spgemm_hash, a, at, COUNTING)
-        assert out.nnz > 0
-
-    def test_heap(self, benchmark):
-        a, at = _spgemm_operands()
-        out = benchmark(spgemm_heap, a, at, COUNTING)
         assert out.nnz > 0
 
     def test_coo_join(self, benchmark):

@@ -5,12 +5,12 @@ Python semiring dispatch with vectorized kernels, on Fig. 14-style
 workloads (random square operands, the ``A Aᵀ`` k-mer-matrix shape of the
 overlap stage, and the ``(AS) Aᵀ`` CommonKmers shape of the struct
 expand-reduce path).  Two headline rows are asserted at ≥ 5×: plus-times
-on a 500×500, 1 % density pair (numeric vs hash) and the CommonKmers
-overlap stage (struct vs the object fallback); in practice both gaps are
-far larger.  A third gate covers the delegated scipy kernel: one
-``csr @ csr`` call must beat the numeric fast path ≥ 2× on the overlap
-shape (``TestScipyDelegationSpeedup``; self-skips when scipy is not
-installed, like every scipy-dependent workload here).
+on a 500×500, 1 % density pair (the numeric rung of ``spgemm_coo`` vs
+hash) and the CommonKmers overlap stage (its struct rung vs the object
+reference); in practice both gaps are far larger.  A third gate covers
+the delegated scipy kernel: one ``csr @ csr`` call must beat the numeric
+rung ≥ 2× on the overlap shape (``TestScipyDelegationSpeedup``; self-skips
+when scipy is not installed, like every scipy-dependent workload here).
 
 Run with ``pytest benchmarks/bench_spgemm_fastpath.py -s`` to see the
 table, or directly as a script::
@@ -50,12 +50,7 @@ from repro.sparse.semiring import (
     MAX_TIMES,
     MIN_PLUS,
 )
-from repro.sparse.spgemm import (
-    spgemm_hash,
-    spgemm_numeric,
-    spgemm_scipy,
-    spgemm_struct,
-)
+from repro.sparse.spgemm import spgemm_coo, spgemm_hash, spgemm_scipy
 
 needs_scipy = pytest.mark.skipif(not HAVE_SCIPY,
                                  reason="scipy not installed")
@@ -94,6 +89,13 @@ def _as_operands(nseqs, kmer_space, kmers_per_seq, seed):
     return CSRMatrix.from_coo(a_s), CSRMatrix.from_coo(at)
 
 
+def _fast(a: CSRMatrix, b: CSRMatrix, semiring):
+    """A timed call of the dispatcher on the COO forms of CSR-built
+    operands (converted once, outside the timed region)."""
+    ac, bc = a.to_coo(), b.to_coo()
+    return lambda: spgemm_coo(ac, bc, semiring)
+
+
 def _best_of(fn, repeat=5) -> float:
     best = float("inf")
     for _ in range(repeat):
@@ -119,12 +121,12 @@ class TestFastPathSpeedup:
         a = _random_csr(500, 500, 0.01, 1)
         b = _random_csr(500, 500, 0.01, 2)
         ref = spgemm_hash(a, b, ARITHMETIC).to_dict()
-        got = spgemm_numeric(a, b, ARITHMETIC).to_dict()
+        got = _fast(a, b, ARITHMETIC)().to_dict()
         assert {k: float(v) for k, v in got.items()} == (
             {k: float(v) for k, v in ref.items()}
         )
         t_hash = _best_of(lambda: spgemm_hash(a, b, ARITHMETIC))
-        t_num = _best_of(lambda: spgemm_numeric(a, b, ARITHMETIC))
+        t_num = _best_of(_fast(a, b, ARITHMETIC))
         _report([("plus-times 500x500 d=0.01", t_hash, t_num)])
         assert t_hash / t_num >= 5.0, (
             f"fast path only {t_hash / t_num:.1f}x faster"
@@ -137,7 +139,7 @@ class TestFastPathSpeedup:
         rows = []
         for semiring in (ARITHMETIC, MIN_PLUS, MAX_TIMES, COUNTING):
             t_hash = _best_of(lambda: spgemm_hash(a, b, semiring))
-            t_num = _best_of(lambda: spgemm_numeric(a, b, semiring))
+            t_num = _best_of(_fast(a, b, semiring))
             rows.append(
                 (f"{semiring.name} 300x300 d=0.03", t_hash, t_num)
             )
@@ -153,7 +155,7 @@ class TestFastPathSpeedup:
                          seed=5)
         at = a.transpose()
         t_hash = _best_of(lambda: spgemm_hash(a, at, COUNTING))
-        t_num = _best_of(lambda: spgemm_numeric(a, at, COUNTING))
+        t_num = _best_of(_fast(a, at, COUNTING))
         _report([("counting AAT 400 seqs x 5000 kmers", t_hash, t_num)])
         assert t_hash / t_num >= 1.5
 
@@ -164,19 +166,20 @@ class TestScipyDelegationSpeedup:
     dominant overlap shape (``A Aᵀ`` over COUNTING, pattern-delegated as
     one int64 ``csr @ csr``), handing the k-stage to scipy's C++
     Gustavson kernel must be at least 2x faster than the in-repo numeric
-    fast path — while producing the bit-identical matrix."""
+    rung of ``spgemm_coo`` — while producing the bit-identical matrix."""
 
     def test_counting_aat_delegation_2x(self):
         a = _kmer_matrix(nseqs=3000, kmer_space=20_000, kmers_per_seq=100,
                          seed=5)
         at = a.transpose()
-        ref = spgemm_numeric(a, at, COUNTING).sort()
+        numeric = _fast(a, at, COUNTING)
+        ref = numeric().sort()
         got = spgemm_scipy(a, at, COUNTING).sort()
         assert got.vals.dtype == ref.vals.dtype
         assert (got.rows == ref.rows).all()
         assert (got.cols == ref.cols).all()
         assert got.vals.tobytes() == ref.vals.tobytes()
-        t_num = _best_of(lambda: spgemm_numeric(a, at, COUNTING), repeat=3)
+        t_num = _best_of(numeric, repeat=3)
         t_scipy = _best_of(lambda: spgemm_scipy(a, at, COUNTING), repeat=3)
         _report([("counting AAT 3000 seqs scipy delegated", t_num,
                   t_scipy)])
@@ -196,14 +199,15 @@ class TestStructPathSpeedup:
         from repro.core.semirings import records_to_common_kmers
 
         ref = spgemm_hash(a_s, at, sr).to_dict()
-        got = spgemm_struct(a_s, at, sr)
+        struct = _fast(a_s, at, sr)
+        got = struct()
         unpacked = records_to_common_kmers(got.vals)
         assert {
             (int(r), int(c)): v
             for r, c, v in zip(got.rows, got.cols, unpacked)
         } == ref
         t_obj = _best_of(lambda: spgemm_hash(a_s, at, sr), repeat=3)
-        t_struct = _best_of(lambda: spgemm_struct(a_s, at, sr), repeat=3)
+        t_struct = _best_of(struct, repeat=3)
         _report([("commonkmers (AS)AT 300 seqs struct", t_obj, t_struct)])
         assert t_obj / t_struct >= 5.0, (
             f"struct path only {t_obj / t_struct:.1f}x faster"
@@ -227,21 +231,21 @@ def _workloads(smoke: bool):
         b = _random_csr(n500, n500, 0.01, 2)
         out[f"plus_times_{n500}x{n500}_d0.01"] = (
             lambda: spgemm_hash(a, b, ARITHMETIC),
-            lambda: spgemm_numeric(a, b, ARITHMETIC),
+            _fast(a, b, ARITHMETIC),
         )
         for semiring in (MIN_PLUS, MAX_TIMES, COUNTING):
             c = _random_csr(n300, n300, 0.03, 3)
             d = _random_csr(n300, n300, 0.03, 4)
             out[f"{semiring.name}_{n300}x{n300}_d0.03"] = (
                 lambda c=c, d=d, s=semiring: spgemm_hash(c, d, s),
-                lambda c=c, d=d, s=semiring: spgemm_numeric(c, d, s),
+                _fast(c, d, semiring),
             )
     ka = _kmer_matrix(max(int(400 * scale), 60), max(int(5000 * scale), 500),
                       30, seed=5)
     kat = ka.transpose()
     out["counting_aat_kmer_shape"] = (
         lambda: spgemm_hash(ka, kat, COUNTING),
-        lambda: spgemm_numeric(ka, kat, COUNTING),
+        _fast(ka, kat, COUNTING),
     )
     if HAVE_SCIPY:
         # the delegated-kernel row: "generic" is the in-repo numeric fast
@@ -251,7 +255,7 @@ def _workloads(smoke: bool):
                            max(int(10_000 * scale), 800), 60, seed=6)
         dkat = dka.transpose()
         out["counting_aat_scipy_delegation"] = (
-            lambda: spgemm_numeric(dka, dkat, COUNTING),
+            _fast(dka, dkat, COUNTING),
             lambda: spgemm_scipy(dka, dkat, COUNTING),
         )
     a_s, at = _as_operands(max(int(300 * scale), 60),
@@ -259,7 +263,7 @@ def _workloads(smoke: bool):
     sr = substitute_overlap_encoded_semiring()
     out["commonkmers_overlap_struct"] = (
         lambda: spgemm_hash(a_s, at, sr),
-        lambda: spgemm_struct(a_s, at, sr),
+        _fast(a_s, at, sr),
     )
     return out
 

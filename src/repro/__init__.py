@@ -7,8 +7,8 @@ Subpackages
     Alphabet, scoring matrices, FASTA I/O, sequence storage, synthetic
     dataset generators.
 ``repro.kmers``
-    Base-24 k-mer encoding, extraction, the min-max heap, and the m-nearest
-    substitute k-mer search (paper Algorithms 1-3).
+    Base-24 k-mer encoding, extraction, and the m-nearest substitute k-mer
+    search (paper Algorithms 1-3).
 ``repro.sparse``
     CombBLAS stand-in: semiring SpGEMM, COO/CSR/DCSC storage, 2-D block
     distribution, Sparse SUMMA.

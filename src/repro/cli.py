@@ -8,7 +8,7 @@ Usage::
 
     python -m repro input.fasta -o edges.tsv [--k 6] [--substitutes 25]
         [--align xd|sw] [--weight ani|ns] [--ck N] [--ranks 4]
-        [--kernel join|numeric|struct|semiring|scipy|graphblas]
+        [--kernel struct|semiring|scipy|graphblas]
         [--align-engine batched|python]
         [--align-balance off|greedy|steal] [--steal-factor 1.5]
         [--cluster families.tsv]
@@ -80,16 +80,14 @@ def build_parser() -> argparse.ArgumentParser:
                    "--align-engine python; the batched engine vectorizes "
                    "across the batch instead)")
     p.add_argument("--kernel", choices=KERNELS, default=None,
-                   help="overlap kernel: NumPy join (default), numeric "
-                   "SpGEMM fast path, struct expand-reduce (CommonKmers "
-                   "as record columns — what distributed SUMMA runs), "
-                   "the generic semiring reference, or a delegated "
-                   "backend ('scipy' / 'graphblas': spec-covered SpGEMM "
-                   "stages run as one external csr @ csr call; needs the "
-                   "package installed); with --ranks > 1 every kernel "
-                   "except 'semiring' selects the SUMMA struct path; "
-                   "byte-identical graphs either way (defaults to "
-                   "$REPRO_KERNEL or 'join')")
+                   help="overlap kernel: struct expand-reduce (default; "
+                   "CommonKmers as record columns — what distributed "
+                   "SUMMA runs), the generic semiring reference, or a "
+                   "delegated backend ('scipy' / 'graphblas': the struct "
+                   "path with spec-covered SUMMA stages run as one "
+                   "external csr @ csr call; needs the package "
+                   "installed); byte-identical graphs either way "
+                   "(defaults to $REPRO_KERNEL or 'struct')")
     p.add_argument("--align-engine", choices=ALIGN_ENGINES,
                    default="batched",
                    help="alignment engine: inter-pair batched wavefront "

@@ -15,9 +15,7 @@ from .overlap import (
     build_a_triples,
     build_s_triples,
     find_candidate_pairs,
-    find_candidate_pairs_numeric,
     find_candidate_pairs_semiring,
-    find_candidate_pairs_struct,
     symmetrize_candidates,
 )
 from .pipeline import align_candidates, edge_weight, pastis_pipeline
@@ -49,9 +47,7 @@ __all__ = [
     "build_a_triples",
     "build_s_triples",
     "find_candidate_pairs",
-    "find_candidate_pairs_numeric",
     "find_candidate_pairs_semiring",
-    "find_candidate_pairs_struct",
     "symmetrize_candidates",
     "align_candidates",
     "edge_weight",

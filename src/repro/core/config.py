@@ -37,7 +37,7 @@ __all__ = [
 #: kernel names likewise come from repro.sparse.kernels)
 ALIGN_MODES = ("xd", "sw")
 WEIGHTS = ("ani", "ns")
-KERNELS = ("join", "numeric", "struct", "semiring") + DELEGATED_KERNELS
+KERNELS = ("struct", "semiring") + DELEGATED_KERNELS
 ALIGN_ENGINES = ("batched", "python")
 ALIGN_BALANCE_MODES = ("off", "greedy", "steal")
 
@@ -61,7 +61,7 @@ def _default_kernel() -> str:
     """``kernel``'s default honours ``REPRO_KERNEL`` (same pattern as
     ``REPRO_COMM_BACKEND``), so CI can re-run the whole suite with a
     delegated SpGEMM backend without touching any call site."""
-    return os.environ.get("REPRO_KERNEL", "join")
+    return os.environ.get("REPRO_KERNEL", "struct")
 
 
 def _default_comm_sanitize() -> bool:
@@ -95,23 +95,18 @@ class PastisConfig:
         Edge weighting: ``"ani"`` (identity; implies the similarity filter)
         or ``"ns"`` (normalized raw score; the paper applies no cut-off).
     kernel:
-        Overlap-detection kernel: ``"join"`` (vectorized NumPy sort-merge
-        join, the default), ``"numeric"`` (sparse-matrix formulation on the
-        numeric SpGEMM fast path), ``"struct"`` (sparse-matrix formulation
-        with ``CommonKmers`` as struct-of-arrays record columns — the
-        kernel the distributed SUMMA stage uses), ``"semiring"``
-        (generic object semirings — the literal, slow reference), or a
-        *delegated* backend — ``"scipy"`` / ``"graphblas"`` — that runs
-        every NumericSpec-covered SpGEMM stage as one external
-        ``csr @ csr`` call (validated here: a missing backing package
-        raises a :class:`ConfigError` naming it).  All produce identical
-        output (a tested invariant).  The distributed pipeline runs the
-        struct formulation for every kernel except ``"semiring"``, which
-        forces the object reference path there too; delegated kernels
-        additionally thread their backend into every SUMMA stage, where
-        it engages exactly when the stage's semiring declares a delegate
-        form.  The default honours the ``REPRO_KERNEL`` environment
-        variable so CI can matrix the suite over kernels.
+        Overlap-detection kernel: ``"struct"`` (the default — the matrix
+        formulation with ``AS`` on the int64-packed numeric semiring and
+        ``CommonKmers`` as struct-of-arrays record columns, what SUMMA
+        runs per block), ``"semiring"`` (generic object semirings — the
+        literal, slow reference, forced onto the distributed path too), or
+        a *delegated* backend — ``"scipy"`` / ``"graphblas"`` — that is
+        ``"struct"`` plus every NumericSpec-covered SUMMA stage run as one
+        external ``csr @ csr`` call wherever the stage's semiring declares
+        a delegate form (validated here: a missing backing package raises
+        a :class:`ConfigError` naming it).  All produce identical output
+        (a tested invariant).  The default honours the ``REPRO_KERNEL``
+        environment variable so CI can matrix the suite over kernels.
     align_engine:
         Alignment-stage engine: ``"batched"`` (the default) packs each
         rank's candidate pairs into padded lanes and advances every DP row

@@ -40,7 +40,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..align.batch import AlignmentTask, align_batch
-from ..align.stats import passes_filter
 from ..bio.fasta import chunk_boundaries, read_fasta_chunk, FastaRecord
 from ..bio.sequences import DistributedIndex, SequenceStore
 from ..kmers.encoding import kmer_space_size
@@ -65,16 +64,12 @@ from .overlap import (
     ck_keep_mask,
     symmetrize_candidates,
 )
-from .pipeline import edge_weight
+from .pipeline import align_kwargs, edges_from_alignments
 from .semirings import (
     CommonKmers,
-    exact_overlap_semiring,
     is_ck_records,
+    overlap_semirings,
     records_to_common_kmers,
-    substitute_as_numeric_semiring,
-    substitute_as_semiring,
-    substitute_overlap_encoded_semiring,
-    substitute_overlap_semiring,
 )
 from .exchange import start_exchange
 
@@ -162,31 +157,6 @@ def _extract_block_pairs(
     return out
 
 
-def _overlap_semirings(reference: bool):
-    """The semirings of the distributed overlap stage.
-
-    ``reference=True`` is the literal object formulation: ``SeedHit`` /
-    ``CommonKmers`` values and per-element Python ``add``/``multiply``
-    everywhere (the struct spec is stripped so nothing vectorizes).
-    Otherwise the fast formulation: the AS stage on the int64-packed
-    numeric path and the ``B`` stage on SUMMA's block-local struct
-    expand-reduce.
-    """
-    from dataclasses import replace
-
-    if reference:
-        return (
-            substitute_as_semiring(),
-            substitute_overlap_semiring(),
-            replace(exact_overlap_semiring(), struct=None),
-        )
-    return (
-        substitute_as_numeric_semiring(),
-        substitute_overlap_encoded_semiring(),
-        exact_overlap_semiring(),
-    )
-
-
 def _ck_packable(comm: CommBackend, *value_arrays) -> bool:
     """Collective check that every position/distance across all ranks fits
     the CommonKmers seed pack (:data:`~repro.core.semirings.CK_SEED_LIMIT`).
@@ -228,7 +198,7 @@ def pastis_rank(
         config.kernel if config.kernel in DELEGATED_KERNELS else None
     )
     as_semiring, overlap_semiring, exact_semiring = (
-        _overlap_semirings(reference)
+        overlap_semirings(reference)
     )
 
     # -- 1. parallel FASTA parse ------------------------------------------
@@ -281,7 +251,7 @@ def pastis_rank(
         # per-rank representations would corrupt the SUMMA reduction)
         if not reference and not _ck_packable(comm, pos, s_dist):
             as_semiring, overlap_semiring, exact_semiring = (
-                _overlap_semirings(True)
+                overlap_semirings(True)
             )
         s = DistSparseMatrix.distribute(
             grid, kspace, kspace, s_rows, s_cols, s_dist
@@ -314,7 +284,7 @@ def pastis_rank(
         timings["AS"] = 0.0
         t0 = time.perf_counter()
         if not reference and not _ck_packable(comm, pos):
-            _, _, exact_semiring = _overlap_semirings(True)
+            _, _, exact_semiring = overlap_semirings(True)
         b = summa(a, at, exact_semiring, kernel=delegate)
         timings["(AS)AT"] = time.perf_counter() - t0
         timings["sym."] = 0.0
@@ -416,17 +386,7 @@ def pastis_rank(
 
     # -- 9. alignment + filter ------------------------------------------------
     t0 = time.perf_counter()
-    align_kwargs = dict(
-        mode=config.align_mode,
-        k=config.k,
-        scoring=config.scoring,
-        gap_open=config.gap_open,
-        gap_extend=config.gap_extend,
-        xdrop=config.xdrop,
-        traceback=config.needs_traceback,
-        threads=config.align_threads,
-        engine=config.align_engine,
-    )
+    kwargs = align_kwargs(config)
     if config.align_balance == "steal":
         # dynamic stage: cost-sorted chunks, measured-progress exchange,
         # straggler sheds to the idle-soonest rank; static-plan receives
@@ -435,7 +395,7 @@ def pastis_rank(
             comm,
             tasks,
             retained_costs,
-            align_fn=lambda ts: align_batch(ts, **align_kwargs),
+            align_fn=lambda ts: align_batch(ts, **kwargs),
             cost_fn=cost_fn,
             initial_remaining=plan.post_cells,
             rate0=model.cells_per_sec(config.align_mode),
@@ -461,7 +421,7 @@ def pastis_rank(
         def timed_align(batch: list[AlignmentTask]) -> list:
             nonlocal align_seconds
             ta = time.perf_counter()
-            results = align_batch(batch, **align_kwargs)
+            results = align_batch(batch, **kwargs)
             align_seconds += time.perf_counter() - ta
             return results
 
@@ -500,15 +460,7 @@ def pastis_rank(
                     else 0.0
                 ),
             )
-    edges: list[tuple[int, int, float]] = []
-    for task, res in aligned:
-        if config.uses_filter and not passes_filter(
-            res, config.min_identity, config.min_coverage
-        ):
-            continue
-        w = edge_weight(res, config)
-        if w > 0:
-            edges.append((task.pair[0], task.pair[1], w))
+    edges = edges_from_alignments(aligned, config)
     timings["align"] = time.perf_counter() - t0
 
     return RankResult(

@@ -27,7 +27,12 @@ import numpy as np
 from ..bio.sequences import SequenceStore
 from .config import PastisConfig
 from .graph import SimilarityGraph
-from .overlap import CandidatePairs, build_a_triples, build_s_triples, find_candidate_pairs
+from .overlap import (
+    CandidatePairs,
+    build_a_triples,
+    candidate_pairs_from_triples,
+    find_candidate_pairs,
+)
 from .pipeline import align_candidates
 
 __all__ = [
@@ -168,41 +173,6 @@ def high_frequency_kmer_filter(
         keep = banned[idx] != cols
         rows, cols, pos = rows[keep], cols[keep], pos[keep]
 
-    # Rebuild a store-less pair search by reusing the internal helpers via
-    # a filtered view: simplest correct route is a temporary monkey-layer —
-    # we inline the exact/substitute joins on the filtered triples.
-    from .overlap import _exact_hits, _pairs_from_records
-
-    if config.substitutes == 0:
-        recs = _exact_hits(rows, cols, pos)
-        return _pairs_from_records(len(store), *recs)
-    # substitute mode: restrict S to surviving k-mers on both sides
-    present = np.unique(cols)
-    s_triples = build_s_triples(
-        present, config.k, config.substitutes, config.scoring,
-        restrict_to=present,
-    )
-    from ..sparse.spgemm import join_cartesian
-    from .overlap import _expand_substitutes
-    from .semirings import MAX_SEEDS
-
-    s_rows, s_cols, s_dist = s_triples
-    as_row, as_sub, as_pos, as_dist = _expand_substitutes(
-        rows, cols, pos, s_rows, s_cols, s_dist
-    )
-    l_order = np.argsort(as_sub, kind="stable")
-    r_order = np.argsort(cols, kind="stable")
-    li, ri = join_cartesian(as_sub[l_order], cols[r_order])
-    src = as_row[l_order][li]
-    dst = rows[r_order][ri]
-    keep = src != dst
-    li, ri = li[keep], ri[keep]
-    src, dst = src[keep], dst[keep]
-    p_i = as_pos[l_order][li]
-    p_j = pos[r_order][ri]
-    d = as_dist[l_order][li]
-    lo = np.where(src < dst, src, dst)
-    hi = np.where(src < dst, dst, src)
-    pos_lo = np.where(src < dst, p_i, p_j)
-    pos_hi = np.where(src < dst, p_j, p_i)
-    return _pairs_from_records(len(store), lo, hi, pos_lo, pos_hi, d)
+    # S is rebuilt from the surviving k-mers, so banned ones drop out of
+    # the substitute expansion on both sides
+    return candidate_pairs_from_triples(len(store), rows, cols, pos, config)

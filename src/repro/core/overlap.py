@@ -1,24 +1,24 @@
 """Overlap detection: matrices ``A``/``S`` and candidate-pair extraction.
 
-Interchangeable implementations of ``B = A Aᵀ`` / ``B = (A S) Aᵀ``:
+One matrix model — ``B = A Aᵀ``, or ``B = (A S) Aᵀ`` plus the
+symmetrization merge — in two formulations:
 
-* :func:`find_candidate_pairs_semiring` — the literal formulation: build the
-  sparse matrices and run the generic object-semiring SpGEMM.  The slow,
-  always-correct reference every other kernel is validated against.
-* :func:`find_candidate_pairs` — a NumPy join formulation of the same
-  computation (sort by k-mer, expand the per-k-mer cartesian products,
-  reduce by pair).  Orders of magnitude faster in pure Python.
-* :func:`find_candidate_pairs_numeric` — the matrix formulation on the
-  numeric SpGEMM fast path (int64-packed seed hits), consuming the raw
-  partial-product stream of the final ``· Aᵀ`` stage directly.
-* :func:`find_candidate_pairs_struct` — the matrix formulation with
-  ``CommonKmers`` as struct-of-arrays record columns: the single-process
-  form of the block-local expand-reduce kernel distributed SUMMA runs.
+* :func:`find_candidate_pairs` — the fast one: ``AS`` on the int64-packed
+  numeric semiring, ``B`` with ``CommonKmers`` as struct-of-arrays record
+  columns, every product through
+  :func:`~repro.sparse.spgemm.spgemm_coo` — the same block kernel and the
+  same semiring selection distributed SUMMA runs.
+  :func:`candidate_pairs_from_triples` is its triples-level entry, for
+  callers that filter ``A`` first.
+* :func:`find_candidate_pairs_semiring` — the literal one: object
+  semirings through the scalar :func:`~repro.sparse.spgemm.spgemm_hash`.
+  Slow, always correct; the oracle the fast formulation is validated
+  against.
 
-All return :class:`CandidatePairs`: for every unordered sequence pair
+Both return :class:`CandidatePairs`: for every unordered sequence pair
 ``(i < j)`` sharing at least one (substitute) k-mer, the shared count and up
-to :data:`~repro.core.semirings.MAX_SEEDS` seed positions; agreement across
-all four kernels is a tested invariant.
+to :data:`~repro.core.semirings.MAX_SEEDS` seed positions; exact agreement
+of the two is a tested invariant.
 """
 
 from __future__ import annotations
@@ -29,13 +29,12 @@ import numpy as np
 
 from ..bio.scoring import ScoringMatrix
 from ..bio.sequences import SequenceStore
-from ..kmers.encoding import kmer_space_size
 from ..kmers.extraction import store_kmers
 from ..kmers.substitutes import substitute_kmer_ids
 from ..sparse.coo import COOMatrix, group_coords
 from ..sparse.csr import CSRMatrix
 from ..sparse.ops import triu
-from ..sparse.spgemm import join_cartesian, spgemm, spgemm_expand, spgemm_hash
+from ..sparse.spgemm import spgemm_coo, spgemm_hash
 from .config import PastisConfig
 from .semirings import (
     CK_SEED_FIELDS,
@@ -43,14 +42,9 @@ from .semirings import (
     MAX_SEEDS,
     CommonKmers,
     ck_flip_records,
-    decode_seed_hits,
-    exact_overlap_semiring,
     is_ck_records,
+    overlap_semirings,
     records_to_common_kmers,
-    substitute_as_numeric_semiring,
-    substitute_as_semiring,
-    substitute_overlap_encoded_semiring,
-    substitute_overlap_semiring,
     unpack_seeds,
 )
 
@@ -58,9 +52,9 @@ __all__ = [
     "CandidatePairs",
     "build_a_triples",
     "build_s_triples",
+    "candidate_pairs_from_triples",
     "ck_keep_mask",
     "find_candidate_pairs",
-    "find_candidate_pairs_numeric",
     "find_candidate_pairs_semiring",
     "find_candidate_pairs_struct",
     "symmetrize_candidates",
@@ -191,219 +185,9 @@ class CandidatePairs:
         )
 
 
-def _pairs_from_records(
-    n: int,
-    ri: np.ndarray,
-    rj: np.ndarray,
-    pos_i: np.ndarray,
-    pos_j: np.ndarray,
-    dist: np.ndarray,
-) -> CandidatePairs:
-    """Group per-hit records by unordered pair: counts plus the MAX_SEEDS
-    lowest-distance seeds."""
-    if len(ri) == 0:
-        e = np.empty(0, dtype=np.int64)
-        return CandidatePairs(
-            n, e, e.copy(), e.copy(),
-            np.empty((0, MAX_SEEDS), dtype=np.int64),
-            np.empty((0, MAX_SEEDS), dtype=np.int64),
-            np.empty((0, MAX_SEEDS), dtype=np.int64),
-        )
-    order = np.lexsort((pos_j, pos_i, dist, rj, ri))
-    ri, rj = ri[order], rj[order]
-    pos_i, pos_j, dist = pos_i[order], pos_j[order], dist[order]
-    key = ri * n + rj
-    uniq, starts, counts = np.unique(key, return_index=True,
-                                     return_counts=True)
-    npairs = len(uniq)
-    spos_i = np.full((npairs, MAX_SEEDS), -1, dtype=np.int64)
-    spos_j = np.full((npairs, MAX_SEEDS), -1, dtype=np.int64)
-    sdist = np.full((npairs, MAX_SEEDS), -1, dtype=np.int64)
-    for s in range(MAX_SEEDS):
-        has = counts > s
-        at = starts[has] + s
-        spos_i[has, s] = pos_i[at]
-        spos_j[has, s] = pos_j[at]
-        sdist[has, s] = dist[at]
-    return CandidatePairs(
-        n, uniq // n, uniq % n, counts.astype(np.int64),
-        spos_i, spos_j, sdist,
-    )
-
-
 # ---------------------------------------------------------------------------
-# vectorized fast path
+# operand construction (dense k-mer column space)
 # ---------------------------------------------------------------------------
-
-
-def _exact_hits(
-    rows: np.ndarray, cols: np.ndarray, pos: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """Per-hit records (ri, rj, pos_i, pos_j, dist=0) of exact matching."""
-    order = np.argsort(cols, kind="stable")
-    rows_s, pos_s = rows[order], pos[order]
-    keys = cols[order]
-    li, rix = join_cartesian(keys, keys)
-    keep = rows_s[li] < rows_s[rix]
-    li, rix = li[keep], rix[keep]
-    return (
-        rows_s[li], rows_s[rix], pos_s[li], pos_s[rix],
-        np.zeros(len(li), dtype=np.int64),
-    )
-
-
-def _expand_substitutes(
-    rows: np.ndarray,
-    cols: np.ndarray,
-    pos: np.ndarray,
-    s_rows: np.ndarray,
-    s_cols: np.ndarray,
-    s_dist: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``AS`` triples (row, substitute kmer, position, distance): join ``A``
-    hits with ``S`` rows, then keep the closest k-mer per (row, substitute)
-    — the AS semiring's min-distance add."""
-    a_order = np.argsort(cols, kind="stable")
-    s_order = np.argsort(s_rows, kind="stable")
-    li, ri = join_cartesian(cols[a_order], s_rows[s_order])
-    rw = rows[a_order][li]
-    sub = s_cols[s_order][ri]
-    ps = pos[a_order][li]
-    ds = s_dist[s_order][ri]
-    if len(rw) == 0:
-        return rw, sub, ps, ds
-    # reduce by (row, sub): min (dist, pos)
-    order = np.lexsort((ps, ds, sub, rw))
-    rw, sub, ps, ds = rw[order], sub[order], ps[order], ds[order]
-    first = np.ones(len(rw), dtype=bool)
-    first[1:] = (rw[1:] != rw[:-1]) | (sub[1:] != sub[:-1])
-    return rw[first], sub[first], ps[first], ds[first]
-
-
-def find_candidate_pairs(
-    store: SequenceStore,
-    config: PastisConfig,
-    s_triples: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> CandidatePairs:
-    """Vectorized overlap detection for a whole store.
-
-    With ``config.substitutes == 0`` this is ``A Aᵀ``; otherwise
-    ``(A S) Aᵀ`` followed by the symmetrization merge (the direction with
-    the larger shared count wins, forward on ties).  ``s_triples`` allows
-    reusing a precomputed ``S``.
-    """
-    n = len(store)
-    rows, cols, pos = build_a_triples(store, config.k)
-    if config.substitutes == 0:
-        recs = _exact_hits(rows, cols, pos)
-        return _pairs_from_records(n, *recs)
-
-    if s_triples is None:
-        present = np.unique(cols)
-        s_triples = build_s_triples(
-            present, config.k, config.substitutes, config.scoring,
-            restrict_to=present,
-        )
-    s_rows, s_cols, s_dist = s_triples
-    as_row, as_sub, as_pos, as_dist = _expand_substitutes(
-        rows, cols, pos, s_rows, s_cols, s_dist
-    )
-    # join AS (by substitute) against A (by exact kmer)
-    l_order = np.argsort(as_sub, kind="stable")
-    r_order = np.argsort(cols, kind="stable")
-    li, ri = join_cartesian(as_sub[l_order], cols[r_order])
-    src = as_row[l_order][li]
-    dst = rows[r_order][ri]
-    keep = src != dst
-    li, ri = li[keep], ri[keep]
-    src, dst = src[keep], dst[keep]
-    p_i = as_pos[l_order][li]
-    p_j = pos[r_order][ri]
-    d = as_dist[l_order][li]
-    return _merge_directed_records(n, src, dst, p_i, p_j, d)
-
-
-def _merge_directed_records(
-    n: int,
-    src: np.ndarray,
-    dst: np.ndarray,
-    p_i: np.ndarray,
-    p_j: np.ndarray,
-    d: np.ndarray,
-) -> CandidatePairs:
-    """Directed pair statistics, then the symmetrization merge.  Within each
-    directed group, seeds follow the canonical CommonKmers order (distance,
-    AS-side position, exact-side position).  Shared by the join and the
-    numeric-SpGEMM formulations, so their merge semantics cannot drift."""
-    fwd = src < dst
-    lo = np.where(fwd, src, dst)
-    hi = np.where(fwd, dst, src)
-    dirflag = (~fwd).astype(np.int64)
-    # Seed *selection* happens in the directed orientation — (distance,
-    # AS-side position, exact-side position), exactly the order CommonKmers
-    # accumulates in before any flip — so the first MAX_SEEDS records of a
-    # directed group are the ones incremental merging would retain.
-    order = np.lexsort((p_j, p_i, d, dirflag, hi, lo))
-    lo, hi = lo[order], hi[order]
-    p_i, p_j, d, dirflag = p_i[order], p_j[order], d[order], dirflag[order]
-    fwd = dirflag == 0
-    pos_lo = np.where(fwd, p_i, p_j)
-    pos_hi = np.where(fwd, p_j, p_i)
-    key = (lo * n + hi) * 2 + dirflag
-    uniq, starts, counts = np.unique(
-        key, return_index=True, return_counts=True
-    )
-    pairkey = uniq // 2
-    # choose, per unordered pair, the direction with the larger count
-    # (forward preferred on ties — matches the symmetrize merge order)
-    best: dict[int, int] = {}
-    for g in range(len(uniq)):
-        pk = int(pairkey[g])
-        prev = best.get(pk)
-        if (
-            prev is None
-            or counts[g] > counts[prev]
-            or (counts[g] == counts[prev] and (uniq[g] % 2) < (uniq[prev] % 2))
-        ):
-            best[pk] = g
-    sel = sorted(best.values(), key=lambda g: int(pairkey[g]))
-    npairs = len(sel)
-    ri_out = np.empty(npairs, dtype=np.int64)
-    rj_out = np.empty(npairs, dtype=np.int64)
-    cnt_out = np.empty(npairs, dtype=np.int64)
-    spos_i = np.full((npairs, MAX_SEEDS), -1, dtype=np.int64)
-    spos_j = np.full((npairs, MAX_SEEDS), -1, dtype=np.int64)
-    sdist = np.full((npairs, MAX_SEEDS), -1, dtype=np.int64)
-    for out, g in enumerate(sel):
-        pk = int(pairkey[g])
-        ri_out[out] = pk // n
-        rj_out[out] = pk % n
-        cnt_out[out] = counts[g]
-        # presentation order is canonical in the (lo, hi) orientation —
-        # CommonKmers.flip() re-sorts after flipping, so backward-direction
-        # winners need their selected seeds re-ordered by (d, pos_lo,
-        # pos_hi) to match the semiring reference on distance ties
-        picked = sorted(
-            (int(d[starts[g] + s]), int(pos_lo[starts[g] + s]),
-             int(pos_hi[starts[g] + s]))
-            for s in range(min(MAX_SEEDS, int(counts[g])))
-        )
-        for s, (dd, pl, ph) in enumerate(picked):
-            spos_i[out, s] = pl
-            spos_j[out, s] = ph
-            sdist[out, s] = dd
-    return CandidatePairs(n, ri_out, rj_out, cnt_out, spos_i, spos_j, sdist)
-
-
-# ---------------------------------------------------------------------------
-# shared operand construction (numeric and semiring matrix formulations)
-# ---------------------------------------------------------------------------
-
-
-def _compact_columns(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Relabel k-mer ids to dense column indices; returns (dense, vocab)."""
-    vocab, dense = np.unique(cols, return_inverse=True)
-    return dense, vocab
 
 
 def _in_sorted(sorted_arr: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -415,25 +199,11 @@ def _in_sorted(sorted_arr: np.ndarray, values: np.ndarray) -> np.ndarray:
     return sorted_arr[pos] == values
 
 
-def _build_a_matrix(
-    store: SequenceStore, config: PastisConfig
-) -> tuple[int, CSRMatrix, np.ndarray]:
-    """``A`` in dense column space (positions as int64 values) plus the
-    dataset's sorted k-mer vocabulary."""
-    n = len(store)
-    rows, cols, pos = build_a_triples(store, config.k)
-    dense_cols, vocab = _compact_columns(cols)
-    a = CSRMatrix.from_coo(
-        COOMatrix(n, max(len(vocab), 1), rows, dense_cols, pos)
-    )
-    return n, a, vocab
-
-
 def _build_s_matrix(
     vocab: np.ndarray,
     config: PastisConfig,
     s_triples: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> CSRMatrix:
+) -> COOMatrix:
     """``S`` in dense column space.  Internally built triples are already
     vocabulary-restricted; externally supplied ones are filtered first
     (entries outside the vocabulary cannot match anything in ``A``/``Aᵀ``)."""
@@ -448,60 +218,14 @@ def _build_s_matrix(
         keep = _in_sorted(vocab, s_rows) & _in_sorted(vocab, s_cols)
         s_rows, s_cols, s_dist = s_rows[keep], s_cols[keep], s_dist[keep]
     nk = max(len(vocab), 1)
-    return CSRMatrix.from_coo(
-        COOMatrix(nk, nk, np.searchsorted(vocab, s_rows),
-                  np.searchsorted(vocab, s_cols),
-                  np.asarray(s_dist, dtype=np.int64))
+    return COOMatrix(
+        nk, nk, np.searchsorted(vocab, s_rows),
+        np.searchsorted(vocab, s_cols), np.asarray(s_dist, dtype=np.int64),
     )
 
 
 # ---------------------------------------------------------------------------
-# numeric-SpGEMM formulation
-# ---------------------------------------------------------------------------
-
-
-def find_candidate_pairs_numeric(
-    store: SequenceStore,
-    config: PastisConfig,
-    s_triples: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> CandidatePairs:
-    """Overlap detection through the sparse-matrix machinery on the numeric
-    fast path — the paper's matrix formulation without per-element Python
-    dispatch.
-
-    The ``AS`` stage is a genuine numeric-semiring SpGEMM (seed hits packed
-    into int64, ``np.minimum`` accumulation); the final ``· Aᵀ`` stage
-    consumes the vectorized partial-product stream of
-    :func:`~repro.sparse.spgemm.spgemm_expand` directly, because the PASTIS
-    ``B`` values need the operand pair rather than a scalar product.  Agrees
-    exactly with :func:`find_candidate_pairs` and
-    :func:`find_candidate_pairs_semiring` (a tested invariant).
-    """
-    n, a, vocab = _build_a_matrix(store, config)
-    at = a.transpose()
-    if config.substitutes == 0:
-        ri, rj, p_i, p_j = spgemm_expand(a, at)
-        keep = ri < rj
-        ri, rj = ri[keep], rj[keep]
-        return _pairs_from_records(
-            n, ri, rj,
-            np.asarray(p_i[keep], dtype=np.int64),
-            np.asarray(p_j[keep], dtype=np.int64),
-            np.zeros(len(ri), dtype=np.int64),
-        )
-
-    s = _build_s_matrix(vocab, config, s_triples)
-    a_s = spgemm(a, s, substitute_as_numeric_semiring())
-    src, dst, enc, p_j = spgemm_expand(CSRMatrix.from_coo(a_s), at)
-    keep = src != dst
-    src, dst, p_j = src[keep], dst[keep], np.asarray(p_j[keep],
-                                                    dtype=np.int64)
-    p_i, d = decode_seed_hits(enc[keep])
-    return _merge_directed_records(n, src, dst, p_i, p_j, d)
-
-
-# ---------------------------------------------------------------------------
-# symmetrization of B (shared by the semiring and distributed paths)
+# symmetrization of B (shared by the single-process and distributed paths)
 # ---------------------------------------------------------------------------
 
 
@@ -605,31 +329,8 @@ def symmetrize_candidates(
 
 
 # ---------------------------------------------------------------------------
-# semiring reference path
+# candidate pairs: one body, two multipliers
 # ---------------------------------------------------------------------------
-
-
-def find_candidate_pairs_semiring(
-    store: SequenceStore,
-    config: PastisConfig,
-    s_triples: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> CandidatePairs:
-    """Reference overlap detection through the PASTIS semirings and the
-    generic hash SpGEMM — slow, but a direct transcription of the paper's
-    matrix formulation.  Used to validate the vectorized paths.
-    ``s_triples`` allows reusing a precomputed ``S``."""
-    n, a, vocab = _build_a_matrix(store, config)
-    at = a.transpose()
-    if config.substitutes == 0:
-        b = spgemm_hash(a, at, exact_overlap_semiring())
-    else:
-        s = _build_s_matrix(vocab, config, s_triples)
-        a_s = spgemm_hash(a, s, substitute_as_semiring())
-        b = spgemm_hash(
-            CSRMatrix.from_coo(a_s), at, substitute_overlap_semiring()
-        )
-        b = symmetrize_candidates(b)
-    return _pairs_from_common_kmers(n, triu(b, k=1)).sort()
 
 
 def _pairs_from_common_kmers(n: int, upper: COOMatrix) -> CandidatePairs:
@@ -662,30 +363,85 @@ def _pairs_from_common_kmers(n: int, upper: COOMatrix) -> CandidatePairs:
     )
 
 
-def find_candidate_pairs_struct(
+def _hash_multiply(a: COOMatrix, b: COOMatrix, semiring) -> COOMatrix:
+    return spgemm_hash(
+        CSRMatrix.from_coo(a), CSRMatrix.from_coo(b), semiring
+    )
+
+
+def candidate_pairs_from_triples(
+    n: int,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    pos: np.ndarray,
+    config: PastisConfig,
+    s_triples: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    reference: bool = False,
+) -> CandidatePairs:
+    """``A Aᵀ`` / symmetrized ``(A S) Aᵀ`` from the ``(row, kmer id,
+    position)`` triples of an ``n``-row ``A``, upper triangle, as
+    :class:`CandidatePairs` — the entry for callers that build or filter
+    the triples themselves.
+
+    ``reference`` swaps both the semirings
+    (:func:`~repro.core.semirings.overlap_semirings`) and the multiplier
+    (scalar hash SpGEMM instead of the dispatcher); nothing else differs
+    between the two formulations."""
+    multiply = _hash_multiply if reference else spgemm_coo
+    as_semiring, overlap_semiring, exact_semiring = (
+        overlap_semirings(reference)
+    )
+    # relabel k-mer ids to dense column indices over the sorted vocabulary
+    vocab, dense_cols = np.unique(cols, return_inverse=True)
+    a = COOMatrix(n, max(len(vocab), 1), rows, dense_cols, pos)
+    at = a.transpose()
+    if config.substitutes == 0:
+        b = multiply(a, at, exact_semiring)
+    else:
+        s = _build_s_matrix(vocab, config, s_triples)
+        a_s = multiply(a, s, as_semiring)
+        b = multiply(a_s, at, overlap_semiring)
+        b = symmetrize_candidates(b)
+    return _pairs_from_common_kmers(n, triu(b, k=1)).sort()
+
+
+def find_candidate_pairs(
     store: SequenceStore,
     config: PastisConfig,
     s_triples: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> CandidatePairs:
-    """Overlap detection through the sparse-matrix machinery on the struct
-    expand-reduce path — the same SpGEMMs as the semiring reference, but
-    every ``CommonKmers`` travels as struct-of-arrays record columns and no
-    per-element Python semiring op ever runs.
+    """Overlap detection for a whole store on the fast semirings.
 
-    This is the single-process form of the kernel SUMMA uses for the
-    distributed ``(AS) Aᵀ`` / ``A Aᵀ`` stage; it agrees exactly with
+    With ``config.substitutes == 0`` this is ``A Aᵀ``; otherwise
+    ``(A S) Aᵀ`` followed by the symmetrization merge (the direction with
+    the larger shared count wins, forward on ties).  The ``AS`` stage is a
+    numeric-semiring SpGEMM (seed hits packed into int64, ``np.minimum``
+    accumulation) and ``B`` carries ``CommonKmers`` as struct-of-arrays
+    record columns, so no per-element Python semiring op ever runs — the
+    single-process form of what SUMMA runs per block.  ``s_triples``
+    allows reusing a precomputed ``S``.  Agrees exactly with
     :func:`find_candidate_pairs_semiring` (a tested invariant).
     """
-    n, a, vocab = _build_a_matrix(store, config)
-    at = a.transpose()
-    if config.substitutes == 0:
-        b = spgemm(a, at, exact_overlap_semiring())
-    else:
-        s = _build_s_matrix(vocab, config, s_triples)
-        a_s = spgemm(a, s, substitute_as_numeric_semiring())
-        b = spgemm(
-            CSRMatrix.from_coo(a_s), at,
-            substitute_overlap_encoded_semiring(),
-        )
-        b = symmetrize_candidates(b)
-    return _pairs_from_common_kmers(n, triu(b, k=1)).sort()
+    return candidate_pairs_from_triples(
+        len(store), *build_a_triples(store, config.k), config, s_triples
+    )
+
+
+# alias kept for benchmarks/e2e/probes.py, which resolves this name at call
+# time and is its only caller
+find_candidate_pairs_struct = find_candidate_pairs
+
+
+def find_candidate_pairs_semiring(
+    store: SequenceStore,
+    config: PastisConfig,
+    s_triples: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> CandidatePairs:
+    """Reference overlap detection through the object PASTIS semirings and
+    the scalar hash SpGEMM — slow, but a direct transcription of the
+    paper's matrix formulation.  Used to validate the fast path.
+    ``s_triples`` allows reusing a precomputed ``S``."""
+    return candidate_pairs_from_triples(
+        len(store), *build_a_triples(store, config.k), config, s_triples,
+        reference=True,
+    )

@@ -9,8 +9,7 @@ same graph (a tested invariant — the paper stresses that PASTIS's output is
 from __future__ import annotations
 
 import time
-
-import numpy as np
+from typing import Iterable
 
 from ..align.batch import AlignmentTask, align_batch
 from ..align.stats import AlignmentResult, passes_filter
@@ -20,13 +19,16 @@ from .graph import SimilarityGraph
 from .overlap import (
     CandidatePairs,
     find_candidate_pairs,
-    find_candidate_pairs_numeric,
     find_candidate_pairs_semiring,
-    find_candidate_pairs_struct,
 )
-from ..sparse.coo import COOMatrix
 
-__all__ = ["pastis_pipeline", "align_candidates", "edge_weight"]
+__all__ = [
+    "pastis_pipeline",
+    "align_candidates",
+    "align_kwargs",
+    "edge_weight",
+    "edges_from_alignments",
+]
 
 
 def edge_weight(result: AlignmentResult, config: PastisConfig) -> float:
@@ -36,19 +38,54 @@ def edge_weight(result: AlignmentResult, config: PastisConfig) -> float:
     return result.normalized_score
 
 
-def align_candidates(
-    store: SequenceStore,
-    pairs: CandidatePairs,
-    config: PastisConfig,
-) -> tuple[list[tuple[int, int, float]], int]:
-    """Align candidate pairs, apply the similarity filter, and return the
-    surviving ``(i, j, weight)`` edges plus the number of alignments run.
+def align_kwargs(config: PastisConfig) -> dict:
+    """The :func:`~repro.align.batch.align_batch` keyword arguments a
+    configuration implies.
 
     A traceback is only paid for when something consumes it: the ANI
     weight and the similarity filter.  NS weighting needs the raw score
     alone (stats.py: "NS ... cheaper because no traceback is needed"), so
     it runs score-only.
     """
+    return dict(
+        mode=config.align_mode,
+        k=config.k,
+        scoring=config.scoring,
+        gap_open=config.gap_open,
+        gap_extend=config.gap_extend,
+        xdrop=config.xdrop,
+        traceback=config.needs_traceback,
+        threads=config.align_threads,
+        engine=config.align_engine,
+    )
+
+
+def edges_from_alignments(
+    aligned: Iterable[tuple[AlignmentTask, AlignmentResult]],
+    config: PastisConfig,
+) -> list[tuple[int, int, float]]:
+    """The tasks→edges tail both pipelines share: apply the similarity
+    filter (ANI weighting only), weight the survivors, and keep the
+    positive-weight ``(i, j, weight)`` edges."""
+    edges: list[tuple[int, int, float]] = []
+    for task, res in aligned:
+        if config.uses_filter and not passes_filter(
+            res, config.min_identity, config.min_coverage
+        ):
+            continue
+        w = edge_weight(res, config)
+        if w > 0:
+            edges.append((task.pair[0], task.pair[1], w))
+    return edges
+
+
+def align_candidates(
+    store: SequenceStore,
+    pairs: CandidatePairs,
+    config: PastisConfig,
+) -> tuple[list[tuple[int, int, float]], int]:
+    """Align candidate pairs, apply the similarity filter, and return the
+    surviving ``(i, j, weight)`` edges plus the number of alignments run."""
     tasks = []
     for p in range(pairs.npairs):
         i, j = int(pairs.ri[p]), int(pairs.rj[p])
@@ -60,29 +97,8 @@ def align_candidates(
                 pair=(i, j),
             )
         )
-    results = align_batch(
-        tasks,
-        mode=config.align_mode,
-        k=config.k,
-        scoring=config.scoring,
-        gap_open=config.gap_open,
-        gap_extend=config.gap_extend,
-        xdrop=config.xdrop,
-        traceback=config.needs_traceback,
-        threads=config.align_threads,
-        engine=config.align_engine,
-    )
-    edges: list[tuple[int, int, float]] = []
-    for task, res in zip(tasks, results):
-        if config.uses_filter and not passes_filter(
-            res, config.min_identity, config.min_coverage
-        ):
-            continue
-        w = edge_weight(res, config)
-        if w <= 0:
-            continue
-        edges.append((task.pair[0], task.pair[1], w))
-    return edges, len(tasks)
+    results = align_batch(tasks, **align_kwargs(config))
+    return edges_from_alignments(zip(tasks, results), config), len(tasks)
 
 
 def pastis_pipeline(
@@ -104,18 +120,13 @@ def pastis_pipeline(
     """
     config = config or PastisConfig()
     t0 = time.perf_counter()
-    overlap_impl = {
-        "join": find_candidate_pairs,
-        "numeric": find_candidate_pairs_numeric,
-        "struct": find_candidate_pairs_struct,
-        "semiring": find_candidate_pairs_semiring,
-        # the delegated kernels only accelerate semirings declaring a
-        # delegate form; the positional PASTIS semirings declare none, so
-        # the single-process pipeline runs the struct formulation — same
-        # bytes, and the delegation threading lives in the SUMMA stages
-        "scipy": find_candidate_pairs_struct,
-        "graphblas": find_candidate_pairs_struct,
-    }[config.kernel]
+    # every kernel but the object reference runs the fast formulation: the
+    # delegated ones only accelerate semirings declaring a delegate form,
+    # and the positional PASTIS semirings declare none
+    overlap_impl = (
+        find_candidate_pairs_semiring if config.kernel == "semiring"
+        else find_candidate_pairs
+    )
     pairs = overlap_impl(store, config)
     pairs_before_ck = pairs.npairs
     pairs = pairs.apply_ck_threshold(config.common_kmer_threshold)
@@ -134,11 +145,3 @@ def pastis_pipeline(
         edges_kept=graph.nedges,
     )
     return graph
-
-
-def candidate_matrix(pairs: CandidatePairs) -> COOMatrix:
-    """The (strictly upper triangular) pattern of ``B`` as a COO matrix of
-    shared-k-mer counts — handy for inspection and tests."""
-    return COOMatrix(
-        pairs.n, pairs.n, pairs.ri, pairs.rj, pairs.counts.astype(object)
-    )

@@ -16,7 +16,7 @@ Matrix values:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,7 +33,6 @@ __all__ = [
     "CK_SEED_LIMIT",
     "CK_SEED_NONE",
     "encode_seed_hits",
-    "decode_seed_hits",
     "pack_seeds",
     "unpack_seeds",
     "is_ck_records",
@@ -47,6 +46,7 @@ __all__ = [
     "substitute_as_numeric_semiring",
     "substitute_overlap_semiring",
     "substitute_overlap_encoded_semiring",
+    "overlap_semirings",
     "merge_common_kmers",
 ]
 
@@ -161,12 +161,6 @@ def encode_seed_hits(positions, distances):
     )
 
 
-def decode_seed_hits(encoded):
-    """Unpack int64-encoded seed hits into ``(positions, distances)``."""
-    enc = np.asarray(encoded, dtype=np.int64)
-    return enc % SEED_ENCODE_SHIFT, enc // SEED_ENCODE_SHIFT
-
-
 def substitute_as_numeric_semiring() -> Semiring:
     """Numeric twin of :func:`substitute_as_semiring`.
 
@@ -204,6 +198,29 @@ def substitute_overlap_encoded_semiring() -> Semiring:
     return Semiring(
         "pastis_substitute_overlap_encoded", merge_common_kmers, mul,
         struct=ck_struct_spec(encoded=True),
+    )
+
+
+def overlap_semirings(reference: bool) -> tuple[Semiring, Semiring, Semiring]:
+    """The ``(AS, (AS)Aᵀ, A Aᵀ)`` semirings of the overlap stage — the one
+    selection the single-process and the distributed pipeline share.
+
+    ``reference=True`` is the literal object formulation: ``SeedHit`` /
+    ``CommonKmers`` values and per-element Python ``add``/``multiply``
+    everywhere (the struct spec is stripped so nothing vectorizes).
+    Otherwise the fast formulation: the AS stage on the int64-packed
+    numeric path and the ``B`` stage on the struct expand-reduce.
+    """
+    if reference:
+        return (
+            substitute_as_semiring(),
+            substitute_overlap_semiring(),
+            replace(exact_overlap_semiring(), struct=None),
+        )
+    return (
+        substitute_as_numeric_semiring(),
+        substitute_overlap_encoded_semiring(),
+        exact_overlap_semiring(),
     )
 
 

@@ -1,5 +1,5 @@
-"""K-mer machinery: base-24 encoding, extraction, the min-max heap, and the
-m-nearest substitute k-mer search of paper Algorithms 1-3."""
+"""K-mer machinery: base-24 encoding, extraction, and the m-nearest
+substitute k-mer search of paper Algorithms 1-3."""
 
 from .encoding import (
     MAX_K,
@@ -10,7 +10,6 @@ from .encoding import (
     kmer_string_from_id,
 )
 from .extraction import sequence_kmers, store_kmers, unique_sequence_kmers
-from .minmaxheap import MinMaxHeap
 from .substitutes import (
     SubstituteKmer,
     brute_force_substitutes,
@@ -29,7 +28,6 @@ __all__ = [
     "sequence_kmers",
     "store_kmers",
     "unique_sequence_kmers",
-    "MinMaxHeap",
     "SubstituteKmer",
     "brute_force_substitutes",
     "find_substitute_kmers",

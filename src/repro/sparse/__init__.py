@@ -36,14 +36,9 @@ from .kernels import (
 )
 from .spgemm import (
     delegation_covers,
-    spgemm,
-    spgemm_batched,
     spgemm_coo,
-    spgemm_expand,
     spgemm_graphblas,
     spgemm_hash,
-    spgemm_heap,
-    spgemm_numeric,
     spgemm_scipy,
 )
 from .summa import summa
@@ -77,14 +72,9 @@ __all__ = [
     "NumericSpec",
     "Semiring",
     "delegation_covers",
-    "spgemm",
-    "spgemm_batched",
     "spgemm_coo",
-    "spgemm_expand",
     "spgemm_graphblas",
     "spgemm_hash",
-    "spgemm_heap",
-    "spgemm_numeric",
     "spgemm_scipy",
     "summa",
 ]

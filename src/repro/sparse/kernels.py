@@ -25,12 +25,9 @@ from .csr import CSRMatrix
 from .semiring import Semiring
 from .spgemm import (
     delegation_covers,
-    spgemm,
-    spgemm_batched,
+    spgemm_coo,
     spgemm_graphblas,
     spgemm_hash,
-    spgemm_heap,
-    spgemm_numeric,
     spgemm_scipy,
 )
 
@@ -84,9 +81,10 @@ def _covers_all(semiring: Semiring, a_dtype, b_dtype) -> bool:
     return True
 
 
-def _covers_numeric(semiring: Semiring, a_dtype, b_dtype) -> bool:
-    spec = semiring.numeric
-    return spec is not None and spec.compatible(a_dtype, b_dtype)
+def _dispatch(a: CSRMatrix, b: CSRMatrix, semiring: Semiring) -> COOMatrix:
+    """The in-repo ladder (:func:`~repro.sparse.spgemm.spgemm_coo`) on the
+    registry's CSR operands."""
+    return spgemm_coo(a.to_coo(), b.to_coo(), semiring)
 
 
 def _covers_scipy(semiring: Semiring, a_dtype, b_dtype) -> bool:
@@ -112,10 +110,7 @@ def unregister_kernel(name: str) -> None:
 
 
 register_kernel(KernelSpec("hash", spgemm_hash, _covers_all))
-register_kernel(KernelSpec("heap", spgemm_heap, _covers_all))
-register_kernel(KernelSpec("batched", spgemm_batched, _covers_all))
-register_kernel(KernelSpec("dispatch", spgemm, _covers_all))
-register_kernel(KernelSpec("numeric", spgemm_numeric, _covers_numeric))
+register_kernel(KernelSpec("dispatch", _dispatch, _covers_all))
 register_kernel(
     KernelSpec("scipy", spgemm_scipy, _covers_scipy, requires="scipy")
 )

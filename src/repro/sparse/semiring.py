@@ -22,8 +22,8 @@ with whole-array NumPy operations (row-expansion + ``lexsort`` +
   ``multiply``;
 * ``dtype`` is the canonical accumulator dtype.  The fast path only engages
   when both operands' value dtypes can be cast to it under ``casting``
-  (default ``"same_kind"``); otherwise the kernels silently fall back to the
-  generic hash/heap paths, so declaring a spec never changes results.
+  (default ``"same_kind"``); otherwise the dispatcher silently falls back
+  to the generic scalar operators, so declaring a spec never changes results.
 
 The scalar ``add``/``multiply`` remain required and authoritative: they are
 used whenever values are Python objects, and the property tests in

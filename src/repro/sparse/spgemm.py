@@ -1,34 +1,24 @@
 """Local sparse general matrix-matrix multiply (SpGEMM) over semirings.
 
-CombBLAS's local multiply is a hybrid hash-table / heap algorithm (Nagasaka
-et al. 2019, cited by the paper); we implement both strategies plus a
-vectorized numeric fast path:
+One scalar reference and one vectorized dispatcher:
 
-* :func:`spgemm_hash` — per-output-row hash accumulation (Gustavson with a
-  dict); best for rows with many partial products.
-* :func:`spgemm_heap` — k-way merge of the contributing rows of ``B`` with a
-  heap; best for very sparse rows.
-* :func:`spgemm_numeric` — whole-array formulation for semirings declaring a
-  :class:`~repro.sparse.semiring.NumericSpec`: expand every partial product
-  with NumPy gather/repeat, then fold duplicates with ``lexsort`` +
-  ``ufunc.reduceat``.  No per-element Python dispatch anywhere.
-* :func:`spgemm_struct` — expand-reduce for semirings declaring a
-  :class:`~repro.sparse.semiring.StructSpec` (multi-column record values,
-  e.g. PASTIS's ``CommonKmers``): vectorized partial-product expansion,
-  then a block-local NumPy group-reduce into struct-of-arrays columns.
-* :func:`spgemm_batched` — the batched generic merge for object semirings
-  that declare no (engaging) spec: the numeric kernel's whole-array
-  expansion and group sort, with the two scalar semiring operators applied
-  as ``np.frompyfunc`` batch calls — one call per fold layer instead of
-  one Python dispatch per element.
+* :func:`spgemm_hash` — Gustavson's algorithm with a per-output-row dict
+  accumulator and per-element Python ``add``/``multiply``.  Slow and
+  literal; every other path is validated against it.
+* :func:`spgemm_coo` — the dispatcher, a sort-merge join on COO operands
+  that never allocates anything proportional to a matrix dimension.  It
+  walks one ladder: an explicitly requested delegated kernel when its
+  coverage predicate allows, then the semiring's
+  :class:`~repro.sparse.semiring.NumericSpec` (vectorized multiply +
+  ``ufunc.reduceat``), then its :class:`~repro.sparse.semiring.StructSpec`
+  (multi-column record values, e.g. PASTIS's ``CommonKmers``), else the
+  batched generic merge (the scalar operators as ``np.frompyfunc`` batch
+  calls).  All three in-repo rungs share one expansion prologue and differ
+  only in how they multiply and fold the partial-product stream.
 * :func:`spgemm_scipy` / :func:`spgemm_graphblas` — *delegated* kernels for
-  semirings whose :class:`~repro.sparse.semiring.NumericSpec` declares a
-  ``delegate`` form: the whole product runs as one external ``csr @ csr``
-  call (scipy's C++ Gustavson kernel, or SuiteSparse:GraphBLAS ``mxm``),
-  zero-copy in and out of this module's CSR arrays.
-* :func:`spgemm` — the dispatcher: an explicitly requested delegated
-  kernel when its coverage predicate allows, then the numeric fast path,
-  then the struct path, else the batched generic merge.
+  semirings whose numeric spec declares a ``delegate`` form: the whole
+  product runs as one external ``csr @ csr`` call (scipy's C++ Gustavson
+  kernel, or SuiteSparse:GraphBLAS ``mxm``).
 
 All variants are generic over :class:`~repro.sparse.semiring.Semiring` and
 return a duplicate-free :class:`~repro.sparse.coo.COOMatrix`.  Every
@@ -41,7 +31,6 @@ why delegation can promise bitwise identity rather than mere closeness).
 
 from __future__ import annotations
 
-import heapq
 from typing import Any
 
 import numpy as np
@@ -51,16 +40,10 @@ from .csr import CSRMatrix
 from .semiring import ARITHMETIC, Semiring
 
 __all__ = [
-    "spgemm",
     "spgemm_hash",
-    "spgemm_heap",
-    "spgemm_numeric",
-    "spgemm_struct",
-    "spgemm_batched",
-    "spgemm_expand",
+    "spgemm_coo",
     "spgemm_scipy",
     "spgemm_graphblas",
-    "spgemm_coo",
     "join_cartesian",
     "result_dtype",
     "delegation_covers",
@@ -115,55 +98,8 @@ def spgemm_hash(
     return _emit(a, b, rows, cols, vals)
 
 
-# spmd: hot-loop-ok (heap-merge reference kernel: per-element by design,
-# cross-validates the vectorized fast paths)
-def spgemm_heap(
-    a: CSRMatrix, b: CSRMatrix, semiring: Semiring = ARITHMETIC
-) -> COOMatrix:
-    """Heap-based row merge: the contributing rows of ``B`` are consumed as
-    sorted streams and merged by output column."""
-    _check_dims(a, b)
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[Any] = []
-    add, mul = semiring.add, semiring.multiply
-    for i in range(a.nrows):
-        a_cols, a_vals = a.row(i)
-        # heap items: (output col, stream id, offset into the B row)
-        heap: list[tuple[int, int, int]] = []
-        streams: list[tuple[np.ndarray, np.ndarray, Any]] = []
-        for t in range(len(a_cols)):
-            b_cols, b_vals = b.row(int(a_cols[t]))
-            if len(b_cols):
-                sid = len(streams)
-                streams.append((b_cols, b_vals, a_vals[t]))
-                heap.append((int(b_cols[0]), sid, 0))
-        heapq.heapify(heap)
-        cur_col = -1
-        cur_val: Any = None
-        while heap:
-            j, sid, off = heapq.heappop(heap)
-            b_cols, b_vals, av = streams[sid]
-            p = mul(av, b_vals[off])
-            if j == cur_col:
-                cur_val = add(cur_val, p)
-            else:
-                if cur_col >= 0:
-                    rows.append(i)
-                    cols.append(cur_col)
-                    vals.append(cur_val)
-                cur_col, cur_val = j, p
-            if off + 1 < len(b_cols):
-                heapq.heappush(heap, (int(b_cols[off + 1]), sid, off + 1))
-        if cur_col >= 0:
-            rows.append(i)
-            cols.append(cur_col)
-            vals.append(cur_val)
-    return _emit(a, b, rows, cols, vals)
-
-
 # ---------------------------------------------------------------------------
-# vectorized numeric fast path
+# the vectorized sort-merge join (shared by every in-repo rung)
 # ---------------------------------------------------------------------------
 
 
@@ -175,8 +111,7 @@ def join_cartesian(
 
     For every key present in both arrays, emits one ``(li, ri)`` pair per
     element of the cross product of its occurrence ranges, left-major, keys
-    ascending.  This is the inner-dimension expansion both the COO SpGEMM
-    fast path and the overlap join use.
+    ascending.  This is the inner-dimension expansion of :func:`spgemm_coo`.
     """
     shared = np.intersect1d(left_keys, right_keys)
     if len(shared) == 0:
@@ -202,79 +137,25 @@ def join_cartesian(
     return li, ri
 
 
-def spgemm_expand(
-    a: CSRMatrix, b: CSRMatrix
+def _expand_coo(
+    a: COOMatrix, b: COOMatrix
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The raw partial-product stream of ``A · B``, fully vectorized.
+    """The raw partial-product stream of ``A · B``: sort ``A`` by column
+    and ``B`` by row (stably), expand the per-inner-index cartesian
+    products, gather.
 
     Returns ``(rows, cols, a_vals, b_vals)`` with one entry per partial
-    product, ordered row-major over the entries of ``A`` (so, within an
-    output row, by ascending inner index ``k``) and then by the column order
-    of the contributing ``B`` row.  This is the expansion the numeric kernel
-    reduces; it is exposed because the overlap stage consumes the stream
-    directly (the PASTIS ``B`` values need the operand pair, not a scalar
-    product).  Works for object-valued matrices too — ``np.repeat`` and
-    gather never touch the values elementwise.
+    product, inner index ascending — so a stable group-by of the output
+    coordinates folds every group in ascending-``k`` order.  Duplicate
+    operand coordinates yield one partial product per occurrence pair.
+    Works for object-valued matrices too: gather never touches the values
+    elementwise.
     """
-    _check_dims(a, b)
-    a_rows = np.repeat(np.arange(a.nrows, dtype=np.int64), a.row_nnz())
-    cnt = b.row_nnz()[a.indices]
-    total = int(cnt.sum())
-    if total == 0:
-        e = np.empty(0, dtype=np.int64)
-        return e, e.copy(), a.data[:0], b.data[:0]
-    rows = np.repeat(a_rows, cnt)
-    a_vals = np.repeat(a.data, cnt)
-    group_starts = np.concatenate(([0], np.cumsum(cnt)))[:-1]
-    offset = np.arange(total, dtype=np.int64) - np.repeat(group_starts, cnt)
-    b_pos = np.repeat(b.indptr[a.indices], cnt) + offset
-    return rows, b.indices[b_pos], a_vals, b.data[b_pos]
-
-
-def _accumulate_coo(
-    nrows: int,
-    ncols: int,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    vals: np.ndarray,
-    add: np.ufunc,
-) -> COOMatrix:
-    """Fold a partial-product stream by output coordinate: the shared
-    :func:`~repro.sparse.coo.group_coords` sort then ``add.reduceat`` per
-    group — the vectorized equivalent of sequential accumulation in
-    stream order."""
-    order, starts, _, out_rows, out_cols = group_coords(
-        nrows, ncols, rows, cols
-    )
-    return COOMatrix(nrows, ncols, out_rows, out_cols,
-                     add.reduceat(vals[order], starts))
-
-
-def spgemm_numeric(
-    a: CSRMatrix, b: CSRMatrix, semiring: Semiring = ARITHMETIC
-) -> COOMatrix:
-    """Vectorized SpGEMM for semirings with a numeric spec.
-
-    Row-expansion via :func:`spgemm_expand`, vectorized ``multiply``, then
-    ``lexsort`` + ``reduceat`` accumulation.  Raises :class:`TypeError` when
-    the semiring has no numeric spec or the operand value dtypes are not
-    compatible with it (callers wanting automatic fallback should use
-    :func:`spgemm`).
-    """
-    _check_dims(a, b)
-    spec = semiring.numeric
-    if spec is None:
-        raise TypeError(f"semiring {semiring.name!r} has no numeric spec")
-    if not spec.compatible(a.data.dtype, b.data.dtype):
-        raise TypeError(
-            f"value dtypes ({a.data.dtype}, {b.data.dtype}) are not "
-            f"compatible with the {semiring.name!r} numeric spec"
-        )
-    rows, cols, a_vals, b_vals = spgemm_expand(a, b)
-    if len(rows) == 0:
-        return COOMatrix.empty(a.nrows, b.ncols, dtype=spec.dtype)
-    vals = np.asarray(spec.multiply(a_vals, b_vals))
-    return _accumulate_coo(a.nrows, b.ncols, rows, cols, vals, spec.add)
+    a_order = np.argsort(a.cols, kind="stable")
+    b_order = np.argsort(b.rows, kind="stable")
+    li, ri = join_cartesian(a.cols[a_order], b.rows[b_order])
+    ai, bi = a_order[li], b_order[ri]
+    return a.rows[ai], b.cols[bi], a.vals[ai], b.vals[bi]
 
 
 def result_dtype(semiring: Semiring, *operand_dtypes) -> Any:
@@ -295,96 +176,44 @@ def result_dtype(semiring: Semiring, *operand_dtypes) -> Any:
     return np.int64
 
 
-# ---------------------------------------------------------------------------
-# vectorized struct expand-reduce path
-# ---------------------------------------------------------------------------
+def _fold_numeric(nrows, ncols, rows, cols, a_vals, b_vals,
+                  semiring: Semiring) -> COOMatrix:
+    """Numeric rung: vectorized ``multiply``, then the shared
+    :func:`~repro.sparse.coo.group_coords` sort and ``add.reduceat`` per
+    group — the vectorized equivalent of sequential accumulation in stream
+    order.  No per-element Python dispatch anywhere."""
+    spec = semiring.numeric
+    vals = np.asarray(spec.multiply(a_vals, b_vals))
+    order, starts, _, out_rows, out_cols = group_coords(
+        nrows, ncols, rows, cols
+    )
+    return COOMatrix(nrows, ncols, out_rows, out_cols,
+                     spec.add.reduceat(vals[order], starts))
 
 
-def _accumulate_struct(
-    nrows: int,
-    ncols: int,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    records: np.ndarray,
-    spec,
-) -> COOMatrix:
-    """Group a partial-product record stream by output coordinate and fold
-    each group with the spec's vectorized ``reduce``.
-
-    The stream is stably sorted by ``(row, col)`` via the shared
-    :func:`~repro.sparse.coo.group_coords`, with the spec's ``sort_key``
-    as the within-group tiebreak, so ``reduce`` sees every group in its
-    canonical accumulation order.
-    """
+def _fold_struct(nrows, ncols, rows, cols, a_vals, b_vals,
+                 semiring: Semiring) -> COOMatrix:
+    """Struct rung: one record per partial product (``expand``), grouped
+    by output coordinate with the spec's ``sort_key`` as the within-group
+    tiebreak so the vectorized ``reduce`` sees every group in its
+    canonical accumulation order."""
+    spec = semiring.struct
+    records = spec.expand(a_vals, b_vals)
     sk = spec.sort_key(records) if spec.sort_key is not None else None
     order, starts, sizes, out_rows, out_cols = group_coords(
         nrows, ncols, rows, cols,
         tiebreak=() if sk is None else (sk,),
     )
-    reduced = spec.reduce(records[order], starts, sizes)
-    return COOMatrix(nrows, ncols, out_rows, out_cols, reduced)
-
-
-def spgemm_struct(
-    a: CSRMatrix, b: CSRMatrix, semiring: Semiring
-) -> COOMatrix:
-    """Vectorized SpGEMM for semirings with a struct spec.
-
-    Row-expansion via :func:`spgemm_expand`, vectorized ``expand`` into one
-    record per partial product, then a block-local group-reduce into
-    struct-of-arrays columns.  Raises :class:`TypeError` when the semiring
-    has no struct spec or the operand value dtypes are incompatible
-    (callers wanting automatic fallback should use :func:`spgemm`).
-    """
-    _check_dims(a, b)
-    spec = semiring.struct
-    if spec is None:
-        raise TypeError(f"semiring {semiring.name!r} has no struct spec")
-    if not spec.compatible(a.data.dtype, b.data.dtype):
-        raise TypeError(
-            f"value dtypes ({a.data.dtype}, {b.data.dtype}) are not "
-            f"compatible with the {semiring.name!r} struct spec"
-        )
-    if spec.operands_ok is not None and not spec.operands_ok(a.data, b.data):
-        raise TypeError(
-            f"operand values do not fit the {semiring.name!r} struct "
-            f"spec's packing (callers wanting automatic fallback should "
-            f"use spgemm)"
-        )
-    rows, cols, a_vals, b_vals = spgemm_expand(a, b)
-    if len(rows) == 0:
-        return COOMatrix.empty(a.nrows, b.ncols, dtype=spec.dtype)
-    records = spec.expand(a_vals, b_vals)
-    return _accumulate_struct(a.nrows, b.ncols, rows, cols, records, spec)
-
-
-def _spgemm_coo_struct(
-    a: COOMatrix, b: COOMatrix, semiring: Semiring
-) -> COOMatrix:
-    """Vectorized sort-merge-join SpGEMM on COO operands (struct spec)."""
-    spec = semiring.struct
-    a_order = np.argsort(a.cols, kind="stable")
-    b_order = np.argsort(b.rows, kind="stable")
-    li, ri = join_cartesian(a.cols[a_order], b.rows[b_order])
-    if len(li) == 0:
-        return COOMatrix.empty(a.nrows, b.ncols, dtype=spec.dtype)
-    rows = a.rows[a_order][li]
-    cols = b.cols[b_order][ri]
-    records = spec.expand(a.vals[a_order][li], b.vals[b_order][ri])
-    return _accumulate_struct(a.nrows, b.ncols, rows, cols, records, spec)
-
-
-# ---------------------------------------------------------------------------
-# batched generic merge (object semirings without an engaging spec)
-# ---------------------------------------------------------------------------
+    return COOMatrix(nrows, ncols, out_rows, out_cols,
+                     spec.reduce(records[order], starts, sizes))
 
 
 def _boxed(arr: np.ndarray) -> np.ndarray:
     """The same values as a ``dtype=object`` array of NumPy scalars.
 
     ``astype(object)`` would demote typed elements to *Python* scalars
-    (changing e.g. int64 overflow semantics), whereas the hash/heap
-    reference kernels see NumPy scalars when they index a typed array —
+    (changing e.g. int64 overflow semantics), whereas the hash
+    reference kernel sees NumPy scalars when they index a typed array —
     iterating the array (``list``) preserves exactly those.
     """
     if arr.dtype == object:
@@ -394,21 +223,17 @@ def _boxed(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _accumulate_generic(
-    nrows: int,
-    ncols: int,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    vals: np.ndarray,
-    add,
-) -> COOMatrix:
-    """Group an object-valued partial-product stream by output coordinate
-    and fold each group with the scalar ``add`` — batched: one vectorized
-    ``frompyfunc`` call per fold *layer* instead of one Python-level
-    dispatch per element.  The group sort is stable, so the layered fold
-    is the same left fold in stream order the hash/heap kernels perform.
-    """
-    add_u = np.frompyfunc(add, 2, 1)
+def _fold_batched(nrows, ncols, rows, cols, a_vals, b_vals,
+                  semiring: Semiring) -> COOMatrix:
+    """Batched generic rung, for object semirings that declare no
+    (engaging) spec: the two scalar operators run as ``np.frompyfunc``
+    batch calls — one call for the multiply and one per fold *layer*
+    instead of one Python-level dispatch per element.  Operand values are
+    boxed as NumPy scalars first and the group sort is stable, so this is
+    exactly the left fold in stream order :func:`spgemm_hash` performs."""
+    mul_u = np.frompyfunc(semiring.multiply, 2, 1)
+    add_u = np.frompyfunc(semiring.add, 2, 1)
+    vals = mul_u(_boxed(a_vals), _boxed(b_vals))
     order, starts, sizes, out_rows, out_cols = group_coords(
         nrows, ncols, rows, cols
     )
@@ -422,128 +247,29 @@ def _accumulate_generic(
     return COOMatrix(nrows, ncols, out_rows, out_cols, acc)
 
 
-def spgemm_batched(
-    a: CSRMatrix, b: CSRMatrix, semiring: Semiring = ARITHMETIC
-) -> COOMatrix:
-    """Batched generic SpGEMM — the vectorized replacement for the
-    per-element hash/heap merge when an object semiring declares no
-    (engaging) numeric or struct spec.
-
-    Expansion and coordinate grouping run the same whole-array machinery
-    as the numeric kernel (:func:`spgemm_expand` plus the fused-key group
-    sort); only the two scalar semiring operators execute Python code, as
-    ``np.frompyfunc`` batch calls.  Operand values are boxed as NumPy
-    scalars first, so the arithmetic (overflow semantics included) is
-    exactly what :func:`spgemm_hash` computes — results are identical.
-    """
-    _check_dims(a, b)
-    rows, cols, a_vals, b_vals = spgemm_expand(a, b)
-    if len(rows) == 0:
-        return COOMatrix(a.nrows, b.ncols, rows, cols,
-                         np.empty(0, dtype=object))
-    mul_u = np.frompyfunc(semiring.multiply, 2, 1)
-    vals = mul_u(_boxed(a_vals), _boxed(b_vals))
-    return _accumulate_generic(a.nrows, b.ncols, rows, cols, vals,
-                               semiring.add)
-
-
-def _spgemm_coo_batched(
-    a: COOMatrix, b: COOMatrix, semiring: Semiring
-) -> COOMatrix:
-    """Batched sort-merge-join SpGEMM on COO operands for generic (object)
-    semirings: the numeric path's :func:`join_cartesian` expansion with the
-    scalar operators as ``frompyfunc`` batch calls (see
-    :func:`spgemm_batched`).  Handles duplicate operand coordinates the
-    same way the scalar merge did — one partial product per occurrence
-    pair, folded in stream order."""
-    a_order = np.argsort(a.cols, kind="stable")
-    b_order = np.argsort(b.rows, kind="stable")
-    li, ri = join_cartesian(a.cols[a_order], b.rows[b_order])
-    if len(li) == 0:
-        return COOMatrix(a.nrows, b.ncols, li, li.copy(),
-                         np.empty(0, dtype=object))
-    rows = a.rows[a_order][li]
-    cols = b.cols[b_order][ri]
-    mul_u = np.frompyfunc(semiring.multiply, 2, 1)
-    vals = mul_u(_boxed(a.vals[a_order][li]), _boxed(b.vals[b_order][ri]))
-    return _accumulate_generic(a.nrows, b.ncols, rows, cols, vals,
-                               semiring.add)
-
-
-def spgemm(
-    a: CSRMatrix,
-    b: CSRMatrix,
-    semiring: Semiring = ARITHMETIC,
-    kernel: str | None = None,
-) -> COOMatrix:
-    """Dispatcher: an explicitly requested delegated kernel
-    (``kernel="scipy"`` / ``"graphblas"``) when :func:`delegation_covers`
-    allows, then the numeric fast path when the semiring declares one and
-    the value dtypes permit, then the struct expand-reduce path; otherwise
-    the batched generic merge (:func:`spgemm_batched`).  Fallback never
-    changes results — every path folds in the same order."""
-    _check_dims(a, b)
-    if kernel is not None and kernel not in _DELEGATES:
-        raise ValueError(
-            f"unknown delegated kernel {kernel!r}; expected one of "
-            f"{', '.join(_DELEGATES)}"
-        )
-    if a.nrows == 0 or a.nnz == 0 or b.nnz == 0:
-        return COOMatrix.empty(
-            a.nrows, b.ncols,
-            dtype=result_dtype(semiring, a.data.dtype, b.data.dtype),
-        )
-    if kernel is not None and delegation_covers(
-            semiring, a.data.dtype, b.data.dtype, kernel=kernel):
-        return _DELEGATES[kernel](a, b, semiring)
-    spec = semiring.numeric
-    if spec is not None and spec.compatible(a.data.dtype, b.data.dtype):
-        return spgemm_numeric(a, b, semiring)
-    sspec = semiring.struct
-    if sspec is not None and sspec.engages(a.data, b.data):
-        return spgemm_struct(a, b, semiring)
-    return spgemm_batched(a, b, semiring)
-
-
-def _spgemm_coo_numeric(
-    a: COOMatrix, b: COOMatrix, semiring: Semiring
-) -> COOMatrix:
-    """Vectorized sort-merge-join SpGEMM on COO operands (numeric spec)."""
-    spec = semiring.numeric
-    a_order = np.argsort(a.cols, kind="stable")
-    b_order = np.argsort(b.rows, kind="stable")
-    li, ri = join_cartesian(a.cols[a_order], b.rows[b_order])
-    if len(li) == 0:
-        return COOMatrix.empty(a.nrows, b.ncols, dtype=spec.dtype)
-    rows = a.rows[a_order][li]
-    cols = b.cols[b_order][ri]
-    vals = np.asarray(
-        spec.multiply(a.vals[a_order][li], b.vals[b_order][ri])
-    )
-    return _accumulate_coo(a.nrows, b.ncols, rows, cols, vals, spec.add)
-
-
 def spgemm_coo(
     a: COOMatrix,
     b: COOMatrix,
     semiring: Semiring = ARITHMETIC,
     kernel: str | None = None,
 ) -> COOMatrix:
-    """Merge-join SpGEMM directly on COO operands.
+    """Merge-join SpGEMM directly on COO operands — the one dispatcher.
 
     Never allocates anything proportional to a matrix *dimension* — only to
     the nonzero counts — so it is safe for hypersparse blocks whose inner
-    dimension is the 24^k k-mer space (the situation DCSC exists for).  Used
-    by the distributed SUMMA stages.  Dispatches to a fully vectorized join
-    when the semiring's numeric or struct spec covers the operand value
-    dtypes, and to the batched generic merge otherwise.
+    dimension is the 24^k k-mer space (the situation DCSC exists for).
+    Both the distributed SUMMA stages and the single-process overlap run
+    it.  The ladder: the numeric spec when it covers the operand value
+    dtypes, then the struct spec when it engages, else the batched generic
+    merge.  Fallback never changes results — every rung folds in the same
+    order.
 
     ``kernel`` optionally names a delegated backend (``"scipy"`` /
-    ``"graphblas"``): when :func:`delegation_covers` allows and both blocks
-    are duplicate-free and dense enough for a dimension-proportional CSR
-    ``indptr`` to be affordable, the product runs as one external
-    ``csr @ csr`` call; every other case falls back to the in-repo join, so
-    the result is byte-identical either way.
+    ``"graphblas"``) tried first: when :func:`delegation_covers` allows and
+    both blocks are duplicate-free and dense enough for a
+    dimension-proportional CSR ``indptr`` to be affordable, the product
+    runs as one external ``csr @ csr`` call; every other case falls back
+    to the in-repo join, so the result is byte-identical either way.
     """
     if a.ncols != b.nrows:
         raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
@@ -564,12 +290,17 @@ def spgemm_coo(
         if ca is not None and cb is not None:
             return _DELEGATES[kernel](ca, cb, semiring)
     spec = semiring.numeric
-    if spec is not None and spec.compatible(a.vals.dtype, b.vals.dtype):
-        return _spgemm_coo_numeric(a, b, semiring)
     sspec = semiring.struct
-    if sspec is not None and sspec.engages(a.vals, b.vals):
-        return _spgemm_coo_struct(a, b, semiring)
-    return _spgemm_coo_batched(a, b, semiring)
+    if spec is not None and spec.compatible(a.vals.dtype, b.vals.dtype):
+        fold, dtype = _fold_numeric, spec.dtype
+    elif sspec is not None and sspec.engages(a.vals, b.vals):
+        fold, dtype = _fold_struct, sspec.dtype
+    else:
+        fold, dtype = _fold_batched, object
+    rows, cols, a_vals, b_vals = _expand_coo(a, b)
+    if len(rows) == 0:
+        return COOMatrix.empty(a.nrows, b.ncols, dtype=dtype)
+    return fold(a.nrows, b.ncols, rows, cols, a_vals, b_vals, semiring)
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +395,7 @@ def _delegate_operands(
         raise TypeError(
             f"value dtypes ({a.data.dtype}, {b.data.dtype}) are not "
             f"delegable to {kernel!r} under the {semiring.name!r} numeric "
-            f"spec (callers wanting automatic fallback should use spgemm)"
+            f"spec (callers wanting automatic fallback should use spgemm_coo)"
         )
     if spec.delegate == "pattern":
         return spec, np.ones(a.nnz, dtype=spec.dtype), \
@@ -717,16 +448,15 @@ def spgemm_scipy(
     ``"pattern"``: the values are replaced by int64 ones so the product
     counts matching pairs — COUNTING).  scipy accumulates each output
     coordinate as a left fold in ascending inner index ``k``, the same
-    order as :func:`spgemm_numeric`, so results are *bitwise* identical —
-    and when scipy's zero-sum pruning makes that unattainable (explicit
-    cancellation zeros, which the in-repo kernels keep stored), the whole
-    product runs on :func:`spgemm_numeric` instead, detected via
+    order as the numeric rung of :func:`spgemm_coo`, so results are
+    *bitwise* identical — and when scipy's zero-sum pruning makes that
+    unattainable (explicit cancellation zeros, which the in-repo kernels
+    keep stored), the whole product runs on that rung instead, detected via
     :func:`_scipy_matmat_exact`.  A product with no intersection pattern
     returns the numeric kernel's canonical empty (the spec dtype, no
     coordinates, sorted).  Raises :class:`TypeError` when the semiring or
     operand dtypes are not delegable (callers wanting automatic fallback
-    should pass ``kernel="scipy"`` to :func:`spgemm` /
-    :func:`spgemm_coo`).
+    should pass ``kernel="scipy"`` to :func:`spgemm_coo`).
     """
     spec, a_data, b_data = _delegate_operands(a, b, semiring, "scipy")
     import scipy.sparse as sp
@@ -735,7 +465,7 @@ def spgemm_scipy(
     sb = sp.csr_matrix((b_data, b.indices, b.indptr), shape=b.shape)
     c = _scipy_matmat_exact(sa, sb, sp)
     if c is None:  # scipy pruned cancellation zeros we must keep stored
-        return spgemm_numeric(a, b, semiring)
+        return spgemm_coo(a.to_coo(), b.to_coo(), semiring)
     if c.nnz == 0:
         return COOMatrix.empty(a.nrows, b.ncols, dtype=spec.dtype)
     out_rows = np.repeat(np.arange(c.shape[0], dtype=np.int64),

@@ -233,22 +233,29 @@ class TestMain:
     def test_kernel_env_default(self, monkeypatch):
         """REPRO_KERNEL steers the config default (the CI matrix hook for
         the delegated-kernel job), and an explicit flag still wins."""
-        monkeypatch.setenv("REPRO_KERNEL", "struct")
+        monkeypatch.setenv("REPRO_KERNEL", "semiring")
         args = build_parser().parse_args(["in.fa", "-o", "o.tsv"])
-        assert config_from_args(args).kernel == "struct"
+        assert config_from_args(args).kernel == "semiring"
         args = build_parser().parse_args(
-            ["in.fa", "-o", "o.tsv", "--kernel", "join"]
+            ["in.fa", "-o", "o.tsv", "--kernel", "struct"]
         )
-        assert config_from_args(args).kernel == "join"
+        assert config_from_args(args).kernel == "struct"
         if kernel_available("scipy"):
             monkeypatch.setenv("REPRO_KERNEL", "scipy")
             args = build_parser().parse_args(["in.fa", "-o", "o.tsv"])
             assert config_from_args(args).kernel == "scipy"
-        monkeypatch.setenv("REPRO_KERNEL", "bogus")
-        with pytest.raises(ConfigError, match="kernel"):
-            config_from_args(build_parser().parse_args(
-                ["in.fa", "-o", "o.tsv"]
-            ))
+        # the retired formulations get no alias: the environment default
+        # is a ConfigError and the flag is refused by the parser's choices
+        for retired in ("join", "numeric", "bogus"):
+            monkeypatch.setenv("REPRO_KERNEL", retired)
+            with pytest.raises(ConfigError, match="kernel"):
+                config_from_args(build_parser().parse_args(
+                    ["in.fa", "-o", "o.tsv"]
+                ))
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(
+                    ["in.fa", "-o", "o.tsv", "--kernel", retired]
+                )
 
     def test_clustering_output(self, fasta_file, tmp_path):
         out = tmp_path / "edges.tsv"

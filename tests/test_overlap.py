@@ -1,5 +1,7 @@
 """Tests for overlap detection: A/S construction and candidate pairs."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from repro.bio.scoring import BLOSUM62
 from repro.bio.sequences import SequenceStore
 from repro.core.config import PastisConfig
 from repro.core.overlap import (
+    CandidatePairs,
     build_a_triples,
     build_s_triples,
     find_candidate_pairs,
@@ -150,6 +153,14 @@ class TestSubstitutePairs:
             assert ss[pair] >= c
 
 
+def assert_same_pairs(got, ref):
+    """Exact equality of ``n`` and all six CandidatePairs arrays."""
+    for f in fields(CandidatePairs):
+        assert np.array_equal(getattr(got, f.name), getattr(ref, f.name)), (
+            f"{f.name} differs"
+        )
+
+
 class TestAgainstSemiringReference:
     @pytest.mark.parametrize("subs", [0, 4])
     def test_family_store(self, subs):
@@ -157,30 +168,26 @@ class TestAgainstSemiringReference:
         fam += [random_protein(45, 2)]
         store = SequenceStore(fam)
         cfg = PastisConfig(k=4, substitutes=subs)
-        fast = find_candidate_pairs(store, cfg).sort()
-        ref = find_candidate_pairs_semiring(store, cfg)
-        assert fast.pair_set() == ref.pair_set()
-        assert fast.counts.tolist() == ref.counts.tolist()
-        assert np.array_equal(
-            np.sort(fast.seed_dist, axis=1), np.sort(ref.seed_dist, axis=1)
-        )
-        assert np.array_equal(
-            np.sort(fast.seed_pos_i, axis=1),
-            np.sort(ref.seed_pos_i, axis=1),
+        assert_same_pairs(
+            find_candidate_pairs(store, cfg),
+            find_candidate_pairs_semiring(store, cfg),
         )
 
     @settings(max_examples=10, deadline=None)
     @given(
         seed=st.integers(0, 1000),
-        subs=st.sampled_from([0, 3]),
+        subs=st.sampled_from([0, 3, 8]),
         k=st.sampled_from([3, 4]),
     )
     def test_property_paths_agree(self, seed, subs, k):
         rng = np.random.default_rng(seed)
-        seqs = make_family(4, 40, 0.3, rng) + [random_protein(35, rng)]
+        # a family, two singletons, and one sequence too short for a k-mer
+        seqs = make_family(4, 40, 0.3, rng) + [
+            random_protein(35, rng), random_protein(20, rng), "AV",
+        ]
         store = SequenceStore(seqs)
         cfg = PastisConfig(k=k, substitutes=subs)
-        fast = find_candidate_pairs(store, cfg).sort()
-        ref = find_candidate_pairs_semiring(store, cfg)
-        assert fast.pair_set() == ref.pair_set()
-        assert fast.counts.tolist() == ref.counts.tolist()
+        assert_same_pairs(
+            find_candidate_pairs(store, cfg),
+            find_candidate_pairs_semiring(store, cfg),
+        )

@@ -1,4 +1,5 @@
-"""Tests for semiring SpGEMM: hash, heap, and COO-join variants."""
+"""Tests for semiring SpGEMM: the hash reference and the COO-join
+dispatcher."""
 
 import numpy as np
 import pytest
@@ -16,13 +17,7 @@ from repro.sparse.semiring import (
     MIN_PLUS,
     Semiring,
 )
-from repro.sparse.spgemm import (
-    spgemm,
-    spgemm_coo,
-    spgemm_hash,
-    spgemm_heap,
-    spgemm_scipy,
-)
+from repro.sparse.spgemm import spgemm_coo, spgemm_hash, spgemm_scipy
 
 
 def _random_pair(seed, shape_a=(12, 9), shape_b=(9, 14), density=0.3):
@@ -42,8 +37,6 @@ def _to_csr(m) -> CSRMatrix:
 
 ALL_IMPLS = [
     pytest.param(lambda a, b, s: spgemm_hash(a, b, s), id="hash"),
-    pytest.param(lambda a, b, s: spgemm_heap(a, b, s), id="heap"),
-    pytest.param(lambda a, b, s: spgemm(a, b, s), id="hybrid"),
     pytest.param(
         lambda a, b, s: spgemm_coo(a.to_coo(), b.to_coo(), s), id="coo-join"
     ),
@@ -82,10 +75,10 @@ class TestArithmetic:
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10**6))
-    def test_property_hash_heap_agree(self, seed):
+    def test_property_hash_coo_agree(self, seed):
         a, b = _random_pair(seed, shape_a=(8, 6), shape_b=(6, 10))
         h1 = spgemm_hash(_to_csr(a), _to_csr(b), ARITHMETIC)
-        h2 = spgemm_heap(_to_csr(a), _to_csr(b), ARITHMETIC)
+        h2 = spgemm_coo(_to_csr(a).to_coo(), _to_csr(b).to_coo(), ARITHMETIC)
         assert h1.to_dict() == h2.to_dict()
 
 

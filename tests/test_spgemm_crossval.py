@@ -1,9 +1,9 @@
 """Cross-validation of every SpGEMM formulation against every bundled
 semiring.
 
-The numeric fast path (`spgemm_numeric`, and the vectorized branch inside
-`spgemm_coo`) must be indistinguishable from the generic hash/heap kernels
-on every bundled semiring and sparsity pattern — including empty rows and
+The numeric fast path (the vectorized numeric rung of `spgemm_coo`) must
+be indistinguishable from the scalar hash reference on every bundled
+semiring and sparsity pattern — including empty rows and
 columns, 0×N shapes, and duplicate-entry COO inputs.  These tests are the
 safety net that let the kernels be rewritten freely; they also assert the
 fast path's defining property: no per-element Python ``add``/``multiply``
@@ -31,14 +31,7 @@ from repro.sparse.semiring import (
     MIN_PLUS,
     Semiring,
 )
-from repro.sparse.spgemm import (
-    spgemm,
-    spgemm_coo,
-    spgemm_hash,
-    spgemm_heap,
-    spgemm_numeric,
-    spgemm_scipy,
-)
+from repro.sparse.spgemm import spgemm_coo, spgemm_hash, spgemm_scipy
 
 #: Every semiring bundled by repro.sparse.semiring.
 ALL_SEMIRINGS = [ARITHMETIC, BOOLEAN, MIN_PLUS, MAX_MIN, MAX_TIMES, COUNTING]
@@ -89,19 +82,14 @@ class TestAllKernelsAgree:
                              ids=lambda s: s.name)
     @pytest.mark.parametrize("seed", range(8))
     def test_hash_heap_numeric_coo_agree(self, semiring, seed):
+        """The scalar hash reference and the numeric rung of
+        ``spgemm_coo`` agree exactly."""
         a, b = _random_pair(seed)
         a, b = _prepare(a, semiring), _prepare(b, semiring)
         ref = _norm(spgemm_hash(a, b, semiring).to_dict(), semiring)
-        heap = _norm(spgemm_heap(a, b, semiring).to_dict(), semiring)
-        num = spgemm_numeric(a, b, semiring)
         coo = spgemm_coo(a.to_coo(), b.to_coo(), semiring)
-        hyb = spgemm(a, b, semiring)
-        assert heap == ref
-        assert _norm(num.to_dict(), semiring) == ref
         assert _norm(coo.to_dict(), semiring) == ref
-        assert _norm(hyb.to_dict(), semiring) == ref
-        # the fast paths must produce typed, not object, value arrays
-        assert num.vals.dtype != object
+        # the fast path must produce typed, not object, value arrays
         assert coo.vals.dtype != object
 
     @pytest.mark.parametrize("seed", range(8))
@@ -120,10 +108,8 @@ class TestAllKernelsAgree:
         for (m, k, n) in [(0, 5, 7), (5, 0, 7), (5, 7, 0), (0, 0, 0)]:
             a = CSRMatrix.from_coo(COOMatrix.empty(m, k, dtype=dtype))
             b = CSRMatrix.from_coo(COOMatrix.empty(k, n, dtype=dtype))
-            for impl in (spgemm_hash, spgemm_heap, spgemm_numeric, spgemm):
-                out = impl(a, b, semiring)
-                assert out.shape == (m, n)
-                assert out.nnz == 0
+            out = spgemm_hash(a, b, semiring)
+            assert out.shape == (m, n) and out.nnz == 0
             out = spgemm_coo(a.to_coo(), b.to_coo(), semiring)
             assert out.shape == (m, n) and out.nnz == 0
 
@@ -137,10 +123,6 @@ class TestAllKernelsAgree:
             a, b = a.astype(bool), b.astype(bool)
         ac, bc = CSRMatrix.from_coo(a), CSRMatrix.from_coo(b)
         ref = _norm(spgemm_hash(ac, bc, semiring).to_dict(), semiring)
-        assert _norm(spgemm_heap(ac, bc, semiring).to_dict(),
-                     semiring) == ref
-        assert _norm(spgemm_numeric(ac, bc, semiring).to_dict(),
-                     semiring) == ref
         assert _norm(spgemm_coo(a, b, semiring).to_dict(), semiring) == ref
 
     @pytest.mark.parametrize("semiring", DISTRIBUTIVE,
@@ -187,7 +169,7 @@ class TestPastisNumericSemiring:
         sr = substitute_as_numeric_semiring()
         ref = {k: int(v) for k, v in spgemm_hash(ac, sc, sr)
                .to_dict().items()}
-        num = spgemm_numeric(ac, sc, sr)
+        num = spgemm_coo(ac.to_coo(), sc.to_coo(), sr)
         assert {k: int(v) for k, v in num.to_dict().items()} == ref
         assert num.vals.dtype == np.int64
 
@@ -227,9 +209,8 @@ class TestNoPythonDispatchOnNumericPath:
         a, b = _random_pair(3)
         a, b = _prepare(a, semiring), _prepare(b, semiring)
         counted, calls = _counted(semiring)
-        out = spgemm(a, b, counted)
-        out_coo = spgemm_coo(a.to_coo(), b.to_coo(), counted)
-        assert out.nnz == out_coo.nnz
+        out = spgemm_coo(a.to_coo(), b.to_coo(), counted)
+        assert out.nnz == spgemm_hash(a, b, semiring).nnz
         assert calls == {"add": 0, "multiply": 0}, (
             f"{semiring.name}: numeric path executed Python ops {calls}"
         )
@@ -243,23 +224,21 @@ class TestNoPythonDispatchOnNumericPath:
         assert not ARITHMETIC.numeric.compatible(ab.data.dtype,
                                                  bb.data.dtype)
         ref = spgemm_hash(ab, bb, ARITHMETIC).to_dict()
-        got = spgemm(ab, bb, ARITHMETIC).to_dict()
+        got = spgemm_coo(ab.to_coo(), bb.to_coo(), ARITHMETIC).to_dict()
         assert {k: bool(v) for k, v in got.items()} == (
             {k: bool(v) for k, v in ref.items()}
         )
         # COUNTING never reads values, so bool operands may stay fast
         counted, calls = _counted(COUNTING)
-        spgemm(ab, bb, counted)
+        spgemm_coo(ab.to_coo(), bb.to_coo(), counted)
         assert calls == {"add": 0, "multiply": 0}
 
     def test_object_values_fall_back_to_python_ops(self):
         # sanity check that the counter wrapper actually observes the
         # generic path: object-valued inputs cannot use the fast path
         a, b = _random_pair(3)
-        a = CSRMatrix(a.nrows, a.ncols, a.indptr, a.indices,
-                      a.data.astype(object))
         counted, calls = _counted(ARITHMETIC)
-        spgemm(a, b, counted)
+        spgemm_coo(a.to_coo().astype(object), b.to_coo(), counted)
         assert calls["multiply"] > 0
 
     def test_summa_numeric_stage_no_python_ops(self):

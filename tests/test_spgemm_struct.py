@@ -1,11 +1,11 @@
 """Cross-validation of the struct expand-reduce SpGEMM family.
 
 The struct path carries ``CommonKmers`` as struct-of-arrays record columns
-(count + packed seeds) through `spgemm_struct`, the struct branch of
-`spgemm_coo`, SUMMA's cross-stage accumulation, and the symmetrization
-merge.  Every formulation must be indistinguishable from the generic object
-kernels — byte-identical values after unpacking — and must never invoke the
-per-element Python ``add``/``multiply`` (the counting-wrapper proof, as in
+(count + packed seeds) through the struct rung of `spgemm_coo`, SUMMA's
+cross-stage accumulation, and the symmetrization merge.  Every formulation
+must be indistinguishable from the generic object kernels — byte-identical
+values after unpacking — and must never invoke the per-element Python
+``add``/``multiply`` (the counting-wrapper proof, as in
 ``tests/test_spgemm_crossval.py``).  The empty-block family locks in dtype
 preservation: an empty operand or an idle rank must still produce the
 declared record dtype, or downstream concatenations would silently knock
@@ -38,15 +38,10 @@ from repro.mpisim.grid import ProcessGrid
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.distmat import DistSparseMatrix
+from repro.sparse.kernels import get_kernel
 from repro.sparse.ops import elementwise_add
 from repro.sparse.semiring import ARITHMETIC, Semiring
-from repro.sparse.spgemm import (
-    result_dtype,
-    spgemm,
-    spgemm_coo,
-    spgemm_hash,
-    spgemm_struct,
-)
+from repro.sparse.spgemm import result_dtype, spgemm_coo, spgemm_hash
 from repro.sparse.summa import summa
 
 
@@ -73,6 +68,10 @@ def _pos_operands(seed: int, m=10, k=8):
     a.data[:] = rng.integers(0, 200, len(a.data))
     ac = CSRMatrix.from_coo(COOMatrix.from_scipy(a)).astype(np.int64)
     return ac, ac.transpose()
+
+
+#: the dispatcher on this module's CSR-built operands
+_spgemm = get_kernel("dispatch").fn
 
 
 def _ck_dict(coo: COOMatrix) -> dict:
@@ -159,18 +158,16 @@ class TestStructKernelsAgree:
         a, b = _as_operands(seed)
         sr = substitute_overlap_encoded_semiring()
         ref = _ck_dict(spgemm_hash(a, b, sr))
-        got = spgemm_struct(a, b, sr)
+        got = _spgemm(a, b, sr)
         assert got.vals.dtype == CK_DTYPE
         assert _ck_dict(got) == ref
-        assert _ck_dict(spgemm(a, b, sr)) == ref
-        assert _ck_dict(spgemm_coo(a.to_coo(), b.to_coo(), sr)) == ref
 
     @pytest.mark.parametrize("seed", range(6))
     def test_exact_overlap_matches_hash(self, seed):
         a, at = _pos_operands(seed)
         sr = exact_overlap_semiring()
         ref = _ck_dict(spgemm_hash(a, at, sr))
-        got = spgemm(a, at, sr)
+        got = _spgemm(a, at, sr)
         assert got.vals.dtype == CK_DTYPE
         assert _ck_dict(got) == ref
 
@@ -181,14 +178,9 @@ class TestStructKernelsAgree:
         af = a.astype(np.float64)
         sr = exact_overlap_semiring()
         assert not sr.struct.compatible(af.data.dtype, at.data.dtype)
-        got = spgemm(af, at.astype(np.float64), sr)
+        got = _spgemm(af, at.astype(np.float64), sr)
         assert got.vals.dtype == object
         assert _ck_dict(got) == _ck_dict(spgemm_hash(a, at, sr))
-
-    def test_struct_requires_spec(self):
-        a, at = _pos_operands(0)
-        with pytest.raises(TypeError):
-            spgemm_struct(a, at, ARITHMETIC)
 
     def test_unpackable_positions_fall_back(self):
         """Positions beyond the seed-pack bit budget (2^21) must route to
@@ -199,12 +191,7 @@ class TestStructKernelsAgree:
         ac, atc = CSRMatrix.from_coo(a), CSRMatrix.from_coo(at)
         sr = exact_overlap_semiring()
         assert not sr.struct.engages(ac.data, atc.data)
-        with pytest.raises(TypeError):
-            spgemm_struct(ac, atc, sr)
         ref = _ck_dict(spgemm_hash(ac, atc, sr))
-        got = spgemm(ac, atc, sr)
-        assert got.vals.dtype == object
-        assert _ck_dict(got) == ref
         got_coo = spgemm_coo(a, at, sr)
         assert got_coo.vals.dtype == object
         assert _ck_dict(got_coo) == ref
@@ -229,7 +216,7 @@ class TestStructMerge:
         a1, b1 = _as_operands(seed, m=9, k=7, n=9)
         a2, b2 = _as_operands(seed + 50, m=9, k=7, n=9)
         sr = substitute_overlap_encoded_semiring()
-        x, y = spgemm(a1, b1, sr), spgemm(a2, b2, sr)
+        x, y = _spgemm(a1, b1, sr), _spgemm(a2, b2, sr)
         assert x.vals.dtype == CK_DTYPE and y.vals.dtype == CK_DTYPE
         got = elementwise_add(x, y, sr)
         assert got.vals.dtype == CK_DTYPE
@@ -268,9 +255,8 @@ class TestNoPythonDispatchOnStructPath:
     def test_csr_and_coo_kernels(self):
         a, b = _as_operands(3)
         counted, calls = _counted(substitute_overlap_encoded_semiring())
-        out = spgemm(a, b, counted)
-        out_coo = spgemm_coo(a.to_coo(), b.to_coo(), counted)
-        assert out.nnz == out_coo.nnz > 0
+        out = _spgemm(a, b, counted)
+        assert out.nnz > 0 and out.vals.dtype == CK_DTYPE
         assert calls == {"add": 0, "multiply": 0}
 
     def test_summa_struct_stage_no_python_ops(self):
@@ -317,9 +303,6 @@ class TestEmptyBlockFamily:
         for (m, k, n) in [(0, 5, 7), (5, 0, 7), (5, 7, 0), (0, 0, 0)]:
             a = CSRMatrix.from_coo(COOMatrix.empty(m, k, dtype=np.int64))
             b = CSRMatrix.from_coo(COOMatrix.empty(k, n, dtype=np.int64))
-            out = spgemm(a, b, sr)
-            assert out.shape == (m, n) and out.nnz == 0
-            assert out.vals.dtype == CK_DTYPE
             out = spgemm_coo(a.to_coo(), b.to_coo(), sr)
             assert out.shape == (m, n) and out.nnz == 0
             assert out.vals.dtype == CK_DTYPE
@@ -327,7 +310,6 @@ class TestEmptyBlockFamily:
     def test_spgemm_empty_operands_keep_numeric_dtype(self):
         a = CSRMatrix.from_coo(COOMatrix.empty(4, 5, dtype=np.float64))
         b = CSRMatrix.from_coo(COOMatrix.empty(5, 6, dtype=np.float64))
-        assert spgemm(a, b, ARITHMETIC).vals.dtype == np.float64
         assert spgemm_coo(a.to_coo(), b.to_coo(),
                           ARITHMETIC).vals.dtype == np.float64
 
@@ -338,9 +320,6 @@ class TestEmptyBlockFamily:
         b = COOMatrix(4, 3, [2, 3], [0, 2], np.array([7, 8], np.int64))
         sr = substitute_overlap_encoded_semiring()
         out = spgemm_coo(a, b, sr)
-        assert out.nnz == 0 and out.vals.dtype == CK_DTYPE
-        out = spgemm_struct(CSRMatrix.from_coo(a), CSRMatrix.from_coo(b),
-                            sr)
         assert out.nnz == 0 and out.vals.dtype == CK_DTYPE
 
     @pytest.mark.parametrize("nranks", [1, 4, 9])
@@ -389,7 +368,7 @@ class TestEmptyBlockFamily:
         object stream."""
         sr = substitute_overlap_encoded_semiring()
         a1, b1 = _as_operands(11)
-        x = spgemm(a1, b1, sr)  # records
+        x = _spgemm(a1, b1, sr)  # records
         assert x.vals.dtype == CK_DTYPE
         y = COOMatrix(x.nrows, x.ncols, x.rows, x.cols,
                       records_to_common_kmers(x.vals))  # objects
@@ -422,7 +401,7 @@ class TestEmptyBlockFamily:
     def test_elementwise_add_with_empty_struct_operand(self):
         sr = substitute_overlap_encoded_semiring()
         a1, b1 = _as_operands(9)
-        x = spgemm(a1, b1, sr)
+        x = _spgemm(a1, b1, sr)
         empty = COOMatrix.empty(x.nrows, x.ncols, dtype=CK_DTYPE)
         got = elementwise_add(x, empty, sr)
         assert got.vals.dtype == CK_DTYPE
