@@ -8,9 +8,8 @@ and dispatches the whole batch to one of two engines:
 * ``engine="batched"`` (default) — the inter-pair wavefront engine of
   :mod:`repro.align.engine`: every DP row advances in all live lanes at
   once, mirroring the paper's SeqAn batching;
-* ``engine="python"`` — the per-pair reference path (optionally across a
-  thread pool via ``threads``), the always-correct oracle the batched
-  engine is cross-validated against.
+* ``engine="python"`` — the per-pair reference path, the always-correct
+  oracle the batched engine is cross-validated against.
 
 Both engines produce byte-identical results (a tested invariant, the same
 contract the overlap stage's ``kernel`` knob has).
@@ -24,7 +23,6 @@ empty result instead of faulting the batch.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -100,7 +98,6 @@ def align_batch(
     gap_extend: int = 1,
     xdrop: int = 49,
     traceback: bool = True,
-    threads: int = 1,
     engine: str = "batched",
 ) -> list[AlignmentResult]:
     """Align a batch of tasks, preserving task order in the result list.
@@ -108,9 +105,7 @@ def align_batch(
     ``engine`` selects the batched inter-pair wavefront engine
     (``"batched"``, the default) or the per-pair Python reference
     (``"python"``); both produce byte-identical results (a tested
-    invariant — see ``docs/knobs.md``).  ``threads`` only applies to the
-    reference path — the batched engine vectorizes across the batch
-    instead, so passing both warns and the thread count is ignored.
+    invariant — see ``docs/knobs.md``).
 
     ``traceback=False`` (the NS fast path) returns score-only results
     whose explicit empty span :func:`repro.align.stats.passes_filter`
@@ -119,28 +114,12 @@ def align_batch(
     if engine not in ("batched", "python"):
         raise ValueError("engine must be 'batched' or 'python'")
     if engine == "batched":
-        if threads > 1:
-            import warnings
-
-            warnings.warn(
-                "align_batch(threads=...) applies only to the 'python' "
-                "engine; the batched engine vectorizes across the batch "
-                "and ignores the thread count",
-                UserWarning,
-                stacklevel=2,
-            )
         from .engine import align_batch_batched
 
         return align_batch_batched(
             tasks, mode, k, scoring, gap_open, gap_extend, xdrop, traceback
         )
-
-    def work(t: AlignmentTask) -> AlignmentResult:
-        return align_pair(
-            t, mode, k, scoring, gap_open, gap_extend, xdrop, traceback
-        )
-
-    if threads <= 1 or len(tasks) < 2:
-        return [work(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(work, tasks))
+    return [
+        align_pair(t, mode, k, scoring, gap_open, gap_extend, xdrop, traceback)
+        for t in tasks
+    ]

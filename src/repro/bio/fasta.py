@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 __all__ = [
+    "FastaError",
     "FastaRecord",
     "read_fasta",
     "write_fasta",
@@ -30,6 +31,11 @@ __all__ = [
 #: Default extra bytes read past a chunk boundary to complete a record
 #: (the paper's "user defined extra amount of bytes").
 DEFAULT_OVERLAP_BYTES = 4096
+
+
+class FastaError(ValueError):
+    """Unusable FASTA input: data before the first header, or a record
+    (named in the message) with an invalid residue or a repeated id."""
 
 
 @dataclass(frozen=True)
@@ -59,7 +65,7 @@ def _records_from_lines(lines: Iterable[str]) -> Iterator[FastaRecord]:
             parts = []
         else:
             if header is None:
-                raise ValueError("FASTA data does not start with a '>' header")
+                raise FastaError("FASTA data does not start with a '>' header")
             parts.append(line.strip())
     if header is not None:
         yield _make_record(header, parts)

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .alphabet import decode_sequence, encode_sequence
-from .fasta import FastaRecord
+from .fasta import FastaError, FastaRecord
 
 __all__ = ["SequenceStore", "DistributedIndex"]
 
@@ -29,12 +29,21 @@ class SequenceStore:
 
     Residues live in a single contiguous buffer; sequence ``i`` occupies
     ``buffer[offsets[i]:offsets[i + 1]]``.  Ids are kept in a parallel list.
+    An invalid residue raises :class:`FastaError` naming the record.
     """
 
     __slots__ = ("_buffer", "_offsets", "_ids")
 
     def __init__(self, sequences: Iterable[str], ids: Sequence[str] | None = None):
-        encoded = [encode_sequence(s) for s in sequences]
+        encoded = []
+        for number, seq in enumerate(sequences, 1):
+            try:
+                encoded.append(encode_sequence(seq))
+            except ValueError as exc:
+                ident = f"seq{number - 1}" if ids is None else ids[number - 1]
+                raise FastaError(
+                    f"record {number} ({ident!r}): {exc}"
+                ) from None
         lengths = np.array([len(e) for e in encoded], dtype=np.int64)
         if (lengths == 0).any():
             raise ValueError("empty sequences are not allowed")
@@ -53,7 +62,16 @@ class SequenceStore:
 
     @classmethod
     def from_records(cls, records: Iterable[FastaRecord]) -> "SequenceStore":
+        """A store of parsed records.  A repeated id raises
+        :class:`FastaError`: it would make the by-id edge list ambiguous."""
         recs = list(records)
+        first: dict[str, int] = {}
+        for number, rec in enumerate(recs, 1):
+            if first.setdefault(rec.id, number) != number:
+                raise FastaError(
+                    f"duplicate sequence id {rec.id!r}: records "
+                    f"{first[rec.id]} and {number}"
+                )
         return cls((r.sequence for r in recs), [r.id for r in recs])
 
     @classmethod

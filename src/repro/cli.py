@@ -25,7 +25,7 @@ import argparse
 import sys
 import time
 
-from .bio.fasta import read_fasta
+from .bio.fasta import FastaError, read_fasta
 from .bio.sequences import SequenceStore
 from .core.config import (
     ALIGN_BALANCE_MODES,
@@ -34,7 +34,9 @@ from .core.config import (
     COMM_BACKENDS,
     KERNELS,
     WEIGHTS,
+    ConfigError,
     PastisConfig,
+    check_ranks,
 )
 from .core.distributed import run_pastis_distributed
 from .core.graph import SimilarityGraph
@@ -73,12 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-identity", type=float, default=0.30)
     p.add_argument("--min-coverage", type=float, default=0.70)
     p.add_argument("--ranks", type=int, default=1,
-                   help="simulated MPI ranks (perfect square); 1 = "
-                   "single-process pipeline")
-    p.add_argument("--threads", type=int, default=1,
-                   help="alignment threads per process (only applies to "
-                   "--align-engine python; the batched engine vectorizes "
-                   "across the batch instead)")
+                   help="simulated MPI ranks (a positive perfect square); "
+                   "1 = single-process pipeline")
     p.add_argument("--kernel", choices=KERNELS, default=None,
                    help="overlap kernel: struct expand-reduce (default; "
                    "CommonKmers as record columns — what distributed "
@@ -160,7 +158,6 @@ def config_from_args(args: argparse.Namespace) -> PastisConfig:
         xdrop=args.xdrop,
         min_identity=args.min_identity,
         min_coverage=args.min_coverage,
-        align_threads=args.threads,
         align_engine=args.align_engine,
         align_balance=args.align_balance,
         steal_factor=args.steal_factor,
@@ -180,16 +177,21 @@ def write_edges_tsv(path: str, graph: SimilarityGraph) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code: 2, with ``error:
+    <message>`` on stderr and nothing else printed, for a bad configuration
+    or input (:class:`ConfigError`, :class:`FastaError`)."""
     args = build_parser().parse_args(argv)
-    config = config_from_args(args)
-
     t0 = time.perf_counter()
-    records = read_fasta(args.fasta)
-    if not records:
-        print("error: no sequences in input", file=sys.stderr)
+    try:
+        config = config_from_args(args)
+        check_ranks(args.ranks)
+        records = read_fasta(args.fasta)
+        if not records:
+            raise FastaError("no sequences in input")
+        store = SequenceStore.from_records(records)
+    except (ConfigError, FastaError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    store = SequenceStore.from_records(records)
     if not args.quiet:
         print(f"read {len(store)} sequences "
               f"({store.total_residues} residues) "

@@ -17,6 +17,9 @@ This module levels the triangles *deterministically*:
    the traced wire size is honest and the destination rank needs nothing
    beyond the message itself.
 
+:func:`plan_and_ship` is steps 2-3 as one SPMD stage, and
+:func:`align_and_drain` the align stage that consumes what it shipped.
+
 The static plan runs at the speed of its estimate: when measured
 throughput diverges from the a-priori DP-cell cost (long corridors that
 die early, a slow node, SW pairs that retire fast), the align stage still
@@ -49,11 +52,13 @@ __all__ = [
     "PROGRESS_TAG",
     "STEAL_TAG",
     "RebalancePlan",
+    "align_and_drain",
     "decode_tasks",
     "encode_tasks",
     "estimate_batch_cells",
     "estimate_task_cells",
     "greedy_plan",
+    "plan_and_ship",
     "steal_align",
     "steal_decision",
     "xdrop_corridor_width",
@@ -273,6 +278,98 @@ def decode_tasks(payload: tuple[np.ndarray, ...]) -> list[AlignmentTask]:
             )
         )
     return tasks
+
+
+# ---------------------------------------------------------------------------
+# the static plan, executed
+# ---------------------------------------------------------------------------
+
+#: message tag of the static plan's shipped-task payloads (distinct from
+#: the sequence exchange so in-flight traffic can never cross-match)
+_TAG_REBAL = 77
+
+
+def plan_and_ship(
+    comm,
+    tasks: Sequence[AlignmentTask],
+    costs: Sequence[int],
+) -> tuple[list[AlignmentTask], list[int], dict[int, object],
+           RebalancePlan, dict]:
+    """Static rebalancing of one rank's tasks (SPMD body): one allgather
+    shares the cost vectors, every rank computes the identical
+    :func:`greedy_plan`, and surplus tasks ship point-to-point as flat
+    :func:`encode_tasks` payloads.  Returns the retained tasks and their
+    costs, the pending receives of the payloads shipped *to* this rank by
+    source (the align stage progresses them), the plan, and this rank's
+    ``pre_cells`` / ``post_cells`` / ``shipped_out`` / ``shipped_in``."""
+    me = comm.rank
+    plan = greedy_plan(comm.allgather(costs))
+    dest = plan.dest[me]
+    retained = [t for t, d in zip(tasks, dest) if d == me]
+    incoming: dict[int, object] = {}
+    shipped_in = 0
+    for src, dst, ntasks in plan.flows():
+        if src == me:
+            comm.isend(
+                encode_tasks([t for t, d in zip(tasks, dest) if d == dst]),
+                dest=dst, tag=_TAG_REBAL, kind="rebal",
+            )
+        elif dst == me:
+            incoming[src] = comm.irecv(src, tag=_TAG_REBAL)
+            shipped_in += ntasks
+    stats = {
+        "pre_cells": int(plan.pre_cells[me]),
+        "post_cells": int(plan.post_cells[me]),
+        "shipped_out": len(tasks) - len(retained),
+        "shipped_in": shipped_in,
+    }
+    retained_costs = [int(c) for c, d in zip(costs, dest) if d == me]
+    return retained, retained_costs, incoming, plan, stats
+
+
+def align_and_drain(
+    tasks: Sequence[AlignmentTask],
+    costs: Sequence[int],
+    incoming: Mapping[int, object],
+    align_fn: Callable[[list[AlignmentTask]], list],
+    cost_fn: Callable[[list[AlignmentTask]], list[int]],
+) -> tuple[list[tuple[AlignmentTask, object]], dict]:
+    """The static align stage of one rank: one batched ``align_fn`` call
+    for the local (retained) Fig.-11 triangle, then the ``incoming``
+    receives of :func:`plan_and_ship` — an eager ``test()`` sweep aligns
+    whatever has landed, and only when nothing has does the rank block in
+    ``wait()`` on the lowest pending source.  Returns the ``(task,
+    result)`` pairs plus the measured throughput; ``align_seconds`` times
+    *only* the engine calls — blocked communication waits would corrupt the
+    cells/sec numbers the calibration fit is reproduced from (as in
+    :func:`steal_align`)."""
+    aligned: list[tuple[AlignmentTask, object]] = []
+    aligned_cells = 0.0
+    align_seconds = 0.0
+
+    def run(batch: Sequence[AlignmentTask], batch_costs) -> None:
+        nonlocal aligned_cells, align_seconds
+        # spmd: nondeterminism-ok (measured throughput: reported only)
+        t0 = time.perf_counter()
+        results = align_fn(batch)
+        align_seconds += time.perf_counter() - t0  # spmd: nondeterminism-ok
+        aligned.extend(zip(batch, results))
+        aligned_cells += float(sum(batch_costs))
+
+    run(tasks, costs)
+    pending = dict(incoming)
+    while pending:
+        landed = [src for src in sorted(pending) if pending[src].test()[0]]
+        for src in landed or [min(pending)]:
+            # a completed request latches its payload: wait() returns it
+            shipped = decode_tasks(pending.pop(src).wait())
+            run(shipped, cost_fn(shipped))
+    rate = aligned_cells / align_seconds if align_seconds > 0 else 0.0
+    return aligned, {
+        "aligned_cells": aligned_cells,
+        "align_seconds": align_seconds,
+        "measured_cells_per_sec": rate,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ and 3 for substitute k-mers when the CK variant is enabled.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -28,6 +29,7 @@ __all__ = [
     "WEIGHTS",
     "ConfigError",
     "PastisConfig",
+    "check_ranks",
 ]
 
 #: valid values of the choice-valued knobs — the CLI builds its ``choices``
@@ -47,6 +49,16 @@ class ConfigError(ValueError):
     time — including a delegated kernel whose backing package is missing,
     so the failure names the package up front instead of surfacing
     mid-SUMMA."""
+
+
+def check_ranks(nranks: int) -> None:
+    """Raise :class:`ConfigError`, before any rank is spawned, unless
+    ``nranks`` is a positive perfect square (the 2-D grid takes no other)."""
+    if nranks < 1 or math.isqrt(nranks) ** 2 != nranks:
+        raise ConfigError(
+            "ranks must be a positive perfect square (1, 4, 9, ...), "
+            f"got {nranks}"
+        )
 
 
 def _default_comm_backend() -> str:
@@ -184,7 +196,6 @@ class PastisConfig:
     min_identity: float = 0.30
     min_coverage: float = 0.70
     max_seeds: int = 2
-    align_threads: int = 1
     kernel: str = field(default_factory=_default_kernel)
     align_engine: str = "batched"
     align_balance: str = "off"

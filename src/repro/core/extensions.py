@@ -43,14 +43,6 @@ __all__ = [
 ]
 
 
-def _slice_pairs(pairs: CandidatePairs, keep: np.ndarray) -> CandidatePairs:
-    return CandidatePairs(
-        pairs.n, pairs.ri[keep], pairs.rj[keep], pairs.counts[keep],
-        pairs.seed_pos_i[keep], pairs.seed_pos_j[keep],
-        pairs.seed_dist[keep],
-    )
-
-
 def pastis_pipeline_batched(
     store: SequenceStore,
     config: PastisConfig | None = None,
@@ -83,8 +75,9 @@ def pastis_pipeline_batched(
         keep = (pairs.ri >= start) & (pairs.ri < end)
         if not keep.any():
             continue
-        strip = _slice_pairs(pairs, keep)
-        strip_edges, strip_aligned = align_candidates(store, strip, config)
+        strip_edges, strip_aligned = align_candidates(
+            store, pairs.take(keep), config
+        )
         edges.extend(strip_edges)
         aligned += strip_aligned
     graph = SimilarityGraph.from_edges(n, edges, ids=list(store.ids))

@@ -33,7 +33,6 @@ from ..kmers.extraction import store_kmers
 from ..kmers.substitutes import substitute_kmer_ids
 from ..sparse.coo import COOMatrix, group_coords
 from ..sparse.csr import CSRMatrix
-from ..sparse.ops import triu
 from ..sparse.spgemm import spgemm_coo, spgemm_hash
 from .config import PastisConfig
 from .semirings import (
@@ -57,6 +56,7 @@ __all__ = [
     "find_candidate_pairs",
     "find_candidate_pairs_semiring",
     "find_candidate_pairs_struct",
+    "pairs_from_block",
     "symmetrize_candidates",
 ]
 
@@ -122,10 +122,10 @@ def ck_keep_mask(counts, t: int) -> np.ndarray:
     """The CK predicate (Section VI): keep pairs sharing *strictly more*
     than ``t`` (substitute) k-mers; works on scalars and arrays.
 
-    This is the single definition of the ``>`` semantics — both the
-    single-process :meth:`CandidatePairs.apply_ck_threshold` and the
-    distributed per-block filter route through it, so the boundary
-    behaviour cannot drift between pipelines (a tested invariant).
+    This is the single definition of the ``>`` semantics;
+    :meth:`CandidatePairs.apply_ck_threshold` is its one caller in both
+    pipelines, so the boundary behaviour cannot drift between them (a
+    tested invariant).
     """
     return np.asarray(counts) > t
 
@@ -150,26 +150,29 @@ class CandidatePairs:
     def npairs(self) -> int:
         return len(self.ri)
 
+    def take(self, sel: np.ndarray) -> "CandidatePairs":
+        """The pairs a mask or an index array selects, in that order."""
+        return CandidatePairs(
+            self.n, self.ri[sel], self.rj[sel], self.counts[sel],
+            self.seed_pos_i[sel], self.seed_pos_j[sel], self.seed_dist[sel],
+        )
+
     def apply_ck_threshold(self, t: int | None) -> "CandidatePairs":
-        """Drop pairs sharing ``t`` or fewer k-mers (the CK variant)."""
+        """Drop pairs sharing ``t`` or fewer k-mers (the CK variant) — the
+        one CK site of both pipelines, a filter on the count column."""
         if t is None:
             return self
-        keep = ck_keep_mask(self.counts, t)
-        return CandidatePairs(
-            self.n, self.ri[keep], self.rj[keep], self.counts[keep],
-            self.seed_pos_i[keep], self.seed_pos_j[keep],
-            self.seed_dist[keep],
-        )
+        return self.take(ck_keep_mask(self.counts, t))
 
     def seeds_of(self, p: int) -> list[tuple[int, int]]:
         """Valid ``(pos_i, pos_j)`` seed pairs of pair index ``p``."""
-        out = []
-        for s in range(self.seed_pos_i.shape[1]):
-            if self.seed_pos_i[p, s] >= 0:
-                out.append(
-                    (int(self.seed_pos_i[p, s]), int(self.seed_pos_j[p, s]))
-                )
-        return out
+        return [
+            (i, j)
+            for i, j in zip(
+                self.seed_pos_i[p].tolist(), self.seed_pos_j[p].tolist()
+            )
+            if i >= 0
+        ]
 
     def pair_set(self) -> set[tuple[int, int]]:
         return {
@@ -177,12 +180,7 @@ class CandidatePairs:
         }
 
     def sort(self) -> "CandidatePairs":
-        order = np.lexsort((self.rj, self.ri))
-        return CandidatePairs(
-            self.n, self.ri[order], self.rj[order], self.counts[order],
-            self.seed_pos_i[order], self.seed_pos_j[order],
-            self.seed_dist[order],
-        )
+        return self.take(np.lexsort((self.rj, self.ri)))
 
 
 # ---------------------------------------------------------------------------
@@ -333,34 +331,68 @@ def symmetrize_candidates(
 # ---------------------------------------------------------------------------
 
 
-def _pairs_from_common_kmers(n: int, upper: COOMatrix) -> CandidatePairs:
-    """Unpack an upper-triangle ``B`` into :class:`CandidatePairs`; values
-    may be :class:`CommonKmers` objects or CK struct records."""
-    npairs = upper.nnz
+def _pairs_from_common_kmers(
+    n: int, ri: np.ndarray, rj: np.ndarray, vals: np.ndarray
+) -> CandidatePairs:
+    """Unpack ``B`` entries ``(ri, rj, vals)`` into :class:`CandidatePairs`;
+    values may be :class:`CommonKmers` objects or CK struct records."""
+    npairs = len(ri)
     counts = np.empty(npairs, dtype=np.int64)
     spos_i = np.full((npairs, MAX_SEEDS), -1, dtype=np.int64)
     spos_j = np.full((npairs, MAX_SEEDS), -1, dtype=np.int64)
     sdist = np.full((npairs, MAX_SEEDS), -1, dtype=np.int64)
-    if is_ck_records(upper.vals):
-        counts[:] = upper.vals["count"]
+    if is_ck_records(vals):
+        counts[:] = vals["count"]
         for s, f in enumerate(CK_SEED_FIELDS):
-            packed = upper.vals[f]
+            packed = vals[f]
             has = packed != CK_SEED_NONE
             pi, pj, dd = unpack_seeds(packed[has])
             spos_i[has, s] = pi
             spos_j[has, s] = pj
             sdist[has, s] = dd
     else:
-        for p, v in enumerate(upper.vals):
+        for p, v in enumerate(vals):
             assert isinstance(v, CommonKmers)
             counts[p] = v.count
             for s, (pi, pj, dd) in enumerate(v.seeds[:MAX_SEEDS]):
                 spos_i[p, s] = pi
                 spos_j[p, s] = pj
                 sdist[p, s] = dd
-    return CandidatePairs(
-        n, upper.rows, upper.cols, counts, spos_i, spos_j, sdist
+    return CandidatePairs(n, ri, rj, counts, spos_i, spos_j, sdist)
+
+
+def pairs_from_block(
+    n: int,
+    block: COOMatrix,
+    row_offset: int = 0,
+    col_offset: int = 0,
+    owns_diagonal: bool = False,
+) -> CandidatePairs:
+    """The candidate pairs one block of the symmetric ``n x n`` ``B`` is
+    responsible for (Fig. 11) — the one ``B`` -> :class:`CandidatePairs`
+    step of both pipelines; the whole matrix is the block at offsets 0.
+
+    Block ``(pi, pj)`` local ``(r, c)`` mirrors block ``(pj, pi)`` local
+    ``(c, r)``, so ``r < c`` in every block, plus ``r == c`` in the blocks
+    above the grid diagonal (``owns_diagonal``), covers every off-diagonal
+    pair exactly once.  The offsets translate to global ids, global
+    self-pairs are dropped, and a pair a below-diagonal block holds as
+    ``(hi, lo)`` becomes ``(lo, hi)`` by swapping its ids and its seed
+    position columns.  Entry order is kept: the graph bytes depend on it.
+    """
+    gi = block.rows + row_offset
+    gj = block.cols + col_offset
+    keep = block.rows < block.cols
+    if owns_diagonal:
+        keep |= block.rows == block.cols
+    keep &= gi != gj
+    pairs = _pairs_from_common_kmers(n, gi[keep], gj[keep], block.vals[keep])
+    swap = pairs.ri > pairs.rj
+    pairs.ri[swap], pairs.rj[swap] = pairs.rj[swap], pairs.ri[swap]
+    pairs.seed_pos_i[swap], pairs.seed_pos_j[swap] = (
+        pairs.seed_pos_j[swap], pairs.seed_pos_i[swap]
     )
+    return pairs
 
 
 def _hash_multiply(a: COOMatrix, b: COOMatrix, semiring) -> COOMatrix:
@@ -402,7 +434,7 @@ def candidate_pairs_from_triples(
         a_s = multiply(a, s, as_semiring)
         b = multiply(a_s, at, overlap_semiring)
         b = symmetrize_candidates(b)
-    return _pairs_from_common_kmers(n, triu(b, k=1)).sort()
+    return pairs_from_block(n, b).sort()
 
 
 def find_candidate_pairs(

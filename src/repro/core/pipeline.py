@@ -9,7 +9,9 @@ same graph (a tested invariant — the paper stresses that PASTIS's output is
 from __future__ import annotations
 
 import time
-from typing import Iterable
+from typing import Callable, Iterable
+
+import numpy as np
 
 from ..align.batch import AlignmentTask, align_batch
 from ..align.stats import AlignmentResult, passes_filter
@@ -28,6 +30,7 @@ __all__ = [
     "align_kwargs",
     "edge_weight",
     "edges_from_alignments",
+    "tasks_from_pairs",
 ]
 
 
@@ -55,7 +58,6 @@ def align_kwargs(config: PastisConfig) -> dict:
         gap_extend=config.gap_extend,
         xdrop=config.xdrop,
         traceback=config.needs_traceback,
-        threads=config.align_threads,
         engine=config.align_engine,
     )
 
@@ -79,6 +81,22 @@ def edges_from_alignments(
     return edges
 
 
+def tasks_from_pairs(
+    pairs: CandidatePairs,
+    encoded: Callable[[int], np.ndarray],
+) -> list[AlignmentTask]:
+    """One alignment task per candidate pair, in pair order (both
+    pipelines' pairs→tasks step).  ``encoded`` maps a global sequence id to
+    its residues: ``store.encoded``, or the exchange cache's lookup."""
+    return [
+        AlignmentTask(
+            a=encoded(i), b=encoded(j), seeds=tuple(pairs.seeds_of(p)),
+            pair=(i, j),
+        )
+        for p, (i, j) in enumerate(zip(pairs.ri.tolist(), pairs.rj.tolist()))
+    ]
+
+
 def align_candidates(
     store: SequenceStore,
     pairs: CandidatePairs,
@@ -86,17 +104,7 @@ def align_candidates(
 ) -> tuple[list[tuple[int, int, float]], int]:
     """Align candidate pairs, apply the similarity filter, and return the
     surviving ``(i, j, weight)`` edges plus the number of alignments run."""
-    tasks = []
-    for p in range(pairs.npairs):
-        i, j = int(pairs.ri[p]), int(pairs.rj[p])
-        tasks.append(
-            AlignmentTask(
-                a=store.encoded(i),
-                b=store.encoded(j),
-                seeds=tuple(pairs.seeds_of(p)),
-                pair=(i, j),
-            )
-        )
+    tasks = tasks_from_pairs(pairs, store.encoded)
     results = align_batch(tasks, **align_kwargs(config))
     return edges_from_alignments(zip(tasks, results), config), len(tasks)
 

@@ -142,33 +142,7 @@ class TestBatch:
         for t, r in zip(tasks, out):
             assert r.len_a == len(t.a)
 
-    def test_batch_threads_same_results(self):
-        # threads only apply to the per-pair reference engine
-        tasks = self._tasks(8)
-        seq = align_batch(tasks, "sw", k=3, threads=1, engine="python")
-        par = align_batch(tasks, "sw", k=3, threads=4, engine="python")
-        assert [r.score for r in seq] == [r.score for r in par]
-
     def test_batch_xd_mode(self):
         tasks = self._tasks(4, seed=5)
         out = align_batch(tasks, "xd", k=3)
         assert all(r.mode == "xd" for r in out)
-
-    def test_threads_with_batched_engine_warns(self):
-        """``threads`` only applies to the python engine; passing it with
-        the batched engine warns (and is ignored), instead of silently
-        suggesting parallelism that never happens."""
-        tasks = self._tasks(4, seed=6)
-        with pytest.warns(UserWarning, match="'python' engine"):
-            warned = align_batch(tasks, "sw", k=3, threads=4,
-                                 engine="batched")
-        assert warned == align_batch(tasks, "sw", k=3, engine="batched")
-
-    def test_no_warning_on_default_threads(self):
-        import warnings
-
-        tasks = self._tasks(3, seed=7)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            align_batch(tasks, "sw", k=3, engine="batched")
-            align_batch(tasks, "sw", k=3, threads=4, engine="python")

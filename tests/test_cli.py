@@ -96,7 +96,7 @@ class TestCliSurface:
         help_text = build_parser().format_help()
         flags = (
             "--k", "--substitutes", "--ck", "--xdrop", "--min-identity",
-            "--min-coverage", "--ranks", "--threads", "--steal-factor",
+            "--min-coverage", "--ranks", "--steal-factor",
             "--steal-chunks", "--cluster", "--inflation", "--output",
         ) + tuple(CHOICE_KNOBS)
         for flag in flags:
@@ -142,7 +142,7 @@ class TestCliSurface:
         args = build_parser().parse_args(
             ["in.fa", "-o", "o.tsv", "--k", "5", "--substitutes", "7",
              "--ck", "3", "--xdrop", "25", "--min-identity", "0.4",
-             "--min-coverage", "0.8", "--threads", "2",
+             "--min-coverage", "0.8",
              "--steal-factor", "2.5", "--steal-chunks", "4"]
         )
         config = config_from_args(args)
@@ -152,7 +152,6 @@ class TestCliSurface:
         assert config.xdrop == 25
         assert config.min_identity == 0.4
         assert config.min_coverage == 0.8
-        assert config.align_threads == 2
         assert config.steal_factor == 2.5
         assert config.steal_chunks == 4
 
@@ -281,6 +280,67 @@ class TestMain:
         ws = [float(l.split("\t")[2])
               for l in out.read_text().strip().splitlines()[1:]]
         assert any(w > 1.0 for w in ws)  # raw score / length for identicalish
+
+
+class TestNamedErrors:
+    """Bad configuration or input is an ``error: <message>`` line on
+    stderr and exit code 2 — no traceback, nothing on stdout (the runs are
+    *not* ``--quiet``), no output file, no rank spawned."""
+
+    def _fails(self, argv, capsys, tmp_path):
+        out = tmp_path / "edges.tsv"
+        rc = main([*argv, "-o", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+        assert not out.exists()
+        return captured.err
+
+    @pytest.mark.parametrize("ranks", ["3", "0", "-4", "8"])
+    def test_bad_rank_count(self, fasta_file, capsys, tmp_path, ranks):
+        err = self._fails(
+            [str(fasta_file), "--ranks", ranks], capsys, tmp_path
+        )
+        assert "perfect square" in err
+        assert f"got {ranks}" in err
+
+    def test_library_rejects_bad_rank_count_before_spawning(self):
+        from repro.bio.sequences import SequenceStore
+        from repro.core.distributed import run_pastis_distributed
+
+        store = SequenceStore(["AVGDMKAVG", "AVGDMRAVG"])
+        for nranks in (3, 0, -4):
+            with pytest.raises(ConfigError, match=f"got {nranks}"):
+                run_pastis_distributed(store, nranks=nranks)
+
+    def test_duplicate_ids(self, capsys, tmp_path):
+        fa = tmp_path / "dup.fa"
+        fa.write_text(">a\nAVGDMK\n>c\nAVGDMR\n>a x\nAVGDMH\n")
+        err = self._fails([str(fa)], capsys, tmp_path)
+        assert "duplicate sequence id 'a'" in err
+        assert "records 1 and 3" in err
+
+    @pytest.mark.parametrize("residue", ["U", "O", "J", "-"])
+    def test_invalid_residue_names_the_record(self, capsys, tmp_path,
+                                              residue):
+        fa = tmp_path / "bad.fa"
+        fa.write_text(f">ok\nAVGDMK\n>sel1 desc\nAVG{residue}MK\n")
+        err = self._fails([str(fa), "--ranks", "4"], capsys, tmp_path)
+        assert "record 2 ('sel1')" in err
+        assert repr(residue) in err
+
+    def test_existing_config_error(self, fasta_file, capsys, tmp_path,
+                                   monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL", "join")
+        err = self._fails([str(fasta_file)], capsys, tmp_path)
+        assert "kernel must be one of" in err
+
+    def test_empty_input(self, capsys, tmp_path):
+        empty = tmp_path / "empty.fa"
+        empty.write_text("")
+        assert "no sequences" in self._fails([str(empty)], capsys, tmp_path)
 
 
 class TestWriteEdges:

@@ -309,6 +309,39 @@ class TestCkThresholdParity:
         assert bool(ck_keep_mask(2, 2)) is False  # boundary: == t drops
 
 
+class TestCountFirstTail:
+    """The distributed tail is the single-process one: block ->
+    ``CandidatePairs`` arrays -> CK on the count column -> tasks.  On the
+    struct kernel no ``CommonKmers`` object is ever built — before, every
+    pre-CK candidate was unpacked into one just to read its count."""
+
+    def test_struct_kernel_with_ck_builds_no_objects(self, data,
+                                                     monkeypatch):
+        from repro.core import semirings
+
+        cfg = PastisConfig(
+            k=4, substitutes=0, kernel="struct", comm_backend="sim"
+        ).default_ck()
+        ref = pastis_pipeline(data.store, cfg)
+
+        built = []
+        real = semirings.CommonKmers
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return real(*args, **kwargs)
+
+        # the thread backend runs every rank in this process, so the
+        # patched constructor sees all four of them
+        monkeypatch.setattr(semirings, "CommonKmers", counting)
+        got = run_pastis_distributed(data.store, cfg, nranks=4)
+        assert built == []
+        assert _edge_list(got) == _edge_list(ref)
+        assert got.meta["candidate_pairs"] == ref.meta["candidate_pairs"]
+        assert got.meta["aligned_pairs"] == ref.meta["aligned_pairs"]
+        assert got.meta["aligned_pairs"] < got.meta["candidate_pairs"]
+
+
 class TestAlignRebalancing:
     """The align_balance="greedy" stage: byte-identical output, stable
     meta/timing schema, and shipped-task traffic visible to the tracer."""

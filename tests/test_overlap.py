@@ -17,8 +17,16 @@ from repro.core.overlap import (
     build_s_triples,
     find_candidate_pairs,
     find_candidate_pairs_semiring,
+    pairs_from_block,
+)
+from repro.core.semirings import (
+    MAX_SEEDS,
+    CommonKmers,
+    common_kmers_to_records,
 )
 from repro.kmers.encoding import kmer_id_from_string
+from repro.mpisim.grid import block_ranges
+from repro.sparse.coo import COOMatrix
 
 
 class TestBuildA:
@@ -191,3 +199,100 @@ class TestAgainstSemiringReference:
             find_candidate_pairs(store, cfg),
             find_candidate_pairs_semiring(store, cfg),
         )
+
+
+def _random_symmetric_b(rng, n):
+    """Entries ``(row, col, CommonKmers)`` of a random ``n x n`` ``B`` with
+    a symmetric pattern (some diagonal entries included) and symmetric
+    counts; the two directions of a pair carry *independent* seeds, so a
+    wrong orientation cannot cancel out."""
+    def value(count):
+        seeds = sorted(
+            {(int(rng.integers(60)), int(rng.integers(60)),
+              int(rng.integers(4)))
+             for _ in range(int(rng.integers(1, MAX_SEEDS + 1)))},
+            key=lambda s: (s[2], s[0], s[1]),
+        )
+        return CommonKmers(count, tuple(seeds))
+
+    entries = []
+    for i in range(n):
+        for j in range(i, n):
+            if rng.random() < 0.6:
+                count = int(rng.integers(1, 6))
+                entries.append((i, j, value(count)))
+                if i != j:
+                    entries.append((j, i, value(count)))
+    order = rng.permutation(len(entries))
+    return [entries[t] for t in order]
+
+
+def _reference_block_pairs(entries, rs, cs, above_diagonal):
+    """The parent commit's distributed step 7, kept as the oracle: Fig.-11
+    triangle selection plus the per-pair seed-orientation loop."""
+    out = []
+    for r, c, ck in entries:
+        if r < c or (r == c and above_diagonal):
+            gi, gj = rs + r, cs + c
+            if gi == gj:
+                continue  # global self-pair
+            lo, hi = (gi, gj) if gi < gj else (gj, gi)
+            seeds = [(pi, pj) if gi == lo else (pj, pi)
+                     for pi, pj, _d in ck.seeds]
+            out.append((lo, hi, ck.count, seeds))
+    return out
+
+
+class TestPairsFromBlock:
+    """``pairs_from_block`` is the one ``B`` -> CandidatePairs step of both
+    pipelines: over any q x q blocking it must cover exactly the pairs of
+    the whole-matrix call, oriented ``(lo, hi)``, with the seeds of the
+    parent's orientation loop — on records and on objects alike."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 9),
+           as_records=st.booleans())
+    def test_blocks_cover_whole_matrix_once(self, seed, n, as_records):
+        entries = _random_symmetric_b(np.random.default_rng(seed), n)
+
+        def block(rlo, rhi, clo, chi):
+            local = [(r - rlo, c - clo, v) for r, c, v in entries
+                     if rlo <= r < rhi and clo <= c < chi]
+            vals = np.empty(len(local), dtype=object)
+            vals[:] = [v for _, _, v in local]
+            coo = COOMatrix(
+                rhi - rlo, chi - clo,
+                np.array([r for r, _, _ in local], dtype=np.int64),
+                np.array([c for _, c, _ in local], dtype=np.int64),
+                common_kmers_to_records(vals) if as_records else vals,
+            )
+            return local, coo
+
+        def key_counts(pairs):
+            return sorted(zip(pairs.ri.tolist(), pairs.rj.tolist(),
+                              pairs.counts.tolist()))
+
+        whole = pairs_from_block(n, block(0, n, 0, n)[1])
+        expected = {(r, c) for r, c, _ in entries if r < c}
+        assert set(zip(whole.ri.tolist(), whole.rj.tolist())) == expected
+
+        for q in (1, 2, 3):
+            ranges = block_ranges(n, q)
+            union = []
+            for pi, (rlo, rhi) in enumerate(ranges):
+                for pj, (clo, chi) in enumerate(ranges):
+                    local, coo = block(rlo, rhi, clo, chi)
+                    got = pairs_from_block(
+                        n, coo, rlo, clo, owns_diagonal=pi < pj
+                    )
+                    assert got.n == n
+                    assert (got.ri < got.rj).all()
+                    # entry order kept, seeds by the parent's swap rule
+                    assert [
+                        (int(got.ri[p]), int(got.rj[p]),
+                         int(got.counts[p]), got.seeds_of(p))
+                        for p in range(got.npairs)
+                    ] == _reference_block_pairs(local, rlo, clo, pi < pj)
+                    union.extend(key_counts(got))
+            # every off-diagonal pair exactly once, with the same counts
+            assert sorted(union) == key_counts(whole)
