@@ -22,7 +22,7 @@ from repro.bio.alphabet import encode_sequence
 from repro.bio.generate import mutate, random_protein
 from repro.kmers.substitutes import (
     brute_force_substitutes,
-    find_substitute_kmers,
+    substitute_kmers_batch,
 )
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
@@ -89,15 +89,17 @@ class TestAlignmentKernels:
 
 
 class TestSubstituteSearch:
-    def test_heap_search_m25(self, benchmark):
-        root = encode_sequence("AVGDMI")
-        out = benchmark(find_substitute_kmers, root, 25)
-        assert len(out) == 25
+    """The lattice search as form S runs it — one batch of distinct roots
+    (a single-root call would time call overhead) — against the oracle."""
 
-    def test_heap_search_m50(self, benchmark):
-        root = encode_sequence("AVGDMI")
-        out = benchmark(find_substitute_kmers, root, 50)
-        assert len(out) == 50
+    @pytest.fixture(scope="class")
+    def roots(self):
+        return np.random.default_rng(0).choice(24**6, size=256, replace=False)
+
+    @pytest.mark.parametrize("m", [25, 50])
+    def test_batch_search(self, benchmark, roots, m):
+        ids, _ = benchmark(substitute_kmers_batch, roots, 6, m)
+        assert ids.shape == (256, m)
 
     def test_brute_force_small_k(self, benchmark):
         # |Sigma|^3 = 13824 enumeration — the oracle the search replaces

@@ -29,7 +29,7 @@ from ..bio.scoring import BLOSUM62, ScoringMatrix
 from ..bio.sequences import SequenceStore
 from ..core.graph import SimilarityGraph
 from ..kmers.extraction import sequence_kmers
-from ..kmers.substitutes import find_substitute_kmers
+from ..kmers.substitutes import substitute_kmer_ids
 from ..kmers.encoding import decode_kmer, encode_kmer
 
 __all__ = ["MMseqsConfig", "mmseqs_search", "similar_kmers"]
@@ -68,15 +68,16 @@ def similar_kmers(
 ) -> list[tuple[int, int]]:
     """``(kmer id, distance)`` of the k-mer itself plus every similar k-mer
     within the sensitivity budget (capped at ``max_similar``)."""
-    out = [(int(encode_kmer(np.asarray(kmer, dtype=np.int64))), 0)]
+    kid = encode_kmer(np.asarray(kmer, dtype=np.int64))
+    out = [(kid, 0)]
     if config.distance_budget <= 0:
         return out
-    for s in find_substitute_kmers(
-        np.asarray(kmer), config.max_similar, scoring=config.scoring
+    for sid, distance in substitute_kmer_ids(
+        kid, len(kmer), config.max_similar, scoring=config.scoring
     ):
-        if s.distance > config.distance_budget:
+        if distance > config.distance_budget:
             break
-        out.append((s.kmer_id, s.distance))
+        out.append((sid, distance))
     return out
 
 

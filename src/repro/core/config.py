@@ -13,6 +13,7 @@ import os
 from dataclasses import dataclass, field
 
 from ..bio.scoring import BLOSUM62, ScoringMatrix
+from ..kmers.encoding import MAX_K
 from ..mpisim.backend import COMM_BACKENDS
 from ..sparse.kernels import (
     DELEGATED_KERNELS,
@@ -206,7 +207,7 @@ class PastisConfig:
 
     def __post_init__(self) -> None:
         if self.align_mode not in ALIGN_MODES:
-            raise ValueError("align_mode must be 'xd' or 'sw'")
+            raise ConfigError("align_mode must be 'xd' or 'sw'")
         if self.kernel not in KERNELS:
             raise ConfigError(
                 f"kernel must be one of {', '.join(KERNELS)}"
@@ -219,27 +220,30 @@ class PastisConfig:
                 f"installed (pip install {kernel_requirement(self.kernel)})"
             )
         if self.align_engine not in ALIGN_ENGINES:
-            raise ValueError("align_engine must be 'batched' or 'python'")
+            raise ConfigError("align_engine must be 'batched' or 'python'")
         if self.align_balance not in ALIGN_BALANCE_MODES:
-            raise ValueError(
+            raise ConfigError(
                 "align_balance must be 'off', 'greedy', or 'steal'"
             )
         if self.weight not in WEIGHTS:
-            raise ValueError("weight must be 'ani' or 'ns'")
-        if self.k < 1:
-            raise ValueError("k must be positive")
+            raise ConfigError("weight must be 'ani' or 'ns'")
+        if not 1 <= self.k <= MAX_K:
+            raise ConfigError(
+                f"k must be between 1 and {MAX_K} (k-mer ids are int64), "
+                f"got {self.k}"
+            )
         if self.substitutes < 0:
-            raise ValueError("substitutes must be non-negative")
+            raise ConfigError("substitutes must be non-negative")
         if self.common_kmer_threshold is not None and (
             self.common_kmer_threshold < 0
         ):
-            raise ValueError("common_kmer_threshold must be non-negative")
+            raise ConfigError("common_kmer_threshold must be non-negative")
         if self.steal_factor < 1.0:
-            raise ValueError("steal_factor must be >= 1.0")
+            raise ConfigError("steal_factor must be >= 1.0")
         if self.steal_chunks < 1:
-            raise ValueError("steal_chunks must be positive")
+            raise ConfigError("steal_chunks must be positive")
         if self.comm_backend not in COMM_BACKENDS:
-            raise ValueError(
+            raise ConfigError(
                 f"comm_backend must be one of {', '.join(COMM_BACKENDS)}"
             )
 

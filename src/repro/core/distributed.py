@@ -168,9 +168,16 @@ def _form_b(
     else:
         with _timed(timings, "form S"):
             if s_triples is None:
+                # once per grid: every rank learns the global vocabulary,
+                # expands an interleaved share of it and keeps only the
+                # substitute columns that can match Aᵀ — the restriction
+                # the single-process pipeline applies
+                vocab = np.unique(np.concatenate(
+                    comm.allgather(np.unique(local_kmers))
+                ))
                 s_rows, s_cols, s_dist = build_s_triples(
-                    local_kmers, config.k, config.substitutes,
-                    config.scoring,
+                    vocab[comm.rank::comm.size], config.k,
+                    config.substitutes, config.scoring, restrict_to=vocab,
                 )
             else:  # an injected S: every rank contributes a slice
                 s_rows, s_cols, s_dist = (
@@ -183,8 +190,6 @@ def _form_b(
             s = DistSparseMatrix.distribute(
                 grid, a.ncols, a.ncols, s_rows, s_cols, s_dist
             )
-            # ranks can generate the same k-mer's substitutes; dedupe
-            s.local = s.local.sum_duplicates(lambda x, y: x)
         with _timed(timings, "AS"):
             a_s = summa(a, s, as_semiring, kernel=delegate)
         with _timed(timings, "(AS)AT"):

@@ -30,7 +30,7 @@ import numpy as np
 from ..bio.scoring import ScoringMatrix
 from ..bio.sequences import SequenceStore
 from ..kmers.extraction import store_kmers
-from ..kmers.substitutes import substitute_kmer_ids
+from ..kmers.substitutes import substitute_kmers_batch
 from ..sparse.coo import COOMatrix, group_coords
 from ..sparse.csr import CSRMatrix
 from ..sparse.spgemm import spgemm_coo, spgemm_hash
@@ -90,27 +90,16 @@ def build_s_triples(
     occur nowhere in the dataset — they cannot match anything in ``Aᵀ``, so
     removing them changes no result while shrinking ``S``.
     """
-    expense = scoring.expense_matrix()
-    rows: list[int] = []
-    cols: list[int] = []
-    dists: list[int] = []
-    for kid in np.unique(np.asarray(kmer_ids, dtype=np.int64)):
-        kid = int(kid)
-        rows.append(kid)
-        cols.append(kid)
-        dists.append(0)
-        if m > 0:
-            for sid, dist in substitute_kmer_ids(kid, k, m, expense, scoring):
-                rows.append(kid)
-                cols.append(sid)
-                dists.append(dist)
-    rows_a = np.asarray(rows, dtype=np.int64)
-    cols_a = np.asarray(cols, dtype=np.int64)
-    dists_a = np.asarray(dists, dtype=np.int64)
-    if restrict_to is not None and len(cols_a):
-        keep = _in_sorted(np.asarray(restrict_to, dtype=np.int64), cols_a)
-        rows_a, cols_a, dists_a = rows_a[keep], cols_a[keep], dists_a[keep]
-    return rows_a, cols_a, dists_a
+    roots = np.unique(np.asarray(kmer_ids, dtype=np.int64))
+    sub_ids, sub_dist = substitute_kmers_batch(roots, k, m, scoring)
+    # row-major: every root's identity entry, then its substitutes in order
+    rows = np.repeat(roots, sub_ids.shape[1] + 1)
+    cols = np.column_stack((roots, sub_ids)).ravel()
+    dists = np.column_stack((np.zeros_like(roots), sub_dist)).ravel()
+    if restrict_to is not None and len(cols):
+        keep = _in_sorted(np.asarray(restrict_to, dtype=np.int64), cols)
+        rows, cols, dists = rows[keep], cols[keep], dists[keep]
+    return rows, cols, dists
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from .substitutes import (
     find_substitute_kmers,
     kmer_distance,
     substitute_kmer_ids,
+    substitute_kmers_batch,
 )
 
 __all__ = [
@@ -33,4 +34,5 @@ __all__ = [
     "find_substitute_kmers",
     "kmer_distance",
     "substitute_kmer_ids",
+    "substitute_kmers_batch",
 ]

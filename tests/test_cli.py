@@ -337,6 +337,17 @@ class TestNamedErrors:
         err = self._fails([str(fasta_file)], capsys, tmp_path)
         assert "kernel must be one of" in err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--k", "0"], "k must be between 1 and 13"),
+        (["--k", "14"], "k must be between 1 and 13"),
+        (["-s", "-1"], "substitutes must be non-negative"),
+        (["--ck", "-2"], "common_kmer_threshold must be non-negative"),
+    ])
+    def test_out_of_range_knob(self, fasta_file, capsys, tmp_path, flags,
+                               message):
+        err = self._fails([str(fasta_file), *flags], capsys, tmp_path)
+        assert message in err
+
     def test_empty_input(self, capsys, tmp_path):
         empty = tmp_path / "empty.fa"
         empty.write_text("")

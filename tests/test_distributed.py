@@ -266,7 +266,8 @@ class TestMeta:
         assert cc["traced_messages"] == tracer.total_messages
         assert cc["traced_bytes"] == tracer.total_bytes
         assert cc["predicted_comm_seconds"] > 0
-        assert cc["calibration"]["backend"] == "sim"
+        # the backend the run resolved to (REPRO_COMM_BACKEND moves it)
+        assert cc["calibration"]["backend"] == cfg.comm_backend
 
 
 class TestCkThresholdParity:
@@ -340,6 +341,49 @@ class TestCountFirstTail:
         assert got.meta["candidate_pairs"] == ref.meta["candidate_pairs"]
         assert got.meta["aligned_pairs"] == ref.meta["aligned_pairs"]
         assert got.meta["aligned_pairs"] < got.meta["candidate_pairs"]
+
+
+class TestFormSOncePerGrid:
+    """Every distinct k-mer of the input is expanded by exactly one rank,
+    and ``S`` carries only columns that can match ``Aᵀ`` — before, each
+    rank searched its own local k-mers, unrestricted, and the copies were
+    thrown away after the redistribution."""
+
+    def test_searches_partition_the_vocabulary(self, data, monkeypatch):
+        from repro.core import distributed, overlap
+
+        cfg = PastisConfig(k=4, substitutes=4, comm_backend="sim")
+        ref = pastis_pipeline(data.store, cfg)
+        _, kmers, _ = overlap.build_a_triples(data.store, cfg.k)
+        vocab = np.unique(kmers)
+        single = overlap.build_s_triples(
+            vocab, cfg.k, cfg.substitutes, cfg.scoring, restrict_to=vocab
+        )
+
+        searched, s_cols = [], []
+        real_batch = overlap.substitute_kmers_batch
+        real_build = distributed.build_s_triples
+
+        def counting_batch(kmer_ids, *args, **kwargs):
+            searched.append(np.asarray(kmer_ids))
+            return real_batch(kmer_ids, *args, **kwargs)
+
+        def recording_build(*args, **kwargs):
+            triples = real_build(*args, **kwargs)
+            s_cols.append(triples[1])
+            return triples
+
+        # the thread backend runs every rank in this process, so the
+        # wrappers see all four of them
+        monkeypatch.setattr(overlap, "substitute_kmers_batch", counting_batch)
+        monkeypatch.setattr(distributed, "build_s_triples", recording_build)
+        got = run_pastis_distributed(data.store, cfg, nranks=4)
+
+        assert len(searched) == 4
+        assert np.array_equal(np.sort(np.concatenate(searched)), vocab)
+        assert np.isin(np.concatenate(s_cols), vocab).all()
+        assert sum(len(c) for c in s_cols) == len(single[1])
+        assert _edge_list(got) == _edge_list(ref)
 
 
 class TestAlignRebalancing:

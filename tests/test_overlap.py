@@ -76,6 +76,18 @@ class TestBuildS:
         assert set(cols.tolist()) <= set(present.tolist())
         assert kmer_id_from_string("SAC") in cols.tolist()
 
+    def test_restricted_equals_filtered_unrestricted(self, small_store):
+        _, cols, _ = build_a_triples(small_store, 3)
+        vocab = np.unique(cols)
+        full = build_s_triples(vocab, 3, 10, BLOSUM62)
+        keep = np.isin(full[1], vocab)
+        assert not keep.all()  # the restriction does drop columns
+        restricted = build_s_triples(vocab, 3, 10, BLOSUM62,
+                                     restrict_to=vocab)
+        for got, want in zip(restricted, full):
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want[keep])
+
     def test_distances_match_substitute_search(self):
         kid = kmer_id_from_string("AAC")
         rows, cols, dists = build_s_triples(np.array([kid]), 3, 3, BLOSUM62)
