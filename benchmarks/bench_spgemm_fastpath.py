@@ -7,10 +7,8 @@ overlap stage, and the ``(AS) Aᵀ`` CommonKmers shape of the struct
 expand-reduce path).  Two headline rows are asserted at ≥ 5×: plus-times
 on a 500×500, 1 % density pair (the numeric rung of ``spgemm_coo`` vs
 hash) and the CommonKmers overlap stage (its struct rung vs the object
-reference); in practice both gaps are far larger.  A third gate covers
-the delegated scipy kernel: one ``csr @ csr`` call must beat the numeric
-rung ≥ 2× on the overlap shape (``TestScipyDelegationSpeedup``; self-skips
-when scipy is not installed, like every scipy-dependent workload here).
+reference); in practice both gaps are far larger.  Workloads whose operand
+builder needs ``scipy.sparse.random`` self-skip when scipy is not installed.
 
 Run with ``pytest benchmarks/bench_spgemm_fastpath.py -s`` to see the
 table, or directly as a script::
@@ -50,7 +48,7 @@ from repro.sparse.semiring import (
     MAX_TIMES,
     MIN_PLUS,
 )
-from repro.sparse.spgemm import spgemm_coo, spgemm_hash, spgemm_scipy
+from repro.sparse.spgemm import spgemm_coo, spgemm_hash
 
 needs_scipy = pytest.mark.skipif(not HAVE_SCIPY,
                                  reason="scipy not installed")
@@ -160,34 +158,6 @@ class TestFastPathSpeedup:
         assert t_hash / t_num >= 1.5
 
 
-@needs_scipy
-class TestScipyDelegationSpeedup:
-    """Acceptance gate for the delegated-kernel PR: on the paper's
-    dominant overlap shape (``A Aᵀ`` over COUNTING, pattern-delegated as
-    one int64 ``csr @ csr``), handing the k-stage to scipy's C++
-    Gustavson kernel must be at least 2x faster than the in-repo numeric
-    rung of ``spgemm_coo`` — while producing the bit-identical matrix."""
-
-    def test_counting_aat_delegation_2x(self):
-        a = _kmer_matrix(nseqs=3000, kmer_space=20_000, kmers_per_seq=100,
-                         seed=5)
-        at = a.transpose()
-        numeric = _fast(a, at, COUNTING)
-        ref = numeric().sort()
-        got = spgemm_scipy(a, at, COUNTING).sort()
-        assert got.vals.dtype == ref.vals.dtype
-        assert (got.rows == ref.rows).all()
-        assert (got.cols == ref.cols).all()
-        assert got.vals.tobytes() == ref.vals.tobytes()
-        t_num = _best_of(numeric, repeat=3)
-        t_scipy = _best_of(lambda: spgemm_scipy(a, at, COUNTING), repeat=3)
-        _report([("counting AAT 3000 seqs scipy delegated", t_num,
-                  t_scipy)])
-        assert t_num / t_scipy >= 2.0, (
-            f"scipy delegation only {t_num / t_scipy:.2f}x over numeric"
-        )
-
-
 class TestStructPathSpeedup:
     def test_commonkmers_overlap_stage(self):
         """Acceptance workload for the struct expand-reduce path: the
@@ -247,17 +217,6 @@ def _workloads(smoke: bool):
         lambda: spgemm_hash(ka, kat, COUNTING),
         _fast(ka, kat, COUNTING),
     )
-    if HAVE_SCIPY:
-        # the delegated-kernel row: "generic" is the in-repo numeric fast
-        # path, "fast" is the one-call scipy delegation (the CI gate in
-        # TestScipyDelegationSpeedup asserts >= 2x on the full-size shape)
-        dka = _kmer_matrix(max(int(1500 * scale), 100),
-                           max(int(10_000 * scale), 800), 60, seed=6)
-        dkat = dka.transpose()
-        out["counting_aat_scipy_delegation"] = (
-            _fast(dka, dkat, COUNTING),
-            lambda: spgemm_scipy(dka, dkat, COUNTING),
-        )
     a_s, at = _as_operands(max(int(300 * scale), 60),
                            max(int(4000 * scale), 400), 25, seed=9)
     sr = substitute_overlap_encoded_semiring()

@@ -10,7 +10,7 @@ Subpackages
     Base-24 k-mer encoding, extraction, and the m-nearest substitute k-mer
     search (paper Algorithms 1-3).
 ``repro.sparse``
-    CombBLAS stand-in: semiring SpGEMM, COO/CSR/DCSC storage, 2-D block
+    CombBLAS stand-in: semiring SpGEMM, COO/CSR storage, 2-D block
     distribution, Sparse SUMMA.
 ``repro.mpisim``
     Thread-based simulated MPI with tracing (the distributed substrate).

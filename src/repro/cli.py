@@ -8,7 +8,7 @@ Usage::
 
     python -m repro input.fasta -o edges.tsv [--k 6] [--substitutes 25]
         [--align xd|sw] [--weight ani|ns] [--ck N] [--ranks 4]
-        [--kernel struct|semiring|scipy|graphblas]
+        [--kernel struct|semiring]
         [--align-engine batched|python]
         [--align-balance off|greedy|steal] [--steal-factor 1.5]
         [--cluster families.tsv]
@@ -77,15 +77,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ranks", type=int, default=1,
                    help="simulated MPI ranks (a positive perfect square); "
                    "1 = single-process pipeline")
-    p.add_argument("--kernel", choices=KERNELS, default=None,
+    p.add_argument("--kernel", choices=KERNELS, default="struct",
                    help="overlap kernel: struct expand-reduce (default; "
                    "CommonKmers as record columns — what distributed "
-                   "SUMMA runs), the generic semiring reference, or a "
-                   "delegated backend ('scipy' / 'graphblas': the struct "
-                   "path with spec-covered SUMMA stages run as one "
-                   "external csr @ csr call; needs the package "
-                   "installed); byte-identical graphs either way "
-                   "(defaults to $REPRO_KERNEL or 'struct')")
+                   "SUMMA runs) or the generic object-semiring reference; "
+                   "byte-identical graphs either way")
     p.add_argument("--align-engine", choices=ALIGN_ENGINES,
                    default="batched",
                    help="alignment engine: inter-pair batched wavefront "
@@ -146,9 +142,6 @@ def config_from_args(args: argparse.Namespace) -> PastisConfig:
     if args.comm_sanitize is not None:
         # same pattern: an absent flag defers to REPRO_COMM_SANITIZE
         extra["comm_sanitize"] = args.comm_sanitize
-    if args.kernel is not None:
-        # same pattern: an absent flag defers to REPRO_KERNEL
-        extra["kernel"] = args.kernel
     return PastisConfig(
         k=args.k,
         substitutes=args.substitutes,
@@ -158,6 +151,7 @@ def config_from_args(args: argparse.Namespace) -> PastisConfig:
         xdrop=args.xdrop,
         min_identity=args.min_identity,
         min_coverage=args.min_coverage,
+        kernel=args.kernel,
         align_engine=args.align_engine,
         align_balance=args.align_balance,
         steal_factor=args.steal_factor,

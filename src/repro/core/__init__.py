@@ -7,7 +7,6 @@ from .extensions import (
     KmerFrequencyReport,
     high_frequency_kmer_filter,
     kmer_frequency_analysis,
-    pastis_pipeline_batched,
 )
 from .graph import SimilarityGraph
 from .overlap import (
@@ -38,7 +37,6 @@ __all__ = [
     "KmerFrequencyReport",
     "high_frequency_kmer_filter",
     "kmer_frequency_analysis",
-    "pastis_pipeline_batched",
     "pastis_rank",
     "run_pastis_distributed",
     "store_to_fasta_bytes",

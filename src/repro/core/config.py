@@ -15,11 +15,6 @@ from dataclasses import dataclass, field
 from ..bio.scoring import BLOSUM62, ScoringMatrix
 from ..kmers.encoding import MAX_K
 from ..mpisim.backend import COMM_BACKENDS
-from ..sparse.kernels import (
-    DELEGATED_KERNELS,
-    kernel_available,
-    kernel_requirement,
-)
 
 __all__ = [
     "ALIGN_BALANCE_MODES",
@@ -36,20 +31,17 @@ __all__ = [
 #: valid values of the choice-valued knobs — the CLI builds its ``choices``
 #: from these and the CLI surface test round-trips every one of them
 #: (COMM_BACKENDS is re-exported from repro.mpisim.backend, its source of
-#: truth, so the registry and the knob can never drift; the delegated
-#: kernel names likewise come from repro.sparse.kernels)
+#: truth, so the registry and the knob can never drift)
 ALIGN_MODES = ("xd", "sw")
 WEIGHTS = ("ani", "ns")
-KERNELS = ("struct", "semiring") + DELEGATED_KERNELS
+KERNELS = ("struct", "semiring")
 ALIGN_ENGINES = ("batched", "python")
 ALIGN_BALANCE_MODES = ("off", "greedy", "steal")
 
 
 class ConfigError(ValueError):
-    """Invalid :class:`PastisConfig` combination, raised at construction
-    time — including a delegated kernel whose backing package is missing,
-    so the failure names the package up front instead of surfacing
-    mid-SUMMA."""
+    """Invalid :class:`PastisConfig` value or rank count, raised at
+    construction time — before any rank is spawned."""
 
 
 def check_ranks(nranks: int) -> None:
@@ -68,13 +60,6 @@ def _default_comm_backend() -> str:
     touching any call site (only the *config* default reads the variable;
     ``run_spmd``'s own default stays ``"sim"``)."""
     return os.environ.get("REPRO_COMM_BACKEND", "sim")
-
-
-def _default_kernel() -> str:
-    """``kernel``'s default honours ``REPRO_KERNEL`` (same pattern as
-    ``REPRO_COMM_BACKEND``), so CI can re-run the whole suite with a
-    delegated SpGEMM backend without touching any call site."""
-    return os.environ.get("REPRO_KERNEL", "struct")
 
 
 def _default_comm_sanitize() -> bool:
@@ -111,15 +96,9 @@ class PastisConfig:
         Overlap-detection kernel: ``"struct"`` (the default — the matrix
         formulation with ``AS`` on the int64-packed numeric semiring and
         ``CommonKmers`` as struct-of-arrays record columns, what SUMMA
-        runs per block), ``"semiring"`` (generic object semirings — the
-        literal, slow reference, forced onto the distributed path too), or
-        a *delegated* backend — ``"scipy"`` / ``"graphblas"`` — that is
-        ``"struct"`` plus every NumericSpec-covered SUMMA stage run as one
-        external ``csr @ csr`` call wherever the stage's semiring declares
-        a delegate form (validated here: a missing backing package raises
-        a :class:`ConfigError` naming it).  All produce identical output
-        (a tested invariant).  The default honours the ``REPRO_KERNEL``
-        environment variable so CI can matrix the suite over kernels.
+        runs per block) or ``"semiring"`` (generic object semirings — the
+        literal, slow reference, forced onto the distributed path too).
+        Both produce identical output (a tested invariant).
     align_engine:
         Alignment-stage engine: ``"batched"`` (the default) packs each
         rank's candidate pairs into padded lanes and advances every DP row
@@ -196,8 +175,7 @@ class PastisConfig:
     xdrop: int = 49
     min_identity: float = 0.30
     min_coverage: float = 0.70
-    max_seeds: int = 2
-    kernel: str = field(default_factory=_default_kernel)
+    kernel: str = "struct"
     align_engine: str = "batched"
     align_balance: str = "off"
     steal_factor: float = 1.5
@@ -211,13 +189,6 @@ class PastisConfig:
         if self.kernel not in KERNELS:
             raise ConfigError(
                 f"kernel must be one of {', '.join(KERNELS)}"
-            )
-        if self.kernel in DELEGATED_KERNELS and not kernel_available(
-                self.kernel):
-            raise ConfigError(
-                f"kernel={self.kernel!r} delegates SpGEMM to the "
-                f"{kernel_requirement(self.kernel)} package, which is not "
-                f"installed (pip install {kernel_requirement(self.kernel)})"
             )
         if self.align_engine not in ALIGN_ENGINES:
             raise ConfigError("align_engine must be 'batched' or 'python'")

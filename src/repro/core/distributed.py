@@ -47,7 +47,6 @@ from ..mpisim.backend import CommBackend, run_spmd
 from ..mpisim.grid import ProcessGrid
 from ..mpisim.tracing import CommTracer
 from ..sparse.distmat import DistSparseMatrix
-from ..sparse.kernels import DELEGATED_KERNELS
 from ..sparse.summa import summa
 from .balance import (
     align_and_drain,
@@ -153,18 +152,15 @@ def _form_b(
     Python.  ``kernel="semiring"`` swaps in the object reference, and so
     does any position or distance beyond the seed-pack bit budget —
     collectively (:func:`_ck_packable`): mixed per-rank representations
-    would corrupt the SUMMA reduction.  A delegated kernel rides along and
-    engages only where the stage semiring declares a delegate form (the
-    PASTIS positional semirings declare none: the graph bytes cannot move).
+    would corrupt the SUMMA reduction.
     """
     reference = config.kernel == "semiring"
-    delegate = config.kernel if config.kernel in DELEGATED_KERNELS else None
     if config.substitutes == 0:
         with _timed(timings, "(AS)AT"):
             _, _, exact_semiring = overlap_semirings(
                 reference or not _ck_packable(comm, pos)
             )
-            b = summa(a, at, exact_semiring, kernel=delegate)
+            b = summa(a, at, exact_semiring)
     else:
         with _timed(timings, "form S"):
             if s_triples is None:
@@ -191,9 +187,9 @@ def _form_b(
                 grid, a.ncols, a.ncols, s_rows, s_cols, s_dist
             )
         with _timed(timings, "AS"):
-            a_s = summa(a, s, as_semiring, kernel=delegate)
+            a_s = summa(a, s, as_semiring)
         with _timed(timings, "(AS)AT"):
-            b = summa(a_s, at, overlap_semiring, kernel=delegate)
+            b = summa(a_s, at, overlap_semiring)
         with _timed(timings, "sym."):
             # B ∪ Bᵀ: the cross-diagonal block exchange inside transpose()
             # hands every rank the partner block that mirrors its own, then

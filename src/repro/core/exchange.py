@@ -68,19 +68,14 @@ class SequenceExchange:
 
     recv_requests: list[Request]
     cache: dict[int, np.ndarray] = field(default_factory=dict)
-    wait_seconds: float = 0.0
 
     def finish(self) -> dict[int, np.ndarray]:
         """MPI_Waitall: drain every pending receive into the cache."""
-        import time
-
-        t0 = time.perf_counter()
         for req in self.recv_requests:
             gids, buf, offsets = req.wait()
             for t in range(len(gids)):
                 self.cache[int(gids[t])] = buf[offsets[t] : offsets[t + 1]]
         self.recv_requests = []
-        self.wait_seconds += time.perf_counter() - t0
         return self.cache
 
 

@@ -1,93 +1,34 @@
-"""Extensions from the paper's future-work list (Section VII).
+"""K-mer pre-filtering, from the paper's future-work list (Section VII):
+"Another future avenue is to perform an analysis of k-mers in a
+pre-processing stage to see whether some of them can be eliminated without
+sacrificing recall too much."
 
-1. **Memory-bounded batching** — "A direction in this regard is the partial
-   formation of the output matrix and once this partial information is
-   obtained to run the alignment and free the corresponding memory."
-   :func:`pastis_pipeline_batched` forms the candidate matrix ``B`` one
-   row-strip at a time, aligns that strip's pairs, frees them, and moves
-   on; peak memory is bounded by the strip, and the output equals the
-   monolithic pipeline exactly (tested invariant).
-
-2. **K-mer pre-filtering** — "Another future avenue is to perform an
-   analysis of k-mers in a pre-processing stage to see whether some of
-   them can be eliminated without sacrificing recall too much."
-   :func:`kmer_frequency_analysis` computes the document frequency of every
-   k-mer; :func:`high_frequency_kmer_filter` drops the most promiscuous
-   ones (they generate quadratically many candidate pairs while carrying
-   little evolutionary signal — the same reasoning behind seed masking in
-   BLAST-family tools).
+:func:`kmer_frequency_analysis` computes the document frequency of every
+k-mer; :func:`high_frequency_kmer_filter` drops the most promiscuous ones
+(they generate quadratically many candidate pairs while carrying little
+evolutionary signal — the same reasoning behind seed masking in
+BLAST-family tools).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..bio.sequences import SequenceStore
 from .config import PastisConfig
-from .graph import SimilarityGraph
 from .overlap import (
     CandidatePairs,
     build_a_triples,
     candidate_pairs_from_triples,
-    find_candidate_pairs,
 )
-from .pipeline import align_candidates
 
 __all__ = [
-    "pastis_pipeline_batched",
     "kmer_frequency_analysis",
     "high_frequency_kmer_filter",
     "KmerFrequencyReport",
 ]
-
-
-def pastis_pipeline_batched(
-    store: SequenceStore,
-    config: PastisConfig | None = None,
-    batch_rows: int = 64,
-) -> SimilarityGraph:
-    """The pipeline with alignment interleaved per row-strip of ``B``.
-
-    Candidate pairs whose smaller sequence id falls in the current strip
-    are aligned and released before the next strip is processed, bounding
-    the number of in-flight alignment tasks to one strip's worth — the
-    paper's proposed fix for its small-node-count out-of-memory failures.
-
-    The result is identical to :func:`~repro.core.pipeline.pastis_pipeline`
-    because the strip partition never splits a pair.
-    """
-    config = config or PastisConfig()
-    if batch_rows <= 0:
-        raise ValueError("batch_rows must be positive")
-    # NOTE: overlap detection itself is still global here; the distributed
-    # pipeline would form B strip by strip.  What this bounds is the
-    # dominant memory consumer — the alignment task list and seed arrays.
-    pairs = find_candidate_pairs(store, config)
-    pairs = pairs.apply_ck_threshold(config.common_kmer_threshold)
-
-    edges: list[tuple[int, int, float]] = []
-    aligned = 0
-    n = len(store)
-    for start in range(0, n, batch_rows):
-        end = min(start + batch_rows, n)
-        keep = (pairs.ri >= start) & (pairs.ri < end)
-        if not keep.any():
-            continue
-        strip_edges, strip_aligned = align_candidates(
-            store, pairs.take(keep), config
-        )
-        edges.extend(strip_edges)
-        aligned += strip_aligned
-    graph = SimilarityGraph.from_edges(n, edges, ids=list(store.ids))
-    graph.meta.update(
-        variant=config.variant_name + "-batched",
-        aligned_pairs=aligned,
-        batch_rows=batch_rows,
-        batches=(n + batch_rows - 1) // batch_rows,
-    )
-    return graph
 
 
 @dataclass(frozen=True)

@@ -128,9 +128,6 @@ def pastis_pipeline(
     """
     config = config or PastisConfig()
     t0 = time.perf_counter()
-    # every kernel but the object reference runs the fast formulation: the
-    # delegated ones only accelerate semirings declaring a delegate form,
-    # and the positional PASTIS semirings declare none
     overlap_impl = (
         find_candidate_pairs_semiring if config.kernel == "semiring"
         else find_candidate_pairs

@@ -10,14 +10,11 @@ region: each rank calls them with its own :class:`DistSparseMatrix` handle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
 from ..mpisim.grid import ProcessGrid, block_ranges
 from .coo import COOMatrix, _as_values
-from .csr import CSRMatrix
-from .dcsc import DCSCMatrix
 
 __all__ = ["DistSparseMatrix"]
 
@@ -118,13 +115,6 @@ class DistSparseMatrix:
     def global_nnz(self) -> int:
         """Total nonzeros across the grid (collective)."""
         return self.grid.comm.allreduce(self.local.nnz, lambda a, b: a + b)
-
-    def local_csr(self) -> CSRMatrix:
-        return CSRMatrix.from_coo(self.local)
-
-    def local_dcsc(self) -> DCSCMatrix:
-        """The DCSC view PASTIS stores its hypersparse blocks in."""
-        return DCSCMatrix.from_coo(self.local)
 
     # -- movement ----------------------------------------------------------------
 

@@ -1,6 +1,5 @@
-"""Elementwise and structural sparse operations used by the pipeline:
-triangle extraction, symmetrization, pruning, and semiring-merge addition.
-"""
+"""Semiring-merge addition of two sparse matrices — the cross-stage
+accumulation step of Sparse SUMMA."""
 
 from __future__ import annotations
 
@@ -11,57 +10,7 @@ import numpy as np
 from .coo import COOMatrix, group_coords
 from .semiring import Semiring
 
-__all__ = [
-    "triu",
-    "tril",
-    "symmetrize",
-    "prune",
-    "elementwise_add",
-    "diagonal_mask",
-]
-
-
-def triu(m: COOMatrix, k: int = 0) -> COOMatrix:
-    """Entries on or above the ``k``-th diagonal (``k=1`` strictly upper).
-
-    PASTIS processes only the strictly upper triangle of the symmetric
-    candidate matrix ``B`` (Section IV-A)."""
-    return m.filter(m.cols - m.rows >= k)
-
-
-def tril(m: COOMatrix, k: int = 0) -> COOMatrix:
-    """Entries on or below the ``k``-th diagonal."""
-    return m.filter(m.cols - m.rows <= k)
-
-
-def symmetrize(
-    m: COOMatrix, merge: Callable[[Any, Any], Any] | None = None
-) -> COOMatrix:
-    """``M ∪ Mᵀ`` with ``merge`` folding coordinates present in both.
-
-    This is the paper's "symmetricize" step after ``(AS) Aᵀ``, whose output
-    is not symmetric because only the left operand's k-mers were expanded
-    with substitutes.  ``merge`` defaults to keeping the first value.
-    """
-    if merge is None:
-        merge = lambda a, b: a  # noqa: E731
-    t = m.transpose()
-    both = COOMatrix(
-        m.nrows,
-        m.ncols,
-        np.concatenate((m.rows, t.rows)),
-        np.concatenate((m.cols, t.cols)),
-        np.concatenate((m.vals, t.vals)),
-    )
-    return both.sum_duplicates(merge)
-
-
-def prune(m: COOMatrix, predicate: Callable[[Any], bool]) -> COOMatrix:
-    """Drop entries whose value fails ``predicate`` (CombBLAS ``Prune``)."""
-    keep = np.fromiter(
-        (bool(predicate(v)) for v in m.vals), dtype=bool, count=m.nnz
-    )
-    return m.filter(keep)
+__all__ = ["elementwise_add"]
 
 
 def elementwise_add(
@@ -128,10 +77,3 @@ def _merge_struct(a: COOMatrix, b: COOMatrix, spec) -> COOMatrix:
         has = sizes > s
         acc[has] = spec.merge(acc[has], vals[starts[has] + s])
     return COOMatrix(a.nrows, a.ncols, out_rows, out_cols, acc)
-
-
-def diagonal_mask(m: COOMatrix, keep_diagonal: bool = False) -> COOMatrix:
-    """Remove (default) or keep only the diagonal entries."""
-    if keep_diagonal:
-        return m.filter(m.rows == m.cols)
-    return m.filter(m.rows != m.cols)

@@ -94,27 +94,12 @@ class NumericSpec:
     casting:
         NumPy casting rule for the eligibility check; ``"unsafe"`` means
         the semiring never reads the stored values (e.g. COUNTING).
-    delegate:
-        Optional external-library delegation form, enabling the
-        ``kernel="scipy"`` / ``kernel="graphblas"`` SpGEMM backends:
-
-        * ``"plus_times"`` — the semiring *is* standard ``(+, x)``
-          arithmetic over the stored values, so one ``csr @ csr`` call
-          computes it (ARITHMETIC);
-        * ``"pattern"`` — ``multiply`` ignores the stored values and emits
-          one, so the product over int64 all-ones data computes it
-          (COUNTING).
-
-        ``None`` (the default) means no external kernel may run this
-        semiring — delegated dispatch falls back to the in-repo kernels,
-        so declaring (or not declaring) a form never changes results.
     """
 
     dtype: Any
     add: np.ufunc
     multiply: Callable[[np.ndarray, np.ndarray], np.ndarray]
     casting: str = "same_kind"
-    delegate: str | None = None
 
     def compatible(self, *dtypes: Any) -> bool:
         """Whether value arrays of the given dtypes can use the fast path."""
@@ -243,12 +228,10 @@ class Semiring:
         return f"Semiring({self.name!r})"
 
 
-#: Standard (+, *) arithmetic — SpGEMM over it must equal scipy's matmul,
-#: so it may delegate to an external csr @ csr kernel outright.
+#: Standard (+, *) arithmetic — SpGEMM over it is the ordinary matrix product.
 ARITHMETIC = Semiring(
     "arithmetic", lambda a, b: a + b, lambda a, b: a * b, 0,
-    numeric=NumericSpec(np.float64, np.add, np.multiply,
-                        delegate="plus_times"),
+    numeric=NumericSpec(np.float64, np.add, np.multiply),
 )
 
 #: (or, and) — pattern multiplication.  The fast path engages only for
@@ -282,13 +265,11 @@ MAX_TIMES = Semiring(
 #: k-mer count of every sequence pair (the paper's exact matching before
 #: positions are tracked).  ``casting="unsafe"`` because the values are
 #: never read.
-#: ``delegate="pattern"``: an external kernel computes it as plus-times
-#: over int64 all-ones data, counting matching pairs.
 COUNTING = Semiring(
     "counting", lambda a, b: a + b, lambda a, b: 1, 0,
     numeric=NumericSpec(
         np.int64, np.add,
         lambda av, bv: np.ones(len(av), dtype=np.int64),
-        casting="unsafe", delegate="pattern",
+        casting="unsafe",
     ),
 )

@@ -28,22 +28,12 @@ __all__ = ["summa"]
 
 
 def summa(
-    a: DistSparseMatrix,
-    b: DistSparseMatrix,
-    semiring: Semiring = ARITHMETIC,
-    kernel: str | None = None,
+    a: DistSparseMatrix, b: DistSparseMatrix, semiring: Semiring = ARITHMETIC
 ) -> DistSparseMatrix:
     """Distributed ``C = A · B`` (collective over the grid).
 
     ``A`` is ``m x k`` and ``B`` is ``k x n`` on the same grid; the inner
     dimension must agree so their block ranges align.
-
-    ``kernel`` optionally names a delegated local backend (``"scipy"`` /
-    ``"graphblas"``): stages whose semiring and block dtypes it covers run
-    one external ``csr @ csr`` per k-stage; :func:`~repro.sparse.spgemm.
-    spgemm_coo` falls back to the in-repo join whenever delegation cannot
-    engage (no delegate form, duplicate coordinates, hypersparse blocks),
-    so the result is byte-identical either way.
     """
     if a.grid is not b.grid and a.grid.comm is not b.grid.comm:
         raise ValueError("operands must live on the same grid")
@@ -84,7 +74,7 @@ def summa(
             raise RuntimeError("SUMMA stage received mismatched blocks")
         if a_blk.nnz == 0 or b_blk.nnz == 0:
             continue
-        part = spgemm_coo(a_blk, b_blk, semiring, kernel=kernel)
+        part = spgemm_coo(a_blk, b_blk, semiring)
         acc = part if acc is None else elementwise_add(acc, part, semiring)
 
     if acc is None:

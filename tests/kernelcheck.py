@@ -1,10 +1,10 @@
-"""Differential kernel-conformance harness for the SpGEMM kernel registry.
+"""Differential conformance harness for the local SpGEMM kernels.
 
 A library, not a test module (no ``test_`` prefix — pytest never collects
-it): ``tests/test_kernelcheck.py`` drives it, the way comm backends drive
-``test_comm_backends.py``.  The harness is registry-driven — it asks
-:mod:`repro.sparse.kernels` what exists, so a future backend registers a
-:class:`~repro.sparse.kernels.KernelSpec` and inherits the whole sweep.
+it): ``tests/test_kernelcheck.py`` drives it.  A kernel under test is any
+``(a: CSRMatrix, b: CSRMatrix, semiring) -> COOMatrix`` callable — the
+scalar :func:`~repro.sparse.spgemm.spgemm_hash`, :func:`dispatch` (the
+``spgemm_coo`` ladder), or a deliberately broken double.
 
 Pieces
 ------
@@ -17,13 +17,13 @@ Pieces
   byte-identical after casting the reference scalars to the kernel's
   output dtype (object outputs are compared scalar-by-scalar, *type
   included*).
-* :func:`sweep_kernel` — corpus × semirings × dtypes for one registered
-  kernel, honouring its ``covers`` predicate; returns how many products
-  it actually checked so callers can assert the sweep was not vacuous.
+* :func:`sweep_kernel` — corpus × semirings × dtypes for one kernel;
+  returns how many products it checked so callers can assert the sweep
+  was not vacuous.
 * :func:`summa_product` — the distributed formulation: scatter the
-  operands over a √p × √p grid, run SUMMA with an optional delegated
-  kernel, gather the global product.  SPMD bodies live at module level so
-  the ``mp`` backend can pickle them by reference.
+  operands over a √p × √p grid, run SUMMA, gather the global product.
+  SPMD bodies live at module level so the ``mp`` backend can pickle them
+  by reference.
 """
 
 from __future__ import annotations
@@ -35,21 +35,23 @@ from repro.mpisim.grid import ProcessGrid
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.distmat import DistSparseMatrix
-from repro.sparse.kernels import get_kernel
 from repro.sparse.semiring import (
     ARITHMETIC,
+    BOOLEAN,
     COUNTING,
+    MAX_MIN,
     MAX_TIMES,
     MIN_PLUS,
     Semiring,
 )
-from repro.sparse.spgemm import spgemm_hash
+from repro.sparse.spgemm import spgemm_coo, spgemm_hash
 from repro.sparse.summa import summa
 
 __all__ = [
     "SWEEP_SEMIRINGS",
     "SWEEP_DTYPES",
     "corpus",
+    "dispatch",
     "reference_product",
     "assert_conforms",
     "assert_bitwise_equal",
@@ -57,15 +59,14 @@ __all__ = [
     "summa_product",
 ]
 
-#: Semirings the sweep exercises: the two delegable ones (plus-times
-#: arithmetic and pattern counting) plus two ufunc-only semirings that
-#: must never delegate but still cover the numeric fast path.
-SWEEP_SEMIRINGS = (ARITHMETIC, COUNTING, MIN_PLUS, MAX_TIMES)
+#: Semirings the sweep exercises — every bundled one: plus-times
+#: arithmetic, value-ignoring counting, three ufunc folds, and BOOLEAN
+#: (whose bool-only spec sends the numeric corpus down the batched rung).
+SWEEP_SEMIRINGS = (ARITHMETIC, COUNTING, MIN_PLUS, MAX_TIMES, MAX_MIN,
+                   BOOLEAN)
 
 #: Operand dtype combinations: a tuple entry means (A dtype, B dtype).
-#: int32 × int64 keeps the mixed-width promotion rules honest; plain
-#: int32 × int32 (covered only by the in-repo kernels) rides along via
-#: the mixed pair's reverse in :func:`sweep_kernel` callers if needed.
+#: int32 × int64 keeps the mixed-width promotion rules honest.
 SWEEP_DTYPES = (
     np.float64,
     np.float32,
@@ -181,8 +182,8 @@ def corpus(dtype=np.float64, seed: int = 0):
         R(6, 6, 14, da, values=np.zeros(14, dtype=da)),
         R(6, 6, 14, db, values=np.zeros(14, dtype=db)))
     # one output cell receives v + (0 - v): an explicit cancellation zero
-    # for signed dtypes (and a wrap-to-zero for unsigned) that delegated
-    # kernels must keep stored, like the in-repo kernels do
+    # for signed dtypes (and a wrap-to-zero for unsigned) that every
+    # kernel must keep stored
     v = da.type(3)
     add("cancellation",
         COOMatrix(2, 2, [0, 0], [0, 1],
@@ -197,6 +198,11 @@ def corpus(dtype=np.float64, seed: int = 0):
         COOMatrix(10, 10, np.arange(1, 10), np.arange(9),
                   _values(rng, 9, db)))
     return cases
+
+
+def dispatch(a: CSRMatrix, b: CSRMatrix, semiring: Semiring) -> COOMatrix:
+    """The ``spgemm_coo`` ladder on corpus (CSR) operands."""
+    return spgemm_coo(a.to_coo(), b.to_coo(), semiring)
 
 
 def reference_product(a: CSRMatrix, b: CSRMatrix,
@@ -259,31 +265,28 @@ def assert_bitwise_equal(x: COOMatrix, y: COOMatrix,
 
 
 def sweep_kernel(
-    name: str,
+    multiply,
     dtypes=SWEEP_DTYPES,
     semirings=SWEEP_SEMIRINGS,
     seed: int = 0,
 ) -> int:
-    """Run one registered kernel over its covered slice of the corpus ×
-    semiring × dtype grid, asserting conformance on every product.
+    """Run one kernel — ``multiply(a, b, semiring)`` on CSR operands — over
+    the corpus × semiring × dtype grid, asserting conformance on every
+    product.
 
-    Returns the number of products actually checked (callers assert it is
-    large enough that the sweep cannot silently go vacuous).
+    Returns the number of products checked (callers assert it is large
+    enough that the sweep cannot silently go vacuous).
     """
-    spec = get_kernel(name)
     checked = 0
     for semiring in semirings:
         for dt in dtypes:
             da, db = dt if isinstance(dt, tuple) else (dt, dt)
             for case, a, b in corpus((da, db), seed=seed):
-                if not spec.covers(semiring, a.data.dtype, b.data.dtype):
-                    continue
-                got = spec.fn(a, b, semiring)
                 assert_conforms(
-                    got, a, b, semiring,
-                    context=f"kernel={name} semiring={semiring.name} "
-                    f"case={case} dtypes={np.dtype(da).name}x"
-                    f"{np.dtype(db).name}",
+                    multiply(a, b, semiring), a, b, semiring,
+                    context=f"kernel={multiply.__name__} "
+                    f"semiring={semiring.name} case={case} "
+                    f"dtypes={np.dtype(da).name}x{np.dtype(db).name}",
                 )
                 checked += 1
     return checked
@@ -298,8 +301,8 @@ def sweep_kernel(
 _SEMIRINGS_BY_NAME = {s.name: s for s in SWEEP_SEMIRINGS}
 
 
-def _summa_kernel_body(comm, shape_a, shape_b, a_triples, b_triples,
-                       semiring_name, kernel):
+def _summa_body(comm, shape_a, shape_b, a_triples, b_triples,
+                semiring_name):
     grid = ProcessGrid.create(comm)
     semiring = _SEMIRINGS_BY_NAME[semiring_name]
     mine = slice(comm.rank, None, comm.size)
@@ -311,7 +314,7 @@ def _summa_kernel_body(comm, shape_a, shape_b, a_triples, b_triples,
         grid, shape_b[0], shape_b[1],
         b_triples[0][mine], b_triples[1][mine], b_triples[2][mine],
     )
-    c = summa(da, db, semiring, kernel=kernel)
+    c = summa(da, db, semiring)
     return c.gather_global()
 
 
@@ -320,17 +323,15 @@ def summa_product(
     a: COOMatrix,
     b: COOMatrix,
     semiring_name: str = "arithmetic",
-    kernel: str | None = None,
     comm_backend: str = "sim",
 ) -> COOMatrix:
     """Scatter ``a``/``b`` over a √p × √p grid (interleaved triple
-    slices), run SUMMA with the given delegated ``kernel`` (``None`` =
-    in-repo dispatch), and return the gathered global product."""
+    slices), run SUMMA, and return the gathered global product."""
     results = run_spmd(
-        nranks, _summa_kernel_body,
+        nranks, _summa_body,
         a.shape, b.shape,
         (a.rows, a.cols, a.vals), (b.rows, b.cols, b.vals),
-        semiring_name, kernel,
+        semiring_name,
         comm_backend=comm_backend,
     )
     return results[0]

@@ -20,17 +20,6 @@ from repro.core.config import (
     PastisConfig,
 )
 from repro.core.graph import SimilarityGraph
-from repro.sparse.kernels import DELEGATED_KERNELS, kernel_available
-
-
-def _kernel_choice_unavailable(field: str, choice: str) -> bool:
-    """Whether this knob choice is a delegated SpGEMM kernel whose backing
-    package is not installed (config rejects it with ConfigError)."""
-    return (
-        field == "kernel"
-        and choice in DELEGATED_KERNELS
-        and not kernel_available(choice)
-    )
 
 
 @pytest.fixture
@@ -114,12 +103,6 @@ class TestCliSurface:
             args = build_parser().parse_args(
                 ["in.fa", "-o", "o.tsv", flag, choice]
             )
-            if _kernel_choice_unavailable(field, choice):
-                # the parser accepts the choice; the config then names the
-                # missing package instead of failing deep in the pipeline
-                with pytest.raises(ConfigError, match=choice):
-                    config_from_args(args)
-                continue
             config = config_from_args(args)
             assert getattr(config, field) == choice
 
@@ -132,10 +115,6 @@ class TestCliSurface:
             dest = flag.lstrip("-").replace("-", "_")
             assert tuple(by_dest[dest].choices) == choices
             for choice in choices:  # config accepts every parser choice
-                if _kernel_choice_unavailable(field, choice):
-                    with pytest.raises(ConfigError, match=choice):
-                        PastisConfig(**{field: choice})
-                    continue
                 PastisConfig(**{field: choice})
 
     def test_numeric_knobs_roundtrip(self):
@@ -229,32 +208,23 @@ class TestMain:
                 ["in.fa", "-o", "o.tsv"]
             ))
 
-    def test_kernel_env_default(self, monkeypatch):
-        """REPRO_KERNEL steers the config default (the CI matrix hook for
-        the delegated-kernel job), and an explicit flag still wins."""
-        monkeypatch.setenv("REPRO_KERNEL", "semiring")
-        args = build_parser().parse_args(["in.fa", "-o", "o.tsv"])
-        assert config_from_args(args).kernel == "semiring"
-        args = build_parser().parse_args(
-            ["in.fa", "-o", "o.tsv", "--kernel", "struct"]
-        )
-        assert config_from_args(args).kernel == "struct"
-        if kernel_available("scipy"):
-            monkeypatch.setenv("REPRO_KERNEL", "scipy")
-            args = build_parser().parse_args(["in.fa", "-o", "o.tsv"])
-            assert config_from_args(args).kernel == "scipy"
-        # the retired formulations get no alias: the environment default
-        # is a ConfigError and the flag is refused by the parser's choices
-        for retired in ("join", "numeric", "bogus"):
-            monkeypatch.setenv("REPRO_KERNEL", retired)
-            with pytest.raises(ConfigError, match="kernel"):
-                config_from_args(build_parser().parse_args(
-                    ["in.fa", "-o", "o.tsv"]
-                ))
+    def test_retired_kernels_get_no_alias(self, monkeypatch):
+        """The retired formulations and the deleted delegated lane leave
+        no alias behind: the parser refuses the flag, the config refuses
+        the value, and ``REPRO_KERNEL`` is no longer read at all."""
+        for retired in ("join", "numeric", "scipy", "graphblas", "bogus"):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(
                     ["in.fa", "-o", "o.tsv", "--kernel", retired]
                 )
+            with pytest.raises(ConfigError, match="kernel must be one of"):
+                PastisConfig(kernel=retired)
+        # a valid kernel name: were the variable still read, the default
+        # would move
+        monkeypatch.setenv("REPRO_KERNEL", "semiring")
+        assert PastisConfig().kernel == "struct"
+        args = build_parser().parse_args(["in.fa", "-o", "o.tsv"])
+        assert config_from_args(args).kernel == "struct"
 
     def test_clustering_output(self, fasta_file, tmp_path):
         out = tmp_path / "edges.tsv"
@@ -333,9 +303,9 @@ class TestNamedErrors:
 
     def test_existing_config_error(self, fasta_file, capsys, tmp_path,
                                    monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "join")
+        monkeypatch.setenv("REPRO_COMM_BACKEND", "carrier-pigeon")
         err = self._fails([str(fasta_file)], capsys, tmp_path)
-        assert "kernel must be one of" in err
+        assert "comm_backend must be one of" in err
 
     @pytest.mark.parametrize("flags, message", [
         (["--k", "0"], "k must be between 1 and 13"),

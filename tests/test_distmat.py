@@ -97,17 +97,6 @@ class TestDistribute:
 
         assert run_spmd(4, fn) == ["rejected"] * 4
 
-    def test_local_dcsc_view(self):
-        m = _rand(3, (10, 10))
-
-        def fn(comm):
-            grid = ProcessGrid.create(comm)
-            d = _scatter_matrix(grid, m)
-            dc = d.local_dcsc()
-            return dc.nnz == d.local.nnz
-
-        assert all(run_spmd(4, fn))
-
 
 class TestTranspose:
     @pytest.mark.parametrize("p", [1, 4, 9])

@@ -136,22 +136,3 @@ class TestEmptyPayloads:
         cache, owned = results[0]
         assert owned == (0, len(store))
         assert set(cache) == set(range(len(store)))
-
-    def test_wait_seconds_accumulates(self, store):
-        fasta = store_to_fasta_bytes(store)
-
-        def fn(comm):
-            grid = ProcessGrid.create(comm)
-            s, e = chunk_boundaries(len(fasta), comm.size)[comm.rank]
-            local = SequenceStore.from_records(
-                read_fasta_chunk(fasta, s, e)
-            )
-            counts = comm.allgather(len(local))
-            index = DistributedIndex.from_counts(counts)
-            ex = start_exchange(comm, grid, index, local, index.total)
-            assert ex.wait_seconds == 0.0
-            ex.finish()
-            return ex.wait_seconds
-
-        out = run_spmd(4, fn)
-        assert all(w >= 0.0 for w in out)

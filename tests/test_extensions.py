@@ -1,5 +1,4 @@
-"""Tests for the future-work extensions: batched pipeline and k-mer
-pre-filtering."""
+"""Tests for the future-work extension: k-mer pre-filtering."""
 
 from dataclasses import fields
 
@@ -12,10 +11,8 @@ from repro.core.config import PastisConfig
 from repro.core.extensions import (
     high_frequency_kmer_filter,
     kmer_frequency_analysis,
-    pastis_pipeline_batched,
 )
 from repro.core.overlap import find_candidate_pairs
-from repro.core.pipeline import pastis_pipeline
 
 
 @pytest.fixture(scope="module")
@@ -24,37 +21,6 @@ def data():
         n_families=4, members_per_family=(3, 4), length_range=(50, 90),
         divergence=0.2, seed=55,
     )
-
-
-class TestBatchedPipeline:
-    @pytest.mark.parametrize("batch_rows", [1, 3, 8, 1000])
-    def test_equals_monolithic(self, data, batch_rows):
-        cfg = PastisConfig(k=4, substitutes=0)
-        mono = pastis_pipeline(data.store, cfg)
-        batched = pastis_pipeline_batched(data.store, cfg,
-                                          batch_rows=batch_rows)
-        assert batched.edge_set() == mono.edge_set()
-        assert np.allclose(np.sort(batched.weights),
-                           np.sort(mono.weights))
-        assert batched.meta["aligned_pairs"] == mono.meta["aligned_pairs"]
-
-    def test_substitutes_mode(self, data):
-        cfg = PastisConfig(k=4, substitutes=4)
-        mono = pastis_pipeline(data.store, cfg)
-        batched = pastis_pipeline_batched(data.store, cfg, batch_rows=5)
-        assert batched.edge_set() == mono.edge_set()
-
-    def test_batch_count_recorded(self, data):
-        cfg = PastisConfig(k=4)
-        g = pastis_pipeline_batched(data.store, cfg, batch_rows=4)
-        n = len(data.store)
-        assert g.meta["batches"] == (n + 3) // 4
-        assert g.meta["variant"].endswith("-batched")
-
-    def test_invalid_batch_rows(self, data):
-        with pytest.raises(ValueError):
-            pastis_pipeline_batched(data.store, PastisConfig(k=4),
-                                    batch_rows=0)
 
 
 class TestKmerFrequency:

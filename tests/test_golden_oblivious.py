@@ -24,14 +24,6 @@ from repro.core.config import (
 from repro.core.distributed import run_pastis_distributed
 from repro.core.graph import SimilarityGraph
 from repro.core.pipeline import pastis_pipeline
-from repro.sparse.kernels import DELEGATED_KERNELS, kernel_available
-
-
-def skip_unless_kernel_available(kernel: str) -> None:
-    """Delegated kernels need their backing package; everything else is
-    always runnable."""
-    if kernel in DELEGATED_KERNELS and not kernel_available(kernel):
-        pytest.skip(f"kernel {kernel!r} needs an uninstalled package")
 
 
 @pytest.fixture(scope="module")
@@ -72,11 +64,9 @@ def test_golden_oblivious(data, config):
     golden = edge_bytes(pastis_pipeline(data.store, config))
     assert golden, "pipeline produced no edges — the invariant is vacuous"
 
-    # kernel obliviousness: the struct fast path, the literal object
-    # semiring reference, and every available delegated backend serialise
-    # identically
-    delegated = tuple(k for k in DELEGATED_KERNELS if kernel_available(k))
-    for kernel in ("struct", "semiring") + delegated:
+    # kernel obliviousness: the struct fast path and the literal object
+    # semiring reference serialise identically
+    for kernel in KERNELS:
         got = edge_bytes(
             pastis_pipeline(data.store, replace(config, kernel=kernel))
         )
@@ -111,7 +101,6 @@ def test_golden_comm_backend_oblivious(data, golden_default, kernel,
     kernel × engine × balance combination — swapping the SPMD substrate
     (threads + shared heap vs processes + shared-memory messaging) must
     never change the graph."""
-    skip_unless_kernel_available(kernel)
     config = PastisConfig(
         kernel=kernel, align_engine=engine, align_balance=balance
     )
@@ -141,30 +130,6 @@ def test_golden_comm_backend_rank_sweep(data, golden_default, nranks):
         )
         assert got == golden_default, (
             f"comm_backend={backend!r} at {nranks} ranks diverged"
-        )
-
-
-@pytest.mark.parametrize("kernel", DELEGATED_KERNELS)
-@pytest.mark.parametrize("nranks", [1, 4, 9])
-def test_golden_delegated_kernel_rank_sweep(data, golden_default, kernel,
-                                            nranks):
-    """Delegated-kernel obliviousness across grid sizes and comm
-    backends: with the SpGEMM stages handed to an external library, the
-    candidate graph — and therefore the serialised PSG — must stay
-    byte-identical to the single-process default on 1, 4, and 9 ranks
-    under both the thread simulator and the process-per-rank backend."""
-    skip_unless_kernel_available(kernel)
-    for backend in ("sim", "mp"):
-        got = edge_bytes(
-            run_pastis_distributed(
-                data.store,
-                PastisConfig(kernel=kernel, comm_backend=backend),
-                nranks=nranks,
-            )
-        )
-        assert got == golden_default, (
-            f"kernel={kernel!r} comm_backend={backend!r} at {nranks} "
-            f"ranks diverged from golden"
         )
 
 

@@ -1,13 +1,10 @@
-"""Tests for COO, CSR, and DCSC sparse formats."""
+"""Tests for the COO and CSR sparse formats."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.dcsc import DCSCMatrix
 
 
 def random_coo(rng, nrows=20, ncols=30, nnz=40) -> COOMatrix:
@@ -134,59 +131,3 @@ class TestCSR:
     def test_bad_indptr(self):
         with pytest.raises(ValueError):
             CSRMatrix(2, 2, np.array([0, 1]), np.array([0]), np.array([1]))
-
-
-class TestDCSC:
-    def test_roundtrip(self):
-        rng = np.random.default_rng(3)
-        coo = random_coo(rng)
-        d = DCSCMatrix.from_coo(coo)
-        assert d.nnz == coo.nnz
-        assert d.to_coo().sort().to_dict() == coo.to_dict()
-
-    def test_empty(self):
-        d = DCSCMatrix.from_coo(COOMatrix.empty(5, 10))
-        assert d.nnz == 0
-        assert d.nzc == 0
-        assert d.to_coo().nnz == 0
-
-    def test_column_access(self):
-        coo = COOMatrix(6, 100, [3, 1, 5], [40, 40, 7], [1, 2, 3])
-        d = DCSCMatrix.from_coo(coo)
-        rows, vals = d.column(40)
-        assert rows.tolist() == [1, 3]
-        assert vals.tolist() == [2, 1]
-        rows_empty, _ = d.column(50)
-        assert len(rows_empty) == 0
-
-    def test_get(self):
-        coo = COOMatrix(6, 100, [3], [40], [9])
-        d = DCSCMatrix.from_coo(coo)
-        assert d.get(3, 40) == 9
-        assert d.get(3, 41) is None
-
-    def test_nzc_counts_nonempty_columns(self):
-        coo = COOMatrix(6, 1000, [0, 1, 2], [5, 5, 900], [1, 1, 1])
-        d = DCSCMatrix.from_coo(coo)
-        assert d.nzc == 2
-
-    def test_hypersparse_memory_advantage(self):
-        # the paper's motivation: nnz << ncols makes CSC pointers dominate
-        coo = COOMatrix(100, 24**6, [0, 1], [123, 456789], [1, 1])
-        d = DCSCMatrix.from_coo(coo)
-        assert d.memory_words() < d.csc_memory_words() / 1000
-
-    def test_iter_columns(self):
-        coo = COOMatrix(6, 100, [3, 1, 5], [40, 40, 7], [1, 2, 3])
-        d = DCSCMatrix.from_coo(coo)
-        cols = {c: rows.tolist() for c, rows, _ in d.iter_columns()}
-        assert cols == {7: [5], 40: [1, 3]}
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.integers(0, 2**31 - 1))
-    def test_property_roundtrip(self, seed):
-        rng = np.random.default_rng(seed)
-        coo = random_coo(rng, nrows=15, ncols=200, nnz=25)
-        assert DCSCMatrix.from_coo(coo).to_coo().sort().to_dict() == (
-            coo.to_dict()
-        )

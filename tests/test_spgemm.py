@@ -17,7 +17,7 @@ from repro.sparse.semiring import (
     MIN_PLUS,
     Semiring,
 )
-from repro.sparse.spgemm import spgemm_coo, spgemm_hash, spgemm_scipy
+from repro.sparse.spgemm import spgemm_coo, spgemm_hash
 
 
 def _random_pair(seed, shape_a=(12, 9), shape_b=(9, 14), density=0.3):
@@ -65,13 +65,6 @@ class TestArithmetic:
         b = CSRMatrix.from_coo(COOMatrix.empty(5, 5))
         with pytest.raises(ValueError):
             impl(a, b, ARITHMETIC)
-
-    def test_scipy_fast_path(self):
-        a, b = _random_pair(7)
-        got = spgemm_scipy(_to_csr(a), _to_csr(b)).to_scipy()
-        ref = a @ b
-        ref.eliminate_zeros()
-        assert abs(got - ref).nnz == 0
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10**6))

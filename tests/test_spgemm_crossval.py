@@ -31,7 +31,7 @@ from repro.sparse.semiring import (
     MIN_PLUS,
     Semiring,
 )
-from repro.sparse.spgemm import spgemm_coo, spgemm_hash, spgemm_scipy
+from repro.sparse.spgemm import spgemm_coo, spgemm_hash
 
 #: Every semiring bundled by repro.sparse.semiring.
 ALL_SEMIRINGS = [ARITHMETIC, BOOLEAN, MIN_PLUS, MAX_MIN, MAX_TIMES, COUNTING]
@@ -94,12 +94,16 @@ class TestAllKernelsAgree:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_scipy_agrees_on_arithmetic(self, seed):
-        # values are strictly positive, so scipy's eliminate_zeros is a
-        # no-op and exact equality is required
+        # scipy's csr @ csr as an independent oracle: values are strictly
+        # positive, so its zero pruning is a no-op and exact equality is
+        # required
         a, b = _random_pair(seed)
-        ref = _norm(spgemm_hash(a, b, ARITHMETIC).to_dict(), ARITHMETIC)
-        got = _norm(spgemm_scipy(a, b).to_dict(), ARITHMETIC)
-        assert got == ref
+        a, b = a.to_coo(), b.to_coo()
+        ref = COOMatrix.from_scipy(a.to_scipy() @ b.to_scipy())
+        got = spgemm_coo(a, b, ARITHMETIC)
+        assert _norm(got.to_dict(), ARITHMETIC) == (
+            _norm(ref.to_dict(), ARITHMETIC)
+        )
 
     @pytest.mark.parametrize("semiring", ALL_SEMIRINGS,
                              ids=lambda s: s.name)

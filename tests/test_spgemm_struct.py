@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from kernelcheck import dispatch
 from repro.core.semirings import (
     CK_DTYPE,
     CK_SEED_NONE,
@@ -38,7 +39,6 @@ from repro.mpisim.grid import ProcessGrid
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.distmat import DistSparseMatrix
-from repro.sparse.kernels import get_kernel
 from repro.sparse.ops import elementwise_add
 from repro.sparse.semiring import ARITHMETIC, Semiring
 from repro.sparse.spgemm import result_dtype, spgemm_coo, spgemm_hash
@@ -71,7 +71,7 @@ def _pos_operands(seed: int, m=10, k=8):
 
 
 #: the dispatcher on this module's CSR-built operands
-_spgemm = get_kernel("dispatch").fn
+_spgemm = dispatch
 
 
 def _ck_dict(coo: COOMatrix) -> dict:
