@@ -1,23 +1,14 @@
-"""Ablation: the two candidate-pruning knobs DESIGN.md calls out.
+"""Ablation: the candidate-pruning knob DESIGN.md calls out.
 
-1. The **common-k-mer (CK) threshold** sweep — the paper reports that CK
-   removes the bulk of alignments at a 2-3 point recall cost; this bench
-   sweeps t and prints the alignments/recall trade-off measured on the
-   functional pipeline.
-2. The **high-frequency k-mer filter** (future-work extension) — dropping
-   promiscuous k-mers before the pair search.
+The **common-k-mer (CK) threshold** sweep — the paper reports that CK
+removes the bulk of alignments at a 2-3 point recall cost; this bench
+sweeps t and prints the alignments/recall trade-off measured on the
+functional pipeline.
 """
-
-import pytest
 
 from repro.cluster.mcl import markov_clustering
 from repro.cluster.metrics import weighted_precision_recall
 from repro.core.config import PastisConfig
-from repro.core.extensions import (
-    high_frequency_kmer_filter,
-    kmer_frequency_analysis,
-)
-from repro.core.overlap import find_candidate_pairs
 from repro.core.pipeline import pastis_pipeline
 
 
@@ -49,31 +40,3 @@ def test_ck_threshold_sweep(benchmark, scope_dataset):
     # recall degrades gracefully, never collapsing to zero at t=1
     assert rows[1][3] > 0.3
 
-
-def test_kmer_frequency_filter_sweep(benchmark, scope_dataset):
-    data = scope_dataset
-    cfg = PastisConfig(k=4, substitutes=0)
-    base = find_candidate_pairs(data.store, cfg)
-    rep = kmer_frequency_analysis(data.store, cfg.k)
-    fmax = int(rep.frequencies[0])
-
-    thresholds = sorted({fmax, max(fmax // 2, 2), 3, 2}, reverse=True)
-
-    def sweep():
-        rows = []
-        for thr in thresholds:
-            filt = high_frequency_kmer_filter(data.store, cfg, thr)
-            true = data.true_pairs()
-            rows.append(
-                (thr, filt.npairs,
-                 len(filt.pair_set() & true) / max(len(true & base.pair_set()), 1))
-            )
-        return rows
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    print("\n=== high-frequency k-mer filter sweep (exact k-mers) ===")
-    print(f"{'max_freq':>9}{'candidates':>12}{'true kept':>11}")
-    for thr, n, kept in rows:
-        print(f"{thr:>9}{n:>12}{kept:>11.2f}")
-    cands = [n for _, n, _ in rows]
-    assert all(a >= b for a, b in zip(cands, cands[1:]))

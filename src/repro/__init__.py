@@ -19,7 +19,7 @@ Subpackages
     extension, batch driver.
 ``repro.core``
     The PASTIS pipeline: configuration, custom semirings, overlap
-    detection, single-process and fully distributed variants.
+    detection, and the one SPMD driver (inline at a single rank).
 ``repro.cluster``
     Markov Clustering (HipMCL stand-in), connected components, weighted
     precision/recall.

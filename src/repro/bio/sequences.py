@@ -21,7 +21,20 @@ import numpy as np
 from .alphabet import decode_sequence, encode_sequence
 from .fasta import FastaError, FastaRecord
 
-__all__ = ["SequenceStore", "DistributedIndex"]
+__all__ = ["SequenceStore", "DistributedIndex", "check_unique_ids"]
+
+
+def check_unique_ids(ids: Iterable[str]) -> None:
+    """Raise :class:`FastaError` naming the first repeated id and its two
+    1-based record numbers: a repeat would make the by-id edge list
+    ambiguous."""
+    first: dict[str, int] = {}
+    for number, ident in enumerate(ids, 1):
+        if first.setdefault(ident, number) != number:
+            raise FastaError(
+                f"duplicate sequence id {ident!r}: records "
+                f"{first[ident]} and {number}"
+            )
 
 
 class SequenceStore:
@@ -62,17 +75,12 @@ class SequenceStore:
 
     @classmethod
     def from_records(cls, records: Iterable[FastaRecord]) -> "SequenceStore":
-        """A store of parsed records.  A repeated id raises
-        :class:`FastaError`: it would make the by-id edge list ambiguous."""
+        """A store of parsed records; a repeated id raises
+        :class:`FastaError` (:func:`check_unique_ids`)."""
         recs = list(records)
-        first: dict[str, int] = {}
-        for number, rec in enumerate(recs, 1):
-            if first.setdefault(rec.id, number) != number:
-                raise FastaError(
-                    f"duplicate sequence id {rec.id!r}: records "
-                    f"{first[rec.id]} and {number}"
-                )
-        return cls((r.sequence for r in recs), [r.id for r in recs])
+        ids = [r.id for r in recs]
+        check_unique_ids(ids)
+        return cls((r.sequence for r in recs), ids)
 
     @classmethod
     def from_encoded(

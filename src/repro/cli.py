@@ -1,8 +1,8 @@
 """Command-line interface: FASTA in, similarity graph (and clusters) out.
 
 Mirrors the original PASTIS binary's role: read a protein FASTA, run the
-pipeline, write the PSG as a TSV edge list, optionally cluster it with MCL
-and write families.
+one driver at ``--ranks`` ranks, write the PSG as a TSV edge list,
+optionally cluster it with MCL and write families.
 
 Usage::
 
@@ -40,7 +40,6 @@ from .core.config import (
 )
 from .core.distributed import run_pastis_distributed
 from .core.graph import SimilarityGraph
-from .core.pipeline import pastis_pipeline
 
 __all__ = ["main", "build_parser", "config_from_args", "write_edges_tsv"]
 
@@ -76,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-coverage", type=float, default=0.70)
     p.add_argument("--ranks", type=int, default=1,
                    help="simulated MPI ranks (a positive perfect square); "
-                   "1 = single-process pipeline")
+                   "one driver at every count, inline in this process at 1")
     p.add_argument("--kernel", choices=KERNELS, default="struct",
                    help="overlap kernel: struct expand-reduce (default; "
                    "CommonKmers as record columns — what distributed "
@@ -190,14 +189,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"read {len(store)} sequences "
               f"({store.total_residues} residues) "
               f"in {time.perf_counter() - t0:.2f}s")
-        print(f"running {config.variant_name} "
-              f"({'distributed, p=' + str(args.ranks) if args.ranks > 1 else 'single process'})")
+        print(f"running {config.variant_name} (p={args.ranks})")
 
     t0 = time.perf_counter()
-    if args.ranks > 1:
-        graph = run_pastis_distributed(store, config, nranks=args.ranks)
-    else:
-        graph = pastis_pipeline(store, config)
+    graph = run_pastis_distributed(store, config, nranks=args.ranks)
     elapsed = time.perf_counter() - t0
 
     n = write_edges_tsv(args.output, graph)

@@ -1,13 +1,8 @@
-"""PASTIS core: configuration, custom semirings, overlap detection, the
-single-process pipeline, and the distributed SPMD pipeline."""
+"""PASTIS core: configuration, custom semirings, overlap detection, and the
+SPMD pipeline driver (``pastis_pipeline`` is that driver at one rank)."""
 
 from .config import PastisConfig
 from .distributed import pastis_rank, run_pastis_distributed, store_to_fasta_bytes
-from .extensions import (
-    KmerFrequencyReport,
-    high_frequency_kmer_filter,
-    kmer_frequency_analysis,
-)
 from .graph import SimilarityGraph
 from .overlap import (
     CandidatePairs,
@@ -17,7 +12,7 @@ from .overlap import (
     find_candidate_pairs_semiring,
     symmetrize_candidates,
 )
-from .pipeline import align_candidates, edge_weight, pastis_pipeline
+from .pipeline import edge_weight, pastis_pipeline
 from .semirings import (
     CK_DTYPE,
     MAX_SEEDS,
@@ -34,9 +29,6 @@ from .semirings import (
 
 __all__ = [
     "PastisConfig",
-    "KmerFrequencyReport",
-    "high_frequency_kmer_filter",
-    "kmer_frequency_analysis",
     "pastis_rank",
     "run_pastis_distributed",
     "store_to_fasta_bytes",
@@ -47,7 +39,6 @@ __all__ = [
     "find_candidate_pairs",
     "find_candidate_pairs_semiring",
     "symmetrize_candidates",
-    "align_candidates",
     "edge_weight",
     "pastis_pipeline",
     "CK_DTYPE",

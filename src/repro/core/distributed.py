@@ -1,6 +1,8 @@
-"""The fully distributed PASTIS pipeline (paper Section V).
+"""The PASTIS pipeline driver (paper Section V) — the one orchestration of
+Fig. 1 at every rank count; ``nranks=1`` runs the rank body inline in the
+calling process (:func:`repro.core.pipeline.pastis_pipeline`).
 
-Every stage of Fig. 1 executed SPMD over the simulated MPI runtime:
+Every stage executed SPMD over the simulated MPI runtime:
 
 1. byte-balanced parallel FASTA parse (V-A);
 2. cooperative prefix sums -> every rank knows the 1-D sequence ownership;
@@ -14,7 +16,7 @@ Every stage of Fig. 1 executed SPMD over the simulated MPI runtime:
    :class:`~repro.core.overlap.CandidatePairs` — "moving computation to
    data" (V-D, Fig. 11), so no rank sits idle and no pair is aligned twice
    — then the CK threshold on the count column and one alignment task per
-   survivor: the same three calls the single-process pipeline makes;
+   survivor;
 8. optional cross-rank alignment rebalancing (``config.align_balance``):
    every rank costs its tasks in DP cells and ships its surplus along one
    deterministic plan (:func:`repro.core.balance.plan_and_ship`);
@@ -41,7 +43,7 @@ import numpy as np
 
 from ..align.batch import align_batch
 from ..bio.fasta import chunk_boundaries, read_fasta_chunk
-from ..bio.sequences import DistributedIndex, SequenceStore
+from ..bio.sequences import DistributedIndex, SequenceStore, check_unique_ids
 from ..kmers.encoding import kmer_space_size
 from ..mpisim.backend import CommBackend, run_spmd
 from ..mpisim.grid import ProcessGrid
@@ -57,6 +59,7 @@ from .balance import (
 from .config import PastisConfig, check_ranks
 from .graph import SimilarityGraph
 from .overlap import (
+    CandidatePairs,
     build_a_triples,
     build_s_triples,
     pairs_from_block,
@@ -68,9 +71,12 @@ from .exchange import start_exchange
 
 __all__ = ["pastis_rank", "run_pastis_distributed", "store_to_fasta_bytes"]
 
+#: The stages :func:`block_pairs` runs; their sum on the slowest rank is
+#: ``meta["overlap_seconds"]``.
+OVERLAP_STAGES = ("form A", "tr. A", "form S", "AS", "(AS)AT", "sym.")
+
 #: The dissection components: the keys of every rank's ``timings``.
-STAGES = ("fasta", "form A", "tr. A", "form S", "AS", "(AS)AT", "sym.",
-          "wait", "rebal.", "align")
+STAGES = ("fasta", *OVERLAP_STAGES, "wait", "rebal.", "align")
 
 
 @contextmanager
@@ -132,19 +138,40 @@ def _ck_packable(comm: CommBackend, *value_arrays) -> bool:
     return comm.allreduce(local, max) < int(CK_DIST_LIMIT)
 
 
-def _form_b(
-    comm: CommBackend,
+def _calibrated_model(comm: CommBackend, config: PastisConfig):
+    """The cells/sec cost model that seeds the steal executor's projected
+    finish times: rank 0 measures real engine runs once, then broadcasts."""
+    model = None
+    if comm.rank == 0:
+        # deferred import: perfmodel.calibrate reaches back into
+        # core.balance, so a top-level import would be circular
+        from ..perfmodel.calibrate import calibrate_alignment_model
+
+        model = calibrate_alignment_model(
+            scoring=config.scoring,
+            gap_open=config.gap_open,
+            gap_extend=config.gap_extend,
+            xdrop=config.xdrop,
+            k=config.k,
+            traceback=config.needs_traceback,
+        )
+    return comm.bcast(model, root=0)
+
+
+def block_pairs(
     grid: ProcessGrid,
-    a: DistSparseMatrix,
-    at: DistSparseMatrix,
-    local_kmers: np.ndarray,
-    pos: np.ndarray,
+    local_store: SequenceStore,
+    n: int,
+    gid0: int,
     config: PastisConfig,
     s_triples: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
     timings: dict[str, float],
-) -> DistSparseMatrix:
-    """Step 5: ``B = A Aᵀ``, or ``S``, ``AS``, ``(AS) Aᵀ`` and the
-    symmetrization, by Sparse SUMMA, each timed under its dissection name.
+) -> CandidatePairs:
+    """The overlap stage of one rank (steps 4, 5 and the first half of 7):
+    ``A`` from the rank's sequences (global ids from ``gid0``, ``n`` in
+    all); ``B = A Aᵀ``, or ``S``, ``AS``, ``(AS) Aᵀ`` and the
+    symmetrization, by Sparse SUMMA, each timed under its dissection name;
+    and this block's Fig.-11 triangle of ``B``.
 
     On the fast kernels the AS stage runs numerically (AS values travel as
     packed int64 seed hits) and the ``B`` stage runs SUMMA's block-local
@@ -154,6 +181,18 @@ def _form_b(
     collectively (:func:`_ck_packable`): mixed per-rank representations
     would corrupt the SUMMA reduction.
     """
+    comm = grid.comm
+    # the int64 triples go through untouched: a rank with no sequences
+    # must contribute an *int64* empty, or the alltoall concatenation would
+    # promote every rank's values to float64 and silently knock the AS
+    # stage off the numeric fast path
+    with _timed(timings, "form A"):
+        rows, kmers, pos = build_a_triples(local_store, config.k, gid0)
+        a = DistSparseMatrix.distribute(
+            grid, n, kmer_space_size(config.k), rows, kmers, pos
+        )
+    with _timed(timings, "tr. A"):
+        at = a.transpose()
     reference = config.kernel == "semiring"
     if config.substitutes == 0:
         with _timed(timings, "(AS)AT"):
@@ -166,10 +205,9 @@ def _form_b(
             if s_triples is None:
                 # once per grid: every rank learns the global vocabulary,
                 # expands an interleaved share of it and keeps only the
-                # substitute columns that can match Aᵀ — the restriction
-                # the single-process pipeline applies
+                # substitute columns that can match Aᵀ
                 vocab = np.unique(np.concatenate(
-                    comm.allgather(np.unique(local_kmers))
+                    comm.allgather(np.unique(kmers))
                 ))
                 s_rows, s_cols, s_dist = build_s_triples(
                     vocab[comm.rank::comm.size], config.k,
@@ -193,35 +231,30 @@ def _form_b(
         with _timed(timings, "sym."):
             # B ∪ Bᵀ: the cross-diagonal block exchange inside transpose()
             # hands every rank the partner block that mirrors its own, then
-            # the block-local merge the single-process pipeline runs
+            # the block-local merge (a 1-rank grid's block is its own mirror)
             merged = symmetrize_candidates(
                 b.local, b.row_range[0], b.col_range[0],
                 mirror=b.transpose().local,
             )
-            b = DistSparseMatrix(
-                grid=grid, nrows=a.nrows, ncols=a.nrows, local=merged
-            )
-    return b
+            b = DistSparseMatrix(grid=grid, nrows=n, ncols=n, local=merged)
+    return pairs_from_block(
+        n, b.local, b.row_range[0], b.col_range[0],
+        owns_diagonal=grid.row < grid.col,
+    )
 
 
-def _calibrated_model(comm: CommBackend, config: PastisConfig):
-    """The cells/sec cost model that seeds the steal executor's projected
-    finish times: rank 0 measures real engine runs once, then broadcasts."""
-    model = None
-    if comm.rank == 0:
-        # deferred import: perfmodel.calibrate reaches back into
-        # core.balance, so a top-level import would be circular
-        from ..perfmodel.calibrate import calibrate_alignment_model
-
-        model = calibrate_alignment_model(
-            scoring=config.scoring,
-            gap_open=config.gap_open,
-            gap_extend=config.gap_extend,
-            xdrop=config.xdrop,
-            k=config.k,
-            traceback=config.needs_traceback,
-        )
-    return comm.bcast(model, root=0)
+def store_pairs(
+    comm: CommBackend,
+    store: SequenceStore,
+    config: PastisConfig,
+    s_triples: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> CandidatePairs:
+    """SPMD body of :func:`repro.core.overlap.find_candidate_pairs`: the
+    overlap stage on a 1-rank world, whose one block is the whole ``B``."""
+    return block_pairs(
+        ProcessGrid.create(comm), store, len(store), 0, config, s_triples,
+        dict.fromkeys(STAGES, 0.0),
+    )
 
 
 def pastis_rank(
@@ -230,8 +263,8 @@ def pastis_rank(
     config: PastisConfig,
     s_triples: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> RankResult:
-    """SPMD body: one rank of the distributed pipeline — the nine steps of
-    the module docstring, one stage function each.
+    """SPMD body: one rank of the pipeline — the nine steps of the module
+    docstring, one stage function each.
 
     ``s_triples`` optionally injects a precomputed substitute matrix ``S``
     (global k-mer ids); each rank contributes an interleaved slice and the
@@ -247,35 +280,21 @@ def pastis_rank(
     # -- 2. cooperative prefix sums
     index = DistributedIndex.from_counts(comm.allgather(len(local_store)))
     n = index.total
-    gid0 = index.rank_range(comm.rank)[0]
 
     # -- 3. overlapped sequence exchange (posted now, finished after B)
     exchange = start_exchange(comm, grid, index, local_store, n)
 
-    # -- 4. form A and its transpose.  The int64 triples go through
-    # untouched: a rank with no sequences must contribute an *int64* empty,
-    # or the alltoall concatenation would promote every rank's values to
-    # float64 and silently knock the AS stage off the numeric fast path
-    with _timed(timings, "form A"):
-        rows, cols, pos = build_a_triples(local_store, config.k, gid0)
-        a = DistSparseMatrix.distribute(
-            grid, n, kmer_space_size(config.k), rows, cols, pos
-        )
-    with _timed(timings, "tr. A"):
-        at = a.transpose()
-
-    # -- 5. SpGEMM(s)
-    b = _form_b(comm, grid, a, at, cols, pos, config, s_triples, timings)
+    # -- 4, 5, 7. form A, SpGEMM(s), this block's Fig.-11 triangle
+    pairs = block_pairs(
+        grid, local_store, n, index.rank_range(comm.rank)[0], config,
+        s_triples, timings,
+    )
 
     # -- 6. finish the exchange
     with _timed(timings, "wait"):
         cache = exchange.finish()
 
-    # -- 7. this block's Fig.-11 triangle, CK on the count column, tasks
-    pairs = pairs_from_block(
-        n, b.local, b.row_range[0], b.col_range[0],
-        owns_diagonal=grid.row < grid.col,
-    )
+    # -- 7. CK on the count column, one task per survivor
     tasks = tasks_from_pairs(
         pairs.apply_ck_threshold(config.common_kmer_threshold),
         cache.__getitem__,
@@ -330,17 +349,21 @@ def run_pastis_distributed(
     tracer: CommTracer | None = None,
     s_triples: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> SimilarityGraph:
-    """Convenience driver: run the SPMD pipeline on ``nranks`` simulated
-    ranks and assemble the global PSG.
+    """The driver: run the SPMD pipeline on ``nranks`` simulated ranks
+    and assemble the global PSG.
 
     ``nranks`` must be a positive perfect square (paper requirement;
-    anything else is a :class:`~repro.core.config.ConfigError` before a
-    rank is spawned); the result is byte-identical to
-    :func:`repro.core.pipeline.pastis_pipeline` at any rank count and
-    under every ``config.align_balance`` mode (the golden obliviousness
-    invariant).  The graph's ``meta`` carries
-    per-rank timing dissections — the data behind the Fig. 15/16-style
-    component plots — total alignment counts, and (when rebalancing ran)
+    anything else is a :class:`~repro.core.config.ConfigError`) and the
+    store's ids distinct (:class:`~repro.bio.fasta.FastaError`) — both
+    raised here, before a rank is spawned, so they read the same at every
+    rank count.  The result is byte-identical at any rank count and under
+    every ``config.align_balance`` mode (the golden obliviousness
+    invariant).  The graph's ``meta`` has one schema at every ``nranks``:
+    the variant name, candidate/alignment/edge counts,
+    ``overlap_seconds`` / ``align_seconds`` (the slowest rank's
+    :data:`OVERLAP_STAGES` sum and ``align`` stage), per-rank timing
+    dissections — the data behind the Fig. 15/16-style
+    component plots — and (when rebalancing ran)
     ``meta["align_balance"]``: per-rank pre/post DP-cell loads, measured
     align throughput (``aligned_cells`` / ``align_seconds`` /
     ``measured_cells_per_sec``), and for ``"steal"`` the stolen-task
@@ -349,6 +372,7 @@ def run_pastis_distributed(
     """
     config = config or PastisConfig()
     check_ranks(nranks)
+    check_unique_ids(store.ids)
     fasta = store_to_fasta_bytes(store)
     results: list[RankResult] = run_spmd(
         nranks, pastis_rank, fasta, config, s_triples, tracer=tracer,
@@ -381,12 +405,19 @@ def run_pastis_distributed(
                 chunks=per_rank("chunks"),
                 calibration=results[0].rebalance["calibration"],
             )
+    rank_timings = [r.timings for r in results]
     graph.meta.update(
         variant=config.variant_name,
         nranks=nranks,
-        rank_timings=[r.timings for r in results],
+        rank_timings=rank_timings,
+        # the next collective waits for the slowest rank of each stage
+        overlap_seconds=max(
+            sum(t[name] for name in OVERLAP_STAGES) for t in rank_timings
+        ),
+        align_seconds=max(t["align"] for t in rank_timings),
         aligned_pairs=sum(r.aligned_pairs for r in results),
         candidate_pairs=sum(r.candidate_pairs for r in results),
+        edges_kept=graph.nedges,
         align_balance=balance_meta,
     )
     if tracer is not None:

@@ -1,19 +1,17 @@
 """Overlap detection: matrices ``A``/``S`` and candidate-pair extraction.
 
 One matrix model — ``B = A Aᵀ``, or ``B = (A S) Aᵀ`` plus the
-symmetrization merge — in two formulations:
+symmetrization merge — with two whole-store entries:
 
-* :func:`find_candidate_pairs` — the fast one: ``AS`` on the int64-packed
-  numeric semiring, ``B`` with ``CommonKmers`` as struct-of-arrays record
-  columns, every product through
-  :func:`~repro.sparse.spgemm.spgemm_coo` — the same block kernel and the
-  same semiring selection distributed SUMMA runs.
-  :func:`candidate_pairs_from_triples` is its triples-level entry, for
-  callers that filter ``A`` first.
+* :func:`find_candidate_pairs` — the pipeline's own overlap stage
+  (:func:`repro.core.distributed.block_pairs`: SUMMA over
+  :func:`~repro.sparse.spgemm.spgemm_coo`, semirings chosen by
+  ``config.kernel``) on one inline rank; there is no second formulation
+  of the fast path to drift from the driver's.
 * :func:`find_candidate_pairs_semiring` — the literal one: object
   semirings through the scalar :func:`~repro.sparse.spgemm.spgemm_hash`.
-  Slow, always correct; the oracle the fast formulation is validated
-  against.
+  Slow, always correct; the oracle the tests validate the pipeline
+  against, reachable from no driver.
 
 Both return :class:`CandidatePairs`: for every unordered sequence pair
 ``(i < j)`` sharing at least one (substitute) k-mer, the shared count and up
@@ -33,7 +31,7 @@ from ..kmers.extraction import store_kmers
 from ..kmers.substitutes import substitute_kmers_batch
 from ..sparse.coo import COOMatrix, group_coords
 from ..sparse.csr import CSRMatrix
-from ..sparse.spgemm import spgemm_coo, spgemm_hash
+from ..sparse.spgemm import spgemm_hash
 from .config import PastisConfig
 from .semirings import (
     CK_SEED_FIELDS,
@@ -51,7 +49,6 @@ __all__ = [
     "CandidatePairs",
     "build_a_triples",
     "build_s_triples",
-    "candidate_pairs_from_triples",
     "ck_keep_mask",
     "find_candidate_pairs",
     "find_candidate_pairs_semiring",
@@ -112,9 +109,9 @@ def ck_keep_mask(counts, t: int) -> np.ndarray:
     than ``t`` (substitute) k-mers; works on scalars and arrays.
 
     This is the single definition of the ``>`` semantics;
-    :meth:`CandidatePairs.apply_ck_threshold` is its one caller in both
-    pipelines, so the boundary behaviour cannot drift between them (a
-    tested invariant).
+    :meth:`CandidatePairs.apply_ck_threshold` is its one caller, so the
+    boundary behaviour is the same at every rank count (a tested
+    invariant).
     """
     return np.asarray(counts) > t
 
@@ -148,7 +145,7 @@ class CandidatePairs:
 
     def apply_ck_threshold(self, t: int | None) -> "CandidatePairs":
         """Drop pairs sharing ``t`` or fewer k-mers (the CK variant) — the
-        one CK site of both pipelines, a filter on the count column."""
+        pipeline's one CK site, a filter on the count column."""
         if t is None:
             return self
         return self.take(ck_keep_mask(self.counts, t))
@@ -172,11 +169,6 @@ class CandidatePairs:
         return self.take(np.lexsort((self.rj, self.ri)))
 
 
-# ---------------------------------------------------------------------------
-# operand construction (dense k-mer column space)
-# ---------------------------------------------------------------------------
-
-
 def _in_sorted(sorted_arr: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Membership mask of ``values`` in a sorted array."""
     if len(sorted_arr) == 0:
@@ -186,33 +178,8 @@ def _in_sorted(sorted_arr: np.ndarray, values: np.ndarray) -> np.ndarray:
     return sorted_arr[pos] == values
 
 
-def _build_s_matrix(
-    vocab: np.ndarray,
-    config: PastisConfig,
-    s_triples: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> COOMatrix:
-    """``S`` in dense column space.  Internally built triples are already
-    vocabulary-restricted; externally supplied ones are filtered first
-    (entries outside the vocabulary cannot match anything in ``A``/``Aᵀ``)."""
-    if s_triples is None:
-        s_rows, s_cols, s_dist = build_s_triples(
-            vocab, config.k, config.substitutes, config.scoring,
-            restrict_to=vocab,
-        )
-    else:
-        s_rows, s_cols, s_dist = s_triples
-        s_dist = np.asarray(s_dist)
-        keep = _in_sorted(vocab, s_rows) & _in_sorted(vocab, s_cols)
-        s_rows, s_cols, s_dist = s_rows[keep], s_cols[keep], s_dist[keep]
-    nk = max(len(vocab), 1)
-    return COOMatrix(
-        nk, nk, np.searchsorted(vocab, s_rows),
-        np.searchsorted(vocab, s_cols), np.asarray(s_dist, dtype=np.int64),
-    )
-
-
 # ---------------------------------------------------------------------------
-# symmetrization of B (shared by the single-process and distributed paths)
+# symmetrization of B
 # ---------------------------------------------------------------------------
 
 
@@ -316,7 +283,7 @@ def symmetrize_candidates(
 
 
 # ---------------------------------------------------------------------------
-# candidate pairs: one body, two multipliers
+# candidate pairs
 # ---------------------------------------------------------------------------
 
 
@@ -359,7 +326,7 @@ def pairs_from_block(
 ) -> CandidatePairs:
     """The candidate pairs one block of the symmetric ``n x n`` ``B`` is
     responsible for (Fig. 11) — the one ``B`` -> :class:`CandidatePairs`
-    step of both pipelines; the whole matrix is the block at offsets 0.
+    step; the whole matrix is the block at offsets 0.
 
     Block ``(pi, pj)`` local ``(r, c)`` mirrors block ``(pj, pi)`` local
     ``(c, r)``, so ``r < c`` in every block, plus ``r == c`` in the blocks
@@ -384,68 +351,28 @@ def pairs_from_block(
     return pairs
 
 
-def _hash_multiply(a: COOMatrix, b: COOMatrix, semiring) -> COOMatrix:
-    return spgemm_hash(
-        CSRMatrix.from_coo(a), CSRMatrix.from_coo(b), semiring
-    )
-
-
-def candidate_pairs_from_triples(
-    n: int,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    pos: np.ndarray,
-    config: PastisConfig,
-    s_triples: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-    reference: bool = False,
-) -> CandidatePairs:
-    """``A Aᵀ`` / symmetrized ``(A S) Aᵀ`` from the ``(row, kmer id,
-    position)`` triples of an ``n``-row ``A``, upper triangle, as
-    :class:`CandidatePairs` — the entry for callers that build or filter
-    the triples themselves.
-
-    ``reference`` swaps both the semirings
-    (:func:`~repro.core.semirings.overlap_semirings`) and the multiplier
-    (scalar hash SpGEMM instead of the dispatcher); nothing else differs
-    between the two formulations."""
-    multiply = _hash_multiply if reference else spgemm_coo
-    as_semiring, overlap_semiring, exact_semiring = (
-        overlap_semirings(reference)
-    )
-    # relabel k-mer ids to dense column indices over the sorted vocabulary
-    vocab, dense_cols = np.unique(cols, return_inverse=True)
-    a = COOMatrix(n, max(len(vocab), 1), rows, dense_cols, pos)
-    at = a.transpose()
-    if config.substitutes == 0:
-        b = multiply(a, at, exact_semiring)
-    else:
-        s = _build_s_matrix(vocab, config, s_triples)
-        a_s = multiply(a, s, as_semiring)
-        b = multiply(a_s, at, overlap_semiring)
-        b = symmetrize_candidates(b)
-    return pairs_from_block(n, b).sort()
-
-
 def find_candidate_pairs(
     store: SequenceStore,
     config: PastisConfig,
     s_triples: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> CandidatePairs:
-    """Overlap detection for a whole store on the fast semirings.
+    """Overlap detection for a whole store: the pipeline's overlap stage
+    (:func:`repro.core.distributed.block_pairs`) on one inline rank, whose
+    single block is all of ``B``, sorted by ``(i, j)``.
 
     With ``config.substitutes == 0`` this is ``A Aᵀ``; otherwise
     ``(A S) Aᵀ`` followed by the symmetrization merge (the direction with
-    the larger shared count wins, forward on ties).  The ``AS`` stage is a
-    numeric-semiring SpGEMM (seed hits packed into int64, ``np.minimum``
-    accumulation) and ``B`` carries ``CommonKmers`` as struct-of-arrays
-    record columns, so no per-element Python semiring op ever runs — the
-    single-process form of what SUMMA runs per block.  ``s_triples``
-    allows reusing a precomputed ``S``.  Agrees exactly with
+    the larger shared count wins, forward on ties); ``config.kernel``
+    picks the semirings exactly as in a full run.  ``s_triples`` allows
+    reusing a precomputed ``S``.  Agrees exactly with
     :func:`find_candidate_pairs_semiring` (a tested invariant).
     """
-    return candidate_pairs_from_triples(
-        len(store), *build_a_triples(store, config.k), config, s_triples
-    )
+    # deferred imports: core.distributed builds on this module
+    from ..mpisim.backend import run_spmd
+    from .distributed import store_pairs
+
+    [pairs] = run_spmd(1, store_pairs, store, config, s_triples)
+    return pairs.sort()
 
 
 # alias kept for benchmarks/e2e/probes.py, which resolves this name at call
@@ -460,9 +387,35 @@ def find_candidate_pairs_semiring(
 ) -> CandidatePairs:
     """Reference overlap detection through the object PASTIS semirings and
     the scalar hash SpGEMM — slow, but a direct transcription of the
-    paper's matrix formulation.  Used to validate the fast path.
+    paper's matrix formulation, sharing no multiplier, communicator or
+    block layout with the pipeline.  No driver reaches it; the tests
+    validate :func:`find_candidate_pairs` and the full runs against it.
     ``s_triples`` allows reusing a precomputed ``S``."""
-    return candidate_pairs_from_triples(
-        len(store), *build_a_triples(store, config.k), config, s_triples,
-        reference=True,
-    )
+    as_semiring, overlap_semiring, exact_semiring = overlap_semirings(True)
+    rows, cols, pos = build_a_triples(store, config.k)
+    if config.substitutes and s_triples is None:
+        present = np.unique(cols)
+        s_triples = build_s_triples(
+            present, config.k, config.substitutes, config.scoring,
+            restrict_to=present,
+        )
+    s_rows, s_cols, s_dist = s_triples or (cols[:0],) * 3
+    # k-mer ids relabelled to dense indices over every id in play: CSR row
+    # pointers over the whole 24^k space would not fit
+    vocab = np.unique(np.concatenate((cols, s_rows, s_cols)))
+    nk = max(len(vocab), 1)
+
+    def csr(nrows, ncols, r, c, v) -> CSRMatrix:
+        return CSRMatrix.from_coo(COOMatrix(nrows, ncols, r, c, v))
+
+    a = csr(len(store), nk, rows, np.searchsorted(vocab, cols), pos)
+    at = a.transpose()
+    if config.substitutes == 0:
+        b = spgemm_hash(a, at, exact_semiring)
+    else:
+        s = csr(nk, nk, np.searchsorted(vocab, s_rows),
+                np.searchsorted(vocab, s_cols),
+                np.asarray(s_dist, dtype=np.int64))
+        a_s = CSRMatrix.from_coo(spgemm_hash(a, s, as_semiring))
+        b = symmetrize_candidates(spgemm_hash(a_s, at, overlap_semiring))
+    return pairs_from_block(len(store), b).sort()

@@ -1,32 +1,25 @@
-"""Single-process PASTIS pipeline (Fig. 1): overlap -> align -> filter.
-
-This is the whole algorithm with the distribution stripped away; the
-distributed pipeline in :mod:`repro.core.distributed` produces exactly the
-same graph (a tested invariant — the paper stresses that PASTIS's output is
-"oblivious to the number of processes").
+"""The pairs -> tasks -> edges tail of the pipeline (Fig. 1: align, filter,
+weight), and :func:`pastis_pipeline`: the one driver in
+:mod:`repro.core.distributed` at a single rank.  The graph is the same at
+every rank count (a tested invariant — the paper stresses that PASTIS's
+output is "oblivious to the number of processes").
 """
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Iterable
 
 import numpy as np
 
-from ..align.batch import AlignmentTask, align_batch
+from ..align.batch import AlignmentTask
 from ..align.stats import AlignmentResult, passes_filter
 from ..bio.sequences import SequenceStore
 from .config import PastisConfig
 from .graph import SimilarityGraph
-from .overlap import (
-    CandidatePairs,
-    find_candidate_pairs,
-    find_candidate_pairs_semiring,
-)
+from .overlap import CandidatePairs
 
 __all__ = [
     "pastis_pipeline",
-    "align_candidates",
     "align_kwargs",
     "edge_weight",
     "edges_from_alignments",
@@ -66,9 +59,9 @@ def edges_from_alignments(
     aligned: Iterable[tuple[AlignmentTask, AlignmentResult]],
     config: PastisConfig,
 ) -> list[tuple[int, int, float]]:
-    """The tasks→edges tail both pipelines share: apply the similarity
-    filter (ANI weighting only), weight the survivors, and keep the
-    positive-weight ``(i, j, weight)`` edges."""
+    """The tasks→edges tail: apply the similarity filter (ANI weighting
+    only), weight the survivors, and keep the positive-weight
+    ``(i, j, weight)`` edges."""
     edges: list[tuple[int, int, float]] = []
     for task, res in aligned:
         if config.uses_filter and not passes_filter(
@@ -85,9 +78,9 @@ def tasks_from_pairs(
     pairs: CandidatePairs,
     encoded: Callable[[int], np.ndarray],
 ) -> list[AlignmentTask]:
-    """One alignment task per candidate pair, in pair order (both
-    pipelines' pairs→tasks step).  ``encoded`` maps a global sequence id to
-    its residues: ``store.encoded``, or the exchange cache's lookup."""
+    """One alignment task per candidate pair, in pair order.  ``encoded``
+    maps a global sequence id to its residues: ``store.encoded``, or the
+    exchange cache's lookup."""
     return [
         AlignmentTask(
             a=encoded(i), b=encoded(j), seeds=tuple(pairs.seeds_of(p)),
@@ -97,56 +90,23 @@ def tasks_from_pairs(
     ]
 
 
-def align_candidates(
-    store: SequenceStore,
-    pairs: CandidatePairs,
-    config: PastisConfig,
-) -> tuple[list[tuple[int, int, float]], int]:
-    """Align candidate pairs, apply the similarity filter, and return the
-    surviving ``(i, j, weight)`` edges plus the number of alignments run."""
-    tasks = tasks_from_pairs(pairs, store.encoded)
-    results = align_batch(tasks, **align_kwargs(config))
-    return edges_from_alignments(zip(tasks, results), config), len(tasks)
-
-
 def pastis_pipeline(
     store: SequenceStore,
     config: PastisConfig | None = None,
 ) -> SimilarityGraph:
-    """Run the full single-process pipeline on a sequence store.
+    """Run the full pipeline on a sequence store in the calling process:
+    :func:`~repro.core.distributed.run_pastis_distributed` at
+    ``nranks=1``, where the one rank runs inline — no thread, no fork.
 
-    This is the library's main entry point (the distributed twin is
-    :func:`repro.core.distributed.run_pastis_distributed`; both produce
-    the identical graph).  ``config.kernel`` selects the overlap kernel
-    and ``config.align_engine`` the alignment engine — interchangeable
+    ``config.kernel`` selects the overlap kernel and
+    ``config.align_engine`` the alignment engine — interchangeable
     implementations with a byte-identical output contract, documented in
-    ``docs/knobs.md``.
-
-    The returned graph's ``meta`` records the variant name, per-stage wall
-    times (``overlap_seconds``, ``align_seconds``), candidate/alignment
-    counts, and the number of edges kept.
+    ``docs/knobs.md``.  The returned graph's ``meta`` records the variant
+    name, per-stage wall times (``overlap_seconds``, ``align_seconds``,
+    ``rank_timings``), candidate/alignment counts, and the number of edges
+    kept.
     """
-    config = config or PastisConfig()
-    t0 = time.perf_counter()
-    overlap_impl = (
-        find_candidate_pairs_semiring if config.kernel == "semiring"
-        else find_candidate_pairs
-    )
-    pairs = overlap_impl(store, config)
-    pairs_before_ck = pairs.npairs
-    pairs = pairs.apply_ck_threshold(config.common_kmer_threshold)
-    t1 = time.perf_counter()
-    edges, naligned = align_candidates(store, pairs, config)
-    t2 = time.perf_counter()
-    graph = SimilarityGraph.from_edges(
-        len(store), edges, ids=list(store.ids)
-    )
-    graph.meta.update(
-        variant=config.variant_name,
-        overlap_seconds=t1 - t0,
-        align_seconds=t2 - t1,
-        candidate_pairs=pairs_before_ck,
-        aligned_pairs=naligned,
-        edges_kept=graph.nedges,
-    )
-    return graph
+    # deferred import: core.distributed builds on this module's tail
+    from .distributed import run_pastis_distributed
+
+    return run_pastis_distributed(store, config, nranks=1)

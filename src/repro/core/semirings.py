@@ -203,7 +203,7 @@ def substitute_overlap_encoded_semiring() -> Semiring:
 
 def overlap_semirings(reference: bool) -> tuple[Semiring, Semiring, Semiring]:
     """The ``(AS, (AS)Aᵀ, A Aᵀ)`` semirings of the overlap stage — the one
-    selection the single-process and the distributed pipeline share.
+    selection the pipeline and the reference oracle share.
 
     ``reference=True`` is the literal object formulation: ``SeedHit`` /
     ``CommonKmers`` values and per-element Python ``add``/``multiply``

@@ -282,7 +282,10 @@ def run_spmd(
     the SPMD body sees the same :class:`CommBackend` surface either way,
     and the golden obliviousness tests pin the output byte-identical
     across backends.  Any rank raising aborts all ranks and re-raises as
-    :class:`SpmdError` carrying the first failure as ``__cause__``.
+    :class:`SpmdError` carrying the first failure as ``__cause__``.  At
+    ``nranks == 1`` the ``sim`` and ``mp`` backends start nothing: ``fn``
+    runs inline in the calling thread on a 1-rank communicator, under no
+    whole-run deadline (``timeout`` still bounds a blocked receive).
 
     ``comm_sanitize`` wraps every rank's communicator in
     :class:`repro.analysis.sanitizer.SanitizedComm`: collectives are

@@ -350,7 +350,9 @@ def run_spmd_sim(
     return the per-rank results in rank order.
 
     Any rank raising aborts all ranks and re-raises as :class:`SpmdError`
-    carrying the first failure as ``__cause__``.  A rank stuck in pure
+    carrying the first failure as ``__cause__``.  ``nranks == 1`` spawns
+    nothing: ``fn`` runs inline in the calling thread on a 1-rank
+    :class:`SimComm`, with no whole-run deadline.  A rank stuck in pure
     compute never observes ``backend.abort`` (that is only checked inside
     communication calls), so the driver additionally raises whenever any
     worker thread failed to terminate or any result slot was never filled
@@ -359,6 +361,14 @@ def run_spmd_sim(
     if nranks <= 0:
         raise ValueError("nranks must be positive")
     backend = _Backend(nranks, tracer, timeout)
+    if nranks == 1:
+        # a lone rank completes every collective on its own deposit, so it
+        # runs in the caller's thread: nothing to join, and the only
+        # deadline left is the one on a receive nobody can match
+        try:
+            return [fn(SimComm(backend, 0), *args)]
+        except Exception as exc:
+            raise SpmdError(f"rank 0 failed: {exc!r}") from exc
     unfilled = object()  # sentinel: fn may legitimately return None
     results: list[Any] = [unfilled] * nranks
     failures: list[tuple[int, BaseException]] = []

@@ -53,6 +53,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .backend import ANY_SOURCE, DEFAULT_TIMEOUT, CommBackend, SpmdError
+from .comm import run_spmd_sim
 from .tracing import CommTracer, payload_bytes
 
 __all__ = [
@@ -570,10 +571,15 @@ def run_spmd_mp(
     raising aborts all ranks and re-raises as :class:`SpmdError` with the
     first original failure as ``__cause__``; ranks that die or hang past
     the shared deadline are reported rather than silently dropped; the
-    caller's ``tracer`` receives every child's logical message records.
+    caller's ``tracer`` receives every child's logical message records;
+    ``nranks == 1`` runs inline in the calling thread.
     """
     if nranks <= 0:
         raise ValueError("nranks must be positive")
+    if nranks == 1:
+        # nobody to ship a payload to: no fork, no queues, no shm — the
+        # simulator's inline 1-rank run is the whole program
+        return run_spmd_sim(1, fn, *args, tracer=tracer, timeout=timeout)
     method = "fork" if "fork" in _mp.get_all_start_methods() else "spawn"
     ctx = _mp.get_context(method)
     shm_prefix = f"repromp-{os.getpid()}-{os.urandom(4).hex()}-"

@@ -239,8 +239,8 @@ def spgemm_coo(
     Never allocates anything proportional to a matrix *dimension* — only to
     the nonzero counts — so it is safe for hypersparse blocks whose inner
     dimension is the 24^k k-mer space (what CombBLAS stores as DCSC).
-    Both the distributed SUMMA stages and the single-process overlap run
-    it.  The ladder: the numeric spec when it covers the operand value
+    Every SUMMA stage of the overlap runs it, at every rank count.  The
+    ladder: the numeric spec when it covers the operand value
     dtypes, then the struct spec when it engages, else the batched generic
     merge.  Fallback never changes results — every rung folds in the same
     order.

@@ -6,7 +6,7 @@ and every choice must round-trip into a validated
 import numpy as np
 import pytest
 
-from repro.bio.fasta import write_fasta
+from repro.bio.fasta import FastaError, write_fasta
 from repro.bio.generate import scope_like
 from repro.cli import build_parser, config_from_args, main, write_edges_tsv
 from repro.core.config import (
@@ -284,13 +284,25 @@ class TestNamedErrors:
         for nranks in (3, 0, -4):
             with pytest.raises(ConfigError, match=f"got {nranks}"):
                 run_pastis_distributed(store, nranks=nranks)
+        # a repeated id is the same named error at every rank count, from
+        # the driver: whether both copies land in one rank's byte chunk
+        # must not decide it
+        dup = SequenceStore(["AVGDMKAVG"] * 8, ids=list("abcdefga"))
+        messages = set()
+        for nranks in (1, 4, 9):
+            with pytest.raises(FastaError) as exc_info:
+                run_pastis_distributed(dup, nranks=nranks)
+            messages.add(str(exc_info.value))
+        assert messages == {"duplicate sequence id 'a': records 1 and 8"}
 
     def test_duplicate_ids(self, capsys, tmp_path):
         fa = tmp_path / "dup.fa"
         fa.write_text(">a\nAVGDMK\n>c\nAVGDMR\n>a x\nAVGDMH\n")
-        err = self._fails([str(fa)], capsys, tmp_path)
-        assert "duplicate sequence id 'a'" in err
-        assert "records 1 and 3" in err
+        for ranks in ("1", "4", "9"):
+            err = self._fails([str(fa), "--ranks", ranks], capsys, tmp_path)
+            assert err == (
+                "error: duplicate sequence id 'a': records 1 and 3\n"
+            )
 
     @pytest.mark.parametrize("residue", ["U", "O", "J", "-"])
     def test_invalid_residue_names_the_record(self, capsys, tmp_path,

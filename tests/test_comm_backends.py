@@ -15,6 +15,10 @@ spawn pickles the function by reference).
 
 from __future__ import annotations
 
+import os
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -288,6 +292,47 @@ class TestConformance:
         kinds = tracer.messages_by_kind()
         assert kinds.get("rebal") == 4
         assert kinds.get("allgather") == 4 * 3
+
+
+def _where_am_i(comm):
+    return threading.get_ident(), os.getpid()
+
+
+def _slow_compute(comm, seconds):
+    time.sleep(seconds)  # no comm call: nothing but a run deadline can end it
+    return comm.allreduce(7, max)
+
+
+def _raises_kapow(comm):
+    raise ValueError("kapow")
+
+
+@pytest.mark.parametrize("backend", ["sim", "mp"])
+class TestSingleRankRunsInline:
+    """``run_spmd(1, fn)`` calls ``fn`` in the caller's thread and process:
+    a 1-rank run inherits no thread, no fork and no whole-run watchdog."""
+
+    def test_runs_in_the_calling_thread_and_process(self, backend):
+        assert spmd(backend, 1, _where_am_i) == [
+            (threading.get_ident(), os.getpid())
+        ]
+
+    def test_slow_is_not_stuck(self, backend):
+        # 5x the timeout of pure compute: "did not terminate" at the
+        # parent commit, whose join deadline was 2 x timeout
+        assert spmd(backend, 1, _slow_compute, 1.0, timeout=0.2) == [7]
+
+    def test_unmatched_recv_still_times_out(self, backend):
+        t0 = time.monotonic()
+        with pytest.raises(SpmdError, match="timed out after 0.3s"):
+            spmd(backend, 1, _recv_never_satisfied, timeout=0.3)
+        assert time.monotonic() - t0 < 2.0
+
+    def test_failure_is_an_spmd_error_with_the_original_cause(self, backend):
+        with pytest.raises(SpmdError, match="rank 0 failed.*kapow") as exc_info:
+            spmd(backend, 1, _raises_kapow)
+        cause = exc_info.value.__cause__
+        assert type(cause) is ValueError and cause.args == ("kapow",)
 
 
 class TestSmokeTraceParity:

@@ -201,8 +201,13 @@ class TestDistributedKernels:
             build_s_triples,
             find_candidate_pairs_semiring,
         )
-        from repro.core.pipeline import align_candidates
+        from repro.align.batch import align_batch
         from repro.core.graph import SimilarityGraph
+        from repro.core.pipeline import (
+            align_kwargs,
+            edges_from_alignments,
+            tasks_from_pairs,
+        )
 
         cfg = PastisConfig(k=4, substitutes=3)
         _, cols, _ = build_a_triples(data.store, cfg.k)
@@ -212,7 +217,9 @@ class TestDistributedKernels:
             restrict_to=present,
         )
         pairs = find_candidate_pairs_semiring(data.store, cfg, s_triples)
-        edges, _ = align_candidates(data.store, pairs, cfg)
+        tasks = tasks_from_pairs(pairs, data.store.encoded)
+        results = align_batch(tasks, **align_kwargs(cfg))
+        edges = edges_from_alignments(zip(tasks, results), cfg)
         ref = SimilarityGraph.from_edges(len(data.store), edges)
         got = run_pastis_distributed(
             data.store, cfg, nranks=p, s_triples=s_triples

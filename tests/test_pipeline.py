@@ -1,4 +1,4 @@
-"""Tests for the single-process pipeline and the similarity graph."""
+"""Tests for the pipeline at one rank and the similarity graph."""
 
 import numpy as np
 import pytest
@@ -106,11 +106,25 @@ class TestPipeline:
         assert g.ids == data.store.ids
 
     def test_no_edges_for_unrelated(self):
-        store = SequenceStore(
-            ["AVGDMIKRW" * 5, "PPPPPPPPP" * 5, "YYYYWWWWH" * 5]
-        )
-        g = pastis_pipeline(store, PastisConfig(k=4))
-        assert g.nedges == 0
+        from repro.core.distributed import run_pastis_distributed
+
+        for seqs in (
+            ["AVGDMIKRW" * 5, "PPPPPPPPP" * 5, "YYYYWWWWH" * 5],
+            [],                     # the empty store
+            ["AVGDMIKRW" * 5],      # one sequence: nothing to pair it with
+            ["AVG", "DMI", "KR"],   # all shorter than k: A has no entries
+        ):
+            store = SequenceStore(seqs)
+            for cfg in (PastisConfig(k=4), PastisConfig(k=4, substitutes=3),
+                        PastisConfig(k=4, kernel="semiring")):
+                g = pastis_pipeline(store, cfg)
+                assert (g.n, g.nedges) == (len(seqs), 0)
+                assert g.ids == store.ids
+                assert g.meta["candidate_pairs"] == 0
+                assert g.meta["aligned_pairs"] == g.meta["edges_kept"] == 0
+                # ranks that own no sequence at all change nothing
+                g4 = run_pastis_distributed(store, cfg, nranks=4)
+                assert (g4.n, g4.nedges, g4.ids) == (g.n, 0, g.ids)
 
     @pytest.mark.parametrize("weight,expect_traceback",
                              [("ani", True), ("ns", False)])
@@ -118,7 +132,7 @@ class TestPipeline:
                                                weight, expect_traceback):
         """Regression: NS weighting (no filter) must run score-only — the
         whole point of NS is that no traceback is needed (Section VI-B)."""
-        import repro.core.pipeline as pl
+        import repro.core.distributed as pl  # where the driver reads it
 
         seen = []
         real = pl.align_batch
