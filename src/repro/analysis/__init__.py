@@ -1,5 +1,5 @@
-"""SPMD correctness tooling: static lint + whole-program verifier +
-runtime comm sanitizer.
+"""SPMD correctness tooling: one static analyzer + a runtime comm
+sanitizer.
 
 The pipeline's output rests on SPMD discipline — every rank executes the
 identical collective sequence and the balance/steal plans are bitwise
@@ -8,24 +8,20 @@ check only *after the fact*.  This package enforces them *before and
 during* the run, with one shared vocabulary of finding codes
 (:mod:`repro.analysis.report`, rendered in ``docs/analysis.md``):
 
-``repro.analysis.lint``
-    Fast per-file AST checkers over ``src/repro`` (rank-divergent
-    collectives, nondeterminism in deterministic-plan modules, Python
-    hot loops in vectorized kernels, duplicate p2p tags — with
-    module-constant resolution — and broad excepts), with an explicit
-    ``# spmd: <code>-ok`` pragma allowlist and stale-pragma detection.
-    Run as ``python -m repro.analysis.lint``.
-
 ``repro.analysis.verify``
-    The whole-program verifier: a project index + call graph
-    (``callgraph``), an interprocedural rank-taint fixpoint
-    (``dataflow``), and a static communication-schedule extractor
-    (``schedule``) that checks collective-sequence uniformity across
-    rank-tainted control flow and matches p2p send/recv sites by tag per
-    SPMD entry point — catching divergence hidden behind helper calls
-    that per-file lint cannot see.  Supports ``--format json`` and a
-    committed-baseline diff mode.  Run as
-    ``python -m repro.analysis.verify``.
+    The static analyzer, ``python -m repro.analysis.verify``.  One run
+    builds a project index + call graph (``callgraph``), an
+    interprocedural rank-taint fixpoint (``dataflow``) and the static
+    communication schedule of every SPMD entry point (``schedule``)
+    once, and runs every static checker over them: the per-file
+    checkers (``filechecks`` — nondeterminism in deterministic-plan
+    modules, Python hot loops in vectorized kernels, duplicate p2p tags
+    with module-constant resolution, broad excepts), the schedule
+    checkers (collective-sequence uniformity across rank-tainted control
+    flow at any helper depth, p2p send/recv matching by tag), the
+    comm-performance checks (``commperf``), and one ``# spmd: <code>-ok``
+    pragma audit over all of them.  Supports ``--format json`` and a
+    committed-baseline diff mode.
 
 ``repro.analysis.sanitizer``
     :class:`~repro.analysis.sanitizer.SanitizedComm`, a
@@ -37,8 +33,8 @@ during* the run, with one shared vocabulary of finding codes
     ``comm_sanitize`` config knob / ``--comm-sanitize`` flag /
     ``REPRO_COMM_SANITIZE`` environment default.
 
-Submodules are imported lazily so ``repro.analysis.lint`` stays usable
-without pulling in the sanitizer (and vice versa).
+Submodules are imported lazily so the analyzer stays usable without
+pulling in the sanitizer (and vice versa).
 """
 
 from __future__ import annotations
@@ -47,10 +43,6 @@ __all__ = [
     "FINDING_CODES",
     "Finding",
     "SanitizedComm",
-    "Violation",
-    "lint_paths",
-    "lint_source",
-    "lint_sources",
     "sanitize_spmd_fn",
     "verify_paths",
     "verify_source",
@@ -58,10 +50,6 @@ __all__ = [
 ]
 
 _LAZY = {
-    "Violation": "lint",
-    "lint_paths": "lint",
-    "lint_source": "lint",
-    "lint_sources": "lint",
     "FINDING_CODES": "report",
     "Finding": "report",
     "verify_paths": "verify",

@@ -11,7 +11,8 @@ analyses (:mod:`repro.analysis.dataflow`,
   with its functions (top-level, methods, and nested ``def``\\ s),
   imports (absolute and relative, any nesting depth), and module-level
   integer constants (the tag-name resolution the duplicate-tag checker
-  and the p2p matcher share);
+  and the p2p matcher share); every checker of the analyzer reads this
+  one parse;
 * a symbol resolver mapping a call expression in one module to the
   :class:`FunctionInfo` it names — bare names through local scopes and
   ``from``-imports, ``module.func`` and ``Class.method`` attributes,
@@ -35,17 +36,43 @@ __all__ = [
     "FunctionInfo",
     "ModuleInfo",
     "ProjectIndex",
-    "default_root",
+    "dotted_name",
+    "iter_scope",
+    "module_name",
+    "read_tree",
 ]
 
 
-def default_root() -> Path:
-    """The installed ``repro`` package directory (same discovery rule as
-    :func:`repro.analysis.lint.lint_paths`)."""
+def _default_root() -> Path:
+    # .../src/repro/analysis/callgraph.py -> .../src/repro
     return Path(__file__).resolve().parents[1]
 
 
-def _module_name(rel_path: str) -> str:
+def read_tree(
+    paths: Sequence[str | Path] | None = None
+) -> list[tuple[str, str]]:
+    """``(path, source)`` pairs of files/directories (default: the
+    installed ``repro`` tree), with paths relative to the package parent
+    (``repro/...``) — the batch the analyzer runs on."""
+    roots = [Path(p) for p in paths] if paths else [_default_root()]
+    files: list[Path] = []
+    for root in roots:
+        if root.is_dir():
+            files.extend(sorted(root.rglob("*.py")))
+        else:
+            files.append(root)
+    base = _default_root().parent
+    named = []
+    for f in files:
+        try:
+            rel = str(f.resolve().relative_to(base))
+        except ValueError:
+            rel = str(f)
+        named.append((rel.replace("\\", "/"), f.read_text(encoding="utf-8")))
+    return named
+
+
+def module_name(rel_path: str) -> str:
     """``repro/core/balance.py`` -> ``repro.core.balance``;
     ``repro/core/__init__.py`` -> ``repro.core``.  Paths outside the
     installed tree (e.g. absolute CLI arguments) are anchored at their
@@ -86,10 +113,12 @@ class FunctionInfo:
     def own_statements(self) -> Iterator[ast.stmt]:
         """This function's statements, not descending into nested
         defs/classes (they are separate :class:`FunctionInfo` scopes)."""
-        yield from _iter_scope(self.node.body)
+        yield from iter_scope(self.node.body)
 
 
-def _iter_scope(body: Sequence[ast.stmt]) -> Iterator[ast.stmt]:
+def iter_scope(body: Sequence[ast.stmt]) -> Iterator[ast.stmt]:
+    """Statements of one scope, not descending into nested defs/classes
+    (they are separate scopes)."""
     for stmt in body:
         yield stmt
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -98,9 +127,19 @@ def _iter_scope(body: Sequence[ast.stmt]) -> Iterator[ast.stmt]:
         for name in ("body", "orelse", "finalbody"):
             block = getattr(stmt, name, None)
             if block:
-                yield from _iter_scope(block)
+                yield from iter_scope(block)
         for handler in getattr(stmt, "handlers", None) or []:
-            yield from _iter_scope(handler.body)
+            yield from iter_scope(handler.body)
+
+
+def dotted_name(node: ast.AST) -> str | None:
+    """``grid.row_comm`` -> "grid.row_comm" for Name/Attribute chains."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = dotted_name(node.value)
+        return f"{base}.{node.attr}" if base else None
+    return None
 
 
 @dataclass
@@ -118,6 +157,8 @@ class ModuleInfo:
     imports: dict[str, str] = field(default_factory=dict)
     #: module-level integer constants (simple ``NAME = <int>`` assigns)
     constants: dict[str, int] = field(default_factory=dict)
+    #: constant name -> line of its defining assignment
+    constant_lines: dict[str, int] = field(default_factory=dict)
 
     @property
     def package(self) -> str:
@@ -166,6 +207,7 @@ def _collect_constants(mod: ModuleInfo) -> None:
                 and isinstance(stmt.value, ast.Constant)
                 and type(stmt.value.value) is int):
             mod.constants[stmt.targets[0].id] = stmt.value.value
+            mod.constant_lines[stmt.targets[0].id] = stmt.lineno
 
 
 def _collect_functions(index: "ProjectIndex", mod: ModuleInfo) -> None:
@@ -209,29 +251,6 @@ class ProjectIndex:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def build(cls, paths: Sequence[str | Path] | None = None
-              ) -> "ProjectIndex":
-        """Index files/directories (default: the installed ``repro``
-        tree), with paths reported relative to the package parent."""
-        roots = [Path(p) for p in paths] if paths else [default_root()]
-        files: list[Path] = []
-        for root in roots:
-            if root.is_dir():
-                files.extend(sorted(root.rglob("*.py")))
-            else:
-                files.append(root)
-        base = default_root().parent
-        named = []
-        for f in files:
-            try:
-                rel = str(f.resolve().relative_to(base))
-            except ValueError:
-                rel = str(f)
-            named.append((rel.replace("\\", "/"),
-                          f.read_text(encoding="utf-8")))
-        return cls.build_from_sources(named)
-
-    @classmethod
     def build_from_sources(
         cls, named_sources: Sequence[tuple[str, str]]
     ) -> "ProjectIndex":
@@ -246,7 +265,7 @@ class ProjectIndex:
                 index.broken[path] = (exc.lineno or 1, str(exc.msg))
                 continue
             mod = ModuleInfo(
-                name=_module_name(path), path=path, tree=tree,
+                name=module_name(path), path=path, tree=tree,
                 source=source,
             )
             index.modules[mod.name] = mod
@@ -353,6 +372,8 @@ class CallGraph:
         self.index = index
         #: caller qualname -> [(callee qualname, call lineno), ...]
         self.edges: dict[str, list[tuple[str, int]]] = {}
+        #: caller qualname -> [(call expression, resolved callee), ...]
+        self.call_sites: dict[str, list[tuple[ast.Call, FunctionInfo]]] = {}
         #: callee qualname -> set of caller qualnames
         self.callers: dict[str, set[str]] = {}
         #: functions passed by name into run_spmd-style dispatchers
@@ -362,6 +383,7 @@ class CallGraph:
     def _build(self) -> None:
         for fn in self.index.functions.values():
             edges: list[tuple[str, int]] = []
+            sites = self.call_sites[fn.qualname] = []
             for stmt in fn.own_statements():
                 for node in ast.walk(stmt):
                     if isinstance(node, (ast.FunctionDef,
@@ -372,6 +394,7 @@ class CallGraph:
                     callee = self.index.resolve_call(fn, fn.module, node)
                     if callee is not None:
                         edges.append((callee.qualname, node.lineno))
+                        sites.append((node, callee))
                         self.callers.setdefault(
                             callee.qualname, set()
                         ).add(fn.qualname)

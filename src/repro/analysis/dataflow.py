@@ -1,15 +1,13 @@
 """Forward-dataflow fixpoint engine with an interprocedural rank-taint
 lattice.
 
-The per-file lint pass tracks "rank-derived" values inside one scope
-(:func:`repro.analysis.lint._collect_rank_taint`); this module is its
-whole-program generalisation.  Taint flows
+The analyzer's one notion of a "rank-derived" value.  Taint flows
 
 * into a helper through its parameters (call-site arguments that are
   rank-derived in the caller taint the callee's parameter names),
 * out of a helper through its return value (a function whose returns
   are rank-derived taints every call-site result),
-* and through local assignments to a fixpoint, exactly as in lint.
+* and through local assignments to a fixpoint within each scope.
 
 Two refinements matter for precision on real SPMD code and are the
 reason the verifier false-positives less than a naive object-taint
@@ -53,6 +51,9 @@ __all__ = [
     "TAINTING_RESULT_OPS",
     "RankTaint",
     "TaintSummary",
+    "comm_op_of",
+    "looks_like_comm",
+    "receiver_ident",
 ]
 
 #: collectives of the CommBackend surface (mirrors
@@ -72,14 +73,16 @@ TAINTING_RESULT_OPS = frozenset(
     {"gather", "scatter", "alltoall", "reduce", "exscan"} | RECV_OPS
 )
 
-#: attribute names whose value identifies the executing rank; the
-#: verifier adds the process-grid coordinates to lint's set
+#: attribute names whose value identifies the executing rank (world
+#: rank and the process-grid coordinates)
 RANK_ATTRS = frozenset({"rank", "world_rank", "row", "col"})
 
 _FIXPOINT_LIMIT = 40
 
 
-def _receiver_ident(func: ast.Attribute) -> str | None:
+def receiver_ident(func: ast.Attribute) -> str | None:
+    """Terminal identifier of the receiver of an attribute access
+    (``grid.comm.bcast`` -> ``comm``, ``self.allgather`` -> ``self``)."""
     recv = func.value
     if isinstance(recv, ast.Name):
         return recv.id
@@ -88,7 +91,7 @@ def _receiver_ident(func: ast.Attribute) -> str | None:
     return None
 
 
-def _looks_like_comm(ident: str | None) -> bool:
+def looks_like_comm(ident: str | None) -> bool:
     return ident is not None and ("comm" in ident.lower()
                                   or ident in ("self", "world"))
 
@@ -98,7 +101,7 @@ def comm_op_of(call: ast.Call) -> str | None:
     func = call.func
     if (isinstance(func, ast.Attribute)
             and func.attr in (COLLECTIVE_OPS | SEND_OPS | RECV_OPS)
-            and _looks_like_comm(_receiver_ident(func))):
+            and looks_like_comm(receiver_ident(func))):
         return func.attr
     return None
 
@@ -222,25 +225,16 @@ class RankTaint:
         changed = False
         for qual, fn in self.index.functions.items():
             env = self.env.get(qual, frozenset())
-            for stmt in fn.own_statements():
-                for node in ast.walk(stmt):
-                    if isinstance(node, (ast.FunctionDef,
-                                         ast.AsyncFunctionDef)):
+            for node, callee in self.graph.call_sites[qual]:
+                for idx, arg in self._bind_args(callee, node):
+                    if not self._eval(fn, env, arg, sources=True):
                         continue
-                    if not isinstance(node, ast.Call):
-                        continue
-                    callee = self.index.resolve_call(fn, fn.module, node)
-                    if callee is None:
-                        continue
-                    for idx, arg in self._bind_args(callee, node):
-                        if not self._eval(fn, env, arg, sources=True):
-                            continue
-                        bucket = self.param_taint.setdefault(
-                            callee.qualname, set()
-                        )
-                        if idx not in bucket:
-                            bucket.add(idx)
-                            changed = True
+                    bucket = self.param_taint.setdefault(
+                        callee.qualname, set()
+                    )
+                    if idx not in bucket:
+                        bucket.add(idx)
+                        changed = True
         return changed
 
     @staticmethod

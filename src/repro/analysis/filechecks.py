@@ -1,0 +1,535 @@
+"""Per-file checkers and the ``# spmd:`` pragma index.
+
+Four AST checkers that need no more than one parsed module, each tied to
+one way the pipeline's contract has historically been broken.  They read
+the :class:`~repro.analysis.callgraph.ModuleInfo` parse the whole-program
+passes share and are run by ``python -m repro.analysis.verify``, the one
+analyzer, next to the schedule and comm-performance checks:
+
+``plan-nondeterminism``
+    Inside the deterministic-plan modules (``core/balance.py`` and
+    ``perfmodel/``), whose computations must be bitwise identical on all
+    ranks: iteration over a ``set`` (hash order) or a dynamically built
+    ``dict`` (insertion order, which may differ per rank) without a
+    ``sorted()`` wrapper, and calls producing ``random``/``time``-derived
+    values.
+
+``python-hot-loop``
+    A per-element Python ``for``/``while`` loop in the vectorized kernel
+    modules (``sparse/spgemm.py`` numeric/struct paths and
+    ``align/engine.py``).  The intended per-row / per-lane / reference
+    loops carry pragmas; anything new is a performance regression.
+
+``duplicate-p2p-tag``
+    The same p2p tag value — literal, or a module-level integer constant
+    resolved through imports — bound to *different* protocols in
+    different modules.  Tags are the only thing separating concurrently
+    in-flight protocols (sequence exchange 55, rebalance 77, steal
+    78/79, ...); a reused tag lets one protocol consume another's
+    messages.  Two modules sharing one imported constant are one
+    protocol and are never flagged.
+
+``broad-except``
+    ``except:`` / ``except Exception:`` handlers that neither re-raise
+    nor inspect the exception — the pattern that made tracer bugs vanish
+    silently.
+
+Pragmas
+-------
+Intentional violations are allowlisted with a ``# spmd:`` comment on the
+flagged line, the line above, or the enclosing statement (a pragma on a
+``def`` line covers the whole function; one on an outer loop covers its
+nested loops)::
+
+    def spgemm_hash(...):  # spmd: hot-loop-ok (reference kernel)
+        ...
+    if comm.rank == 0:  # spmd: rank-divergent-ok (guarded symmetric)
+        comm.bcast(...)
+
+The full pragma vocabulary is the finding-code table in
+:mod:`repro.analysis.report` (rendered in ``docs/analysis.md``); a
+parenthesised reason is encouraged and several codes may be
+comma-separated.  Unknown codes are themselves flagged
+(``unknown-pragma``), and a pragma that no longer suppresses anything is
+flagged too (``unused-pragma``), so typos cannot silently disable a
+check and stale suppressions cannot rot in place.  Every finding of
+every checker is suppressed through the one :class:`PragmaIndex` of its
+file, so one audit at the end of the run covers every code.
+"""
+
+from __future__ import annotations
+
+import ast
+import io
+import re
+import tokenize
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
+
+from .callgraph import ModuleInfo, ProjectIndex, dotted_name, iter_scope
+from .report import Finding, pragma_map
+
+__all__ = [
+    "PragmaIndex",
+    "duplicate_tag_findings",
+    "file_findings",
+]
+
+#: pragma -> code over the whole vocabulary
+_PRAGMA_CHECKS = {p: c for c, p in pragma_map().items()}
+
+#: modules whose computations must be bitwise identical on every rank
+_PLAN_MODULE_MARKERS = ("core/balance.py", "perfmodel/")
+#: modules whose kernels are vectorized (per-element loops are suspect)
+_HOT_MODULE_MARKERS = ("sparse/spgemm.py", "align/engine.py")
+
+_TIME_FUNCS = frozenset({
+    "time", "time_ns", "monotonic", "monotonic_ns", "perf_counter",
+    "perf_counter_ns", "process_time", "process_time_ns",
+})
+
+_PRAGMA_RE = re.compile(r"#\s*spmd:\s*(.+?)\s*$")
+_TAG_NAME_RE = re.compile(r"(^|_)TAG(_|$)|TAG$", re.IGNORECASE)
+
+
+# ---------------------------------------------------------------------------
+# pragma parsing, suppression spans, and usage tracking
+# ---------------------------------------------------------------------------
+
+
+def _comment_tokens(source: str) -> Iterator[tuple[int, str]]:
+    """``(line, text)`` of every real comment (tokenized, so ``# spmd:``
+    inside a string or docstring is never mistaken for a pragma)."""
+    readline = io.StringIO(source).readline
+    try:
+        for tok in tokenize.generate_tokens(readline):
+            if tok.type == tokenize.COMMENT:
+                yield tok.start[0], tok.string
+    except (tokenize.TokenError, IndentationError):
+        return
+
+
+@dataclass
+class _PragmaEntry:
+    """One ``# spmd: <code>`` declaration and whether anything used it."""
+
+    code: str
+    decl_line: int
+    anchor_lines: frozenset[int]
+    used: bool = False
+
+
+class PragmaIndex:
+    """Parsed pragmas of one module, with suppression-usage tracking.
+
+    Every checker suppresses through the one index of its file, so
+    ``unused-pragma`` only fires on suppressions no finding needs.
+    """
+
+    def __init__(self, path: str, source: str, tree: ast.AST):
+        self.path = path
+        self.entries: list[_PragmaEntry] = []
+        #: unknown-pragma findings raised while parsing
+        self.bad: list[Finding] = []
+        self._parse(source)
+        by_line: dict[int, dict[str, _PragmaEntry]] = {}
+        for e in self.entries:
+            for ln in e.anchor_lines:
+                by_line.setdefault(ln, {})[e.code] = e
+        self._by_line = by_line
+        #: (entry, span start, span end): a pragma on a statement's
+        #: first line (or right above it) covers the whole statement, so
+        #: a ``def``-line pragma covers the function and an outer-loop
+        #: pragma covers its nested loops
+        self._spans: list[tuple[_PragmaEntry, int, int]] = []
+        for node in ast.walk(tree) if self.entries else ():
+            if not isinstance(node, (ast.stmt, ast.excepthandler)):
+                continue
+            lineno = node.lineno
+            end = getattr(node, "end_lineno", lineno) or lineno
+            for ln in (lineno, lineno - 1):
+                for entry in by_line.get(ln, {}).values():
+                    self._spans.append((entry, lineno, end))
+
+    def _parse(self, source: str) -> None:
+        if "spmd:" not in source:
+            return  # most modules: nothing to tokenize for
+        comments = dict(_comment_tokens(source))
+        for lineno, text in comments.items():
+            m = _PRAGMA_RE.search(text)
+            if not m:
+                continue
+            # a pragma inside a comment block also anchors at the
+            # block's last line, so it attaches to the statement right
+            # below it even when the explanation spans several lines
+            anchor = lineno
+            while anchor + 1 in comments:
+                anchor += 1
+            # a "(" starts the free-form reason and ends the code list
+            head = m.group(1).partition("(")[0]
+            for token in head.split(","):
+                name = token.strip()
+                if not name:
+                    continue
+                code = _PRAGMA_CHECKS.get(name)
+                if code is None:
+                    self.bad.append(Finding(
+                        self.path, lineno, "unknown-pragma",
+                        f"unknown spmd pragma {name!r}; known: "
+                        + ", ".join(sorted(_PRAGMA_CHECKS)),
+                    ))
+                    continue
+                self.entries.append(_PragmaEntry(
+                    code, lineno, frozenset({lineno, anchor}),
+                ))
+
+    def suppressed(self, code: str, line: int) -> bool:
+        """Is a ``code`` finding at ``line`` allowlisted?  Marks every
+        covering pragma as used."""
+        hit = False
+        for ln in (line, line - 1):
+            entry = self._by_line.get(ln, {}).get(code)
+            if entry is not None:
+                entry.used = True
+                hit = True
+        for entry, lo, hi in self._spans:
+            if entry.code == code and lo <= line <= hi:
+                entry.used = True
+                hit = True
+        return hit
+
+    def unused_findings(self) -> list[Finding]:
+        """``unused-pragma`` findings for the still-unused pragmas
+        (deduplicated per declaration)."""
+        pragma_of = pragma_map()
+        seen: set[tuple[int, str]] = set()
+        out: list[Finding] = []
+        for e in self.entries:
+            if e.used:
+                continue
+            key = (e.decl_line, e.code)
+            if key in seen:
+                continue
+            seen.add(key)
+            out.append(Finding(
+                self.path, e.decl_line, "unused-pragma",
+                f"'# spmd: {pragma_of[e.code]}' suppresses no "
+                f"{e.code} finding; remove the stale pragma or "
+                f"restore the code it described",
+            ))
+        return out
+
+
+# ---------------------------------------------------------------------------
+# the per-file checkers
+# ---------------------------------------------------------------------------
+
+
+def _module_matches(path: str, markers: Iterable[str]) -> bool:
+    norm = "/" + path.replace("\\", "/").lstrip("/")
+    return any(("/" + m) in norm for m in markers)
+
+
+class _FileChecks:
+    """All single-file checkers over one indexed module."""
+
+    def __init__(self, mod: ModuleInfo):
+        self.path = mod.path
+        self.tree = mod.tree
+        self.findings: list[Finding] = []
+
+    def _flag(self, code: str, line: int, message: str) -> None:
+        self.findings.append(Finding(self.path, line, code, message))
+
+    def run(self) -> list[Finding]:
+        self._check_broad_except()
+        if _module_matches(self.path, _PLAN_MODULE_MARKERS):
+            self._check_plan_nondeterminism()
+        if _module_matches(self.path, _HOT_MODULE_MARKERS):
+            self._check_hot_loops()
+        return self.findings
+
+    def _scopes(self) -> Iterator[Sequence[ast.stmt]]:
+        yield self.tree.body
+        for node in ast.walk(self.tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield node.body
+
+    # -- (a) nondeterminism in plan modules ------------------------------
+
+    def _check_plan_nondeterminism(self) -> None:
+        self._check_unordered_iteration()
+        self._check_entropy_calls()
+
+    def _infer_unordered_types(
+        self, body: Sequence[ast.stmt]
+    ) -> tuple[set[str], set[str]]:
+        set_typed: set[str] = set()
+        dict_typed: set[str] = set()
+        for stmt in iter_scope(body):
+            targets: list[ast.AST] = []
+            value = None
+            if isinstance(stmt, ast.Assign):
+                targets, value = stmt.targets, stmt.value
+            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+                targets, value = [stmt.target], stmt.value
+            if value is None:
+                continue
+            kind = self._value_kind(value)
+            if kind is None:
+                continue
+            for tgt in targets:
+                if isinstance(tgt, ast.Name):
+                    (set_typed if kind == "set" else dict_typed).add(tgt.id)
+        return set_typed, dict_typed
+
+    @staticmethod
+    def _value_kind(value: ast.AST) -> str | None:
+        if isinstance(value, (ast.Set, ast.SetComp)):
+            return "set"
+        if isinstance(value, (ast.Dict, ast.DictComp)):
+            return "dict"
+        if isinstance(value, ast.Call):
+            name = dotted_name(value.func) or ""
+            leaf = name.rsplit(".", 1)[-1]
+            if leaf in ("set", "frozenset"):
+                return "set"
+            if leaf in ("dict", "defaultdict", "Counter", "OrderedDict"):
+                return "dict"
+        return None
+
+    def _check_unordered_iteration(self) -> None:
+        for body in self._scopes():
+            set_typed, dict_typed = self._infer_unordered_types(body)
+            for stmt in iter_scope(body):
+                iters: list[ast.AST] = []
+                if isinstance(stmt, (ast.For, ast.AsyncFor)):
+                    iters.append(stmt.iter)
+                for node in ast.walk(stmt):
+                    if isinstance(node, (ast.ListComp, ast.SetComp,
+                                         ast.DictComp, ast.GeneratorExp)):
+                        iters.extend(g.iter for g in node.generators)
+                for it in iters:
+                    reason = self._unordered_reason(
+                        it, set_typed, dict_typed
+                    )
+                    if reason:
+                        self._flag(
+                            "plan-nondeterminism", it.lineno,
+                            f"iteration over {reason} in a "
+                            f"deterministic-plan module; wrap in "
+                            f"sorted() so every rank sees one order",
+                        )
+
+    def _unordered_reason(
+        self, expr: ast.AST, set_typed: set[str], dict_typed: set[str]
+    ) -> str | None:
+        # benign wrappers: order-fixing or order-preserving pass-throughs
+        if isinstance(expr, ast.Call):
+            name = dotted_name(expr.func) or ""
+            leaf = name.rsplit(".", 1)[-1]
+            if leaf in ("sorted", "min", "max", "sum", "len"):
+                return None
+            if leaf in ("list", "tuple", "enumerate", "reversed", "iter"):
+                if expr.args:
+                    return self._unordered_reason(
+                        expr.args[0], set_typed, dict_typed
+                    )
+                return None
+            if leaf in ("set", "frozenset"):
+                return f"a {leaf}() value"
+        if isinstance(expr, ast.Set):
+            return "a set literal"
+        if isinstance(expr, ast.SetComp):
+            return "a set comprehension"
+        if isinstance(expr, ast.Name):
+            if expr.id in set_typed:
+                return f"set-typed variable {expr.id!r}"
+            if expr.id in dict_typed:
+                return (f"dict-typed variable {expr.id!r} (per-rank "
+                        f"insertion order)")
+        if (isinstance(expr, ast.Call)
+                and isinstance(expr.func, ast.Attribute)
+                and expr.func.attr in ("keys", "values", "items")
+                and isinstance(expr.func.value, ast.Name)
+                and expr.func.value.id in dict_typed):
+            return (f"dict-typed variable "
+                    f"{expr.func.value.id!r}.{expr.func.attr}() "
+                    f"(per-rank insertion order)")
+        return None
+
+    def _check_entropy_calls(self) -> None:
+        time_names: set[str] = set()
+        random_names: set[str] = set()
+        for node in ast.walk(self.tree):
+            if isinstance(node, ast.ImportFrom):
+                bucket = {"time": time_names,
+                          "random": random_names}.get(node.module or "")
+                if bucket is not None:
+                    bucket.update(a.asname or a.name for a in node.names)
+        for node in ast.walk(self.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            dotted = dotted_name(node.func)
+            reason = self._entropy_reason(dotted, node,
+                                          time_names, random_names)
+            if reason:
+                self._flag(
+                    "plan-nondeterminism", node.lineno,
+                    f"{reason} in a deterministic-plan module; plans "
+                    f"must compute identically on all ranks",
+                )
+
+    @staticmethod
+    def _entropy_reason(
+        dotted: str | None,
+        call: ast.Call,
+        time_names: set[str],
+        random_names: set[str],
+    ) -> str | None:
+        if dotted is None:
+            return None
+        head, _, rest = dotted.partition(".")
+        leaf = dotted.rsplit(".", 1)[-1]
+        if head == "time" and rest in _TIME_FUNCS:
+            return f"wall-clock call {dotted}()"
+        if dotted in time_names and dotted in _TIME_FUNCS:
+            return f"wall-clock call {dotted}()"
+        if head == "random" and rest:
+            return f"stdlib random call {dotted}()"
+        if dotted in random_names:
+            return f"stdlib random call {dotted}()"
+        if ".random." in f".{dotted}.".replace("..", "."):
+            # numpy-style rng: a seeded generator is deterministic, so
+            # only the legacy global functions and an unseeded
+            # default_rng() count as entropy
+            if leaf == "default_rng":
+                return (None if call.args or call.keywords
+                        else "unseeded default_rng()")
+            return f"numpy random call {dotted}()"
+        if dotted in ("os.urandom",) or head == "uuid":
+            return f"entropy source {dotted}()"
+        if dotted.endswith("datetime.now") or dotted.endswith(
+                "datetime.utcnow") or dotted in ("datetime.now",):
+            return f"wall-clock call {dotted}()"
+        return None
+
+    # -- (b) hot loops in vectorized kernels -----------------------------
+
+    def _check_hot_loops(self) -> None:
+        for node in ast.walk(self.tree):
+            if isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
+                kind = ("while" if isinstance(node, ast.While) else "for")
+                self._flag(
+                    "python-hot-loop", node.lineno,
+                    f"python {kind}-loop in a vectorized kernel module; "
+                    f"vectorize it or allowlist with "
+                    f"'# spmd: hot-loop-ok (reason)'",
+                )
+
+    # -- (c) broad excepts ------------------------------------------------
+
+    def _check_broad_except(self) -> None:
+        for node in ast.walk(self.tree):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            if node.type is None:
+                broad = "bare 'except:'"
+            else:
+                names = set()
+                types = (node.type.elts
+                         if isinstance(node.type, ast.Tuple)
+                         else [node.type])
+                for t in types:
+                    dotted = dotted_name(t)
+                    if dotted:
+                        names.add(dotted.rsplit(".", 1)[-1])
+                caught = names & {"Exception", "BaseException"}
+                if not caught:
+                    continue
+                broad = f"'except {sorted(caught)[0]}:'"
+            if self._handler_engages(node):
+                continue
+            self._flag(
+                "broad-except", node.lineno,
+                f"{broad} swallows the failure without re-raising or "
+                f"inspecting it; catch a narrow type, or allowlist "
+                f"with '# spmd: broad-except-ok (reason)'",
+            )
+
+    @staticmethod
+    def _handler_engages(handler: ast.ExceptHandler) -> bool:
+        """A broad handler is fine when it re-raises or actually uses the
+        bound exception (logging, wrapping, reporting)."""
+        for stmt in handler.body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Raise):
+                    return True
+                if (handler.name is not None
+                        and isinstance(node, ast.Name)
+                        and node.id == handler.name):
+                    return True
+        return False
+
+
+# ---------------------------------------------------------------------------
+# entry points
+# ---------------------------------------------------------------------------
+
+
+def file_findings(mod: ModuleInfo) -> list[Finding]:
+    """The single-file checks of one indexed module (unsuppressed)."""
+    return _FileChecks(mod).run()
+
+
+def duplicate_tag_findings(index: ProjectIndex) -> list[Finding]:
+    """Cross-module duplicate-tag check over every ``TAG``-named constant
+    definition and every ``tag=`` argument the index can resolve (an
+    unresolvable tag is skipped: no false positives).  A site's identity
+    is the *defining* ``module.NAME``, so N modules sharing one imported
+    constant are one protocol, not a collision."""
+    #: value -> [(path, line, context, identity)]
+    sites: dict[int, list[tuple[str, int, str, str]]] = {}
+    for mod in index.modules.values():
+        for name, value in mod.constants.items():
+            if value != 0 and _TAG_NAME_RE.search(name):
+                sites.setdefault(value, []).append((
+                    mod.path, mod.constant_lines[name],
+                    f"constant {name}", f"{mod.name}.{name}",
+                ))
+        for node in ast.walk(mod.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            for kw in node.keywords:
+                if kw.arg != "tag":
+                    continue
+                v = kw.value
+                if isinstance(v, ast.Constant) and type(v.value) is int:
+                    value, identity = v.value, f"literal {mod.path}"
+                    ctx = "tag= argument"
+                else:
+                    hit = index.resolve_int_constant(mod, v)
+                    if hit is None:
+                        continue
+                    identity, value = hit
+                    ctx = f"tag={dotted_name(v)}"
+                if value != 0:
+                    sites.setdefault(value, []).append(
+                        (mod.path, v.lineno, ctx, identity))
+    findings: list[Finding] = []
+    for value, occurrences in sorted(sites.items()):
+        files = {path for path, _l, _c, _i in occurrences}
+        identities = {i for _p, _l, _c, i in occurrences}
+        # one constant imported everywhere is one protocol; a collision
+        # needs distinct definitions spanning distinct modules
+        if len(files) < 2 or len(identities) < 2:
+            continue
+        for path, line, ctx, _identity in occurrences:
+            others = sorted(files - {path})
+            findings.append(Finding(
+                path, line, "duplicate-p2p-tag",
+                f"p2p tag {value} ({ctx}) is also used in "
+                f"{', '.join(others)}; in-flight protocols sharing "
+                f"a tag can consume each other's messages",
+            ))
+    return findings

@@ -1,27 +1,27 @@
 """Shared reporting layer of the analysis subsystem.
 
-One naming scheme ties the three SPMD correctness tools together: the
-per-file lint pass (:mod:`repro.analysis.lint`), the whole-program
-verifier (:mod:`repro.analysis.verify`) and the runtime comm sanitizer
-(:mod:`repro.analysis.sanitizer`) all report under the stable finding
-codes of :data:`FINDING_CODES` — a static ``rank-divergent-collective``
-is the compile-time shadow of the sanitizer's runtime collective
-mismatch, a static ``unmatched-send`` the shadow of its teardown audit.
-``docs/analysis.md`` renders the full table.
+One naming scheme ties the two SPMD correctness tools together: the
+static analyzer (:mod:`repro.analysis.verify`) and the runtime comm
+sanitizer (:mod:`repro.analysis.sanitizer`) report under the stable
+finding codes of :data:`FINDING_CODES` — a static
+``rank-divergent-collective`` is the compile-time shadow of the
+sanitizer's runtime collective mismatch, a static ``unmatched-send`` the
+shadow of its teardown audit.  ``docs/analysis.md`` renders the full
+table.
 
-This module also owns the machine surface both CLIs share:
+This module also owns the analyzer's machine surface:
 
 * :class:`Finding` — one finding with a severity (from the code table)
   and a line-number-insensitive *fingerprint*, so a finding keeps its
   identity while unrelated edits shift the file around it;
 * :func:`render_json` — the ``repro.analysis.findings/v1`` schema
-  emitted by ``lint --format json`` and ``verify --format json``;
+  emitted by ``verify --format json``;
 * baseline files (:func:`load_baseline` / :func:`write_baseline` /
   :func:`diff_baseline`) — a committed list of accepted fingerprints
   that lets CI fail only on *new* findings (see the rebaseline guide in
   ``docs/analysis.md``).
 
-Exit-code contract of both CLIs: ``0`` — clean (no findings, or none
+Exit-code contract of the CLI: ``0`` — clean (no findings, or none
 outside the baseline); ``1`` — at least one (new) finding; ``2`` —
 usage or internal error (argparse, unreadable baseline).
 """
@@ -33,7 +33,7 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 __all__ = [
     "FINDING_CODES",
@@ -61,14 +61,14 @@ class CodeInfo:
 
     severity: str           # "error" | "warning"
     pragma: str | None      # the spmd pragma code that allowlists it
-    tools: tuple[str, ...]  # which tools can emit it
+    tools: tuple[str, ...]  # which of verify / sanitizer emit it
     description: str
 
 
-#: the stable finding-code table shared by lint, verify and sanitizer
+#: the stable finding-code table shared by the analyzer and sanitizer
 FINDING_CODES: Mapping[str, CodeInfo] = {
     "rank-divergent-collective": CodeInfo(
-        "error", "rank-divergent-ok", ("lint", "verify", "sanitizer"),
+        "error", "rank-divergent-ok", ("verify", "sanitizer"),
         "a collective is executed by only some ranks (branch or loop "
         "guarded by a rank-derived value; the sanitizer reports the "
         "runtime counterpart as a collective mismatch)",
@@ -85,34 +85,34 @@ FINDING_CODES: Mapping[str, CodeInfo] = {
         "schedule closure ever posts",
     ),
     "plan-nondeterminism": CodeInfo(
-        "error", "nondeterminism-ok", ("lint",),
+        "error", "nondeterminism-ok", ("verify",),
         "unordered iteration or an entropy source in a "
         "deterministic-plan module",
     ),
     "python-hot-loop": CodeInfo(
-        "warning", "hot-loop-ok", ("lint",),
+        "warning", "hot-loop-ok", ("verify",),
         "a per-element Python loop in a vectorized kernel module",
     ),
     "duplicate-p2p-tag": CodeInfo(
-        "error", "tag-ok", ("lint",),
+        "error", "tag-ok", ("verify",),
         "the same p2p tag value (literal or resolved module constant) "
         "used by distinct protocols in different modules",
     ),
     "broad-except": CodeInfo(
-        "warning", "broad-except-ok", ("lint",),
+        "warning", "broad-except-ok", ("verify",),
         "a broad except handler that neither re-raises nor inspects "
         "the exception",
     ),
     "unknown-pragma": CodeInfo(
-        "warning", None, ("lint", "verify"),
+        "warning", None, ("verify",),
         "a '# spmd:' pragma naming no known suppression code",
     ),
     "unused-pragma": CodeInfo(
-        "warning", None, ("lint", "verify"),
+        "warning", None, ("verify",),
         "a '# spmd:' pragma that no longer suppresses any finding",
     ),
     "syntax-error": CodeInfo(
-        "error", None, ("lint", "verify"),
+        "error", None, ("verify",),
         "a module that does not parse",
     ),
     "shm-leak": CodeInfo(
@@ -121,25 +121,25 @@ FINDING_CODES: Mapping[str, CodeInfo] = {
         "never unlinked (runtime teardown audit)",
     ),
     "redundant-collective": CodeInfo(
-        "warning", "redundant-collective-ok", ("commcost",),
+        "warning", "redundant-collective-ok", ("verify",),
         "a bcast/allgather/allreduce whose payload is syntactically "
         "rank-uniform (a literal, module constant, or never-reassigned "
         "parameter) — every rank already holds the value",
     ),
     "grid-loop-collective": CodeInfo(
-        "warning", "grid-loop-collective-ok", ("commcost",),
+        "warning", "grid-loop-collective-ok", ("verify",),
         "a collective inside a loop whose trip count scales with the "
         "process grid, where no argument depends on the loop variable — "
         "the calls are identical and hoistable",
     ),
     "per-element-send": CodeInfo(
-        "warning", "per-element-send-ok", ("commcost",),
+        "warning", "per-element-send-ok", ("verify",),
         "a send/isend inside a loop shipping one element of the "
         "iterated sequence per message — alpha-dominated; batch into "
         "one message or use alltoall",
     ),
     "pickled-envelope": CodeInfo(
-        "warning", "pickled-envelope-ok", ("commcost",),
+        "warning", "pickled-envelope-ok", ("verify",),
         "a send/isend whose payload is a list of ndarrays — the "
         "general pickle codec copies each; pack into one flat ndarray "
         "to use the zero-copy buffer path",
@@ -153,15 +153,12 @@ def severity_of(code: str) -> str:
     return info.severity if info is not None else "error"
 
 
-def pragma_map(tools: Iterable[str] | None = None) -> dict[str, str]:
-    """``check code -> pragma`` for codes that have one, optionally
-    restricted to codes at least one of ``tools`` can emit."""
-    want = set(tools) if tools is not None else None
+def pragma_map() -> dict[str, str]:
+    """``check code -> pragma`` for the codes that have one."""
     return {
         code: info.pragma
         for code, info in FINDING_CODES.items()
         if info.pragma is not None
-        and (want is None or want.intersection(info.tools))
     }
 
 
@@ -172,11 +169,7 @@ _LINE_REF_RE = re.compile(r"\bline \d+")
 
 @dataclass(frozen=True)
 class Finding:
-    """One finding, pointing at a source line.
-
-    Identical shape to :class:`repro.analysis.lint.Violation` plus the
-    severity/fingerprint surface; the two render to the same JSON.
-    """
+    """One finding, pointing at a source line."""
 
     path: str
     line: int
@@ -217,7 +210,7 @@ def render_json(
     baseline: "set[str] | None" = None,
     suppressed: int = 0,
 ) -> dict:
-    """The ``repro.analysis.findings/v1`` document both CLIs emit."""
+    """The ``repro.analysis.findings/v1`` document the CLI emits."""
     counts: dict[str, int] = {"error": 0, "warning": 0}
     for f in findings:
         counts[f.severity] = counts.get(f.severity, 0) + 1

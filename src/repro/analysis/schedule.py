@@ -48,6 +48,7 @@ from .report import Finding
 __all__ = [
     "EXCLUDED_PATH_MARKERS",
     "ScheduleAnalysis",
+    "excluded",
 ]
 
 #: modules indexed for resolution but never reported against: the comm
@@ -62,7 +63,8 @@ EXCLUDED_PATH_MARKERS = (
 )
 
 
-def _excluded(path: str) -> bool:
+def excluded(path: str) -> bool:
+    """Is ``path`` indexed for resolution only, never reported against?"""
     norm = path.replace("\\", "/")
     return any(m in norm for m in EXCLUDED_PATH_MARKERS)
 
@@ -89,9 +91,6 @@ class CallSite:
 
     qualname: str
     lineno: int
-    #: the call expression itself, so downstream passes (the comm-cost
-    #: analyzer) can bind callee parameters to caller arguments
-    call: ast.Call | None = None
 
 
 @dataclass
@@ -100,8 +99,6 @@ class Branch:
     tainted: bool
     then: list = field(default_factory=list)
     orelse: list = field(default_factory=list)
-    #: the ``if`` statement (condition available to downstream passes)
-    node: ast.stmt | None = None
 
 
 @dataclass
@@ -109,8 +106,8 @@ class Loop:
     lineno: int
     tainted: bool
     body: list = field(default_factory=list)
-    #: the ``for``/``while`` statement, so the comm-cost analyzer can
-    #: resolve trip counts from the iterator expression
+    #: the ``for``/``while`` statement: the comm-performance checks read
+    #: the loop variable and the ``range(...)`` bound off it
     node: ast.stmt | None = None
 
 
@@ -198,7 +195,6 @@ class ScheduleAnalysis:
                     self.taint.expr_tainted(fn, stmt.test),
                     self._body_items(fn, stmt.body),
                     self._body_items(fn, stmt.orelse),
-                    node=stmt,
                 ))
             elif isinstance(stmt, ast.While):
                 body = self._expr_items(fn, stmt.test)
@@ -246,8 +242,7 @@ class ScheduleAnalysis:
                 continue
             callee = self.index.resolve_call(fn, fn.module, node)
             if callee is not None:
-                items.append(CallSite(callee.qualname, node.lineno,
-                                      call=node))
+                items.append(CallSite(callee.qualname, node.lineno))
         return items
 
     # -- collective signatures (calls inlined, cycle-guarded) --------------
@@ -290,7 +285,7 @@ class ScheduleAnalysis:
     def divergence_findings(self) -> list[Finding]:
         findings: list[Finding] = []
         for qual, fn in self.index.functions.items():
-            if _excluded(fn.path):
+            if excluded(fn.path):
                 continue
             self._walk_divergence(fn, self.trees[qual], findings)
         return findings
@@ -441,7 +436,7 @@ class ScheduleAnalysis:
             # *no* closure gives it a partner
             if len(unmatched_in) < len(containing) or not unmatched_in:
                 continue
-            if _excluded(site.path):
+            if excluded(site.path):
                 continue
             op = site.op
             if op.kind == "send":

@@ -1,27 +1,33 @@
-"""Whole-program SPMD verifier: ``python -m repro.analysis.verify``.
+"""The static SPMD analyzer: ``python -m repro.analysis.verify``.
 
-Where :mod:`repro.analysis.lint` checks one scope at a time, this tool
-sees the whole program: it builds the project index and call graph
-(:mod:`repro.analysis.callgraph`), runs the interprocedural rank-taint
-fixpoint (:mod:`repro.analysis.dataflow`), and extracts + checks the
-static communication schedule of every SPMD entry point
-(:mod:`repro.analysis.schedule`).  A rank-divergent collective hidden
-two helpers deep, or a send whose only possible partner lives in
-another module and was never written, is reported here — before a
-single rank is spawned, instead of at runtime by the sanitizer (or a
-watchdog deadlock).
+One run builds the project index and call graph
+(:mod:`repro.analysis.callgraph`), the interprocedural rank-taint
+fixpoint (:mod:`repro.analysis.dataflow`) and the static communication
+schedule of every SPMD entry point (:mod:`repro.analysis.schedule`)
+**once**, then runs every static checker over them:
 
-Emitted codes (see the shared table in :mod:`repro.analysis.report` and
-``docs/analysis.md``): ``rank-divergent-collective``,
-``unmatched-send``, ``unmatched-recv``, ``syntax-error``,
-``unknown-pragma``, and ``unused-pragma``.  The verifier audits unused
-pragmas across the *whole* shared vocabulary: it runs the lint checkers
-internally (discarding their findings — the lint CLI owns those) so a
-pragma consumed by either tool counts as used.
+* the per-file checkers (:mod:`repro.analysis.filechecks`):
+  ``plan-nondeterminism``, ``python-hot-loop``, ``duplicate-p2p-tag``,
+  ``broad-except``;
+* the schedule checkers: ``rank-divergent-collective`` (at any helper
+  depth), ``unmatched-send``, ``unmatched-recv``;
+* the comm-performance checks (:mod:`repro.analysis.commperf`):
+  ``redundant-collective``, ``grid-loop-collective``,
+  ``per-element-send``, ``pickled-envelope``;
+* pragma hygiene: ``unknown-pragma``, and one ``unused-pragma`` audit
+  over every code above — each finding is suppressed through the one
+  pragma index of its file, so a pragma is stale exactly when no checker
+  needed it; plus ``syntax-error`` for a module that does not parse.
 
-Suppression works exactly as in lint (``# spmd: <code>-ok (reason)`` on
-or above the flagged line).  For findings that are accepted long-term,
-a committed baseline is the better tool::
+A rank-divergent collective hidden two helpers deep, or a send whose
+only possible partner lives in another module and was never written, is
+reported here — before a single rank is spawned, instead of at runtime
+by the sanitizer (or a watchdog deadlock).  The code table is
+:data:`repro.analysis.report.FINDING_CODES` (``docs/analysis.md``).
+
+Suppression is ``# spmd: <code>-ok (reason)`` on or above the flagged
+line.  For findings that are accepted long-term, a committed baseline
+is the better tool::
 
     python -m repro.analysis.verify --write-baseline spmd-baseline.json
     python -m repro.analysis.verify --baseline spmd-baseline.json
@@ -40,11 +46,11 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .callgraph import CallGraph, ProjectIndex
+from .callgraph import CallGraph, ProjectIndex, read_tree
+from .commperf import comm_perf_findings
 from .dataflow import RankTaint
-from .lint import read_tree, run_core_lint
+from .filechecks import PragmaIndex, duplicate_tag_findings, file_findings
 from .report import (
-    FINDING_CODES,
     Finding,
     diff_baseline,
     load_baseline,
@@ -64,40 +70,34 @@ __all__ = [
 def verify_sources(
     named_sources: Sequence[tuple[str, str]]
 ) -> list[Finding]:
-    """Verify ``(path, source)`` pairs as one whole program."""
+    """Analyze ``(path, source)`` pairs as one whole program."""
     index = ProjectIndex.build_from_sources(named_sources)
     graph = CallGraph(index)
     taint = RankTaint(index, graph)
     schedule = ScheduleAnalysis(index, graph, taint)
 
+    raw: list[Finding] = []
+    for mod in index.modules.values():
+        raw.extend(file_findings(mod))
+    raw.extend(duplicate_tag_findings(index))
+    raw.extend(schedule.findings())
+    raw.extend(comm_perf_findings(index, schedule))
+
+    pragmas = {
+        mod.path: PragmaIndex(mod.path, mod.source, mod.tree)
+        for mod in index.modules.values()
+    }
     findings: list[Finding] = [
         Finding(path, line, "syntax-error", message)
         for path, (line, message) in index.broken.items()
     ]
-
-    # the lint checkers run for their pragma *usage* only: a pragma that
-    # suppresses a lint finding is not stale, even though the lint CLI
-    # (not this one) reports that finding
-    _lint_findings, file_lints = run_core_lint(named_sources)
-    pragma_index = {fl.path: fl.pragmas for fl in file_lints}
-    for fl in file_lints:
-        findings.extend(fl.pragmas.bad)
-
-    for finding in schedule.findings():
-        pragmas = pragma_index.get(finding.path)
-        if pragmas is not None and pragmas.suppressed(
-                finding.code, finding.line):
-            continue
-        findings.append(finding)
-
-    # commcost-only pragmas are audited by the commcost CLI, which
-    # knows whether they suppressed anything — not here
-    audited = frozenset(
-        code for code, info in FINDING_CODES.items()
-        if info.tools != ("commcost",)
-    )
-    for fl in file_lints:
-        findings.extend(fl.pragmas.unused_findings(audited))
+    # a checker may reach one site twice (nested scopes); report it once
+    for finding in dict.fromkeys(raw):
+        if not pragmas[finding.path].suppressed(finding.code, finding.line):
+            findings.append(finding)
+    for px in pragmas.values():
+        findings.extend(px.bad)
+        findings.extend(px.unused_findings())
 
     findings.sort(key=lambda f: (f.path, f.line, f.code, f.message))
     return findings
@@ -105,14 +105,14 @@ def verify_sources(
 
 def verify_source(source: str, filename: str = "repro/x.py"
                   ) -> list[Finding]:
-    """Verify one in-memory module (tests seeding synthetic faults)."""
+    """Analyze one in-memory module (tests seeding synthetic faults)."""
     return verify_sources([(filename, source)])
 
 
 def verify_paths(
     paths: Sequence[str | Path] | None = None
 ) -> list[Finding]:
-    """Verify files/directories (default: the installed ``repro``
+    """Analyze files/directories (default: the installed ``repro``
     tree), reporting paths relative to the package parent."""
     return verify_sources(read_tree(paths))
 
@@ -120,15 +120,16 @@ def verify_paths(
 def main(argv: Sequence[str] | None = None) -> int:
     ap = argparse.ArgumentParser(
         prog="python -m repro.analysis.verify",
-        description="whole-program SPMD verifier: interprocedural "
-        "rank-taint + static communication-schedule matching "
+        description="static SPMD analyzer: per-file checks, "
+        "interprocedural rank-taint + communication-schedule matching, "
+        "comm-performance checks and the pragma audit in one run "
         "(exit 0 clean, 1 new findings, 2 usage error)",
     )
     ap.add_argument("paths", nargs="*",
-                    help="files or directories to verify (default: the "
+                    help="files or directories to analyze (default: the "
                     "installed repro package)")
     ap.add_argument("--format", choices=("text", "json"), default="text",
-                    help="output format (json emits the shared "
+                    help="output format (json emits the "
                     "repro.analysis.findings/v1 document)")
     ap.add_argument("--baseline", metavar="FILE",
                     help="fail only on findings not fingerprinted in "

@@ -83,9 +83,16 @@ def parse_fasta_text(text: str) -> list[FastaRecord]:
 
 
 def read_fasta(path: str | os.PathLike) -> list[FastaRecord]:
-    """Read every record of a FASTA file."""
-    with open(path, "r", encoding="ascii") as fh:
-        return list(_records_from_lines(fh))
+    """Read every record of a FASTA file (:class:`FastaError` if it is
+    not ASCII text)."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return list(_records_from_lines(fh))
+    except UnicodeDecodeError as exc:
+        raise FastaError(
+            f"{os.fspath(path)}: not ASCII text "
+            f"(byte {exc.object[exc.start]:#04x})"
+        ) from None
 
 
 def write_fasta(

@@ -22,6 +22,8 @@ tested byte-identity contract documented in ``docs/knobs.md``.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 import time
 
@@ -169,21 +171,44 @@ def write_edges_tsv(path: str, graph: SimilarityGraph) -> int:
     return graph.nedges
 
 
+def _check_writable(path: str) -> None:
+    """Raise the :class:`OSError` that ``open(path, "w")`` is going to —
+    now, before the pipeline has run and its result would be lost."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code, where = errno.EISDIR, path
+    elif not os.path.isdir(parent):
+        code, where = errno.ENOENT, parent
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code, where = errno.EACCES, path
+    else:
+        return
+    raise OSError(code, os.strerror(code), where)
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code: 2, with ``error:
     <message>`` on stderr and nothing else printed, for a bad configuration
-    or input (:class:`ConfigError`, :class:`FastaError`)."""
+    (:class:`ConfigError`), an unusable input (:class:`FastaError`, or the
+    :class:`OSError` of a missing file or a directory) or an output path
+    that cannot be written — all before any rank does any work."""
     args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
         config = config_from_args(args)
         check_ranks(args.ranks)
+        for path in (args.output, args.cluster):
+            if path:
+                _check_writable(path)
         records = read_fasta(args.fasta)
         if not records:
             raise FastaError("no sequences in input")
         store = SequenceStore.from_records(records)
     except (ConfigError, FastaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
     if not args.quiet:
         print(f"read {len(store)} sequences "

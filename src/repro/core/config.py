@@ -209,6 +209,15 @@ class PastisConfig:
             self.common_kmer_threshold < 0
         ):
             raise ConfigError("common_kmer_threshold must be non-negative")
+        for name in ("gap_open", "gap_extend", "xdrop"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be non-negative")
+        for name in ("min_identity", "min_coverage"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(
+                    f"{name} must be a fraction in [0, 1], "
+                    f"got {getattr(self, name)}"
+                )
         if self.steal_factor < 1.0:
             raise ConfigError("steal_factor must be >= 1.0")
         if self.steal_chunks < 1:

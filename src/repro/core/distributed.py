@@ -423,8 +423,7 @@ def run_pastis_distributed(
     if tracer is not None:
         # traced runs also persist the α–β comm calibration (memoised per
         # process) and the projected comm seconds of the traced volume,
-        # next to the alignment calibration above — the measured anchors
-        # the static predictor (repro.analysis.commcost) checks against
+        # next to the alignment calibration above
         from ..perfmodel.calibrate import calibrate_comm_model  # no cycle
 
         backend = config.comm_backend

@@ -5,8 +5,9 @@ collective) is recorded as ``(src, dst, nbytes, kind)`` plus the label of
 the communicator it travelled on and the API op that produced it.  The byte
 counts feed the :mod:`repro.perfmodel` α–β cost model, which is how
 functional runs at small rank counts calibrate the large-scale runtime
-extrapolations, and :meth:`CommTracer.summary` is the measured side of the
-static predictor's ``--check`` gate (:mod:`repro.analysis.commcost`).
+extrapolations; :meth:`CommTracer.summary` is where a run's messages and
+bytes per ``(comm, op)`` are read — they depend on the nonzeros of the
+SUMMA blocks, so they are measured, never statically predicted.
 
 Communicator labels follow the scheme shared with the mp transport and the
 comm sanitizer: the world communicator is ``"world"`` and a communicator

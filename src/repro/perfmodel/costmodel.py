@@ -131,9 +131,8 @@ class CommCostModel:
 
     where ``nmsgs`` / ``nbytes`` count *logical* traced messages — the
     point-to-point decomposition the
-    :class:`~repro.mpisim.tracing.CommTracer` records and the static
-    predictor (:mod:`repro.analysis.commcost`) derives — so a static byte
-    prediction multiplies straight into projected wall time.  Persisted
+    :class:`~repro.mpisim.tracing.CommTracer` records — so a traced
+    volume multiplies straight into projected wall time.  Persisted
     under ``graph.meta["commcost"]`` next to the PR-5 alignment
     calibration and in :class:`~repro.perfmodel.machine.MachineSpec`.
     """

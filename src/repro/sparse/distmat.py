@@ -88,20 +88,6 @@ class DistSparseMatrix:
         )
         return cls(grid=grid, nrows=nrows, ncols=ncols, local=local)
 
-    @classmethod
-    def from_local_block(
-        cls, grid: ProcessGrid, nrows: int, ncols: int, local: COOMatrix
-    ) -> "DistSparseMatrix":
-        """Wrap an already block-relative local COO."""
-        rs, re = block_ranges(nrows, grid.q)[grid.row]
-        cs, ce = block_ranges(ncols, grid.q)[grid.col]
-        if local.shape != (re - rs, ce - cs):
-            raise ValueError(
-                f"local block shape {local.shape} does not match the "
-                f"grid block ({re - rs}, {ce - cs})"
-            )
-        return cls(grid=grid, nrows=nrows, ncols=ncols, local=local)
-
     # -- bookkeeping -------------------------------------------------------------
 
     @property
@@ -111,10 +97,6 @@ class DistSparseMatrix:
     @property
     def col_range(self) -> tuple[int, int]:
         return block_ranges(self.ncols, self.grid.q)[self.grid.col]
-
-    def global_nnz(self) -> int:
-        """Total nonzeros across the grid (collective)."""
-        return self.grid.comm.allreduce(self.local.nnz, lambda a, b: a + b)
 
     # -- movement ----------------------------------------------------------------
 

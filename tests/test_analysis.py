@@ -1,11 +1,12 @@
-"""Tests for :mod:`repro.analysis` — the static SPMD lint pass and the
-runtime comm sanitizer.
+"""Tests for :mod:`repro.analysis` — the per-file checkers of the static
+analyzer and the runtime comm sanitizer.
 
-The lint half works on seeded faults: each checker gets a small source
-snippet carrying exactly the defect it exists to catch, plus a pragma'd
-variant proving the allowlist works, plus a clean variant proving no
-false positive — and one test asserts the real tree lints clean, which
-is what keeps the CI ``lint`` job green.
+The static half works on seeded faults, each run through the one entry
+point (``verify_source`` / ``verify_sources``): each checker gets a small
+source snippet carrying exactly the defect it exists to catch, plus a
+pragma'd variant proving the allowlist works, plus a clean variant
+proving no false positive.  (The one whole-tree run lives in
+``tests/test_verify.py``.)
 
 The sanitizer half runs real SPMD programs on the ``sim`` and ``mp``
 backends at 2 and 4 ranks: a divergent collective must raise a named
@@ -20,22 +21,15 @@ pickle it under the ``spawn`` start method.
 
 from __future__ import annotations
 
-import json
 import textwrap
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.analysis.lint import (
-    CHECK_PRAGMAS,
-    Violation,
-    lint_paths,
-    lint_source,
-    lint_sources,
-    main as lint_main,
-)
+from repro.analysis.report import FINDING_CODES, Finding, pragma_map
 from repro.analysis.sanitizer import payload_digest
+from repro.analysis.verify import verify_source, verify_sources
 from repro.bio.generate import scope_like
 from repro.core.config import PastisConfig
 from repro.core.distributed import run_pastis_distributed
@@ -45,7 +39,7 @@ from repro.mpisim.backend import SpmdError, run_spmd
 BACKENDS = ("sim", "mp")
 
 
-def codes(violations: list[Violation]) -> list[str]:
+def codes(violations: list[Finding]) -> list[str]:
     return [v.code for v in violations]
 
 
@@ -54,13 +48,13 @@ def src(text: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# lint: rank-divergent collectives
+# rank-divergent collectives, at helper depth 0 (deeper: test_verify.py)
 # ---------------------------------------------------------------------------
 
 
 class TestLintRankDivergence:
     def test_direct_rank_branch_flagged(self):
-        out = lint_source(src("""
+        out = verify_source(src("""
             def body(comm):
                 if comm.rank == 0:
                     comm.barrier()
@@ -70,7 +64,7 @@ class TestLintRankDivergence:
 
     def test_tainted_variable_and_while_flagged(self):
         # rank flows through a tuple unpack into the loop condition
-        out = lint_source(src("""
+        out = verify_source(src("""
             def body(comm):
                 me, peer = comm.rank, 1 - comm.rank
                 while me < 1:
@@ -81,7 +75,7 @@ class TestLintRankDivergence:
 
     def test_uniform_branch_not_flagged(self):
         # branching on a value every rank computes identically is fine
-        out = lint_source(src("""
+        out = verify_source(src("""
             def body(comm, n):
                 if n > 4:
                     comm.barrier()
@@ -89,7 +83,7 @@ class TestLintRankDivergence:
         assert out == []
 
     def test_pragma_suppresses(self):
-        out = lint_source(src("""
+        out = verify_source(src("""
             def body(comm):
                 if comm.rank == 0:  # spmd: rank-divergent-ok (probe)
                     comm.barrier()
@@ -97,7 +91,7 @@ class TestLintRankDivergence:
         assert out == []
 
     def test_def_line_pragma_covers_whole_function(self):
-        out = lint_source(src("""
+        out = verify_source(src("""
             # the whole body is intentionally divergent
             # spmd: rank-divergent-ok (fault-injection helper)
             def body(comm):
@@ -110,13 +104,13 @@ class TestLintRankDivergence:
 
 
 # ---------------------------------------------------------------------------
-# lint: nondeterminism in plan code
+# nondeterminism in plan code
 # ---------------------------------------------------------------------------
 
 
 class TestLintPlanNondeterminism:
     def test_set_iteration_flagged_in_plan_module(self):
-        out = lint_source(src("""
+        out = verify_source(src("""
             def plan(tasks):
                 seen = {t.key for t in tasks}
                 return [k for k in seen]
@@ -124,7 +118,7 @@ class TestLintPlanNondeterminism:
         assert codes(out) == ["plan-nondeterminism"]
 
     def test_sorted_set_not_flagged(self):
-        out = lint_source(src("""
+        out = verify_source(src("""
             def plan(tasks):
                 seen = {t.key for t in tasks}
                 return sorted(seen)
@@ -138,14 +132,14 @@ class TestLintPlanNondeterminism:
             def cost():
                 return time.perf_counter()
         """)
-        assert codes(lint_source(body, "repro/perfmodel/x.py")) == [
+        assert codes(verify_source(body, "repro/perfmodel/x.py")) == [
             "plan-nondeterminism"
         ]
         # the same code outside a plan module is nobody's business
-        assert lint_source(body, "repro/align/x.py") == []
+        assert verify_source(body, "repro/align/x.py") == []
 
     def test_unseeded_rng_flagged_seeded_ok(self):
-        out = lint_source(src("""
+        out = verify_source(src("""
             import numpy as np
 
             def jitter():
@@ -159,7 +153,7 @@ class TestLintPlanNondeterminism:
 
 
 # ---------------------------------------------------------------------------
-# lint: per-element Python loops in hot modules
+# per-element Python loops in hot modules
 # ---------------------------------------------------------------------------
 
 
@@ -172,14 +166,14 @@ class TestLintHotLoop:
                     out.append(v * 2)
                 return out
         """)
-        assert codes(lint_source(body, "repro/sparse/spgemm.py")) == [
+        assert codes(verify_source(body, "repro/sparse/spgemm.py")) == [
             "python-hot-loop"
         ]
         # the same loop in a cold module is fine
-        assert lint_source(body, "repro/core/graph.py") == []
+        assert verify_source(body, "repro/core/graph.py") == []
 
     def test_pragma_on_outer_loop_covers_nested(self):
-        out = lint_source(src("""
+        out = verify_source(src("""
             def kernel(rows):
                 # spmd: hot-loop-ok (reference path)
                 for r in rows:
@@ -190,13 +184,13 @@ class TestLintHotLoop:
 
 
 # ---------------------------------------------------------------------------
-# lint: duplicate p2p tags and broad excepts
+# duplicate p2p tags and broad excepts
 # ---------------------------------------------------------------------------
 
 
 class TestLintTagsAndExcepts:
     def test_duplicate_tag_across_files_flagged(self):
-        out = lint_sources([
+        out = verify_sources([
             ("repro/core/a.py", "EXCHANGE_TAG = 55\n"),
             ("repro/core/b.py", "def f(c):\n    c.send(1, 0, tag=55)\n"),
         ])
@@ -205,7 +199,7 @@ class TestLintTagsAndExcepts:
                                          "repro/core/b.py"}
 
     def test_same_tag_within_one_file_not_flagged(self):
-        out = lint_sources([
+        out = verify_sources([
             ("repro/core/a.py",
              "MY_TAG = 55\n\ndef f(c):\n    c.send(1, 0, tag=55)\n"),
         ])
@@ -214,7 +208,7 @@ class TestLintTagsAndExcepts:
     def test_constant_named_tag_collision_resolved(self):
         # the tag rides a module constant in one file and a literal in
         # the other: the resolver must see they collide
-        out = lint_sources([
+        out = verify_sources([
             ("repro/core/a.py", src("""
                 STEAL_TAG = 78
 
@@ -230,7 +224,7 @@ class TestLintTagsAndExcepts:
     def test_shared_imported_constant_is_one_protocol(self):
         # two modules using the *same* imported constant are one
         # protocol, not a collision
-        out = lint_sources([
+        out = verify_sources([
             ("repro/core/a.py", src("""
                 EXCH_TAG = 55
 
@@ -247,7 +241,7 @@ class TestLintTagsAndExcepts:
         assert out == []
 
     def test_broad_except_flagged_and_narrow_ok(self):
-        out = lint_source(src("""
+        out = verify_source(src("""
             def risky():
                 try:
                     work()
@@ -271,26 +265,30 @@ class TestLintTagsAndExcepts:
 
 
 # ---------------------------------------------------------------------------
-# lint: pragma hygiene and the repo itself
+# pragma hygiene
 # ---------------------------------------------------------------------------
 
 
 class TestLintPragmasAndRepo:
     def test_unknown_pragma_flagged(self):
-        out = lint_source(
+        out = verify_source(
             "x = 1  # spmd: tyop-ok (misspelled)\n", "repro/core/x.py"
         )
         assert codes(out) == ["unknown-pragma"]
         assert "tyop-ok" in out[0].message
 
     def test_every_check_has_a_pragma(self):
-        assert set(CHECK_PRAGMAS) == {
-            "rank-divergent-collective", "plan-nondeterminism",
-            "python-hot-loop", "duplicate-p2p-tag", "broad-except",
+        # every static code but the three that report on the pragmas and
+        # the parse themselves can be allowlisted in place
+        static = {c for c, info in FINDING_CODES.items()
+                  if "verify" in info.tools}
+        assert set(pragma_map()) == static - {
+            "unknown-pragma", "unused-pragma", "syntax-error",
         }
+        assert len(set(pragma_map().values())) == len(pragma_map())
 
     def test_unused_lint_pragma_flagged(self):
-        out = lint_source(
+        out = verify_source(
             "x = 1  # spmd: hot-loop-ok (stale leftover)\n",
             "repro/core/x.py",
         )
@@ -298,50 +296,23 @@ class TestLintPragmasAndRepo:
         assert "hot-loop-ok" in out[0].message
 
     def test_working_pragma_is_not_unused(self):
-        out = lint_source(src("""
+        out = verify_source(src("""
             def kernel(rows):
                 for r in rows:  # spmd: hot-loop-ok (reference)
                     pass
         """), "repro/align/engine.py")
         assert out == []
 
-    def test_verifier_pragma_parses_and_is_not_lints_business(self):
-        # unmatched-send-ok belongs to the shared vocabulary (not
-        # unknown), and its unused audit is owned by the verifier
-        out = lint_source(
-            "x = 1  # spmd: unmatched-send-ok (drained later)\n",
+    @pytest.mark.parametrize("pragma", sorted(pragma_map().values()))
+    def test_stale_pragma_of_any_static_code_flagged(self, pragma):
+        # one run audits the whole vocabulary: no code's stale pragma is
+        # somebody else's business
+        out = verify_source(
+            f"x = 1  # spmd: {pragma} (suppresses nothing)\n",
             "repro/core/x.py",
         )
-        assert out == []
-
-    def test_repo_lints_clean(self):
-        out = lint_paths()
-        assert out == [], "\n".join(v.render() for v in out)
-
-    def test_cli_exit_codes(self, tmp_path, capsys):
-        assert lint_main([]) == 0
-        assert "clean" in capsys.readouterr().out
-        bad = tmp_path / "divergent.py"
-        bad.write_text(
-            "def f(comm):\n    if comm.rank:\n        comm.barrier()\n"
-        )
-        assert lint_main([str(bad)]) == 1
-        assert "rank-divergent-collective" in capsys.readouterr().out
-
-    def test_cli_json_format(self, tmp_path, capsys):
-        bad = tmp_path / "divergent.py"
-        bad.write_text(
-            "def f(comm):\n    if comm.rank:\n        comm.barrier()\n"
-        )
-        assert lint_main([str(bad), "--format", "json"]) == 1
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["schema"] == "repro.analysis.findings/v1"
-        assert doc["tool"] == "lint"
-        assert [f["code"] for f in doc["findings"]] == [
-            "rank-divergent-collective"
-        ]
-        assert doc["findings"][0]["severity"] == "error"
-        assert doc["counts"] == {"error": 1, "warning": 0}
+        assert codes(out) == ["unused-pragma"]
+        assert pragma in out[0].message
 
 
 # ---------------------------------------------------------------------------

@@ -304,6 +304,39 @@ class TestNamedErrors:
                 "error: duplicate sequence id 'a': records 1 and 3\n"
             )
 
+    @pytest.mark.parametrize("ranks", ["1", "4"])
+    def test_unreadable_input(self, capsys, tmp_path, ranks):
+        # a missing file, a directory, and bytes that are not ASCII text
+        missing = tmp_path / "nope.fa"
+        err = self._fails([str(missing), "--ranks", ranks], capsys, tmp_path)
+        assert err == f"error: {missing}: No such file or directory\n"
+        err = self._fails([str(tmp_path), "--ranks", ranks], capsys, tmp_path)
+        assert err == f"error: {tmp_path}: Is a directory\n"
+        latin = tmp_path / "latin.fa"
+        latin.write_bytes(">a\nAVGDMK\n>b caf\xe9\nAVGDMR\n".encode("latin-1"))
+        err = self._fails([str(latin), "--ranks", ranks], capsys, tmp_path)
+        assert err == f"error: {latin}: not ASCII text (byte 0xe9)\n"
+
+    @pytest.mark.parametrize("ranks", ["1", "4"])
+    @pytest.mark.parametrize("flag", ["-o", "--cluster"])
+    def test_unwritable_output_fails_before_the_run(
+            self, fasta_file, capsys, tmp_path, monkeypatch, flag, ranks):
+        # the pipeline must not run and then lose its result in open()
+        def never(*_args, **_kwargs):
+            raise AssertionError("pipeline ran before the output check")
+
+        monkeypatch.setattr("repro.cli.run_pastis_distributed", never)
+        gone = tmp_path / "no_such_dir"
+        argv = [str(fasta_file), "--ranks", ranks, flag, str(gone / "x.tsv")]
+        if flag == "-o":
+            rc = main(argv)
+        else:
+            rc = main([*argv, "-o", str(tmp_path / "edges.tsv")])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (2, "")
+        assert captured.err == f"error: {gone}: No such file or directory\n"
+        assert not (tmp_path / "edges.tsv").exists()
+
     @pytest.mark.parametrize("residue", ["U", "O", "J", "-"])
     def test_invalid_residue_names_the_record(self, capsys, tmp_path,
                                               residue):
@@ -324,6 +357,10 @@ class TestNamedErrors:
         (["--k", "14"], "k must be between 1 and 13"),
         (["-s", "-1"], "substitutes must be non-negative"),
         (["--ck", "-2"], "common_kmer_threshold must be non-negative"),
+        (["--xdrop", "-5"], "xdrop must be non-negative"),
+        (["--min-identity", "7"], "min_identity must be a fraction in [0, 1]"),
+        (["--min-coverage", "-0.1"],
+         "min_coverage must be a fraction in [0, 1]"),
     ])
     def test_out_of_range_knob(self, fasta_file, capsys, tmp_path, flags,
                                message):

@@ -335,22 +335,36 @@ class TestSingleRankRunsInline:
         assert type(cause) is ValueError and cause.args == ("kapow",)
 
 
-class TestSmokeTraceParity:
-    """Satellite regression: the sim and mp transports must trace the
-    smoke pipeline *identically* — same (comm, op, kind) groups, same
-    message counts, same byte totals — or the static predictor's
-    ``--check`` gate means different things on different backends."""
+class TestPipelineTraceParity:
+    """The sim and mp transports must trace the real pipeline
+    *identically* — same (comm, op, kind) groups, same message counts,
+    same byte totals — or ``CommTracer.summary()`` and the α–β seconds in
+    ``graph.meta["commcost"]`` mean different things on different
+    backends."""
 
-    def test_sim_and_mp_summaries_identical(self):
-        from repro.core.smoke import run_smoke
+    @pytest.mark.parametrize("knobs", [
+        dict(k=5),
+        dict(k=5, substitutes=4, common_kmer_threshold=1,
+             align_balance="greedy"),
+    ], ids=["exact", "subs-ck-greedy"])
+    def test_sim_and_mp_summaries_identical(self, knobs):
+        from repro.bio.generate import scope_like
+        from repro.core.config import PastisConfig
+        from repro.core.distributed import run_pastis_distributed
 
+        store = scope_like(n_families=6, seed=3).store
         summaries = {}
         for backend in ("sim", "mp"):
             tracer = CommTracer()
-            run_smoke(4, tracer=tracer, comm_backend=backend)
+            # sanitizer off: its teardown audit is traced too, and on mp
+            # it also ships the shared-memory segment ledger
+            config = PastisConfig(comm_backend=backend, comm_sanitize=False,
+                                  **knobs)
+            run_pastis_distributed(store, config, nranks=4, tracer=tracer)
             summaries[backend] = tracer.summary()
         assert summaries["sim"] == summaries["mp"]
         assert summaries["sim"]["total_messages"] > 0
+        assert summaries["sim"]["total_bytes"] > 0
 
 
 class TestRegistry:

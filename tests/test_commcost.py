@@ -1,43 +1,24 @@
-"""Tests for the static communication-cost analyzer
-(:mod:`repro.analysis.commcost`).
+"""Tests for the four comm-performance checks
+(:mod:`repro.analysis.commperf`), run through the analyzer's one entry
+point (:func:`repro.analysis.verify.verify_sources`).
 
-Mirrors the verifier suite's structure: seeded faults that lint and the
-verifier *provably miss* (each fixture is asserted clean under both
-before commcost is asserted to flag it — that delta is the tool's
-reason to exist), the symbolic-extraction edge cases (payloads a helper
-call deep, dimensions from imported constants, unknown fallbacks that
-are enumerated rather than dropped), the closed forms in the grid
-symbols, the pragma/baseline suppression surfaces, and the two
-whole-repo gates: the shipped tree is commcost-clean and the ``--check``
-prediction agrees with the runtime tracer on the smoke pipeline.
+Seeded faults the schedule and per-file checkers cannot see — a
+collective every rank could have computed locally, a hoistable collective
+in a grid-scaled loop, one message per element, a pickled list of
+ndarrays — each with the precision case right next to it (SUMMA's
+rotating root, a constant-trip loop, a packed payload, a rank-conditional
+value that *must* be broadcast), and the pragma surface.  What the real
+pipeline ships is measured, not predicted: see
+``tests/test_comm_backends.py::TestPipelineTraceParity``.
 """
 
 from __future__ import annotations
 
-import json
 import textwrap
-from pathlib import Path
 
 import pytest
 
-from repro.analysis.commcost import (
-    COMMCOST_SOLE_CODES,
-    COST_SCHEMA,
-    SPLIT_FINGERPRINT_BYTES,
-    SYM_P,
-    SYM_Q,
-    SizeExpr,
-    analyze_sources,
-    main as commcost_main,
-    normalize_comm_label,
-    run_check,
-)
-from repro.analysis.lint import lint_sources, read_tree
-from repro.analysis.report import FINDING_CODES, load_baseline
 from repro.analysis.verify import verify_sources
-from repro.mpisim.tracing import ARRAY_HEADER_BYTES
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def src(text: str) -> str:
@@ -48,202 +29,8 @@ def codes(findings) -> list[str]:
     return [f.code for f in findings]
 
 
-def cost_of(named, entry):
-    cc, _findings = analyze_sources(named)
-    return cc.entry_cost(entry)
-
-
-def groups_at(cost, p):
-    """Evaluated ``(comm, op) -> (msgs, bytes)`` for resolved groups."""
-    out = {}
-    for key, (msgs, nbytes) in cost.groups().items():
-        if msgs.resolved and nbytes.resolved:
-            out[key] = (msgs.evaluate(p), nbytes.evaluate(p))
-    return out
-
-
 # ---------------------------------------------------------------------------
-# symbolic size expressions
-# ---------------------------------------------------------------------------
-
-
-class TestSizeExpr:
-
-    def test_algebra_and_evaluation(self):
-        p = SizeExpr.sym(SYM_P)
-        expr = p * (p - SizeExpr.const(1))       # p^2 - p
-        assert expr.evaluate(4) == 12
-        assert expr.resolved
-
-    def test_q_is_sqrt_p(self):
-        q = SizeExpr.sym(SYM_Q)
-        assert (q * q * q).evaluate(4) == pytest.approx(8)
-        assert SizeExpr.sym(SYM_P).sqrt() == q
-        assert SizeExpr.const(9).sqrt() == SizeExpr.const(3)
-        assert not SizeExpr.const(10).sqrt().resolved
-
-    def test_family_count_division(self):
-        p, q = SizeExpr.sym(SYM_P), SizeExpr.sym(SYM_Q)
-        assert p.div(q) == q
-        assert SizeExpr.const(12).div(SizeExpr.const(4)) == \
-            SizeExpr.const(3)
-        assert not q.div(p).resolved
-
-    def test_unknowns_propagate_and_dedupe(self):
-        u = SizeExpr.unknown("reason")
-        mixed = SizeExpr.const(5) + u + u
-        assert not mixed.resolved
-        assert mixed.unknowns == ("reason",)
-        # the resolved part survives alongside the unknown
-        assert mixed.evaluate(4) == 5
-        assert "?" in mixed.render()
-
-    def test_render_polynomials(self):
-        q = SizeExpr.sym(SYM_Q)
-        expr = q * q * q - q * q
-        assert expr.render() == "q^3 - q^2"
-
-
-class TestNormalizeLabel:
-
-    def test_world_unchanged(self):
-        assert normalize_comm_label("world") == "world"
-
-    def test_color_collapsed(self):
-        assert normalize_comm_label("world/0.1") == "world/0.*"
-        assert normalize_comm_label("world/1.0") == "world/1.*"
-
-    def test_nested_splits(self):
-        assert normalize_comm_label("world/1.2/0.3") == \
-            "world/1.*/0.*"
-
-
-# ---------------------------------------------------------------------------
-# symbolic extraction
-# ---------------------------------------------------------------------------
-
-
-class TestExtraction:
-
-    def test_payload_resolved_through_helper_call(self):
-        named = [("repro/a.py", src("""
-            import numpy as np
-
-            N = 64
-
-            def make(n):
-                return np.zeros((n, n), dtype=np.float64)
-
-            def body(comm):
-                comm.bcast(make(N), root=0)
-        """))]
-        cost = cost_of(named, "repro.a.body")
-        got = groups_at(cost, 4)
-        per = 64 * 64 * 8 + ARRAY_HEADER_BYTES
-        assert got[("world", "bcast")] == (3, 3 * per)
-        assert cost.unknowns == ()
-
-    def test_dimension_from_imported_constant(self):
-        named = [
-            ("repro/consts.py", "WIDTH = 128\n"),
-            ("repro/b.py", src("""
-                import numpy as np
-                from repro.consts import WIDTH
-
-                def body(comm):
-                    comm.allgather(np.zeros(WIDTH, dtype=np.int64))
-            """)),
-        ]
-        cost = cost_of(named, "repro.b.body")
-        got = groups_at(cost, 4)
-        per = 128 * 8 + ARRAY_HEADER_BYTES
-        assert got[("world", "allgather")] == (12, 12 * per)
-
-    def test_unresolvable_payload_is_enumerated_not_dropped(self):
-        named = [("repro/c.py", src("""
-            def body(comm, data):
-                comm.bcast(data, root=0)
-        """))]
-        cost = cost_of(named, "repro.c.body")
-        (msgs, nbytes), = [v for k, v in cost.groups().items()
-                           if k == ("world", "bcast")]
-        assert msgs.resolved and msgs.evaluate(4) == 3
-        assert not nbytes.resolved
-        assert any("data" in u for u in cost.unknowns)
-
-    def test_grid_closed_form_and_split_traffic(self):
-        named = [("repro/g.py", src("""
-            import numpy as np
-
-            class ProcessGrid:
-                @classmethod
-                def create(cls, comm):
-                    raise NotImplementedError
-
-            def body(comm):
-                grid = ProcessGrid.create(comm)
-                for k in range(grid.q):
-                    grid.row_comm.bcast(
-                        np.zeros(16, dtype=np.float64), root=k)
-        """))]
-        cost = cost_of(named, "repro.g.body")
-        got = groups_at(cost, 4)
-        # two splits, each an allgather of the fingerprint tuple
-        assert got[("world", "allgather")] == \
-            (24, 24 * SPLIT_FINGERPRINT_BYTES)
-        # q bcast rounds over the q-member, q-communicator row family
-        per = 16 * 8 + ARRAY_HEADER_BYTES
-        assert got[("world/0.*", "bcast")] == (4, 4 * per)
-        (msgs, _), = [v for k, v in cost.groups().items()
-                      if k == ("world/0.*", "bcast")]
-        assert msgs.render() == "q^3 - q^2"
-
-    def test_constant_color_split_keeps_world_shape(self):
-        named = [("repro/s.py", src("""
-            import numpy as np
-
-            def body(comm):
-                subcomm = comm.split(color=0, key=comm.rank)
-                subcomm.bcast(np.zeros(4, dtype=np.float64), root=0)
-        """))]
-        cost = cost_of(named, "repro.s.body")
-        got = groups_at(cost, 4)
-        per = 4 * 8 + ARRAY_HEADER_BYTES
-        assert got[("world/0.*", "bcast")] == (3, 3 * per)
-
-    def test_allreduce_traced_as_allgather(self):
-        named = [("repro/r.py", src("""
-            import numpy as np
-
-            def body(comm):
-                comm.allreduce(np.ones(8, dtype=np.float64),
-                               lambda a, b: a + b)
-        """))]
-        cost = cost_of(named, "repro.r.body")
-        got = groups_at(cost, 4)
-        per = 8 * 8 + ARRAY_HEADER_BYTES
-        assert got[("world", "allgather")] == (12, 12 * per)
-
-    def test_rank_guarded_traffic_becomes_unknown(self):
-        named = [("repro/u.py", src("""
-            import numpy as np
-
-            def body(comm):
-                if comm.rank == 0:
-                    comm.send(np.zeros(4, dtype=np.float64), dest=1,
-                              tag=3)
-                else:
-                    comm.recv(source=0, tag=3)
-        """))]
-        cost = cost_of(named, "repro.u.body")
-        (msgs, _nbytes), = [v for k, v in cost.groups().items()
-                            if k == ("world", "send")]
-        assert not msgs.resolved
-        assert any("conditional" in u for u in cost.unknowns)
-
-
-# ---------------------------------------------------------------------------
-# seeded faults: each caught by commcost, provably missed by lint+verify
+# seeded faults, each reported under exactly its own code
 # ---------------------------------------------------------------------------
 
 
@@ -297,10 +84,9 @@ class TestSeededFaults:
     ], ids=["redundant", "grid-loop", "per-element", "envelope"])
     def test_commcost_catches_what_lint_and_verify_miss(
             self, named, code):
-        _cc, findings = analyze_sources(named)
-        assert code in codes(findings)
-        assert code not in [v.code for v in lint_sources(named)]
-        assert code not in codes(verify_sources(named))
+        # no per-file or schedule checker ("lint", "verify") sees these
+        # four; only the comm-performance walk does
+        assert codes(verify_sources(named)) == [code]
 
     def test_loop_dependent_root_passes(self):
         # SUMMA's rotating root: the collective is loop-dependent
@@ -312,7 +98,7 @@ class TestSeededFaults:
                 for t in range(comm.size):
                     comm.bcast(buf, root=t)
         """))]
-        _cc, findings = analyze_sources(named)
+        findings = verify_sources(named)
         assert "grid-loop-collective" not in codes(findings)
 
     def test_constant_trip_loop_passes(self):
@@ -324,7 +110,7 @@ class TestSeededFaults:
                 for _ in range(3):
                     comm.bcast(buf, root=0)
         """))]
-        _cc, findings = analyze_sources(named)
+        findings = verify_sources(named)
         assert "grid-loop-collective" not in codes(findings)
 
     def test_packed_send_passes_envelope_check(self):
@@ -341,7 +127,7 @@ class TestSeededFaults:
                 else:
                     comm.recv(source=0, tag=9)
         """))]
-        _cc, findings = analyze_sources(named)
+        findings = verify_sources(named)
         assert "pickled-envelope" not in codes(findings)
 
     def test_rank_conditional_bcast_not_redundant(self):
@@ -359,12 +145,12 @@ class TestSeededFaults:
                 model = comm.bcast(model, root=0)
                 return model
         """))]
-        _cc, findings = analyze_sources(named)
+        findings = verify_sources(named)
         assert "redundant-collective" not in codes(findings)
 
 
 # ---------------------------------------------------------------------------
-# pragmas and baselines
+# pragmas
 # ---------------------------------------------------------------------------
 
 
@@ -378,113 +164,5 @@ class TestSuppression:
                 # spmd: redundant-collective-ok (handshake by design)
                 comm.bcast(CONFIG, root=0)
         """))]
-        _cc, findings = analyze_sources(named)
+        findings = verify_sources(named)
         assert codes(findings) == []
-
-    def test_unused_commcost_pragma_reported_here_not_by_verify(self):
-        named = [("repro/p2.py", src("""
-            def body(comm):
-                # spmd: pickled-envelope-ok (stale)
-                comm.barrier()
-        """))]
-        _cc, findings = analyze_sources(named)
-        assert codes(findings) == ["unused-pragma"]
-        # the audit of commcost-only pragmas belongs to this tool
-        assert "unused-pragma" not in codes(verify_sources(named))
-
-    def test_sole_codes_cover_the_four_new_checks(self):
-        assert COMMCOST_SOLE_CODES == {
-            "redundant-collective", "grid-loop-collective",
-            "per-element-send", "pickled-envelope",
-        }
-        for code in COMMCOST_SOLE_CODES:
-            assert FINDING_CODES[code].tools == ("commcost",)
-            assert FINDING_CODES[code].pragma is not None
-
-
-class TestCli:
-
-    def _fixture(self, tmp_path: Path) -> Path:
-        f = tmp_path / "m.py"
-        f.write_text(src("""
-            CONFIG = 7
-
-            def body(comm):
-                comm.bcast(CONFIG, root=0)
-        """), encoding="utf-8")
-        return f
-
-    def test_exit_codes_and_baseline_flow(self, tmp_path, capsys):
-        f = self._fixture(tmp_path)
-        assert commcost_main([str(f)]) == 1
-        base = tmp_path / "base.json"
-        assert commcost_main([str(f),
-                              "--write-baseline", str(base)]) == 0
-        assert load_baseline(base)
-        assert commcost_main([str(f), "--baseline", str(base)]) == 0
-        capsys.readouterr()
-
-    def test_json_document_shape(self, tmp_path, capsys):
-        f = self._fixture(tmp_path)
-        commcost_main([str(f), "--format", "json"])
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["schema"] == COST_SCHEMA
-        assert doc["tool"] == "commcost"
-        assert doc["counts"]["warning"] == 1
-        entries = [e["entry"] for e in doc["entries"]]
-        assert len(entries) == 1 and entries[0].endswith("m.body")
-        assert doc["findings"][0]["code"] == "redundant-collective"
-
-    def test_output_artifact_written(self, tmp_path, capsys):
-        f = self._fixture(tmp_path)
-        out = tmp_path / "SPMD_commcost.json"
-        commcost_main([str(f), "--output", str(out)])
-        capsys.readouterr()
-        doc = json.loads(out.read_text(encoding="utf-8"))
-        assert doc["schema"] == COST_SCHEMA
-
-
-# ---------------------------------------------------------------------------
-# whole-repo gates
-# ---------------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def repo_analysis():
-    return analyze_sources(read_tree(None))
-
-
-class TestRepoGates:
-
-    def test_repo_is_commcost_clean(self, repo_analysis):
-        _cc, findings = repo_analysis
-        assert findings == [], [f.render() for f in findings]
-
-    def test_smoke_entry_fully_resolved(self, repo_analysis):
-        cc, _ = repo_analysis
-        cost = cc.entry_cost("repro.core.smoke.smoke_rank")
-        assert cost.unknowns == ()
-        assert cost.msgs.resolved and cost.nbytes.resolved
-        # five op groups: splits+allgather+allreduce+exscan fold into
-        # world/allgather; two bcast families; alltoall; the ring send
-        assert set(cost.groups()) == {
-            ("world", "allgather"), ("world", "alltoall"),
-            ("world", "send"), ("world/0.*", "bcast"),
-            ("world/1.*", "bcast"),
-        }
-
-    def test_check_agrees_with_runtime_tracer(self, repo_analysis):
-        cc, _ = repo_analysis
-        check = run_check(cc, backend="sim", nranks=4, tolerance=0.25)
-        assert check["ok"], check
-        by_status = {}
-        for row in check["groups"]:
-            by_status.setdefault(row["status"], []).append(row)
-        assert len(by_status.get("ok", ())) == 5
-        assert "mismatch" not in by_status
-        assert "untracked" not in by_status
-        # the smoke fixture resolves completely: exact agreement
-        for row in by_status["ok"]:
-            assert row["relative_error"]["messages"] == 0
-            assert row["relative_error"]["bytes"] == 0
-        assert check["predicted_seconds"] > 0

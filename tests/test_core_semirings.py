@@ -162,3 +162,12 @@ class TestConfig:
             PastisConfig(substitutes=-1)
         with pytest.raises(ValueError):
             PastisConfig(common_kmer_threshold=-2)
+        for knob in ("gap_open", "gap_extend", "xdrop"):
+            with pytest.raises(ValueError, match=f"{knob} must be non-neg"):
+                PastisConfig(**{knob: -1})
+            assert getattr(PastisConfig(**{knob: 0}), knob) == 0
+        for knob in ("min_identity", "min_coverage"):
+            for bad in (-0.01, 1.01, 7):
+                with pytest.raises(ValueError, match=f"{knob} must be a"):
+                    PastisConfig(**{knob: bad})
+            assert getattr(PastisConfig(**{knob: 1.0}), knob) == 1.0

@@ -77,26 +77,6 @@ class TestDistribute:
         assert out[0] == (5, 4)
         assert out[3] == (5, 3)
 
-    def test_global_nnz(self):
-        m = _rand(2, (12, 12))
-
-        def fn(comm):
-            grid = ProcessGrid.create(comm)
-            return _scatter_matrix(grid, m).global_nnz()
-
-        assert run_spmd(4, fn) == [m.nnz] * 4
-
-    def test_from_local_block_shape_check(self):
-        def fn(comm):
-            grid = ProcessGrid.create(comm)
-            bad = COOMatrix.empty(3, 3)
-            try:
-                DistSparseMatrix.from_local_block(grid, 10, 10, bad)
-            except ValueError:
-                return "rejected"
-
-        assert run_spmd(4, fn) == ["rejected"] * 4
-
 
 class TestTranspose:
     @pytest.mark.parametrize("p", [1, 4, 9])

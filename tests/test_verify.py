@@ -1,14 +1,15 @@
-"""Tests for the whole-program SPMD verifier
+"""Tests for the static SPMD analyzer's whole-program half
 (:mod:`repro.analysis.verify` and its substrate modules).
 
-The backbone is seeded faults the per-file lint pass *provably misses*:
-every interprocedural fixture is asserted to lint clean first, then to
-be caught by the verifier — that delta is the tool's reason to exist.
-The rest covers the substrate (project index, symbol resolution, call
-graph, taint laundering), the pragma/baseline suppression surfaces, the
-shared JSON schema and exit-code contract, and the two whole-repo
-gates: the shipped tree verifies clean, and the committed baseline file
-is valid and empty.
+The backbone is seeded faults no per-scope pass can see: a divergent
+collective behind one or two helper calls, taint through a return value
+or a parameter, a send whose partner lives a module away.  The rest
+covers the substrate (project index, symbol resolution, call graph,
+taint laundering), the pragma/baseline suppression surfaces, the JSON
+schema and exit-code contract, the fault corpus on the shipped SPMD
+source, and the two whole-repo gates: the shipped tree analyzes clean
+(the one whole-tree run of tier-1), and the committed baseline file is
+valid and empty.
 """
 
 from __future__ import annotations
@@ -17,14 +18,15 @@ import json
 import textwrap
 from pathlib import Path
 
-from repro.analysis.callgraph import CallGraph, ProjectIndex
+import pytest
+
+from repro.analysis.callgraph import CallGraph, ProjectIndex, read_tree
 from repro.analysis.dataflow import (
     COLLECTIVE_OPS,
     RECV_OPS,
     SEND_OPS,
     RankTaint,
 )
-from repro.analysis.lint import lint_sources
 from repro.analysis.report import (
     BASELINE_SCHEMA,
     FINDING_CODES,
@@ -58,7 +60,7 @@ def build(named):
 
 
 # ---------------------------------------------------------------------------
-# seeded interprocedural faults: lint must miss, verifier must catch
+# seeded interprocedural faults (invisible to any per-scope pass)
 # ---------------------------------------------------------------------------
 
 ONE_DEEP = src("""
@@ -105,7 +107,6 @@ UNMATCHED_2DEEP = [
 class TestCatchesWhatLintMisses:
     def test_divergent_collective_one_helper_deep(self):
         named = [("repro/core/x.py", ONE_DEEP)]
-        assert lint_sources(named) == []          # provably invisible
         out = verify_sources(named)
         assert codes(out) == ["rank-divergent-collective"]
         assert out[0].line == 6                   # at the branch
@@ -113,7 +114,6 @@ class TestCatchesWhatLintMisses:
 
     def test_divergent_collective_two_helpers_deep(self):
         named = [("repro/core/x.py", TWO_DEEP)]
-        assert lint_sources(named) == []
         out = verify_sources(named)
         assert codes(out) == ["rank-divergent-collective"]
         assert "bcast" in out[0].message
@@ -128,7 +128,6 @@ class TestCatchesWhatLintMisses:
                 if leader(comm):
                     comm.barrier()
         """))]
-        assert lint_sources(named) == []
         assert codes(verify_sources(named)) == [
             "rank-divergent-collective"
         ]
@@ -143,13 +142,11 @@ class TestCatchesWhatLintMisses:
             def body(comm):
                 guarded(comm, comm.rank)
         """))]
-        assert lint_sources(named) == []
         assert codes(verify_sources(named)) == [
             "rank-divergent-collective"
         ]
 
     def test_unmatched_send_two_helpers_and_a_module_away(self):
-        assert lint_sources(UNMATCHED_2DEEP) == []
         out = verify_sources(UNMATCHED_2DEEP)
         assert codes(out) == ["unmatched-send"]
         assert out[0].path == "repro/core/proto.py"
@@ -161,7 +158,6 @@ class TestCatchesWhatLintMisses:
                 for _ in range(comm.rank):
                     comm.barrier()
         """))]
-        assert lint_sources(named) == []
         assert codes(verify_sources(named)) == [
             "rank-divergent-collective"
         ]
@@ -194,7 +190,7 @@ class TestPrecision:
     def test_collective_results_launder_taint(self):
         # allgather/bcast/allreduce results are uniform by construction,
         # so branching on them is fine even though the argument is
-        # rank-local (the per-file lint false-positives here)
+        # rank-local
         out = verify_source(src("""
             def body(comm):
                 counts = comm.allgather(comm.rank)
@@ -290,18 +286,9 @@ class TestUnmatchedRecvAndSuppression:
         """))
         assert out == []
 
-    def test_stale_shared_pragma_reported_by_verify_not_lint(self):
-        # rank-divergent-ok suppressing nothing: lint stays silent
-        # (verify owns shared codes), verify flags it
-        named = [("repro/core/x.py", "x = 1  # spmd: rank-divergent-ok\n")]
-        assert lint_sources(named) == []
-        out = verify_sources(named)
-        assert codes(out) == ["unused-pragma"]
-        assert "rank-divergent-ok" in out[0].message
-
     def test_used_pragma_of_either_tool_not_reported(self):
-        # the pragma suppresses a *lint* finding only; verify must see
-        # that usage and not call it stale
+        # the pragma suppresses a per-file finding only; the whole-program
+        # half must see that usage and not call it stale
         out = verify_sources([("repro/sparse/spgemm.py", src("""
             def kernel(rows):
                 for r in rows:  # spmd: hot-loop-ok (reference)
@@ -315,6 +302,89 @@ class TestUnmatchedRecvAndSuppression:
 
 
 # ---------------------------------------------------------------------------
+# fault corpus: text mutants of the shipped SPMD source
+# ---------------------------------------------------------------------------
+
+_SPMD_FILES = (
+    "core/distributed.py", "core/balance.py", "core/exchange.py",
+    "sparse/summa.py",
+    # what those four import comm objects and block layouts from
+    "mpisim/grid.py", "sparse/distmat.py",
+)
+
+_RANK_GUARDED_BARRIER = "    if {0}.rank == 0:\n        {0}.barrier()\n"
+
+#: name -> (file, anchor text, replacement, the one code it must yield);
+#: ``{anchor}`` in a replacement keeps the anchor, so the mutant inserts
+_MUTANTS = {
+    "divergent-barrier-depth0-pastis_rank": (
+        "core/distributed.py", "    n = index.total\n",
+        "{anchor}" + _RANK_GUARDED_BARRIER.format("comm"),
+        "rank-divergent-collective"),
+    "divergent-barrier-depth1-block_pairs": (
+        "core/distributed.py",
+        '    reference = config.kernel == "semiring"\n',
+        _RANK_GUARDED_BARRIER.format("comm") + "{anchor}",
+        "rank-divergent-collective"),
+    "divergent-barrier-depth2-summa": (
+        "sparse/summa.py", "    inner_ranges = block_ranges(a.ncols, q)\n",
+        "{anchor}" + _RANK_GUARDED_BARRIER.format("grid.comm"),
+        "rank-divergent-collective"),
+    "allgather-in-rank-bounded-loop": (
+        "core/distributed.py", "    n = index.total\n",
+        "{anchor}    for _ in range(comm.rank):\n"
+        "        comm.allgather(n)\n",
+        "rank-divergent-collective"),
+    "rebal-irecv-removed": (
+        "core/balance.py", "comm.irecv(src, tag=_TAG_REBAL)", "None",
+        "unmatched-send"),
+    "rebal-tag-collides-with-exchange": (
+        "core/balance.py", "_TAG_REBAL = 77\n", "_TAG_REBAL = 55\n",
+        "duplicate-p2p-tag"),
+    "set-iterated-in-greedy_plan": (
+        "core/balance.py", "    for neg_cost, src, idx in pool:\n",
+        "    for neg_cost, src, idx in set(pool):\n",
+        "plan-nondeterminism"),
+    "bcast-of-a-module-constant": (
+        "core/balance.py", "    plan = greedy_plan(comm.allgather(costs))\n",
+        "    comm.bcast(_TAG_REBAL, root=0)\n{anchor}",
+        "redundant-collective"),
+    "per-element-isend-in-plan_and_ship": (
+        "core/balance.py", "    plan = greedy_plan(comm.allgather(costs))\n",
+        "{anchor}    for task in tasks:\n"
+        "        comm.isend(task, dest=0, tag=_TAG_REBAL)\n",
+        "per-element-send"),
+}
+
+
+@pytest.fixture(scope="module")
+def spmd_sources():
+    root = REPO_ROOT / "src" / "repro"
+    return dict(read_tree([root / rel for rel in _SPMD_FILES]))
+
+
+class TestFaultCorpus:
+    """The static slice of the tool x fault matrix: each fault seeded
+    into the *real* pipeline source is reported under its own code, and
+    under no other."""
+
+    def test_shipped_spmd_source_is_clean(self, spmd_sources):
+        assert verify_sources(list(spmd_sources.items())) == []
+
+    @pytest.mark.parametrize("name", sorted(_MUTANTS))
+    def test_mutant_yields_exactly_its_code(self, spmd_sources, name):
+        rel, anchor, replacement, code = _MUTANTS[name]
+        path = f"repro/{rel}"
+        source = spmd_sources[path]
+        assert source.count(anchor) == 1, f"anchor moved: {anchor!r}"
+        mutated = dict(spmd_sources)
+        mutated[path] = source.replace(
+            anchor, replacement.replace("{anchor}", anchor))
+        out = verify_sources(list(mutated.items()))
+        assert set(codes(out)) == {code}, [f.render() for f in out]
+
+
+# ---------------------------------------------------------------------------
 # substrate: index, resolution, call graph, op tables
 # ---------------------------------------------------------------------------
 
@@ -323,14 +393,12 @@ class TestSubstrate:
     def test_module_name_anchors_out_of_tree_paths(self):
         # absolute CLI arguments outside the installed tree must still
         # resolve imports: anchor at the first "repro" path component
-        from repro.analysis.callgraph import _module_name
-        from repro.analysis.lint import _module_name_of
+        from repro.analysis.callgraph import module_name as fn
 
-        for fn in (_module_name, _module_name_of):
-            assert fn("repro/core/balance.py") == "repro.core.balance"
-            assert fn("repro/core/__init__.py") == "repro.core"
-            assert (fn("/tmp/work/repro/demo/helpers.py")
-                    == "repro.demo.helpers")
+        assert fn("repro/core/balance.py") == "repro.core.balance"
+        assert fn("repro/core/__init__.py") == "repro.core"
+        assert (fn("/tmp/work/repro/demo/helpers.py")
+                == "repro.demo.helpers")
 
     def test_symbol_resolution_chain(self):
         index, graph, _ = build([
