@@ -20,21 +20,13 @@ shared memory).  Two scenario families:
   the wall clocks reported.
 * **Sanitizer overhead**: the alignment stage again on ``mp``, but with
   collective traffic inside the timed region (chunked alignment with a
-  progress allgather per chunk, like the stealing executor), run with
-  the runtime comm sanitizer off and on.  Gated: the sanitized stage
+  progress allgather per chunk), run with the runtime comm sanitizer
+  off and on.  Gated: the sanitized stage
   wall must stay within :data:`SANITIZER_OVERHEAD_GATE` (1.2x) of the
   bare stage — the fingerprint prelude is one extra small allgather per
   collective, and this scenario keeps that claim honest.  The gate is
   recorded as skipped when the bare stage is too fast to time reliably
   (< :data:`SANITIZER_MIN_WALL_S`).
-
-The alignment-stage scenario also gives :mod:`repro.perfmodel.calibrate`
-its first honest wall-clock target: the calibrated
-:class:`~repro.perfmodel.costmodel.AlignmentCostModel` (fitted from
-single-process engine runs) predicts each rank's stage seconds, and the
-artifact records predicted vs measured per backend — under ``mp`` on
-idle cores the ratio should approach 1, under ``sim`` it exposes exactly
-the GIL serialisation the cost model cannot see.
 
 Run with ``pytest benchmarks/bench_comm_backend.py -s`` or directly::
 
@@ -56,11 +48,9 @@ from repro.bio.alphabet import encode_sequence
 from repro.bio.fasta import FastaRecord
 from repro.bio.generate import make_family
 from repro.bio.sequences import SequenceStore
-from repro.core.balance import estimate_batch_cells
 from repro.core.config import PastisConfig
 from repro.core.distributed import run_pastis_distributed
 from repro.mpisim.backend import run_spmd
-from repro.perfmodel.calibrate import calibrate_alignment_model
 
 NRANKS = 4
 
@@ -106,25 +96,22 @@ def _rank_tasks(rank: int, npairs: int, length: int,
 def _align_stage_body(comm, npairs: int, length: int):
     """SPMD body: build this rank's tasks, fence, align, report.
 
-    Returns ``(stage_seconds, estimated_cells, ntasks, score_checksum)``
-    — the wall time covers only the aligned region between the barriers.
+    Returns ``(stage_seconds, score_checksum)`` — the wall time covers
+    only the aligned region between the barriers.
     """
     tasks = _rank_tasks(comm.rank, npairs, length)
-    cells = float(sum(estimate_batch_cells(tasks, MODE, K, XDROP, 1)))
     comm.barrier()
     t0 = time.perf_counter()
     results = align_batch(tasks, mode=MODE, k=K, xdrop=XDROP)
     wall = time.perf_counter() - t0
     comm.barrier()
-    checksum = int(sum(r.score for r in results))
-    return wall, cells, len(tasks), checksum
+    return wall, int(sum(r.score for r in results))
 
 
 def run_align_stage(npairs: int, length: int) -> tuple[dict, list[str]]:
     """Time the alignment stage on both backends; return (stats, failed
     gates)."""
     cores = available_cores()
-    model = calibrate_alignment_model(k=K, xdrop=XDROP)
     stats: dict = {"npairs_per_rank": npairs, "length": length,
                    "mode": MODE, "cores": cores}
     checksums = {}
@@ -135,22 +122,12 @@ def run_align_stage(npairs: int, length: int) -> tuple[dict, list[str]]:
             comm_backend=backend,
         )
         total = time.perf_counter() - t0
-        walls = [w for w, _, _, _ in res]
-        cells = [c for _, c, _, _ in res]
-        ntasks = [n for _, _, n, _ in res]
-        checksums[backend] = [s for _, _, _, s in res]
-        rate = model.cells_per_sec(MODE)
-        overhead = model.task_overhead(MODE)
-        predicted = max(
-            c / rate + n * overhead for c, n in zip(cells, ntasks)
-        )
-        measured = max(walls)
+        walls = [w for w, _ in res]
+        checksums[backend] = [s for _, s in res]
         stats[backend] = {
             "stage_walls_s": [round(w, 4) for w in walls],
-            "stage_wall_s": round(measured, 4),
+            "stage_wall_s": round(max(walls), 4),
             "run_total_s": round(total, 4),
-            "predicted_stage_wall_s": round(predicted, 4),
-            "measured_over_predicted": round(measured / predicted, 2),
         }
     speedup = stats["sim"]["stage_wall_s"] / max(
         stats["mp"]["stage_wall_s"], 1e-9
@@ -186,9 +163,9 @@ def run_align_stage(npairs: int, length: int) -> tuple[dict, list[str]]:
 def _chunked_stage_body(comm, npairs: int, length: int,
                         nchunks: int = 8):
     """SPMD body with collective traffic *inside* the timed region:
-    align in cost-chunks with a progress allgather per chunk (the shape
-    of the stealing executor), so the sanitizer's per-collective
-    fingerprint prelude is actually on the clock.
+    align in chunks with a progress allgather per chunk, so the
+    sanitizer's per-collective fingerprint prelude is actually on the
+    clock.
 
     Returns ``(stage_seconds, score_checksum)``.
     """
@@ -300,9 +277,7 @@ def _report_align(s: dict) -> None:
     for backend in ("sim", "mp"):
         b = s[backend]
         print(f"{backend:<4} stage wall {b['stage_wall_s']:>8.3f}s  "
-              f"(per rank {b['stage_walls_s']}; predicted "
-              f"{b['predicted_stage_wall_s']}s, measured/predicted "
-              f"{b['measured_over_predicted']}x)")
+              f"(per rank {b['stage_walls_s']})")
     gate = (f"gate >= {SPEEDUP_GATE}x" if s["gate_active"]
             else f"gate skipped: {s['gate_skipped']}")
     print(f"mp over sim: {s['speedup_mp_over_sim']:.2f}x ({gate})")

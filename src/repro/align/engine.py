@@ -27,13 +27,6 @@ Both produce results *byte-identical* to the per-pair Python reference
 (``engine="python"``) — a tested invariant, same contract as the overlap
 stage's ``kernel`` knob.  Lanes are sorted by size and processed in chunks
 so padding waste and peak memory stay bounded regardless of batch size.
-
-These engines are also the measurement substrate of the dynamic work
-stealer's calibrated cost model:
-:func:`repro.perfmodel.calibrate.calibrate_alignment_model` fits its
-per-mode cells/sec coefficients from timed batch runs through this
-module, and ``align_balance="steal"`` drives the engines chunk by chunk
-(trading a little lane-packing efficiency for mid-stage adaptivity).
 """
 
 from __future__ import annotations

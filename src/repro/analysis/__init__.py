@@ -2,7 +2,7 @@
 sanitizer.
 
 The pipeline's output rests on SPMD discipline — every rank executes the
-identical collective sequence and the balance/steal plans are bitwise
+identical collective sequence and the rebalance plan is bitwise
 deterministic across ranks — invariants the golden-obliviousness tests
 check only *after the fact*.  This package enforces them *before and
 during* the run, with one shared vocabulary of finding codes

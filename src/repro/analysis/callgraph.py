@@ -89,7 +89,7 @@ def module_name(rel_path: str) -> str:
 class FunctionInfo:
     """One function (or method, or nested def) of the indexed project."""
 
-    qualname: str              # e.g. "repro.core.balance.steal_align"
+    qualname: str              # e.g. "repro.core.balance.plan_and_ship"
     module: "ModuleInfo"
     node: ast.FunctionDef | ast.AsyncFunctionDef
     cls: str | None = None     # enclosing class name, if a method
@@ -153,7 +153,7 @@ class ModuleInfo:
     #: local qualifier ("f" or "Cls.f") -> function
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     #: local binding -> dotted target ("np" -> "numpy",
-    #: "steal_align" -> "repro.core.balance.steal_align")
+    #: "plan_and_ship" -> "repro.core.balance.plan_and_ship")
     imports: dict[str, str] = field(default_factory=dict)
     #: module-level integer constants (simple ``NAME = <int>`` assigns)
     constants: dict[str, int] = field(default_factory=dict)

@@ -24,10 +24,10 @@ analyzer, next to the schedule and comm-performance checks:
     The same p2p tag value — literal, or a module-level integer constant
     resolved through imports — bound to *different* protocols in
     different modules.  Tags are the only thing separating concurrently
-    in-flight protocols (sequence exchange 55, rebalance 77, steal
-    78/79, ...); a reused tag lets one protocol consume another's
-    messages.  Two modules sharing one imported constant are one
-    protocol and are never flagged.
+    in-flight protocols (sequence exchange 55, rebalance 77, ...); a
+    reused tag lets one protocol consume another's messages.  Two
+    modules sharing one imported constant are one protocol and are
+    never flagged.
 
 ``broad-except``
     ``except:`` / ``except Exception:`` handlers that neither re-raise

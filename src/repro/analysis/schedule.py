@@ -1,7 +1,7 @@
 """Static communication-schedule extraction and matching.
 
-For every SPMD entry point (the steal executor, the rebalance stage,
-the SUMMA k-loop, anything handed to ``run_spmd``), this pass collects
+For every SPMD entry point (the rebalance stage, the SUMMA k-loop,
+anything handed to ``run_spmd``), this pass collects
 the comm operations the entry's call closure performs **in program
 order**, then checks the two halves of the SPMD contract statically:
 
@@ -142,7 +142,7 @@ class P2pSite:
     #: tag arguments default to 0, as in the backend signatures);
     #: ("dyn",) when the tag is computed — matches anything
     tag: tuple
-    tag_label: str       # how the tag was written ("tag=STEAL_TAG", ...)
+    tag_label: str       # how the tag was written ("tag=_TAG_REBAL", ...)
     peer_class: str      # "constant" | "rank-derived" | "dynamic"
 
     @property

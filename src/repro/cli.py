@@ -10,7 +10,7 @@ Usage::
         [--align xd|sw] [--weight ani|ns] [--ck N] [--ranks 4]
         [--kernel struct|semiring]
         [--align-engine batched|python]
-        [--align-balance off|greedy|steal] [--steal-factor 1.5]
+        [--align-balance off|greedy]
         [--cluster families.tsv]
 
 Every flag maps onto one :class:`~repro.core.config.PastisConfig` field
@@ -38,6 +38,7 @@ from .core.config import (
     WEIGHTS,
     ConfigError,
     PastisConfig,
+    check_inflation,
     check_ranks,
 )
 from .core.distributed import run_pastis_distributed
@@ -93,17 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cross-rank alignment rebalancing (--ranks > 1): "
                    "'greedy' costs each rank's candidate pairs in DP "
                    "cells and ships tasks along one deterministic "
-                   "bin-pack plan; 'steal' additionally re-plans "
-                   "mid-stage from measured progress, stealing a "
-                   "projected straggler's largest pending tasks for the "
-                   "idle-soonest rank — byte-identical results either way")
-    p.add_argument("--steal-factor", type=float, default=1.5,
-                   help="stealing trigger (--align-balance steal): shed "
-                   "work when a rank's projected finish exceeds the "
-                   "fleet median by this factor (>= 1)")
-    p.add_argument("--steal-chunks", type=int, default=8,
-                   help="poll cadence of the stealing scheduler: chunks "
-                   "per rank between progress exchanges")
+                   "bin-pack plan — byte-identical results either way")
     p.add_argument("--comm-backend", choices=COMM_BACKENDS,
                    default=None,
                    help="SPMD substrate for --ranks > 1: 'sim' "
@@ -155,8 +146,6 @@ def config_from_args(args: argparse.Namespace) -> PastisConfig:
         kernel=args.kernel,
         align_engine=args.align_engine,
         align_balance=args.align_balance,
-        steal_factor=args.steal_factor,
-        steal_chunks=args.steal_chunks,
         **extra,
     )
 
@@ -197,6 +186,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = config_from_args(args)
         check_ranks(args.ranks)
+        check_inflation(args.inflation)
         for path in (args.output, args.cluster):
             if path:
                 _check_writable(path)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from ..core.config import check_inflation
 from ..core.graph import SimilarityGraph
 
 __all__ = ["MCLResult", "markov_clustering", "clusters_to_labels"]
@@ -64,9 +65,12 @@ def markov_clustering(
 ) -> MCLResult:
     """Cluster a similarity graph with MCL.
 
-    ``inflation`` controls granularity (higher -> finer clusters);
-    ``self_loops`` adds the customary diagonal so singletons are stable.
+    ``inflation`` controls granularity (higher -> finer clusters) and
+    must be a finite number > 1 (:class:`~repro.core.config.ConfigError`,
+    a ``ValueError``, otherwise); ``self_loops`` adds the customary
+    diagonal so singletons are stable.
     """
+    check_inflation(inflation)
     if isinstance(graph, SimilarityGraph):
         adj = graph.to_scipy()
     else:

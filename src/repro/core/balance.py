@@ -20,27 +20,15 @@ This module levels the triangles *deterministically*:
 :func:`plan_and_ship` is steps 2-3 as one SPMD stage, and
 :func:`align_and_drain` the align stage that consumes what it shipped.
 
-The static plan runs at the speed of its estimate: when measured
-throughput diverges from the a-priori DP-cell cost (long corridors that
-die early, a slow node, SW pairs that retire fast), the align stage still
-waits on the unluckiest rank.  :func:`steal_align` closes that gap with
-*dynamic* work stealing on top of the same codec: each rank aligns its
-plan in cost-sorted chunks, folds its measured cells/sec and
-remaining-cell count into a lightweight point-to-point progress exchange,
-and when :func:`steal_decision` projects a rank finishing later than the
-fleet median by a configurable factor, its largest pending tasks ship to
-the idle-soonest rank over the same flat-payload path.
-
 Edges stay where they are computed — rank 0 gathers them all anyway — and
 because an :class:`~repro.align.batch.AlignmentTask` is aligned identically
-wherever it runs, rebalancing (static or stolen) cannot perturb the golden
-obliviousness invariant (a tested guarantee).
+wherever it runs, rebalancing cannot perturb the golden obliviousness
+invariant (a tested guarantee).
 """
 
 from __future__ import annotations
 
 import time
-from bisect import insort
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -49,8 +37,6 @@ import numpy as np
 from ..align.batch import AlignmentTask
 
 __all__ = [
-    "PROGRESS_TAG",
-    "STEAL_TAG",
     "RebalancePlan",
     "align_and_drain",
     "decode_tasks",
@@ -59,8 +45,6 @@ __all__ = [
     "estimate_task_cells",
     "greedy_plan",
     "plan_and_ship",
-    "steal_align",
-    "steal_decision",
     "xdrop_corridor_width",
 ]
 
@@ -293,14 +277,13 @@ def plan_and_ship(
     comm,
     tasks: Sequence[AlignmentTask],
     costs: Sequence[int],
-) -> tuple[list[AlignmentTask], list[int], dict[int, object],
-           RebalancePlan, dict]:
+) -> tuple[list[AlignmentTask], list[int], dict[int, object], dict]:
     """Static rebalancing of one rank's tasks (SPMD body): one allgather
     shares the cost vectors, every rank computes the identical
     :func:`greedy_plan`, and surplus tasks ship point-to-point as flat
     :func:`encode_tasks` payloads.  Returns the retained tasks and their
     costs, the pending receives of the payloads shipped *to* this rank by
-    source (the align stage progresses them), the plan, and this rank's
+    source (the align stage progresses them), and this rank's
     ``pre_cells`` / ``post_cells`` / ``shipped_out`` / ``shipped_in``."""
     me = comm.rank
     plan = greedy_plan(comm.allgather(costs))
@@ -324,7 +307,7 @@ def plan_and_ship(
         "shipped_in": shipped_in,
     }
     retained_costs = [int(c) for c, d in zip(costs, dest) if d == me]
-    return retained, retained_costs, incoming, plan, stats
+    return retained, retained_costs, incoming, stats
 
 
 def align_and_drain(
@@ -334,15 +317,14 @@ def align_and_drain(
     align_fn: Callable[[list[AlignmentTask]], list],
     cost_fn: Callable[[list[AlignmentTask]], list[int]],
 ) -> tuple[list[tuple[AlignmentTask, object]], dict]:
-    """The static align stage of one rank: one batched ``align_fn`` call
+    """The align stage of one rank: one batched ``align_fn`` call
     for the local (retained) Fig.-11 triangle, then the ``incoming``
     receives of :func:`plan_and_ship` — an eager ``test()`` sweep aligns
     whatever has landed, and only when nothing has does the rank block in
     ``wait()`` on the lowest pending source.  Returns the ``(task,
     result)`` pairs plus the measured throughput; ``align_seconds`` times
-    *only* the engine calls — blocked communication waits would corrupt the
-    cells/sec numbers the calibration fit is reproduced from (as in
-    :func:`steal_align`)."""
+    *only* the engine calls, so a blocked communication wait never dilutes
+    the reported cells/sec."""
     aligned: list[tuple[AlignmentTask, object]] = []
     aligned_cells = 0.0
     align_seconds = 0.0
@@ -370,301 +352,3 @@ def align_and_drain(
         "align_seconds": align_seconds,
         "measured_cells_per_sec": rate,
     }
-
-
-# ---------------------------------------------------------------------------
-# dynamic work stealing
-# ---------------------------------------------------------------------------
-
-#: message tag of stolen-task payloads and per-rank done markers (distinct
-#: from the static plan's ``rebal`` tag and the sequence exchange)
-STEAL_TAG = 78
-#: message tag of the lightweight progress posts (remaining cells + rate)
-PROGRESS_TAG = 79
-
-#: relative tolerance below which a progress change is not worth a post
-_POST_EPS = 0.01
-
-
-def steal_decision(
-    remaining_cells: Sequence[float],
-    rates: Sequence[float],
-    rank: int,
-    factor: float,
-    min_cells: float = 0.0,
-) -> tuple[int, float] | None:
-    """Should ``rank`` shed work right now, and to whom?
-
-    ``remaining_cells[r]`` / ``rates[r]`` are the last-known remaining
-    DP-cell count and measured cells/sec of every rank (self included);
-    each rank's projected finish time is their ratio.  ``rank`` sheds when
-    its own projection exceeds ``factor`` times the fleet median — the
-    hysteresis that keeps a healthy fleet quiet — and the receiver is the
-    idle-soonest rank (minimum projected finish, lowest rank on ties).
-
-    Returns ``(dest, target_cells)`` where ``target_cells`` levels the two
-    ranks' projections (half the gap, converted at the victim's measured
-    rate), or ``None`` when no steal is warranted or the transferable
-    surplus is below ``min_cells`` (end-game thrash guard).  An infinite
-    ``factor`` disables stealing outright (chunked execution only — the
-    straggler benchmark's static baseline).
-    """
-    if not np.isfinite(factor):
-        return None
-    rem = np.asarray(remaining_cells, dtype=np.float64)
-    rts = np.maximum(np.asarray(rates, dtype=np.float64), 1e-12)
-    proj = rem / rts
-    mine = float(proj[rank])
-    if mine <= 0.0 or mine <= factor * float(np.median(proj)):
-        return None
-    dest = int(np.argmin(proj))
-    if dest == rank:
-        return None
-    target = (mine - float(proj[dest])) / 2.0 * float(rts[rank])
-    if target < min_cells:
-        return None
-    return dest, target
-
-
-@dataclass
-class _QueueItem:
-    """One pending task in the steal scheduler's cost-sorted queue."""
-
-    cost: int
-    seq: int        # arrival order, the deterministic tie-break
-    eligible: bool  # stolen tasks never re-ship (bounds task hops)
-    task: AlignmentTask
-
-
-def steal_align(
-    comm,
-    tasks: Sequence[AlignmentTask],
-    costs: Sequence[int],
-    align_fn: Callable[[list[AlignmentTask]], list],
-    cost_fn: Callable[[list[AlignmentTask]], list[int]],
-    initial_remaining: Sequence[float],
-    rate0: float,
-    factor: float = 1.5,
-    nchunks: int = 8,
-    static_incoming: Mapping[int, object] | None = None,
-) -> tuple[list[tuple[AlignmentTask, object]], dict]:
-    """Dynamically rebalanced alignment of one rank's plan (SPMD body).
-
-    Runs on every rank of ``comm`` simultaneously.  ``tasks`` / ``costs``
-    are the rank's statically planned share (eligible for stealing);
-    ``initial_remaining`` is the plan's per-rank post-cell vector, so every
-    rank starts from the same deterministic progress table with no extra
-    collective; ``rate0`` (calibrated cells/sec) seeds every projection
-    until measured chunks land.  ``static_incoming`` maps source ranks to
-    the pending :class:`~repro.mpisim.comm.Request`\\ s of the static
-    plan's shipped-task payloads; they are progressed with non-blocking
-    polls between chunks, exactly like the greedy stage does.
-
-    The loop per rank:
-
-    1. drain static-plan receives, progress posts, and the steal channel
-       (stolen tasks join the queue ineligible; done markers accumulate);
-    2. if the local projection exceeds the fleet median by ``factor``
-       (:func:`steal_decision`), ship the largest pending *eligible* tasks
-       — up to half the projection gap, always keeping one chunk at home —
-       to the idle-soonest rank as one flat :func:`encode_tasks` payload;
-    3. align the cheapest pending chunk (~1/``nchunks`` of the initial
-       load), fold the measured cells/sec into the running rate, and post
-       progress to all peers;
-    4. once the rank can never ship again (its eligible queue is empty and
-       every static payload has landed), it broadcasts one ``done`` marker;
-       a drained rank blocks on the steal channel until every peer's
-       marker arrived — per-channel FIFO guarantees any stolen tasks from
-       a peer are consumed before that peer's marker, so no task is ever
-       stranded;
-    5. after the loop each rank posts one final ``fin`` on the progress
-       channel and consumes peers' messages until every fin arrived:
-       progress posts trail the done markers (peers keep announcing while
-       aligning their own tail), and the fin is the FIFO high-water mark
-       that lets every rank drain them deterministically — the comm
-       sanitizer audits that no send is left unreceived at teardown.
-
-    Returns the ``(task, result)`` pairs aligned on this rank (stolen work
-    included — edges stay where they are computed) plus a stats dict with
-    stolen task/cell counts and the measured throughput
-    (``aligned_cells`` / ``align_seconds``), the numbers behind
-    ``graph.meta["align_balance"]`` and the straggler benchmark.
-    """
-    size, me = comm.size, comm.rank
-    peers = [r for r in range(size) if r != me]
-    remaining = np.asarray(initial_remaining, dtype=np.float64).copy()
-    if len(remaining) != size:
-        raise ValueError("initial_remaining must have one entry per rank")
-    rates = np.full(size, max(float(rate0), 1e-9), dtype=np.float64)
-    pending = dict(static_incoming or {})
-
-    queue: list[_QueueItem] = sorted(
-        (_QueueItem(int(cost), i, True, task)
-         for i, (task, cost) in enumerate(zip(tasks, costs))),
-        key=lambda e: (e.cost, e.seq),
-    )
-    seq = len(queue)
-    # cells of static-plan payloads still in flight toward this rank
-    inflight = float(remaining[me]) - float(sum(costs))
-    chunk_target = max(float(remaining[me]) / max(nchunks, 1), 1.0)
-
-    aligned: list[tuple[AlignmentTask, object]] = []
-    done_peers: set[int] = set()
-    fin_peers: set[int] = set()
-    sent_done = False
-    last_posted = float("nan")
-    cells_done = 0.0
-    align_seconds = 0.0
-    stats = {"stolen_out": 0, "stolen_in": 0, "stolen_cells_out": 0.0,
-             "chunks": 0}
-
-    def enqueue(new_tasks: list[AlignmentTask], eligible: bool) -> float:
-        nonlocal seq
-        new_costs = cost_fn(new_tasks)
-        for task, cost in zip(new_tasks, new_costs):
-            insort(queue, _QueueItem(int(cost), seq, eligible, task),
-                   key=lambda e: (e.cost, e.seq))
-            seq += 1
-        return float(sum(new_costs))
-
-    def handle_steal_msg(msg) -> None:
-        if msg[0] == "done":
-            done_peers.add(msg[1])
-        else:  # ("tasks", src, payload)
-            stolen = decode_tasks(msg[2])
-            remaining[me] += enqueue(stolen, eligible=False)
-            stats["stolen_in"] += len(stolen)
-            # announce the inflated load immediately: concurrent
-            # stragglers working from stale views would otherwise keep
-            # herding onto the same (formerly idle-soonest) rank, and
-            # stolen tasks can never re-ship to correct the pile-up
-            post_progress(force=True)
-
-    def post_progress(force: bool = False) -> None:
-        nonlocal last_posted
-        rem_me = float(remaining[me])
-        if not force and last_posted == last_posted:  # not NaN
-            if abs(rem_me - last_posted) <= _POST_EPS * chunk_target:
-                return
-        last_posted = rem_me
-        for p in peers:
-            comm.send(("prog", me, rem_me, float(rates[me])), dest=p,
-                      tag=PROGRESS_TAG, kind="steal")
-
-    while True:
-        # -- 1. drain every channel ------------------------------------
-        for src in sorted(pending):
-            ok, payload = pending[src].test()
-            if ok:
-                del pending[src]
-                inflight -= enqueue(decode_tasks(payload), eligible=True)
-        while True:
-            ok, msg = comm.tryrecv(tag=PROGRESS_TAG)
-            if not ok:
-                break
-            if msg[0] == "fin":
-                fin_peers.add(msg[1])
-                continue
-            _, src, rem, rate = msg
-            remaining[src] = rem
-            rates[src] = max(rate, 1e-9)
-        while True:
-            ok, msg = comm.tryrecv(tag=STEAL_TAG)
-            if not ok:
-                break
-            handle_steal_msg(msg)
-        qcells = float(sum(e.cost for e in queue))
-        remaining[me] = qcells + max(inflight, 0.0)
-
-        # -- 2. done marker: this rank can never ship tasks again ------
-        if (not sent_done and not pending
-                and not any(e.eligible for e in queue)):
-            for p in peers:
-                comm.send(("done", me), dest=p, tag=STEAL_TAG, kind="steal")
-            sent_done = True
-
-        # -- 3. shed work if we project as the straggler ---------------
-        if not sent_done and qcells > chunk_target:
-            decision = steal_decision(
-                remaining, rates, me, factor, min_cells=chunk_target
-            )
-            if decision is not None:
-                dest, target = decision
-                budget = min(target, qcells - chunk_target)
-                picked: list[_QueueItem] = []
-                picked_cells = 0.0
-                for item in reversed(queue):  # largest first
-                    if not item.eligible:
-                        continue
-                    if picked_cells + item.cost <= budget:
-                        picked.append(item)
-                        picked_cells += item.cost
-                if picked:
-                    chosen = {id(e) for e in picked}
-                    queue = [e for e in queue if id(e) not in chosen]
-                    comm.send(
-                        ("tasks", me,
-                         encode_tasks([e.task for e in picked])),
-                        dest=dest, tag=STEAL_TAG, kind="steal",
-                    )
-                    stats["stolen_out"] += len(picked)
-                    stats["stolen_cells_out"] += picked_cells
-                    remaining[me] -= picked_cells
-                    remaining[dest] += picked_cells
-                    post_progress()
-
-        # -- 4. align the cheapest chunk, or wait for more work --------
-        if queue:
-            chunk: list[_QueueItem] = []
-            chunk_cells = 0.0
-            while queue and (not chunk or chunk_cells < chunk_target):
-                item = queue.pop(0)
-                chunk.append(item)
-                chunk_cells += item.cost
-            # spmd: nondeterminism-ok (measured chunk rate: feeds the
-            # re-plan only through explicit progress messages, never a
-            # locally computed plan)
-            t0 = time.perf_counter()
-            results = align_fn([e.task for e in chunk])
-            dt = time.perf_counter() - t0  # spmd: nondeterminism-ok
-            aligned.extend(
-                (e.task, r) for e, r in zip(chunk, results)
-            )
-            cells_done += chunk_cells
-            align_seconds += dt
-            stats["chunks"] += 1
-            rates[me] = cells_done / max(align_seconds, 1e-9)
-            remaining[me] = max(remaining[me] - chunk_cells, 0.0)
-            post_progress(force=stats["chunks"] == 1)
-            continue
-        if pending:
-            src = min(pending)
-            inflight -= enqueue(
-                decode_tasks(pending.pop(src).wait()), eligible=True
-            )
-            continue
-        if len(done_peers) < len(peers):
-            handle_steal_msg(comm.recv(tag=STEAL_TAG))
-            continue
-        break
-
-    # -- 5. drain the progress channel -----------------------------------
-    # a done marker only promises "no more task shipments": peers keep
-    # posting progress while they align their own (ineligible) tail, so
-    # messages can still be in flight when the loop above ends.  Each
-    # rank posts one final ``fin`` after its loop, and per-channel FIFO
-    # makes it a high-water mark — once every peer's fin is in, every
-    # progress message ever sent to this rank has been consumed.
-    for p in peers:
-        comm.send(("fin", me), dest=p, tag=PROGRESS_TAG, kind="steal")
-    while len(fin_peers) < len(peers):
-        msg = comm.recv(tag=PROGRESS_TAG)
-        if msg[0] == "fin":
-            fin_peers.add(msg[1])
-
-    stats["aligned_cells"] = cells_done
-    stats["align_seconds"] = align_seconds
-    stats["measured_cells_per_sec"] = (
-        cells_done / align_seconds if align_seconds > 0 else 0.0
-    )
-    return aligned, stats

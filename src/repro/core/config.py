@@ -25,6 +25,7 @@ __all__ = [
     "WEIGHTS",
     "ConfigError",
     "PastisConfig",
+    "check_inflation",
     "check_ranks",
 ]
 
@@ -36,12 +37,12 @@ ALIGN_MODES = ("xd", "sw")
 WEIGHTS = ("ani", "ns")
 KERNELS = ("struct", "semiring")
 ALIGN_ENGINES = ("batched", "python")
-ALIGN_BALANCE_MODES = ("off", "greedy", "steal")
+ALIGN_BALANCE_MODES = ("off", "greedy")
 
 
 class ConfigError(ValueError):
-    """Invalid :class:`PastisConfig` value or rank count, raised at
-    construction time — before any rank is spawned."""
+    """Invalid :class:`PastisConfig` value, rank count or MCL inflation,
+    raised at construction time — before any rank is spawned."""
 
 
 def check_ranks(nranks: int) -> None:
@@ -51,6 +52,16 @@ def check_ranks(nranks: int) -> None:
         raise ConfigError(
             "ranks must be a positive perfect square (1, 4, 9, ...), "
             f"got {nranks}"
+        )
+
+
+def check_inflation(inflation: float) -> None:
+    """Raise :class:`ConfigError` unless the MCL ``inflation`` is a finite
+    number > 1: at 1 the inflation step is the identity, below it the
+    iteration smears clusters together, and NaN never converges."""
+    if not (math.isfinite(inflation) and inflation > 1):
+        raise ConfigError(
+            f"inflation must be a finite number > 1, got {inflation}"
         )
 
 
@@ -114,26 +125,10 @@ class PastisConfig:
         * ``"greedy"`` costs every task in DP cells, computes one
           identical greedy bin-pack plan on all ranks
           (:mod:`repro.core.balance`), and ships tasks so no rank waits
-          on the unluckiest triangle;
-        * ``"steal"`` starts from the same static plan, then re-plans
-          mid-stage: ranks align in cost-sorted chunks, exchange measured
-          progress, and a projected straggler's largest pending tasks are
-          stolen by the idle-soonest rank — robust to cost-model
-          mis-estimates (a slow node, corridors dying early).  The
-          cells/sec seed comes from a calibrated cost model
-          (:func:`repro.perfmodel.calibrate.calibrate_alignment_model`),
-          persisted under ``graph.meta["align_balance"]["calibration"]``.
+          on the unluckiest triangle.
 
-        The graph is byte-identical in every mode (a tested invariant —
+        The graph is byte-identical in both modes (a tested invariant —
         rebalancing moves work, never changes it).
-    steal_factor:
-        Stealing trigger (``align_balance="steal"`` only): a rank sheds
-        work when its projected finish time exceeds the fleet median by
-        this factor.  Must be >= 1; larger values steal later.
-    steal_chunks:
-        Poll cadence of the stealing scheduler: each rank splits its
-        statically planned load into this many cost-sorted chunks and
-        re-evaluates progress/stealing between chunks.
     comm_backend:
         SPMD substrate of the distributed pipeline
         (:func:`repro.mpisim.backend.run_spmd`):
@@ -178,8 +173,6 @@ class PastisConfig:
     kernel: str = "struct"
     align_engine: str = "batched"
     align_balance: str = "off"
-    steal_factor: float = 1.5
-    steal_chunks: int = 8
     comm_backend: str = field(default_factory=_default_comm_backend)
     comm_sanitize: bool = field(default_factory=_default_comm_sanitize)
 
@@ -193,9 +186,7 @@ class PastisConfig:
         if self.align_engine not in ALIGN_ENGINES:
             raise ConfigError("align_engine must be 'batched' or 'python'")
         if self.align_balance not in ALIGN_BALANCE_MODES:
-            raise ConfigError(
-                "align_balance must be 'off', 'greedy', or 'steal'"
-            )
+            raise ConfigError("align_balance must be 'off' or 'greedy'")
         if self.weight not in WEIGHTS:
             raise ConfigError("weight must be 'ani' or 'ns'")
         if not 1 <= self.k <= MAX_K:
@@ -218,10 +209,6 @@ class PastisConfig:
                     f"{name} must be a fraction in [0, 1], "
                     f"got {getattr(self, name)}"
                 )
-        if self.steal_factor < 1.0:
-            raise ConfigError("steal_factor must be >= 1.0")
-        if self.steal_chunks < 1:
-            raise ConfigError("steal_chunks must be positive")
         if self.comm_backend not in COMM_BACKENDS:
             raise ConfigError(
                 f"comm_backend must be one of {', '.join(COMM_BACKENDS)}"

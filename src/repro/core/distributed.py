@@ -21,11 +21,8 @@ Every stage executed SPMD over the simulated MPI runtime:
    every rank costs its tasks in DP cells and ships its surplus along one
    deterministic plan (:func:`repro.core.balance.plan_and_ship`);
 9. local alignments and the similarity filter, progressing the shipped
-   tasks' receives meanwhile (:func:`repro.core.balance.align_and_drain`);
-   ``align_balance="steal"`` re-plans mid-flight from measured progress
-   instead (:func:`repro.core.balance.steal_align`), seeded by a
-   calibrated cells/sec cost model.  Edges stay where they are computed
-   and are gathered on rank 0.
+   tasks' receives meanwhile (:func:`repro.core.balance.align_and_drain`).
+   Edges stay where they are computed and are gathered on rank 0.
 
 Per-stage wall times are recorded under the component names of the paper's
 dissection plots (:data:`STAGES`); the schema is identical across variants
@@ -50,12 +47,7 @@ from ..mpisim.grid import ProcessGrid
 from ..mpisim.tracing import CommTracer
 from ..sparse.distmat import DistSparseMatrix
 from ..sparse.summa import summa
-from .balance import (
-    align_and_drain,
-    estimate_batch_cells,
-    plan_and_ship,
-    steal_align,
-)
+from .balance import align_and_drain, estimate_batch_cells, plan_and_ship
 from .config import PastisConfig, check_ranks
 from .graph import SimilarityGraph
 from .overlap import (
@@ -101,9 +93,7 @@ class RankResult:
 
     ``rebalance`` (populated when ``config.align_balance != "off"``)
     records this rank's pre/post DP-cell load, shipped task counts, and
-    the measured align throughput (``aligned_cells`` / ``align_seconds``);
-    the ``steal`` mode adds stolen in/out counts, the chunk count, and the
-    calibrated cost-model coefficients.
+    the measured align throughput (``aligned_cells`` / ``align_seconds``).
     """
 
     edges: list[tuple[int, int, float]]
@@ -136,26 +126,6 @@ def _ck_packable(comm: CommBackend, *value_arrays) -> bool:
         if len(arr):
             local = max(local, int(np.asarray(arr).max()))
     return comm.allreduce(local, max) < int(CK_DIST_LIMIT)
-
-
-def _calibrated_model(comm: CommBackend, config: PastisConfig):
-    """The cells/sec cost model that seeds the steal executor's projected
-    finish times: rank 0 measures real engine runs once, then broadcasts."""
-    model = None
-    if comm.rank == 0:
-        # deferred import: perfmodel.calibrate reaches back into
-        # core.balance, so a top-level import would be circular
-        from ..perfmodel.calibrate import calibrate_alignment_model
-
-        model = calibrate_alignment_model(
-            scoring=config.scoring,
-            gap_open=config.gap_open,
-            gap_extend=config.gap_extend,
-            xdrop=config.xdrop,
-            k=config.k,
-            traceback=config.needs_traceback,
-        )
-    return comm.bcast(model, root=0)
 
 
 def block_pairs(
@@ -301,8 +271,8 @@ def pastis_rank(
     )
 
     # -- 8. cross-rank alignment rebalancing: ragged triangles make the
-    # align stage run at the speed of the unluckiest rank, so "greedy" and
-    # "steal" level the DP-cell loads along one static plan
+    # align stage run at the speed of the unluckiest rank, so "greedy"
+    # levels the DP-cell loads along one static plan
     cost_fn = partial(
         estimate_batch_cells, mode=config.align_mode, k=config.k,
         xdrop=config.xdrop, gap_extend=config.gap_extend,
@@ -310,29 +280,17 @@ def pastis_rank(
     costs, incoming, rebalance = [], {}, None
     if config.align_balance != "off":
         with _timed(timings, "rebal."):
-            tasks, costs, incoming, plan, rebalance = plan_and_ship(
+            tasks, costs, incoming, rebalance = plan_and_ship(
                 comm, tasks, cost_fn(tasks)
             )
-            if config.align_balance == "steal":
-                model = _calibrated_model(comm, config)
-                rebalance["calibration"] = model.as_dict()
 
     # -- 9. alignment + filter; shipped-task receives are progressed while
-    # the local lanes align, and "steal" additionally re-plans mid-flight
+    # the local lanes align
     with _timed(timings, "align"):
-        align_fn = partial(align_batch, **align_kwargs(config))
-        if config.align_balance == "steal":
-            aligned, stats = steal_align(
-                comm, tasks, costs, align_fn=align_fn, cost_fn=cost_fn,
-                initial_remaining=plan.post_cells,
-                rate0=model.cells_per_sec(config.align_mode),
-                factor=config.steal_factor, nchunks=config.steal_chunks,
-                static_incoming=incoming,
-            )
-        else:
-            aligned, stats = align_and_drain(
-                tasks, costs, incoming, align_fn, cost_fn
-            )
+        aligned, stats = align_and_drain(
+            tasks, costs, incoming,
+            partial(align_batch, **align_kwargs(config)), cost_fn,
+        )
         if rebalance is not None:
             rebalance.update(stats)
         edges = edges_from_alignments(aligned, config)
@@ -364,11 +322,10 @@ def run_pastis_distributed(
     :data:`OVERLAP_STAGES` sum and ``align`` stage), per-rank timing
     dissections — the data behind the Fig. 15/16-style
     component plots — and (when rebalancing ran)
-    ``meta["align_balance"]``: per-rank pre/post DP-cell loads, measured
-    align throughput (``aligned_cells`` / ``align_seconds`` /
-    ``measured_cells_per_sec``), and for ``"steal"`` the stolen-task
-    totals plus the calibrated cost-model coefficients.  ``s_triples``
-    optionally substitutes a precomputed ``S`` matrix.
+    ``meta["align_balance"]``: per-rank pre/post DP-cell loads and
+    measured align throughput (``aligned_cells`` / ``align_seconds`` /
+    ``measured_cells_per_sec``).  ``s_triples`` optionally substitutes a
+    precomputed ``S`` matrix.
     """
     config = config or PastisConfig()
     check_ranks(nranks)
@@ -393,18 +350,11 @@ def run_pastis_distributed(
             pre_cells=per_rank("pre_cells"),
             post_cells=per_rank("post_cells"),
             shipped_tasks=sum(per_rank("shipped_out")),
-            # measured (not estimated) per-rank alignment throughput — the
-            # reproducible inputs of the calibration fit
+            # measured (not estimated) per-rank alignment throughput
             aligned_cells=per_rank("aligned_cells"),
             align_seconds=per_rank("align_seconds"),
             measured_cells_per_sec=per_rank("measured_cells_per_sec"),
         )
-        if config.align_balance == "steal":
-            balance_meta.update(
-                stolen_tasks=sum(per_rank("stolen_out")),
-                chunks=per_rank("chunks"),
-                calibration=results[0].rebalance["calibration"],
-            )
     rank_timings = [r.timings for r in results]
     graph.meta.update(
         variant=config.variant_name,
@@ -422,8 +372,7 @@ def run_pastis_distributed(
     )
     if tracer is not None:
         # traced runs also persist the α–β comm calibration (memoised per
-        # process) and the projected comm seconds of the traced volume,
-        # next to the alignment calibration above
+        # process) and the projected comm seconds of the traced volume
         from ..perfmodel.calibrate import calibrate_comm_model  # no cycle
 
         backend = config.comm_backend

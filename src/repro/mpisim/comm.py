@@ -160,10 +160,10 @@ class SimComm(CommBackend):
         the first queued message matching ``(source, tag)`` as
         ``(True, payload)``, or report ``(False, None)`` without blocking.
 
-        This is how the dynamic alignment work stealer drains its progress
-        and stolen-task channels between DP chunks: repeated calls consume
-        every queued message of a channel, and an empty mailbox costs one
-        lock acquisition."""
+        This is what ``irecv(...).test()`` polls, so the align stage can
+        sweep its shipped-task receives without blocking: repeated calls
+        consume every queued message of a channel, and an empty mailbox
+        costs one lock acquisition."""
         be = self._backend
         box = be.mailboxes[self.rank]
         with be.cond:

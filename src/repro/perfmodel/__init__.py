@@ -2,13 +2,8 @@
 dataset statistics, the α–β component cost model, and per-figure series
 generators."""
 
-from .calibrate import (
-    calibrate_alignment_model,
-    calibrate_comm_model,
-    calibrate_local_machine,
-)
+from .calibrate import calibrate_comm_model, calibrate_local_machine
 from .costmodel import (
-    AlignmentCostModel,
     CommCostModel,
     ComponentTimes,
     alignment_time,
@@ -33,10 +28,8 @@ from .simulate import (
 from .workloads import PAPER_DATASETS, DatasetSpec, metaclust
 
 __all__ = [
-    "calibrate_alignment_model",
     "calibrate_comm_model",
     "calibrate_local_machine",
-    "AlignmentCostModel",
     "CommCostModel",
     "ComponentTimes",
     "alignment_time",

@@ -7,13 +7,6 @@ the real throughput of our own kernels — alignment cells/s, SpGEMM partial
 products/s, substitute generations/s, parse bytes/s — and assembles a
 :class:`~repro.perfmodel.machine.MachineSpec` describing the interpreter we
 are actually running on.
-
-:func:`calibrate_alignment_model` is the dynamic work stealer's companion:
-it runs real batches through the production alignment engine
-(:mod:`repro.align.engine`) and least-squares fits per-mode (XD / SW)
-cell-throughput and per-task-overhead coefficients, returning an
-:class:`~repro.perfmodel.costmodel.AlignmentCostModel` that converts the
-scheduler's estimated-DP-cell cost unit into projected wall time.
 """
 
 from __future__ import annotations
@@ -23,31 +16,27 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..align.batch import AlignmentTask, align_batch
 from ..align.smith_waterman import smith_waterman
 from ..align.xdrop import xdrop_align
-from ..bio.generate import make_family, random_protein
+from ..bio.generate import random_protein
 from ..bio.alphabet import encode_sequence
-from ..bio.scoring import BLOSUM62, ScoringMatrix
 from ..kmers.substitutes import substitute_kmers_batch
 from ..sparse.coo import COOMatrix
 from ..sparse.semiring import COUNTING
 from ..sparse.spgemm import spgemm_coo
 from ..mpisim.backend import run_spmd
 from ..mpisim.tracing import payload_bytes
-from .costmodel import AlignmentCostModel, CommCostModel
+from .costmodel import CommCostModel
 from .machine import MachineSpec
 
 __all__ = [
-    "calibrate_alignment_model",
     "calibrate_comm_model",
     "calibrate_local_machine",
 ]
 
 
 # spmd: nondeterminism-ok (wall-clock measurement is the whole point:
-# calibration runs once per process and distributed callers measure on
-# rank 0 and bcast the fitted model)
+# calibration runs once per process, outside any SPMD body)
 def _time(fn, *args, repeat: int = 3) -> float:
     best = float("inf")
     for _ in range(repeat):
@@ -55,28 +44,6 @@ def _time(fn, *args, repeat: int = 3) -> float:
         fn(*args)
         best = min(best, time.perf_counter() - t0)
     return best
-
-
-# ---------------------------------------------------------------------------
-# alignment-engine throughput fit (the work stealer's cost model)
-# ---------------------------------------------------------------------------
-
-#: memoised fits keyed by (scoring name, gap_open, gap_extend, xdrop, k):
-#: repeated distributed runs (tests, benchmarks) pay the engine runs once
-_MODEL_CACHE: dict[tuple, AlignmentCostModel] = {}
-
-
-def _calibration_tasks(
-    n: int, length: int, k: int, rng: np.random.Generator
-) -> list[AlignmentTask]:
-    """``n`` family-related pairs of ~``length`` residues with a seed at the
-    origin — realistic extension behaviour without fixture files."""
-    tasks = []
-    for _ in range(n):
-        a, b = (encode_sequence(s)
-                for s in make_family(2, length, divergence=0.15, rng=rng))
-        tasks.append(AlignmentTask(a=a, b=b, seeds=((0, 0),)))
-    return tasks
 
 
 def _fit_mode(points: list[tuple[float, int, float]]) -> tuple[float, float]:
@@ -92,72 +59,6 @@ def _fit_mode(points: list[tuple[float, int, float]]) -> tuple[float, float]:
     if c1 <= 0 or not np.isfinite(c1):
         return float(cells.sum() / max(secs.sum(), 1e-9)), 0.0
     return float(1.0 / c1), float(max(c2, 0.0))
-
-
-def calibrate_alignment_model(
-    scoring: ScoringMatrix = BLOSUM62,
-    gap_open: int = 11,
-    gap_extend: int = 1,
-    xdrop: int = 49,
-    k: int = 6,
-    traceback: bool = True,
-    seed: int = 0,
-    lengths: tuple[int, ...] = (48, 96),
-    batch_sizes: tuple[int, ...] = (2, 6),
-) -> AlignmentCostModel:
-    """Fit per-mode (XD / SW) cell-throughput coefficients from real
-    :mod:`repro.align.engine` batch runs.
-
-    For every ``(length, batch size)`` sample point, a batch of
-    family-related pairs is aligned on the production batched engine and
-    its wall time recorded against the *scheduler's* cost estimate
-    (:func:`repro.core.balance.estimate_batch_cells`); a least-squares fit
-    of ``seconds ≈ cells / rate + ntasks * overhead`` per mode yields the
-    coefficients.  ``traceback`` must match the pipeline's
-    ``needs_traceback`` — score-only SW (the NS weight) runs a
-    measurably different engine than traceback SW.  Cheap by construction
-    (small batches, fractions of a second total) and memoised per
-    scoring/gap/x-drop/k/traceback configuration, so in-pipeline
-    calibration costs the engine runs once per process.
-    """
-    from ..core.balance import estimate_batch_cells  # local: avoids cycle
-
-    # key on the matrix *contents*, not its display name: two matrices
-    # sharing a name must not collide on a stale fit
-    key = (scoring.matrix.tobytes(), int(gap_open), int(gap_extend),
-           int(xdrop), int(k), bool(traceback), int(seed),
-           tuple(lengths), tuple(batch_sizes))
-    cached = _MODEL_CACHE.get(key)
-    if cached is not None:
-        return cached
-    rng = np.random.default_rng(seed)
-    fits = {}
-    for mode in ("xd", "sw"):
-        points: list[tuple[float, int, float]] = []
-        for length in lengths:
-            for nbatch in batch_sizes:
-                tasks = _calibration_tasks(nbatch, length, k, rng)
-                cells = float(sum(estimate_batch_cells(
-                    tasks, mode, k, xdrop, gap_extend
-                )))
-                secs = _time(
-                    lambda t=tasks, m=mode: align_batch(
-                        t, mode=m, k=k, scoring=scoring, gap_open=gap_open,
-                        gap_extend=gap_extend, xdrop=xdrop,
-                        traceback=traceback, engine="batched",
-                    ),
-                    repeat=2,
-                )
-                points.append((cells, len(tasks), max(secs, 1e-9)))
-        fits[mode] = _fit_mode(points)
-    model = AlignmentCostModel(
-        xd_cells_per_sec=fits["xd"][0],
-        sw_cells_per_sec=fits["sw"][0],
-        xd_task_overhead=fits["xd"][1],
-        sw_task_overhead=fits["sw"][1],
-    )
-    _MODEL_CACHE[key] = model
-    return model
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from .machine import MachineSpec
 from .workloads import DatasetSpec
 
 __all__ = [
-    "AlignmentCostModel",
     "CommCostModel",
     "ComponentTimes",
     "pastis_components",
@@ -51,76 +50,6 @@ _XD_CORRIDOR = 25.0
 
 
 @dataclass(frozen=True)
-class AlignmentCostModel:
-    """Calibrated per-mode alignment throughput of *this* interpreter.
-
-    Unlike the literature-fitted :class:`~repro.perfmodel.machine.MachineSpec`
-    rates, these coefficients are fitted from real
-    :mod:`repro.align.engine` runs by
-    :func:`repro.perfmodel.calibrate.calibrate_alignment_model`: measured
-    batch wall times are regressed as
-
-        ``seconds ≈ cells / cells_per_sec + ntasks * task_overhead``
-
-    where ``cells`` is the *planning* estimate of
-    :func:`repro.core.balance.estimate_task_cells` — so the model maps the
-    scheduler's own cost unit to wall time, absorbing the average gap
-    between estimated and touched DP cells (corridors that die early, lane
-    packing efficiency).  The dynamic alignment work stealer uses it to
-    seed every rank's projected finish time before the first measured
-    chunk lands; the coefficients are persisted under
-    ``graph.meta["align_balance"]["calibration"]`` so runs are auditable.
-    """
-
-    #: fitted x-drop throughput, estimated corridor cells per second
-    xd_cells_per_sec: float
-    #: fitted Smith-Waterman throughput, full-matrix cells per second
-    sw_cells_per_sec: float
-    #: fitted per-task dispatch overhead of the x-drop engine (seconds)
-    xd_task_overhead: float = 0.0
-    #: fitted per-task dispatch overhead of the SW engine (seconds)
-    sw_task_overhead: float = 0.0
-
-    def cells_per_sec(self, mode: str) -> float:
-        """Fitted throughput of one alignment mode (``"xd"`` / ``"sw"``)."""
-        if mode == "sw":
-            return self.sw_cells_per_sec
-        if mode == "xd":
-            return self.xd_cells_per_sec
-        raise ValueError(f"unknown alignment mode {mode!r}")
-
-    def task_overhead(self, mode: str) -> float:
-        """Fitted per-task overhead seconds of one alignment mode."""
-        if mode == "sw":
-            return self.sw_task_overhead
-        if mode == "xd":
-            return self.xd_task_overhead
-        raise ValueError(f"unknown alignment mode {mode!r}")
-
-    def seconds(self, cells: float, ntasks: int, mode: str) -> float:
-        """Predicted wall time of aligning ``ntasks`` tasks totalling
-        ``cells`` estimated DP cells."""
-        return (
-            cells / max(self.cells_per_sec(mode), 1e-9)
-            + ntasks * self.task_overhead(mode)
-        )
-
-    def as_dict(self) -> dict:
-        """JSON-serialisable form (``graph.meta`` persistence)."""
-        return {
-            "xd_cells_per_sec": self.xd_cells_per_sec,
-            "sw_cells_per_sec": self.sw_cells_per_sec,
-            "xd_task_overhead": self.xd_task_overhead,
-            "sw_task_overhead": self.sw_task_overhead,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AlignmentCostModel":
-        """Inverse of :meth:`as_dict`."""
-        return cls(**d)
-
-
-@dataclass(frozen=True)
 class CommCostModel:
     """Calibrated α–β communication coefficients of one comm backend.
 
@@ -133,8 +62,8 @@ class CommCostModel:
     point-to-point decomposition the
     :class:`~repro.mpisim.tracing.CommTracer` records — so a traced
     volume multiplies straight into projected wall time.  Persisted
-    under ``graph.meta["commcost"]`` next to the PR-5 alignment
-    calibration and in :class:`~repro.perfmodel.machine.MachineSpec`.
+    under ``graph.meta["commcost"]`` and in
+    :class:`~repro.perfmodel.machine.MachineSpec`.
     """
 
     #: which comm backend the fit measured ("sim", "mp", "mpi")

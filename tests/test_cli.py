@@ -85,8 +85,8 @@ class TestCliSurface:
         help_text = build_parser().format_help()
         flags = (
             "--k", "--substitutes", "--ck", "--xdrop", "--min-identity",
-            "--min-coverage", "--ranks", "--steal-factor",
-            "--steal-chunks", "--cluster", "--inflation", "--output",
+            "--min-coverage", "--ranks", "--cluster", "--inflation",
+            "--output",
         ) + tuple(CHOICE_KNOBS)
         for flag in flags:
             assert flag in help_text, f"{flag} missing from --help"
@@ -121,8 +121,7 @@ class TestCliSurface:
         args = build_parser().parse_args(
             ["in.fa", "-o", "o.tsv", "--k", "5", "--substitutes", "7",
              "--ck", "3", "--xdrop", "25", "--min-identity", "0.4",
-             "--min-coverage", "0.8",
-             "--steal-factor", "2.5", "--steal-chunks", "4"]
+             "--min-coverage", "0.8"]
         )
         config = config_from_args(args)
         assert config.k == 5
@@ -131,14 +130,18 @@ class TestCliSurface:
         assert config.xdrop == 25
         assert config.min_identity == 0.4
         assert config.min_coverage == 0.8
-        assert config.steal_factor == 2.5
-        assert config.steal_chunks == 4
 
     def test_invalid_choice_rejected_by_parser(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["in.fa", "-o", "o.tsv", "--align-balance", "magic"]
-            )
+        for flags in (
+            ["--align-balance", "magic"],
+            # the deleted work stealer left no alias behind
+            ["--align-balance", "steal"],
+            ["--steal-factor", "2"],
+            ["--steal-chunks", "4"],
+        ):
+            with pytest.raises(SystemExit) as exc_info:
+                build_parser().parse_args(["in.fa", "-o", "o.tsv", *flags])
+            assert exc_info.value.code == 2
 
 
 class TestMain:
@@ -161,17 +164,6 @@ class TestMain:
               "--ranks", "4", "--quiet"])
         assert sorted(out1.read_text().splitlines()) == sorted(
             out4.read_text().splitlines()
-        )
-
-    def test_align_balance_steal_oblivious(self, fasta_file, tmp_path):
-        out_off = tmp_path / "eo.tsv"
-        out_steal = tmp_path / "es.tsv"
-        main([str(fasta_file), "-o", str(out_off), "--k", "4", "--quiet",
-              "--ranks", "4"])
-        main([str(fasta_file), "-o", str(out_steal), "--k", "4", "--quiet",
-              "--ranks", "4", "--align-balance", "steal"])
-        assert sorted(out_off.read_text().splitlines()) == sorted(
-            out_steal.read_text().splitlines()
         )
 
     def test_align_engine_oblivious(self, fasta_file, tmp_path):
@@ -366,6 +358,23 @@ class TestNamedErrors:
                                message):
         err = self._fails([str(fasta_file), *flags], capsys, tmp_path)
         assert message in err
+
+    @pytest.mark.parametrize("inflation", ["nan", "inf", "0", "-1", "1.0"])
+    def test_bad_inflation_fails_before_the_run(
+            self, fasta_file, capsys, tmp_path, monkeypatch, inflation):
+        def never(*_args, **_kwargs):
+            raise AssertionError("pipeline ran before the inflation check")
+
+        monkeypatch.setattr("repro.cli.run_pastis_distributed", never)
+        clusters = tmp_path / "c.tsv"
+        err = self._fails(
+            [str(fasta_file), "--cluster", str(clusters),
+             "--inflation", inflation], capsys, tmp_path)
+        assert err == (
+            "error: inflation must be a finite number > 1, "
+            f"got {float(inflation)}\n"
+        )
+        assert not clusters.exists()
 
     def test_empty_input(self, capsys, tmp_path):
         empty = tmp_path / "empty.fa"

@@ -74,6 +74,13 @@ class TestMCL:
         fine = markov_clustering(g, inflation=4.0)
         assert fine.n_clusters >= coarse.n_clusters
 
+    @pytest.mark.parametrize(
+        "inflation", [float("nan"), float("inf"), 0, -1, 1.0])
+    def test_bad_inflation_rejected(self, inflation):
+        # NaN used to run max_iterations rounds and return a clustering
+        with pytest.raises(ValueError, match="finite number > 1"):
+            markov_clustering(_clique_graph([3, 3]), inflation=inflation)
+
 
 class TestUnionFind:
     def test_basic(self):

@@ -4,7 +4,7 @@ that results are oblivious to the process count."""
 import numpy as np
 import pytest
 
-from repro.bio.generate import scope_like
+from repro.bio.generate import make_family, random_protein, scope_like
 from repro.bio.sequences import DistributedIndex, SequenceStore
 from repro.core.config import PastisConfig
 from repro.core.distributed import (
@@ -431,15 +431,27 @@ class TestAlignRebalancing:
         for t in g.meta["rank_timings"]:
             assert t["rebal."] == 0.0
 
-    def test_shipped_bytes_traced(self, data):
-        cfg = PastisConfig(k=4, substitutes=0, align_balance="greedy")
+    def test_shipped_bytes_traced(self):
+        # one dense family inside the first global-id block: on the 2x2
+        # grid every family pair lands in rank 0's triangle, so the plan
+        # has to ship (cells are deterministic — no wall-clock gate)
+        rng = np.random.default_rng(9)
+        seqs = make_family(12, 80, divergence=0.12, rng=rng)
+        seqs += [random_protein(80, rng) for _ in range(12)]
+        store = SequenceStore(seqs)
+        cfg = PastisConfig(align_balance="greedy")
         tracer = CommTracer()
-        g = run_pastis_distributed(
-            data.store, cfg, nranks=4, tracer=tracer
-        )
-        kinds = tracer.bytes_by_kind()
-        if g.meta["align_balance"]["shipped_tasks"] > 0:
-            assert kinds.get("rebal", 0) > 0
-            assert tracer.messages_by_kind()["rebal"] > 0
-        else:  # pragma: no cover - dataset always skews in practice
-            assert "rebal" not in kinds
+        g = run_pastis_distributed(store, cfg, nranks=4, tracer=tracer)
+        bal = g.meta["align_balance"]
+        assert set(bal) == {
+            "mode", "pre_cells", "post_cells", "shipped_tasks",
+            "aligned_cells", "align_seconds", "measured_cells_per_sec",
+        }
+        assert bal["shipped_tasks"] > 0
+        assert max(bal["post_cells"]) * 2 <= max(bal["pre_cells"])
+        # every planned cell is aligned where the plan put it
+        assert sum(bal["aligned_cells"]) == sum(bal["post_cells"])
+        assert tracer.bytes_by_kind()["rebal"] > 0
+        assert tracer.messages_by_kind()["rebal"] > 0
+        off = run_pastis_distributed(store, PastisConfig(), nranks=4)
+        assert _edge_list(g) == _edge_list(off)

@@ -74,11 +74,11 @@ def test_golden_oblivious(data, config):
 
     # process obliviousness: the distributed pipeline (whose AS stage runs
     # on the numeric path) serialises identically on every grid — with the
-    # cross-rank alignment rebalancer off, statically planned (greedy),
-    # and dynamically re-planned mid-stage (steal): rebalancing moves
-    # alignment work between ranks, never changes it
+    # cross-rank alignment rebalancer off and statically planned
+    # (greedy): rebalancing moves alignment work between ranks, never
+    # changes it
     for nranks in (1, 4, 9):
-        for balance in ("off", "greedy", "steal"):
+        for balance in ALIGN_BALANCE_MODES:
             got = edge_bytes(
                 run_pastis_distributed(
                     data.store, replace(config, align_balance=balance),

@@ -13,10 +13,8 @@ from repro.perfmodel import (
     CORI_KNL,
     PAPER_DATASETS,
     SCALING_NODES,
-    AlignmentCostModel,
     CommCostModel,
     alignment_time,
-    calibrate_alignment_model,
     calibrate_comm_model,
     calibrate_local_machine,
     fig12_variants,
@@ -305,32 +303,6 @@ class TestModelInternals:
         assert spec.spgemm_entries_per_sec > 0
         assert spec.substitutes_per_sec > 0
         assert spec.parse_bytes_per_sec > 0
-
-
-class TestAlignmentCostModel:
-    """The calibrated cost model of the dynamic alignment work stealer:
-    fitted from real :mod:`repro.align.engine` runs, persisted as a plain
-    dict in ``graph.meta``."""
-
-    @pytest.fixture(scope="class")
-    def model(self):
-        return calibrate_alignment_model(k=6)
-
-    def test_fitted_rates_positive_and_finite(self, model):
-        for mode in ("xd", "sw"):
-            rate = model.cells_per_sec(mode)
-            assert math.isfinite(rate) and rate > 0
-            assert model.task_overhead(mode) >= 0
-
-    def test_seconds_grow_with_cells_and_tasks(self, model):
-        assert model.seconds(2e6, 1, "xd") > model.seconds(1e6, 1, "xd")
-        assert model.seconds(1e6, 100, "xd") >= model.seconds(1e6, 1, "xd")
-
-    def test_meta_dict_roundtrip(self, model):
-        assert AlignmentCostModel.from_dict(model.as_dict()) == model
-
-    def test_memoised(self, model):
-        assert calibrate_alignment_model(k=6) is model
 
 
 class TestCommCostModel:
