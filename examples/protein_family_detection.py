@@ -60,9 +60,8 @@ def main() -> None:
         "    (the paper measures a factor 8.7x at s=25);\n"
         "  * at Metaclust scale the paper further shows CC precision\n"
         "    collapsing for s>0 (Table II) — this small sample is too\n"
-        "    clean for cross-family merges, so run\n"
-        "    benchmarks/bench_table2_connected_components.py for the\n"
-        "    harder configuration that exhibits it."
+        "    clean for cross-family merges; benchmarks/figures.py\n"
+        "    prints Table II on a harder configuration that exhibits it."
     )
 
 

@@ -55,8 +55,8 @@ def main() -> None:
 
     print(
         "\nNote: runtimes here are single-process Python; the paper's "
-        "Fig. 13 distributed-scale\ncomparison is regenerated by "
-        "benchmarks/bench_fig13_tool_comparison.py."
+        "Fig. 13 distributed-scale\ncomparison is printed by "
+        "benchmarks/figures.py."
     )
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import itertools
 import os
 import sys
 import time
@@ -175,18 +176,36 @@ def _check_writable(path: str) -> None:
     raise OSError(code, os.strerror(code), where)
 
 
+def _check_distinct(paths: dict[str, str | None]) -> None:
+    """Raise :class:`ConfigError` if two of the named paths are one file
+    (``samefile`` when both exist, else ``realpath`` equality): writing an
+    output would destroy the input or the other output."""
+    named = [(flag, path) for flag, path in paths.items() if path]
+    for (flag_a, a), (flag_b, b) in itertools.combinations(named, 2):
+        if os.path.exists(a) and os.path.exists(b):
+            same = os.path.samefile(a, b)
+        else:
+            same = os.path.realpath(a) == os.path.realpath(b)
+        if same:
+            raise ConfigError(f"{flag_a} and {flag_b} name the same file: {b}")
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code: 2, with ``error:
     <message>`` on stderr and nothing else printed, for a bad configuration
     (:class:`ConfigError`), an unusable input (:class:`FastaError`, or the
-    :class:`OSError` of a missing file or a directory) or an output path
-    that cannot be written — all before any rank does any work."""
+    :class:`OSError` of a missing file or a directory), an output path
+    that cannot be written, or two of input / ``-o`` / ``--cluster`` that
+    name one file — all before any rank does any work, and every check
+    but the input's own before the input is read."""
     args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
         config = config_from_args(args)
         check_ranks(args.ranks)
         check_inflation(args.inflation)
+        _check_distinct({"input": args.fasta, "-o": args.output,
+                         "--cluster": args.cluster})
         for path in (args.output, args.cluster):
             if path:
                 _check_writable(path)

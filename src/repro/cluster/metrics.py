@@ -79,7 +79,7 @@ def pairwise_metrics(
 ) -> PrecisionRecall:
     """Pair-counting precision/recall: of all same-cluster pairs, how many
     are same-family (precision); of all same-family pairs, how many are
-    same-cluster (recall).  A complementary view used by the ablations."""
+    same-cluster (recall).  A complementary view of the same clustering."""
     c = _normalize(cluster_labels)
     f = _normalize(family_labels)
     if len(c) != len(f):

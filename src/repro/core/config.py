@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from ..bio.scoring import BLOSUM62, ScoringMatrix
 from ..kmers.encoding import MAX_K
-from ..mpisim.backend import COMM_BACKENDS
+from ..mpisim.backend import COMM_BACKENDS, available_backends
 
 __all__ = [
     "ALIGN_BALANCE_MODES",
@@ -41,8 +41,9 @@ ALIGN_BALANCE_MODES = ("off", "greedy")
 
 
 class ConfigError(ValueError):
-    """Invalid :class:`PastisConfig` value, rank count or MCL inflation,
-    raised at construction time — before any rank is spawned."""
+    """Invalid :class:`PastisConfig` value, rank count, MCL inflation or
+    CLI path pair, raised at construction time — before any rank is
+    spawned."""
 
 
 def check_ranks(nranks: int) -> None:
@@ -140,7 +141,8 @@ class PastisConfig:
           shipped through shared memory: real multi-core wall-clock
           parallelism on one machine;
         * ``"mpi"`` — mpi4py adapter for genuinely distributed runs
-          (requires mpi4py and an ``mpirun`` launch).
+          (requires an ``mpirun`` launch; without mpi4py installed the
+          value is a :class:`ConfigError`).
 
         The graph is byte-identical across backends (a tested invariant).
         The default honours the ``REPRO_COMM_BACKEND`` environment
@@ -212,6 +214,13 @@ class PastisConfig:
         if self.comm_backend not in COMM_BACKENDS:
             raise ConfigError(
                 f"comm_backend must be one of {', '.join(COMM_BACKENDS)}"
+            )
+        usable = available_backends()
+        if self.comm_backend not in usable:
+            raise ConfigError(
+                f"comm_backend {self.comm_backend!r} is not available in "
+                f"this interpreter (mpi4py is not installed); available: "
+                f"{', '.join(usable)}"
             )
 
     @property

@@ -154,9 +154,9 @@ def calibrate_comm_model(
 def calibrate_local_machine(seed: int = 0, cores: int = 1) -> MachineSpec:
     """Measure this interpreter's kernel rates and return a MachineSpec.
 
-    Cheap by construction (fractions of a second per kernel); used by the
-    ablation benches to sanity-check the cost model against measured small
-    runs.
+    Cheap by construction (fractions of a second per kernel).  The local
+    counterpart of the fitted Cori specs: the rates to evaluate the cost
+    model with when judging it against runs measured on this machine.
     """
     rng = np.random.default_rng(seed)
     a = encode_sequence(random_protein(150, rng))

@@ -9,8 +9,9 @@ chosen so the model reproduces the paper's measured anchor magnitudes
 (e.g. ~774 s total for the 2.5M-sequence matrix stages at 64 KNL nodes,
 ~8000 s for the slowest variant on 0.5M sequences at one Haswell node) and
 therefore absorb memory traffic, load imbalance, MPI progression, and I/O
-contention — not just peak arithmetic.  EXPERIMENTS.md compares curve
-*shapes* (who wins, where crossovers fall, slopes), never absolute seconds.
+contention — not just peak arithmetic.  ``tests/test_perfmodel.py``
+checks curve *shapes* (who wins, where crossovers fall, slopes), never
+absolute seconds.
 
 Notable fitted values and where they come from:
 

@@ -1,10 +1,10 @@
 """Figure/table series generation on top of the cost model.
 
 One function per experiment of the paper's performance evaluation; each
-returns plain dict/array data that the corresponding benchmark target prints
-and EXPERIMENTS.md snapshots.  Node counts follow the paper: powers of four
-from 1 to 256 for the tool comparisons (Haswell), perfect squares from 64 to
-2025 for the scaling studies (KNL).
+returns plain dict/array data that ``benchmarks/figures.py`` prints and
+``tests/test_perfmodel.py`` checks for the paper's shapes.  Node counts
+follow the paper: powers of four from 1 to 256 for the tool comparisons
+(Haswell), perfect squares from 64 to 2025 for the scaling studies (KNL).
 """
 
 from __future__ import annotations

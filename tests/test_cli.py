@@ -3,6 +3,8 @@
 and every choice must round-trip into a validated
 :class:`~repro.core.config.PastisConfig`."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from repro.core.config import (
     PastisConfig,
 )
 from repro.core.graph import SimilarityGraph
+from repro.mpisim.backend import available_backends
 
 
 @pytest.fixture
@@ -65,15 +68,15 @@ class TestParser:
         assert args.align_engine == "batched"
 
 
-#: flag -> (PastisConfig field, canonical choice tuple) for every
-#: choice-valued knob family
+#: flag -> (PastisConfig field, the choices this interpreter accepts) for
+#: every choice-valued knob family
 CHOICE_KNOBS = {
     "--align": ("align_mode", ALIGN_MODES),
     "--weight": ("weight", WEIGHTS),
     "--kernel": ("kernel", KERNELS),
     "--align-engine": ("align_engine", ALIGN_ENGINES),
     "--align-balance": ("align_balance", ALIGN_BALANCE_MODES),
-    "--comm-backend": ("comm_backend", COMM_BACKENDS),
+    "--comm-backend": ("comm_backend", available_backends()),
 }
 
 
@@ -107,14 +110,16 @@ class TestCliSurface:
             assert getattr(config, field) == choice
 
     def test_parser_choices_match_config_validation(self):
-        """The parser's choices= and the config's __post_init__ accept
-        exactly the same values (neither can drift)."""
+        """The parser's choices= are the registered values and the
+        config's __post_init__ accepts every one this interpreter can
+        run (neither can drift)."""
         parser = build_parser()
         by_dest = {a.dest: a for a in parser._actions}
         for flag, (field, choices) in CHOICE_KNOBS.items():
             dest = flag.lstrip("-").replace("-", "_")
-            assert tuple(by_dest[dest].choices) == choices
-            for choice in choices:  # config accepts every parser choice
+            registered = COMM_BACKENDS if field == "comm_backend" else choices
+            assert tuple(by_dest[dest].choices) == registered
+            for choice in choices:  # config accepts every usable choice
                 PastisConfig(**{field: choice})
 
     def test_numeric_knobs_roundtrip(self):
@@ -343,6 +348,58 @@ class TestNamedErrors:
         monkeypatch.setenv("REPRO_COMM_BACKEND", "carrier-pigeon")
         err = self._fails([str(fasta_file)], capsys, tmp_path)
         assert "comm_backend must be one of" in err
+
+    @pytest.mark.parametrize("ranks", ["1", "4"])
+    def test_unavailable_backend(self, fasta_file, capsys, tmp_path,
+                                 monkeypatch, ranks):
+        """A registered backend this interpreter cannot run (mpi without
+        mpi4py) is a ConfigError, whether it comes from the flag or the
+        environment; with its library present the config accepts it."""
+        monkeypatch.setattr("repro.core.config.available_backends",
+                            lambda: ("sim", "mp"))
+        with pytest.raises(ConfigError, match="'mpi' is not available"):
+            PastisConfig(comm_backend="mpi")
+        err = self._fails([str(fasta_file), "--ranks", ranks,
+                           "--comm-backend", "mpi"], capsys, tmp_path)
+        assert "available: sim, mp" in err
+        monkeypatch.setenv("REPRO_COMM_BACKEND", "mpi")
+        err = self._fails([str(fasta_file), "--ranks", ranks],
+                          capsys, tmp_path)
+        assert "'mpi' is not available" in err
+        monkeypatch.setattr("repro.core.config.available_backends",
+                            lambda: ("sim", "mp", "mpi"))
+        assert PastisConfig().comm_backend == "mpi"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["{fa}", "-o", "{fa}"], "input and -o name the same file"),
+        (["{fa}", "-o", "{out}", "--cluster", "{out}"],
+         "-o and --cluster name the same file"),
+        (["{fa}", "-o", "{out}", "--cluster", "{fa}"],
+         "input and --cluster name the same file"),
+        # another name of the same file: a hard link (only samefile sees it)
+        (["{fa}", "-o", "{out}", "--cluster", "{alias}"],
+         "input and --cluster name the same file"),
+    ])
+    def test_outputs_never_overwrite_inputs(self, fasta_file, capsys,
+                                            tmp_path, monkeypatch, argv,
+                                            message):
+        def never(*_args, **_kwargs):
+            raise AssertionError("input read before the path check")
+
+        monkeypatch.setattr("repro.cli.read_fasta", never)
+        before = fasta_file.read_bytes()
+        alias = tmp_path / "alias.fa"
+        os.link(fasta_file, alias)
+        out = tmp_path / "edges.tsv"
+        rc = main([a.format(fa=fasta_file, out=out, alias=alias)
+                   for a in argv])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (2, "")
+        assert captured.err.startswith(f"error: {message}: ")
+        assert len(captured.err.splitlines()) == 1
+        assert fasta_file.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "alias.fa", "in.fasta"]
 
     @pytest.mark.parametrize("flags, message", [
         (["--k", "0"], "k must be between 1 and 13"),

@@ -275,6 +275,11 @@ class TestMeta:
         assert cc["predicted_comm_seconds"] > 0
         # the backend the run resolved to (REPRO_COMM_BACKEND moves it)
         assert cc["calibration"]["backend"] == cfg.comm_backend
+        # total traffic grows with the rank count (the sequence
+        # exchange's aggregate volume is 2n*sqrt(p) sequences)
+        tracer9 = CommTracer()
+        run_pastis_distributed(data.store, cfg, nranks=9, tracer=tracer9)
+        assert tracer9.total_bytes > tracer.total_bytes
 
 
 class TestCkThresholdParity:

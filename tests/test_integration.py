@@ -38,63 +38,71 @@ def hard_data():
     )
 
 
-def _run_pastis(data, subs, k=4, mode="xd", weight="ani"):
-    cfg = PastisConfig(k=k, substitutes=subs, align_mode=mode, weight=weight)
-    return pastis_pipeline(data.store, cfg)
+@pytest.fixture(scope="module")
+def run_pastis(hard_data):
+    """``run_pastis(subs, mode, weight)`` -> the graph on ``hard_data``;
+    each configuration runs once per module."""
+    graphs = {}
+
+    def run(subs, mode="xd", weight="ani"):
+        key = (subs, mode, weight)
+        if key not in graphs:
+            cfg = PastisConfig(k=4, substitutes=subs, align_mode=mode,
+                               weight=weight)
+            graphs[key] = pastis_pipeline(hard_data.store, cfg)
+        return graphs[key]
+
+    return run
+
+
+def _mcl_pr(graph, data):
+    return weighted_precision_recall(markov_clustering(graph).labels,
+                                     data.labels)
+
+
+def _cc_pr(graph, data):
+    labels, ncc = connected_components(graph)
+    return weighted_precision_recall(labels, data.labels), ncc
 
 
 class TestFig17Trends:
-    def test_substitutes_raise_recall(self, hard_data):
+    def test_substitutes_raise_recall(self, hard_data, run_pastis):
         """The Fig. 17 headline: more substitute k-mers -> higher recall
-        (after MCL clustering)."""
-        recalls = []
-        for subs in (0, 8):
-            g = _run_pastis(hard_data, subs)
-            mcl = markov_clustering(g)
-            pr = weighted_precision_recall(mcl.labels, hard_data.labels)
-            recalls.append(pr.recall)
-        assert recalls[1] >= recalls[0]
+        (after MCL clustering), monotone over the sweep."""
+        recalls = [_mcl_pr(run_pastis(subs), hard_data).recall
+                   for subs in (0, 4, 8)]
+        assert recalls == sorted(recalls)
 
-    def test_substitutes_increase_alignments(self, hard_data):
-        g0 = _run_pastis(hard_data, 0)
-        g8 = _run_pastis(hard_data, 8)
+    def test_substitutes_increase_alignments(self, run_pastis):
+        g0 = run_pastis(0)
+        g8 = run_pastis(8)
         assert g8.meta["aligned_pairs"] > g0.meta["aligned_pairs"]
 
-    def test_precision_recall_reasonable(self, hard_data):
-        g = _run_pastis(hard_data, 8)
-        mcl = markov_clustering(g)
-        pr = weighted_precision_recall(mcl.labels, hard_data.labels)
+    def test_precision_recall_reasonable(self, hard_data, run_pastis):
+        pr = _mcl_pr(run_pastis(8), hard_data)
         assert pr.precision > 0.6
         assert pr.recall > 0.4
 
-    def test_ns_weighting_viable(self, hard_data):
+    def test_ns_weighting_viable(self, hard_data, run_pastis):
         """Paper: "NS proves to be viable compared to the ANI score"
         (especially with XD) — its clustered quality is close."""
-        g_ani = _run_pastis(hard_data, 8, weight="ani")
-        g_ns = _run_pastis(hard_data, 8, weight="ns")
-        pr_ani = weighted_precision_recall(
-            markov_clustering(g_ani).labels, hard_data.labels
-        )
-        pr_ns = weighted_precision_recall(
-            markov_clustering(g_ns).labels, hard_data.labels
-        )
-        assert pr_ns.f1 > 0.5 * pr_ani.f1
+        for mode in ("xd", "sw"):
+            pr_ani = _mcl_pr(run_pastis(8, mode, weight="ani"), hard_data)
+            pr_ns = _mcl_pr(run_pastis(8, mode, weight="ns"), hard_data)
+            assert pr_ns.f1 > 0.5 * pr_ani.f1, mode
+            assert pr_ns.recall >= 0.5 * pr_ani.recall, mode
 
-    def test_ck_threshold_small_recall_loss(self, hard_data):
+    def test_ck_threshold_small_recall_loss(self, hard_data, run_pastis):
         """Paper: the CK threshold costs only a few points of recall while
         removing many alignments.  On this small synthetic set (sequences
         ~20x shorter than Metaclust's, hence far fewer shared k-mers per
         true pair) we use t=1 — the paper's exact-k-mer setting — rather
         than t=3."""
-        g = _run_pastis(hard_data, 8)
+        g = run_pastis(8)
         cfg_ck = PastisConfig(k=4, substitutes=8, common_kmer_threshold=1)
         g_ck = pastis_pipeline(hard_data.store, cfg_ck)
-        pr = weighted_precision_recall(
-            markov_clustering(g).labels, hard_data.labels
-        )
-        pr_ck = weighted_precision_recall(
-            markov_clustering(g_ck).labels, hard_data.labels
-        )
+        pr = _mcl_pr(g, hard_data)
+        pr_ck = _mcl_pr(g_ck, hard_data)
         assert g_ck.meta["aligned_pairs"] < g.meta["aligned_pairs"]
         # a bounded recall cost (the paper measures 2-3 points on
         # Metaclust-scale sequences; short synthetic proteins lose more
@@ -102,61 +110,58 @@ class TestFig17Trends:
         assert pr_ck.recall >= pr.recall - 0.25
         assert pr_ck.precision >= pr.precision - 0.05
 
-    def test_mmseqs_and_last_comparable(self, hard_data):
+    def test_mmseqs_and_last_comparable(self, hard_data, run_pastis):
         """All three tools should land in a comparable quality band on the
-        same data (the paper's Fig. 17 cloud)."""
-        g_p = _run_pastis(hard_data, 8)
-        g_m = mmseqs_search(hard_data.store,
-                            MMseqsConfig(k=4, sensitivity=5.7))
-        g_l = last_search(
-            hard_data.store,
-            LastConfig(max_initial_matches=100, min_seed_length=4),
-        )
-        f1s = {}
-        for name, g in (("pastis", g_p), ("mmseqs", g_m), ("last", g_l)):
-            mcl = markov_clustering(g)
-            f1s[name] = weighted_precision_recall(
-                mcl.labels, hard_data.labels
-            ).f1
-        assert all(f > 0.3 for f in f1s.values()), f1s
+        same data (the paper's Fig. 17 cloud), at every sensitivity /
+        max-initial-match setting of the baselines."""
+        graphs = {"pastis": run_pastis(8)}
+        for sens in (1.0, 5.7, 7.5):
+            graphs[f"mmseqs s={sens}"] = mmseqs_search(
+                hard_data.store, MMseqsConfig(k=4, sensitivity=sens))
+        for m in (50, 100, 300):
+            graphs[f"last m={m}"] = last_search(
+                hard_data.store,
+                LastConfig(max_initial_matches=m, min_seed_length=4),
+            )
+        prs = {name: _mcl_pr(g, hard_data) for name, g in graphs.items()}
+        for name, pr in prs.items():
+            assert pr.f1 > 0.3, (name, pr)
+            assert pr.precision > 0.3, (name, pr)
+            assert pr.recall > 0.15, (name, pr)
 
 
 class TestTable2Trends:
     """Connected components used directly as protein families."""
 
-    def test_cc_recall_grows_with_substitutes(self, hard_data):
-        recalls = []
-        for subs in (0, 8):
-            g = _run_pastis(hard_data, subs)
-            labels, _ = connected_components(g)
-            pr = weighted_precision_recall(labels, hard_data.labels)
-            recalls.append(pr.recall)
-        assert recalls[1] >= recalls[0]
+    def test_cc_recall_grows_with_substitutes(self, hard_data, run_pastis):
+        for mode in ("xd", "sw"):
+            recalls = [_cc_pr(run_pastis(subs, mode), hard_data)[0].recall
+                       for subs in (0, 4, 8)]
+            assert recalls == sorted(recalls), (mode, recalls)
 
-    def test_cc_precision_drops_with_substitutes(self, hard_data):
+    def test_cc_precision_drops_with_substitutes(self, hard_data,
+                                                 run_pastis):
         """Table II: "using substitute k-mers without clustering causes
-        substantial precision penalty" — components coalesce."""
-        precisions = []
-        ncomps = []
-        for subs in (0, 8):
-            g = _run_pastis(hard_data, subs)
-            labels, ncc = connected_components(g)
-            pr = weighted_precision_recall(labels, hard_data.labels)
-            precisions.append(pr.precision)
-            ncomps.append(ncc)
-        assert precisions[1] <= precisions[0]
-        assert ncomps[1] <= ncomps[0]
+        substantial precision penalty" — components coalesce; exact
+        k-mers without clustering stay precise."""
+        for mode in ("xd", "sw"):
+            runs = [_cc_pr(run_pastis(subs, mode), hard_data)
+                    for subs in (0, 4, 8)]
+            precisions = [pr.precision for pr, _ in runs]
+            ncomps = [ncc for _, ncc in runs]
+            assert precisions == sorted(precisions, reverse=True), (
+                mode, precisions)
+            assert ncomps == sorted(ncomps, reverse=True), (mode, ncomps)
+        assert _cc_pr(run_pastis(0), hard_data)[0].precision > 0.8
 
     def test_clustering_beats_cc_on_precision_with_substitutes(
-        self, hard_data
+        self, hard_data, run_pastis
     ):
         """Table II conclusion: "clustering is indispensable when
         substitute k-mers are used"."""
-        g = _run_pastis(hard_data, 8)
-        cc_labels, _ = connected_components(g)
-        mcl_labels = markov_clustering(g).labels
-        pr_cc = weighted_precision_recall(cc_labels, hard_data.labels)
-        pr_mcl = weighted_precision_recall(mcl_labels, hard_data.labels)
+        g = run_pastis(8)
+        pr_cc, _ = _cc_pr(g, hard_data)
+        pr_mcl = _mcl_pr(g, hard_data)
         assert pr_mcl.precision >= pr_cc.precision
 
 
@@ -165,11 +170,7 @@ class TestDistributedEndToEnd:
         cfg = PastisConfig(k=4, substitutes=4)
         g1 = pastis_pipeline(hard_data.store, cfg)
         g2 = run_pastis_distributed(hard_data.store, cfg, nranks=4)
-        pr1 = weighted_precision_recall(
-            markov_clustering(g1).labels, hard_data.labels
-        )
-        pr2 = weighted_precision_recall(
-            markov_clustering(g2).labels, hard_data.labels
-        )
+        pr1 = _mcl_pr(g1, hard_data)
+        pr2 = _mcl_pr(g2, hard_data)
         assert pr1.precision == pr2.precision
         assert pr1.recall == pr2.recall

@@ -71,107 +71,126 @@ class TestWorkloads:
         assert ds.alignments(25, ck=True) / ds.alignments(25) < 0.10
 
 
+#: the tool-comparison datasets of Figs. 12/13 and Table I
+COMPARISON_DATASETS = ("0.5M", "1M")
+
+
 class TestFig12:
     @pytest.fixture(scope="class")
-    def series(self):
-        return fig12_variants("0.5M")
+    def runs(self):
+        return [fig12_variants(ds) for ds in COMPARISON_DATASETS]
 
-    def test_xd_faster_than_sw(self, series):
-        for s in (0, 25):
-            for ck in ("", "-CK"):
-                sw = series[f"PASTIS-SW-s{s}{ck}"]
-                xd = series[f"PASTIS-XD-s{s}{ck}"]
-                assert all(x < w for x, w in zip(xd, sw))
+    def test_xd_faster_than_sw(self, runs):
+        for series in runs:
+            for s in (0, 25):
+                for ck in ("", "-CK"):
+                    sw = series[f"PASTIS-SW-s{s}{ck}"]
+                    xd = series[f"PASTIS-XD-s{s}{ck}"]
+                    assert all(x < w for x, w in zip(xd, sw))
 
-    def test_ck_faster(self, series):
-        for name in ("SW-s0", "SW-s25", "XD-s0", "XD-s25"):
-            base = series[f"PASTIS-{name}"]
-            ck = series[f"PASTIS-{name}-CK"]
-            assert all(c < b for c, b in zip(ck, base))
+    def test_ck_faster(self, runs):
+        for series in runs:
+            for name in ("SW-s0", "SW-s25", "XD-s0", "XD-s25"):
+                base = series[f"PASTIS-{name}"]
+                ck = series[f"PASTIS-{name}-CK"]
+                assert all(c < b for c, b in zip(ck, base))
 
-    def test_substitutes_slower(self, series):
-        assert all(
-            a > b for a, b in zip(series["PASTIS-XD-s25"],
-                                  series["PASTIS-XD-s0"])
-        )
+    def test_substitutes_slower(self, runs):
+        for series in runs:
+            assert all(
+                a > b for a, b in zip(series["PASTIS-XD-s25"],
+                                      series["PASTIS-XD-s0"])
+            )
 
-    def test_runtimes_decrease_with_nodes(self, series):
-        for vals in series.values():
-            assert all(a > b for a, b in zip(vals, vals[1:]))
+    def test_runtimes_decrease_with_nodes(self, runs):
+        for series in runs:
+            for vals in series.values():
+                assert all(a > b for a, b in zip(vals, vals[1:]))
 
-    def test_magnitude_matches_paper_axis(self, series):
-        # paper Fig. 12 axis spans ~8 to ~8081 seconds
+    def test_magnitude_matches_paper_axis(self, runs):
+        # paper Fig. 12 (0.5M) axis spans ~8 to ~8081 seconds
+        series = runs[0]
         assert 2000 < series["PASTIS-SW-s0"][0] < 20000
         assert series["PASTIS-XD-s0-CK"][-1] < 100
 
 
 class TestFig13:
     @pytest.fixture(scope="class")
-    def series(self):
-        return fig13_tools("0.5M")
+    def runs(self):
+        return [fig13_tools(ds) for ds in COMPARISON_DATASETS]
 
-    def test_mmseqs_wins_single_node(self, series):
-        assert series["MMseqs2-default"][0] < series["PASTIS-XD-s0-CK"][0]
+    def test_mmseqs_wins_single_node(self, runs):
+        for series in runs:
+            assert (series["MMseqs2-default"][0]
+                    < series["PASTIS-XD-s0-CK"][0])
 
-    def test_pastis_overtakes(self, series):
+    def test_pastis_overtakes(self, runs):
         # paper: "PASTIS-XD-s0-CK runs faster than MMseqs2 ... starting
         # around 16 nodes"; the crossover must exist and be <= 64 nodes
-        pastis = series["PASTIS-XD-s0-CK"]
-        mm = series["MMseqs2-default"]
-        cross = [n for n, a, b in zip(COMPARISON_NODES, pastis, mm) if a < b]
-        assert cross and min(cross) <= 64
+        for series in runs:
+            pastis = series["PASTIS-XD-s0-CK"]
+            mm = series["MMseqs2-default"]
+            cross = [n for n, a, b in zip(COMPARISON_NODES, pastis, mm)
+                     if a < b]
+            assert cross and min(cross) <= 64
 
-    def test_mmseqs_plateaus(self, series):
-        mm = series["MMseqs2-default"]
+    def test_mmseqs_plateaus(self, runs):
         # scaling stalls: 64 -> 256 nodes improves by < 25 %
-        assert mm[-1] > 0.75 * mm[-2]
+        for series in runs:
+            mm = series["MMseqs2-default"]
+            assert mm[-1] > 0.75 * mm[-2]
 
-    def test_mmseqs_sensitivity_ordering(self, series):
-        assert (
-            series["MMseqs2-low"][0]
-            < series["MMseqs2-default"][0]
-            < series["MMseqs2-high"][0]
-        )
+    def test_mmseqs_sensitivity_ordering(self, runs):
+        for series in runs:
+            assert (
+                series["MMseqs2-low"][0]
+                < series["MMseqs2-default"][0]
+                < series["MMseqs2-high"][0]
+            )
 
-    def test_mmseqs_high_scales_better(self, series):
+    def test_mmseqs_high_scales_better(self, runs):
         # "MMseqs2-high scales somewhat better as it is more compute-bound"
-        hi = series["MMseqs2-high"]
-        lo = series["MMseqs2-low"]
-        assert hi[0] / hi[-1] > lo[0] / lo[-1]
+        for series in runs:
+            hi = series["MMseqs2-high"]
+            lo = series["MMseqs2-low"]
+            assert hi[0] / hi[-1] > lo[0] / lo[-1]
 
-    def test_last_single_node_beats_mmseqs_variants(self, series):
+    def test_last_single_node_beats_mmseqs_variants(self, runs):
         # paper: "LAST's single-node performance is better than three
         # variants of MMseqs2"
-        assert series["LAST"][0] < series["MMseqs2-low"][0]
-        assert math.isnan(series["LAST"][1])
+        for series in runs:
+            assert series["LAST"][0] < series["MMseqs2-low"][0]
+            assert math.isnan(series["LAST"][1])
 
 
 class TestTable1:
     @pytest.fixture(scope="class")
-    def pct(self):
-        return table1_alignment_pct("0.5M")
+    def runs(self):
+        return [table1_alignment_pct(ds) for ds in COMPARISON_DATASETS]
 
-    def test_sw_higher_than_xd(self, pct):
-        for s in (0, 25):
-            sw = pct[f"PASTIS-SW-s{s}"]
-            xd = pct[f"PASTIS-XD-s{s}"]
-            assert all(a > b for a, b in zip(sw, xd))
+    def test_sw_higher_than_xd(self, runs):
+        for pct in runs:
+            for s in (0, 25):
+                sw = pct[f"PASTIS-SW-s{s}"]
+                xd = pct[f"PASTIS-XD-s{s}"]
+                assert all(a > b for a, b in zip(sw, xd))
 
-    def test_ck_lowers_percentage(self, pct):
-        assert all(
-            a < b for a, b in zip(pct["PASTIS-XD-s0-CK"], pct["PASTIS-XD-s0"])
-        )
+    def test_ck_lowers_percentage(self, runs):
+        for pct in runs:
+            for name in ("SW-s0", "SW-s25", "XD-s0"):
+                assert all(a < b for a, b in zip(pct[f"PASTIS-{name}-CK"],
+                                                 pct[f"PASTIS-{name}"]))
 
-    def test_percentages_valid(self, pct):
-        for vals in pct.values():
-            assert all(0 <= v <= 100 for v in vals)
+    def test_percentages_valid(self, runs):
+        for pct in runs:
+            for vals in pct.values():
+                assert all(0 <= v <= 100 for v in vals)
 
-    def test_grows_with_dataset_size(self):
+    def test_grows_with_dataset_size(self, runs):
         # "the percentage of time spent in alignment tends to increase
         # with increased number of sequences" (quadratic alignments vs
         # partially linear matrix work)
-        p05 = table1_alignment_pct("0.5M")["PASTIS-SW-s0"]
-        p1 = table1_alignment_pct("1M")["PASTIS-SW-s0"]
+        p05, p1 = (pct["PASTIS-SW-s0"] for pct in runs)
         assert p1[2] >= p05[2]
 
 
@@ -212,7 +231,7 @@ class TestFig14:
 class TestFig15:
     @pytest.fixture(scope="class")
     def diss(self):
-        return fig15_dissection(substitutes=(0, 25))
+        return fig15_dissection(substitutes=(0, 10, 25, 50))
 
     def test_fractions_sum_to_100(self, diss):
         for s, by_nodes in diss.items():
@@ -237,6 +256,8 @@ class TestFig15:
 
     def test_form_s_visible_with_substitutes(self, diss):
         assert diss[25][64]["form S"] > 10
+        for s in (10, 50):
+            assert diss[s][64]["form S"] > 5
 
     def test_spgemm_share_grows_with_nodes(self, diss):
         # "with increasing number of nodes, the percentage of time spent in
@@ -246,18 +267,20 @@ class TestFig15:
 
 class TestFig16:
     def test_all_components_decrease(self):
-        series = fig16_component_scaling(substitutes=0)
-        for name, vals in series.items():
-            assert all(a >= b for a, b in zip(vals, vals[1:])), name
+        for subs in (0, 25):
+            series = fig16_component_scaling(substitutes=subs)
+            for name, vals in series.items():
+                assert all(a >= b for a, b in zip(vals, vals[1:])), name
 
     def test_spgemm_least_scalable_major_component(self):
         # the paper: "the bottleneck for scalability seems to be the
         # SpGEMM operations"
-        series = fig16_component_scaling(substitutes=0)
-        spgemm_ratio = series["(AS)AT"][0] / series["(AS)AT"][-1]
-        for name in ("fasta", "form A", "wait"):
-            ratio = series[name][0] / max(series[name][-1], 1e-12)
-            assert spgemm_ratio <= ratio + 1e-9, name
+        for subs in (0, 25):
+            series = fig16_component_scaling(substitutes=subs)
+            spgemm_ratio = series["(AS)AT"][0] / series["(AS)AT"][-1]
+            for name in ("fasta", "form A", "wait"):
+                ratio = series[name][0] / max(series[name][-1], 1e-12)
+                assert spgemm_ratio <= ratio + 1e-9, (subs, name)
 
     def test_substitutes_components_present(self):
         series = fig16_component_scaling(substitutes=25)

@@ -93,6 +93,16 @@ class TestPipeline:
         g = pastis_pipeline(data.store, PastisConfig(k=4))
         g_ck = pastis_pipeline(data.store, PastisConfig(k=4).default_ck())
         assert g_ck.meta["aligned_pairs"] <= g.meta["aligned_pairs"]
+        # a higher threshold never aligns more pairs, with or without
+        # substitute k-mers
+        for subs in (0, 8):
+            aligned = [
+                pastis_pipeline(data.store, PastisConfig(
+                    k=4, substitutes=subs, common_kmer_threshold=t,
+                )).meta["aligned_pairs"]
+                for t in (None, 1, 2, 3)
+            ]
+            assert aligned == sorted(aligned, reverse=True), (subs, aligned)
 
     def test_meta_recorded(self, data):
         g = pastis_pipeline(data.store, PastisConfig(k=4))
