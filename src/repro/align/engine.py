@@ -17,11 +17,13 @@ Two wavefronts are implemented:
   are byte-identical; without it (the NS fast path) nothing is retained
   beyond a running per-lane maximum.
 * :func:`xdrop_extend_batch` — the gapped x-drop extension of
-  :mod:`repro.align.xdrop` with the co-propagated ``(matches, columns)``
+  :mod:`repro.align.xdrop` with the co-propagated ``(matches, length)``
   stats.  Lanes retire as soon as their corridor dies (every cell of a row
-  pruned).  Horizontal-gap chains are resolved exactly with a prefix
-  last-argmax scan; the pruning threshold uses the same running best as the
-  reference's row-major scan (see the proof sketch in ``_xdrop_chunk``).
+  pruned).  Horizontal-gap chains are resolved exactly with an int32
+  last-argmax mark scan inside the previous row's window, and in closed
+  form right of it, where only a decaying gap chain can live; the pruning
+  threshold uses the same running best as the reference's row-major scan
+  (see the proof sketch in ``_xdrop_chunk``).
 
 Both produce results *byte-identical* to the per-pair Python reference
 (``engine="python"``) — a tested invariant, same contract as the overlap
@@ -40,7 +42,8 @@ from .smith_waterman import _traceback_stats
 from .stats import AlignmentResult
 from .xdrop import ExtensionResult, assemble_seed_extension
 
-__all__ = ["align_batch_batched", "sw_batch", "xdrop_extend_batch"]
+__all__ = ["GAP_LIMIT", "align_batch_batched", "sw_batch",
+           "xdrop_extend_batch"]
 
 _NEG = -(10**9)
 
@@ -110,7 +113,7 @@ def _sw_chunk(pairs, idxs, scoring, gap_open, gap_extend, traceback, out):
     o = np.int32(gap_open)
     e = np.int32(gap_extend)
     # int32 throughout: identical values to the reference's int64 horizontal
-    # scan as long as score + j*extend stays in range, i.e. always
+    # scan as long as score + j*extend stays in range (see GAP_LIMIT)
     jidx = (np.arange(W) * int(e)).astype(np.int32)
     ocol = jidx[1:] + o
     jcol = np.arange(W, dtype=np.int64)
@@ -188,7 +191,9 @@ def sw_batch(
     traceback: bool = True,
 ) -> list[AlignmentResult]:
     """Smith-Waterman over a batch of encoded pairs, DP rows advanced in
-    every lane at once; byte-identical to per-pair :func:`smith_waterman`."""
+    every lane at once; byte-identical to per-pair :func:`smith_waterman`
+    (requires gap penalties of at most :data:`GAP_LIMIT`)."""
+    _check_gaps(gap_open, gap_extend)
     out: list[AlignmentResult | None] = [None] * len(pairs)
     lanes = []
     for idx, (a, b) in enumerate(pairs):
@@ -213,8 +218,30 @@ def sw_batch(
 # ---------------------------------------------------------------------------
 
 
-_XNEG = -(2**28)  # "dead" for int32 corridor state; sums never overflow
-_PACK = 2**31     # (matches, columns) packed as matches * _PACK + columns
+_XNEG = -(2**28)  # "dead" for int32 corridor state
+#: Largest ``gap_open`` / ``gap_extend`` the int32 wavefronts take (and
+#: :class:`~repro.core.config.PastisConfig` accepts).  With it a dead cell
+#: minus both penalties stays far above ``-2**31``, and a score plus
+#: ``column * gap_extend`` -- the horizontal scans' ``u``, whose running
+#: maximum is compared exactly -- stays below ``2**31`` for sequences up
+#: to ``2**18`` residues.
+GAP_LIMIT = 2**12
+#: an x-drop at least this wide prunes no score a real cell can reach, so
+#: larger values are clamped to it and the threshold stays above ``_XNEG``
+_XDROP_CAP = 2**27
+_STAT = 2**31  # (matches, diagonal steps) packed as matches * _STAT + steps
+
+
+def _check_gaps(gap_open: int, gap_extend: int) -> None:
+    """Raise ``ValueError`` for a gap penalty the int32 kernels cannot
+    represent exactly (see :data:`GAP_LIMIT`)."""
+    if max(gap_open, gap_extend) > GAP_LIMIT:
+        name, value = (("gap_open", gap_open) if gap_open > GAP_LIMIT
+                       else ("gap_extend", gap_extend))
+        raise ValueError(
+            f"{name} must be at most {GAP_LIMIT} for the int32 "
+            f"alignment kernels, got {value}"
+        )
 
 
 # spmd: hot-loop-ok (the wavefront design: one Python iteration per
@@ -223,185 +250,204 @@ _PACK = 2**31     # (matches, columns) packed as matches * _PACK + columns
 def _xdrop_chunk(pairs, idxs, xdrop, scoring, gap_open, gap_extend, out):
     """One lane chunk of the batched x-drop wavefront.
 
-    Exactness relative to the reference's row-major dict scan rests on two
-    facts about linear-affine gaps (``open >= 1``):
+    Exactness relative to the reference's row-major dict scan rests on
+    three facts about linear-affine gaps (``open >= 1``):
 
     * a horizontal gap never profitably restarts from a cell whose score is
-      itself horizontal-gap-derived, so ``E(j)`` is exactly the prefix
-      maximum of ``H0(j0) - open - (j - j0)*extend`` over the pre-gap
-      scores ``H0 = max(diagonal, vertical)``, and the reference's
-      ``eh >= ee`` tie rule is exactly "last argmax" of that prefix;
+      itself horizontal-gap-derived, so ``E(c)`` is exactly the prefix
+      maximum of ``u(c0) - open - c*extend`` over ``u = H0 + c*extend``,
+      where ``H0 = max(diagonal, vertical)`` is the pre-gap score, and the
+      reference's ``eh >= ee`` tie rule is exactly "last argmax" of that
+      prefix.  The last argmax is an int32 mark scan: mark the columns
+      where ``u`` equals its running maximum; the latest mark at or before
+      ``c`` is the argmax the reference restarts from.  Such a source is
+      never itself gap-won, and no gap-won cell is ever the first maximum
+      of its row;
     * any chain contribution that crosses a pruned cell sits strictly below
       the (monotone) pruning threshold at its destination, so computing the
-      prefix over *all* corridor cells — dead ones included — can change
-      neither the liveness, score, nor winning branch of a surviving cell.
+      prefix over *all* window cells -- dead ones included -- can change
+      neither the liveness, score, nor winning branch of a surviving cell;
+    * right of the previous row's last column nothing feeds a cell but the
+      gap chain ``R - open - c*extend``, with ``R`` the row's maximum of
+      ``u``.  Those tail cells never raise the running best (each lies
+      below a cell to its left), so their threshold is the fixed
+      ``max(best, row best) - xdrop`` and each lane's live tail length is
+      one integer division; their statistics are those of the last
+      argmax.
 
-    The running-best threshold of the reference is recovered per row from a
-    shifted prefix maximum of the freshly computed scores (pruned cells can
-    never raise the running best, so masking them first is unnecessary).
+    The running-best threshold of the reference is recovered per row from
+    an inclusive prefix maximum of the freshly computed scores (pruned
+    cells can never raise it, and including a cell's own score cannot
+    prune it since ``xdrop >= 0``).  Path statistics travel as ``(matches,
+    diagonal steps)``, which gap steps leave unchanged, so a gap-won cell
+    simply copies its source's; the alignment length is recovered at the
+    end as ``i + j - steps``.
 
     Like the reference, the wavefront only visits the live corridor: state
     is kept for the union of the lanes' live column windows, the next row
-    extends it by one diagonal step plus the maximal horizontal-gap reach
-    ``xdrop // extend`` (a live gap chain decays by ``extend`` per column
-    while the threshold never falls, and no pre-gap score can exceed the
-    running best at a later column), and lanes whose corridor died are
-    compacted away.  Lanes are ordered by descending row count so row
-    retirement is a pure prefix slice.
+    covers it plus one diagonal step, the closed-form tail appends the
+    live chain cells, and lanes whose corridor died are compacted away.
+    Lanes are ordered by descending row count so row retirement is a pure
+    prefix slice.
     """
     idxs = sorted(idxs, key=lambda i: -len(pairs[i][0]))
     L = len(idxs)
-    ns0 = np.array([len(pairs[i][0]) for i in idxs], dtype=np.int64)
-    ms0 = np.array([len(pairs[i][1]) for i in idxs], dtype=np.int64)
-    nmax = int(ns0.max())
-    Wg = int(ms0.max()) + 1
-    a_pad = np.zeros((L, nmax), dtype=np.intp)
-    b_pad = np.zeros((L, max(Wg - 1, 1)), dtype=np.intp)
+    ns = np.array([len(pairs[i][0]) for i in idxs], dtype=np.int64)
+    ms = np.array([len(pairs[i][1]) for i in idxs], dtype=np.int64)
+    nmax, mmax = int(ns.max()), int(ms.max())
+    # residue codes in the encoded (int8) dtype; b keeps one spare column
+    # for the diagonal step past the widest window
+    a_pad = np.zeros((L, nmax), dtype=np.int8)
+    b_pad = np.zeros((L, mmax + 1), dtype=np.int8)
     for t, i in enumerate(idxs):
-        a_pad[t, : ns0[t]] = pairs[i][0]
-        b_pad[t, : ms0[t]] = pairs[i][1]
-    cmat = scoring.matrix  # int32
+        a_pad[t, : ns[t]] = pairs[i][0]
+        b_pad[t, : ms[t]] = pairs[i][1]
+    nres = scoring.matrix.shape[1]
+    csub = scoring.matrix.ravel()  # int32, indexed by a * nres + b
+    # a diagonal step adds one step, and one match on identical residues
+    cinc = (np.eye(nres, dtype=np.int64) * _STAT + 1).ravel()
     o = int(gap_open)
     e = int(gap_extend)
-    xd = int(xdrop)
-    # a live horizontal chain cell at j needs a pre-gap source c with
-    # H0(c) - open - (j-c)*extend >= runbest(j) - xdrop and H0(c) <=
-    # runbest(j), so j - c <= (xdrop - open) / extend
-    reach = (max(0, xd - o) // e + 1) if e > 0 else Wg
+    xd = np.int32(min(int(xdrop), _XDROP_CAP))
     neg = np.int32(_XNEG)
+    fdead = np.int32(2 * _XNEG)  # below any dead diagonal
+    cols = np.arange(mmax + 2, dtype=np.int32)
+    ecol = cols * np.int32(e)
+    oecol = ecol + np.int32(o)
 
-    best = np.zeros(L, dtype=np.int64)
+    best = np.zeros(L, dtype=np.int32)
     best_i = np.zeros(L, dtype=np.int64)
     best_j = np.zeros(L, dtype=np.int64)
-    best_m = np.zeros(L, dtype=np.int64)
-    best_c = np.zeros(L, dtype=np.int64)
-
-    # (matches, columns) stat pairs travel packed in one int64 per cell:
-    # matches * _PACK + columns, so every branch select moves one array
-    pk = np.int64(_PACK)
+    best_s = np.zeros(L, dtype=np.int64)
 
     # row 0: the origin plus a horizontal-gap chain while it stays within
-    # xdrop of the (still zero) best; the initial window covers its extent
-    hi = 1 if o > xd else int(min(Wg, ((xd - o) // e if e > 0 else Wg) + 2))
-    lo = 0
-    jwin = np.arange(lo, hi, dtype=np.int64)
-    row0 = (-(o + jwin * e)).astype(np.int32)
+    # xdrop of the (still zero) best; no match and no diagonal step
+    if o > xd:
+        hi = 1
+    else:
+        hi = (min(mmax, (int(xd) - o) // e) if e else mmax) + 1
+    row0 = -oecol[:hi]
     row0[0] = 0
-    live0 = (row0 >= -xd) & (jwin[None, :] <= ms0[:, None])
-    live0[:, 0] = True
-    H = np.where(live0, row0[None, :], neg)
+    H = np.where(cols[:hi] <= ms[:, None], row0, neg)
     F = np.full((L, hi), neg, dtype=np.int32)
-    sH = np.where(H > neg, jwin[None, :], 0)  # (0 matches, j columns)
+    sH = np.zeros((L, hi), dtype=np.int64)
     sF = np.zeros((L, hi), dtype=np.int64)
 
+    lo = 0
     ids = np.arange(L)  # chunk-local lane ids, descending-n order
-    ns, ms = ns0, ms0
+    lns, lms = ns, ms
     for i in range(1, nmax + 1):
-        # retire lanes whose rows ran out (prefix: ids sorted by -n) and
-        # compact away lanes whose corridor died
-        cnt = int(np.searchsorted(-ns, -i, side="right"))
-        if cnt == 0:
-            break
-        sel = np.flatnonzero((H[:cnt] > neg).any(axis=1))
-        if sel.size == 0:
-            break
-        full = sel.size == cnt
-        Wp = hi - lo
-        hi = int(min(Wg, hi + 1 + reach))
-        Wc = hi - lo
-        jwin = np.arange(lo, hi, dtype=np.int64)
-
-        def grow(arr, fill, dtype):
-            ext = np.full((sel.size, Wc), fill, dtype=dtype)
-            ext[:, :Wp] = arr[:cnt] if full else arr[sel]
-            return ext
-
-        Hp = grow(H, neg, np.int32)
-        Fp = grow(F, neg, np.int32)
-        pH = grow(sH, 0, np.int64)
-        pF = grow(sF, 0, np.int64)
-        ids = ids[:cnt][sel] if not full else ids[:cnt]
-        ns = ns[:cnt][sel] if not full else ns[:cnt]
-        ms = ms[:cnt][sel] if not full else ms[:cnt]
-
-        # vertical slot: open from H above or extend F above
-        fh = Hp - np.int32(o + e)
-        ff = Fp - np.int32(e)
-        fH = fh >= ff
-        Fn = np.maximum(fh, ff)
-        nF = np.where(fH, pH, pF) + 1  # one gap column
-        # diagonal; bwin[:, c] is b[lo + c - 1], the residue cell c aligns
-        ai = a_pad[ids, i - 1]
-        bcols = np.clip(jwin - 1, 0, b_pad.shape[1] - 1)
-        bwin = b_pad[ids[:, None], bcols[None, :]]
-        sub = cmat[ai[:, None], bwin]
-        diag = np.full_like(Hp, neg)
-        # window cell 0 has no in-corridor diagonal source (column 0 of the
-        # DP, or a dead cell left of the corridor)
-        diag[:, 1:] = Hp[:, :-1] + sub[:, 1:]
-        d = np.empty_like(pH)
-        d[:, 0] = 0
-        # one diagonal column: matches bumps the packed high half
-        d[:, 1:] = pH[:, :-1] + (
-            (ai[:, None] == bwin[:, 1:]) * pk + 1
-        )
+        Lc, Wp = H.shape
+        Wi = Wp + 1  # the previous window plus one diagonal step
+        # vertical slot: open from H above or extend F above; window
+        # column Wp has nothing above it
+        fh = H - np.int32(o + e)
+        ff = F - np.int32(e)
+        Fn = np.empty((Lc, Wi), dtype=np.int32)
+        np.maximum(fh, ff, out=Fn[:, :Wp])
+        Fn[:, Wp] = fdead
+        # an opened gap carries the statistics of H above, an extended one
+        # those of F above
+        nF = np.empty((Lc, Wi), dtype=np.int64)
+        nF[:, :Wp] = sH
+        nF[:, Wp] = 0
+        np.copyto(nF[:, :Wp], sF, where=ff > fh)
+        # diagonal: window column c >= 1 aligns a[i-1] with b[lo + c - 1]
+        cell = b_pad[ids, lo : lo + Wp] + (
+            a_pad[ids, i - 1].astype(np.intp) * nres
+        )[:, None]
+        H0 = np.empty((Lc, Wi), dtype=np.int32)
+        H0[:, 0] = neg
+        np.add(H, csub[cell], out=H0[:, 1:])
+        H0s = np.empty((Lc, Wi), dtype=np.int64)
+        H0s[:, 0] = 0
+        np.add(sH, cinc[cell], out=H0s[:, 1:])
         # pre-gap score H0 = max(diag, F); diagonal wins ties
-        tF = Fn > diag
-        H0 = np.where(tF, Fn, diag)
-        H0s = np.where(tF, nF, d)
-        # horizontal slot: prefix last-argmax of u = H0 + j*extend, packed
-        # with the local column so ties resolve to the latest restart
-        K = np.int64(Wc)
-        carr = np.arange(Wc, dtype=np.int64)
-        w = (H0.astype(np.int64) + jwin[None, :] * e) * K + carr
-        run = np.maximum.accumulate(w, axis=1)
-        wsh = np.empty_like(run)
-        wsh[:, 0] = np.int64(2 * _NEG) * K
-        wsh[:, 1:] = run[:, :-1]
-        A = wsh % K
-        E = wsh // K - (o + jwin[None, :] * e)
-        Es = np.take_along_axis(H0s, A, axis=1) + (carr[None, :] - A)
-        tE = E > H0
-        Hn = np.where(tE, E, H0.astype(np.int64))
-        Hs = np.where(tE, Es, H0s)
-        Hn = np.where(jwin[None, :] <= ms[:, None], Hn, _XNEG)
+        np.copyto(H0s, nF, where=Fn > H0)
+        np.maximum(H0, Fn, out=H0)
+        # horizontal slot: E(c) = run(c-1) - open - c*extend, run the
+        # prefix maximum of u; A(c) the last argmax of u over [0, c]
+        u = H0 + ecol[:Wi]
+        run = np.maximum.accumulate(u, axis=1)
+        A = (u == run) * cols[:Wi]
+        np.maximum.accumulate(A, axis=1, out=A)
+        E = np.empty_like(H0)
+        E[:, 0] = neg
+        np.subtract(run[:, :-1], oecol[1:Wi], out=E[:, 1:])
+        Hn = np.maximum(E, H0)
+        if lo + Wi - 1 > lms.min():  # the window passes some lane's end
+            Hn[cols[:Wi] + lo > lms[:, None]] = neg
         # running-best pruning threshold (row-major semantics)
         rb = np.maximum.accumulate(Hn, axis=1)
-        rbs = np.empty_like(rb)
-        rbs[:, 0] = _XNEG
-        rbs[:, 1:] = rb[:, :-1]
-        live = Hn >= np.maximum(best[ids][:, None], rbs) - xd
+        bcur = best[ids]
+        thr = np.maximum(rb, bcur[:, None])
+        thr -= xd
+        live = Hn >= thr
         # best-cell update: first column of a strict row improvement
-        rmax = Hn.max(axis=1)
-        jstar = Hn.argmax(axis=1)
-        upd = np.flatnonzero(rmax > best[ids])
-        lu = ids[upd]
-        best[lu] = rmax[upd]
-        best_i[lu] = i
-        best_j[lu] = lo + jstar[upd]
-        stats = Hs[upd, jstar[upd]]
-        best_m[lu] = stats // pk
-        best_c[lu] = stats % pk
-        # shrink the window to the union of live columns and store the row
-        cols = np.flatnonzero(live.any(axis=0))
-        if cols.size == 0:
-            break
-        alo, ahi = int(cols[0]), int(cols[-1]) + 1
-        win = slice(alo, ahi)
-        lw = live[:, win]
-        H = np.where(lw, Hn[:, win], _XNEG).astype(np.int32)
-        F = np.where(lw, Fn[:, win], neg)
-        sH = Hs[:, win]
-        sF = nF[:, win]
-        lo, hi = lo + alo, lo + ahi
+        upd = np.flatnonzero(rb[:, -1] > bcur)
+        if upd.size:
+            jstar = Hn[upd].argmax(axis=1)
+            lu = ids[upd]
+            best[lu] = rb[upd, -1]
+            best_i[lu] = i
+            best_j[lu] = lo + jstar
+            best_s[lu] = H0s[upd, jstar]
+        # statistics of the live cells a horizontal gap wins: the source's
+        # (flat indices: k - k % Wi is the row start, and c >= 1)
+        k = np.flatnonzero((E > H0) & live)
+        sflat = H0s.reshape(-1)
+        sflat[k] = sflat[k - k % Wi + A.reshape(-1)[k - 1]]
 
+        # retire lanes whose rows ran out (a suffix: ids sorted by -n) and
+        # compact away lanes whose corridor died
+        lv = live[: int(np.searchsorted(-lns, -i, side="left"))]
+        sel = np.flatnonzero(lv.any(axis=1))
+        if sel.size == 0:
+            break
+        # closed-form tail: live chain cells right of column Wi - 1
+        R = run[sel, -1].astype(np.int64) - o
+        T = thr[sel, -1].astype(np.int64)
+        room = lms[sel] - lo - Wi + 1
+        if e:
+            tlen = np.minimum((R - T) // e - (Wi - 1), room)
+        else:
+            tlen = np.where(R >= T, room, 0)
+        tmax = int(tlen.max())
+        live_cols = np.flatnonzero(lv.any(axis=0))
+        alo = int(live_cols[0])
+        ahi = int(live_cols[-1]) + 1
+        pick = slice(None) if sel.size == Lc else sel
+        lw = live[pick, alo:ahi]
+        H = np.where(lw, Hn[pick, alo:ahi], neg)
+        F = Fn[pick, alo:ahi]  # a pruned cell's F stays below threshold
+        sH = H0s[pick, alo:ahi]
+        sF = nF[pick, alo:ahi]
+        if tmax > 0:  # a live tail implies a live column Wi - 1
+            tc = np.arange(tmax)
+            tail = R[:, None] - (Wi + tc) * e
+            H = np.concatenate(
+                [H, np.where(tc < tlen[:, None], tail, _XNEG).astype(np.int32)],
+                axis=1,
+            )
+            F = np.concatenate([F, np.full((sel.size, tmax), neg)], axis=1)
+            tstat = H0s[sel, A[sel, -1]]
+            sH = np.concatenate(
+                [sH, np.broadcast_to(tstat[:, None], (sel.size, tmax))], axis=1
+            )
+            sF = np.concatenate(
+                [sF, np.zeros((sel.size, tmax), dtype=np.int64)], axis=1
+            )
+        ids, lns, lms = ids[sel], lns[sel], lms[sel]
+        lo += alo
+
+    steps = best_s % _STAT
     for t in range(L):
         out[idxs[t]] = ExtensionResult(
             score=int(best[t]),
             ext_a=int(best_i[t]),
             ext_b=int(best_j[t]),
-            matches=int(best_m[t]),
-            length=int(best_c[t]),
+            matches=int(best_s[t] // _STAT),
+            length=int(best_i[t] + best_j[t] - steps[t]),
         )
 
 
@@ -416,9 +462,13 @@ def xdrop_extend_batch(
 ) -> list[ExtensionResult]:
     """Gapped x-drop extensions over a batch of encoded pairs, one wavefront
     row advanced in every live lane at once; byte-identical to per-pair
-    :func:`repro.align.xdrop.xdrop_extend` (requires ``gap_open >= 1``)."""
+    :func:`repro.align.xdrop.xdrop_extend` (requires ``gap_open >= 1``,
+    ``xdrop >= 0`` and gap penalties of at most :data:`GAP_LIMIT`)."""
     if gap_open < 1:
         raise ValueError("batched x-drop requires gap_open >= 1")
+    if xdrop < 0:
+        raise ValueError("batched x-drop requires xdrop >= 0")
+    _check_gaps(gap_open, gap_extend)
     out: list[ExtensionResult | None] = [None] * len(pairs)
     lanes = []
     for idx, (a, b) in enumerate(pairs):

@@ -12,6 +12,7 @@ import math
 import os
 from dataclasses import dataclass, field
 
+from ..align.engine import GAP_LIMIT
 from ..bio.scoring import BLOSUM62, ScoringMatrix
 from ..kmers.encoding import MAX_K
 from ..mpisim.backend import COMM_BACKENDS, available_backends
@@ -205,6 +206,12 @@ class PastisConfig:
         for name in ("gap_open", "gap_extend", "xdrop"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
+        for name in ("gap_open", "gap_extend"):
+            if getattr(self, name) > GAP_LIMIT:
+                raise ConfigError(
+                    f"{name} must be at most {GAP_LIMIT} (the int32 "
+                    f"alignment kernels' bound), got {getattr(self, name)}"
+                )
         for name in ("min_identity", "min_coverage"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigError(

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.align.batch import AlignmentTask, align_batch
-from repro.align.engine import sw_batch, xdrop_extend_batch
+from repro.align.engine import GAP_LIMIT, sw_batch, xdrop_extend_batch
 from repro.align.smith_waterman import (
     smith_waterman,
     sw_reference,
@@ -24,7 +24,7 @@ from repro.align.xdrop import xdrop_extend
 from repro.bio.alphabet import PROTEIN_ALPHABET, encode_sequence
 from repro.bio.generate import mutate, random_protein, scope_like
 from repro.bio.scoring import BLOSUM45, BLOSUM62, PAM250
-from repro.core.config import PastisConfig
+from repro.core.config import ConfigError, PastisConfig
 from repro.core.distributed import run_pastis_distributed
 from repro.core.pipeline import pastis_pipeline
 
@@ -162,6 +162,106 @@ class TestCrossValidation:
         assert xdrop_extend_batch([(a, b)], xd, BLOSUM62, go, ge)[0] == (
             xdrop_extend(a, b, xd, BLOSUM62, go, ge)
         )
+
+
+@st.composite
+def _indel_pair(draw):
+    """``(a, b)`` with ``b`` built from ``a`` by inserting or deleting runs
+    of up to 60 residues; sometimes swapped, so the gap runs down rows."""
+    residues = PROTEIN_ALPHABET[:20]
+    a = draw(st.text(alphabet=residues, min_size=1, max_size=60))
+    b = a
+    for _ in range(draw(st.integers(1, 3))):
+        pos = draw(st.integers(0, len(b)))
+        run = draw(st.integers(1, 60))
+        if draw(st.booleans()):
+            ins = draw(st.text(alphabet=residues, min_size=run, max_size=run))
+            b = b[:pos] + ins + b[pos:]
+        else:
+            b = b[:pos] + b[pos + run:]
+    if draw(st.booleans()):
+        a, b = b, a
+    return encode_sequence(a), encode_sequence(b)
+
+
+class TestXdropCorridor:
+    """Lanes whose corridors drift differently share one chunk's window;
+    gap chains that run right of the previous row's window are resolved in
+    closed form and must still match the per-pair reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_indel_pair(), min_size=1, max_size=8),
+           st.integers(1, 12), st.integers(0, 3), st.integers(0, 120))
+    def test_property_indel_batches_match_reference(self, pairs, go, ge, xd):
+        got = xdrop_extend_batch(pairs, xd, BLOSUM62, go, ge)
+        assert got == [
+            xdrop_extend(a, b, xd, BLOSUM62, go, ge) for a, b in pairs
+        ]
+
+    @pytest.mark.parametrize("mid_a,mid_b,xd,go,ge", [
+        # after 8 W-W matches the score sinks through 14 A/C columns and
+        # climbs back on W-W while still below the best, so on rows 10-16
+        # the live horizontal chain reaches past the previous row's last
+        # column + 1 on every row
+        ("A" * 14, "C" * 14, 50, 1, 1),
+        # extend = 0: the chain died on the C/L rows (2 * open > xdrop) and
+        # revives on row 15, where it runs undecayed to the end of b
+        ("C" * 6, "L" * 6, 12, 7, 0),
+    ])
+    def test_gap_chain_runs_past_previous_window(self, mid_a, mid_b, xd, go,
+                                                 ge):
+        a = encode_sequence("W" * 8 + mid_a + "W" * 10)
+        b = encode_sequence("W" * 8 + mid_b + "W" * 10 + "S" * 40)
+        pairs = [(a, b), (b, a), (a, a), (a[::-1], b[::-1])]
+        want = [xdrop_extend(x, y, xd, BLOSUM62, go, ge) for x, y in pairs]
+        # alone, (a, b) takes the closed-form tail on those rows; in the
+        # batch the other lanes' windows cover the same columns
+        assert xdrop_extend_batch(pairs[:1], xd, BLOSUM62, go, ge) == want[:1]
+        assert xdrop_extend_batch(pairs, xd, BLOSUM62, go, ge) == want
+
+
+class TestGapLimit:
+    """Regression: gap penalties the config accepted wrapped the int32
+    kernels around (an x-drop score of 1 879 048 195, a score-only SW of
+    2**31 - 1, an AssertionError in the SW traceback, a bare
+    OverflowError); they are now one named error at each entry point."""
+
+    A = encode_sequence("MKVLAAGIVGLLLAWQ")
+    B = encode_sequence("MKVLAAGWWIVGLLLAWQ")
+
+    @pytest.mark.parametrize("name", ["gap_open", "gap_extend"])
+    def test_config_rejects_penalty_above_limit(self, name):
+        with pytest.raises(ConfigError, match=name):
+            PastisConfig(**{name: GAP_LIMIT + 1})
+        with pytest.raises(ConfigError, match=name):
+            PastisConfig(**{name: 2**31})
+        assert getattr(PastisConfig(**{name: GAP_LIMIT}), name) == GAP_LIMIT
+
+    @pytest.mark.parametrize("go,ge", [(11, 2**30), (11, 2**31), (2**30, 1)])
+    def test_kernels_reject_penalty_above_limit(self, go, ge):
+        pair = [(self.A, self.B)]
+        with pytest.raises(ValueError, match="at most"):
+            xdrop_extend_batch(pair, 49, BLOSUM62, go, ge)
+        for tb in (True, False):
+            with pytest.raises(ValueError, match="at most"):
+                sw_batch(pair, BLOSUM62, go, ge, traceback=tb)
+
+    @pytest.mark.parametrize("go,ge", [(GAP_LIMIT, 1), (11, GAP_LIMIT),
+                                       (GAP_LIMIT, GAP_LIMIT)])
+    def test_kernels_exact_at_the_limit(self, go, ge):
+        a, b = self.A, self.B
+        for xd in (0, 49, 2**40):
+            assert xdrop_extend_batch([(a, b)], xd, BLOSUM62, go, ge) == [
+                xdrop_extend(a, b, xd, BLOSUM62, go, ge)
+            ]
+        for tb in (True, False):
+            assert sw_batch([(a, b)], BLOSUM62, go, ge, traceback=tb) == [
+                smith_waterman(a, b, BLOSUM62, go, ge, traceback=tb)
+            ]
+
+    def test_negative_xdrop_rejected(self):
+        with pytest.raises(ValueError, match="xdrop >= 0"):
+            xdrop_extend_batch([(self.A, self.B)], -1)
 
 
 class TestSubKSeedClamp:
