@@ -15,20 +15,27 @@ Two wavefronts are implemented:
   exhausted.  With ``traceback`` the per-lane ``H`` matrices are retained
   and walked by the *same* scalar traceback as the reference, so results
   are byte-identical; without it (the NS fast path) nothing is retained
-  beyond a running per-lane maximum.
+  beyond a running per-lane maximum.  Its rows span the whole of ``b``, so
+  lanes are chunked by padded cells (:func:`_chunks_by_budget`).
 * :func:`xdrop_extend_batch` — the gapped x-drop extension of
   :mod:`repro.align.xdrop` with the co-propagated ``(matches, length)``
   stats.  Lanes retire as soon as their corridor dies (every cell of a row
-  pruned).  Horizontal-gap chains are resolved exactly with an int32
-  last-argmax mark scan inside the previous row's window, and in closed
-  form right of it, where only a decaying gap chain can live; the pruning
-  threshold uses the same running best as the reference's row-major scan
-  (see the proof sketch in ``_xdrop_chunk``).
+  pruned).  Horizontal-gap chains are resolved exactly with a last-argmax
+  mark scan inside the previous row's window, and in closed form right of
+  it, where only a decaying gap chain can live; the pruning threshold uses
+  the same running best as the reference's row-major scan (see the proof
+  sketch in ``_xdrop_chunk``).  A row touches only the lanes' corridor
+  windows, not the width of ``b``, so lanes are chunked by count: runs of
+  :data:`_XDROP_LANES` lanes in ``(len(b), len(a))`` order, few enough
+  that one row's ~20 state arrays stay in a core's L2 cache.
 
 Both produce results *byte-identical* to the per-pair Python reference
 (``engine="python"``) — a tested invariant, same contract as the overlap
-stage's ``kernel`` knob.  Lanes are sorted by size and processed in chunks
-so padding waste and peak memory stay bounded regardless of batch size.
+stage's ``kernel`` knob — whatever the chunk composition.  Each chunk picks
+its integer widths from its own lengths: lane scores are int32 unless a
+score plus ``column * gap_extend`` could reach ``2**31`` (then int64), and
+the x-drop path statistics pack into int32 unless ``(min length + 1)**2``
+could (then int64).
 """
 
 from __future__ import annotations
@@ -47,17 +54,34 @@ __all__ = ["GAP_LIMIT", "align_batch_batched", "sw_batch",
 
 _NEG = -(10**9)
 
-# chunking budgets (cells = lanes x padded width); keep peak memory modest
-# while leaving lanes wide enough to amortise per-row NumPy dispatch
-_SW_KEEP_BUDGET = 1 << 24  # int32 H cells retained per traceback chunk
-_ROW_BUDGET = 1 << 21      # lane-row cells processed per wavefront step
+# Smith-Waterman chunking budgets (cells = lanes x padded width); keep peak
+# memory modest while leaving lanes wide enough to amortise per-row NumPy
+# dispatch
+_SW_KEEP_BUDGET = 1 << 24  # H cells retained per traceback chunk
+_ROW_BUDGET = 1 << 21      # lane-row cells processed per score-only step
+#: lanes per x-drop chunk: one wavefront row's ~20 state arrays over this
+#: many corridor windows (~60 columns each) stay resident in a 2 MiB L2;
+#: measured against 128, 192, 320, 384, 512 and unchunked batches
+_XDROP_LANES = 256
+#: a lane value below this fits int32; a chunk whose values (a score plus
+#: ``column * gap_extend``, a packed path statistic) can reach it is int64
+_I32 = 2**31
+
+
+def _lane_dtype(scoring, length, width, gap_open, gap_extend):
+    """int32, or int64 when a score over ``length`` aligned pairs plus
+    ``width * gap_extend + gap_open`` can reach ``2**31``."""
+    top = max(int(scoring.matrix.max()), 0) * length
+    return np.int32 if top + width * gap_extend + gap_open < _I32 else np.int64
 
 
 # spmd: hot-loop-ok (O(lanes) chunk planning, not per-cell work)
 def _chunks_by_budget(order, widths, heights, budget, area=False):
-    """Split ``order`` (lane indices) into chunks whose padded size stays
-    under ``budget``; ``area=True`` budgets ``height x width`` (retained
-    matrices), else just ``width`` (one row of state per lane)."""
+    """Split ``order`` (lane indices) into Smith-Waterman chunks whose
+    padded size stays under ``budget``; ``area=True`` budgets ``height x
+    width`` (retained matrices), else just ``width`` (one full-width row of
+    state per lane).  The x-drop wavefront does not use it: its rows cover
+    the corridor windows only, so it chunks by lane count instead."""
     chunks: list[list[int]] = []
     cur: list[int] = []
     wmax = hmax = 0
@@ -108,21 +132,23 @@ def _sw_chunk(pairs, idxs, scoring, gap_open, gap_extend, traceback, out):
     for t, i in enumerate(idxs):
         a_pad[t, : ns[t]] = pairs[i][0]
         b_pad[t, : ms[t]] = pairs[i][1]
-    cmat = scoring.matrix  # int32
-    neg = np.int32(_NEG)
-    o = np.int32(gap_open)
-    e = np.int32(gap_extend)
-    # int32 throughout: identical values to the reference's int64 horizontal
-    # scan as long as score + j*extend stays in range (see GAP_LIMIT)
-    jidx = (np.arange(W) * int(e)).astype(np.int32)
+    # int32 lanes while a score plus column * extend (the horizontal scan's
+    # value) stays in range, int64 beyond: identical values to the
+    # reference's int64 scan either way
+    dt = _lane_dtype(scoring, min(nmax, W - 1), W, gap_open, gap_extend)
+    cmat = scoring.matrix.astype(dt, copy=False)
+    neg = dt(_NEG)
+    o = dt(gap_open)
+    e = dt(gap_extend)
+    jidx = np.arange(W, dtype=dt) * e
     ocol = jidx[1:] + o
     jcol = np.arange(W, dtype=np.int64)
     valid = jcol[None, :] <= ms[:, None]
 
-    H = np.zeros((L, W), dtype=np.int32)
-    F = np.full((L, W), neg, dtype=np.int32)
+    H = np.zeros((L, W), dtype=dt)
+    F = np.full((L, W), neg, dtype=dt)
     if traceback:
-        keep = np.zeros((L, nmax + 1, W), dtype=np.int32)
+        keep = np.zeros((L, nmax + 1, W), dtype=dt)
     best = np.zeros(L, dtype=np.int64)
 
     for i in range(1, nmax + 1):
@@ -218,30 +244,37 @@ def sw_batch(
 # ---------------------------------------------------------------------------
 
 
-_XNEG = -(2**28)  # "dead" for int32 corridor state
-#: Largest ``gap_open`` / ``gap_extend`` the int32 wavefronts take (and
+_XNEG = -(2**28)  # "dead" for corridor state
+#: Largest ``gap_open`` / ``gap_extend`` the wavefronts take (and
 #: :class:`~repro.core.config.PastisConfig` accepts).  With it a dead cell
-#: minus both penalties stays far above ``-2**31``, and a score plus
-#: ``column * gap_extend`` -- the horizontal scans' ``u``, whose running
-#: maximum is compared exactly -- stays below ``2**31`` for sequences up
-#: to ``2**18`` residues.
+#: minus both penalties stays far above ``-2**31``.  The horizontal scans'
+#: ``u`` -- a score plus ``column * gap_extend``, whose running maximum is
+#: compared exactly -- grows with the row length instead, so each chunk
+#: picks its lane dtype from its lengths: int32 while ``u`` stays below
+#: ``2**31``, int64 beyond (see :func:`_lane_dtype`).
 GAP_LIMIT = 2**12
 #: an x-drop at least this wide prunes no score a real cell can reach, so
 #: larger values are clamped to it and the threshold stays above ``_XNEG``
 _XDROP_CAP = 2**27
-_STAT = 2**31  # (matches, diagonal steps) packed as matches * _STAT + steps
 
 
 def _check_gaps(gap_open: int, gap_extend: int) -> None:
-    """Raise ``ValueError`` for a gap penalty the int32 kernels cannot
-    represent exactly (see :data:`GAP_LIMIT`)."""
+    """Raise ``ValueError`` for a gap penalty above :data:`GAP_LIMIT`."""
     if max(gap_open, gap_extend) > GAP_LIMIT:
         name, value = (("gap_open", gap_open) if gap_open > GAP_LIMIT
                        else ("gap_extend", gap_extend))
         raise ValueError(
-            f"{name} must be at most {GAP_LIMIT} for the int32 "
+            f"{name} must be at most {GAP_LIMIT} for the batched "
             f"alignment kernels, got {value}"
         )
+
+
+def _select(dst, src, mask):
+    """``dst[mask] = src[mask]`` in place, as arithmetic (exact under
+    wrap-around): several times cheaper than a masked ``np.copyto``."""
+    d = src - dst
+    d *= mask
+    dst += d
 
 
 # spmd: hot-loop-ok (the wavefront design: one Python iteration per
@@ -258,11 +291,12 @@ def _xdrop_chunk(pairs, idxs, xdrop, scoring, gap_open, gap_extend, out):
       maximum of ``u(c0) - open - c*extend`` over ``u = H0 + c*extend``,
       where ``H0 = max(diagonal, vertical)`` is the pre-gap score, and the
       reference's ``eh >= ee`` tie rule is exactly "last argmax" of that
-      prefix.  The last argmax is an int32 mark scan: mark the columns
-      where ``u`` equals its running maximum; the latest mark at or before
-      ``c`` is the argmax the reference restarts from.  Such a source is
-      never itself gap-won, and no gap-won cell is ever the first maximum
-      of its row;
+      prefix.  The last argmax is the latest *mark* at or before ``c``,
+      a mark being a column where ``u`` equals its running maximum: one
+      running maximum over the marks' flat positions (every row's column
+      0 is a mark, so it never crosses a row).  Such a source is never
+      itself gap-won, and no gap-won cell is ever the first maximum of
+      its row;
     * any chain contribution that crosses a pruned cell sits strictly below
       the (monotone) pruning threshold at its destination, so computing the
       prefix over *all* window cells -- dead ones included -- can change
@@ -279,14 +313,19 @@ def _xdrop_chunk(pairs, idxs, xdrop, scoring, gap_open, gap_extend, out):
     an inclusive prefix maximum of the freshly computed scores (pruned
     cells can never raise it, and including a cell's own score cannot
     prune it since ``xdrop >= 0``).  Path statistics travel as ``(matches,
-    diagonal steps)``, which gap steps leave unchanged, so a gap-won cell
-    simply copies its source's; the alignment length is recovered at the
-    end as ``i + j - steps``.
+    diagonal steps)`` packed as ``matches * S + steps``; neither exceeds
+    ``min(n, m)`` on a live cell, so with ``S = min(nmax, mmax) + 1`` the
+    pack is int32 whenever ``S * S`` is (sequences shorter than ~46 k
+    residues) and int64 otherwise.  Gap steps leave the statistics
+    unchanged, so a gap-won cell simply copies its source's; the
+    alignment length is recovered at the end as ``i + j - steps``.
 
     Like the reference, the wavefront only visits the live corridor: state
     is kept for the union of the lanes' live column windows, the next row
     covers it plus one diagonal step, the closed-form tail appends the
     live chain cells, and lanes whose corridor died are compacted away.
+    The vertical state ``F`` covers only the columns a vertical gap can
+    reach (it is dead in the diagonal-step column and in the tail).
     Lanes are ordered by descending row count so row retirement is a pure
     prefix slice.
     """
@@ -304,24 +343,26 @@ def _xdrop_chunk(pairs, idxs, xdrop, scoring, gap_open, gap_extend, out):
         b_pad[t, : ms[t]] = pairs[i][1]
     nres = scoring.matrix.shape[1]
     csub = scoring.matrix.ravel()  # int32, indexed by a * nres + b
-    # a diagonal step adds one step, and one match on identical residues
-    cinc = (np.eye(nres, dtype=np.int64) * _STAT + 1).ravel()
+    S = min(nmax, mmax) + 1
+    sdt = np.int32 if S * S < _I32 else np.int64
+    match = sdt(S)  # a diagonal step on identical residues: one match
     o = int(gap_open)
     e = int(gap_extend)
-    xd = np.int32(min(int(xdrop), _XDROP_CAP))
-    neg = np.int32(_XNEG)
-    fdead = np.int32(2 * _XNEG)  # below any dead diagonal
-    cols = np.arange(mmax + 2, dtype=np.int32)
-    ecol = cols * np.int32(e)
-    oecol = ecol + np.int32(o)
+    dt = _lane_dtype(scoring, min(nmax, mmax), mmax + 2, o, e)
+    xd = dt(min(int(xdrop), _XDROP_CAP))
+    neg = dt(_XNEG)
+    cols = np.arange(mmax + 2, dtype=dt)
+    ecol = cols * dt(e)
+    oecol = ecol + dt(o)
 
-    best = np.zeros(L, dtype=np.int32)
+    best = np.zeros(L, dtype=dt)
     best_i = np.zeros(L, dtype=np.int64)
     best_j = np.zeros(L, dtype=np.int64)
-    best_s = np.zeros(L, dtype=np.int64)
+    best_s = np.zeros(L, dtype=sdt)
 
     # row 0: the origin plus a horizontal-gap chain while it stays within
-    # xdrop of the (still zero) best; no match and no diagonal step
+    # xdrop of the (still zero) best; no match, no diagonal step and no
+    # vertical gap
     if o > xd:
         hi = 1
     else:
@@ -329,54 +370,61 @@ def _xdrop_chunk(pairs, idxs, xdrop, scoring, gap_open, gap_extend, out):
     row0 = -oecol[:hi]
     row0[0] = 0
     H = np.where(cols[:hi] <= ms[:, None], row0, neg)
-    F = np.full((L, hi), neg, dtype=np.int32)
-    sH = np.zeros((L, hi), dtype=np.int64)
-    sF = np.zeros((L, hi), dtype=np.int64)
+    sH = np.zeros((L, hi), dtype=sdt)
+    F = np.empty((L, 0), dtype=dt)
+    sF = np.empty((L, 0), dtype=sdt)
 
     lo = 0
     ids = np.arange(L)  # chunk-local lane ids, descending-n order
-    lns, lms = ns, ms
+    # flat window positions: int32 unless L * (mmax + 2) of them overflow it
+    pdt = np.int32 if L * (mmax + 2) < _I32 else np.int64
+    nneg, lms = -ns, ms  # (negated, ascending) row counts, b lengths
+    lmin = int(ms.min())
     for i in range(1, nmax + 1):
         Lc, Wp = H.shape
         Wi = Wp + 1  # the previous window plus one diagonal step
-        # vertical slot: open from H above or extend F above; window
-        # column Wp has nothing above it
-        fh = H - np.int32(o + e)
-        ff = F - np.int32(e)
-        Fn = np.empty((Lc, Wi), dtype=np.int32)
-        np.maximum(fh, ff, out=Fn[:, :Wp])
-        Fn[:, Wp] = fdead
-        # an opened gap carries the statistics of H above, an extended one
-        # those of F above
-        nF = np.empty((Lc, Wi), dtype=np.int64)
-        nF[:, :Wp] = sH
-        nF[:, Wp] = 0
-        np.copyto(nF[:, :Wp], sF, where=ff > fh)
         # diagonal: window column c >= 1 aligns a[i-1] with b[lo + c - 1]
-        cell = b_pad[ids, lo : lo + Wp] + (
-            a_pad[ids, i - 1].astype(np.intp) * nres
-        )[:, None]
-        H0 = np.empty((Lc, Wi), dtype=np.int32)
+        bw = b_pad[ids, lo : lo + Wp]
+        av = a_pad[ids, i - 1]
+        cell = bw + (av.astype(np.intp) * nres)[:, None]
+        H0 = np.empty((Lc, Wi), dtype=dt)
         H0[:, 0] = neg
-        np.add(H, csub[cell], out=H0[:, 1:])
-        H0s = np.empty((Lc, Wi), dtype=np.int64)
+        # (the indices are in range; "wrap" only skips the bounds check)
+        np.add(H, csub.take(cell, mode="wrap"), out=H0[:, 1:])
+        inc = (bw == av[:, None]) * match
+        inc += 1
+        H0s = np.empty((Lc, Wi), dtype=sdt)
         H0s[:, 0] = 0
-        np.add(sH, cinc[cell], out=H0s[:, 1:])
+        np.add(sH, inc, out=H0s[:, 1:])
+        # vertical slot: open from H above or extend F above (F is dead
+        # right of its own columns); an opened gap carries the statistics
+        # of H above, an extended one those of F above -- sH is not read
+        # again, so it takes them in place
+        wF = F.shape[1]
+        Fn = H - dt(o + e)
+        ff = F - dt(e)
+        ext = ff > Fn[:, :wF]
+        np.maximum(Fn[:, :wF], ff, out=Fn[:, :wF])
+        nF = sH
+        _select(nF[:, :wF], sF, ext)
         # pre-gap score H0 = max(diag, F); diagonal wins ties
-        np.copyto(H0s, nF, where=Fn > H0)
-        np.maximum(H0, Fn, out=H0)
+        vert = Fn > H0[:, :Wp]
+        np.maximum(H0[:, :Wp], Fn, out=H0[:, :Wp])
+        _select(H0s[:, :Wp], nF, vert)
         # horizontal slot: E(c) = run(c-1) - open - c*extend, run the
-        # prefix maximum of u; A(c) the last argmax of u over [0, c]
+        # prefix maximum of u
         u = H0 + ecol[:Wi]
         run = np.maximum.accumulate(u, axis=1)
-        A = (u == run) * cols[:Wi]
-        np.maximum.accumulate(A, axis=1, out=A)
-        E = np.empty_like(H0)
-        E[:, 0] = neg
-        np.subtract(run[:, :-1], oecol[1:Wi], out=E[:, 1:])
-        Hn = np.maximum(E, H0)
-        if lo + Wi - 1 > lms.min():  # the window passes some lane's end
-            Hn[cols[:Wi] + lo > lms[:, None]] = neg
+        # A(c): flat position of the last argmax of u over [0, c]
+        A = (u == run).reshape(-1) * np.arange(Lc * Wi, dtype=pdt)
+        np.maximum.accumulate(A, out=A)
+        Hn = H0.copy()
+        np.maximum(Hn[:, 1:], run[:, :-1] - oecol[1:Wi], out=Hn[:, 1:])
+        # kill the cells past b's end: only once the window passes some
+        # lane's end, and only right of the earliest such end
+        if lo + Wi - 1 > lmin:
+            c0 = lmin - lo + 1
+            Hn[:, c0:][cols[c0:Wi] > (lms - lo)[:, None]] = neg
         # running-best pruning threshold (row-major semantics)
         rb = np.maximum.accumulate(Hn, axis=1)
         bcur = best[ids]
@@ -386,21 +434,22 @@ def _xdrop_chunk(pairs, idxs, xdrop, scoring, gap_open, gap_extend, out):
         # best-cell update: first column of a strict row improvement
         upd = np.flatnonzero(rb[:, -1] > bcur)
         if upd.size:
-            jstar = Hn[upd].argmax(axis=1)
+            jstar = Hn.argmax(axis=1)[upd]
             lu = ids[upd]
             best[lu] = rb[upd, -1]
             best_i[lu] = i
             best_j[lu] = lo + jstar
             best_s[lu] = H0s[upd, jstar]
-        # statistics of the live cells a horizontal gap wins: the source's
-        # (flat indices: k - k % Wi is the row start, and c >= 1)
-        k = np.flatnonzero((E > H0) & live)
+        # statistics of the live cells a horizontal gap wins (Hn > H0): the
+        # source's (flat indices; such a cell has c >= 1)
+        k = np.flatnonzero((Hn > H0) & live)
         sflat = H0s.reshape(-1)
-        sflat[k] = sflat[k - k % Wi + A.reshape(-1)[k - 1]]
+        sflat[k] = sflat[A[k - 1]]
 
         # retire lanes whose rows ran out (a suffix: ids sorted by -n) and
         # compact away lanes whose corridor died
-        lv = live[: int(np.searchsorted(-lns, -i, side="left"))]
+        cnt = int(np.searchsorted(nneg, -i, side="left"))
+        lv = live[:cnt]
         sel = np.flatnonzero(lv.any(axis=1))
         if sel.size == 0:
             break
@@ -417,36 +466,35 @@ def _xdrop_chunk(pairs, idxs, xdrop, scoring, gap_open, gap_extend, out):
         alo = int(live_cols[0])
         ahi = int(live_cols[-1]) + 1
         pick = slice(None) if sel.size == Lc else sel
-        lw = live[pick, alo:ahi]
-        H = np.where(lw, Hn[pick, alo:ahi], neg)
-        F = Fn[pick, alo:ahi]  # a pruned cell's F stays below threshold
+        H = np.where(live[pick, alo:ahi], Hn[pick, alo:ahi], neg)
         sH = H0s[pick, alo:ahi]
-        sF = nF[pick, alo:ahi]
+        # a pruned cell's F stays below threshold
+        F = Fn[pick, alo : min(ahi, Wp)]
+        sF = nF[pick, alo : min(ahi, Wp)]
         if tmax > 0:  # a live tail implies a live column Wi - 1
             tc = np.arange(tmax)
             tail = R[:, None] - (Wi + tc) * e
             H = np.concatenate(
-                [H, np.where(tc < tlen[:, None], tail, _XNEG).astype(np.int32)],
+                [H, np.where(tc < tlen[:, None], tail, _XNEG).astype(dt)],
                 axis=1,
             )
-            F = np.concatenate([F, np.full((sel.size, tmax), neg)], axis=1)
-            tstat = H0s[sel, A[sel, -1]]
+            tstat = sflat[A[sel * Wi + Wi - 1]]
             sH = np.concatenate(
-                [sH, np.broadcast_to(tstat[:, None], (sel.size, tmax))], axis=1
+                [sH, np.broadcast_to(tstat[:, None], (sel.size, tmax))],
+                axis=1,
             )
-            sF = np.concatenate(
-                [sF, np.zeros((sel.size, tmax), dtype=np.int64)], axis=1
-            )
-        ids, lns, lms = ids[sel], lns[sel], lms[sel]
+        if sel.size < Lc:
+            ids, nneg, lms = ids[sel], nneg[sel], lms[sel]
+            lmin = int(lms.min())
         lo += alo
 
-    steps = best_s % _STAT
+    steps = best_s % S
     for t in range(L):
         out[idxs[t]] = ExtensionResult(
             score=int(best[t]),
             ext_a=int(best_i[t]),
             ext_b=int(best_j[t]),
-            matches=int(best_s[t] // _STAT),
+            matches=int(best_s[t] // S),
             length=int(best_i[t] + best_j[t] - steps[t]),
         )
 
@@ -479,9 +527,9 @@ def xdrop_extend_batch(
     ns = {i: len(pairs[i][0]) for i in lanes}
     ms = {i: len(pairs[i][1]) for i in lanes}
     lanes.sort(key=lambda i: (ms[i], ns[i]))
-    for chunk in _chunks_by_budget(lanes, ms, ns, _ROW_BUDGET):
-        _xdrop_chunk(pairs, chunk, xdrop, scoring, gap_open, gap_extend,
-                     out)
+    for c in range(0, len(lanes), _XDROP_LANES):
+        _xdrop_chunk(pairs, lanes[c : c + _XDROP_LANES], xdrop, scoring,
+                     gap_open, gap_extend, out)
     return out  # type: ignore[return-value]
 
 

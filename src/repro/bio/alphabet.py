@@ -28,6 +28,9 @@ BASE_TO_INDEX: dict[str, int] = {c: i for i, c in enumerate(PROTEIN_ALPHABET)}
 #: index 0..23 -> base character
 INDEX_TO_BASE: dict[int, str] = {i: c for i, c in enumerate(PROTEIN_ALPHABET)}
 
+# Lookup table from alphabet index to ASCII byte (the inverse of the next).
+_INDEX_TO_ASCII = np.frombuffer(PROTEIN_ALPHABET.encode("ascii"), np.uint8)
+
 # Lookup table from ASCII byte value to alphabet index; -1 for invalid bytes.
 _ASCII_TO_INDEX = np.full(256, -1, dtype=np.int8)
 for _c, _i in BASE_TO_INDEX.items():
@@ -86,7 +89,7 @@ def decode_sequence(indices: np.ndarray) -> str:
         return ""
     if arr.min() < 0 or arr.max() >= ALPHABET_SIZE:
         raise ValueError("index out of alphabet range")
-    return "".join(PROTEIN_ALPHABET[i] for i in arr)
+    return _INDEX_TO_ASCII[arr].tobytes().decode("ascii")
 
 
 def is_valid_sequence(seq: str) -> bool:

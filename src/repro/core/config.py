@@ -209,7 +209,7 @@ class PastisConfig:
         for name in ("gap_open", "gap_extend"):
             if getattr(self, name) > GAP_LIMIT:
                 raise ConfigError(
-                    f"{name} must be at most {GAP_LIMIT} (the int32 "
+                    f"{name} must be at most {GAP_LIMIT} (the batched "
                     f"alignment kernels' bound), got {getattr(self, name)}"
                 )
         for name in ("min_identity", "min_coverage"):

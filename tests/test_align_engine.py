@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.align import engine
 from repro.align.batch import AlignmentTask, align_batch
 from repro.align.engine import GAP_LIMIT, sw_batch, xdrop_extend_batch
 from repro.align.smith_waterman import (
@@ -23,7 +24,7 @@ from repro.align.stats import passes_filter
 from repro.align.xdrop import xdrop_extend
 from repro.bio.alphabet import PROTEIN_ALPHABET, encode_sequence
 from repro.bio.generate import mutate, random_protein, scope_like
-from repro.bio.scoring import BLOSUM45, BLOSUM62, PAM250
+from repro.bio.scoring import BLOSUM45, BLOSUM62, PAM250, ScoringMatrix
 from repro.core.config import ConfigError, PastisConfig
 from repro.core.distributed import run_pastis_distributed
 from repro.core.pipeline import pastis_pipeline
@@ -219,6 +220,36 @@ class TestXdropCorridor:
         assert xdrop_extend_batch(pairs[:1], xd, BLOSUM62, go, ge) == want[:1]
         assert xdrop_extend_batch(pairs, xd, BLOSUM62, go, ge) == want
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(_indel_pair(), min_size=1, max_size=8),
+           st.integers(1, 12), st.integers(0, 3), st.integers(0, 120))
+    def test_results_do_not_depend_on_chunk_composition(self, pairs, go, ge,
+                                                         xd):
+        # a lane's result is its own: alone, in twos, in threes or with
+        # every other lane of the batch in one chunk
+        want = [xdrop_extend(a, b, xd, BLOSUM62, go, ge) for a, b in pairs]
+        for cap in (1, 2, 3, 10**9):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(engine, "_XDROP_LANES", cap)
+                got = xdrop_extend_batch(pairs, xd, BLOSUM62, go, ge)
+            assert got == want, cap
+
+    @pytest.mark.parametrize("go,ge,xd", [(11, 1, 49), (3, 0, 30), (1, 2, 7)])
+    def test_int64_lanes_and_statistics_match_reference(self, monkeypatch,
+                                                        go, ge, xd):
+        # with the int32 bound at 0 every chunk runs int64 lane state and
+        # int64 packed statistics, the path of very long sequences
+        monkeypatch.setattr(engine, "_I32", 0)
+        pairs = [(t.a, t.b) for t in _random_tasks(17, n_tasks=30)]
+        assert xdrop_extend_batch(pairs, xd, BLOSUM62, go, ge) == [
+            xdrop_extend(a, b, xd, BLOSUM62, go, ge) for a, b in pairs
+        ]
+        for tb in (True, False):
+            assert sw_batch(pairs, BLOSUM62, go, ge, traceback=tb) == [
+                smith_waterman(a, b, BLOSUM62, go, ge, traceback=tb)
+                for a, b in pairs
+            ]
+
 
 class TestGapLimit:
     """Regression: gap penalties the config accepted wrapped the int32
@@ -258,6 +289,22 @@ class TestGapLimit:
             assert sw_batch([(a, b)], BLOSUM62, go, ge, traceback=tb) == [
                 smith_waterman(a, b, BLOSUM62, go, ge, traceback=tb)
             ]
+
+    def test_sw_row_past_int32_is_exact(self):
+        # (m + 1) * gap_extend passes 2**31 on a 2**19 + 40 column row: the
+        # int32 column offsets wrapped and sw_batch scored 10 000 where the
+        # reference scores 15 893, with and without traceback
+        rng = np.random.default_rng(0)
+        mat = BLOSUM62.matrix.copy()
+        np.fill_diagonal(mat, 1000)
+        scoring = ScoringMatrix("blosum62-diag1000", mat)
+        b = encode_sequence(random_protein(2**19 + 40, rng))
+        a = np.concatenate([b[-21:-11], b[-10:]])  # b's tail, one skipped
+        for tb in (True, False):
+            want = smith_waterman(a, b, scoring, 11, GAP_LIMIT, traceback=tb)
+            assert want.score == 15893
+            assert sw_batch([(a, b)], scoring, 11, GAP_LIMIT,
+                            traceback=tb) == [want]
 
     def test_negative_xdrop_rejected(self):
         with pytest.raises(ValueError, match="xdrop >= 0"):

@@ -76,6 +76,21 @@ class TestEncoding:
         with pytest.raises(ValueError):
             decode_sequence(np.array([-1]))
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int64])
+    def test_decode_all_letters_roundtrip(self, dtype):
+        idx = np.arange(ALPHABET_SIZE, dtype=dtype)
+        assert decode_sequence(idx) == PROTEIN_ALPHABET
+        assert decode_sequence(idx[::-1]) == PROTEIN_ALPHABET[::-1]
+        assert decode_sequence(encode_sequence(PROTEIN_ALPHABET)) == (
+            PROTEIN_ALPHABET
+        )
+
+    def test_decode_rejects_any_out_of_range_index(self):
+        # one bad index anywhere fails the whole call, never a partial string
+        for bad in ([0, 1, 24], [-1, 0, 1], [23, 127, 0]):
+            with pytest.raises(ValueError, match="out of alphabet range"):
+                decode_sequence(np.array(bad, dtype=np.int8))
+
     @given(protein_strings)
     def test_roundtrip(self, s):
         assert decode_sequence(encode_sequence(s)) == s
