@@ -361,7 +361,7 @@ class ProjectIndex:
 
 #: dispatcher names whose function-valued argument is an SPMD entry body
 _SPMD_DISPATCHERS = frozenset({
-    "run_spmd", "run_spmd_sim", "run_spmd_mp", "run_spmd_mpi",
+    "run_spmd", "run_spmd_sim", "run_spmd_mp",
 })
 
 

@@ -139,8 +139,8 @@ class SanitizedComm(CommBackend):
 
     # -- fingerprint prelude -------------------------------------------------
 
-    def _exchange(self, op: str, payload: Any,
-                  extra: Any = None) -> list[Any]:
+    def _fingerprint(self, op: str, payload: Any,
+                     extra: Any = None) -> list[Any]:
         """Allgather this collective's fingerprint on the same
         communicator and verify every rank is entering the same op."""
         state = self._state
@@ -198,27 +198,27 @@ class SanitizedComm(CommBackend):
     # -- collectives ----------------------------------------------------------
 
     def barrier(self) -> None:
-        self._exchange("barrier", None)
+        self._fingerprint("barrier", None)
         self._inner.barrier()
 
     def bcast(self, obj: Any, root: int = 0) -> Any:
-        self._exchange("bcast", obj if self.rank == root else None)
+        self._fingerprint("bcast", obj if self.rank == root else None)
         return self._inner.bcast(obj, root=root)
 
     def allgather(self, obj: Any) -> list[Any]:
-        self._exchange("allgather", obj)
+        self._fingerprint("allgather", obj)
         return self._inner.allgather(obj)
 
     def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
-        self._exchange("gather", obj)
+        self._fingerprint("gather", obj)
         return self._inner.gather(obj, root=root)
 
     def scatter(self, objs: Sequence[Any] | None, root: int = 0) -> Any:
-        self._exchange("scatter", objs)
+        self._fingerprint("scatter", objs)
         return self._inner.scatter(objs, root=root)
 
     def alltoall(self, objs: Sequence[Any]) -> list[Any]:
-        self._exchange("alltoall", objs)
+        self._fingerprint("alltoall", objs)
         return self._inner.alltoall(objs)
 
     # the reduction collectives are re-derived here (instead of letting
@@ -226,15 +226,15 @@ class SanitizedComm(CommBackend):
     # carries the op the caller actually wrote
     def reduce(self, obj: Any, op: Callable[[Any, Any], Any],
                root: int = 0) -> Any:
-        self._exchange("reduce", obj)
+        self._fingerprint("reduce", obj)
         return self._inner.reduce(obj, op, root=root)
 
     def allreduce(self, obj: Any, op: Callable[[Any, Any], Any]) -> Any:
-        self._exchange("allreduce", obj)
+        self._fingerprint("allreduce", obj)
         return self._inner.allreduce(obj, op)
 
     def exscan(self, value: int) -> int:
-        self._exchange("exscan", value)
+        self._fingerprint("exscan", value)
         return self._inner.exscan(value)
 
     # -- sub-communicators -----------------------------------------------------
@@ -244,9 +244,9 @@ class SanitizedComm(CommBackend):
             key = self.rank
         call_idx = self._nsplit
         self._nsplit += 1
-        fps = self._exchange("split", None, extra=(color, key))
+        fps = self._fingerprint("split", None, extra=(color, key))
         # reconstruct the child's membership from the fingerprints (the
-        # same ordering rule every backend's split applies), so p2p
+        # ordering rule of CommBackend.split), so p2p
         # accounting and error reports keep naming *world* ranks
         pairs = [f[6] for f in fps]
         group = sorted(
@@ -282,7 +282,7 @@ class SanitizedComm(CommBackend):
         # lockstep-check the teardown itself: a rank still inside a
         # collective pairs with this fingerprint and both sides report a
         # named mismatch instead of a bare timeout
-        self._exchange("finalize", None)
+        self._fingerprint("finalize", None)
         per_rank = self._inner.allgather(
             (dict(state.sent), dict(state.recvd),
              sorted(created), sorted(unlinked))

@@ -58,7 +58,6 @@ EXCLUDED_PATH_MARKERS = (
     "repro/analysis/",
     "repro/mpisim/comm.py",
     "repro/mpisim/mpcomm.py",
-    "repro/mpisim/mpicomm.py",
     "repro/mpisim/backend.py",
 )
 

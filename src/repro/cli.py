@@ -99,11 +99,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--comm-backend", choices=COMM_BACKENDS,
                    default=None,
                    help="SPMD substrate for --ranks > 1: 'sim' "
-                   "(thread-per-rank simulator, deterministic, default), "
-                   "'mp' (one OS process per rank, ndarray payloads via "
-                   "shared memory — uses all cores), or 'mpi' (mpi4py, "
-                   "requires an mpirun launch); byte-identical graphs "
-                   "either way (defaults to $REPRO_COMM_BACKEND or 'sim')")
+                   "(thread-per-rank simulator, deterministic, default) "
+                   "or 'mp' (one OS process per rank, ndarray payloads "
+                   "via shared memory — uses all cores); byte-identical "
+                   "graphs either way (defaults to $REPRO_COMM_BACKEND "
+                   "or 'sim')")
     p.add_argument("--comm-sanitize", action="store_true", default=None,
                    help="run the distributed stage under the runtime "
                    "comm sanitizer: collectives are lockstep-checked "

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from ..align.engine import GAP_LIMIT
 from ..bio.scoring import BLOSUM62, ScoringMatrix
 from ..kmers.encoding import MAX_K
-from ..mpisim.backend import COMM_BACKENDS, available_backends
+from ..mpisim.backend import COMM_BACKENDS
 
 __all__ = [
     "ALIGN_BALANCE_MODES",
@@ -140,10 +140,7 @@ class PastisConfig:
           serialises compute;
         * ``"mp"`` — one OS process per rank with large ndarray payloads
           shipped through shared memory: real multi-core wall-clock
-          parallelism on one machine;
-        * ``"mpi"`` — mpi4py adapter for genuinely distributed runs
-          (requires an ``mpirun`` launch; without mpi4py installed the
-          value is a :class:`ConfigError`).
+          parallelism on one machine.
 
         The graph is byte-identical across backends (a tested invariant).
         The default honours the ``REPRO_COMM_BACKEND`` environment
@@ -221,13 +218,6 @@ class PastisConfig:
         if self.comm_backend not in COMM_BACKENDS:
             raise ConfigError(
                 f"comm_backend must be one of {', '.join(COMM_BACKENDS)}"
-            )
-        usable = available_backends()
-        if self.comm_backend not in usable:
-            raise ConfigError(
-                f"comm_backend {self.comm_backend!r} is not available in "
-                f"this interpreter (mpi4py is not installed); available: "
-                f"{', '.join(usable)}"
             )
 
     @property

@@ -1,6 +1,7 @@
-"""SPMD communication runtimes: the :class:`CommBackend` interface, the
-thread-based simulator (``sim``), the process-per-rank backend (``mp``)
-and the mpi4py adapter (``mpi``) the distributed pipeline runs on."""
+"""SPMD communication runtimes the distributed pipeline runs on: the
+:class:`CommBackend` interface with its collectives, and two transports
+under it, the thread-based simulator (``sim``) and the process-per-rank
+backend (``mp``)."""
 
 from .backend import (
     ANY_SOURCE,
@@ -8,7 +9,6 @@ from .backend import (
     CommBackend,
     Request,
     SpmdError,
-    available_backends,
     get_runner,
     run_spmd,
 )
@@ -23,7 +23,6 @@ __all__ = [
     "Request",
     "SimComm",
     "SpmdError",
-    "available_backends",
     "get_runner",
     "run_spmd",
     "run_spmd_sim",

@@ -4,34 +4,33 @@ The distributed pipeline is written against a small MPI-shaped surface —
 point-to-point sends/receives with tags and non-blocking handles, the
 collectives SUMMA and the balance executors use, and ``split`` for the
 grid's row/column sub-communicators.  :class:`CommBackend` names that
-surface once, so the pipeline can run unchanged on any of the registered
-backends:
+surface once and implements every collective, ``split``'s validation and
+the collectives' tracer records on top of two transport primitives, so a
+backend only implements transport:
 
 * ``"sim"`` — :class:`~repro.mpisim.comm.SimComm`, the thread-per-rank
   simulator (deterministic, traceable, zero startup cost; the GIL
   serialises compute);
 * ``"mp"`` — :class:`~repro.mpisim.mpcomm.MPComm`, one OS process per
   rank with block payloads shipped through shared-memory ndarray
-  segments (real multi-core parallelism on one machine);
-* ``"mpi"`` — :class:`~repro.mpisim.mpicomm.MPIComm`, a thin adapter
-  over mpi4py's lowercase (pickle-object) API for genuinely distributed
-  runs, available only when ``mpi4py`` is installed and the program is
-  launched under ``mpirun``.
+  segments (real multi-core parallelism on one machine).
 
 :func:`run_spmd` is the single entry point: it dispatches
 ``fn(comm, *args)`` onto ``nranks`` ranks of the chosen backend and
 returns the per-rank results in rank order.  Backends are resolved
-lazily so importing this module never pays for (or requires) mpi4py or
-multiprocessing machinery.
+lazily so importing this module never pays for multiprocessing
+machinery.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib
-import importlib.util
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
+
+from .tracing import payload_bytes
 
 __all__ = [
     "ANY_SOURCE",
@@ -40,7 +39,7 @@ __all__ = [
     "CommBackend",
     "Request",
     "SpmdError",
-    "available_backends",
+    "blame_order",
     "get_runner",
     "run_spmd",
 ]
@@ -65,9 +64,25 @@ COMM_OP_KINDS: dict[str, str] = {
 #: Watchdog timeout (seconds) converting deadlocks into failures.
 DEFAULT_TIMEOUT = 120.0
 
+#: what every surviving rank raises once another rank has failed
+ABORTED = "aborted by a failing rank"
+
 
 class SpmdError(RuntimeError):
     """Raised when a rank fails or the program deadlocks/times out."""
+
+
+def blame_order(rank: int, is_spmd: bool, text: str) -> tuple[int, int]:
+    """Sort key putting a run's root-cause failure first.
+
+    A rank's own exception (anything but an :class:`SpmdError`) beats a
+    primary :class:`SpmdError` (a timeout, a sanitizer mismatch), which
+    beats the :data:`ABORTED` echo the surviving ranks raise once the
+    abort flag is up; ties go to the lowest rank.  Both runners report
+    the failure this key sorts first."""
+    if not is_spmd:
+        return 0, rank
+    return (2 if ABORTED in text else 1), rank
 
 
 @dataclass
@@ -105,13 +120,15 @@ class Request:
 class CommBackend(ABC):
     """Per-rank communicator: the operations the pipeline actually uses.
 
-    Concrete backends provide the point-to-point core, the collectives,
-    and ``split``; ``isend``/``waitall`` and the reduction collectives
-    (``reduce``/``allreduce``/``exscan``) have default implementations in
-    terms of those.  Semantics follow mpi4py's lowercase (pickle-object)
-    API: messages match on ``(source, tag)`` in FIFO order per channel,
-    sends are buffered (never block), and collectives synchronise all
-    ranks of the communicator.
+    A transport provides ``send`` / ``recv`` / ``tryrecv`` and two
+    primitives, :meth:`_exchange` (an untraced internal allgather) and
+    :meth:`_sub` (the view for one split group); every collective and
+    ``split`` are written here, once, and traced as their logical
+    point-to-point decomposition (a broadcast is ``size - 1`` messages
+    from the root) — a transport records only its ``send``.  Semantics
+    follow mpi4py's lowercase (pickle-object) API: messages match on
+    ``(source, tag)`` in FIFO order per channel, sends are buffered
+    (never block), and collectives synchronise all ranks.
     """
 
     #: this rank's id within the communicator
@@ -119,13 +136,24 @@ class CommBackend(ABC):
     #: number of ranks in the communicator
     size: int
 
-    # -- point-to-point -----------------------------------------------------
+    def __init__(self, rank: int, size: int, tracer: Any | None,
+                 label: str):
+        self.rank = rank
+        self.size = size
+        self._tracer = tracer
+        #: communicator label for tracing: ``"world"``, and
+        #: ``"<parent>/<split call>.<color>"`` for a split group
+        self._label = label
+        self._split_calls = 0
+
+    # -- transport ------------------------------------------------------------
 
     @abstractmethod
     def send(self, obj: Any, dest: int, tag: int = 0,
              kind: str = "p2p") -> None:
         """Buffered send.  ``kind`` labels the traffic for the
-        :class:`~repro.mpisim.tracing.CommTracer` (default ``"p2p"``)."""
+        :class:`~repro.mpisim.tracing.CommTracer` (default ``"p2p"``; the
+        alignment rebalancer tags its shipped tasks ``"rebal"``)."""
 
     @abstractmethod
     def recv(self, source: int = ANY_SOURCE, tag: int = 0) -> Any:
@@ -139,6 +167,20 @@ class CommBackend(ABC):
         the first queued message matching ``(source, tag)`` as
         ``(True, payload)``, or report ``(False, None)`` without
         blocking."""
+
+    def _exchange(self, obj: Any) -> list[Any]:
+        """Transport primitive: untraced allgather of one object per rank,
+        synchronising every rank of the communicator."""
+        raise NotImplementedError
+
+    def _sub(self, call_idx: int, color: int, members: list[int],
+             rank: int) -> "CommBackend":
+        """Transport primitive: this rank's view of the group ``color`` of
+        split call ``call_idx``, whose ranks are ``members`` (parent
+        ranks, in sub-communicator order); ``rank`` is its place there."""
+        raise NotImplementedError
+
+    # -- point-to-point -----------------------------------------------------
 
     def isend(self, obj: Any, dest: int, tag: int = 0,
               kind: str = "p2p") -> Request:
@@ -161,66 +203,111 @@ class CommBackend(ABC):
 
     # -- collectives ----------------------------------------------------------
 
-    @abstractmethod
+    def _trace(self, op: str, src: int, obj: Any,
+               dsts: Iterable[int]) -> None:
+        """Record one logical ``op`` message of ``obj``'s size from
+        ``src`` to each of ``dsts`` other than ``src`` (no-op untraced)."""
+        if self._tracer is None:
+            return
+        dsts = [d for d in dsts if d != src]
+        if dsts:
+            nbytes = payload_bytes(obj)
+            for dst in dsts:
+                self._tracer.record(src, dst, nbytes, op, self._label, op)
+
     def barrier(self) -> None:
         """Synchronise all ranks."""
+        self._exchange(None)
 
-    @abstractmethod
     def bcast(self, obj: Any, root: int = 0) -> Any:
         """Broadcast from ``root``."""
+        if self.rank == root:
+            self._trace("bcast", root, obj, range(self.size))
+        return self._exchange(obj if self.rank == root else None)[root]
 
-    @abstractmethod
     def allgather(self, obj: Any) -> list[Any]:
         """Every rank receives ``[obj_of_rank_0, ..., obj_of_rank_p-1]``."""
+        self._trace("allgather", self.rank, obj, range(self.size))
+        return self._exchange(obj)
 
-    @abstractmethod
     def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
         """``root`` receives the per-rank list; everyone else ``None``."""
+        self._trace("gather", self.rank, obj, (root,))
+        vals = self._exchange(obj)
+        return vals if self.rank == root else None
 
-    @abstractmethod
     def scatter(self, objs: Sequence[Any] | None, root: int = 0) -> Any:
         """Rank ``r`` receives ``objs[r]`` provided by ``root``."""
+        if self.rank == root:
+            if objs is None or len(objs) != self.size:
+                raise ValueError("root must provide size objects")
+            for dst in range(self.size):
+                self._trace("scatter", root, objs[dst], (dst,))
+        vals = self._exchange(list(objs) if self.rank == root else None)
+        return vals[root][self.rank]
 
-    @abstractmethod
     def alltoall(self, objs: Sequence[Any]) -> list[Any]:
         """Personalised all-to-all: rank ``r`` receives ``objs[r]`` from
         every rank."""
+        if len(objs) != self.size:
+            raise ValueError("alltoall requires size objects")
+        for dst in range(self.size):
+            self._trace("alltoall", self.rank, objs[dst], (dst,))
+        mat = self._exchange(list(objs))
+        return [mat[src][self.rank] for src in range(self.size)]
 
     def reduce(self, obj: Any, op: Callable[[Any, Any], Any],
                root: int = 0) -> Any:
         """Left-fold of the per-rank values on ``root`` (``None``
         elsewhere)."""
-        vals = self.gather(obj, root=root)
-        if self.rank != root:
-            return None
-        assert vals is not None
-        acc = vals[0]
-        for v in vals[1:]:
-            acc = op(acc, v)
-        return acc
+        self._trace("reduce", self.rank, obj, (root,))
+        vals = self._exchange(obj)
+        return functools.reduce(op, vals) if self.rank == root else None
 
     def allreduce(self, obj: Any, op: Callable[[Any, Any], Any]) -> Any:
         """Left-fold of the per-rank values, result on every rank."""
-        vals = self.allgather(obj)
-        acc = vals[0]
-        for v in vals[1:]:
-            acc = op(acc, v)
-        return acc
+        return functools.reduce(op, self.allgather(obj))
 
     def exscan(self, value: int) -> int:
         """Exclusive prefix sum of integers (0 on rank 0) — PASTIS's
         cooperative sequence-count prefix sums."""
-        vals = self.allgather(value)
-        return sum(vals[: self.rank])
+        return sum(self.allgather(value)[: self.rank])
 
     # -- sub-communicators ------------------------------------------------------
 
-    @abstractmethod
     def split(self, color: int, key: int | None = None) -> "CommBackend":
         """Partition ranks by ``color`` into sub-communicators; rank order
-        within a group follows ``(key, parent rank)``.  A collective: all
-        ranks of the communicator must call it the same number of times
-        (a mismatch raises :class:`SpmdError` on every rank)."""
+        within a group follows ``(key, parent rank)``.
+
+        A collective: a sub-communicator is identified by the split call
+        index, so the indices are allgathered and validated — ranks whose
+        ``split`` counts diverged raise a clear :class:`SpmdError` instead
+        of pairing into wrong groups."""
+        call_idx = self._split_calls
+        self._split_calls += 1
+        if key is None:
+            key = self.rank
+        quads = self.allgather(("split", call_idx, color, key, self.rank))
+        seen_calls = set()
+        for q in quads:
+            if not isinstance(q, tuple) or len(q) != 5 or q[0] != "split":
+                # the peer was inside a *different* collective — the
+                # signature of unequal split counts
+                raise SpmdError(
+                    f"rank {self.rank} split(call {call_idx}) paired with "
+                    f"a non-split collective: ranks must call split() the "
+                    f"same number of times"
+                )
+            seen_calls.add(q[1])
+        if len(seen_calls) != 1:
+            raise SpmdError(
+                f"split call-index mismatch across ranks "
+                f"({sorted(seen_calls)}): ranks must call split() the "
+                f"same number of times"
+            )
+        group = sorted((k, r) for (_m, _ci, c, k, r) in quads if c == color)
+        return self._sub(call_idx, color, [r for (_k, r) in group],
+                         group.index((key, self.rank)))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"{type(self).__name__}(rank={self.rank}, size={self.size})"
@@ -230,28 +317,16 @@ class CommBackend(ABC):
 # backend registry
 # ---------------------------------------------------------------------------
 
-#: registered backends: name -> (module, runner attribute); resolved
-#: lazily so ``"mpi"`` can exist without mpi4py being installed
+#: registered backends: name -> (module, runner attribute), resolved
+#: lazily so importing this module starts no multiprocessing machinery
 _RUNNERS: dict[str, tuple[str, str]] = {
     "sim": ("repro.mpisim.comm", "run_spmd_sim"),
     "mp": ("repro.mpisim.mpcomm", "run_spmd_mp"),
-    "mpi": ("repro.mpisim.mpicomm", "run_spmd_mpi"),
 }
 
 #: every registered backend name, in registry order — the config/CLI
 #: ``comm_backend`` knob builds its choices from this tuple
 COMM_BACKENDS = tuple(_RUNNERS)
-
-
-def available_backends() -> tuple[str, ...]:
-    """The backends usable in this interpreter: ``sim`` and ``mp``
-    always; ``mpi`` only when mpi4py is importable (actually *running*
-    it additionally requires an ``mpirun`` launch, which
-    :func:`run_spmd_mpi` checks)."""
-    names = ["sim", "mp"]
-    if importlib.util.find_spec("mpi4py") is not None:
-        names.append("mpi")
-    return tuple(names)
 
 
 def get_runner(name: str) -> Callable[..., list[Any]]:
@@ -282,10 +357,11 @@ def run_spmd(
     the SPMD body sees the same :class:`CommBackend` surface either way,
     and the golden obliviousness tests pin the output byte-identical
     across backends.  Any rank raising aborts all ranks and re-raises as
-    :class:`SpmdError` carrying the first failure as ``__cause__``.  At
-    ``nranks == 1`` the ``sim`` and ``mp`` backends start nothing: ``fn``
-    runs inline in the calling thread on a 1-rank communicator, under no
-    whole-run deadline (``timeout`` still bounds a blocked receive).
+    :class:`SpmdError` carrying the root-cause failure (see
+    :func:`blame_order`) as ``__cause__``.  At ``nranks == 1`` nothing
+    is started: ``fn`` runs inline in the calling thread on a 1-rank
+    communicator, under no whole-run deadline (``timeout`` still bounds
+    a blocked receive).
 
     ``comm_sanitize`` wraps every rank's communicator in
     :class:`repro.analysis.sanitizer.SanitizedComm`: collectives are
@@ -294,11 +370,9 @@ def run_spmd(
     leaked shared-memory segments are reported at teardown.  Payloads
     are untouched, so results stay byte-identical.
 
-    Backend-specific caveats: under ``"mp"`` the function, its arguments
-    and its result must be picklable when the ``spawn`` start method is
-    in use (the default ``fork`` ships them by inheritance, so closures
-    work); under ``"mpi"`` the program itself must have been launched by
-    ``mpirun`` with a matching world size.
+    Under ``"mp"`` the function, its arguments and its result must be
+    picklable when the ``spawn`` start method is in use (the default
+    ``fork`` ships them by inheritance, so closures work).
     """
     if comm_sanitize:
         # lazy: repro.analysis.sanitizer imports this module

@@ -24,17 +24,15 @@ at sender exit), the receiver attaches, copies out and unlinks it.  Every
 segment name carries a run-unique prefix and the parent sweeps leftovers
 when the run ends, so an aborted rank cannot leak ``/dev/shm`` space.
 
-Collectives are built from the point-to-point core on internal channels:
-a per-communicator generation counter tags each round, rank 0 of the
-communicator gathers and fans out.  Tracing records the same *logical*
-messages as the simulator (sender-side, collective decomposition), not
-the transport traffic, so per-kind byte counts match across backends;
-child-process tracers are shipped back with the results and merged.
-
-Caveat: under the ``spawn`` start method (non-fork platforms) the SPMD
-function, its arguments and its results must be picklable.  On Linux the
-``fork`` context is used, so closures and in-memory fixtures work just
-like under the simulator.
+The collectives themselves are written once on
+:class:`~repro.mpisim.backend.CommBackend`; this module supplies their
+exchange primitive on internal channels: a per-communicator generation
+counter tags each round, rank 0 of the communicator gathers and fans
+out.  Tracing records the *logical* messages (sender-side, collective
+decomposition), not the transport traffic, so per-kind byte counts match
+across backends; child-process tracers are shipped back with the results
+and merged.  Under the ``spawn`` start method (non-fork platforms) the
+SPMD function, its arguments and its results must be picklable.
 """
 
 from __future__ import annotations
@@ -52,7 +50,14 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .backend import ANY_SOURCE, DEFAULT_TIMEOUT, CommBackend, SpmdError
+from .backend import (
+    ABORTED,
+    ANY_SOURCE,
+    DEFAULT_TIMEOUT,
+    CommBackend,
+    SpmdError,
+    blame_order,
+)
 from .comm import run_spmd_sim
 from .tracing import CommTracer, payload_bytes
 
@@ -72,8 +77,6 @@ SHM_MIN_BYTES = 1 << 13  # 8 KiB
 _CHAN_P2P = 0
 _CHAN_COLL = 1  # rank-0-bound collective contributions, tag = generation
 _CHAN_FAN = 2  # rank-0 fan-out of collective results, tag = generation
-
-_MISSING = object()
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +228,7 @@ class _MPTransport:
 
     def check_abort(self) -> None:
         if self.abort.is_set():
-            raise SpmdError("aborted by a failing rank")
+            raise SpmdError(ABORTED)
 
     def send_env(
         self, comm_id: str, chan: int, dst_world: int, src: int, tag: int,
@@ -237,7 +240,7 @@ class _MPTransport:
 
     def _scan_stash(
         self, comm_id: str, chan: int, source: int, tag: int
-    ) -> Any:
+    ) -> tuple[int, bytes] | None:
         for i, (cid, ch, src, t, payload) in enumerate(self._stash):
             if (
                 cid == comm_id
@@ -246,56 +249,58 @@ class _MPTransport:
                 and t == tag
             ):
                 del self._stash[i]
-                return payload
-        return _MISSING
+                return src, payload
+        return None
 
     def recv_env(
-        self, comm_id: str, chan: int, source: int, tag: int
-    ) -> Any:
-        """Blocking matched receive with the watchdog deadline."""
+        self, comm_id: str, chan: int, source: int, tag: int, what: str
+    ) -> tuple[int, Any]:
+        """The one blocking wait of this transport: the first envelope
+        matching ``(comm_id, chan, source, tag)`` as ``(src, obj)``.
+
+        The deadline is fixed at the call.  Every pass re-scans the stash
+        before the abort flag, and a deadline pass first drains whatever
+        the inbox already holds, so an envelope already delivered is
+        consumed instead of surfacing as an abort or a spurious timeout;
+        ``what`` names the wait in the timeout error."""
         inbox = self.inboxes[self.world_rank]
         deadline = time.monotonic() + self.timeout
         while True:
+            hit = self._scan_stash(comm_id, chan, source, tag)
+            if hit is not None:
+                return hit[0], _loads(hit[1])
             self.check_abort()
-            payload = self._scan_stash(comm_id, chan, source, tag)
-            if payload is not _MISSING:
-                return _loads(payload)
             remaining = deadline - time.monotonic()
             if remaining <= 0:
-                # mirror SimComm.recv: drain anything already delivered
-                # and re-scan once before declaring the timeout
-                self._drain(inbox)
-                payload = self._scan_stash(comm_id, chan, source, tag)
-                if payload is not _MISSING:
-                    return _loads(payload)
+                if self._drain(inbox):
+                    continue
                 self.abort.set()
                 raise SpmdError(
-                    f"world rank {self.world_rank} recv(comm={comm_id!r}, "
-                    f"source={source}, tag={tag}) timed out after "
+                    f"world rank {self.world_rank} {what} timed out after "
                     f"{self.timeout}s"
                 )
             try:
-                env = inbox.get(timeout=min(remaining, 0.1))
+                self._stash.append(inbox.get(timeout=min(remaining, 0.1)))
             except Empty:
-                continue
-            self._stash.append(env)
+                pass
 
     def tryrecv_env(
         self, comm_id: str, chan: int, source: int, tag: int
     ) -> tuple[bool, Any]:
         self.check_abort()
         self._drain(self.inboxes[self.world_rank])
-        payload = self._scan_stash(comm_id, chan, source, tag)
-        if payload is _MISSING:
-            return False, None
-        return True, _loads(payload)
+        hit = self._scan_stash(comm_id, chan, source, tag)
+        return (False, None) if hit is None else (True, _loads(hit[1]))
 
-    def _drain(self, inbox) -> None:
+    def _drain(self, inbox) -> bool:
+        """Move every already-delivered envelope to the stash; report
+        whether there was any."""
+        before = len(self._stash)
         while True:
             try:
                 self._stash.append(inbox.get_nowait())
             except Empty:
-                return
+                return len(self._stash) > before
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +313,8 @@ class MPComm(CommBackend):
 
     ``ranks`` maps communicator rank -> world rank; sub-communicators from
     :meth:`split` are just new ``(comm_id, ranks)`` views over the same
-    transport, distinguished on the wire by their ``comm_id``.
+    transport, distinguished on the wire by their ``comm_id`` (which is
+    also the communicator's trace label).
     """
 
     def __init__(
@@ -318,15 +324,10 @@ class MPComm(CommBackend):
         ranks: tuple[int, ...],
         rank: int,
     ):
+        super().__init__(rank, len(ranks), transport.tracer, comm_id)
         self._transport = transport
-        self._comm_id = comm_id
         self._ranks = ranks
-        self.rank = rank
-        self.size = len(ranks)
         self._coll_gen = 0
-        self._split_calls = 0
-
-    # -- point-to-point ------------------------------------------------------
 
     def send(self, obj: Any, dest: int, tag: int = 0,
              kind: str = "p2p") -> None:
@@ -335,46 +336,47 @@ class MPComm(CommBackend):
             raise ValueError(f"bad destination rank {dest}")
         if tp.tracer is not None:
             tp.tracer.record(self.rank, dest, payload_bytes(obj), kind,
-                             self._comm_id, "send")
+                             self._label, "send")
         tp.send_env(
-            self._comm_id, _CHAN_P2P, self._ranks[dest], self.rank, tag, obj
+            self._label, _CHAN_P2P, self._ranks[dest], self.rank, tag, obj
         )
 
     def recv(self, source: int = ANY_SOURCE, tag: int = 0) -> Any:
         return self._transport.recv_env(
-            self._comm_id, _CHAN_P2P, source, tag
-        )
+            self._label, _CHAN_P2P, source, tag,
+            f"recv(comm={self._label!r}, source={source}, tag={tag})",
+        )[1]
 
     def tryrecv(
         self, source: int = ANY_SOURCE, tag: int = 0
     ) -> tuple[bool, Any]:
         return self._transport.tryrecv_env(
-            self._comm_id, _CHAN_P2P, source, tag
+            self._label, _CHAN_P2P, source, tag
         )
 
-    # -- collectives -----------------------------------------------------------
-
-    def _coll_exchange(self, obj: Any) -> list[Any]:
-        """Internal allgather: rank 0 of the communicator collects one
-        contribution per rank and fans the full list back out.  The
-        per-communicator generation counter tags the round, so every rank
-        must reach collectives in the same order (the SPMD contract); a
-        divergence starves some generation's gather and surfaces as the
-        watchdog timeout instead of silent value crossing."""
+    def _exchange(self, obj: Any) -> list[Any]:
+        """Rank 0 of the communicator collects one contribution per rank
+        and fans the full list back out.  The per-communicator generation
+        counter tags the round, so every rank must reach collectives in
+        the same order (the SPMD contract); a divergence starves some
+        generation's gather and surfaces as the watchdog timeout instead
+        of silent value crossing."""
         tp = self._transport
         gen = self._coll_gen
         self._coll_gen += 1
-        cid = self._comm_id
+        cid = self._label
+        what = f"collective (comm={cid!r}, generation {gen})"
         if self.rank != 0:
             tp.send_env(
                 cid, _CHAN_COLL, self._ranks[0], self.rank, gen, obj
             )
-            return tp.recv_env(cid, _CHAN_FAN, 0, gen)
+            return tp.recv_env(cid, _CHAN_FAN, 0, gen, what)[1]
         vals: list[Any] = [None] * self.size
         vals[0] = obj
         for _ in range(self.size - 1):
             # contributions arrive in any order; envelopes carry src
-            src, src_obj = self._recv_coll_any(gen)
+            src, src_obj = tp.recv_env(cid, _CHAN_COLL, ANY_SOURCE, gen,
+                                       what)
             vals[src] = src_obj
         for dst in range(1, self.size):
             tp.send_env(
@@ -382,141 +384,15 @@ class MPComm(CommBackend):
             )
         return list(vals)
 
-    def _recv_coll_any(self, gen: int) -> tuple[int, Any]:
-        """Receive one collective contribution of generation ``gen`` from
-        any source, returning ``(src, value)``."""
-        tp = self._transport
-        cid = self._comm_id
-        inbox = tp.inboxes[tp.world_rank]
-        deadline = time.monotonic() + tp.timeout
-        while True:
-            tp.check_abort()
-            for i, (c, ch, src, t, payload) in enumerate(tp._stash):
-                if c == cid and ch == _CHAN_COLL and t == gen:
-                    del tp._stash[i]
-                    return src, _loads(payload)
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                tp.abort.set()
-                raise SpmdError(
-                    f"rank {self.rank} collective (comm={cid!r}) timed "
-                    f"out after {tp.timeout}s (generation {gen})"
-                )
-            try:
-                env = inbox.get(timeout=min(remaining, 0.1))
-            except Empty:
-                continue
-            tp._stash.append(env)
-
-    def barrier(self) -> None:
-        self._coll_exchange(None)
-
-    def bcast(self, obj: Any, root: int = 0) -> Any:
-        tp = self._transport
-        if self.rank == root and tp.tracer is not None:
-            size = payload_bytes(obj)
-            for dst in range(self.size):
-                if dst != root:
-                    tp.tracer.record(root, dst, size, "bcast",
-                                     self._comm_id, "bcast")
-        all_vals = self._coll_exchange(obj if self.rank == root else None)
-        return all_vals[root]
-
-    def allgather(self, obj: Any) -> list[Any]:
-        tp = self._transport
-        if tp.tracer is not None:
-            size = payload_bytes(obj)
-            for dst in range(self.size):
-                if dst != self.rank:
-                    tp.tracer.record(self.rank, dst, size, "allgather",
-                                     self._comm_id, "allgather")
-        return self._coll_exchange(obj)
-
-    def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
-        tp = self._transport
-        if self.rank != root and tp.tracer is not None:
-            tp.tracer.record(self.rank, root, payload_bytes(obj), "gather",
-                             self._comm_id, "gather")
-        vals = self._coll_exchange(obj)
-        return vals if self.rank == root else None
-
-    def scatter(self, objs: Sequence[Any] | None, root: int = 0) -> Any:
-        tp = self._transport
-        if self.rank == root:
-            if objs is None or len(objs) != self.size:
-                raise ValueError("root must provide size objects")
-            if tp.tracer is not None:
-                for dst in range(self.size):
-                    if dst != root:
-                        tp.tracer.record(
-                            root, dst, payload_bytes(objs[dst]), "scatter",
-                            self._comm_id, "scatter"
-                        )
-        vals = self._coll_exchange(
-            list(objs) if self.rank == root else None
+    def _sub(self, call_idx: int, color: int, members: list[int],
+             rank: int) -> "MPComm":
+        """A fresh ``comm_id`` view derived from the split call index, so
+        the wire traffic of different sub-communicators can never
+        cross."""
+        return MPComm(
+            self._transport, f"{self._label}/{call_idx}.{color}",
+            tuple(self._ranks[m] for m in members), rank,
         )
-        return vals[root][self.rank]
-
-    def alltoall(self, objs: Sequence[Any]) -> list[Any]:
-        tp = self._transport
-        if len(objs) != self.size:
-            raise ValueError("alltoall requires size objects")
-        if tp.tracer is not None:
-            for dst in range(self.size):
-                if dst != self.rank:
-                    tp.tracer.record(
-                        self.rank, dst, payload_bytes(objs[dst]), "alltoall",
-                        self._comm_id, "alltoall"
-                    )
-        mat = self._coll_exchange(list(objs))
-        return [mat[src][self.rank] for src in range(self.size)]
-
-    def reduce(self, obj: Any, op: Callable[[Any, Any], Any],
-               root: int = 0) -> Any:
-        tp = self._transport
-        if self.rank != root and tp.tracer is not None:
-            tp.tracer.record(self.rank, root, payload_bytes(obj), "reduce",
-                             self._comm_id, "reduce")
-        vals = self._coll_exchange(obj)
-        if self.rank != root:
-            return None
-        acc = vals[0]
-        for v in vals[1:]:
-            acc = op(acc, v)
-        return acc
-
-    # -- sub-communicators -----------------------------------------------------
-
-    def split(self, color: int, key: int | None = None) -> "MPComm":
-        """Same algorithm and validation as :meth:`SimComm.split`; the
-        sub-communicator is a fresh ``comm_id`` view derived from the
-        grid-wide split call index, so the wire traffic of different
-        sub-communicators can never cross."""
-        call_idx = self._split_calls
-        self._split_calls += 1
-        if key is None:
-            key = self.rank
-        quads = self.allgather(("split", call_idx, color, key, self.rank))
-        seen_calls = set()
-        for q in quads:
-            if not isinstance(q, tuple) or len(q) != 5 or q[0] != "split":
-                raise SpmdError(
-                    f"rank {self.rank} split(call {call_idx}) paired with "
-                    f"a non-split collective: ranks must call split() the "
-                    f"same number of times"
-                )
-            seen_calls.add(q[1])
-        if len(seen_calls) != 1:
-            raise SpmdError(
-                f"split call-index mismatch across ranks "
-                f"({sorted(seen_calls)}): ranks must call split() the "
-                f"same number of times"
-            )
-        group = sorted((k, r) for (_m, _ci, c, k, r) in quads if c == color)
-        new_rank = group.index((key, self.rank))
-        new_ranks = tuple(self._ranks[r] for (_k, r) in group)
-        sub_id = f"{self._comm_id}/{call_idx}.{color}"
-        return MPComm(self._transport, sub_id, new_ranks, new_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -569,10 +445,11 @@ def run_spmd_mp(
 
     Matches :func:`~repro.mpisim.comm.run_spmd_sim`'s contract: any rank
     raising aborts all ranks and re-raises as :class:`SpmdError` with the
-    first original failure as ``__cause__``; ranks that die or hang past
-    the shared deadline are reported rather than silently dropped; the
-    caller's ``tracer`` receives every child's logical message records;
-    ``nranks == 1`` runs inline in the calling thread.
+    root-cause failure (:func:`~repro.mpisim.backend.blame_order`) as
+    ``__cause__``; ranks that die or hang past the shared deadline are
+    reported rather than silently dropped; the caller's ``tracer``
+    receives every child's logical message records; ``nranks == 1`` runs
+    inline in the calling thread.
     """
     if nranks <= 0:
         raise ValueError("nranks must be positive")
@@ -657,17 +534,7 @@ def run_spmd_mp(
             if records:
                 with tracer._lock:
                     tracer.records.extend(records)
-    def _error_priority(e) -> int:
-        # prefer the original failure over secondary abort noise: a
-        # non-SpmdError beats a primary SpmdError (sanitizer mismatch,
-        # timeout), which beats the "aborted by a failing rank" echo the
-        # surviving ranks raise after the abort flag goes up
-        _rank, _ename, etext, _etb, is_spmd = e
-        if not is_spmd:
-            return 0
-        return 2 if "aborted by a failing rank" in etext else 1
-
-    errors.sort(key=lambda e: (_error_priority(e), e[0]))
+    errors.sort(key=lambda e: blame_order(e[0], e[4], e[2]))
     if errors:
         rank, ename, etext, etb, is_spmd = errors[0]
         cause = SpmdError(f"{ename}: {etext}\n{etb}")

@@ -66,7 +66,7 @@ class CommCostModel:
     :class:`~repro.perfmodel.machine.MachineSpec`.
     """
 
-    #: which comm backend the fit measured ("sim", "mp", "mpi")
+    #: which comm backend the fit measured ("sim" or "mp")
     backend: str
     #: fitted per-message latency (seconds per logical message)
     alpha: float

@@ -33,10 +33,10 @@ from repro.analysis.verify import verify_source, verify_sources
 from repro.bio.generate import scope_like
 from repro.core.config import PastisConfig
 from repro.core.distributed import run_pastis_distributed
-from repro.mpisim.backend import SpmdError, run_spmd
+from repro.mpisim.backend import COMM_BACKENDS, SpmdError, run_spmd
 
-#: backends the sanitizer suite runs on ("mpi" needs an mpirun launch)
-BACKENDS = ("sim", "mp")
+#: backends the sanitizer suite runs on: every registered one
+BACKENDS = COMM_BACKENDS
 
 
 def codes(violations: list[Finding]) -> list[str]:

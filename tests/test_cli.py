@@ -22,7 +22,6 @@ from repro.core.config import (
     PastisConfig,
 )
 from repro.core.graph import SimilarityGraph
-from repro.mpisim.backend import available_backends
 
 
 @pytest.fixture
@@ -68,15 +67,15 @@ class TestParser:
         assert args.align_engine == "batched"
 
 
-#: flag -> (PastisConfig field, the choices this interpreter accepts) for
-#: every choice-valued knob family
+#: flag -> (PastisConfig field, its choices) for every choice-valued knob
+#: family
 CHOICE_KNOBS = {
     "--align": ("align_mode", ALIGN_MODES),
     "--weight": ("weight", WEIGHTS),
     "--kernel": ("kernel", KERNELS),
     "--align-engine": ("align_engine", ALIGN_ENGINES),
     "--align-balance": ("align_balance", ALIGN_BALANCE_MODES),
-    "--comm-backend": ("comm_backend", available_backends()),
+    "--comm-backend": ("comm_backend", COMM_BACKENDS),
 }
 
 
@@ -111,15 +110,13 @@ class TestCliSurface:
 
     def test_parser_choices_match_config_validation(self):
         """The parser's choices= are the registered values and the
-        config's __post_init__ accepts every one this interpreter can
-        run (neither can drift)."""
+        config's __post_init__ accepts every one (neither can drift)."""
         parser = build_parser()
         by_dest = {a.dest: a for a in parser._actions}
         for flag, (field, choices) in CHOICE_KNOBS.items():
             dest = flag.lstrip("-").replace("-", "_")
-            registered = COMM_BACKENDS if field == "comm_backend" else choices
-            assert tuple(by_dest[dest].choices) == registered
-            for choice in choices:  # config accepts every usable choice
+            assert tuple(by_dest[dest].choices) == choices
+            for choice in choices:
                 PastisConfig(**{field: choice})
 
     def test_numeric_knobs_roundtrip(self):
@@ -143,6 +140,8 @@ class TestCliSurface:
             ["--align-balance", "steal"],
             ["--steal-factor", "2"],
             ["--steal-chunks", "4"],
+            # the deleted mpi4py adapter left no value behind either
+            ["--comm-backend", "mpi"],
         ):
             with pytest.raises(SystemExit) as exc_info:
                 build_parser().parse_args(["in.fa", "-o", "o.tsv", *flags])
@@ -345,30 +344,10 @@ class TestNamedErrors:
 
     def test_existing_config_error(self, fasta_file, capsys, tmp_path,
                                    monkeypatch):
-        monkeypatch.setenv("REPRO_COMM_BACKEND", "carrier-pigeon")
-        err = self._fails([str(fasta_file)], capsys, tmp_path)
-        assert "comm_backend must be one of" in err
-
-    @pytest.mark.parametrize("ranks", ["1", "4"])
-    def test_unavailable_backend(self, fasta_file, capsys, tmp_path,
-                                 monkeypatch, ranks):
-        """A registered backend this interpreter cannot run (mpi without
-        mpi4py) is a ConfigError, whether it comes from the flag or the
-        environment; with its library present the config accepts it."""
-        monkeypatch.setattr("repro.core.config.available_backends",
-                            lambda: ("sim", "mp"))
-        with pytest.raises(ConfigError, match="'mpi' is not available"):
-            PastisConfig(comm_backend="mpi")
-        err = self._fails([str(fasta_file), "--ranks", ranks,
-                           "--comm-backend", "mpi"], capsys, tmp_path)
-        assert "available: sim, mp" in err
-        monkeypatch.setenv("REPRO_COMM_BACKEND", "mpi")
-        err = self._fails([str(fasta_file), "--ranks", ranks],
-                          capsys, tmp_path)
-        assert "'mpi' is not available" in err
-        monkeypatch.setattr("repro.core.config.available_backends",
-                            lambda: ("sim", "mp", "mpi"))
-        assert PastisConfig().comm_backend == "mpi"
+        for value in ("carrier-pigeon", "mpi"):
+            monkeypatch.setenv("REPRO_COMM_BACKEND", value)
+            err = self._fails([str(fasta_file)], capsys, tmp_path)
+            assert "comm_backend must be one of sim, mp" in err
 
     @pytest.mark.parametrize("argv, message", [
         (["{fa}", "-o", "{fa}"], "input and -o name the same file"),

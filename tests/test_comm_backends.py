@@ -3,10 +3,10 @@
 Every registered SPMD backend must implement the same semantics — p2p
 ``(source, tag)`` matching in FIFO order, non-blocking handles,
 collectives, ``split`` with its call-count validation, watchdog timeouts
-and failure propagation.  The suite is parametrized over
-:func:`repro.mpisim.backend.available_backends`, so the mpi4py adapter
-picks it up for free when mpi4py is installed (it is skipped unless the
-interpreter was launched by ``mpirun`` with a matching world size).
+and failure propagation.  The collectives are written once on
+:class:`~repro.mpisim.backend.CommBackend`; the suite is parametrized over
+:data:`repro.mpisim.backend.COMM_BACKENDS`, so it checks them over every
+transport.
 
 Every SPMD body is a module-level function so the ``mp`` backend can run
 the suite under the ``spawn`` start method too (fork inherits closures,
@@ -23,31 +23,18 @@ import numpy as np
 import pytest
 
 from repro.mpisim import ProcessGrid, SpmdError, run_spmd
-from repro.mpisim.backend import (
-    COMM_BACKENDS,
-    available_backends,
-    get_runner,
-)
+from repro.mpisim.backend import COMM_BACKENDS, get_runner
 from repro.mpisim.tracing import CommTracer
-
-BACKENDS = available_backends()
 
 
 def spmd(backend, nranks, fn, *args, timeout=60.0, tracer=None):
-    if backend == "mpi":
-        from mpi4py import MPI
-
-        if MPI.COMM_WORLD.Get_size() != nranks:
-            pytest.skip(
-                f"mpi backend needs 'mpirun -n {nranks}' to run this"
-            )
     return run_spmd(
         nranks, fn, *args, timeout=timeout, tracer=tracer,
         comm_backend=backend,
     )
 
 
-@pytest.fixture(params=BACKENDS)
+@pytest.fixture(params=COMM_BACKENDS)
 def backend(request):
     return request.param
 
@@ -192,6 +179,33 @@ def _recv_never_satisfied(comm):
     return None
 
 
+def _barrier_amid_traffic(comm):
+    """Rank 0 waits in a barrier nobody else enters, while rank 1 keeps
+    rank 2 busy with point-to-point traffic for longer than the timeout."""
+    if comm.rank == 0:
+        comm.barrier()
+    elif comm.rank == 1:
+        for i in range(30):
+            comm.send(i, 2, tag=7)
+            time.sleep(0.1)
+    else:
+        for _ in range(30):
+            comm.recv(source=1, tag=7)
+    return None
+
+
+def _late_barrier_victim(comm):
+    """Rank 1's receive can never match and times out first; rank 0,
+    arriving late at a barrier (its deadline 0.4 s after rank 1's), only
+    aborts because of it."""
+    if comm.rank == 1:
+        comm.recv(source=0, tag=404)
+    else:
+        time.sleep(0.4)
+        comm.barrier()
+    return None
+
+
 def _none_result(comm):
     comm.barrier()
     return None
@@ -264,8 +278,6 @@ class TestConformance:
     def test_split_call_count_mismatch_raises(self, backend):
         """Satellite regression: ranks disagreeing on the number of
         split() calls must fail loudly on every backend."""
-        if backend == "mpi":
-            pytest.skip("MPI_Comm_split cannot detect this portably")
         with pytest.raises(SpmdError, match="split"):
             spmd(backend, 2, _split_mismatch, timeout=10.0)
 
@@ -275,10 +287,25 @@ class TestConformance:
         assert exc_info.value.__cause__ is not None
 
     def test_deadlock_times_out(self, backend):
-        if backend == "mpi":
-            pytest.skip("deadlock detection is the MPI runtime's job")
         with pytest.raises(SpmdError):
             spmd(backend, 2, _recv_never_satisfied, timeout=0.5)
+
+    def test_collective_deadline_not_rearmed_by_traffic(self, backend):
+        """A blocked collective times out ``timeout`` after the call even
+        while unrelated sends keep waking the waiters."""
+        t0 = time.monotonic()
+        with pytest.raises(SpmdError,
+                           match=r"collective.*timed out after 0\.5s"):
+            spmd(backend, 3, _barrier_amid_traffic, timeout=0.5)
+        assert time.monotonic() - t0 < 2.0
+
+    def test_root_cause_blamed_over_aborted_victim(self, backend):
+        """The rank whose receive timed out is reported, not the rank
+        that was aborted because of it."""
+        with pytest.raises(SpmdError) as exc_info:
+            spmd(backend, 2, _late_barrier_victim, timeout=0.5)
+        msg = str(exc_info.value)
+        assert "rank 1" in msg and "recv(" in msg, msg
 
     def test_none_results_are_not_missing(self, backend):
         assert spmd(backend, 4, _none_result) == [None] * 4
@@ -340,14 +367,16 @@ class TestPipelineTraceParity:
     *identically* — same (comm, op, kind) groups, same message counts,
     same byte totals — or ``CommTracer.summary()`` and the α–β seconds in
     ``graph.meta["commcost"]`` mean different things on different
-    backends."""
+    backends.  The collectives' records are written once, for both
+    transports, so the totals are also pinned: a tracing regression
+    would move both sides together."""
 
-    @pytest.mark.parametrize("knobs", [
-        dict(k=5),
-        dict(k=5, substitutes=4, common_kmer_threshold=1,
-             align_balance="greedy"),
+    @pytest.mark.parametrize("knobs, totals", [
+        (dict(k=5), (79, 788_748)),
+        (dict(k=5, substitutes=4, common_kmer_threshold=1,
+              align_balance="greedy"), (128, 1_755_538)),
     ], ids=["exact", "subs-ck-greedy"])
-    def test_sim_and_mp_summaries_identical(self, knobs):
+    def test_sim_and_mp_summaries_identical(self, knobs, totals):
         from repro.bio.generate import scope_like
         from repro.core.config import PastisConfig
         from repro.core.distributed import run_pastis_distributed
@@ -363,15 +392,13 @@ class TestPipelineTraceParity:
             run_pastis_distributed(store, config, nranks=4, tracer=tracer)
             summaries[backend] = tracer.summary()
         assert summaries["sim"] == summaries["mp"]
-        assert summaries["sim"]["total_messages"] > 0
-        assert summaries["sim"]["total_bytes"] > 0
+        assert (summaries["sim"]["total_messages"],
+                summaries["sim"]["total_bytes"]) == totals
 
 
 class TestRegistry:
     def test_backend_knob_choices_cover_registry(self):
-        assert set(available_backends()) <= set(COMM_BACKENDS)
-        assert "sim" in available_backends()
-        assert "mp" in available_backends()
+        assert COMM_BACKENDS == ("sim", "mp")
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown comm backend"):
