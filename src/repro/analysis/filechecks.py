@@ -81,7 +81,9 @@ _PRAGMA_CHECKS = {p: c for c, p in pragma_map().items()}
 #: modules whose computations must be bitwise identical on every rank
 _PLAN_MODULE_MARKERS = ("core/balance.py", "perfmodel/")
 #: modules whose kernels are vectorized (per-element loops are suspect)
-_HOT_MODULE_MARKERS = ("sparse/spgemm.py", "align/engine.py")
+_HOT_MODULE_MARKERS = (
+    "sparse/spgemm.py", "align/engine.py", "kmers/extraction.py",
+)
 
 _TIME_FUNCS = frozenset({
     "time", "time_ns", "monotonic", "monotonic_ns", "perf_counter",

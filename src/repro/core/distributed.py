@@ -45,6 +45,7 @@ from ..kmers.encoding import kmer_space_size
 from ..mpisim.backend import CommBackend, run_spmd
 from ..mpisim.grid import ProcessGrid
 from ..mpisim.tracing import CommTracer
+from ..sparse.coo import sorted_unique
 from ..sparse.distmat import DistSparseMatrix
 from ..sparse.summa import summa
 from .balance import align_and_drain, estimate_batch_cells, plan_and_ship
@@ -176,8 +177,8 @@ def block_pairs(
                 # once per grid: every rank learns the global vocabulary,
                 # expands an interleaved share of it and keeps only the
                 # substitute columns that can match Aᵀ
-                vocab = np.unique(np.concatenate(
-                    comm.allgather(np.unique(kmers))
+                vocab = sorted_unique(np.concatenate(
+                    comm.allgather(sorted_unique(kmers))
                 ))
                 s_rows, s_cols, s_dist = build_s_triples(
                     vocab[comm.rank::comm.size], config.k,

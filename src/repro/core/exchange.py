@@ -23,6 +23,7 @@ import numpy as np
 from ..bio.sequences import DistributedIndex, SequenceStore
 from ..mpisim.backend import CommBackend, Request
 from ..mpisim.grid import ProcessGrid, block_ranges
+from ..sparse.coo import sorted_unique
 
 __all__ = ["SequenceExchange", "needed_ranges", "start_exchange"]
 
@@ -104,7 +105,7 @@ def start_exchange(
                 send_ids.append(np.arange(lo - my_owned[0],
                                           hi - my_owned[0]))
         if send_ids:
-            local_ids = np.unique(np.concatenate(send_ids))
+            local_ids = sorted_unique(np.concatenate(send_ids))
             comm.isend(
                 _pack(local_store, local_ids, my_owned[0]),
                 dest=dst,

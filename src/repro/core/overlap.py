@@ -29,7 +29,7 @@ from ..bio.scoring import ScoringMatrix
 from ..bio.sequences import SequenceStore
 from ..kmers.extraction import store_kmers
 from ..kmers.substitutes import substitute_kmers_batch
-from ..sparse.coo import COOMatrix, group_coords
+from ..sparse.coo import COOMatrix, group_coords, sorted_unique
 from ..sparse.csr import CSRMatrix
 from ..sparse.spgemm import spgemm_hash
 from .config import PastisConfig
@@ -87,7 +87,7 @@ def build_s_triples(
     occur nowhere in the dataset — they cannot match anything in ``Aᵀ``, so
     removing them changes no result while shrinking ``S``.
     """
-    roots = np.unique(np.asarray(kmer_ids, dtype=np.int64))
+    roots = sorted_unique(kmer_ids)
     sub_ids, sub_dist = substitute_kmers_batch(roots, k, m, scoring)
     # row-major: every root's identity entry, then its substitutes in order
     rows = np.repeat(roots, sub_ids.shape[1] + 1)
@@ -217,8 +217,8 @@ def symmetrize_candidates(
 
     Values may be ``CommonKmers`` objects or struct-of-arrays records
     (:data:`~repro.core.semirings.CK_DTYPE`); the winner selection is one
-    vectorized fused-key sort either way, and the record path touches no
-    per-element Python at all.
+    vectorized :func:`~repro.sparse.coo.group_coords` either way, and the
+    record path touches no per-element Python at all.
     """
     if mirror is None:
         if row_offset != col_offset or b.nrows != b.ncols:
@@ -272,11 +272,11 @@ def symmetrize_candidates(
     # per coordinate: count descending, AS side ascending, forward first —
     # the first entry of every (row, col) group is the canonical winner
     order, winners, _, out_rows, out_cols = group_coords(
-        b.nrows, b.ncols, rows, cols, tiebreak=(flag, side, -counts)
+        rows, cols, tiebreak=(flag, side, -counts)
     )
-    out_vals = vals[order][winners]
+    out_vals = np.take(vals, order[winners])
     if not struct_path:
-        flagw = flag[order][winners]
+        flagw = flag[order[winners]]
         for t in np.flatnonzero(flagw):
             out_vals[t] = out_vals[t].flip()
     return COOMatrix(b.nrows, b.ncols, out_rows, out_cols, out_vals)

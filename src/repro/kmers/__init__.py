@@ -9,7 +9,7 @@ from .encoding import (
     kmer_space_size,
     kmer_string_from_id,
 )
-from .extraction import sequence_kmers, store_kmers, unique_sequence_kmers
+from .extraction import sequence_kmers, store_kmers
 from .substitutes import (
     SubstituteKmer,
     brute_force_substitutes,
@@ -28,7 +28,6 @@ __all__ = [
     "kmer_string_from_id",
     "sequence_kmers",
     "store_kmers",
-    "unique_sequence_kmers",
     "SubstituteKmer",
     "brute_force_substitutes",
     "find_substitute_kmers",

@@ -12,9 +12,10 @@ import numpy as np
 
 from ..bio.alphabet import ALPHABET_SIZE
 from ..bio.sequences import SequenceStore
+from ..sparse.coo import group_coords
 from .encoding import _check_k
 
-__all__ = ["sequence_kmers", "unique_sequence_kmers", "store_kmers"]
+__all__ = ["sequence_kmers", "store_kmers"]
 
 
 def sequence_kmers(encoded: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -35,33 +36,22 @@ def sequence_kmers(encoded: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]
     return ids, np.arange(n, dtype=np.int64)
 
 
-def unique_sequence_kmers(
-    encoded: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct k-mer ids of a sequence with the first start position of
-    each (the matrix entries of one row of A)."""
-    ids, pos = sequence_kmers(encoded, k)
-    if ids.size == 0:
-        return ids, pos
-    # np.unique returns the first occurrence index for sorted unique values.
-    uniq, first = np.unique(ids, return_index=True)
-    return uniq, pos[first]
-
-
 def store_kmers(
     store: SequenceStore, k: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """COO triples ``(row, kmer_id, position)`` for every sequence of a
-    store — the raw ingredients of matrix ``A``."""
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    for i in range(len(store)):
-        ids, pos = unique_sequence_kmers(store.encoded(i), k)
-        rows.append(np.full(len(ids), i, dtype=np.int64))
-        cols.append(ids)
-        vals.append(pos)
-    if not rows:
-        z = np.empty(0, dtype=np.int64)
-        return z, z.copy(), z.copy()
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    store — the raw ingredients of matrix ``A`` — sorted by ``(row, id)``.
+
+    One window slides over the store's contiguous residue buffer; windows
+    that cross a sequence boundary are dropped, and a stable group-by on
+    ``(row, id)`` keeps each k-mer's first position in its sequence.
+    """
+    offsets = store.offsets
+    lengths = np.diff(offsets)
+    ids, starts = sequence_kmers(store.buffer[offsets[0]:offsets[-1]], k)
+    rows = np.repeat(np.arange(len(store), dtype=np.int64), lengths)[:len(ids)]
+    pos = starts - (offsets[rows] - offsets[0])
+    keep = pos + k <= lengths[rows]
+    rows, ids, pos = rows[keep], ids[keep], pos[keep]
+    order, first, _, out_rows, out_ids = group_coords(rows, ids)
+    return out_rows, out_ids, pos[order[first]]

@@ -16,7 +16,7 @@ from typing import Any, Callable, Iterator
 
 import numpy as np
 
-__all__ = ["COOMatrix", "group_coords"]
+__all__ = ["COOMatrix", "group_coords", "sorted_unique", "stable_order"]
 
 
 def _as_values(vals: Any, n: int) -> np.ndarray:
@@ -37,14 +37,40 @@ def _as_values(vals: Any, n: int) -> np.ndarray:
     return arr
 
 
+def stable_order(keys) -> np.ndarray:
+    """``np.lexsort(keys)`` for integer keys: the stable permutation that
+    sorts by the last key, ties broken by the one before, and so on.
+
+    Works as LSD passes of ``np.argsort(kind="stable")`` over 16-bit
+    digits, the widest integers NumPy radix-sorts; wider dtypes (and
+    ``lexsort``) fall back to comparison sorts.  Each key is offset by its
+    minimum first, so negative and full-range int64 keys order correctly,
+    a key costs one pass per 16 bits of its value span, and a constant key
+    costs none.
+    """
+    keys = [np.asarray(key, dtype=np.int64) for key in keys]
+    order = np.arange(len(keys[0]) if keys else 0)
+    if len(order) == 0:
+        return order
+    for key in keys:
+        lo = key.min()
+        bits = (int(key.max()) - int(lo)).bit_length()
+        if bits == 0:
+            continue
+        # the wrapped int64 difference, read unsigned, is the exact offset
+        digits = (key - lo).view(np.uint64)[order]
+        for shift in range(0, bits, 16):
+            p = np.argsort((digits >> shift).astype(np.uint16), kind="stable")
+            order = order[p]
+            if shift + 16 < bits:
+                digits = digits[p]
+    return order
+
+
 def group_coords(
-    nrows: int,
-    ncols: int,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    tiebreak: tuple = (),
+    rows: np.ndarray, cols: np.ndarray, tiebreak: tuple = ()
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Stable coordinate grouping of a (non-empty) triple stream: sort by
+    """Stable coordinate grouping of a triple stream: sort by
     ``(row, col)`` with optional within-group ``tiebreak`` keys, then find
     the group boundaries.
 
@@ -53,34 +79,31 @@ def group_coords(
     run within the permuted stream, and ``group_rows``/``group_cols`` are
     the unique coordinates in ascending order.  ``tiebreak`` keys follow
     ``np.lexsort`` convention (least significant first) and order entries
-    *within* a coordinate group.
+    *within* a coordinate group; entries equal on every key keep their
+    stream order.
 
-    When ``row * ncols + col`` fits in int64 the sort runs on that fused
-    key (stable integer argsort is radix-based and much faster than a
-    multi-key lexsort); hypersparse shapes that would overflow fall back
-    to ``np.lexsort``.  This is the one shared group-by under the SpGEMM
-    accumulators, the struct record merge, and the symmetrization
-    winner selection.
+    The sort is one :func:`stable_order` over ``(*tiebreak, cols, rows)``,
+    so it costs a radix pass per 16 bits of each key's span whatever the
+    matrix shape.  This is the one shared group-by under the SpGEMM
+    accumulators, the struct record merge, the symmetrization winner
+    selection and the k-mer extraction of ``A``.
     """
-    if 0 < nrows <= (2**62) // max(ncols, 1):
-        key = rows * ncols + cols
-        order = (np.lexsort((*tiebreak, key)) if tiebreak
-                 else np.argsort(key, kind="stable"))
-        k = key[order]
-        boundary = np.ones(len(k), dtype=bool)
-        boundary[1:] = k[1:] != k[:-1]
-        starts = np.flatnonzero(boundary)
-        uniq = k[starts]
-        group_rows, group_cols = uniq // ncols, uniq % ncols
-    else:
-        order = np.lexsort((*tiebreak, cols, rows))
-        r, c = rows[order], cols[order]
-        boundary = np.ones(len(r), dtype=bool)
-        boundary[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
-        starts = np.flatnonzero(boundary)
-        group_rows, group_cols = r[starts], c[starts]
-    sizes = np.diff(np.append(starts, len(rows)))
-    return order, starts, sizes, group_rows, group_cols
+    order = stable_order((*tiebreak, cols, rows))
+    r, c = rows[order], cols[order]
+    boundary = np.ones(len(r), dtype=bool)
+    boundary[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
+    starts = np.flatnonzero(boundary)
+    sizes = np.diff(np.append(starts, len(r)))
+    return order, starts, sizes, r[starts], c[starts]
+
+
+def sorted_unique(values) -> np.ndarray:
+    """Ascending distinct values of an integer array, by sort and run scan
+    (``np.unique`` hashes on NumPy >= 2.3, which is slower here)."""
+    s = np.sort(np.asarray(values, dtype=np.int64))
+    keep = np.ones(len(s), dtype=bool)
+    keep[1:] = s[1:] != s[:-1]
+    return s[keep]
 
 
 def _reduce_sorted_coords(
@@ -188,7 +211,7 @@ class COOMatrix:
 
     def sort(self) -> "COOMatrix":
         """Entries sorted by (row, col); stable for duplicates."""
-        order = np.lexsort((self.cols, self.rows))
+        order = stable_order((self.cols, self.rows))
         return COOMatrix(
             self.nrows, self.ncols, self.rows[order], self.cols[order],
             self.vals[order],

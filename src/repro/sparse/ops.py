@@ -21,7 +21,7 @@ def elementwise_add(
     ``add`` may be a scalar callable, a binary ufunc, or a whole
     :class:`~repro.sparse.semiring.Semiring` — in the latter case the
     vectorized ``reduceat`` fold is used whenever the semiring's numeric
-    spec covers both operand value dtypes, and the fused-key struct merge
+    spec covers both operand value dtypes, and the grouped struct merge
     whenever both operands carry the struct spec's record columns.
     """
     if a.shape != b.shape:
@@ -58,22 +58,22 @@ def elementwise_add(
 
 
 def _merge_struct(a: COOMatrix, b: COOMatrix, spec) -> COOMatrix:
-    """``A ⊕ B`` for struct-record values: one stable fused-key sort, then
-    layered vectorized ``merge`` of colliding coordinates — no per-element
-    Python anywhere.  Handles duplicate coordinates within either operand
-    too (groups larger than two fold left-to-right, which the associative
-    ``merge`` contract makes order-insensitive)."""
+    """``A ⊕ B`` for struct-record values: one stable coordinate
+    group-by, then layered vectorized ``merge`` of colliding coordinates —
+    no per-element Python anywhere.  Handles duplicate coordinates within
+    either operand too (groups larger than two fold left-to-right, which
+    the associative ``merge`` contract makes order-insensitive)."""
     rows = np.concatenate((a.rows, b.rows))
     cols = np.concatenate((a.cols, b.cols))
     vals = np.concatenate((a.vals, b.vals))
     if len(rows) == 0:
         return COOMatrix(a.nrows, a.ncols, rows, cols, vals)
-    order, starts, sizes, out_rows, out_cols = group_coords(
-        a.nrows, a.ncols, rows, cols
-    )
-    vals = vals[order]
-    acc = vals[starts].copy()
+    order, starts, sizes, out_rows, out_cols = group_coords(rows, cols)
+    # np.take, not vals[idx]: fancy indexing copies structured records
+    # several times slower
+    vals = np.take(vals, order)
+    acc = np.take(vals, starts)
     for s in range(1, int(sizes.max())):
         has = sizes > s
-        acc[has] = spec.merge(acc[has], vals[starts[has] + s])
+        acc[has] = spec.merge(acc[has], np.take(vals, starts[has] + s))
     return COOMatrix(a.nrows, a.ncols, out_rows, out_cols, acc)

@@ -11,8 +11,8 @@ Numeric-semiring contract
 -------------------------
 A semiring may additionally declare a :class:`NumericSpec`, which lets the
 SpGEMM kernels replace the per-element Python ``add``/``multiply`` dispatch
-with whole-array NumPy operations (row-expansion + ``lexsort`` +
-``ufunc.reduceat``).  The spec must satisfy:
+with whole-array NumPy operations (row-expansion + a stable radix
+group-by + ``ufunc.reduceat``).  The spec must satisfy:
 
 * ``add`` is a **binary ufunc** (``np.add``, ``np.minimum``, ...) whose
   ``reduceat`` over a contiguous group equals the left fold of the scalar

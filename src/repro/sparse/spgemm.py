@@ -28,7 +28,7 @@ from typing import Any
 
 import numpy as np
 
-from .coo import COOMatrix, group_coords
+from .coo import COOMatrix, group_coords, stable_order
 from .csr import CSRMatrix
 from .semiring import ARITHMETIC, Semiring
 
@@ -87,6 +87,19 @@ def spgemm_hash(
 # ---------------------------------------------------------------------------
 
 
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(starts, lengths, values)`` of the runs of equal keys in a sorted,
+    non-empty array."""
+    starts = np.concatenate(([0], np.flatnonzero(keys[1:] != keys[:-1]) + 1))
+    return starts, np.diff(np.append(starts, len(keys))), keys[starts]
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The concatenation of ``arange(s, s + n)`` over ``(starts, lengths)``."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1])
+
+
 def join_cartesian(
     left_keys: np.ndarray, right_keys: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -95,30 +108,25 @@ def join_cartesian(
 
     For every key present in both arrays, emits one ``(li, ri)`` pair per
     element of the cross product of its occurrence ranges, left-major, keys
-    ascending.  This is the inner-dimension expansion of :func:`spgemm_coo`.
+    ascending.  This is the inner-dimension expansion of :func:`spgemm_coo`:
+    a merge of the two sides' runs of equal keys, matched with one
+    ``searchsorted``.
     """
-    shared = np.intersect1d(left_keys, right_keys)
-    if len(shared) == 0:
-        e = np.empty(0, dtype=np.int64)
+    e = np.empty(0, dtype=np.int64)
+    if len(left_keys) == 0 or len(right_keys) == 0:
         return e, e.copy()
-    l_start = np.searchsorted(left_keys, shared, side="left")
-    l_end = np.searchsorted(left_keys, shared, side="right")
-    r_start = np.searchsorted(right_keys, shared, side="left")
-    r_end = np.searchsorted(right_keys, shared, side="right")
-    l_cnt = l_end - l_start
-    r_cnt = r_end - r_start
-    sizes = l_cnt * r_cnt
-    total = int(sizes.sum())
-    if total == 0:
-        e = np.empty(0, dtype=np.int64)
+    l_start, l_cnt, l_keys = _runs(left_keys)
+    r_start, r_cnt, r_keys = _runs(right_keys)
+    at = np.minimum(np.searchsorted(r_keys, l_keys), len(r_keys) - 1)
+    hit = r_keys[at] == l_keys
+    if not hit.any():
         return e, e.copy()
-    # linear index within each group's product
-    grp = np.repeat(np.arange(len(shared)), sizes)
-    offs = np.concatenate(([0], np.cumsum(sizes)))[:-1]
-    lin = np.arange(total, dtype=np.int64) - offs[grp]
-    li = l_start[grp] + lin // r_cnt[grp]
-    ri = r_start[grp] + lin % r_cnt[grp]
-    return li, ri
+    l_start, l_cnt = l_start[hit], l_cnt[hit]
+    r_start, r_cnt = r_start[at[hit]], r_cnt[at[hit]]
+    # every matched left element, repeated once per right partner
+    fan = np.repeat(r_cnt, l_cnt)
+    li = np.repeat(_ranges(l_start, l_cnt), fan)
+    return li, _ranges(np.repeat(r_start, l_cnt), fan)
 
 
 def _expand_coo(
@@ -135,8 +143,8 @@ def _expand_coo(
     Works for object-valued matrices too: gather never touches the values
     elementwise.
     """
-    a_order = np.argsort(a.cols, kind="stable")
-    b_order = np.argsort(b.rows, kind="stable")
+    a_order = stable_order((a.cols,))
+    b_order = stable_order((b.rows,))
     li, ri = join_cartesian(a.cols[a_order], b.rows[b_order])
     ai, bi = a_order[li], b_order[ri]
     return a.rows[ai], b.cols[bi], a.vals[ai], b.vals[bi]
@@ -168,9 +176,7 @@ def _fold_numeric(nrows, ncols, rows, cols, a_vals, b_vals,
     order.  No per-element Python dispatch anywhere."""
     spec = semiring.numeric
     vals = np.asarray(spec.multiply(a_vals, b_vals))
-    order, starts, _, out_rows, out_cols = group_coords(
-        nrows, ncols, rows, cols
-    )
+    order, starts, _, out_rows, out_cols = group_coords(rows, cols)
     return COOMatrix(nrows, ncols, out_rows, out_cols,
                      spec.add.reduceat(vals[order], starts))
 
@@ -185,11 +191,12 @@ def _fold_struct(nrows, ncols, rows, cols, a_vals, b_vals,
     records = spec.expand(a_vals, b_vals)
     sk = spec.sort_key(records) if spec.sort_key is not None else None
     order, starts, sizes, out_rows, out_cols = group_coords(
-        nrows, ncols, rows, cols,
-        tiebreak=() if sk is None else (sk,),
+        rows, cols, tiebreak=() if sk is None else (sk,)
     )
+    # np.take, not records[order]: fancy indexing copies structured
+    # records several times slower
     return COOMatrix(nrows, ncols, out_rows, out_cols,
-                     spec.reduce(records[order], starts, sizes))
+                     spec.reduce(np.take(records, order), starts, sizes))
 
 
 def _boxed(arr: np.ndarray) -> np.ndarray:
@@ -218,9 +225,7 @@ def _fold_batched(nrows, ncols, rows, cols, a_vals, b_vals,
     mul_u = np.frompyfunc(semiring.multiply, 2, 1)
     add_u = np.frompyfunc(semiring.add, 2, 1)
     vals = mul_u(_boxed(a_vals), _boxed(b_vals))
-    order, starts, sizes, out_rows, out_cols = group_coords(
-        nrows, ncols, rows, cols
-    )
+    order, starts, sizes, out_rows, out_cols = group_coords(rows, cols)
     svals = vals[order]
     acc = svals[starts].copy()
     # spmd: hot-loop-ok (layered fold: iterations bounded by the largest

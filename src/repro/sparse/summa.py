@@ -11,7 +11,7 @@ Both the block multiply and the cross-stage accumulation stay fully
 vectorized whenever the semiring declares a numeric or struct spec covering
 the operand dtypes: the multiply runs the expand-reduce kernels of
 :mod:`repro.sparse.spgemm`, and :func:`repro.sparse.ops.elementwise_add`
-folds stages with ``reduceat`` (numeric) or the fused-key record merge
+folds stages with ``reduceat`` (numeric) or the grouped record merge
 (struct) instead of per-element Python ``add``.
 """
 

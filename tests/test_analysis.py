@@ -172,6 +172,16 @@ class TestLintHotLoop:
         # the same loop in a cold module is fine
         assert verify_source(body, "repro/core/graph.py") == []
 
+    def test_per_sequence_loop_flagged_in_kmer_extraction(self):
+        out = verify_source(src("""
+            def store_kmers(store, k):
+                rows = []
+                for i in range(len(store)):
+                    rows.append(unique_sequence_kmers(store.encoded(i), k))
+                return rows
+        """), "repro/kmers/extraction.py")
+        assert codes(out) == ["python-hot-loop"]
+
     def test_pragma_on_outer_loop_covers_nested(self):
         out = verify_source(src("""
             def kernel(rows):

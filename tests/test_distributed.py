@@ -460,3 +460,31 @@ class TestAlignRebalancing:
         assert tracer.messages_by_kind()["rebal"] > 0
         off = run_pastis_distributed(store, PastisConfig(), nranks=4)
         assert _edge_list(g) == _edge_list(off)
+
+
+class TestSortBasedOverlap:
+    """The overlap stage sorts and merges: no hash-based set operation
+    (``np.intersect1d``, a bare ``np.unique``) runs on the pipeline path,
+    at any rank count, exact or with substitutes."""
+
+    @pytest.mark.parametrize("p", [1, 4])
+    @pytest.mark.parametrize("subs", [0, 2])
+    def test_no_hash_set_ops(self, data, monkeypatch, p, subs):
+        cfg = PastisConfig(k=4, substitutes=subs, comm_backend="sim")
+        ref = run_pastis_distributed(data.store, cfg, nranks=p)
+        real_unique = np.unique
+
+        def intersect1d(*args, **kwargs):
+            raise AssertionError("np.intersect1d on the pipeline path")
+
+        def unique(ar, *args, **kwargs):
+            if not any(kwargs.get(flag) for flag in (
+                    "return_index", "return_inverse", "return_counts")):
+                raise AssertionError("bare np.unique on the pipeline path")
+            return real_unique(ar, *args, **kwargs)
+
+        monkeypatch.setattr(np, "intersect1d", intersect1d)
+        monkeypatch.setattr(np, "unique", unique)
+        got = run_pastis_distributed(data.store, cfg, nranks=p)
+        assert got.meta["candidate_pairs"] > 0
+        assert _edge_list(got) == _edge_list(ref)

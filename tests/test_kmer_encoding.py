@@ -15,10 +15,43 @@ from repro.kmers.encoding import (
     kmer_space_size,
     kmer_string_from_id,
 )
-from repro.kmers.extraction import (
-    sequence_kmers,
-    store_kmers,
-    unique_sequence_kmers,
+from repro.kmers.extraction import sequence_kmers, store_kmers
+
+
+def unique_sequence_kmers(encoded, k):
+    """Per-sequence definition of one row of ``A``: the distinct k-mer ids
+    of a sequence, ascending, with the first start position of each — the
+    oracle :func:`store_kmers` is checked against."""
+    ids, pos = sequence_kmers(encoded, k)
+    if ids.size == 0:
+        return ids, pos
+    uniq, first = np.unique(ids, return_index=True)
+    return uniq, pos[first]
+
+
+def store_kmers_oracle(store, k):
+    rows, cols, vals = [], [], []
+    for i in range(len(store)):
+        ids, pos = unique_sequence_kmers(store.encoded(i), k)
+        rows.append(np.full(len(ids), i, dtype=np.int64))
+        cols.append(ids)
+        vals.append(pos)
+    return tuple(np.concatenate(x) if x else np.empty(0, np.int64)
+                 for x in (rows, cols, vals))
+
+
+def assert_store_kmers_match(store, k):
+    got = store_kmers(store, k)
+    want = store_kmers_oracle(store, k)
+    for g, w in zip(got, want):
+        assert g.dtype == np.int64
+        assert g.tolist() == w.tolist()
+
+
+#: sequences over a three-letter alphabet, so k-mers repeat within and
+#: across sequences; lengths straddle k (shorter, exactly k, longer)
+_sequences = st.lists(
+    st.text(alphabet="AVW", min_size=1, max_size=14), min_size=1, max_size=8
 )
 
 
@@ -120,3 +153,27 @@ class TestExtraction:
     def test_store_kmers_empty_store(self):
         rows, cols, vals = store_kmers(SequenceStore(["AV"]), 3)
         assert len(rows) == 0
+        assert_store_kmers_match(SequenceStore(["AV"]), 3)
+        assert_store_kmers_match(SequenceStore([]), 3)
+
+    @given(_sequences, st.integers(1, 5))
+    def test_store_kmers_matches_per_sequence_definition(self, seqs, k):
+        assert_store_kmers_match(SequenceStore(seqs), k)
+
+    def test_store_kmers_beyond_fused_key_range(self):
+        # len(store) * 24**k exceeds int64: a fused row * 24**k + id key
+        # would overflow; the grouping must not care
+        k = MAX_K
+        seqs = ["AVWKRD*ZBXAVWKRD*ZBXAVWKR", "*" * k, "Y" * (k + 3)] * 5
+        store = SequenceStore(seqs)
+        assert len(store) * kmer_space_size(k) > np.iinfo(np.int64).max
+        assert_store_kmers_match(store, k)
+        rows, cols, _ = store_kmers(store, k)
+        assert cols.max() == kmer_space_size(k) - 1  # the all-'*' k-mer
+
+    def test_store_kmers_sequences_shorter_than_k(self):
+        store = SequenceStore(["AV", "AVGD", "A", "AVG", "AV"])
+        rows, cols, vals = store_kmers(store, 3)
+        assert rows.tolist() == [1, 1, 3]
+        assert vals.tolist() == [0, 1, 0]
+        assert_store_kmers_match(store, 3)

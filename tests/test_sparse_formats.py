@@ -2,8 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.sparse.coo import COOMatrix
+from repro.sparse.coo import (
+    COOMatrix,
+    group_coords,
+    sorted_unique,
+    stable_order,
+)
 from repro.sparse.csr import CSRMatrix
 
 
@@ -131,3 +138,73 @@ class TestCSR:
     def test_bad_indptr(self):
         with pytest.raises(ValueError):
             CSRMatrix(2, 2, np.array([0, 1]), np.array([0]), np.array([1]))
+
+
+_I64 = np.iinfo(np.int64)
+#: int64 values biased to the edges: the extremes, small negatives and
+#: duplicates, so offsets wrap and keys tie
+_int64s = st.one_of(
+    st.integers(int(_I64.min), int(_I64.max)),
+    st.sampled_from([int(_I64.min), int(_I64.max), -1, 0, 1]),
+    st.integers(-3, 3),
+)
+
+
+@st.composite
+def _key_sets(draw):
+    n = draw(st.integers(0, 40))
+    nkeys = draw(st.integers(1, 3))
+    keys = []
+    for _ in range(nkeys):
+        if draw(st.booleans()):  # constant key
+            keys.append(np.full(n, draw(_int64s), dtype=np.int64))
+        else:
+            keys.append(np.array(draw(st.lists(_int64s, min_size=n,
+                                               max_size=n)),
+                                 dtype=np.int64))
+    return keys
+
+
+class TestStableOrder:
+    @given(_key_sets())
+    def test_equals_lexsort(self, keys):
+        assert stable_order(keys).tolist() == np.lexsort(keys).tolist()
+
+    def test_wide_keys(self):
+        rng = np.random.default_rng(3)
+        keys = [rng.integers(_I64.min, _I64.max, 5000, dtype=np.int64,
+                             endpoint=True),
+                rng.integers(-2**40, 2**40, 5000),
+                rng.integers(0, 7, 5000)]
+        assert (stable_order(keys) == np.lexsort(keys)).all()
+
+    def test_empty_and_no_keys(self):
+        e = np.empty(0, dtype=np.int64)
+        assert len(stable_order([e, e])) == 0
+        assert len(stable_order([])) == 0
+
+    def test_constant_keys_keep_stream_order(self):
+        assert stable_order([np.full(5, -9), np.full(5, 2**62)]).tolist() == [
+            0, 1, 2, 3, 4
+        ]
+
+    @given(_key_sets())
+    def test_group_coords_groups_by_last_two_keys(self, keys):
+        if len(keys) < 2:
+            return
+        *tiebreak, cols, rows = keys
+        order, starts, sizes, gr, gc = group_coords(rows, cols,
+                                                    tuple(tiebreak))
+        assert order.tolist() == np.lexsort(keys).tolist()
+        coords = sorted(set(zip(rows.tolist(), cols.tolist())))
+        assert list(zip(gr.tolist(), gc.tolist())) == coords
+        assert sizes.sum() == len(rows)
+        for s, z, r, c in zip(starts, sizes, gr, gc):
+            assert (rows[order[s:s + z]] == r).all()
+            assert (cols[order[s:s + z]] == c).all()
+
+    @given(st.lists(_int64s, max_size=40))
+    def test_sorted_unique(self, values):
+        got = sorted_unique(np.array(values, dtype=np.int64))
+        assert got.dtype == np.int64
+        assert got.tolist() == sorted(set(values))

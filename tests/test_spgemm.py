@@ -17,7 +17,7 @@ from repro.sparse.semiring import (
     MIN_PLUS,
     Semiring,
 )
-from repro.sparse.spgemm import spgemm_coo, spgemm_hash
+from repro.sparse.spgemm import join_cartesian, spgemm_coo, spgemm_hash
 
 
 def _random_pair(seed, shape_a=(12, 9), shape_b=(9, 14), density=0.3):
@@ -132,3 +132,34 @@ class TestElementwise:
             elementwise_add(
                 COOMatrix.empty(2, 2), COOMatrix.empty(3, 3), min
             )
+
+
+def _join_brute(left, right):
+    """Per-key cross product, left-major, keys ascending."""
+    return [(i, j) for key in sorted(set(left) & set(right))
+            for i, x in enumerate(left) if x == key
+            for j, y in enumerate(right) if y == key]
+
+
+_sorted_keys = st.lists(st.integers(-4, 4), max_size=25).map(sorted)
+
+
+class TestJoinCartesian:
+    @given(_sorted_keys, _sorted_keys)
+    def test_matches_brute_force(self, left, right):
+        li, ri = join_cartesian(np.array(left, dtype=np.int64),
+                                np.array(right, dtype=np.int64))
+        assert li.dtype == ri.dtype == np.int64
+        assert list(zip(li.tolist(), ri.tolist())) == _join_brute(left, right)
+
+    @pytest.mark.parametrize("left,right", [
+        ([], []), ([], [1, 2]), ([1, 2], []),
+        ([1, 3, 5], [2, 4, 6]),                     # disjoint, interleaved
+        ([0, 0], [9, 9]),                           # disjoint, apart
+        ([7, 7, 7], [7, 7]),                        # all equal
+        ([-2**63, 0, 2**63 - 1], [-2**63, 2**63 - 1, 2**63 - 1]),
+    ])
+    def test_edge_cases(self, left, right):
+        li, ri = join_cartesian(np.array(left, dtype=np.int64),
+                                np.array(right, dtype=np.int64))
+        assert list(zip(li.tolist(), ri.tolist())) == _join_brute(left, right)
