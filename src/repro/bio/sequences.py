@@ -21,7 +21,18 @@ import numpy as np
 from .alphabet import decode_sequence, encode_sequence
 from .fasta import FastaError, FastaRecord
 
-__all__ = ["SequenceStore", "DistributedIndex", "check_unique_ids"]
+__all__ = [
+    "MAX_SEQUENCE_LENGTH",
+    "SequenceStore",
+    "DistributedIndex",
+    "check_unique_ids",
+]
+
+#: Sequences must be strictly shorter than this: it is the CommonKmers seed
+#: pack's distance bound (``repro.core.semirings.CK_DIST_LIMIT``, 2^21 - 1),
+#: which keeps every k-mer position inside the pack too — ~60x the longest
+#: known protein.
+MAX_SEQUENCE_LENGTH = (1 << 21) - 1
 
 
 def check_unique_ids(ids: Iterable[str]) -> None:
@@ -42,7 +53,8 @@ class SequenceStore:
 
     Residues live in a single contiguous buffer; sequence ``i`` occupies
     ``buffer[offsets[i]:offsets[i + 1]]``.  Ids are kept in a parallel list.
-    An invalid residue raises :class:`FastaError` naming the record.
+    An invalid residue or a length of :data:`MAX_SEQUENCE_LENGTH` or more
+    raises :class:`FastaError` naming the record.
     """
 
     __slots__ = ("_buffer", "_offsets", "_ids")
@@ -51,12 +63,18 @@ class SequenceStore:
         encoded = []
         for number, seq in enumerate(sequences, 1):
             try:
-                encoded.append(encode_sequence(seq))
+                enc = encode_sequence(seq)
+                if len(enc) >= MAX_SEQUENCE_LENGTH:
+                    raise ValueError(
+                        f"length {len(enc)} reaches the limit "
+                        f"{MAX_SEQUENCE_LENGTH} (the seed pack's bound)"
+                    )
             except ValueError as exc:
                 ident = f"seq{number - 1}" if ids is None else ids[number - 1]
                 raise FastaError(
                     f"record {number} ({ident!r}): {exc}"
                 ) from None
+            encoded.append(enc)
         lengths = np.array([len(e) for e in encoded], dtype=np.int64)
         if (lengths == 0).any():
             raise ValueError("empty sequences are not allowed")

@@ -8,15 +8,15 @@ Usage::
 
     python -m repro input.fasta -o edges.tsv [--k 6] [--substitutes 25]
         [--align xd|sw] [--weight ani|ns] [--ck N] [--ranks 4]
-        [--kernel struct|semiring]
         [--align-engine batched|python]
         [--align-balance off|greedy]
         [--cluster families.tsv]
 
 Every flag maps onto one :class:`~repro.core.config.PastisConfig` field
-(see :func:`config_from_args`); the three implementation knobs (``kernel``,
-``align-engine``, ``align-balance``) never change the output graph — a
-tested byte-identity contract documented in ``docs/knobs.md``.
+(see :func:`config_from_args`); the implementation knobs
+(``align-engine``, ``align-balance``, ``comm-backend``,
+``comm-sanitize``) never change the output graph — a tested byte-identity
+contract documented in ``docs/knobs.md``.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .core.config import (
     ALIGN_ENGINES,
     ALIGN_MODES,
     COMM_BACKENDS,
-    KERNELS,
     WEIGHTS,
     ConfigError,
     PastisConfig,
@@ -80,11 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ranks", type=int, default=1,
                    help="simulated MPI ranks (a positive perfect square); "
                    "one driver at every count, inline in this process at 1")
-    p.add_argument("--kernel", choices=KERNELS, default="struct",
-                   help="overlap kernel: struct expand-reduce (default; "
-                   "CommonKmers as record columns — what distributed "
-                   "SUMMA runs) or the generic object-semiring reference; "
-                   "byte-identical graphs either way")
     p.add_argument("--align-engine", choices=ALIGN_ENGINES,
                    default="batched",
                    help="alignment engine: inter-pair batched wavefront "
@@ -144,7 +138,6 @@ def config_from_args(args: argparse.Namespace) -> PastisConfig:
         xdrop=args.xdrop,
         min_identity=args.min_identity,
         min_coverage=args.min_coverage,
-        kernel=args.kernel,
         align_engine=args.align_engine,
         align_balance=args.align_balance,
         **extra,

@@ -16,13 +16,13 @@ from ..align.engine import GAP_LIMIT
 from ..bio.scoring import BLOSUM62, ScoringMatrix
 from ..kmers.encoding import MAX_K
 from ..mpisim.backend import COMM_BACKENDS
+from .semirings import CK_DIST_LIMIT
 
 __all__ = [
     "ALIGN_BALANCE_MODES",
     "ALIGN_ENGINES",
     "ALIGN_MODES",
     "COMM_BACKENDS",
-    "KERNELS",
     "WEIGHTS",
     "ConfigError",
     "PastisConfig",
@@ -36,7 +36,6 @@ __all__ = [
 #: truth, so the registry and the knob can never drift)
 ALIGN_MODES = ("xd", "sw")
 WEIGHTS = ("ani", "ns")
-KERNELS = ("struct", "semiring")
 ALIGN_ENGINES = ("batched", "python")
 ALIGN_BALANCE_MODES = ("off", "greedy")
 
@@ -105,20 +104,13 @@ class PastisConfig:
     weight:
         Edge weighting: ``"ani"`` (identity; implies the similarity filter)
         or ``"ns"`` (normalized raw score; the paper applies no cut-off).
-    kernel:
-        Overlap-detection kernel: ``"struct"`` (the default — the matrix
-        formulation with ``AS`` on the int64-packed numeric semiring and
-        ``CommonKmers`` as struct-of-arrays record columns, what SUMMA
-        runs per block) or ``"semiring"`` (generic object semirings — the
-        literal, slow reference, forced onto the distributed path too).
-        Both produce identical output (a tested invariant).
     align_engine:
         Alignment-stage engine: ``"batched"`` (the default) packs each
         rank's candidate pairs into padded lanes and advances every DP row
         in all live lanes at once — the NumPy analogue of the paper's
         SeqAn inter-sequence batching; ``"python"`` is the per-pair
         reference path.  Both produce byte-identical results (a tested
-        invariant, same contract as ``kernel``).
+        invariant).
     align_balance:
         Cross-rank alignment rebalancing (distributed pipeline only):
 
@@ -170,7 +162,6 @@ class PastisConfig:
     xdrop: int = 49
     min_identity: float = 0.30
     min_coverage: float = 0.70
-    kernel: str = "struct"
     align_engine: str = "batched"
     align_balance: str = "off"
     comm_backend: str = field(default_factory=_default_comm_backend)
@@ -179,10 +170,6 @@ class PastisConfig:
     def __post_init__(self) -> None:
         if self.align_mode not in ALIGN_MODES:
             raise ConfigError("align_mode must be 'xd' or 'sw'")
-        if self.kernel not in KERNELS:
-            raise ConfigError(
-                f"kernel must be one of {', '.join(KERNELS)}"
-            )
         if self.align_engine not in ALIGN_ENGINES:
             raise ConfigError("align_engine must be 'batched' or 'python'")
         if self.align_balance not in ALIGN_BALANCE_MODES:
@@ -196,6 +183,16 @@ class PastisConfig:
             )
         if self.substitutes < 0:
             raise ConfigError("substitutes must be non-negative")
+        # a k-mer's substitution distance is a sum of k expenses, and it
+        # must fit the CommonKmers seed pack (whatever the substitutes)
+        costs = self.scoring.expense_matrix().costs
+        reach = self.k * int(abs(costs).max())
+        if reach >= CK_DIST_LIMIT:
+            raise ConfigError(
+                f"k x the largest |expense| of scoring {self.scoring.name!r} "
+                f"is {reach}; the seed pack holds distances below "
+                f"{int(CK_DIST_LIMIT)}"
+            )
         if self.common_kmer_threshold is not None and (
             self.common_kmer_threshold < 0
         ):

@@ -59,7 +59,12 @@ from .overlap import (
     symmetrize_candidates,
 )
 from .pipeline import align_kwargs, edges_from_alignments, tasks_from_pairs
-from .semirings import CK_DIST_LIMIT, overlap_semirings
+from .semirings import (
+    check_seed_distances,
+    exact_overlap_semiring,
+    substitute_as_numeric_semiring,
+    substitute_overlap_encoded_semiring,
+)
 from .exchange import start_exchange
 
 __all__ = ["pastis_rank", "run_pastis_distributed", "store_to_fasta_bytes"]
@@ -112,23 +117,6 @@ def _parse_local(comm: CommBackend, fasta_bytes: bytes) -> SequenceStore:
     )
 
 
-def _ck_packable(comm: CommBackend, *value_arrays) -> bool:
-    """Collective check that every position/distance across all ranks fits
-    the CommonKmers seed pack (:data:`~repro.core.semirings.CK_SEED_LIMIT`).
-
-    The fast/reference choice must be grid-wide — if ranks disagreed, SUMMA
-    would mix record-valued and object-valued blocks mid-reduction — so the
-    local maxima are folded with one allreduce and every rank decides
-    identically.  Positions and distances share one fold, so the stricter
-    distance bound is applied to both.
-    """
-    local = 0
-    for arr in value_arrays:
-        if len(arr):
-            local = max(local, int(np.asarray(arr).max()))
-    return comm.allreduce(local, max) < int(CK_DIST_LIMIT)
-
-
 def block_pairs(
     grid: ProcessGrid,
     local_store: SequenceStore,
@@ -144,13 +132,11 @@ def block_pairs(
     symmetrization, by Sparse SUMMA, each timed under its dissection name;
     and this block's Fig.-11 triangle of ``B``.
 
-    On the fast kernels the AS stage runs numerically (AS values travel as
-    packed int64 seed hits) and the ``B`` stage runs SUMMA's block-local
-    struct expand-reduce — CommonKmers as record columns, no per-element
-    Python.  ``kernel="semiring"`` swaps in the object reference, and so
-    does any position or distance beyond the seed-pack bit budget —
-    collectively (:func:`_ck_packable`): mixed per-rank representations
-    would corrupt the SUMMA reduction.
+    The AS stage runs numerically (AS values travel as packed int64 seed
+    hits) and the ``B`` stage runs SUMMA's block-local struct
+    expand-reduce — CommonKmers as record columns, no per-element Python,
+    on every block: the store and the config bound every position and
+    distance to the seed pack before a rank starts.
     """
     comm = grid.comm
     # the int64 triples go through untouched: a rank with no sequences
@@ -164,13 +150,9 @@ def block_pairs(
         )
     with _timed(timings, "tr. A"):
         at = a.transpose()
-    reference = config.kernel == "semiring"
     if config.substitutes == 0:
         with _timed(timings, "(AS)AT"):
-            _, _, exact_semiring = overlap_semirings(
-                reference or not _ck_packable(comm, pos)
-            )
-            b = summa(a, at, exact_semiring)
+            b = summa(a, at, exact_overlap_semiring())
     else:
         with _timed(timings, "form S"):
             if s_triples is None:
@@ -189,16 +171,13 @@ def block_pairs(
                     np.asarray(t, dtype=np.int64)[comm.rank::comm.size]
                     for t in s_triples
                 )
-            as_semiring, overlap_semiring, _ = overlap_semirings(
-                reference or not _ck_packable(comm, pos, s_dist)
-            )
             s = DistSparseMatrix.distribute(
                 grid, a.ncols, a.ncols, s_rows, s_cols, s_dist
             )
         with _timed(timings, "AS"):
-            a_s = summa(a, s, as_semiring)
+            a_s = summa(a, s, substitute_as_numeric_semiring())
         with _timed(timings, "(AS)AT"):
-            b = summa(a_s, at, overlap_semiring)
+            b = summa(a_s, at, substitute_overlap_encoded_semiring())
         with _timed(timings, "sym."):
             # B ∪ Bᵀ: the cross-diagonal block exchange inside transpose()
             # hands every rank the partner block that mirrors its own, then
@@ -313,9 +292,10 @@ def run_pastis_distributed(
 
     ``nranks`` must be a positive perfect square (paper requirement;
     anything else is a :class:`~repro.core.config.ConfigError`) and the
-    store's ids distinct (:class:`~repro.bio.fasta.FastaError`) — both
-    raised here, before a rank is spawned, so they read the same at every
-    rank count.  The result is byte-identical at any rank count and under
+    store's ids distinct (:class:`~repro.bio.fasta.FastaError`), and an
+    injected ``s_triples`` must fit the seed pack (:class:`ValueError`) —
+    all raised here, before a rank is spawned, so they read the same at
+    every rank count.  The result is byte-identical at any rank count and under
     every ``config.align_balance`` mode (the golden obliviousness
     invariant).  The graph's ``meta`` has one schema at every ``nranks``:
     the variant name, candidate/alignment/edge counts,
@@ -331,6 +311,8 @@ def run_pastis_distributed(
     config = config or PastisConfig()
     check_ranks(nranks)
     check_unique_ids(store.ids)
+    if s_triples is not None:
+        check_seed_distances(s_triples[2])
     fasta = store_to_fasta_bytes(store)
     results: list[RankResult] = run_spmd(
         nranks, pastis_rank, fasta, config, s_triples, tracer=tracer,

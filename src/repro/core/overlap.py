@@ -5,9 +5,9 @@ symmetrization merge — with two whole-store entries:
 
 * :func:`find_candidate_pairs` — the pipeline's own overlap stage
   (:func:`repro.core.distributed.block_pairs`: SUMMA over
-  :func:`~repro.sparse.spgemm.spgemm_coo`, semirings chosen by
-  ``config.kernel``) on one inline rank; there is no second formulation
-  of the fast path to drift from the driver's.
+  :func:`~repro.sparse.spgemm.spgemm_coo` on the packed-record
+  semirings) on one inline rank; there is no second formulation of the
+  fast path to drift from the driver's.
 * :func:`find_candidate_pairs_semiring` — the literal one: object
   semirings through the scalar :func:`~repro.sparse.spgemm.spgemm_hash`.
   Slow, always correct; the oracle the tests validate the pipeline
@@ -38,10 +38,12 @@ from .semirings import (
     CK_SEED_NONE,
     MAX_SEEDS,
     CommonKmers,
+    check_seed_distances,
     ck_flip_records,
     is_ck_records,
-    overlap_semirings,
-    records_to_common_kmers,
+    exact_overlap_semiring,
+    substitute_as_semiring,
+    substitute_overlap_semiring,
     unpack_seeds,
 )
 
@@ -215,10 +217,13 @@ def symmetrize_candidates(
     mirror raise :class:`ValueError` instead of silently merging entries
     from the wrong coordinate space.
 
-    Values may be ``CommonKmers`` objects or struct-of-arrays records
-    (:data:`~repro.core.semirings.CK_DTYPE`); the winner selection is one
-    vectorized :func:`~repro.sparse.coo.group_coords` either way, and the
-    record path touches no per-element Python at all.
+    Values are struct-of-arrays records
+    (:data:`~repro.core.semirings.CK_DTYPE`) on the pipeline's path and
+    ``CommonKmers`` objects in the oracle
+    (:func:`find_candidate_pairs_semiring`), the same in ``b`` and
+    ``mirror``; the winner selection is one vectorized
+    :func:`~repro.sparse.coo.group_coords` either way, and the record path
+    touches no per-element Python at all.
     """
     if mirror is None:
         if row_offset != col_offset or b.nrows != b.ncols:
@@ -232,17 +237,6 @@ def symmetrize_candidates(
         raise ValueError(
             f"mirror shape {mirror.shape} does not match block {b.shape}"
         )
-    # mixed representations (one side fell back to objects): unpack the
-    # record side so the merge never mixes np.void records with objects
-    if is_ck_records(b.vals) != is_ck_records(mirror.vals):
-        if is_ck_records(b.vals):
-            b = COOMatrix(b.nrows, b.ncols, b.rows, b.cols,
-                          records_to_common_kmers(b.vals))
-        else:
-            mirror = COOMatrix(mirror.nrows, mirror.ncols, mirror.rows,
-                               mirror.cols,
-                               records_to_common_kmers(mirror.vals))
-
     rows = np.concatenate((b.rows, mirror.rows))
     cols = np.concatenate((b.cols, mirror.cols))
     # as_side = global id of the sequence whose substitutes were expanded
@@ -255,7 +249,7 @@ def symmetrize_candidates(
         (np.zeros(b.nnz, dtype=np.int64), np.ones(mirror.nnz, dtype=np.int64))
     )
 
-    struct_path = is_ck_records(b.vals) and is_ck_records(mirror.vals)
+    struct_path = is_ck_records(b.vals)
     if struct_path:
         vals = np.concatenate((b.vals, ck_flip_records(mirror.vals)))
         counts = vals["count"]
@@ -362,15 +356,18 @@ def find_candidate_pairs(
 
     With ``config.substitutes == 0`` this is ``A Aᵀ``; otherwise
     ``(A S) Aᵀ`` followed by the symmetrization merge (the direction with
-    the larger shared count wins, forward on ties); ``config.kernel``
-    picks the semirings exactly as in a full run.  ``s_triples`` allows
-    reusing a precomputed ``S``.  Agrees exactly with
-    :func:`find_candidate_pairs_semiring` (a tested invariant).
+    the larger shared count wins, forward on ties), on the semirings of a
+    full run.  ``s_triples`` allows reusing a precomputed ``S``; a
+    distance outside the seed pack raises :class:`ValueError`.  Agrees
+    exactly with :func:`find_candidate_pairs_semiring` (a tested
+    invariant).
     """
     # deferred imports: core.distributed builds on this module
     from ..mpisim.backend import run_spmd
     from .distributed import store_pairs
 
+    if s_triples is not None:
+        check_seed_distances(s_triples[2])
     [pairs] = run_spmd(1, store_pairs, store, config, s_triples)
     return pairs.sort()
 
@@ -391,7 +388,6 @@ def find_candidate_pairs_semiring(
     block layout with the pipeline.  No driver reaches it; the tests
     validate :func:`find_candidate_pairs` and the full runs against it.
     ``s_triples`` allows reusing a precomputed ``S``."""
-    as_semiring, overlap_semiring, exact_semiring = overlap_semirings(True)
     rows, cols, pos = build_a_triples(store, config.k)
     if config.substitutes and s_triples is None:
         present = np.unique(cols)
@@ -411,11 +407,13 @@ def find_candidate_pairs_semiring(
     a = csr(len(store), nk, rows, np.searchsorted(vocab, cols), pos)
     at = a.transpose()
     if config.substitutes == 0:
-        b = spgemm_hash(a, at, exact_semiring)
+        b = spgemm_hash(a, at, exact_overlap_semiring())
     else:
         s = csr(nk, nk, np.searchsorted(vocab, s_rows),
                 np.searchsorted(vocab, s_cols),
                 np.asarray(s_dist, dtype=np.int64))
-        a_s = CSRMatrix.from_coo(spgemm_hash(a, s, as_semiring))
-        b = symmetrize_candidates(spgemm_hash(a_s, at, overlap_semiring))
+        a_s = CSRMatrix.from_coo(spgemm_hash(a, s, substitute_as_semiring()))
+        b = symmetrize_candidates(
+            spgemm_hash(a_s, at, substitute_overlap_semiring())
+        )
     return pairs_from_block(len(store), b).sort()

@@ -98,13 +98,12 @@ def pastis_pipeline(
     :func:`~repro.core.distributed.run_pastis_distributed` at
     ``nranks=1``, where the one rank runs inline — no thread, no fork.
 
-    ``config.kernel`` selects the overlap kernel and
-    ``config.align_engine`` the alignment engine — interchangeable
-    implementations with a byte-identical output contract, documented in
-    ``docs/knobs.md``.  The returned graph's ``meta`` records the variant
-    name, per-stage wall times (``overlap_seconds``, ``align_seconds``,
-    ``rank_timings``), candidate/alignment counts, and the number of edges
-    kept.
+    ``config.align_engine`` selects the alignment engine —
+    interchangeable implementations with a byte-identical output
+    contract, documented in ``docs/knobs.md``.  The returned graph's
+    ``meta`` records the variant name, per-stage wall times
+    (``overlap_seconds``, ``align_seconds``, ``rank_timings``),
+    candidate/alignment counts, and the number of edges kept.
     """
     # deferred import: core.distributed builds on this module's tail
     from .distributed import run_pastis_distributed

@@ -16,7 +16,7 @@ Matrix values:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +32,7 @@ __all__ = [
     "CK_SEED_FIELDS",
     "CK_SEED_LIMIT",
     "CK_SEED_NONE",
+    "check_seed_distances",
     "encode_seed_hits",
     "pack_seeds",
     "unpack_seeds",
@@ -46,7 +47,6 @@ __all__ = [
     "substitute_as_numeric_semiring",
     "substitute_overlap_semiring",
     "substitute_overlap_encoded_semiring",
-    "overlap_semirings",
     "merge_common_kmers",
 ]
 
@@ -146,10 +146,11 @@ def substitute_overlap_semiring() -> Semiring:
 # ---------------------------------------------------------------------------
 
 #: A :class:`SeedHit` packs into one int64 as ``distance * SHIFT +
-#: position``; because ``position < SHIFT``, integer ``min`` over the
+#: position``; because ``0 <= position < SHIFT``, integer ``min`` over the
 #: encoding realises exactly the lexicographic ``(distance, position)`` min
 #: of the AS semiring's add — which is what lets the AS stage run on the
-#: vectorized numeric SpGEMM path.
+#: vectorized numeric SpGEMM path.  ``%`` and floor ``//`` decode signed
+#: distances (an ambiguity code's expense can be negative).
 SEED_ENCODE_SHIFT = np.int64(1) << 32
 
 
@@ -201,29 +202,6 @@ def substitute_overlap_encoded_semiring() -> Semiring:
     )
 
 
-def overlap_semirings(reference: bool) -> tuple[Semiring, Semiring, Semiring]:
-    """The ``(AS, (AS)Aᵀ, A Aᵀ)`` semirings of the overlap stage — the one
-    selection the pipeline and the reference oracle share.
-
-    ``reference=True`` is the literal object formulation: ``SeedHit`` /
-    ``CommonKmers`` values and per-element Python ``add``/``multiply``
-    everywhere (the struct spec is stripped so nothing vectorizes).
-    Otherwise the fast formulation: the AS stage on the int64-packed
-    numeric path and the ``B`` stage on the struct expand-reduce.
-    """
-    if reference:
-        return (
-            substitute_as_semiring(),
-            substitute_overlap_semiring(),
-            replace(exact_overlap_semiring(), struct=None),
-        )
-    return (
-        substitute_as_numeric_semiring(),
-        substitute_overlap_encoded_semiring(),
-        exact_overlap_semiring(),
-    )
-
-
 # ---------------------------------------------------------------------------
 # struct twins: CommonKmers as struct-of-arrays record columns
 # ---------------------------------------------------------------------------
@@ -231,9 +209,11 @@ def overlap_semirings(reference: bool) -> tuple[Semiring, Semiring, Semiring]:
 #: A ``B``-stage seed ``(pos_row, pos_col, distance)`` packs into one int64
 #: as ``(distance * LIMIT + pos_row) * LIMIT + pos_col``, so integer order
 #: over the packing equals the canonical CommonKmers seed order
-#: ``(distance, pos_row, pos_col)``.  Positions must be smaller than
-#: :data:`CK_SEED_LIMIT` (2^21 ≈ 2.1 M — far above any sequence length
-#: this pipeline sees) and distances smaller than :data:`CK_DIST_LIMIT`.
+#: ``(distance, pos_row, pos_col)``, negative distances included.  Positions
+#: lie in ``[0, CK_SEED_LIMIT)`` and ``|distance|`` below
+#: :data:`CK_DIST_LIMIT` for every input the pipeline accepts (the store
+#: bounds sequence lengths, the config k-mer expenses), so the pack is
+#: total.
 CK_SEED_LIMIT = np.int64(1) << 21
 
 #: Distance bound of the seed pack: one below :data:`CK_SEED_LIMIT`, so
@@ -254,22 +234,31 @@ CK_DTYPE = np.dtype(
 )
 
 
+def check_seed_distances(dist) -> None:
+    """Raise :class:`ValueError` unless every distance fits the seed pack,
+    ``-CK_DIST_LIMIT < dist < CK_DIST_LIMIT``."""
+    d = np.asarray(dist, dtype=np.int64)
+    lim = int(CK_DIST_LIMIT)
+    if d.size and (int(d.min()) <= -lim or int(d.max()) >= lim):
+        raise ValueError(
+            f"seed distance out of the packable range ({-lim}, {lim})"
+        )
+
+
 def pack_seeds(pos_row, pos_col, dist):
     """Pack ``(pos_row, pos_col, distance)`` seeds (scalars or arrays) into
     int64 preserving the canonical ``(distance, pos_row, pos_col)`` order."""
     pr = np.asarray(pos_row, dtype=np.int64)
     pc = np.asarray(pos_col, dtype=np.int64)
     d = np.asarray(dist, dtype=np.int64)
-    for name, arr, limit in (
-        ("pos_row", pr, CK_SEED_LIMIT),
-        ("pos_col", pc, CK_SEED_LIMIT),
-        ("distance", d, CK_DIST_LIMIT),
-    ):
+    for name, arr in (("pos_row", pr), ("pos_col", pc)):
         if arr.size and (int(arr.min()) < 0
-                         or int(arr.max()) >= int(limit)):
+                         or int(arr.max()) >= int(CK_SEED_LIMIT)):
             raise ValueError(
-                f"seed {name} out of the packable range [0, {int(limit)})"
+                f"seed {name} out of the packable range "
+                f"[0, {int(CK_SEED_LIMIT)})"
             )
+    check_seed_distances(d)
     return (d * CK_SEED_LIMIT + pr) * CK_SEED_LIMIT + pc
 
 
@@ -313,32 +302,6 @@ def _ck_expand_encoded(enc: np.ndarray, pos_c: np.ndarray) -> np.ndarray:
         enc % SEED_ENCODE_SHIFT, pos_c, enc // SEED_ENCODE_SHIFT
     )
     return rec
-
-
-def _fits_seed_limit(arr: np.ndarray, limit=CK_SEED_LIMIT) -> bool:
-    arr = np.asarray(arr)
-    if len(arr) == 0:
-        return True
-    return int(arr.min()) >= 0 and int(arr.max()) < int(limit)
-
-
-def _ck_operands_ok_exact(pos_r: np.ndarray, pos_c: np.ndarray) -> bool:
-    """Both operand position arrays must fit the seed pack; otherwise the
-    dispatchers fall back to the always-correct object path."""
-    return _fits_seed_limit(pos_r) and _fits_seed_limit(pos_c)
-
-
-def _ck_operands_ok_encoded(enc: np.ndarray, pos_c: np.ndarray) -> bool:
-    """Encoded AS hits decode to (position, distance); both components and
-    the right-hand positions must fit the seed pack."""
-    enc = np.asarray(enc)
-    if len(enc) and int(enc.min()) < 0:
-        return False
-    return (
-        _fits_seed_limit(enc % SEED_ENCODE_SHIFT)
-        and _fits_seed_limit(enc // SEED_ENCODE_SHIFT, CK_DIST_LIMIT)
-        and _fits_seed_limit(pos_c)
-    )
 
 
 def _ck_sort_key(records: np.ndarray) -> np.ndarray:
@@ -440,9 +403,5 @@ def ck_struct_spec(encoded: bool) -> StructSpec:
         reduce=_ck_reduce,
         merge=ck_merge_records,
         sort_key=_ck_sort_key,
-        to_objects=records_to_common_kmers,
-        from_objects=common_kmers_to_records,
         operand_dtype=np.int64,
-        operands_ok=(_ck_operands_ok_encoded if encoded
-                     else _ck_operands_ok_exact),
     )

@@ -12,6 +12,7 @@ from .semiring import (
     MAX_MIN,
     MAX_TIMES,
     MIN_PLUS,
+    NoKernelError,
     NumericSpec,
     Semiring,
 )
@@ -29,6 +30,7 @@ __all__ = [
     "MAX_MIN",
     "MAX_TIMES",
     "MIN_PLUS",
+    "NoKernelError",
     "NumericSpec",
     "Semiring",
     "spgemm_coo",

@@ -198,10 +198,6 @@ class COOMatrix:
             self.vals.astype(dtype),
         )
 
-    @property
-    def has_object_values(self) -> bool:
-        return self.vals.dtype == object
-
     def transpose(self) -> "COOMatrix":
         """Swap rows and columns (O(nnz), no value copies)."""
         return COOMatrix(

@@ -85,10 +85,6 @@ class CSRMatrix:
         return CSRMatrix(self.nrows, self.ncols, self.indptr.copy(),
                          self.indices.copy(), self.data.astype(dtype))
 
-    @property
-    def has_object_values(self) -> bool:
-        return self.data.dtype == object
-
     def get(self, i: int, j: int, default: Any = None) -> Any:
         """Value at ``(i, j)`` or ``default``."""
         cols, vals = self.row(i)

@@ -8,7 +8,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .coo import COOMatrix, group_coords
-from .semiring import Semiring
+from .semiring import NoKernelError, Semiring
 
 __all__ = ["elementwise_add"]
 
@@ -20,9 +20,10 @@ def elementwise_add(
 
     ``add`` may be a scalar callable, a binary ufunc, or a whole
     :class:`~repro.sparse.semiring.Semiring` — in the latter case the
-    vectorized ``reduceat`` fold is used whenever the semiring's numeric
-    spec covers both operand value dtypes, and the grouped struct merge
-    whenever both operands carry the struct spec's record columns.
+    vectorized ``reduceat`` fold runs when the semiring's numeric spec
+    covers both operand value dtypes, the grouped struct merge when both
+    operands carry the struct spec's record columns, and anything else is
+    a :class:`~repro.sparse.semiring.NoKernelError`.
     """
     if a.shape != b.shape:
         raise ValueError("shape mismatch")
@@ -35,18 +36,10 @@ def elementwise_add(
                 and sspec.is_reduced(b.vals.dtype)):
             return _merge_struct(a, b, sspec)
         else:
-            # mixed representations (one operand fell back to objects):
-            # unpack the record side before the scalar fold — a raw
-            # concatenation would silently mix np.void records into the
-            # object stream
-            if (sspec is not None and sspec.to_objects is not None):
-                if sspec.is_reduced(a.vals.dtype):
-                    a = COOMatrix(a.nrows, a.ncols, a.rows, a.cols,
-                                  sspec.to_objects(a.vals))
-                if sspec.is_reduced(b.vals.dtype):
-                    b = COOMatrix(b.nrows, b.ncols, b.rows, b.cols,
-                                  sspec.to_objects(b.vals))
-            add = add.add
+            raise NoKernelError(
+                f"semiring {add.name!r} cannot merge value dtypes "
+                f"{a.vals.dtype} and {b.vals.dtype}"
+            )
     merged = COOMatrix(
         a.nrows,
         a.ncols,

@@ -20,17 +20,15 @@ group-by + ``ufunc.reduceat``).  The spec must satisfy:
 * ``multiply`` is **vectorized**: given two equal-length value arrays it
   returns the array of partial products, elementwise equal to the scalar
   ``multiply``;
-* ``dtype`` is the canonical accumulator dtype.  The fast path only engages
+* ``dtype`` is the canonical accumulator dtype.  The spec covers a product
   when both operands' value dtypes can be cast to it under ``casting``
-  (default ``"same_kind"``); otherwise the dispatcher silently falls back
-  to the generic scalar operators, so declaring a spec never changes results.
+  (default ``"same_kind"``).
 
-The scalar ``add``/``multiply`` remain required and authoritative: they are
-used whenever values are Python objects, and the property tests in
-``tests/test_spgemm_crossval.py`` assert both formulations agree on every
-bundled semiring.  Because the vectorized kernels fold groups in the same
-deterministic order as the scalar kernels, results are identical — bitwise,
-even for floats.
+The scalar ``add``/``multiply`` remain required and authoritative: the
+reference :func:`~repro.sparse.spgemm.spgemm_hash` runs them, and
+``tests/test_spgemm_crossval.py`` asserts both formulations agree, bitwise
+(the vectorized kernels fold groups in the scalar kernels' order).  A
+product no spec covers raises :class:`NoKernelError`.
 
 Struct-semiring contract
 ------------------------
@@ -47,14 +45,12 @@ NumPy *structured* dtype (struct-of-arrays record columns):
 * ``merge`` combines two aligned arrays of *reduced* records elementwise —
   the accumulation step SUMMA needs between stages.  ``merge`` must be
   associative and commutative, and ``reduce`` must equal repeated ``merge``
-  of the group's singleton records;
-* ``to_objects`` / ``from_objects`` convert between record arrays and the
-  scalar semiring's Python values, so results can cross back into the
-  generic world (and be cross-validated against it).
+  of the group's singleton records.
 
-As with :class:`NumericSpec`, the scalar operators remain authoritative and
-the kernels silently fall back to them whenever ``compatible`` rejects the
-operand dtypes, so declaring a struct spec never changes results.
+As with :class:`NumericSpec`, the scalar operators remain authoritative,
+and the spec covers a product when ``compatible`` accepts the operand
+dtypes; ``expand`` raises :class:`ValueError` on a value its records
+cannot hold.
 """
 
 from __future__ import annotations
@@ -65,6 +61,7 @@ from typing import Any, Callable
 import numpy as np
 
 __all__ = [
+    "NoKernelError",
     "NumericSpec",
     "StructSpec",
     "Semiring",
@@ -77,6 +74,11 @@ __all__ = [
 ]
 
 
+class NoKernelError(TypeError):
+    """A semiring product whose operand value dtypes no spec of the
+    semiring covers: there is no vectorized kernel to run it."""
+
+
 @dataclass(frozen=True)
 class NumericSpec:
     """Declarative vectorized form of a semiring over a NumPy dtype.
@@ -85,7 +87,7 @@ class NumericSpec:
     ----------
     dtype:
         Canonical accumulator dtype; operand value dtypes must be castable
-        to it (under ``casting``) for the fast path to engage.
+        to it (under ``casting``) for the spec to cover a product.
     add:
         Binary ufunc supporting ``reduceat`` (``np.add``, ``np.minimum``,
         ``np.maximum``, ``np.logical_or``, ...).
@@ -139,30 +141,19 @@ class StructSpec:
         ``(x_records, y_records) -> records`` — elementwise, associative,
         commutative combine of two aligned arrays of reduced records.
     sort_key:
-        Optional ``records -> int64 array`` giving the canonical
-        within-group order ``reduce`` expects; ``None`` means any order.
-    to_objects / from_objects:
-        Converters between record arrays and ``dtype=object`` arrays of the
-        scalar semiring's values.
+        ``records -> int64 array`` giving the canonical within-group order
+        ``reduce`` expects.
     operand_dtype:
         Dtype the operand value arrays must be castable to (under
-        ``"same_kind"``) for the struct path to engage.
-    operands_ok:
-        Optional value-range predicate ``(a_vals, b_vals) -> bool``; when it
-        returns False the dispatchers fall back to the generic kernels
-        instead of engaging a spec whose packing could not represent the
-        values (e.g. seed positions beyond the CommonKmers bit budget).
+        ``"same_kind"``) for the spec to cover a product.
     """
 
     dtype: Any
     expand: Callable[[np.ndarray, np.ndarray], np.ndarray]
     reduce: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     merge: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    sort_key: Callable[[np.ndarray], np.ndarray] | None = None
-    to_objects: Callable[[np.ndarray], np.ndarray] | None = None
-    from_objects: Callable[[np.ndarray], np.ndarray] | None = None
+    sort_key: Callable[[np.ndarray], np.ndarray]
     operand_dtype: Any = np.int64
-    operands_ok: Callable[[np.ndarray, np.ndarray], bool] | None = None
 
     def compatible(self, *dtypes: Any) -> bool:
         """Whether operand value arrays of the given dtypes can use the
@@ -180,15 +171,6 @@ class StructSpec:
         """Whether ``dtype`` is this spec's reduced record dtype (i.e. the
         values are already struct columns that ``merge`` can combine)."""
         return np.dtype(dtype) == np.dtype(self.dtype)
-
-    def engages(self, a_vals: np.ndarray, b_vals: np.ndarray) -> bool:
-        """Full dispatch check: operand dtypes are compatible AND the
-        values fit the spec's packing (``operands_ok``)."""
-        if not self.compatible(a_vals.dtype, b_vals.dtype):
-            return False
-        return self.operands_ok is None or bool(
-            self.operands_ok(a_vals, b_vals)
-        )
 
 
 @dataclass(frozen=True)
@@ -234,9 +216,9 @@ ARITHMETIC = Semiring(
     numeric=NumericSpec(np.float64, np.add, np.multiply),
 )
 
-#: (or, and) — pattern multiplication.  The fast path engages only for
-#: genuinely boolean value arrays (int values fall back to the generic
-#: truthiness semantics).
+#: (or, and) — pattern multiplication.  The spec covers only genuinely
+#: boolean value arrays: int values would need the scalar operators'
+#: truthiness semantics, which only the reference kernel runs.
 BOOLEAN = Semiring(
     "boolean", lambda a, b: a or b, lambda a, b: a and b, False,
     numeric=NumericSpec(np.bool_, np.logical_or, np.logical_and),

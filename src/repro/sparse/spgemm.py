@@ -7,13 +7,13 @@ One scalar reference and one vectorized dispatcher:
   literal; every other path is validated against it.
 * :func:`spgemm_coo` — the dispatcher, a sort-merge join on COO operands
   that never allocates anything proportional to a matrix dimension.  It
-  walks one ladder: the semiring's
+  has two rungs: the semiring's
   :class:`~repro.sparse.semiring.NumericSpec` (vectorized multiply +
   ``ufunc.reduceat``), then its :class:`~repro.sparse.semiring.StructSpec`
-  (multi-column record values, e.g. PASTIS's ``CommonKmers``), else the
-  batched generic merge (the scalar operators as ``np.frompyfunc`` batch
-  calls).  The three rungs share one expansion prologue and differ only in
-  how they multiply and fold the partial-product stream.
+  (multi-column record values, e.g. PASTIS's ``CommonKmers``).  Both share
+  one expansion prologue and differ only in how they multiply and fold the
+  partial-product stream; a product neither covers raises
+  :class:`~repro.sparse.semiring.NoKernelError`.
 
 Both are generic over :class:`~repro.sparse.semiring.Semiring` and return a
 duplicate-free :class:`~repro.sparse.coo.COOMatrix`.  Every formulation
@@ -30,7 +30,7 @@ import numpy as np
 
 from .coo import COOMatrix, group_coords, stable_order
 from .csr import CSRMatrix
-from .semiring import ARITHMETIC, Semiring
+from .semiring import ARITHMETIC, NoKernelError, Semiring
 
 __all__ = [
     "spgemm_hash",
@@ -83,7 +83,7 @@ def spgemm_hash(
 
 
 # ---------------------------------------------------------------------------
-# the vectorized sort-merge join (shared by every rung)
+# the vectorized sort-merge join (shared by both rungs)
 # ---------------------------------------------------------------------------
 
 
@@ -140,8 +140,6 @@ def _expand_coo(
     product, inner index ascending — so a stable group-by of the output
     coordinates folds every group in ascending-``k`` order.  Duplicate
     operand coordinates yield one partial product per occurrence pair.
-    Works for object-valued matrices too: gather never touches the values
-    elementwise.
     """
     a_order = stable_order((a.cols,))
     b_order = stable_order((b.rows,))
@@ -150,22 +148,27 @@ def _expand_coo(
     return a.rows[ai], b.cols[bi], a.vals[ai], b.vals[bi]
 
 
-def result_dtype(semiring: Semiring, *operand_dtypes) -> Any:
-    """The value dtype a fast-path product of the given operands would
-    carry: the numeric spec's dtype, else the struct spec's record dtype,
-    else int64 (the legacy placeholder for empty generic results).
-
-    Empty results must still declare the dtype the engaged kernel family
-    would have produced — an int64 empty from a rank with no work would
-    silently knock every later concatenation off the fast path.
-    """
+def _rung(semiring: Semiring, *operand_dtypes):
+    """``(fold, value dtype)`` of the rung that runs a product of operands
+    with the given value dtypes: the numeric spec when it covers them,
+    then the struct spec; :class:`NoKernelError` when neither does."""
     spec = semiring.numeric
     if spec is not None and spec.compatible(*operand_dtypes):
-        return spec.dtype
+        return _fold_numeric, spec.dtype
     sspec = semiring.struct
     if sspec is not None and sspec.compatible(*operand_dtypes):
-        return sspec.dtype
-    return np.int64
+        return _fold_struct, sspec.dtype
+    raise NoKernelError(
+        f"semiring {semiring.name!r} has no spec covering operand value "
+        f"dtypes {' x '.join(str(np.dtype(d)) for d in operand_dtypes)}"
+    )
+
+
+def result_dtype(semiring: Semiring, *operand_dtypes) -> Any:
+    """The value dtype a product of the given operands carries, empty
+    ones included (an int64 empty from an idle rank would knock every
+    later concatenation off the record path)."""
+    return _rung(semiring, *operand_dtypes)[1]
 
 
 def _fold_numeric(nrows, ncols, rows, cols, a_vals, b_vals,
@@ -189,51 +192,13 @@ def _fold_struct(nrows, ncols, rows, cols, a_vals, b_vals,
     canonical accumulation order."""
     spec = semiring.struct
     records = spec.expand(a_vals, b_vals)
-    sk = spec.sort_key(records) if spec.sort_key is not None else None
     order, starts, sizes, out_rows, out_cols = group_coords(
-        rows, cols, tiebreak=() if sk is None else (sk,)
+        rows, cols, tiebreak=(spec.sort_key(records),)
     )
     # np.take, not records[order]: fancy indexing copies structured
     # records several times slower
     return COOMatrix(nrows, ncols, out_rows, out_cols,
                      spec.reduce(np.take(records, order), starts, sizes))
-
-
-def _boxed(arr: np.ndarray) -> np.ndarray:
-    """The same values as a ``dtype=object`` array of NumPy scalars.
-
-    ``astype(object)`` would demote typed elements to *Python* scalars
-    (changing e.g. int64 overflow semantics), whereas the hash
-    reference kernel sees NumPy scalars when they index a typed array —
-    iterating the array (``list``) preserves exactly those.
-    """
-    if arr.dtype == object:
-        return arr
-    out = np.empty(len(arr), dtype=object)
-    out[:] = list(arr)
-    return out
-
-
-def _fold_batched(nrows, ncols, rows, cols, a_vals, b_vals,
-                  semiring: Semiring) -> COOMatrix:
-    """Batched generic rung, for object semirings that declare no
-    (engaging) spec: the two scalar operators run as ``np.frompyfunc``
-    batch calls — one call for the multiply and one per fold *layer*
-    instead of one Python-level dispatch per element.  Operand values are
-    boxed as NumPy scalars first and the group sort is stable, so this is
-    exactly the left fold in stream order :func:`spgemm_hash` performs."""
-    mul_u = np.frompyfunc(semiring.multiply, 2, 1)
-    add_u = np.frompyfunc(semiring.add, 2, 1)
-    vals = mul_u(_boxed(a_vals), _boxed(b_vals))
-    order, starts, sizes, out_rows, out_cols = group_coords(rows, cols)
-    svals = vals[order]
-    acc = svals[starts].copy()
-    # spmd: hot-loop-ok (layered fold: iterations bounded by the largest
-    # duplicate group, each one a whole-array frompyfunc call)
-    for s in range(1, int(sizes.max())):
-        has = sizes > s
-        acc[has] = add_u(acc[has], svals[starts[has] + s])
-    return COOMatrix(nrows, ncols, out_rows, out_cols, acc)
 
 
 def spgemm_coo(
@@ -244,27 +209,17 @@ def spgemm_coo(
     Never allocates anything proportional to a matrix *dimension* — only to
     the nonzero counts — so it is safe for hypersparse blocks whose inner
     dimension is the 24^k k-mer space (what CombBLAS stores as DCSC).
-    Every SUMMA stage of the overlap runs it, at every rank count.  The
-    ladder: the numeric spec when it covers the operand value
-    dtypes, then the struct spec when it engages, else the batched generic
-    merge.  Fallback never changes results — every rung folds in the same
-    order.
+    Every SUMMA stage of the overlap runs it, at every rank count.  Two
+    rungs, chosen by the operand value dtypes alone: the numeric spec when
+    it covers them, then the struct spec; a product neither covers raises
+    :class:`~repro.sparse.semiring.NoKernelError` — for empty operands
+    too, so the verdict never depends on which block a rank holds.
     """
     if a.ncols != b.nrows:
         raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
+    fold, dtype = _rung(semiring, a.vals.dtype, b.vals.dtype)
     if a.nnz == 0 or b.nnz == 0:
-        return COOMatrix.empty(
-            a.nrows, b.ncols,
-            dtype=result_dtype(semiring, a.vals.dtype, b.vals.dtype),
-        )
-    spec = semiring.numeric
-    sspec = semiring.struct
-    if spec is not None and spec.compatible(a.vals.dtype, b.vals.dtype):
-        fold, dtype = _fold_numeric, spec.dtype
-    elif sspec is not None and sspec.engages(a.vals, b.vals):
-        fold, dtype = _fold_struct, sspec.dtype
-    else:
-        fold, dtype = _fold_batched, object
+        return COOMatrix.empty(a.nrows, b.ncols, dtype=dtype)
     rows, cols, a_vals, b_vals = _expand_coo(a, b)
     if len(rows) == 0:
         return COOMatrix.empty(a.nrows, b.ncols, dtype=dtype)

@@ -7,12 +7,13 @@ For ``C = A · B`` on a q x q grid, stage ``t`` broadcasts the blocks
 multiplies the received pair locally and folds the partial result into its
 accumulator with the semiring's ``add``.
 
-Both the block multiply and the cross-stage accumulation stay fully
-vectorized whenever the semiring declares a numeric or struct spec covering
-the operand dtypes: the multiply runs the expand-reduce kernels of
+The block multiply and the cross-stage accumulation are always
+vectorized: the multiply runs the expand-reduce kernels of
 :mod:`repro.sparse.spgemm`, and :func:`repro.sparse.ops.elementwise_add`
 folds stages with ``reduceat`` (numeric) or the grouped record merge
-(struct) instead of per-element Python ``add``.
+(struct).  A semiring with no spec covering the operand dtypes raises
+:class:`~repro.sparse.semiring.NoKernelError` on every rank before the
+first broadcast.
 """
 
 from __future__ import annotations
@@ -39,6 +40,9 @@ def summa(
         raise ValueError("operands must live on the same grid")
     if a.ncols != b.nrows:
         raise ValueError(f"dimension mismatch: {a.ncols} vs {b.nrows}")
+    # every rank decides from the operand dtypes alone, before any
+    # collective: a product no spec covers fails uniformly, not mid-stage
+    dtype = result_dtype(semiring, a.local.vals.dtype, b.local.vals.dtype)
     grid = a.grid
     q = grid.q
     inner_ranges = block_ranges(a.ncols, q)
@@ -78,13 +82,9 @@ def summa(
         acc = part if acc is None else elementwise_add(acc, part, semiring)
 
     if acc is None:
-        # an all-empty rank must still emit the dtype the engaged kernel
-        # family produces, or gather/merge would demote typed siblings
-        acc = COOMatrix.empty(
-            *out_shape,
-            dtype=result_dtype(semiring, a.local.vals.dtype,
-                               b.local.vals.dtype),
-        )
+        # an all-empty rank must still emit the dtype the engaged rung
+        # produces, or gather/merge would demote typed siblings
+        acc = COOMatrix.empty(*out_shape, dtype=dtype)
     return DistSparseMatrix(
         grid=grid, nrows=a.nrows, ncols=b.ncols, local=acc
     )

@@ -19,7 +19,9 @@ Pieces
   included*).
 * :func:`sweep_kernel` — corpus × semirings × dtypes for one kernel;
   returns how many products it checked so callers can assert the sweep
-  was not vacuous.
+  was not vacuous.  A vectorized kernel must instead raise
+  :class:`~repro.sparse.semiring.NoKernelError` on every product of a
+  (semiring, dtype) pair that no spec covers (:func:`covered`).
 * :func:`summa_product` — the distributed formulation: scatter the
   operands over a √p × √p grid, run SUMMA, gather the global product.
   SPMD bodies live at module level so the ``mp`` backend can pickle them
@@ -42,6 +44,7 @@ from repro.sparse.semiring import (
     MAX_MIN,
     MAX_TIMES,
     MIN_PLUS,
+    NoKernelError,
     Semiring,
 )
 from repro.sparse.spgemm import spgemm_coo, spgemm_hash
@@ -51,6 +54,7 @@ __all__ = [
     "SWEEP_SEMIRINGS",
     "SWEEP_DTYPES",
     "corpus",
+    "covered",
     "dispatch",
     "reference_product",
     "assert_conforms",
@@ -61,7 +65,7 @@ __all__ = [
 
 #: Semirings the sweep exercises — every bundled one: plus-times
 #: arithmetic, value-ignoring counting, three ufunc folds, and BOOLEAN
-#: (whose bool-only spec sends the numeric corpus down the batched rung).
+#: (whose bool-only spec covers none of the numeric corpus).
 SWEEP_SEMIRINGS = (ARITHMETIC, COUNTING, MIN_PLUS, MAX_TIMES, MAX_MIN,
                    BOOLEAN)
 
@@ -200,6 +204,16 @@ def corpus(dtype=np.float64, seed: int = 0):
     return cases
 
 
+def covered(semiring: Semiring, da, db) -> bool:
+    """Whether a spec of ``semiring`` covers operand value dtypes
+    ``da`` × ``db`` — i.e. whether the vectorized dispatcher has a rung
+    for the product (checked against the specs, not the dispatcher)."""
+    return any(
+        spec is not None and spec.compatible(da, db)
+        for spec in (semiring.numeric, semiring.struct)
+    )
+
+
 def dispatch(a: CSRMatrix, b: CSRMatrix, semiring: Semiring) -> COOMatrix:
     """The ``spgemm_coo`` ladder on corpus (CSR) operands."""
     return spgemm_coo(a.to_coo(), b.to_coo(), semiring)
@@ -269,10 +283,13 @@ def sweep_kernel(
     dtypes=SWEEP_DTYPES,
     semirings=SWEEP_SEMIRINGS,
     seed: int = 0,
+    vectorized: bool = True,
 ) -> int:
     """Run one kernel — ``multiply(a, b, semiring)`` on CSR operands — over
     the corpus × semiring × dtype grid, asserting conformance on every
-    product.
+    product; a ``vectorized`` kernel must raise :class:`NoKernelError`
+    instead on every product of a pair no spec covers (empty operands
+    included), while a scalar one runs everything.
 
     Returns the number of products checked (callers assert it is large
     enough that the sweep cannot silently go vacuous).
@@ -281,13 +298,26 @@ def sweep_kernel(
     for semiring in semirings:
         for dt in dtypes:
             da, db = dt if isinstance(dt, tuple) else (dt, dt)
+            raises = vectorized and not covered(semiring, da, db)
             for case, a, b in corpus((da, db), seed=seed):
-                assert_conforms(
-                    multiply(a, b, semiring), a, b, semiring,
-                    context=f"kernel={multiply.__name__} "
+                context = (
+                    f"kernel={multiply.__name__} "
                     f"semiring={semiring.name} case={case} "
-                    f"dtypes={np.dtype(da).name}x{np.dtype(db).name}",
+                    f"dtypes={np.dtype(da).name}x{np.dtype(db).name}"
                 )
+                if raises:
+                    try:
+                        multiply(a, b, semiring)
+                    except NoKernelError:
+                        pass
+                    else:
+                        raise AssertionError(
+                            f"no NoKernelError for an uncovered product "
+                            f"[{context}]"
+                        )
+                else:
+                    assert_conforms(multiply(a, b, semiring), a, b,
+                                    semiring, context=context)
                 checked += 1
     return checked
 

@@ -4,6 +4,7 @@ and every choice must round-trip into a validated
 :class:`~repro.core.config.PastisConfig`."""
 
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from repro.core.config import (
     ALIGN_ENGINES,
     ALIGN_MODES,
     COMM_BACKENDS,
-    KERNELS,
     WEIGHTS,
     ConfigError,
     PastisConfig,
@@ -72,7 +72,6 @@ class TestParser:
 CHOICE_KNOBS = {
     "--align": ("align_mode", ALIGN_MODES),
     "--weight": ("weight", WEIGHTS),
-    "--kernel": ("kernel", KERNELS),
     "--align-engine": ("align_engine", ALIGN_ENGINES),
     "--align-balance": ("align_balance", ALIGN_BALANCE_MODES),
     "--comm-backend": ("comm_backend", COMM_BACKENDS),
@@ -205,22 +204,22 @@ class TestMain:
             ))
 
     def test_retired_kernels_get_no_alias(self, monkeypatch):
-        """The retired formulations and the deleted delegated lane leave
-        no alias behind: the parser refuses the flag, the config refuses
-        the value, and ``REPRO_KERNEL`` is no longer read at all."""
-        for retired in ("join", "numeric", "scipy", "graphblas", "bogus"):
-            with pytest.raises(SystemExit):
+        """The kernel knob is gone with every value it ever had: the
+        parser refuses ``--kernel``, the config has no ``kernel`` field,
+        and ``REPRO_KERNEL`` is not read at all."""
+        monkeypatch.setenv("REPRO_KERNEL", "semiring")
+        for retired in ("join", "numeric", "scipy", "graphblas", "bogus",
+                        "struct", "semiring"):
+            with pytest.raises(SystemExit) as exc_info:
                 build_parser().parse_args(
                     ["in.fa", "-o", "o.tsv", "--kernel", retired]
                 )
-            with pytest.raises(ConfigError, match="kernel must be one of"):
+            assert exc_info.value.code == 2
+            with pytest.raises(TypeError, match="kernel"):
                 PastisConfig(kernel=retired)
-        # a valid kernel name: were the variable still read, the default
-        # would move
-        monkeypatch.setenv("REPRO_KERNEL", "semiring")
-        assert PastisConfig().kernel == "struct"
         args = build_parser().parse_args(["in.fa", "-o", "o.tsv"])
-        assert config_from_args(args).kernel == "struct"
+        assert not hasattr(config_from_args(args), "kernel")
+        assert "kernel" not in {f.name for f in fields(PastisConfig)}
 
     def test_clustering_output(self, fasta_file, tmp_path):
         out = tmp_path / "edges.tsv"
@@ -341,6 +340,17 @@ class TestNamedErrors:
         err = self._fails([str(fa), "--ranks", "4"], capsys, tmp_path)
         assert "record 2 ('sel1')" in err
         assert repr(residue) in err
+
+    def test_overlong_sequence_names_the_record(self, capsys, tmp_path):
+        """A sequence the CommonKmers seed pack cannot position is refused
+        when the store is built, before any rank runs."""
+        from repro.bio.sequences import MAX_SEQUENCE_LENGTH
+
+        fa = tmp_path / "long.fa"
+        fa.write_text(f">ok\nAVGDMK\n>giant\n{'A' * MAX_SEQUENCE_LENGTH}\n")
+        err = self._fails([str(fa), "--ranks", "4"], capsys, tmp_path)
+        assert "record 2 ('giant')" in err
+        assert f"length {MAX_SEQUENCE_LENGTH}" in err
 
     def test_existing_config_error(self, fasta_file, capsys, tmp_path,
                                    monkeypatch):

@@ -372,9 +372,9 @@ class TestPipelineTraceParity:
     would move both sides together."""
 
     @pytest.mark.parametrize("knobs, totals", [
-        (dict(k=5), (79, 788_748)),
+        (dict(k=5), (67, 788_568)),
         (dict(k=5, substitutes=4, common_kmer_threshold=1,
-              align_balance="greedy"), (128, 1_755_538)),
+              align_balance="greedy"), (116, 1_755_358)),
     ], ids=["exact", "subs-ck-greedy"])
     def test_sim_and_mp_summaries_identical(self, knobs, totals):
         from repro.bio.generate import scope_like

@@ -1,9 +1,12 @@
 """Tests for PASTIS's custom semirings and their value types."""
 
+import numpy as np
 import pytest
 
-from repro.core.config import PastisConfig
+from repro.bio.scoring import BLOSUM62, ScoringMatrix
+from repro.core.config import ConfigError, PastisConfig
 from repro.core.semirings import (
+    CK_DIST_LIMIT,
     MAX_SEEDS,
     CommonKmers,
     SeedHit,
@@ -171,3 +174,50 @@ class TestConfig:
                 with pytest.raises(ValueError, match=f"{knob} must be a"):
                     PastisConfig(**{knob: bad})
             assert getattr(PastisConfig(**{knob: 1.0}), knob) == 1.0
+
+
+class TestSeedPackIsTotal:
+    """Every distance the pipeline accepts fits the CommonKmers seed pack:
+    the config bounds a k-mer's expense, and an injected ``S`` is checked
+    by the driver — each a named error before any rank is spawned."""
+
+    @staticmethod
+    def _costly(diag: int) -> ScoringMatrix:
+        m = BLOSUM62.matrix.copy()
+        m[0, 0] = diag  # substituting A now costs about ``diag``
+        return ScoringMatrix("costly", m)
+
+    def test_config_bounds_the_kmer_expense(self):
+        lim = int(CK_DIST_LIMIT)
+        # k = 6: 6 x (200 000 + 4) stays below the bound; k = 13 does not
+        PastisConfig(k=6, scoring=self._costly(200_000))
+        with pytest.raises(ConfigError, match=f"below {lim}"):
+            PastisConfig(k=13, scoring=self._costly(200_000))
+        with pytest.raises(ConfigError, match="'costly'"):
+            PastisConfig(k=1, scoring=self._costly(lim))
+
+    @pytest.mark.parametrize("dist", [int(CK_DIST_LIMIT),
+                                      -int(CK_DIST_LIMIT)])
+    def test_injected_s_out_of_the_pack_raises_before_spawning(
+            self, monkeypatch, dist):
+        from repro.bio.sequences import SequenceStore
+        from repro.core import distributed
+        from repro.core.overlap import find_candidate_pairs
+        from repro.mpisim import backend
+
+        def never(*_args, **_kwargs):
+            raise AssertionError("a rank was spawned")
+
+        monkeypatch.setattr(distributed, "run_spmd", never)
+        monkeypatch.setattr(backend, "run_spmd", never)
+        store = SequenceStore(["AVGDMKAVG", "AVGDMRAVG"])
+        s_triples = (np.array([0, 1]), np.array([1, 0]),
+                     np.array([0, dist]))
+        cfg = PastisConfig(k=3, substitutes=1)
+        for nranks in (1, 4):
+            with pytest.raises(ValueError, match="seed distance"):
+                distributed.run_pastis_distributed(
+                    store, cfg, nranks=nranks, s_triples=s_triples
+                )
+        with pytest.raises(ValueError, match="seed distance"):
+            find_candidate_pairs(store, cfg, s_triples)

@@ -8,7 +8,12 @@ from repro.mpisim.comm import run_spmd
 from repro.mpisim.grid import ProcessGrid
 from repro.sparse.coo import COOMatrix
 from repro.sparse.distmat import DistSparseMatrix
-from repro.sparse.semiring import ARITHMETIC, COUNTING, Semiring
+from repro.sparse.semiring import (
+    ARITHMETIC,
+    COUNTING,
+    NoKernelError,
+    Semiring,
+)
 from repro.sparse.summa import summa
 
 
@@ -157,6 +162,9 @@ class TestSumma:
         assert got == ref_d
 
     def test_object_valued_semiring(self):
+        """A semiring with no spec covering the operands has no SUMMA:
+        every rank raises the named error before the first broadcast, so
+        the grid stays in lockstep (the barrier below completes)."""
         pairs = Semiring(
             "pairs", lambda a, b: a + b, lambda a, b: ((a, b),)
         )
@@ -171,11 +179,12 @@ class TestSumma:
             grid = ProcessGrid.create(comm)
             da = _scatter_matrix(grid, a)
             db = _scatter_matrix(grid, b)
-            c = summa(da, db, pairs).gather_global()
-            return c.to_dict() if c is not None else None
+            with pytest.raises(NoKernelError, match="'pairs'"):
+                summa(da, db, pairs)
+            comm.barrier()
+            return True
 
-        out = run_spmd(4, fn)
-        assert out[0] == {(0, 0): ((1, 5), (2, 6)), (1, 0): ((3, 5),)}
+        assert run_spmd(4, fn) == [True] * 4
 
     def test_hypersparse_inner_dimension(self):
         # inner dimension 24^6 — must not allocate dimension-sized arrays

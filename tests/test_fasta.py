@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bio.fasta import (
+    FastaError,
     FastaRecord,
     chunk_boundaries,
     parse_fasta_text,
@@ -14,6 +15,7 @@ from repro.bio.fasta import (
     read_fasta_parallel,
     write_fasta,
 )
+from repro.bio.sequences import MAX_SEQUENCE_LENGTH, SequenceStore
 
 SIMPLE = """>seq1 first protein
 AVGDMI
@@ -143,3 +145,39 @@ class TestChunking:
         assert [(r.id, r.sequence) for r in merged] == [
             (r.id, r.sequence) for r in serial
         ]
+
+
+class TestSequenceLengthLimit:
+    """A sequence must be shorter than the CommonKmers seed pack's
+    distance bound: every way a store is built refuses a longer one with a
+    :class:`FastaError` naming the record, so no rank ever meets a
+    position the pack cannot hold."""
+
+    def test_limit_is_the_seed_pack_bound(self):
+        from repro.core.semirings import CK_DIST_LIMIT
+
+        assert MAX_SEQUENCE_LENGTH == int(CK_DIST_LIMIT)
+
+    def test_hand_built_store(self):
+        SequenceStore(["A" * (MAX_SEQUENCE_LENGTH - 1)])  # the longest
+        with pytest.raises(FastaError, match=(
+            rf"record 2 \('giant'\): length {MAX_SEQUENCE_LENGTH} "
+        )):
+            SequenceStore(["AVG", "K" * MAX_SEQUENCE_LENGTH],
+                          ids=["ok", "giant"])
+
+    def test_fasta_file_and_chunked_parse(self, tmp_path):
+        path = tmp_path / "giant.fasta"
+        write_fasta(path, [("ok", "AVGDMK"),
+                           ("giant", "W" * (MAX_SEQUENCE_LENGTH + 5))])
+        with pytest.raises(FastaError, match=r"record 2 \('giant'\)"):
+            SequenceStore.from_records(read_fasta(path))
+        data = path.read_bytes()
+        failed = 0
+        for start, end in chunk_boundaries(len(data), 4):
+            records = read_fasta_chunk(data, start, end)
+            if "giant" in [r.id for r in records]:
+                with pytest.raises(FastaError, match="'giant'"):
+                    SequenceStore.from_records(records)
+                failed += 1
+        assert failed == 1

@@ -1,29 +1,44 @@
 """Golden process-obliviousness test.
 
 The paper stresses that PASTIS's output is "oblivious to the number of
-processes"; this repo extends the invariant across kernel implementations:
+processes"; this repo extends the invariant across implementation knobs:
 the pipeline's serialised edge list must be byte-identical across 1, 4, and
-9 simulated processes AND across the fast (struct) and object-semiring
-reference kernel paths.  Any nondeterminism or accumulation-order dependence
-introduced into the sparse stack shows up here first.
+9 simulated processes, every alignment engine × balance mode × comm
+backend, AND to the graph of the object-semiring oracle
+(``find_candidate_pairs_semiring``: scalar SpGEMM, no SUMMA, no seed pack).
+Any nondeterminism or accumulation-order dependence introduced into the
+sparse stack shows up here first.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import replace
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.bio.alphabet import PROTEIN_ALPHABET
 from repro.bio.generate import scope_like
+from repro.bio.sequences import SequenceStore
 from repro.core.config import (
     ALIGN_BALANCE_MODES,
     ALIGN_ENGINES,
-    KERNELS,
     PastisConfig,
 )
 from repro.core.distributed import run_pastis_distributed
 from repro.core.graph import SimilarityGraph
+from repro.core.overlap import (
+    find_candidate_pairs,
+    find_candidate_pairs_semiring,
+)
 from repro.core.pipeline import pastis_pipeline
+
+# the module, not the function ``repro.sparse`` re-exports under its name
+summa_module = sys.modules["repro.sparse.summa"]
 
 
 @pytest.fixture(scope="module")
@@ -60,17 +75,15 @@ CONFIGS = [
 
 
 @pytest.mark.parametrize("config", CONFIGS)
-def test_golden_oblivious(data, config):
+def test_golden_oblivious(data, config, oracle_graph):
     golden = edge_bytes(pastis_pipeline(data.store, config))
     assert golden, "pipeline produced no edges — the invariant is vacuous"
 
-    # kernel obliviousness: the struct fast path and the literal object
-    # semiring reference serialise identically
-    for kernel in KERNELS:
-        got = edge_bytes(
-            pastis_pipeline(data.store, replace(config, kernel=kernel))
-        )
-        assert got == golden, f"kernel {kernel!r} diverged from golden"
+    # the packed-record pipeline and the object-semiring oracle serialise
+    # identically
+    assert edge_bytes(oracle_graph(data.store, config)) == golden, (
+        "the oracle's graph diverged from golden"
+    )
 
     # process obliviousness: the distributed pipeline (whose AS stage runs
     # on the numeric path) serialises identically on every grid — with the
@@ -91,19 +104,16 @@ def test_golden_oblivious(data, config):
             )
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("engine", ALIGN_ENGINES)
 @pytest.mark.parametrize("balance", ALIGN_BALANCE_MODES)
-def test_golden_comm_backend_oblivious(data, golden_default, kernel,
-                                       engine, balance):
+def test_golden_comm_backend_oblivious(data, golden_default, engine,
+                                       balance):
     """Comm-backend obliviousness: the thread simulator and the
     process-per-rank backend serialise byte-identically for every
-    kernel × engine × balance combination — swapping the SPMD substrate
+    engine × balance combination — swapping the SPMD substrate
     (threads + shared heap vs processes + shared-memory messaging) must
     never change the graph."""
-    config = PastisConfig(
-        kernel=kernel, align_engine=engine, align_balance=balance
-    )
+    config = PastisConfig(align_engine=engine, align_balance=balance)
     for backend in ("sim", "mp"):
         got = edge_bytes(
             run_pastis_distributed(
@@ -112,8 +122,8 @@ def test_golden_comm_backend_oblivious(data, golden_default, kernel,
             )
         )
         assert got == golden_default, (
-            f"comm_backend={backend!r} (kernel={kernel!r}, "
-            f"engine={engine!r}, balance={balance!r}) diverged from golden"
+            f"comm_backend={backend!r} (engine={engine!r}, "
+            f"balance={balance!r}) diverged from golden"
         )
 
 
@@ -147,3 +157,60 @@ def test_more_ranks_than_sequences():
     golden = edge_bytes(pastis_pipeline(tiny.store, config))
     got = edge_bytes(run_pastis_distributed(tiny.store, config, nranks=9))
     assert got == golden
+
+
+#: Sequences over the whole 24-letter alphabet, ambiguity codes and ``*``
+#: included: under BLOSUM62 ``B``/``Z``/``X``/``*`` have negative
+#: substitution expenses, so with ``s > 0`` their AS hits carry negative
+#: distances through the seed pack.
+_residues = st.text(alphabet=PROTEIN_ALPHABET, min_size=1, max_size=40)
+
+
+@st.composite
+def _stores(draw):
+    """A few random sequences plus copies of some of them with residues
+    turned into ambiguity codes, so that pairs share more than
+    ``MAX_SEEDS`` k-mers as well as none, and a k-mer with an ``X`` meets
+    its cheaper-than-identity substitutes."""
+    seqs = draw(st.lists(_residues, min_size=1, max_size=5))
+    for _ in range(draw(st.integers(0, 5))):
+        base = list(seqs[draw(st.integers(0, len(seqs) - 1))])
+        for _ in range(draw(st.integers(0, 3))):
+            at = draw(st.integers(0, len(base) - 1))
+            base[at] = draw(st.sampled_from("XBZ*"))
+        seqs.append("".join(base))
+    return SequenceStore(seqs)
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(store=_stores(), k=st.integers(2, 3), s=st.sampled_from([0, 3]))
+def test_full_alphabet_records_match_oracle_at_every_rank_count(store, k, s):
+    """Every block product runs on typed values, whatever the residues
+    (``B`` on CommonKmers records): the candidates equal the
+    object-semiring oracle's, and the distributed graph at p = 4 and 9
+    equals p = 1 on ``sim`` (whose ranks are threads, so the patched
+    SUMMA block multiply sees every block)."""
+    config = PastisConfig(k=k, substitutes=s, comm_backend="sim")
+    dtypes = []
+
+    def recording(a, b, semiring):
+        out = real(a, b, semiring)
+        dtypes.append(out.vals.dtype)
+        return out
+
+    real = summa_module.spgemm_coo
+    with mock.patch.object(summa_module, "spgemm_coo", recording):
+        got = find_candidate_pairs(store, config)
+        golden = edge_bytes(run_pastis_distributed(store, config, nranks=1))
+        by_ranks = {
+            p: edge_bytes(run_pastis_distributed(store, config, nranks=p))
+            for p in (4, 9)
+        }
+    assert np.dtype(object) not in dtypes
+    ref = find_candidate_pairs_semiring(store, config)
+    for field in ("ri", "rj", "counts", "seed_pos_i", "seed_pos_j",
+                  "seed_dist"):
+        assert getattr(got, field).tolist() == getattr(ref, field).tolist()
+    for nranks, got_bytes in by_ranks.items():
+        assert got_bytes == golden, f"{nranks} ranks diverged from 1"

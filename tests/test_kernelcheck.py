@@ -3,10 +3,11 @@
 Driven through the harness in ``tests/kernelcheck.py``: the scalar hash
 reference and the ``spgemm_coo`` dispatcher are swept over the seeded
 adversarial corpus for every (semiring, dtype) combination and must agree
-exactly.  The suite also proves the harness has teeth (a deliberately
-broken kernel fails the sweep), that the batched rung is what runs a
-spec-less object semiring, and that the distributed SUMMA formulation
-keeps the same answers across grids and comm backends.
+exactly — or, for a combination no spec covers, the dispatcher must raise
+the named ``NoKernelError``.  The suite also proves the harness has teeth
+(a deliberately broken kernel fails the sweep, and so does one that runs
+an uncovered product), and that the distributed SUMMA formulation keeps
+the same answers across grids and comm backends.
 """
 
 from __future__ import annotations
@@ -15,13 +16,16 @@ import numpy as np
 import pytest
 
 import kernelcheck as kc
-from repro.sparse import spgemm as spg
-from repro.sparse.csr import CSRMatrix
-from repro.sparse.semiring import ARITHMETIC, COUNTING, Semiring
+from repro.sparse.semiring import (
+    ARITHMETIC,
+    BOOLEAN,
+    COUNTING,
+    NoKernelError,
+    Semiring,
+)
 from repro.sparse.spgemm import spgemm_coo, spgemm_hash
 
-#: Arithmetic with no numeric spec: values stay Python objects and only
-#: the batched rung may run it.
+#: Arithmetic with no spec at all: no operand dtype is covered.
 NOSPEC_ARITHMETIC = Semiring(
     "nospec_arithmetic", lambda a, b: a + b, lambda a, b: a * b, 0
 )
@@ -45,8 +49,10 @@ class TestConformanceSweep:
     def test_kernel_conforms_on_corpus(self, multiply):
         """Each kernel × every (semiring, dtype) combination × the full
         adversarial corpus, checked against the scalar semiring
-        reference — and the sweep is provably non-vacuous."""
-        checked = kc.sweep_kernel(multiply)
+        reference (the dispatcher raising on the uncovered ones) — and
+        the sweep is provably non-vacuous."""
+        checked = kc.sweep_kernel(multiply,
+                                  vectorized=multiply is kc.dispatch)
         assert checked == (
             len(kc.SWEEP_SEMIRINGS) * len(kc.SWEEP_DTYPES) * len(kc.corpus())
         )
@@ -79,59 +85,30 @@ class TestConformanceSweep:
             kc.sweep_kernel(pruning, semirings=(ARITHMETIC,),
                             dtypes=(np.float64,))
 
+    def test_uncovered_products_are_swept(self):
+        """The raise branch is not vacuous: BOOLEAN's bool-only spec
+        covers no numeric corpus dtype, everything else covers them all —
+        and a kernel that quietly runs an uncovered product (the scalar
+        reference, posing as vectorized) fails the sweep."""
+        uncovered = {
+            (semiring.name, str(dt))
+            for semiring in kc.SWEEP_SEMIRINGS for dt in kc.SWEEP_DTYPES
+            if not kc.covered(semiring,
+                              *(dt if isinstance(dt, tuple) else (dt, dt)))
+        }
+        assert uncovered == {("boolean", str(dt)) for dt in kc.SWEEP_DTYPES}
+        with pytest.raises(AssertionError, match="no NoKernelError"):
+            kc.sweep_kernel(spgemm_hash, semirings=(BOOLEAN,),
+                            dtypes=(np.int64,))
 
-# ---------------------------------------------------------------------------
-# batched object-semiring coverage
-# ---------------------------------------------------------------------------
-
-
-class TestBatchedObjectSemiring:
-    """The batched merge is the only generic path left: it must match the
-    scalar reference on object values — scalar *types* included."""
-
-    @pytest.mark.parametrize("seed_dtype", [np.int64, np.float64])
-    def test_crossval_on_corpus(self, seed_dtype):
-        checked = 0
-        for case, a, b in kc.corpus(seed_dtype):
-            ao = CSRMatrix(a.nrows, a.ncols, a.indptr, a.indices,
-                           a.data.astype(object))
-            bo = CSRMatrix(b.nrows, b.ncols, b.indptr, b.indices,
-                           b.data.astype(object))
-            got = kc.dispatch(ao, bo, NOSPEC_ARITHMETIC)
-            # (an empty operand short-circuits to the typed placeholder)
-            assert got.vals.dtype == object or not (ao.nnz and bo.nnz)
-            kc.assert_conforms(got, ao, bo, NOSPEC_ARITHMETIC,
-                               context=f"batched object {case}")
-            checked += 1
-        assert checked >= 20
-
-    def test_typed_values_stay_numpy_scalars(self):
-        """_boxed must keep NumPy scalar types (int64 overflow semantics)
-        rather than demoting to Python ints via astype(object)."""
-        a = CSRMatrix.from_coo(_random_coo(6, 6, 12, np.int64, 8))
-        got = kc.dispatch(a, a, NOSPEC_ARITHMETIC)
-        assert got.nnz > 0
-        assert all(type(v) is np.int64 for v in got.vals)
-        ref = spgemm_hash(a, a, NOSPEC_ARITHMETIC).sort()
-        for x, y in zip(got.sort().vals, ref.vals):
-            assert type(x) is type(y) and x == y
-
-    def test_nospec_dispatch_runs_batched(self, monkeypatch):
-        """The no-spec path is the batched vectorized merge, not a scalar
-        loop: dispatch must route through the batched rung."""
-        calls = []
-        real = spg._fold_batched
-
-        def spy(nrows, ncols, rows, cols, a_vals, b_vals, semiring):
-            calls.append(semiring.name)
-            return real(nrows, ncols, rows, cols, a_vals, b_vals, semiring)
-
-        monkeypatch.setattr(spg, "_fold_batched", spy)
-        a = CSRMatrix.from_coo(
-            _random_coo(6, 6, 10, np.int64, 2).astype(object)
-        )
-        kc.dispatch(a, a, NOSPEC_ARITHMETIC)
-        assert calls == ["nospec_arithmetic"]
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64, object])
+    def test_spec_less_semiring_raises(self, dtype):
+        """A semiring with no spec has no vectorized kernel for any
+        operand dtype — object values included."""
+        a = _random_coo(6, 6, 10, np.int64, 2).astype(dtype)
+        with pytest.raises(NoKernelError, match="nospec_arithmetic"):
+            spgemm_coo(a, a, NOSPEC_ARITHMETIC)
+        assert issubclass(NoKernelError, TypeError)
 
 
 # ---------------------------------------------------------------------------

@@ -125,8 +125,7 @@ class TestPipeline:
             ["AVG", "DMI", "KR"],   # all shorter than k: A has no entries
         ):
             store = SequenceStore(seqs)
-            for cfg in (PastisConfig(k=4), PastisConfig(k=4, substitutes=3),
-                        PastisConfig(k=4, kernel="semiring")):
+            for cfg in (PastisConfig(k=4), PastisConfig(k=4, substitutes=3)):
                 g = pastis_pipeline(store, cfg)
                 assert (g.n, g.nedges) == (len(seqs), 0)
                 assert g.ids == store.ids

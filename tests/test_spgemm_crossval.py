@@ -29,6 +29,7 @@ from repro.sparse.semiring import (
     MAX_MIN,
     MAX_TIMES,
     MIN_PLUS,
+    NoKernelError,
     Semiring,
 )
 from repro.sparse.spgemm import spgemm_coo, spgemm_hash
@@ -219,31 +220,34 @@ class TestNoPythonDispatchOnNumericPath:
             f"{semiring.name}: numeric path executed Python ops {calls}"
         )
 
-    def test_bool_values_under_arithmetic_fall_back(self):
-        """Bool arithmetic saturates under NumPy ufuncs (True + True is
-        True, not 2), so bool operands must not engage a non-bool numeric
-        spec — the dispatcher has to fall back and agree with hash."""
+    def test_bool_under_arithmetic_raises(self):
+        """Bool values under ARITHMETIC have no kernel (bool arithmetic
+        saturates under NumPy ufuncs, True + True is True, not 2): the
+        named error, empty operands too, without calling a scalar
+        operator.  COUNTING never reads values, so it still covers them."""
         a, b = _random_pair(5)
-        ab, bb = a.astype(bool), b.astype(bool)
-        assert not ARITHMETIC.numeric.compatible(ab.data.dtype,
-                                                 bb.data.dtype)
-        ref = spgemm_hash(ab, bb, ARITHMETIC).to_dict()
-        got = spgemm_coo(ab.to_coo(), bb.to_coo(), ARITHMETIC).to_dict()
-        assert {k: bool(v) for k, v in got.items()} == (
-            {k: bool(v) for k, v in ref.items()}
-        )
-        # COUNTING never reads values, so bool operands may stay fast
+        ab, bb = a.astype(bool).to_coo(), b.astype(bool).to_coo()
+        assert not ARITHMETIC.numeric.compatible(ab.vals.dtype,
+                                                 bb.vals.dtype)
+        counted, calls = _counted(ARITHMETIC)
+        for lhs in (ab, COOMatrix.empty(ab.nrows, ab.ncols, bool)):
+            with pytest.raises(NoKernelError, match="arithmetic"):
+                spgemm_coo(lhs, bb, counted)
+        assert calls == {"add": 0, "multiply": 0}
         counted, calls = _counted(COUNTING)
-        spgemm_coo(ab.to_coo(), bb.to_coo(), counted)
+        spgemm_coo(ab, bb, counted)
         assert calls == {"add": 0, "multiply": 0}
 
-    def test_object_values_fall_back_to_python_ops(self):
-        # sanity check that the counter wrapper actually observes the
-        # generic path: object-valued inputs cannot use the fast path
-        a, b = _random_pair(3)
+    def test_object_values_raise(self):
+        """Object values have no kernel either: the named error, empty
+        operands too, without calling a scalar operator."""
+        a, b = _random_pair(5)
+        x, y = a.astype(object).to_coo(), b.to_coo()
         counted, calls = _counted(ARITHMETIC)
-        spgemm_coo(a.to_coo().astype(object), b.to_coo(), counted)
-        assert calls["multiply"] > 0
+        for lhs in (x, COOMatrix.empty(x.nrows, x.ncols, object)):
+            with pytest.raises(NoKernelError, match="arithmetic"):
+                spgemm_coo(lhs, y, counted)
+        assert calls == {"add": 0, "multiply": 0}
 
     def test_summa_numeric_stage_no_python_ops(self):
         """The SUMMA local multiply + accumulate also stays vectorized."""

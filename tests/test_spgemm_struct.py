@@ -40,7 +40,7 @@ from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.distmat import DistSparseMatrix
 from repro.sparse.ops import elementwise_add
-from repro.sparse.semiring import ARITHMETIC, Semiring
+from repro.sparse.semiring import ARITHMETIC, NoKernelError, Semiring
 from repro.sparse.spgemm import result_dtype, spgemm_coo, spgemm_hash
 from repro.sparse.summa import summa
 
@@ -101,20 +101,30 @@ def _counted(base: Semiring):
                     numeric=base.numeric, struct=base.struct), calls
 
 
+#: The packable distance range, ``(-CK_DIST_LIMIT, CK_DIST_LIMIT)``.
+_DIST = (2 - (1 << 21), (1 << 21) - 1)
+
+
 class TestSeedPacking:
     def test_roundtrip(self):
         rng = np.random.default_rng(0)
         pi = rng.integers(0, 1 << 21, 100)
         pj = rng.integers(0, 1 << 21, 100)
-        d = rng.integers(0, 1 << 21, 100)
-        ri, rj, rd = unpack_seeds(pack_seeds(pi, pj, d))
+        d = rng.integers(*_DIST, 100)
+        # the four corners of the pack, both distance signs
+        pi = np.append(pi, [0, (1 << 21) - 1, 0, (1 << 21) - 1])
+        pj = np.append(pj, [0, (1 << 21) - 1, 0, (1 << 21) - 1])
+        d = np.append(d, [_DIST[0], _DIST[0], _DIST[1] - 1, _DIST[1] - 1])
+        packed = pack_seeds(pi, pj, d)
+        assert (packed < CK_SEED_NONE).all()
+        ri, rj, rd = unpack_seeds(packed)
         assert (ri == pi).all() and (rj == pj).all() and (rd == d).all()
 
     def test_integer_order_is_canonical_seed_order(self):
         rng = np.random.default_rng(1)
         pi = rng.integers(0, 50, 200)
         pj = rng.integers(0, 50, 200)
-        d = rng.integers(0, 4, 200)
+        d = rng.integers(-3, 4, 200)
         packed = pack_seeds(pi, pj, d)
         order = np.argsort(packed, kind="stable")
         ref = np.lexsort((pj, pi, d))
@@ -125,6 +135,9 @@ class TestSeedPacking:
             pack_seeds(np.array([1 << 21]), np.array([0]), np.array([0]))
         with pytest.raises(ValueError):
             pack_seeds(np.array([0]), np.array([-1]), np.array([0]))
+        for d in (_DIST[0] - 1, _DIST[1]):
+            with pytest.raises(ValueError, match="distance"):
+                pack_seeds(np.array([0]), np.array([0]), np.array([d]))
 
     def test_sentinel_value_is_unreachable(self):
         """Regression: the all-max triple used to pack to exactly int64
@@ -171,43 +184,50 @@ class TestStructKernelsAgree:
         assert got.vals.dtype == CK_DTYPE
         assert _ck_dict(got) == ref
 
-    def test_incompatible_operands_fall_back(self):
-        # float64 positions cannot use the int64 struct path; the
-        # dispatcher must fall back to the generic kernels, not crash
+    def test_negative_distance_hits_stay_on_records(self):
+        """An ambiguity code's expense can be negative (BLOSUM62 scores X
+        against A above X against X), so an encoded AS hit can be
+        negative: the struct rung must still run, exactly."""
+        rng = np.random.default_rng(5)
+        a, b = _as_operands(5)
+        a.data[:] = encode_seed_hits(
+            rng.integers(0, 200, len(a.data)), rng.integers(-4, 3, len(a.data))
+        )
+        assert (a.data < 0).any()
+        sr = substitute_overlap_encoded_semiring()
+        got = spgemm_coo(a.to_coo(), b.to_coo(), sr)
+        assert got.vals.dtype == CK_DTYPE
+        assert _ck_dict(got) == _ck_dict(spgemm_hash(a, b, sr))
+
+    def test_incompatible_operands_raise(self):
+        # float64 positions have no struct kernel and no fallback: the
+        # dispatcher raises the named error
         a, at = _pos_operands(2)
         af = a.astype(np.float64)
         sr = exact_overlap_semiring()
         assert not sr.struct.compatible(af.data.dtype, at.data.dtype)
-        got = _spgemm(af, at.astype(np.float64), sr)
-        assert got.vals.dtype == object
-        assert _ck_dict(got) == _ck_dict(spgemm_hash(a, at, sr))
+        with pytest.raises(NoKernelError, match="float64"):
+            _spgemm(af, at.astype(np.float64), sr)
 
-    def test_unpackable_positions_fall_back(self):
-        """Positions beyond the seed-pack bit budget (2^21) must route to
-        the always-correct object path, not crash the dispatcher."""
-        big = np.int64(1) << 30  # packable by the object path only
+    def test_unpackable_positions_raise(self):
+        """A position beyond the seed-pack bit budget is a ValueError from
+        the pack, not a silent detour to objects."""
+        from repro.core.semirings import CK_SEED_LIMIT
+
+        big = np.int64(CK_SEED_LIMIT)
         a = COOMatrix(2, 3, [0, 1], [0, 0], np.array([big, 5], np.int64))
         at = COOMatrix(3, 2, [0, 0], [0, 1], np.array([7, big], np.int64))
-        ac, atc = CSRMatrix.from_coo(a), CSRMatrix.from_coo(at)
-        sr = exact_overlap_semiring()
-        assert not sr.struct.engages(ac.data, atc.data)
-        ref = _ck_dict(spgemm_hash(ac, atc, sr))
-        got_coo = spgemm_coo(a, at, sr)
-        assert got_coo.vals.dtype == object
-        assert _ck_dict(got_coo) == ref
+        with pytest.raises(ValueError, match="pos_row"):
+            spgemm_coo(a, at, exact_overlap_semiring())
 
-    def test_unpackable_encoded_hits_fall_back(self):
+    def test_unpackable_encoded_hits_raise(self):
         from repro.core.semirings import CK_SEED_LIMIT
 
         enc = encode_seed_hits([int(CK_SEED_LIMIT) + 3], [1])
         a = COOMatrix(2, 2, [0], [0], enc)
         b = COOMatrix(2, 2, [0], [1], np.array([4], np.int64))
-        sr = substitute_overlap_encoded_semiring()
-        assert not sr.struct.engages(a.vals, b.vals)
-        got = spgemm_coo(a, b, sr)
-        ref = _ck_dict(spgemm_hash(CSRMatrix.from_coo(a),
-                                   CSRMatrix.from_coo(b), sr))
-        assert _ck_dict(got) == ref
+        with pytest.raises(ValueError, match="pos_row"):
+            spgemm_coo(a, b, substitute_overlap_encoded_semiring())
 
 
 class TestStructMerge:
@@ -295,7 +315,8 @@ class TestEmptyBlockFamily:
     def test_result_dtype_helper(self):
         sr = substitute_overlap_encoded_semiring()
         assert result_dtype(sr, np.int64, np.int64) == CK_DTYPE
-        assert result_dtype(sr, object, np.int64) == np.int64
+        with pytest.raises(NoKernelError):
+            result_dtype(sr, object, np.int64)
         assert result_dtype(ARITHMETIC, np.float64, np.float64) == np.float64
 
     def test_spgemm_empty_operands_keep_struct_dtype(self):
@@ -362,41 +383,17 @@ class TestEmptyBlockFamily:
 
         assert set(run_spmd(nranks, fn)) == {str(CK_DTYPE)}
 
-    def test_elementwise_add_mixed_representations(self):
-        """One operand on records, the other fallen back to objects: the
-        merge must unpack rather than silently mix np.void into the
-        object stream."""
+    def test_elementwise_add_mixed_representations_raise(self):
+        """Records never merge with objects: one operand on records, the
+        other on CommonKmers objects, is the named error either way."""
         sr = substitute_overlap_encoded_semiring()
-        a1, b1 = _as_operands(11)
-        x = _spgemm(a1, b1, sr)  # records
+        x = _spgemm(*_as_operands(11), sr)
         assert x.vals.dtype == CK_DTYPE
         y = COOMatrix(x.nrows, x.ncols, x.rows, x.cols,
-                      records_to_common_kmers(x.vals))  # objects
+                      records_to_common_kmers(x.vals))
         for lhs, rhs in ((x, y), (y, x)):
-            got = elementwise_add(lhs, rhs, sr)
-            assert got.vals.dtype == object
-            ref = {
-                k: v.merge(v) for k, v in _ck_dict(x).items()
-            }
-            assert _ck_dict(got) == ref
-
-    def test_distributed_packability_check_is_collective(self):
-        from repro.core.distributed import _ck_packable
-        from repro.core.semirings import CK_SEED_LIMIT
-
-        def fn(comm):
-            # only rank 2 holds an unpackable position: every rank must
-            # still reach the same verdict
-            vals = (np.array([int(CK_SEED_LIMIT) + 1], np.int64)
-                    if comm.rank == 2 else np.array([5], np.int64))
-            return (
-                _ck_packable(comm, np.array([3], np.int64)),
-                _ck_packable(comm, vals),
-            )
-
-        results = run_spmd(4, fn)
-        assert all(ok for ok, _ in results)
-        assert not any(bad for _, bad in results)
+            with pytest.raises(NoKernelError):
+                elementwise_add(lhs, rhs, sr)
 
     def test_elementwise_add_with_empty_struct_operand(self):
         sr = substitute_overlap_encoded_semiring()

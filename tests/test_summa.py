@@ -1,7 +1,6 @@
 """Tests for sparse SUMMA (`repro.sparse.summa`): the distributed SpGEMM
 over the simulated grid must equal the local product of the gathered
-matrices, for every grid size PASTIS supports and on both the generic and
-the numeric kernel paths."""
+matrices, for every grid size PASTIS supports."""
 
 from __future__ import annotations
 
@@ -22,13 +21,6 @@ from repro.sparse.semiring import (
 )
 from repro.sparse.spgemm import spgemm_hash
 from repro.sparse.summa import summa
-
-#: Arithmetic without a numeric spec — forces the generic object path so
-#: both SUMMA code paths are exercised with comparable results.
-GENERIC_ARITHMETIC = Semiring(
-    "arithmetic_generic", lambda a, b: a + b, lambda a, b: a * b, 0
-)
-
 
 def _random_coo(m, n, density, seed) -> COOMatrix:
     mat = sp.random(m, n, density=density, random_state=seed, format="coo")
@@ -70,7 +62,7 @@ class TestSummaEqualsLocal:
     @pytest.mark.parametrize("nranks", [1, 4, 9])
     @pytest.mark.parametrize(
         "semiring",
-        [ARITHMETIC, MIN_PLUS, COUNTING, GENERIC_ARITHMETIC],
+        [ARITHMETIC, MIN_PLUS, COUNTING],
         ids=lambda s: s.name,
     )
     def test_square(self, nranks, semiring):
@@ -125,17 +117,6 @@ class TestSummaEqualsLocal:
             return str(m.local.vals.dtype)
 
         assert set(run_spmd(4, fn)) == {"int64"}
-
-    def test_generic_path_still_object(self):
-        a = _random_coo(12, 12, 0.2, 7)
-        got = _summa_product(4, a, a, GENERIC_ARITHMETIC)
-        # generic kernels emit object values; results above prove they
-        # are numerically identical to the fast path
-        assert {k: float(v) for k, v in got.to_dict().items()} == (
-            {k: float(v)
-             for k, v in _summa_product(4, a, a, ARITHMETIC)
-             .to_dict().items()}
-        )
 
 
 class TestSummaValidation:

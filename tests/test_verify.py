@@ -322,8 +322,7 @@ _MUTANTS = {
         "{anchor}" + _RANK_GUARDED_BARRIER.format("comm"),
         "rank-divergent-collective"),
     "divergent-barrier-depth1-block_pairs": (
-        "core/distributed.py",
-        '    reference = config.kernel == "semiring"\n',
+        "core/distributed.py", '    with _timed(timings, "tr. A"):\n',
         _RANK_GUARDED_BARRIER.format("comm") + "{anchor}",
         "rank-divergent-collective"),
     "divergent-barrier-depth2-summa": (
