@@ -11,8 +11,8 @@ and dispatches the whole batch to one of two engines:
 * ``engine="python"`` — the per-pair reference path, the always-correct
   oracle the batched engine is cross-validated against.
 
-Both engines produce byte-identical results (a tested invariant, the same
-contract the overlap stage's ``kernel`` knob has).
+Both engines produce byte-identical results (a tested invariant: the
+``align_engine`` knob moves work, never results).
 
 For XD mode PASTIS stores up to two shared seeds per pair and aligns from
 each of them, keeping the best-scoring result (Section IV-E); SW ignores the

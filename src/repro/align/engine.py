@@ -12,11 +12,15 @@ Two wavefronts are implemented:
 
 * :func:`sw_batch` — the full Smith-Waterman/Gotoh recurrence of
   :mod:`repro.align.smith_waterman`, lanes retiring as their row count is
-  exhausted.  With ``traceback`` the per-lane ``H`` matrices are retained
-  and walked by the *same* scalar traceback as the reference, so results
-  are byte-identical; without it (the NS fast path) nothing is retained
-  beyond a running per-lane maximum.  Its rows span the whole of ``b``, so
-  lanes are chunked by padded cells (:func:`_chunks_by_budget`).
+  exhausted.  Substitution scores come from a per-chunk query profile
+  (one contiguous row per lane and DP row), and ``b`` is padded with a
+  residue code that scores 0, so no padded cell can outscore a valid one
+  and no validity mask is needed.  With ``traceback`` the per-lane ``H``
+  matrices are retained and walked by the *same* scalar traceback as the
+  reference, so results are byte-identical; without it (the NS fast path)
+  nothing is retained beyond a running maximum.  Its rows span the whole
+  of ``b``, so lanes are chunked by the bytes of profile plus state
+  (:func:`_sw_chunks`).
 * :func:`xdrop_extend_batch` — the gapped x-drop extension of
   :mod:`repro.align.xdrop` with the co-propagated ``(matches, length)``
   stats.  Lanes retire as soon as their corridor dies (every cell of a row
@@ -30,12 +34,13 @@ Two wavefronts are implemented:
   that one row's ~20 state arrays stay in a core's L2 cache.
 
 Both produce results *byte-identical* to the per-pair Python reference
-(``engine="python"``) — a tested invariant, same contract as the overlap
-stage's ``kernel`` knob — whatever the chunk composition.  Each chunk picks
-its integer widths from its own lengths: lane scores are int32 unless a
-score plus ``column * gap_extend`` could reach ``2**31`` (then int64), and
-the x-drop path statistics pack into int32 unless ``(min length + 1)**2``
-could (then int64).
+(``engine="python"``) — a tested invariant — whatever the chunk
+composition.  Each chunk picks its integer widths from its own lengths
+(:func:`_lane_dtype`): lane scores are int32 unless a score plus ``column
+* gap_extend`` could reach ``2**31`` (then int64), and Smith-Waterman lanes
+are int16 while that sum stays below ``2**15``; the x-drop path
+statistics pack into int32 unless ``(min length + 1)**2`` could (then
+int64).
 """
 
 from __future__ import annotations
@@ -52,13 +57,12 @@ from .xdrop import ExtensionResult, assemble_seed_extension
 __all__ = ["GAP_LIMIT", "align_batch_batched", "sw_batch",
            "xdrop_extend_batch"]
 
-_NEG = -(10**9)
-
-# Smith-Waterman chunking budgets (cells = lanes x padded width); keep peak
-# memory modest while leaving lanes wide enough to amortise per-row NumPy
-# dispatch
-_SW_KEEP_BUDGET = 1 << 24  # H cells retained per traceback chunk
-_ROW_BUDGET = 1 << 21      # lane-row cells processed per score-only step
+# Smith-Waterman chunk budgets, in bytes of query profile plus DP state per
+# chunk: the bytes of the H and F state of an int32 chunk at the old cell
+# budgets (2**21 cells score-only, 2**24 retained H cells with traceback).
+# A lane over budget on its own still runs, alone
+_ROW_BUDGET = 1 << 24
+_SW_KEEP_BUDGET = 1 << 26
 #: lanes per x-drop chunk: one wavefront row's ~20 state arrays over this
 #: many corridor windows (~60 columns each) stay resident in a 2 MiB L2;
 #: measured against 128, 192, 320, 384, 512 and unchunked batches
@@ -66,35 +70,77 @@ _XDROP_LANES = 256
 #: a lane value below this fits int32; a chunk whose values (a score plus
 #: ``column * gap_extend``, a packed path statistic) can reach it is int64
 _I32 = 2**31
+#: a Smith-Waterman lane value of magnitude below this fits int16
+_I16 = 2**15
 
 
-def _lane_dtype(scoring, length, width, gap_open, gap_extend):
-    """int32, or int64 when a score over ``length`` aligned pairs plus
-    ``width * gap_extend + gap_open`` can reach ``2**31``."""
-    top = max(int(scoring.matrix.max()), 0) * length
-    return np.int32 if top + width * gap_extend + gap_open < _I32 else np.int64
+def _lane_dtype(score_max, length, width, gap_open, gap_extend,
+                score_min=None):
+    """The lane dtype of a chunk: int32, or int64 when a score over
+    ``length`` aligned pairs (``score_max`` each) plus ``width * gap_extend
+    + gap_open`` can reach ``2**31``.  Given the matrix minimum
+    ``score_min``, an int32 chunk is int16 instead when that sum stays
+    below ``2**15`` and ``score_min`` is at least ``-2**15``.
+
+    Only the Smith-Waterman wavefront passes ``score_min``.  With ``top =
+    max(score_max, 0) * length``, ``length = min(nmax, mmax)`` and ``width
+    = mmax + 1``, every value its row body forms lies in ``[min(score_min,
+    -(width * gap_extend + gap_open)), top + (width - 1) * gap_extend]``:
+
+    * ``H`` is in ``[0, top]``.  A valid cell holds the score of a local
+      alignment: at most ``score_max`` per diagonal step and at most
+      ``min(n, m)`` steps.  A padded cell is at most a valid cell of its
+      lane, or 0 (see :func:`_sw_chunk`).
+    * the diagonal candidate ``H + s`` is such a score too (or at most its
+      ``H``, on a pad column or in the discarded column 0), and at least
+      ``score_min``, from ``H = 0``.
+    * ``F`` starts at the sentinel ``-gap_open`` and takes ``max(F -
+      gap_extend, H - gap_open - gap_extend)`` with ``H >= 0`` each row,
+      so it stays in ``[-(gap_open + 2 * gap_extend), top]``.
+    * the horizontal scan's ``H0 + column * gap_extend`` is in ``[0, top +
+      (width - 1) * gap_extend]``, and its running maximum less ``gap_open
+      + (column + 1) * gap_extend`` at least ``-(gap_open + width *
+      gap_extend)``.
+    * the profile holds matrix entries (``score_max <= top``) and the pad
+      score 0.
+
+    ``_traceback_stats`` converts every value it reads to a Python ``int``.
+    The x-drop wavefront keeps a ``-2**28`` dead sentinel, so it never
+    asks for int16.
+    """
+    hi = max(score_max, 0) * length + width * gap_extend + gap_open
+    if hi >= _I32:
+        return np.int64
+    if score_min is not None and hi < _I16 and score_min >= -_I16:
+        return np.int16
+    return np.int32
 
 
 # spmd: hot-loop-ok (O(lanes) chunk planning, not per-cell work)
-def _chunks_by_budget(order, widths, heights, budget, area=False):
-    """Split ``order`` (lane indices) into Smith-Waterman chunks whose
-    padded size stays under ``budget``; ``area=True`` budgets ``height x
-    width`` (retained matrices), else just ``width`` (one full-width row of
-    state per lane).  The x-drop wavefront does not use it: its rows cover
-    the corridor windows only, so it chunks by lane count instead."""
+def _sw_chunks(order, ns, ms, scoring, gap_open, gap_extend, traceback):
+    """Split ``order`` (lane indices, ascending ``(n, m)``) into
+    Smith-Waterman chunks whose query profile plus DP state stays within
+    the byte budget.  A lane costs ``mmax + 1`` columns of ``nres`` profile
+    rows plus its state rows (``nmax + 7`` with traceback: the retained
+    ``H`` matrix and six row buffers; else 9), each in the chunk's lane
+    dtype.  The x-drop wavefront chunks by lane count instead: its rows
+    cover the corridor windows only."""
+    mat = scoring.matrix
+    smax, smin, nres = int(mat.max()), int(mat.min()), mat.shape[0]
+    budget = _SW_KEEP_BUDGET if traceback else _ROW_BUDGET
     chunks: list[list[int]] = []
     cur: list[int] = []
-    wmax = hmax = 0
+    nmax = wmax = 0
     for idx in order:
-        w = int(widths[idx]) + 1
-        h = int(heights[idx]) + 1
-        nw, nh = max(wmax, w), max(hmax, h)
-        cost = (len(cur) + 1) * nw * (nh if area else 1)
-        if cur and cost > budget:
+        nn, nw = max(nmax, ns[idx]), max(wmax, ms[idx] + 1)
+        dt = _lane_dtype(smax, min(nn, nw - 1), nw, gap_open, gap_extend,
+                         smin)
+        rows = nres + (nn + 7 if traceback else 9)
+        if cur and (len(cur) + 1) * nw * rows * dt().itemsize > budget:
             chunks.append(cur)
-            cur, nw, nh = [], w, h
+            cur, nn, nw = [], ns[idx], ms[idx] + 1
         cur.append(idx)
-        wmax, hmax = nw, nh
+        nmax, wmax = nn, nw
     if cur:
         chunks.append(cur)
     return chunks
@@ -111,15 +157,30 @@ def _chunks_by_budget(order, widths, heights, budget, area=False):
 def _sw_chunk(pairs, idxs, scoring, gap_open, gap_extend, traceback, out):
     """One padded-lane chunk of the batched Gotoh DP.
 
-    The recurrence mirrors ``smith_waterman._dp_matrix`` operation for
-    operation (same dtypes, same prefix-max horizontal fix-up) with a lane
-    axis prepended; within each lane's valid ``(n+1) x (m+1)`` region the
-    produced ``H`` is therefore bit-equal to the reference's, because no
-    padded cell can feed a valid one (padding lies right of / below the
-    valid region and the DP only reads left/up/diagonal neighbours).
+    The recurrence is ``smith_waterman._dp_matrix``'s (the same prefix-max
+    horizontal fix-up) with a lane axis prepended, in the lane dtype of
+    :func:`_lane_dtype`, where every value is exact.  Within each lane's
+    valid ``(n+1) x (m+1)`` region the produced ``H`` therefore equals the
+    reference's: no padded cell feeds a valid one (padding lies right of
+    the valid region, lanes retire after their last row, and the DP only
+    reads left/up/diagonal neighbours).
 
-    Lanes are ordered by descending row count, so every DP row operates on
-    a contiguous prefix slice of the state — lane retirement never copies.
+    Substitution scores come from a query profile built once per chunk:
+    profile row ``r * L + t`` holds residue ``r`` scored against every
+    column of lane ``t``'s ``b``, so a DP row gathers one contiguous
+    profile row per lane.  ``b`` is padded with a spare residue code that
+    scores 0 against everything.  A padded cell's diagonal step then adds
+    at most 0 and its gaps subtract penalties, so by induction over the
+    row-major order no padded cell exceeds a valid cell of its lane, or 0:
+    the running maximum over whole rows is the lane's best valid score,
+    with no mask.
+
+    Each row is computed on the flat ``(lanes x W)`` arrays: the
+    one-column shifts (``H`` up-left, the horizontal gap's source) are flat
+    shifts by one, which wrap the previous lane's last column into column
+    0; column 0 is ``H = 0`` and is reset.  Lanes are ordered by
+    descending row count, so every DP row operates on a contiguous prefix
+    of the state -- lane retirement never copies.
     """
     idxs = sorted(idxs, key=lambda i: -len(pairs[i][0]))
     L = len(idxs)
@@ -127,53 +188,69 @@ def _sw_chunk(pairs, idxs, scoring, gap_open, gap_extend, traceback, out):
     ms = np.array([len(pairs[i][1]) for i in idxs], dtype=np.int64)
     nmax = int(ns.max())
     W = int(ms.max()) + 1
-    a_pad = np.zeros((L, nmax), dtype=np.intp)
-    b_pad = np.zeros((L, W - 1), dtype=np.intp)
+    mat = scoring.matrix
+    nres = mat.shape[0]
+    dt = _lane_dtype(int(mat.max()), min(nmax, W - 1), W, gap_open,
+                     gap_extend, int(mat.min()))
+    # profile column c scores b[c - 1]; column 0 and the padding take the
+    # pad code ``nres``
+    a_pad = np.zeros((nmax, L), dtype=np.intp)
+    b_pad = np.full((L, W), nres, dtype=np.intp)
     for t, i in enumerate(idxs):
-        a_pad[t, : ns[t]] = pairs[i][0]
-        b_pad[t, : ms[t]] = pairs[i][1]
-    # int32 lanes while a score plus column * extend (the horizontal scan's
-    # value) stays in range, int64 beyond: identical values to the
-    # reference's int64 scan either way
-    dt = _lane_dtype(scoring, min(nmax, W - 1), W, gap_open, gap_extend)
-    cmat = scoring.matrix.astype(dt, copy=False)
-    neg = dt(_NEG)
+        a_pad[: ns[t], t] = pairs[i][0]
+        b_pad[t, 1 : ms[t] + 1] = pairs[i][1]
+    ext = np.zeros((nres, nres + 1), dtype=dt)
+    ext[:, :nres] = mat
+    prof = ext[:, b_pad].reshape(nres * L, W)  # one gather
+    del b_pad
+    prow = a_pad * L + np.arange(L)  # profile row of (DP row - 1, lane)
     o = dt(gap_open)
     e = dt(gap_extend)
+    oe = dt(gap_open + gap_extend)
     jidx = np.arange(W, dtype=dt) * e
-    ocol = jidx[1:] + o
-    jcol = np.arange(W, dtype=np.int64)
-    valid = jcol[None, :] <= ms[:, None]
-
-    H = np.zeros((L, W), dtype=dt)
-    F = np.full((L, W), neg, dtype=dt)
+    ocol = jidx + oe  # the horizontal gap into column c + 1 from c
+    # opening from H[0] = 0 gives F[1] = -o - e, as from minus infinity
+    F = np.full((L, W), -o, dtype=dt)
+    S, H0, R, T = np.empty((4, L, W), dtype=dt)
+    Z = np.zeros((L, W), dtype=dt)  # a 0 floor: a scalar one runs no SIMD
     if traceback:
-        keep = np.zeros((L, nmax + 1, W), dtype=dt)
-    best = np.zeros(L, dtype=np.int64)
+        keep = np.zeros((nmax + 1, L, W), dtype=dt)
+    else:
+        # double-buffered rows and the elementwise running maximum
+        H, Hn, top = np.zeros((3, L, W), dtype=dt)
 
+    nneg = -ns
     for i in range(1, nmax + 1):
-        cnt = int(np.searchsorted(-ns, -i, side="right"))
-        if cnt == 0:  # pragma: no cover - nmax guarantees cnt >= 1
-            break
-        Hp = H[:cnt]
-        Fn = np.maximum(Hp - o, F[:cnt]) - e
-        H0 = np.maximum(Fn, 0)
-        sub = cmat[a_pad[:cnt, i - 1][:, None], b_pad[:cnt]]
-        sub += Hp[:, :-1]
-        np.maximum(H0[:, 1:], sub, out=H0[:, 1:])
-        H0[:, 0] = 0
-        src = H0 + jidx
-        run = np.maximum.accumulate(src, axis=1)
-        Hn = keep[:cnt, i] if traceback else np.empty_like(H0)
-        Hn[:, 0] = 0
-        np.subtract(run[:, :-1], ocol, out=run[:, :-1])
-        np.maximum(H0[:, 1:], run[:, :-1], out=Hn[:, 1:])
-        H[:cnt] = Hn
-        F[:cnt] = Fn
+        cnt = int(np.searchsorted(nneg, -i, side="right"))
+        if traceback:
+            Hp, Hc = keep[i - 1, :cnt], keep[i, :cnt]
+        else:
+            Hp, Hc = H[:cnt], Hn[:cnt]
+        Fc, s, h0, r, tt = F[:cnt], S[:cnt], H0[:cnt], R[:cnt], T[:cnt]
+        # vertical: F = max(F - e, H above - o - e)
+        np.subtract(Hp, oe, out=tt)
+        Fc -= e
+        np.maximum(Fc, tt, out=Fc)
+        # diagonal: H up-left + profile; pre-gap H0 = max(diagonal, F, 0)
+        np.take(prof, prow[i - 1, :cnt], axis=0, out=s, mode="clip")
+        sf = s.reshape(-1)
+        np.add(sf[1:], Hp.reshape(-1)[:-1], out=sf[1:])
+        np.maximum(Fc, Z[:cnt], out=h0)
+        np.maximum(h0, s, out=h0)
+        h0[:, 0] = 0
+        # horizontal: H(c) = max(H0(c), max_{k<c} (H0(k) + k e) - o - c e)
+        np.add(h0, jidx, out=r)
+        np.maximum.accumulate(r, axis=1, out=r)
+        np.subtract(r, ocol, out=r)
+        np.maximum(h0.reshape(-1)[1:], r.reshape(-1)[:-1],
+                   out=Hc.reshape(-1)[1:])
+        Hc[:, 0] = 0
         if not traceback:
-            vmax = np.where(valid[:cnt], Hn, 0).max(axis=1)
-            best[:cnt] = np.maximum(best[:cnt], vmax)
+            np.maximum(top[:cnt], Hc, out=top[:cnt])
+            H, Hn = Hn, H
 
+    if not traceback:
+        best = top.max(axis=1)
     for t, idx in enumerate(idxs):
         a, b = pairs[idx]
         n, m = len(a), len(b)
@@ -183,7 +260,7 @@ def _sw_chunk(pairs, idxs, scoring, gap_open, gap_extend, traceback, out):
                 int(best[t]), 0, 0, 0, 0, 0, 0, n, m, "sw"
             )
             continue
-        Hl = keep[t, : n + 1, : m + 1]
+        Hl = keep[: n + 1, t, : m + 1]
         score = int(Hl.max())
         if score <= 0:
             out[idx] = AlignmentResult(0, 0, 0, 0, 0, 0, 0, n, m, "sw")
@@ -232,8 +309,8 @@ def sw_batch(
     ns = {i: len(pairs[i][0]) for i in lanes}
     ms = {i: len(pairs[i][1]) for i in lanes}
     lanes.sort(key=lambda i: (ns[i], ms[i]))
-    budget = _SW_KEEP_BUDGET if traceback else _ROW_BUDGET
-    for chunk in _chunks_by_budget(lanes, ms, ns, budget, area=traceback):
+    for chunk in _sw_chunks(lanes, ns, ms, scoring, gap_open, gap_extend,
+                            traceback):
         _sw_chunk(pairs, chunk, scoring, gap_open, gap_extend, traceback,
                   out)
     return out  # type: ignore[return-value]
@@ -348,7 +425,8 @@ def _xdrop_chunk(pairs, idxs, xdrop, scoring, gap_open, gap_extend, out):
     match = sdt(S)  # a diagonal step on identical residues: one match
     o = int(gap_open)
     e = int(gap_extend)
-    dt = _lane_dtype(scoring, min(nmax, mmax), mmax + 2, o, e)
+    dt = _lane_dtype(int(scoring.matrix.max()), min(nmax, mmax), mmax + 2,
+                     o, e)
     xd = dt(min(int(xdrop), _XDROP_CAP))
     neg = dt(_XNEG)
     cols = np.arange(mmax + 2, dtype=dt)

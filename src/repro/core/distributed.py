@@ -358,10 +358,7 @@ def run_pastis_distributed(
         # process) and the projected comm seconds of the traced volume
         from ..perfmodel.calibrate import calibrate_comm_model  # no cycle
 
-        backend = config.comm_backend
-        comm_model = calibrate_comm_model(
-            backend=backend if backend in ("sim", "mp") else "sim"
-        )
+        comm_model = calibrate_comm_model(backend=config.comm_backend)
         graph.meta["commcost"] = {
             "calibration": comm_model.as_dict(),
             "traced_messages": tracer.total_messages,

@@ -1,10 +1,10 @@
 """Cross-validation of the batched wavefront engine against the per-pair
 reference, plus the alignment-stage bugfix regressions.
 
-The contract mirrors the overlap stage's ``kernel`` knob: the batched
-engine must produce *byte-identical* ``AlignmentResult``s to mapping
-``align_pair`` over the batch — across modes, weights (traceback on/off),
-ragged lengths, seed counts, and scoring/gap parameters.
+The ``align_engine`` knob's contract: the batched engine must produce
+*byte-identical* ``AlignmentResult``s to mapping ``align_pair`` over the
+batch — across modes, weights (traceback on/off), ragged lengths, seed
+counts, scoring/gap parameters, chunk compositions and lane dtypes.
 """
 
 import numpy as np
@@ -240,6 +240,7 @@ class TestXdropCorridor:
         # with the int32 bound at 0 every chunk runs int64 lane state and
         # int64 packed statistics, the path of very long sequences
         monkeypatch.setattr(engine, "_I32", 0)
+        seen = _lane_dtypes(monkeypatch)
         pairs = [(t.a, t.b) for t in _random_tasks(17, n_tasks=30)]
         assert xdrop_extend_batch(pairs, xd, BLOSUM62, go, ge) == [
             xdrop_extend(a, b, xd, BLOSUM62, go, ge) for a, b in pairs
@@ -249,6 +250,80 @@ class TestXdropCorridor:
                 smith_waterman(a, b, BLOSUM62, go, ge, traceback=tb)
                 for a, b in pairs
             ]
+        assert set(seen) == {np.int64}
+
+
+def _lane_dtypes(monkeypatch):
+    """Every lane dtype the kernels pick from now on, for their chunks and
+    while planning them."""
+    seen = []
+    pick = engine._lane_dtype
+
+    def spy(*args, **kwargs):
+        seen.append(pick(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(engine, "_lane_dtype", spy)
+    return seen
+
+
+class TestSwLanes:
+    """Smith-Waterman lanes of mixed lengths share one chunk's query
+    profile, and ``b`` is padded with a code scoring 0 instead of masked:
+    each lane's result is its own, in every chunk composition and at every
+    lane dtype."""
+
+    W30 = encode_sequence("W" * 30)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(_indel_pair(), min_size=1, max_size=8),
+           st.integers(1, 12), st.integers(0, 3))
+    def test_results_do_not_depend_on_chunk_composition(self, pairs, go, ge):
+        # in one chunk the last lane's W-W diagonal runs on past the end of
+        # the (W^12, W^8) lane's b: a pad column scoring above 0 would
+        # carry that lane's score-only maximum past its own b
+        w = self.W30
+        pairs = pairs + [(w[:12], w[:8]), (w, w)]
+        for tb in (True, False):
+            want = [smith_waterman(a, b, BLOSUM62, go, ge, traceback=tb)
+                    for a, b in pairs]
+            for budget in (1, 10**9):  # every lane alone; one chunk
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(engine, "_ROW_BUDGET", budget)
+                    mp.setattr(engine, "_SW_KEEP_BUDGET", budget)
+                    got = sw_batch(pairs, BLOSUM62, go, ge, traceback=tb)
+                assert got == want, (tb, budget)
+
+    @pytest.mark.parametrize("n,dtype", [(32, np.int16), (40, np.int32)])
+    def test_score_across_the_int16_bound_is_exact(self, monkeypatch, n,
+                                                   dtype):
+        # diagonal 1000: n identical residues score 1000 n, 32 000 just
+        # under 2**15 with the row's gap offsets, 40 000 past it
+        mat = BLOSUM62.matrix.copy()
+        np.fill_diagonal(mat, 1000)
+        scoring = ScoringMatrix("blosum62-diag1000", mat)
+        a = encode_sequence(random_protein(n, np.random.default_rng(n)))
+        seen = _lane_dtypes(monkeypatch)
+        for tb in (True, False):
+            want = smith_waterman(a, a, scoring, 11, 1, traceback=tb)
+            assert want.score == 1000 * n
+            assert sw_batch([(a, a)], scoring, 11, 1, traceback=tb) == [want]
+        assert set(seen) == {dtype}
+
+    @pytest.mark.parametrize("bound,dtype", [(2**15, np.int16),
+                                             (0, np.int32)])
+    def test_int16_tier_bound(self, monkeypatch, bound, dtype):
+        # at its real bound the int16 tier carries every chunk of these
+        # short pairs; at 0 they all run the int32 path
+        monkeypatch.setattr(engine, "_I16", bound)
+        seen = _lane_dtypes(monkeypatch)
+        pairs = [(t.a, t.b) for t in _random_tasks(23, n_tasks=30)]
+        for tb in (True, False):
+            assert sw_batch(pairs, BLOSUM62, 11, 1, traceback=tb) == [
+                smith_waterman(a, b, BLOSUM62, 11, 1, traceback=tb)
+                for a, b in pairs
+            ]
+        assert set(seen) == {dtype}
 
 
 class TestGapLimit:
