@@ -1,4 +1,4 @@
-"""Wall-clock overhead of the runtime comm sanitizer on the ``mp`` backend.
+"""Wall-clock overhead of the runtime comm sanitizer.
 
 No end-to-end workload passes ``--comm-sanitize``, so this is the one
 timing gate outside ``benchmarks/e2e``: a 4-rank alignment stage with a
@@ -24,7 +24,7 @@ from repro.mpisim.backend import run_spmd
 NRANKS = 4
 
 #: acceptance gate — the comm sanitizer may cost at most this factor of
-#: alignment-stage wall clock on mp...
+#: alignment-stage wall clock...
 SANITIZER_OVERHEAD_GATE = 1.20
 #: ...judged only when the bare stage is long enough to time reliably
 SANITIZER_MIN_WALL_S = 0.05
@@ -70,15 +70,13 @@ def _chunked_stage_body(comm, npairs: int, length: int,
 
 
 def run_sanitizer_overhead(npairs: int, length: int) -> dict:
-    """Time the chunked alignment stage on ``mp`` with the comm
-    sanitizer off and on; return the slowest-rank stage walls and the
-    per-rank score checksums of both runs."""
+    """Time the chunked alignment stage with the comm sanitizer off and
+    on; return the slowest-rank stage walls and the per-rank score
+    checksums of both runs."""
     stats: dict = {}
     for key, sanitize in (("bare", False), ("sanitized", True)):
-        res = run_spmd(
-            NRANKS, _chunked_stage_body, npairs, length,
-            comm_backend="mp", comm_sanitize=sanitize,
-        )
+        res = run_spmd(NRANKS, _chunked_stage_body, npairs, length,
+                       comm_sanitize=sanitize)
         stats[key] = {"stage_wall_s": max(w for w, _ in res),
                       "checksums": [s for _, s in res]}
     return stats
@@ -86,11 +84,11 @@ def run_sanitizer_overhead(npairs: int, length: int) -> dict:
 
 def test_sanitizer_overhead_gate():
     """The runtime comm sanitizer costs <= 20% of alignment-stage wall
-    clock on mp (skipped when the bare stage is too short to time)."""
+    clock (skipped when the bare stage is too short to time)."""
     stats = run_sanitizer_overhead(npairs=32, length=120)
     bare, sanitized = stats["bare"], stats["sanitized"]
     overhead = sanitized["stage_wall_s"] / max(bare["stage_wall_s"], 1e-9)
-    print(f"\nsanitizer overhead, mp, {NRANKS} ranks x 32 pairs of ~120 aa "
+    print(f"\nsanitizer overhead, {NRANKS} ranks x 32 pairs of ~120 aa "
           f"({MODE}): bare {bare['stage_wall_s']:.3f}s, sanitized "
           f"{sanitized['stage_wall_s']:.3f}s, {overhead:.2f}x "
           f"(gate <= {SANITIZER_OVERHEAD_GATE}x)")

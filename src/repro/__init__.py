@@ -13,7 +13,8 @@ Subpackages
     CombBLAS stand-in: semiring SpGEMM, COO/CSR storage, 2-D block
     distribution, Sparse SUMMA.
 ``repro.mpisim``
-    Thread-based simulated MPI with tracing (the distributed substrate).
+    Process-per-rank MPI-style runtime with tracing (the distributed
+    substrate).
 ``repro.align``
     SeqAn stand-in: Smith-Waterman (Gotoh), gapped x-drop, ungapped
     extension, batch driver.

@@ -28,12 +28,11 @@ makes the check explicit and *named*:
   across a barrier) is legal and common, so unmatched sends only
   *raise* at teardown.
 
-* under the ``mp`` backend the ``mpcomm`` shared-memory transport is
-  audited: every segment created by a pickler and every segment
-  unlinked by an unpickler is recorded per process, the sets are merged
-  across ranks at teardown, and segments created but never unlinked are
-  reported as leaks (the run-prefix sweep would hide them; the
-  sanitizer makes them loud).
+* the ``mpcomm`` shared-memory transport is audited: every segment
+  created by a pickler and every segment unlinked by an unpickler is
+  recorded per process, the sets are merged across ranks at teardown,
+  and segments created but never unlinked are reported as leaks (the
+  run-prefix sweep would hide them; the sanitizer makes them loud).
 
 Error messages carry the bracketed finding codes of the shared table in
 :mod:`repro.analysis.report` (``[rank-divergent-collective]``,
@@ -54,11 +53,8 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from ..mpisim.backend import (
-    ANY_SOURCE,
-    CommBackend,
-    SpmdError,
-)
+from ..mpisim.backend import ANY_SOURCE, CommBackend, SpmdError
+from ..mpisim.mpcomm import begin_shm_audit, end_shm_audit
 
 __all__ = ["SanitizedComm", "payload_digest", "sanitize_spmd_fn"]
 
@@ -94,9 +90,9 @@ class _RankState:
     """Per-rank accounting shared by every :class:`SanitizedComm` view
     (world and sub-communicators) of one rank."""
 
-    __slots__ = ("nseq", "sent", "recvd", "max_inflight", "shm_mod")
+    __slots__ = ("nseq", "sent", "recvd", "max_inflight")
 
-    def __init__(self, shm_mod: Any = None):
+    def __init__(self):
         #: global collective counter across all communicators
         self.nseq = 0
         #: (comm label, dest world rank, tag) -> sends posted
@@ -105,8 +101,6 @@ class _RankState:
         self.recvd: Counter = Counter()
         #: peak fleet-wide sent-minus-received seen at a collective fence
         self.max_inflight = 0
-        #: the audited mpcomm module under the ``mp`` backend, else None
-        self.shm_mod = shm_mod
 
     def totals(self) -> tuple[int, int]:
         return (sum(self.sent.values()), sum(self.recvd.values()))
@@ -270,15 +264,12 @@ class SanitizedComm(CommBackend):
 
     def finalize(self) -> None:
         """Teardown audit, called on the *world* wrapper after the SPMD
-        body returns cleanly: allgather the p2p counters (and, under
-        ``mp``, the shared-memory audit) and raise one named
+        body returns cleanly: allgather the p2p counters and the
+        shared-memory audit, and raise one named
         :class:`SpmdError` if any send was never received or any segment
         was created but never unlinked."""
         state = self._state
-        created: list[str] = []
-        unlinked: list[str] = []
-        if state.shm_mod is not None:
-            created, unlinked = state.shm_mod.end_shm_audit()
+        created, unlinked = end_shm_audit()
         # lockstep-check the teardown itself: a rank still inside a
         # collective pairs with this fingerprint and both sides report a
         # named mismatch instead of a bare timeout
@@ -335,24 +326,18 @@ class SanitizedComm(CommBackend):
 
 
 class _SanitizedBody:
-    """Picklable SPMD-body wrapper (``mp`` under ``spawn`` ships the
-    function by pickle, so this cannot be a closure): wrap the bare
-    communicator, run the body, then run the teardown audit — only on a
-    clean return, since after a failure the peers may already be gone
-    and any further collective would hang."""
+    """SPMD-body wrapper: wrap the bare communicator, run the body, then
+    run the teardown audit — only on a clean return, since after a
+    failure the peers may already be gone and any further collective
+    would hang."""
 
     def __init__(self, fn: Callable[..., Any]):
         self.fn = fn
 
     def __call__(self, comm: CommBackend, *args: Any) -> Any:
-        shm_mod = None
-        if type(comm).__module__.endswith("mpcomm"):
-            from ..mpisim import mpcomm as shm_mod
-
-            shm_mod.begin_shm_audit()
-        state = _RankState(shm_mod=shm_mod)
+        begin_shm_audit()
         world = SanitizedComm(
-            comm, "world", tuple(range(comm.size)), state
+            comm, "world", tuple(range(comm.size)), _RankState()
         )
         value = self.fn(world, *args)
         world.finalize()

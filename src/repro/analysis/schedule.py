@@ -52,11 +52,10 @@ __all__ = [
 ]
 
 #: modules indexed for resolution but never reported against: the comm
-#: transports implement collectives via internal p2p and root-divergent
+#: transport implements collectives via internal p2p and root-divergent
 #: logic by design, and the analysis package wraps comms itself
 EXCLUDED_PATH_MARKERS = (
     "repro/analysis/",
-    "repro/mpisim/comm.py",
     "repro/mpisim/mpcomm.py",
     "repro/mpisim/backend.py",
 )

@@ -14,9 +14,9 @@ Usage::
 
 Every flag maps onto one :class:`~repro.core.config.PastisConfig` field
 (see :func:`config_from_args`); the implementation knobs
-(``align-engine``, ``align-balance``, ``comm-backend``,
-``comm-sanitize``) never change the output graph — a tested byte-identity
-contract documented in ``docs/knobs.md``.
+(``align-engine``, ``align-balance``, ``comm-sanitize``) never change
+the output graph — a tested byte-identity contract documented in
+``docs/knobs.md``.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .core.config import (
     ALIGN_BALANCE_MODES,
     ALIGN_ENGINES,
     ALIGN_MODES,
-    COMM_BACKENDS,
     WEIGHTS,
     ConfigError,
     PastisConfig,
@@ -77,8 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-identity", type=float, default=0.30)
     p.add_argument("--min-coverage", type=float, default=0.70)
     p.add_argument("--ranks", type=int, default=1,
-                   help="simulated MPI ranks (a positive perfect square); "
-                   "one driver at every count, inline in this process at 1")
+                   help="SPMD ranks, one process each (a positive perfect "
+                   "square); one driver at every count, inline in this "
+                   "process at 1")
     p.add_argument("--align-engine", choices=ALIGN_ENGINES,
                    default="batched",
                    help="alignment engine: inter-pair batched wavefront "
@@ -90,14 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
                    "'greedy' costs each rank's candidate pairs in DP "
                    "cells and ships tasks along one deterministic "
                    "bin-pack plan — byte-identical results either way")
-    p.add_argument("--comm-backend", choices=COMM_BACKENDS,
-                   default=None,
-                   help="SPMD substrate for --ranks > 1: 'sim' "
-                   "(thread-per-rank simulator, deterministic, default) "
-                   "or 'mp' (one OS process per rank, ndarray payloads "
-                   "via shared memory — uses all cores); byte-identical "
-                   "graphs either way (defaults to $REPRO_COMM_BACKEND "
-                   "or 'sim')")
+    # hidden and inert: 'mp', the one transport, is its only value
+    p.add_argument("--comm-backend", choices=("mp",),
+                   help=argparse.SUPPRESS)
     p.add_argument("--comm-sanitize", action="store_true", default=None,
                    help="run the distributed stage under the runtime "
                    "comm sanitizer: collectives are lockstep-checked "
@@ -122,12 +117,9 @@ def config_from_args(args: argparse.Namespace) -> PastisConfig:
     the CLI round-trip tests exercise it for every knob choice.
     """
     extra = {}
-    if args.comm_backend is not None:
-        # leave the field to its default otherwise, so the
-        # REPRO_COMM_BACKEND environment default keeps working
-        extra["comm_backend"] = args.comm_backend
     if args.comm_sanitize is not None:
-        # same pattern: an absent flag defers to REPRO_COMM_SANITIZE
+        # leave the field to its default otherwise, so an absent flag
+        # defers to REPRO_COMM_SANITIZE
         extra["comm_sanitize"] = args.comm_sanitize
     return PastisConfig(
         k=args.k,

@@ -15,14 +15,12 @@ from dataclasses import dataclass, field
 from ..align.engine import GAP_LIMIT
 from ..bio.scoring import BLOSUM62, ScoringMatrix
 from ..kmers.encoding import MAX_K
-from ..mpisim.backend import COMM_BACKENDS
 from .semirings import CK_DIST_LIMIT
 
 __all__ = [
     "ALIGN_BALANCE_MODES",
     "ALIGN_ENGINES",
     "ALIGN_MODES",
-    "COMM_BACKENDS",
     "WEIGHTS",
     "ConfigError",
     "PastisConfig",
@@ -32,8 +30,6 @@ __all__ = [
 
 #: valid values of the choice-valued knobs — the CLI builds its ``choices``
 #: from these and the CLI surface test round-trips every one of them
-#: (COMM_BACKENDS is re-exported from repro.mpisim.backend, its source of
-#: truth, so the registry and the knob can never drift)
 ALIGN_MODES = ("xd", "sw")
 WEIGHTS = ("ani", "ns")
 ALIGN_ENGINES = ("batched", "python")
@@ -66,18 +62,10 @@ def check_inflation(inflation: float) -> None:
         )
 
 
-def _default_comm_backend() -> str:
-    """``comm_backend``'s default honours ``REPRO_COMM_BACKEND`` so a test
-    or CI matrix can run the whole suite on another backend without
-    touching any call site (only the *config* default reads the variable;
-    ``run_spmd``'s own default stays ``"sim"``)."""
-    return os.environ.get("REPRO_COMM_BACKEND", "sim")
-
-
 def _default_comm_sanitize() -> bool:
-    """``comm_sanitize``'s default honours ``REPRO_COMM_SANITIZE`` (same
-    pattern as ``REPRO_COMM_BACKEND``), so CI can run the whole suite
-    under the runtime comm sanitizer without touching any call site."""
+    """``comm_sanitize``'s default honours ``REPRO_COMM_SANITIZE``, so CI
+    can run the whole suite under the runtime comm sanitizer without
+    touching any call site."""
     return os.environ.get(
         "REPRO_COMM_SANITIZE", ""
     ).strip().lower() in ("1", "true", "yes", "on")
@@ -123,20 +111,6 @@ class PastisConfig:
 
         The graph is byte-identical in both modes (a tested invariant —
         rebalancing moves work, never changes it).
-    comm_backend:
-        SPMD substrate of the distributed pipeline
-        (:func:`repro.mpisim.backend.run_spmd`):
-
-        * ``"sim"`` (the default) — thread-per-rank simulator:
-          deterministic, zero startup cost, full tracing, but the GIL
-          serialises compute;
-        * ``"mp"`` — one OS process per rank with large ndarray payloads
-          shipped through shared memory: real multi-core wall-clock
-          parallelism on one machine.
-
-        The graph is byte-identical across backends (a tested invariant).
-        The default honours the ``REPRO_COMM_BACKEND`` environment
-        variable so CI can matrix the whole suite over backends.
     comm_sanitize:
         Run the distributed pipeline under the runtime comm sanitizer
         (:class:`repro.analysis.sanitizer.SanitizedComm`): every
@@ -164,7 +138,6 @@ class PastisConfig:
     min_coverage: float = 0.70
     align_engine: str = "batched"
     align_balance: str = "off"
-    comm_backend: str = field(default_factory=_default_comm_backend)
     comm_sanitize: bool = field(default_factory=_default_comm_sanitize)
 
     def __post_init__(self) -> None:
@@ -212,10 +185,6 @@ class PastisConfig:
                     f"{name} must be a fraction in [0, 1], "
                     f"got {getattr(self, name)}"
                 )
-        if self.comm_backend not in COMM_BACKENDS:
-            raise ConfigError(
-                f"comm_backend must be one of {', '.join(COMM_BACKENDS)}"
-            )
 
     @property
     def uses_filter(self) -> bool:

@@ -2,7 +2,7 @@
 Fig. 1 at every rank count; ``nranks=1`` runs the rank body inline in the
 calling process (:func:`repro.core.pipeline.pastis_pipeline`).
 
-Every stage executed SPMD over the simulated MPI runtime:
+Every stage executed SPMD over the process-per-rank MPI-style runtime:
 
 1. byte-balanced parallel FASTA parse (V-A);
 2. cooperative prefix sums -> every rank knows the 1-D sequence ownership;
@@ -287,7 +287,7 @@ def run_pastis_distributed(
     tracer: CommTracer | None = None,
     s_triples: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> SimilarityGraph:
-    """The driver: run the SPMD pipeline on ``nranks`` simulated ranks
+    """The driver: run the SPMD pipeline on ``nranks`` ranks
     and assemble the global PSG.
 
     ``nranks`` must be a positive perfect square (paper requirement;
@@ -316,7 +316,6 @@ def run_pastis_distributed(
     fasta = store_to_fasta_bytes(store)
     results: list[RankResult] = run_spmd(
         nranks, pastis_rank, fasta, config, s_triples, tracer=tracer,
-        comm_backend=config.comm_backend,
         comm_sanitize=config.comm_sanitize,
     )
     graph = SimilarityGraph.from_edges(
@@ -358,7 +357,7 @@ def run_pastis_distributed(
         # process) and the projected comm seconds of the traced volume
         from ..perfmodel.calibrate import calibrate_comm_model  # no cycle
 
-        comm_model = calibrate_comm_model(backend=config.comm_backend)
+        comm_model = calibrate_comm_model()
         graph.meta["commcost"] = {
             "calibration": comm_model.as_dict(),
             "traced_messages": tracer.total_messages,

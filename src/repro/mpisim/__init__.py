@@ -1,31 +1,23 @@
-"""SPMD communication runtimes the distributed pipeline runs on: the
-:class:`CommBackend` interface with its collectives, and two transports
-under it, the thread-based simulator (``sim``) and the process-per-rank
-backend (``mp``)."""
+"""The SPMD communication runtime the distributed pipeline runs on: the
+:class:`CommBackend` interface with its collectives, and one transport
+under it, one OS process per rank (:mod:`repro.mpisim.mpcomm`)."""
 
 from .backend import (
     ANY_SOURCE,
-    COMM_BACKENDS,
     CommBackend,
     Request,
     SpmdError,
-    get_runner,
     run_spmd,
 )
-from .comm import SimComm, run_spmd_sim
 from .grid import ProcessGrid, block_ranges, is_perfect_square, nearest_square
 from .tracing import CommTracer, MessageRecord, payload_bytes
 
 __all__ = [
     "ANY_SOURCE",
-    "COMM_BACKENDS",
     "CommBackend",
     "Request",
-    "SimComm",
     "SpmdError",
-    "get_runner",
     "run_spmd",
-    "run_spmd_sim",
     "ProcessGrid",
     "block_ranges",
     "is_perfect_square",

@@ -1,31 +1,24 @@
-"""The communicator abstraction every SPMD backend implements.
+"""The communicator abstraction the SPMD runtime implements.
 
 The distributed pipeline is written against a small MPI-shaped surface —
 point-to-point sends/receives with tags and non-blocking handles, the
 collectives SUMMA and the balance executors use, and ``split`` for the
 grid's row/column sub-communicators.  :class:`CommBackend` names that
 surface once and implements every collective, ``split``'s validation and
-the collectives' tracer records on top of two transport primitives, so a
-backend only implements transport:
+the collectives' tracer records on top of two transport primitives; the
+one transport, :class:`~repro.mpisim.mpcomm.MPComm`, runs one OS process
+per rank with block payloads shipped through shared-memory ndarray
+segments.
 
-* ``"sim"`` — :class:`~repro.mpisim.comm.SimComm`, the thread-per-rank
-  simulator (deterministic, traceable, zero startup cost; the GIL
-  serialises compute);
-* ``"mp"`` — :class:`~repro.mpisim.mpcomm.MPComm`, one OS process per
-  rank with block payloads shipped through shared-memory ndarray
-  segments (real multi-core parallelism on one machine).
-
-:func:`run_spmd` is the single entry point: it dispatches
-``fn(comm, *args)`` onto ``nranks`` ranks of the chosen backend and
-returns the per-rank results in rank order.  Backends are resolved
-lazily so importing this module never pays for multiprocessing
-machinery.
+:func:`run_spmd` is the single entry point: it runs ``fn(comm, *args)``
+on ``nranks`` ranks and returns the per-rank results in rank order.  The
+runtime module is imported on first use, so importing this module never
+pays for it.
 """
 
 from __future__ import annotations
 
 import functools
-import importlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
@@ -34,13 +27,10 @@ from .tracing import payload_bytes
 
 __all__ = [
     "ANY_SOURCE",
-    "COMM_BACKENDS",
     "COMM_OP_KINDS",
     "CommBackend",
     "Request",
     "SpmdError",
-    "blame_order",
-    "get_runner",
     "run_spmd",
 ]
 
@@ -64,25 +54,9 @@ COMM_OP_KINDS: dict[str, str] = {
 #: Watchdog timeout (seconds) converting deadlocks into failures.
 DEFAULT_TIMEOUT = 120.0
 
-#: what every surviving rank raises once another rank has failed
-ABORTED = "aborted by a failing rank"
-
 
 class SpmdError(RuntimeError):
     """Raised when a rank fails or the program deadlocks/times out."""
-
-
-def blame_order(rank: int, is_spmd: bool, text: str) -> tuple[int, int]:
-    """Sort key putting a run's root-cause failure first.
-
-    A rank's own exception (anything but an :class:`SpmdError`) beats a
-    primary :class:`SpmdError` (a timeout, a sanitizer mismatch), which
-    beats the :data:`ABORTED` echo the surviving ranks raise once the
-    abort flag is up; ties go to the lowest rank.  Both runners report
-    the failure this key sorts first."""
-    if not is_spmd:
-        return 0, rank
-    return (2 if ABORTED in text else 1), rank
 
 
 @dataclass
@@ -313,55 +287,24 @@ class CommBackend(ABC):
         return f"{type(self).__name__}(rank={self.rank}, size={self.size})"
 
 
-# ---------------------------------------------------------------------------
-# backend registry
-# ---------------------------------------------------------------------------
-
-#: registered backends: name -> (module, runner attribute), resolved
-#: lazily so importing this module starts no multiprocessing machinery
-_RUNNERS: dict[str, tuple[str, str]] = {
-    "sim": ("repro.mpisim.comm", "run_spmd_sim"),
-    "mp": ("repro.mpisim.mpcomm", "run_spmd_mp"),
-}
-
-#: every registered backend name, in registry order — the config/CLI
-#: ``comm_backend`` knob builds its choices from this tuple
-COMM_BACKENDS = tuple(_RUNNERS)
-
-
-def get_runner(name: str) -> Callable[..., list[Any]]:
-    """Resolve a backend name to its ``run_spmd_*`` runner."""
-    try:
-        module, attr = _RUNNERS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown comm backend {name!r}; registered: "
-            f"{', '.join(sorted(_RUNNERS))}"
-        ) from None
-    return getattr(importlib.import_module(module), attr)
-
-
 def run_spmd(
     nranks: int,
     fn: Callable[..., Any],
     *args: Any,
     tracer: Any | None = None,
     timeout: float = DEFAULT_TIMEOUT,
-    comm_backend: str = "sim",
+    comm_backend: str = "mp",
     comm_sanitize: bool = False,
 ) -> list[Any]:
-    """Run ``fn(comm, *args)`` on ``nranks`` ranks of the chosen backend;
-    return the per-rank results in rank order.
+    """Run ``fn(comm, *args)`` on ``nranks`` ranks; return the per-rank
+    results in rank order (:func:`repro.mpisim.mpcomm.run_spmd_mp`).
 
-    ``comm_backend`` selects the substrate (see :data:`COMM_BACKENDS`);
-    the SPMD body sees the same :class:`CommBackend` surface either way,
-    and the golden obliviousness tests pin the output byte-identical
-    across backends.  Any rank raising aborts all ranks and re-raises as
-    :class:`SpmdError` carrying the root-cause failure (see
-    :func:`blame_order`) as ``__cause__``.  At ``nranks == 1`` nothing
-    is started: ``fn`` runs inline in the calling thread on a 1-rank
-    communicator, under no whole-run deadline (``timeout`` still bounds
-    a blocked receive).
+    Any rank raising aborts all ranks and re-raises as :class:`SpmdError`
+    carrying the root-cause failure (see
+    :func:`~repro.mpisim.mpcomm.blame_order`) as ``__cause__``.  At
+    ``nranks == 1`` nothing is started: ``fn`` runs inline in the calling
+    thread on a 1-rank communicator, under no whole-run deadline
+    (``timeout`` still bounds a blocked receive).
 
     ``comm_sanitize`` wraps every rank's communicator in
     :class:`repro.analysis.sanitizer.SanitizedComm`: collectives are
@@ -370,15 +313,19 @@ def run_spmd(
     leaked shared-memory segments are reported at teardown.  Payloads
     are untouched, so results stay byte-identical.
 
-    Under ``"mp"`` the function, its arguments and its result must be
-    picklable when the ``spawn`` start method is in use (the default
-    ``fork`` ships them by inheritance, so closures work).
+    ``comm_backend`` accepts ``"mp"``, the one transport, and nothing
+    else.
     """
+    if comm_backend != "mp":
+        raise ValueError(
+            f"comm_backend {comm_backend!r}: the thread simulator was "
+            f"removed; 'mp' is the only transport"
+        )
+    # lazy: the runtime module imports this one
+    from .mpcomm import run_spmd_mp
+
     if comm_sanitize:
-        # lazy: repro.analysis.sanitizer imports this module
         from ..analysis.sanitizer import sanitize_spmd_fn
 
         fn = sanitize_spmd_fn(fn)
-    return get_runner(comm_backend)(
-        nranks, fn, *args, tracer=tracer, timeout=timeout
-    )
+    return run_spmd_mp(nranks, fn, *args, tracer=tracer, timeout=timeout)

@@ -1,10 +1,9 @@
-"""Process-per-rank SPMD backend (``comm_backend="mp"``).
+"""The SPMD runtime: one OS process per rank.
 
-The thread simulator (:mod:`repro.mpisim.comm`) executes every rank under
-one GIL, so the pipeline's compute is serialised no matter how well it is
-balanced.  This module runs the identical :class:`~repro.mpisim.backend
-.CommBackend` surface with one OS process per rank, so a laptop run uses
-all cores — the paper's process-parallel SPMD shape, minus the network.
+:func:`run_spmd_mp` runs ``fn(comm, *args)`` with one forked process per
+rank, so a laptop run uses all cores — the paper's process-parallel SPMD
+shape, minus the network.  A 1-rank run forks nothing: ``fn`` runs inline
+on the same :class:`MPComm` over an in-process transport.
 
 Transport
 ---------
@@ -29,10 +28,14 @@ The collectives themselves are written once on
 exchange primitive on internal channels: a per-communicator generation
 counter tags each round, rank 0 of the communicator gathers and fans
 out.  Tracing records the *logical* messages (sender-side, collective
-decomposition), not the transport traffic, so per-kind byte counts match
-across backends; child-process tracers are shipped back with the results
-and merged.  Under the ``spawn`` start method (non-fork platforms) the
-SPMD function, its arguments and its results must be picklable.
+decomposition), not the transport traffic; child-process tracers are
+shipped back with the results and merged.
+
+``multiprocessing`` and its ``shared_memory`` module are imported only
+where processes or segments are created, so a 1-rank run loads neither.
+The ``fork`` start method is the supported one (ranks inherit the SPMD
+function, its arguments and any patch made before the run); ``spawn`` is
+not a target.
 """
 
 from __future__ import annotations
@@ -41,24 +44,14 @@ import io
 import itertools
 import os
 import pickle
+import queue
+import threading
 import time
-import traceback
-import multiprocessing as _mp
-from multiprocessing import shared_memory
-from queue import Empty
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .backend import (
-    ABORTED,
-    ANY_SOURCE,
-    DEFAULT_TIMEOUT,
-    CommBackend,
-    SpmdError,
-    blame_order,
-)
-from .comm import run_spmd_sim
+from .backend import ANY_SOURCE, DEFAULT_TIMEOUT, CommBackend, SpmdError
 from .tracing import CommTracer, payload_bytes
 
 __all__ = [
@@ -72,6 +65,9 @@ __all__ = [
 #: ndarrays at least this large travel through shared memory instead of
 #: the queue pipe (below it, the segment setup costs more than the copy)
 SHM_MIN_BYTES = 1 << 13  # 8 KiB
+
+#: what every surviving rank raises once another rank has failed
+ABORTED = "aborted by a failing rank"
 
 # internal message channels (the public p2p API only sees CHAN_P2P)
 _CHAN_P2P = 0
@@ -132,6 +128,8 @@ class _ShmPickler(pickle.Pickler):
             and obj.dtype.names is None
             and obj.nbytes >= SHM_MIN_BYTES
         ):
+            from multiprocessing import shared_memory
+
             name = next(self._name_iter)
             seg = shared_memory.SharedMemory(
                 name=name, create=True, size=int(obj.nbytes)
@@ -156,6 +154,8 @@ class _ShmUnpickler(pickle.Unpickler):
         kind, name, shape, dtype = pid
         if kind != "ndarray-shm":  # pragma: no cover - defensive
             raise pickle.UnpicklingError(f"unknown persistent id {kind!r}")
+        from multiprocessing import shared_memory
+
         seg = shared_memory.SharedMemory(name=name)
         try:
             src = np.ndarray(shape, dtype=np.dtype(dtype), buffer=seg.buf)
@@ -281,7 +281,7 @@ class _MPTransport:
                 )
             try:
                 self._stash.append(inbox.get(timeout=min(remaining, 0.1)))
-            except Empty:
+            except queue.Empty:
                 pass
 
     def tryrecv_env(
@@ -299,7 +299,7 @@ class _MPTransport:
         while True:
             try:
                 self._stash.append(inbox.get_nowait())
-            except Empty:
+            except queue.Empty:
                 return len(self._stash) > before
 
 
@@ -400,6 +400,18 @@ class MPComm(CommBackend):
 # ---------------------------------------------------------------------------
 
 
+def blame_order(rank: int, is_spmd: bool, text: str) -> tuple[int, int]:
+    """Sort key putting a run's root-cause failure first.
+
+    A rank's own exception (anything but an :class:`SpmdError`) beats a
+    primary :class:`SpmdError` (a timeout, a sanitizer mismatch), which
+    beats the :data:`ABORTED` echo the surviving ranks raise once the
+    abort flag is up; ties go to the lowest rank."""
+    if not is_spmd:
+        return 0, rank
+    return (2 if ABORTED in text else 1), rank
+
+
 def _mp_worker(
     rank: int,
     nranks: int,
@@ -420,6 +432,8 @@ def _mp_worker(
     try:
         value = fn(comm, *args)
     except BaseException as exc:  # noqa: BLE001 - must propagate any
+        import traceback
+
         abort.set()
         result_q.put((
             "err", rank, type(exc).__name__, str(exc),
@@ -443,23 +457,38 @@ def run_spmd_mp(
     """Run ``fn(comm, *args)`` on ``nranks`` OS-process ranks; return the
     per-rank results in rank order.
 
-    Matches :func:`~repro.mpisim.comm.run_spmd_sim`'s contract: any rank
-    raising aborts all ranks and re-raises as :class:`SpmdError` with the
-    root-cause failure (:func:`~repro.mpisim.backend.blame_order`) as
-    ``__cause__``; ranks that die or hang past the shared deadline are
-    reported rather than silently dropped; the caller's ``tracer``
-    receives every child's logical message records; ``nranks == 1`` runs
-    inline in the calling thread.
+    Any rank raising aborts all ranks and re-raises as :class:`SpmdError`
+    with the root-cause failure (:func:`blame_order`) as ``__cause__``.
+    A rank stuck in pure compute never observes the abort flag (only
+    communication calls check it), so ranks still alive without a result
+    at the shared deadline are named first, as ``did not terminate`` —
+    another rank's timeout is usually a victim of them — and ranks that
+    died without a result are named with their exit codes; partial
+    results are never returned.  The caller's ``tracer``
+    receives every child's logical message records.
+
+    ``nranks == 1`` forks nothing: ``fn`` runs inline in the calling
+    thread on a 1-rank :class:`MPComm` over an in-process queue, under no
+    whole-run deadline (``timeout`` still bounds a blocked receive).
     """
     if nranks <= 0:
         raise ValueError("nranks must be positive")
-    if nranks == 1:
-        # nobody to ship a payload to: no fork, no queues, no shm — the
-        # simulator's inline 1-rank run is the whole program
-        return run_spmd_sim(1, fn, *args, tracer=tracer, timeout=timeout)
-    method = "fork" if "fork" in _mp.get_all_start_methods() else "spawn"
-    ctx = _mp.get_context(method)
     shm_prefix = f"repromp-{os.getpid()}-{os.urandom(4).hex()}-"
+    if nranks == 1:
+        transport = _MPTransport(0, [queue.Queue()], threading.Event(),
+                                 timeout, tracer, shm_prefix)
+        try:
+            return [fn(MPComm(transport, "world", (0,), 0), *args)]
+        except Exception as exc:
+            raise SpmdError(f"rank 0 failed: {exc!r}") from exc
+        finally:
+            _sweep_shm(shm_prefix)
+    import multiprocessing
+    # loaded before the fork, so the ranks share its pages instead of
+    # each importing a private copy (+3 MB peak RSS on a 4-rank run)
+    import multiprocessing.shared_memory  # noqa: F401
+
+    ctx = multiprocessing.get_context("fork")
     inboxes = [ctx.Queue() for _ in range(nranks)]
     result_q = ctx.Queue()
     abort = ctx.Event()
@@ -477,6 +506,11 @@ def run_spmd_mp(
     results: list[Any] = [unfilled] * nranks
     traces: list[Any] = [None] * nranks
     errors: list[tuple[int, str, str, str, bool]] = []
+
+    def silent(r: int) -> bool:
+        """Rank ``r`` has reported neither a result nor an error."""
+        return results[r] is unfilled and not any(e[0] == r for e in errors)
+
     try:
         for p in procs:
             p.start()
@@ -485,26 +519,20 @@ def run_spmd_mp(
         while pending:
             try:
                 msg = result_q.get(timeout=0.2)
-            except Empty:
+            except queue.Empty:
                 if time.monotonic() >= deadline:
                     break
                 # a rank that died without reporting (hard crash) will
                 # never send a result; stop waiting once every silent
                 # rank is dead
-                silent_alive = any(
-                    results[r] is unfilled
-                    and not any(e[0] == r for e in errors)
-                    and procs[r].is_alive()
-                    for r in range(nranks)
-                )
-                if not silent_alive:
-                    # grace for in-flight result payloads
-                    try:
-                        msg = result_q.get(timeout=1.0)
-                    except Empty:
-                        break
-                else:
+                if any(silent(r) and procs[r].is_alive()
+                       for r in range(nranks)):
                     continue
+                # grace for in-flight result payloads
+                try:
+                    msg = result_q.get(timeout=1.0)
+                except queue.Empty:
+                    break
             if msg[0] == "ok":
                 _tag, rank, payload, records = msg
                 results[rank] = _loads(payload)
@@ -518,6 +546,8 @@ def run_spmd_mp(
         grace = time.monotonic() + min(5.0, timeout)
         for p in procs:
             p.join(timeout=max(0.0, grace - time.monotonic()))
+        stuck = [r for r in range(nranks)
+                 if silent(r) and procs[r].is_alive()]
         for p in procs:
             if p.is_alive():
                 p.terminate()
@@ -535,14 +565,21 @@ def run_spmd_mp(
                 with tracer._lock:
                     tracer.records.extend(records)
     errors.sort(key=lambda e: blame_order(e[0], e[4], e[2]))
+    cause = None
     if errors:
-        rank, ename, etext, etb, is_spmd = errors[0]
+        rank, ename, etext, etb, _is_spmd = errors[0]
         cause = SpmdError(f"{ename}: {etext}\n{etb}")
+    if stuck:
+        raise SpmdError(
+            f"ranks {stuck} did not terminate within the timeout "
+            f"(stuck outside communication; abort cannot reach them)"
+        ) from cause
+    if cause is not None:
         raise SpmdError(f"rank {rank} failed: {ename}({etext!r})") from cause
     missing = [r for r in range(nranks) if results[r] is unfilled]
     if missing:
         raise SpmdError(
             f"ranks {missing} terminated without producing a result "
-            f"(died or hung past the shared deadline)"
+            f"(exit codes {[procs[r].exitcode for r in missing]})"
         )
     return results

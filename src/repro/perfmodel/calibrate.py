@@ -62,11 +62,11 @@ def _fit_mode(points: list[tuple[float, int, float]]) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# comm backend α–β fit (the static comm-cost predictor's time axis)
+# comm transport α–β fit (the static comm-cost predictor's time axis)
 # ---------------------------------------------------------------------------
 
 #: memoised fits keyed by (backend, sizes, rounds): repeated analyses and
-#: pipeline runs pay the SPMD microbench once per process per backend
+#: pipeline runs pay the SPMD microbench once per process
 _COMM_MODEL_CACHE: dict[tuple, CommCostModel] = {}
 
 #: p2p tags of the ping-pong microbench (module constants so the verifier
@@ -108,12 +108,13 @@ def _allgather_rank(comm, nbytes: int, rounds: int) -> float:
 
 
 def calibrate_comm_model(
-    backend: str = "sim",
+    backend: str = "mp",
     sizes: tuple[int, ...] = (1_024, 262_144),
     rounds: int = 8,
     allgather_ranks: int = 4,
 ) -> CommCostModel:
-    """Fit per-backend α (s/message) and β (s/byte) comm coefficients.
+    """Fit the transport's α (s/message) and β (s/byte) comm
+    coefficients.
 
     For every payload size, a 2-rank ping-pong and an
     ``allgather_ranks``-rank allgather loop are timed *inside* the SPMD
@@ -121,9 +122,9 @@ def calibrate_comm_model(
     against the **logical** message/byte counts the
     :class:`~repro.mpisim.tracing.CommTracer` would record for the same
     traffic — so predictions made from traced or statically derived
-    volumes multiply straight into seconds.  Cheap by construction
-    (fractions of a second on the sim backend; one process fleet spawn on
-    mp) and memoised per configuration.
+    volumes multiply straight into seconds.  Cheap by construction (four
+    short process-fleet runs) and memoised per configuration.
+    ``backend`` accepts ``"mp"``, the one transport, only.
     """
     key = (backend, tuple(sizes), int(rounds), int(allgather_ranks))
     cached = _COMM_MODEL_CACHE.get(key)
@@ -198,7 +199,7 @@ def calibrate_local_machine(seed: int = 0, cores: int = 1) -> MachineSpec:
     t_parse = _time(read_fasta_chunk, fasta, 0, len(fasta))
     parse_rate = len(fasta) / max(t_parse, 1e-9)
 
-    comm = calibrate_comm_model(backend="sim")
+    comm = calibrate_comm_model()
 
     return MachineSpec(
         name="python-local",

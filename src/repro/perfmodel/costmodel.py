@@ -51,7 +51,7 @@ _XD_CORRIDOR = 25.0
 
 @dataclass(frozen=True)
 class CommCostModel:
-    """Calibrated α–β communication coefficients of one comm backend.
+    """Calibrated α–β communication coefficients of the comm transport.
 
     Fitted by :func:`repro.perfmodel.calibrate.calibrate_comm_model` from
     ping-pong and allgather microbenchmarks:
@@ -66,7 +66,7 @@ class CommCostModel:
     :class:`~repro.perfmodel.machine.MachineSpec`.
     """
 
-    #: which comm backend the fit measured ("sim" or "mp")
+    #: the transport the fit measured (``"mp"``, the only one)
     backend: str
     #: fitted per-message latency (seconds per logical message)
     alpha: float

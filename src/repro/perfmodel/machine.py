@@ -70,7 +70,7 @@ class MachineSpec:
     #: value is a literature-plausible constant, while
     #: ``calibrate_local_machine`` overwrites it (and ``beta``) with the
     #: coefficients :func:`repro.perfmodel.calibrate.calibrate_comm_model`
-    #: fits on this interpreter's own comm backend
+    #: fits on this machine's process-per-rank transport
     comm_alpha: float = 2.0e-6
 
 

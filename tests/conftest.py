@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import pickle
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +19,43 @@ from repro.core.pipeline import (
     edges_from_alignments,
     tasks_from_pairs,
 )
+
+
+class RankLog:
+    """Observations made inside rank processes, read back in the parent.
+
+    Ranks are forked processes: a patch made before the run is inherited,
+    but a list it appends to is each rank's own copy, so nothing a rank
+    records reaches the parent that way.  Each process appends to its own
+    file under ``root`` instead."""
+
+    def __init__(self, root: Path):
+        self.root = root
+
+    def append(self, obj) -> None:
+        with open(self.root / f"{os.getpid()}.pkl", "ab") as fh:
+            pickle.dump(obj, fh)
+
+    def read(self) -> list:
+        """Every record, process by process, in each process's order."""
+        out = []
+        for path in sorted(self.root.glob("*.pkl")):
+            with open(path, "rb") as fh:
+                while True:
+                    try:
+                        out.append(pickle.load(fh))
+                    except EOFError:
+                        break
+        return out
+
+    def clear(self) -> None:
+        for path in self.root.glob("*.pkl"):
+            path.unlink()
+
+
+@pytest.fixture
+def rank_log(tmp_path) -> RankLog:
+    return RankLog(tmp_path)
 
 
 @pytest.fixture

@@ -24,8 +24,6 @@ Pieces
   (semiring, dtype) pair that no spec covers (:func:`covered`).
 * :func:`summa_product` — the distributed formulation: scatter the
   operands over a √p × √p grid, run SUMMA, gather the global product.
-  SPMD bodies live at module level so the ``mp`` backend can pickle them
-  by reference.
 """
 
 from __future__ import annotations
@@ -353,7 +351,6 @@ def summa_product(
     a: COOMatrix,
     b: COOMatrix,
     semiring_name: str = "arithmetic",
-    comm_backend: str = "sim",
 ) -> COOMatrix:
     """Scatter ``a``/``b`` over a √p × √p grid (interleaved triple
     slices), run SUMMA, and return the gathered global product."""
@@ -362,6 +359,5 @@ def summa_product(
         a.shape, b.shape,
         (a.rows, a.cols, a.vals), (b.rows, b.cols, b.vals),
         semiring_name,
-        comm_backend=comm_backend,
     )
     return results[0]

@@ -8,15 +8,12 @@ pragma'd variant proving the allowlist works, plus a clean variant
 proving no false positive.  (The one whole-tree run lives in
 ``tests/test_verify.py``.)
 
-The sanitizer half runs real SPMD programs on the ``sim`` and ``mp``
-backends at 2 and 4 ranks: a divergent collective must raise a named
+The sanitizer half runs real SPMD programs at 2 and 4 ranks: a
+divergent collective must raise a named
 :class:`SpmdError` (instead of deadlocking into the watchdog), unmatched
 sends and leaked shared-memory segments must be reported by the teardown
 audit, and a full ``run_pastis_distributed`` must pass byte-identical
 with the sanitizer on (zero false positives).
-
-Every SPMD body is a module-level function so the ``mp`` backend can
-pickle it under the ``spawn`` start method.
 """
 
 from __future__ import annotations
@@ -33,10 +30,7 @@ from repro.analysis.verify import verify_source, verify_sources
 from repro.bio.generate import scope_like
 from repro.core.config import PastisConfig
 from repro.core.distributed import run_pastis_distributed
-from repro.mpisim.backend import COMM_BACKENDS, SpmdError, run_spmd
-
-#: backends the sanitizer suite runs on: every registered one
-BACKENDS = COMM_BACKENDS
+from repro.mpisim.backend import SpmdError, run_spmd
 
 
 def codes(violations: list[Finding]) -> list[str]:
@@ -398,22 +392,19 @@ def _pipeline_body_not_needed():  # pragma: no cover
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestSanitizerRuntime:
     @pytest.mark.parametrize("nranks", [2, 4])
-    def test_clean_run_matches_unsanitized(self, backend, nranks):
-        bare = run_spmd(nranks, _clean_body, comm_backend=backend,
-                        timeout=60.0)
-        checked = run_spmd(nranks, _clean_body, comm_backend=backend,
-                           comm_sanitize=True, timeout=60.0)
+    def test_clean_run_matches_unsanitized(self, nranks):
+        bare = run_spmd(nranks, _clean_body, timeout=60.0)
+        checked = run_spmd(nranks, _clean_body, comm_sanitize=True,
+                           timeout=60.0)
         assert checked == bare
 
     @pytest.mark.parametrize("nranks", [2, 4])
-    def test_mismatched_collective_raises_named_error(
-            self, backend, nranks):
+    def test_mismatched_collective_raises_named_error(self, nranks):
         with pytest.raises(SpmdError) as exc:
-            run_spmd(nranks, _diverge_body, comm_backend=backend,
-                     comm_sanitize=True, timeout=60.0)
+            run_spmd(nranks, _diverge_body, comm_sanitize=True,
+                     timeout=60.0)
         msg = str(exc.value)
         assert "comm sanitizer: collective mismatch" in msg
         # runtime findings carry the same code the static tools use
@@ -423,29 +414,27 @@ class TestSanitizerRuntime:
             # with a clear majority the lone diverger is named
             assert "world rank(s) 3 diverged" in msg
 
-    def test_unmatched_send_reported_at_teardown(self, backend):
+    def test_unmatched_send_reported_at_teardown(self):
         with pytest.raises(SpmdError) as exc:
-            run_spmd(4, _unmatched_body, comm_backend=backend,
-                     comm_sanitize=True, timeout=60.0)
+            run_spmd(4, _unmatched_body, comm_sanitize=True,
+                     timeout=60.0)
         msg = str(exc.value)
         assert "teardown audit failed" in msg
         assert "[unmatched-send]" in msg
         assert ("1 unmatched send(s) to world rank 1 "
                 "(comm 'world', tag 99) from rank(s) [0]") in msg
 
-    def test_unsanitized_orphan_send_passes(self, backend):
+    def test_unsanitized_orphan_send_passes(self):
         # the same program is silently accepted without the sanitizer —
         # this asymmetry is the tool's reason to exist
-        out = run_spmd(4, _unmatched_body, comm_backend=backend,
-                       timeout=60.0)
+        out = run_spmd(4, _unmatched_body, timeout=60.0)
         assert out == [0, 1, 2, 3]
 
 
 class TestSanitizerShmAudit:
     def test_leaked_segment_reported_on_mp(self):
         with pytest.raises(SpmdError) as exc:
-            run_spmd(2, _leak_body, comm_backend="mp",
-                     comm_sanitize=True, timeout=60.0)
+            run_spmd(2, _leak_body, comm_sanitize=True, timeout=60.0)
         msg = str(exc.value)
         assert "[shm-leak]" in msg
         assert "leaked shared-memory segment(s)" in msg
@@ -456,8 +445,7 @@ class TestSanitizerShmAudit:
     def test_received_segments_do_not_leak(self):
         # _clean_body ships a 32 KiB ndarray ring through shared memory
         # and every segment is consumed: the audit must stay silent
-        out = run_spmd(2, _clean_body, comm_backend="mp",
-                       comm_sanitize=True, timeout=60.0)
+        out = run_spmd(2, _clean_body, comm_sanitize=True, timeout=60.0)
         assert len(out) == 2
 
 
@@ -477,7 +465,7 @@ def pipeline_data():
 class TestSanitizerOnPipeline:
     def test_full_distributed_run_byte_identical(self, pipeline_data):
         store = pipeline_data.store
-        base = PastisConfig(k=5, comm_backend="sim", comm_sanitize=False)
+        base = PastisConfig(k=5, comm_sanitize=False)
         graph = run_pastis_distributed(store, base, nranks=4)
         checked = run_pastis_distributed(
             store, replace(base, comm_sanitize=True), nranks=4

@@ -15,7 +15,7 @@ from repro.core.balance import (
     greedy_plan,
     xdrop_corridor_width,
 )
-from repro.mpisim.comm import run_spmd
+from repro.mpisim import run_spmd
 
 
 def _task(la, lb, nseeds=1, pair=(0, 1)):

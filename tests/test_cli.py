@@ -16,7 +16,6 @@ from repro.core.config import (
     ALIGN_BALANCE_MODES,
     ALIGN_ENGINES,
     ALIGN_MODES,
-    COMM_BACKENDS,
     WEIGHTS,
     ConfigError,
     PastisConfig,
@@ -74,7 +73,6 @@ CHOICE_KNOBS = {
     "--weight": ("weight", WEIGHTS),
     "--align-engine": ("align_engine", ALIGN_ENGINES),
     "--align-balance": ("align_balance", ALIGN_BALANCE_MODES),
-    "--comm-backend": ("comm_backend", COMM_BACKENDS),
 }
 
 
@@ -179,29 +177,14 @@ class TestMain:
         assert out_b.read_text() == out_p.read_text()
 
     def test_comm_backend_mp_oblivious(self, fasta_file, tmp_path):
-        out_sim = tmp_path / "esim.tsv"
+        """The hidden ``--comm-backend mp`` changes no byte."""
+        out_bare = tmp_path / "ebare.tsv"
         out_mp = tmp_path / "emp.tsv"
-        main([str(fasta_file), "-o", str(out_sim), "--k", "4", "--quiet",
-              "--ranks", "4", "--comm-backend", "sim"])
+        main([str(fasta_file), "-o", str(out_bare), "--k", "4", "--quiet",
+              "--ranks", "4"])
         main([str(fasta_file), "-o", str(out_mp), "--k", "4", "--quiet",
               "--ranks", "4", "--comm-backend", "mp"])
-        assert out_sim.read_text() == out_mp.read_text()
-
-    def test_comm_backend_env_default(self, monkeypatch):
-        """REPRO_COMM_BACKEND steers the config default (the CI matrix
-        hook), and an explicit flag still wins over it."""
-        monkeypatch.setenv("REPRO_COMM_BACKEND", "mp")
-        args = build_parser().parse_args(["in.fa", "-o", "o.tsv"])
-        assert config_from_args(args).comm_backend == "mp"
-        args = build_parser().parse_args(
-            ["in.fa", "-o", "o.tsv", "--comm-backend", "sim"]
-        )
-        assert config_from_args(args).comm_backend == "sim"
-        monkeypatch.setenv("REPRO_COMM_BACKEND", "bogus")
-        with pytest.raises(ValueError, match="comm_backend"):
-            config_from_args(build_parser().parse_args(
-                ["in.fa", "-o", "o.tsv"]
-            ))
+        assert out_bare.read_text() == out_mp.read_text()
 
     def test_retired_kernels_get_no_alias(self, monkeypatch):
         """The kernel knob is gone with every value it ever had: the
@@ -220,6 +203,26 @@ class TestMain:
         args = build_parser().parse_args(["in.fa", "-o", "o.tsv"])
         assert not hasattr(config_from_args(args), "kernel")
         assert "kernel" not in {f.name for f in fields(PastisConfig)}
+
+    def test_comm_backend_is_hidden_and_inert(self):
+        """One transport is left: ``--comm-backend`` is hidden, accepts
+        ``mp`` only and sets nothing; the config has no ``comm_backend``
+        field."""
+        for retired in ("sim", "mpi", "bogus"):
+            with pytest.raises(SystemExit) as exc_info:
+                build_parser().parse_args(
+                    ["in.fa", "-o", "o.tsv", "--comm-backend", retired]
+                )
+            assert exc_info.value.code == 2
+        plain = build_parser().parse_args(["in.fa", "-o", "o.tsv"])
+        flagged = build_parser().parse_args(
+            ["in.fa", "-o", "o.tsv", "--comm-backend", "mp"]
+        )
+        assert config_from_args(flagged) == config_from_args(plain)
+        assert "--comm-backend" not in build_parser().format_help()
+        with pytest.raises(TypeError, match="comm_backend"):
+            PastisConfig(comm_backend="mp")
+        assert "comm_backend" not in {f.name for f in fields(PastisConfig)}
 
     def test_clustering_output(self, fasta_file, tmp_path):
         out = tmp_path / "edges.tsv"
@@ -351,13 +354,6 @@ class TestNamedErrors:
         err = self._fails([str(fa), "--ranks", "4"], capsys, tmp_path)
         assert "record 2 ('giant')" in err
         assert f"length {MAX_SEQUENCE_LENGTH}" in err
-
-    def test_existing_config_error(self, fasta_file, capsys, tmp_path,
-                                   monkeypatch):
-        for value in ("carrier-pigeon", "mpi"):
-            monkeypatch.setenv("REPRO_COMM_BACKEND", value)
-            err = self._fails([str(fasta_file)], capsys, tmp_path)
-            assert "comm_backend must be one of sim, mp" in err
 
     @pytest.mark.parametrize("argv, message", [
         (["{fa}", "-o", "{fa}"], "input and -o name the same file"),

@@ -1,16 +1,12 @@
-"""Backend-conformance suite for the :class:`CommBackend` interface.
+"""Conformance suite for the :class:`CommBackend` interface on its one
+transport, one process per rank.
 
-Every registered SPMD backend must implement the same semantics — p2p
-``(source, tag)`` matching in FIFO order, non-blocking handles,
-collectives, ``split`` with its call-count validation, watchdog timeouts
-and failure propagation.  The collectives are written once on
-:class:`~repro.mpisim.backend.CommBackend`; the suite is parametrized over
-:data:`repro.mpisim.backend.COMM_BACKENDS`, so it checks them over every
-transport.
-
-Every SPMD body is a module-level function so the ``mp`` backend can run
-the suite under the ``spawn`` start method too (fork inherits closures,
-spawn pickles the function by reference).
+The runtime must implement MPI's semantics — p2p ``(source, tag)``
+matching in FIFO order, non-blocking handles, collectives, ``split`` with
+its call-count validation, watchdog timeouts and failure propagation.
+The collectives are written once on
+:class:`~repro.mpisim.backend.CommBackend`; this suite checks them over
+the process transport of :mod:`repro.mpisim.mpcomm`.
 """
 
 from __future__ import annotations
@@ -23,30 +19,21 @@ import numpy as np
 import pytest
 
 from repro.mpisim import ProcessGrid, SpmdError, run_spmd
-from repro.mpisim.backend import COMM_BACKENDS, get_runner
 from repro.mpisim.tracing import CommTracer
 
 
-def spmd(backend, nranks, fn, *args, timeout=60.0, tracer=None):
-    return run_spmd(
-        nranks, fn, *args, timeout=timeout, tracer=tracer,
-        comm_backend=backend,
-    )
-
-
-@pytest.fixture(params=COMM_BACKENDS)
-def backend(request):
-    return request.param
+def spmd(nranks, fn, *args, timeout=60.0, tracer=None):
+    return run_spmd(nranks, fn, *args, timeout=timeout, tracer=tracer)
 
 
 # ---------------------------------------------------------------------------
-# SPMD bodies (module-level: picklable under the spawn start method)
+# SPMD bodies
 # ---------------------------------------------------------------------------
 
 
 def _ring(comm):
     """Ring exchange of a (big ndarray, control) payload — the big array
-    rides the shared-memory path under the mp backend."""
+    rides the shared-memory path."""
     big = np.arange(50_000, dtype=np.int64) * (comm.rank + 1)
     nxt = (comm.rank + 1) % comm.size
     prv = (comm.rank - 1) % comm.size
@@ -250,72 +237,72 @@ def _traced(comm):
 
 
 class TestConformance:
-    def test_ring_exchange(self, backend):
-        out = spmd(backend, 4, _ring)
+    def test_ring_exchange(self):
+        out = spmd(4, _ring)
         assert out == [2 * ((r - 1) % 4 + 1) for r in range(4)]
 
-    def test_tag_and_source_matching(self, backend):
-        spmd(backend, 2, _tag_matching)
+    def test_tag_and_source_matching(self):
+        spmd(2, _tag_matching)
 
-    def test_isend_irecv_waitall(self, backend):
-        spmd(backend, 3, _isend_irecv)
+    def test_isend_irecv_waitall(self):
+        spmd(3, _isend_irecv)
 
-    def test_tryrecv_drains_without_blocking(self, backend):
-        spmd(backend, 2, _tryrecv)
+    def test_tryrecv_drains_without_blocking(self):
+        spmd(2, _tryrecv)
 
-    def test_collectives(self, backend):
-        spmd(backend, 4, _collectives)
+    def test_collectives(self):
+        spmd(4, _collectives)
 
-    def test_single_rank_world(self, backend):
-        assert spmd(backend, 1, _collectives) == [None]
+    def test_single_rank_world(self):
+        assert spmd(1, _collectives) == [None]
 
-    def test_process_grid_splits(self, backend):
-        spmd(backend, 4, _split_grid)
+    def test_process_grid_splits(self):
+        spmd(4, _split_grid)
 
-    def test_split_key_order(self, backend):
-        spmd(backend, 3, _split_reversed_key)
+    def test_split_key_order(self):
+        spmd(3, _split_reversed_key)
 
-    def test_split_call_count_mismatch_raises(self, backend):
+    def test_split_call_count_mismatch_raises(self):
         """Satellite regression: ranks disagreeing on the number of
-        split() calls must fail loudly on every backend."""
+        split() calls must fail loudly."""
         with pytest.raises(SpmdError, match="split"):
-            spmd(backend, 2, _split_mismatch, timeout=10.0)
+            spmd(2, _split_mismatch, timeout=10.0)
 
-    def test_failure_propagates_with_cause(self, backend):
+    def test_failure_propagates_with_cause(self):
         with pytest.raises(SpmdError, match="kapow") as exc_info:
-            spmd(backend, 4, _one_rank_raises)
+            spmd(4, _one_rank_raises)
         assert exc_info.value.__cause__ is not None
 
-    def test_deadlock_times_out(self, backend):
+    def test_deadlock_times_out(self):
         with pytest.raises(SpmdError):
-            spmd(backend, 2, _recv_never_satisfied, timeout=0.5)
+            spmd(2, _recv_never_satisfied, timeout=0.5)
 
-    def test_collective_deadline_not_rearmed_by_traffic(self, backend):
+    def test_collective_deadline_not_rearmed_by_traffic(self):
         """A blocked collective times out ``timeout`` after the call even
         while unrelated sends keep waking the waiters."""
         t0 = time.monotonic()
         with pytest.raises(SpmdError,
                            match=r"collective.*timed out after 0\.5s"):
-            spmd(backend, 3, _barrier_amid_traffic, timeout=0.5)
+            spmd(3, _barrier_amid_traffic, timeout=0.5)
         assert time.monotonic() - t0 < 2.0
 
-    def test_root_cause_blamed_over_aborted_victim(self, backend):
+    def test_root_cause_blamed_over_aborted_victim(self):
         """The rank whose receive timed out is reported, not the rank
         that was aborted because of it."""
         with pytest.raises(SpmdError) as exc_info:
-            spmd(backend, 2, _late_barrier_victim, timeout=0.5)
+            spmd(2, _late_barrier_victim, timeout=0.5)
         msg = str(exc_info.value)
         assert "rank 1" in msg and "recv(" in msg, msg
 
-    def test_none_results_are_not_missing(self, backend):
-        assert spmd(backend, 4, _none_result) == [None] * 4
+    def test_none_results_are_not_missing(self):
+        assert spmd(4, _none_result) == [None] * 4
 
-    def test_ndarray_payload_roundtrip(self, backend):
-        spmd(backend, 2, _nested_ndarray_payload)
+    def test_ndarray_payload_roundtrip(self):
+        spmd(2, _nested_ndarray_payload)
 
-    def test_tracer_collects_from_every_rank(self, backend):
+    def test_tracer_collects_from_every_rank(self):
         tracer = CommTracer()
-        spmd(backend, 4, _traced, tracer=tracer)
+        spmd(4, _traced, tracer=tracer)
         kinds = tracer.messages_by_kind()
         assert kinds.get("rebal") == 4
         assert kinds.get("allgather") == 4 * 3
@@ -334,78 +321,93 @@ def _raises_kapow(comm):
     raise ValueError("kapow")
 
 
-@pytest.mark.parametrize("backend", ["sim", "mp"])
 class TestSingleRankRunsInline:
     """``run_spmd(1, fn)`` calls ``fn`` in the caller's thread and process:
     a 1-rank run inherits no thread, no fork and no whole-run watchdog."""
 
-    def test_runs_in_the_calling_thread_and_process(self, backend):
-        assert spmd(backend, 1, _where_am_i) == [
+    def test_runs_in_the_calling_thread_and_process(self):
+        assert spmd(1, _where_am_i) == [
             (threading.get_ident(), os.getpid())
         ]
 
-    def test_slow_is_not_stuck(self, backend):
+    def test_slow_is_not_stuck(self):
         # 5x the timeout of pure compute: "did not terminate" at the
         # parent commit, whose join deadline was 2 x timeout
-        assert spmd(backend, 1, _slow_compute, 1.0, timeout=0.2) == [7]
+        assert spmd(1, _slow_compute, 1.0, timeout=0.2) == [7]
 
-    def test_unmatched_recv_still_times_out(self, backend):
+    def test_unmatched_recv_still_times_out(self):
         t0 = time.monotonic()
         with pytest.raises(SpmdError, match="timed out after 0.3s"):
-            spmd(backend, 1, _recv_never_satisfied, timeout=0.3)
+            spmd(1, _recv_never_satisfied, timeout=0.3)
         assert time.monotonic() - t0 < 2.0
 
-    def test_failure_is_an_spmd_error_with_the_original_cause(self, backend):
+    def test_failure_is_an_spmd_error_with_the_original_cause(self):
         with pytest.raises(SpmdError, match="rank 0 failed.*kapow") as exc_info:
-            spmd(backend, 1, _raises_kapow)
+            spmd(1, _raises_kapow)
         cause = exc_info.value.__cause__
         assert type(cause) is ValueError and cause.args == ("kapow",)
 
 
-class TestPipelineTraceParity:
-    """The sim and mp transports must trace the real pipeline
-    *identically* — same (comm, op, kind) groups, same message counts,
-    same byte totals — or ``CommTracer.summary()`` and the α–β seconds in
-    ``graph.meta["commcost"]`` mean different things on different
-    backends.  The collectives' records are written once, for both
-    transports, so the totals are also pinned: a tracing regression
-    would move both sides together."""
+class TestPipelineTraceTotals:
+    """The tracer's record of the real pipeline is pinned: same message
+    count, same byte total — ``CommTracer.summary()`` and the α–β
+    seconds in ``graph.meta["commcost"]`` are computed from it, so a
+    tracing regression moves these numbers."""
 
     @pytest.mark.parametrize("knobs, totals", [
         (dict(k=5), (67, 788_568)),
         (dict(k=5, substitutes=4, common_kmer_threshold=1,
               align_balance="greedy"), (116, 1_755_358)),
     ], ids=["exact", "subs-ck-greedy"])
-    def test_sim_and_mp_summaries_identical(self, knobs, totals):
+    def test_summary_totals_pinned(self, knobs, totals):
         from repro.bio.generate import scope_like
         from repro.core.config import PastisConfig
         from repro.core.distributed import run_pastis_distributed
 
         store = scope_like(n_families=6, seed=3).store
-        summaries = {}
-        for backend in ("sim", "mp"):
-            tracer = CommTracer()
-            # sanitizer off: its teardown audit is traced too, and on mp
-            # it also ships the shared-memory segment ledger
-            config = PastisConfig(comm_backend=backend, comm_sanitize=False,
-                                  **knobs)
-            run_pastis_distributed(store, config, nranks=4, tracer=tracer)
-            summaries[backend] = tracer.summary()
-        assert summaries["sim"] == summaries["mp"]
-        assert (summaries["sim"]["total_messages"],
-                summaries["sim"]["total_bytes"]) == totals
+        tracer = CommTracer()
+        # sanitizer off: its teardown audit is traced too, and it also
+        # ships the shared-memory segment ledger
+        config = PastisConfig(comm_sanitize=False, **knobs)
+        run_pastis_distributed(store, config, nranks=4, tracer=tracer)
+        summary = tracer.summary()
+        assert (summary["total_messages"], summary["total_bytes"]) == totals
 
 
-class TestRegistry:
-    def test_backend_knob_choices_cover_registry(self):
-        assert COMM_BACKENDS == ("sim", "mp")
+class TestOneTransport:
+    def test_other_transport_names_rejected(self):
+        from repro.perfmodel.calibrate import calibrate_comm_model
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown comm backend"):
-            get_runner("carrier-pigeon")
-        with pytest.raises(ValueError, match="unknown comm backend"):
-            run_spmd(2, _none_result, comm_backend="carrier-pigeon")
+        for name in ("sim", "carrier-pigeon"):
+            with pytest.raises(ValueError, match="'mp' is the only"):
+                run_spmd(2, _none_result, comm_backend=name)
+            with pytest.raises(ValueError, match="'mp' is the only"):
+                calibrate_comm_model(backend=name)
+        assert run_spmd(2, _none_result, comm_backend="mp") == [None] * 2
 
-    def test_runners_resolve_lazily(self):
-        for name in COMM_BACKENDS:
-            assert callable(get_runner(name))
+    def test_single_rank_run_loads_no_process_machinery(self, tmp_path):
+        """A 1-rank pipeline run imports neither ``multiprocessing`` nor
+        its ``shared_memory`` module: both are loaded only where
+        processes or segments are created."""
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        code = (
+            "import sys\n"
+            "from repro.bio.generate import scope_like\n"
+            "from repro.core.config import PastisConfig\n"
+            "from repro.core.pipeline import pastis_pipeline\n"
+            "store = scope_like(n_families=2, seed=1).store\n"
+            "g = pastis_pipeline(store, PastisConfig(k=5))\n"
+            "assert g.nedges > 0\n"
+            "print(sorted(m for m in ('multiprocessing',\n"
+            "    'multiprocessing.shared_memory') if m in sys.modules))\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, cwd=tmp_path,
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "[]"

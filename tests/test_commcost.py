@@ -9,7 +9,7 @@ ndarrays — each with the precision case right next to it (SUMMA's
 rotating root, a constant-trip loop, a packed payload, a rank-conditional
 value that *must* be broadcast), and the pragma surface.  What the real
 pipeline ships is measured, not predicted: see
-``tests/test_comm_backends.py::TestPipelineTraceParity``.
+``tests/test_comm_backends.py::TestPipelineTraceTotals``.
 """
 
 from __future__ import annotations

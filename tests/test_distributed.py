@@ -16,7 +16,7 @@ from repro.core.distributed import (
 )
 from repro.core.exchange import needed_ranges, start_exchange
 from repro.core.pipeline import pastis_pipeline
-from repro.mpisim.comm import run_spmd
+from repro.mpisim import run_spmd
 from repro.mpisim.grid import ProcessGrid
 from repro.mpisim.tracing import CommTracer
 
@@ -140,29 +140,25 @@ class TestProcessObliviousness:
 
     @pytest.mark.parametrize("weight,expect_traceback",
                              [("ani", True), ("ns", False)])
-    def test_align_stage_traceback_flag(self, data, monkeypatch, weight,
-                                        expect_traceback):
+    def test_align_stage_traceback_flag(self, data, monkeypatch, rank_log,
+                                        weight, expect_traceback):
         """Regression: every rank's align stage must run score-only under
         NS weighting — a traceback was hardcoded before, contradicting
         "NS ... cheaper because no traceback is needed"."""
         import repro.core.distributed as dist
 
-        seen = []
         real = dist.align_batch
 
         def recording(tasks, *args, **kwargs):
-            seen.append(kwargs["traceback"])
+            rank_log.append(kwargs["traceback"])
             return real(tasks, *args, **kwargs)
 
+        # patched before the ranks fork, so every rank records
         monkeypatch.setattr(dist, "align_batch", recording)
-        # pinned to the thread backend: the test observes an in-process
-        # implementation detail (a monkeypatched call recorder), which
-        # cannot cross the process boundary of the mp backend
         run_pastis_distributed(
-            data.store,
-            PastisConfig(k=4, weight=weight, comm_backend="sim"),
-            nranks=4,
+            data.store, PastisConfig(k=4, weight=weight), nranks=4,
         )
+        seen = rank_log.read()
         assert len(seen) == 4  # one batched call per rank (Fig. 11)
         assert seen == [expect_traceback] * 4
 
@@ -188,7 +184,8 @@ class TestDistributedKernels:
 
     @pytest.mark.parametrize("p", [1, 4, 9])
     def test_ambiguity_code_keeps_every_block_on_records(self, data, p,
-                                                         oracle_graph):
+                                                         oracle_graph,
+                                                         rank_log):
         """One ``X`` makes some AS hits negative (BLOSUM62 scores X
         against A/S/T above X against X); every ``B`` block must still run
         on CommonKmers records and the graph equal the oracle's."""
@@ -199,17 +196,18 @@ class TestDistributedKernels:
         seqs = [data.store.sequence(i) for i in range(len(data.store))]
         seqs[3] = seqs[3][:10] + "X" + seqs[3][11:]
         store = SequenceStore(seqs, data.store.ids)
-        cfg = PastisConfig(k=4, substitutes=4, comm_backend="sim")
+        cfg = PastisConfig(k=4, substitutes=4)
         summa_module = sys.modules["repro.sparse.summa"]
-        real, dtypes = summa_module.spgemm_coo, []
+        real = summa_module.spgemm_coo
 
         def recording(a, b, semiring):
             out = real(a, b, semiring)
-            dtypes.append(out.vals.dtype)
+            rank_log.append(out.vals.dtype)
             return out
 
         with mock.patch.object(summa_module, "spgemm_coo", recording):
             got = run_pastis_distributed(store, cfg, nranks=p)
+        dtypes = rank_log.read()
         assert CK_DTYPE in dtypes and np.dtype(object) not in dtypes
         assert _edge_list(got) == _edge_list(oracle_graph(store, cfg))
 
@@ -296,8 +294,7 @@ class TestMeta:
         assert cc["traced_messages"] == tracer.total_messages
         assert cc["traced_bytes"] == tracer.total_bytes
         assert cc["predicted_comm_seconds"] > 0
-        # the backend the run resolved to (REPRO_COMM_BACKEND moves it)
-        assert cc["calibration"]["backend"] == cfg.comm_backend
+        assert cc["calibration"]["backend"] == "mp"
         # total traffic grows with the rank count (the sequence
         # exchange's aggregate volume is 2n*sqrt(p) sequences)
         tracer9 = CommTracer()
@@ -352,23 +349,22 @@ class TestCountFirstTail:
     pre-CK candidate was unpacked into one just to read its count."""
 
     def test_struct_kernel_with_ck_builds_no_objects(self, data,
-                                                     monkeypatch):
+                                                     monkeypatch, rank_log):
         from repro.core import semirings
 
-        cfg = PastisConfig(k=4, substitutes=0, comm_backend="sim").default_ck()
+        cfg = PastisConfig(k=4, substitutes=0).default_ck()
         ref = pastis_pipeline(data.store, cfg)
 
-        built = []
         real = semirings.CommonKmers
 
         def counting(*args, **kwargs):
-            built.append(1)
+            rank_log.append(1)
             return real(*args, **kwargs)
 
-        # the thread backend runs every rank in this process, so the
-        # patched constructor sees all four of them
+        # patched before the ranks fork, so all four of them see it
         monkeypatch.setattr(semirings, "CommonKmers", counting)
         got = run_pastis_distributed(data.store, cfg, nranks=4)
+        built = rank_log.read()
         assert built == []
         assert _edge_list(got) == _edge_list(ref)
         assert got.meta["candidate_pairs"] == ref.meta["candidate_pairs"]
@@ -382,10 +378,11 @@ class TestFormSOncePerGrid:
     rank searched its own local k-mers, unrestricted, and the copies were
     thrown away after the redistribution."""
 
-    def test_searches_partition_the_vocabulary(self, data, monkeypatch):
+    def test_searches_partition_the_vocabulary(self, data, monkeypatch,
+                                               rank_log):
         from repro.core import distributed, overlap
 
-        cfg = PastisConfig(k=4, substitutes=4, comm_backend="sim")
+        cfg = PastisConfig(k=4, substitutes=4)
         ref = pastis_pipeline(data.store, cfg)
         _, kmers, _ = overlap.build_a_triples(data.store, cfg.k)
         vocab = np.unique(kmers)
@@ -393,24 +390,25 @@ class TestFormSOncePerGrid:
             vocab, cfg.k, cfg.substitutes, cfg.scoring, restrict_to=vocab
         )
 
-        searched, s_cols = [], []
         real_batch = overlap.substitute_kmers_batch
         real_build = distributed.build_s_triples
 
         def counting_batch(kmer_ids, *args, **kwargs):
-            searched.append(np.asarray(kmer_ids))
+            rank_log.append(("searched", np.asarray(kmer_ids)))
             return real_batch(kmer_ids, *args, **kwargs)
 
         def recording_build(*args, **kwargs):
             triples = real_build(*args, **kwargs)
-            s_cols.append(triples[1])
+            rank_log.append(("s_cols", triples[1]))
             return triples
 
-        # the thread backend runs every rank in this process, so the
-        # wrappers see all four of them
+        # patched before the ranks fork, so all four of them see it
         monkeypatch.setattr(overlap, "substitute_kmers_batch", counting_batch)
         monkeypatch.setattr(distributed, "build_s_triples", recording_build)
         got = run_pastis_distributed(data.store, cfg, nranks=4)
+        records = rank_log.read()
+        searched = [v for what, v in records if what == "searched"]
+        s_cols = [v for what, v in records if what == "s_cols"]
 
         assert len(searched) == 4
         assert np.array_equal(np.sort(np.concatenate(searched)), vocab)
@@ -491,7 +489,7 @@ class TestSortBasedOverlap:
     @pytest.mark.parametrize("p", [1, 4])
     @pytest.mark.parametrize("subs", [0, 2])
     def test_no_hash_set_ops(self, data, monkeypatch, p, subs):
-        cfg = PastisConfig(k=4, substitutes=subs, comm_backend="sim")
+        cfg = PastisConfig(k=4, substitutes=subs)
         ref = run_pastis_distributed(data.store, cfg, nranks=p)
         real_unique = np.unique
 

@@ -12,7 +12,7 @@ from repro.bio.generate import scope_like
 from repro.bio.sequences import DistributedIndex, SequenceStore
 from repro.core.distributed import store_to_fasta_bytes
 from repro.core.exchange import needed_ranges, start_exchange
-from repro.mpisim.comm import run_spmd
+from repro.mpisim import run_spmd
 from repro.mpisim.grid import ProcessGrid, block_ranges
 
 

@@ -7,7 +7,7 @@ exactly — or, for a combination no spec covers, the dispatcher must raise
 the named ``NoKernelError``.  The suite also proves the harness has teeth
 (a deliberately broken kernel fails the sweep, and so does one that runs
 an uncovered product), and that the distributed SUMMA formulation keeps
-the same answers across grids and comm backends.
+the same answers across grids.
 """
 
 from __future__ import annotations
@@ -112,15 +112,15 @@ class TestConformanceSweep:
 
 
 # ---------------------------------------------------------------------------
-# distributed formulation: grids x comm backends
+# distributed formulation: grids
 # ---------------------------------------------------------------------------
 
 
 class TestDistributedSumma:
     """SUMMA produces the same gathered global product as the local
-    dispatcher on every grid PASTIS supports, on the thread simulator and
-    the process-per-rank backend alike.  Operand values are exact dyadics,
-    so bitwise identity is order-independent and genuinely diagnostic."""
+    dispatcher on every grid PASTIS supports.  Operand values are exact
+    dyadics, so bitwise identity is order-independent and genuinely
+    diagnostic."""
 
     @pytest.fixture(scope="class")
     def operands(self):
@@ -131,17 +131,15 @@ class TestDistributedSumma:
         golden_counts = spgemm_coo(counts, counts.transpose(), COUNTING)
         return a, b, golden, counts, golden_counts
 
-    @pytest.mark.parametrize("backend", ["sim", "mp"])
     @pytest.mark.parametrize("nranks", [1, 4, 9])
-    def test_summa_matches_local(self, operands, nranks, backend):
+    def test_summa_matches_local(self, operands, nranks):
         a, b, golden, counts, golden_counts = operands
-        got = kc.summa_product(nranks, a, b, "arithmetic",
-                               comm_backend=backend)
+        got = kc.summa_product(nranks, a, b, "arithmetic")
         kc.assert_bitwise_equal(
-            got, golden, context=f"arithmetic p={nranks} {backend}"
+            got, golden, context=f"arithmetic p={nranks}"
         )
         got = kc.summa_product(nranks, counts, counts.transpose(),
-                               "counting", comm_backend=backend)
+                               "counting")
         kc.assert_bitwise_equal(
-            got, golden_counts, context=f"counting p={nranks} {backend}"
+            got, golden_counts, context=f"counting p={nranks}"
         )

@@ -1,9 +1,14 @@
-"""Tests for the simulated MPI runtime."""
+"""Tests for the SPMD runtime (one process per rank)."""
+
+import os
+import queue
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from repro.mpisim.comm import ANY_SOURCE, SimComm, SpmdError, run_spmd
+from repro.mpisim import ANY_SOURCE, CommBackend, SpmdError, run_spmd
 from repro.mpisim.grid import (
     ProcessGrid,
     block_ranges,
@@ -64,7 +69,7 @@ class TestPointToPoint:
             for src in range(comm.size):
                 if src != comm.rank:
                     reqs.append(comm.irecv(source=src))
-            vals = SimComm.waitall(reqs)
+            vals = CommBackend.waitall(reqs)
             return sorted(vals)
 
         out = run_spmd(3, fn)
@@ -79,8 +84,8 @@ class TestPointToPoint:
 class TestRequestTest:
     """Regression: ``Request.test()`` used to return ``(False, None)``
     unconditionally for any pending request; it now performs a real
-    non-blocking completion check (polling the mailbox under the
-    condition lock), which the alignment rebalance stage depends on."""
+    non-blocking completion check (polling the inbox), which the
+    alignment rebalance stage depends on."""
 
     def test_pending_then_completed(self):
         def fn(comm):
@@ -149,50 +154,48 @@ class TestRequestTest:
 
 
 class TestRunSpmdFailureModes:
-    """Regression: a rank stuck in pure compute never observes
-    ``backend.abort`` (only communication calls check the error), so the
-    driver used to return a results list containing ``None`` silently."""
+    """Regression: a rank stuck in pure compute never observes the abort
+    flag (only communication calls check it), so the driver used to
+    return a results list containing ``None`` silently."""
 
     def test_stuck_compute_rank_raises(self):
-        import threading
-        import time
-
-        release = threading.Event()
-
         def body(comm):
             if comm.rank == 1:
-                while not release.is_set():  # pure compute, no comm calls
+                while True:  # pure compute, no comm calls
                     time.sleep(0.005)
             return comm.rank
 
-        try:
-            with pytest.raises(SpmdError, match="did not terminate"):
-                run_spmd(2, body, timeout=0.2)
-        finally:
-            release.set()  # let the leaked thread exit promptly
+        with pytest.raises(SpmdError, match="did not terminate"):
+            run_spmd(2, body, timeout=0.2)
 
     def test_stuck_rank_named_over_victim_timeout(self):
         """The stuck rank must be diagnosed even when another rank
         recorded a timeout failure first — that rank is a victim of the
         stuck one, and blaming it would hide the root cause."""
-        import threading
-        import time
-
-        release = threading.Event()
 
         def body(comm):
             if comm.rank == 0:
                 return comm.recv(source=1)  # victim: times out waiting
-            while not release.is_set():     # the actual culprit
+            while True:                     # the actual culprit
                 time.sleep(0.005)
-            return None
 
-        try:
-            with pytest.raises(SpmdError,
-                               match=r"ranks \[1\] did not terminate"):
-                run_spmd(2, body, timeout=0.1)
-        finally:
-            release.set()
+        with pytest.raises(SpmdError,
+                           match=r"ranks \[1\] did not terminate"):
+            run_spmd(2, body, timeout=0.1)
+
+    def test_dead_rank_named_with_its_exit_code(self):
+        """A rank that dies without reporting is named with the exit code
+        of its process, not as a hang."""
+
+        def body(comm):
+            if comm.rank == 1:
+                os._exit(3)  # no result, no exception: a hard crash
+            return comm.rank
+
+        with pytest.raises(SpmdError,
+                           match=r"ranks \[1\] terminated without "
+                                 r"producing a result \(exit codes \[3\]\)"):
+            run_spmd(2, body, timeout=5.0)
 
     def test_none_result_is_legitimate(self):
         # fn returning None must not be mistaken for an unfilled slot
@@ -303,27 +306,20 @@ class TestSplit:
 
 class TestSatelliteFixes:
     """Regressions for comm-layer bugs fixed while hardening the layer
-    into the swappable :class:`CommBackend` interface."""
+    into the :class:`CommBackend` interface."""
 
     def test_shutdown_joins_share_one_deadline(self):
         """Worst-case hang detection must be ~timeout, not
-        O(nranks * timeout): the driver used to join each thread with its
+        O(nranks * timeout): the driver used to join each rank with its
         own ``timeout * 2`` budget sequentially."""
-        import threading
-        import time
-
-        release = threading.Event()
 
         def body(comm):
-            release.wait(3.0)  # pure compute: abort cannot reach it
+            time.sleep(3.0)  # pure compute: abort cannot reach it
             return None
 
         t0 = time.perf_counter()
-        try:
-            with pytest.raises(SpmdError, match="did not terminate"):
-                run_spmd(4, body, timeout=0.25)
-        finally:
-            release.set()
+        with pytest.raises(SpmdError, match="did not terminate"):
+            run_spmd(4, body, timeout=0.25)
         elapsed = time.perf_counter() - t0
         # shared deadline: ~timeout*2 + grace; the old sequential joins
         # needed 4 * (timeout*2) + 4 * grace ≈ 3s
@@ -345,31 +341,30 @@ class TestSatelliteFixes:
             run_spmd(2, body, timeout=5.0)
 
     def test_recv_rescans_mailbox_after_deadline(self):
-        """A message queued between a timed-out wait and the deadline
+        """A message delivered between a timed-out wait and the deadline
         check must be consumed, not reported as a spurious timeout."""
-        import time
+        from repro.mpisim.mpcomm import _CHAN_P2P, _MPTransport, _dumps
 
-        from repro.mpisim.comm import _Backend
+        class LateInbox(queue.Queue):
+            def get(self, block=True, timeout=None):
+                if block:
+                    # the waiter wakes after the deadline and the message
+                    # has already landed — exactly the race the final
+                    # drain closes
+                    time.sleep(0.08)
+                    self.put(("world", _CHAN_P2P, 1, 5,
+                              _dumps("late", iter(()))))
+                    raise queue.Empty
+                return super().get(block, timeout)
 
-        be = _Backend(2, None, timeout=0.05)
-        rx = SimComm(be, 0)
-
-        def wait_past_deadline(timeout=None):
-            # the waiter wakes after the deadline and the message has
-            # already landed — exactly the race the re-scan closes
-            time.sleep(0.08)
-            be.mailboxes[0].append((1, 5, "late"))
-            return False
-
-        be.cond.wait = wait_past_deadline
-        assert rx.recv(source=1, tag=5) == "late"
+        tp = _MPTransport(0, [LateInbox()], threading.Event(), 0.05, None,
+                          "unused-")
+        assert tp.recv_env("world", _CHAN_P2P, 1, 5, "recv") == (1, "late")
 
     def test_recv_timeout_not_postponed_by_unrelated_traffic(self):
         """The receive deadline is fixed at call time: a peer spamming
         other tags used to restart the full timeout on every notify,
         postponing deadlock detection indefinitely."""
-        import time
-
         def body(comm):
             if comm.rank == 0:
                 comm.recv(source=1, tag=42)  # never sent

@@ -335,10 +335,10 @@ class TestCommCostModel:
 
     @pytest.fixture(scope="class")
     def model(self):
-        return calibrate_comm_model(backend="sim")
+        return calibrate_comm_model()
 
     def test_coefficients_positive_and_finite(self, model):
-        assert model.backend == "sim"
+        assert model.backend == "mp"
         assert math.isfinite(model.alpha) and model.alpha >= 0
         assert math.isfinite(model.beta) and model.beta > 0
 
@@ -351,7 +351,7 @@ class TestCommCostModel:
         assert CommCostModel.from_dict(model.as_dict()) == model
 
     def test_memoised(self, model):
-        assert calibrate_comm_model(backend="sim") is model
+        assert calibrate_comm_model(backend="mp") is model
 
     def test_local_machine_spec_carries_comm_fit(self, model):
         spec = calibrate_local_machine()

@@ -251,7 +251,7 @@ class TestNoPythonDispatchOnNumericPath:
 
     def test_summa_numeric_stage_no_python_ops(self):
         """The SUMMA local multiply + accumulate also stays vectorized."""
-        from repro.mpisim.comm import run_spmd
+        from repro.mpisim import run_spmd
         from repro.mpisim.grid import ProcessGrid
         from repro.sparse.distmat import DistSparseMatrix
         from repro.sparse.summa import summa
@@ -274,7 +274,10 @@ class TestNoPythonDispatchOnNumericPath:
                 coo.vals[mine],
             )
             c = summa(mk(), mk(), counted)
-            return c.gather_global()
+            # ``calls`` is mutated in the rank's own process: report it.
+            return c.gather_global(), dict(calls)
 
-        run_spmd(4, fn)
-        assert calls == {"add": 0, "multiply": 0}
+        seen = [rank_calls for _, rank_calls in run_spmd(4, fn)]
+        assert len(seen) == 4
+        for rank_calls in seen:
+            assert rank_calls == {"add": 0, "multiply": 0}

@@ -34,7 +34,7 @@ from repro.core.semirings import (
     substitute_overlap_encoded_semiring,
     unpack_seeds,
 )
-from repro.mpisim.comm import run_spmd
+from repro.mpisim import run_spmd
 from repro.mpisim.grid import ProcessGrid
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
@@ -299,10 +299,14 @@ class TestNoPythonDispatchOnStructPath:
             )
             c = summa(da, db, counted)
             assert c.local.vals.dtype == CK_DTYPE
-            return c.gather_global()
+            # ``calls`` is mutated in the rank's own process: report it.
+            return c.gather_global(), dict(calls)
 
-        got = run_spmd(4, fn)[0]
-        assert calls == {"add": 0, "multiply": 0}
+        results = run_spmd(4, fn)
+        assert len(results) == 4
+        for _, rank_calls in results:
+            assert rank_calls == {"add": 0, "multiply": 0}
+        got = results[0][0]
         ref = _ck_dict(spgemm_hash(a, b,
                                    substitute_overlap_encoded_semiring()))
         assert _ck_dict(got) == ref

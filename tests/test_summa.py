@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.mpisim.comm import run_spmd
+from repro.mpisim import run_spmd
 from repro.mpisim.grid import ProcessGrid
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
