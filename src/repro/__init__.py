@@ -39,11 +39,21 @@ Quickstart
 True
 """
 
-from .bio.sequences import SequenceStore
-from .core.config import PastisConfig
-from .core.distributed import run_pastis_distributed
-from .core.graph import SimilarityGraph
-from .core.pipeline import pastis_pipeline
+import os
+
+# Set before anything imports NumPy, which reads it once at load.  Nothing
+# in the package calls BLAS on a hot path, but an OpenBLAS worker pool
+# spins for ~0.1 s of CPU after it starts: ~15 % of a short CLI run when
+# it shares the main thread's core, nothing when another core is idle,
+# so it would make wall time depend on the machine's load.  A value the
+# caller set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from .bio.sequences import SequenceStore  # noqa: E402
+from .core.config import PastisConfig  # noqa: E402
+from .core.distributed import run_pastis_distributed  # noqa: E402
+from .core.graph import SimilarityGraph  # noqa: E402
+from .core.pipeline import pastis_pipeline  # noqa: E402
 
 __version__ = "1.0.0"
 

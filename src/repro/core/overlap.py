@@ -75,6 +75,12 @@ def build_a_triples(
     return rows + row_offset, cols, vals
 
 
+#: Unrestricted entries of ``S`` (roots times ``m + 1``) built per search
+#: call: each chunk is restricted before the next is built, so the
+#: unrestricted ``S`` is never held whole.
+_S_CHUNK_ENTRIES = 1 << 18
+
+
 def build_s_triples(
     kmer_ids: np.ndarray,
     k: int,
@@ -90,15 +96,21 @@ def build_s_triples(
     removing them changes no result while shrinking ``S``.
     """
     roots = sorted_unique(kmer_ids)
-    sub_ids, sub_dist = substitute_kmers_batch(roots, k, m, scoring)
-    # row-major: every root's identity entry, then its substitutes in order
-    rows = np.repeat(roots, sub_ids.shape[1] + 1)
-    cols = np.column_stack((roots, sub_ids)).ravel()
-    dists = np.column_stack((np.zeros_like(roots), sub_dist)).ravel()
-    if restrict_to is not None and len(cols):
-        keep = _in_sorted(np.asarray(restrict_to, dtype=np.int64), cols)
-        rows, cols, dists = rows[keep], cols[keep], dists[keep]
-    return rows, cols, dists
+    chunk = max(1, _S_CHUNK_ENTRIES // (m + 1))
+    parts = []
+    # one call even without roots: it gives the empty triples their dtypes
+    for lo in range(0, max(len(roots), 1), chunk):
+        part = roots[lo:lo + chunk]
+        sub_ids, sub_dist = substitute_kmers_batch(part, k, m, scoring)
+        # row-major: every root's identity entry, then its substitutes
+        rows = np.repeat(part, sub_ids.shape[1] + 1)
+        cols = np.column_stack((part, sub_ids)).ravel()
+        dists = np.column_stack((np.zeros_like(part), sub_dist)).ravel()
+        if restrict_to is not None:
+            keep = _in_sorted(np.asarray(restrict_to, dtype=np.int64), cols)
+            rows, cols, dists = rows[keep], cols[keep], dists[keep]
+        parts.append((rows, cols, dists))
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
 # ---------------------------------------------------------------------------

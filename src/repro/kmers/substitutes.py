@@ -10,31 +10,33 @@ the first ``m`` in ``(distance, substitute id)`` order, root excluded —
 exactly what the oracle :func:`brute_force_substitutes` enumerates.
 
 Like the paper we pre-sort each alphabet row of the expense matrix
-``E = SORT(DIAG(C) - C)`` once.  A candidate is then an index vector ``j``
-into the k per-position sorted option lists (one row of ``E`` per k-mer
-position, the identity included at expense 0).  Where the paper walks that
-space best-first from one root at a time, :func:`substitute_kmers_batch`
-searches a fixed *lattice* of index vectors for many roots at once:
+``E = SORT(DIAG(C) - C)`` once, stably by ``(cost, base)``: row ``r_i`` is
+the option list of position ``i``, the identity included at expense 0.
+Where the paper walks candidates best-first from one root at a time,
+:func:`substitute_kmers_batch` folds the positions in, for many roots at
+once: step ``i`` keeps each root's first ``top = m + 1`` prefixes over
+positions ``0..i`` (root included) in ``(distance, prefix id)`` order, the
+order the prefix ids take in the high digits of the full ids.  Step
+``i + 1`` combines that list with the option list of position ``i + 1``:
 
-    **Lattice bound.**  The ``m + 1`` nearest candidates (root included) all
-    have ``prod_i (j_i + 1) <= m + 1``.
+    **Pair bound.**  Of two lists in ``(distance, id)`` order, rank pair
+    ``(a, b)`` is among the first ``top`` combinations only if
+    ``(a + 1)(b + 1) <= top``.  *Proof.*  Let ``(a, b) <= (a', b')``
+    componentwise, unequal.  Distances add, so ``d(a, b) <= d(a', b')``;
+    if equal, both parts are equal, where the prefix list has the smaller
+    id first and the option list the smaller base first (the stable sort),
+    so the id ``prefix * 24 + base`` of ``(a, b)`` is the smaller: the
+    ``(a' + 1)(b' + 1) - 1`` pairs below ``(a', b')`` all precede it.  ∎
 
-    *Proof.*  ``ExpenseMatrix.from_scoring`` sorts each option list stably
-    by ``(cost, base)``.  Let ``j <= j'`` componentwise, ``j != j'``.  Costs
-    ascend along every list, so ``distance(j) <= distance(j')``; if the two
-    are equal, the cost is equal at every position, where the stable sort
-    put the smaller base first, so every digit of ``id(j)`` is ``<=`` the
-    digit of ``id(j')`` and one is smaller.  Hence ``j`` strictly precedes
-    ``j'`` in ``(distance, id)`` order, and ``j'`` is preceded by at least
-    the ``prod_i (j'_i + 1) - 1`` vectors below it: it can be among the
-    first ``m + 1`` only if that product is at most ``m + 1``.  ∎
+    **Truncation.**  A prefix ranked past ``top`` begins none of the
+    first ``top`` candidates.  *Proof.*  Each of the ``top`` prefixes
+    ahead of it, completed with the same suffix, adds the same distance
+    and the same low digits, so it precedes the completion.  ∎
 
-The lattice depends on ``(k, m)`` alone — 1 254 points for k=6, m=25 — so
-every root's candidates are one gather per position and the cut is a
-partition plus a sort of ``m + 1`` keys.  Nothing assumes the root sits at
-option index 0, so ambiguity-code rows (B/Z/X/``*``), where the diagonal is
-not the row maximum and a substitution can have *negative* expense, stay
-exact.
+The pairs depend on ``top`` alone (89 for m = 25): a step is one gather of
+the prefix keys, one row gather of the option table and a cut to ``top``
+keys.  Nothing assumes the root at option index 0, so ambiguity-code rows
+(B/Z/X/``*``), where a substitution can cost *less* than 0, stay exact.
 """
 
 from __future__ import annotations
@@ -56,10 +58,13 @@ __all__ = [
     "kmer_distance",
 ]
 
-#: Lattice points times roots searched at once: keeps the working set of one
-#: chunk at a few cache-resident arrays of 256 KB each, whatever ``k`` and
-#: ``m`` (measured: 4x larger chunks run about 2x slower).
+#: Rank pairs times roots folded at once: keeps one step's working set at a
+#: few cache-resident arrays of 256 KB each, whatever ``k`` and ``m``.
 _CHUNK_CELLS = 1 << 15
+
+#: Bound on step ``i``'s packed key ``distance * 24^(i+1) + prefix id``;
+#: past it (k = 13, and k = 12 under PAM250) a step keeps the two apart.
+_KEY_LIMIT = 2**63
 
 
 @dataclass(frozen=True)
@@ -85,6 +90,9 @@ def kmer_distance(
     q = np.asarray(candidate, dtype=np.intp)
     if r.shape != q.shape:
         raise ValueError("k-mers must have equal length")
+    both = np.concatenate((r.ravel(), q.ravel()))
+    if ((both < 0) | (both >= ALPHABET_SIZE)).any():
+        raise ValueError("alphabet index out of range 0..23")
     c = scoring.matrix
     return int((c[r, r] - c[r, q]).sum())
 
@@ -94,42 +102,14 @@ def _place_values(k: int) -> np.ndarray:
     return ALPHABET_SIZE ** np.arange(k - 1, -1, -1, dtype=np.int64)
 
 
-def _lattice(k: int, m: int) -> np.ndarray:
-    """Every option-index vector ``j`` (one row each, shape ``(L, k)``) with
-    ``prod(j + 1) <= m + 1`` and ``j < 24`` — a superset of the ``m + 1``
-    nearest candidates of any root (module docstring)."""
-    vecs = np.zeros((1, 0), dtype=np.intp)
-    prod = np.ones(1, dtype=np.int64)
-    for _ in range(k):
-        fanout = np.minimum(ALPHABET_SIZE, (m + 1) // prod)
-        parent = np.repeat(np.arange(len(prod)), fanout)
-        j = np.arange(len(parent)) - np.repeat(
-            np.cumsum(fanout) - fanout, fanout
-        )
-        vecs = np.column_stack((vecs[parent], j))
-        prod = prod[parent] * (j + 1)
-    return vecs
-
-
-def _nearest(
-    dist: np.ndarray, ids: np.ndarray, top: int, space: int, packable: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """The ``top`` first entries of every column of the ``(L, P)`` arrays
-    ``(dist, ids)`` in ``(distance, id)`` order, as ``(dist, ids)`` of shape
-    ``(P, top)``.
-
-    The fused key ``distance * 24^k + id`` allows a partition instead of a
-    full sort, but overflows int64 for large ``k`` (``24^13`` is within a
-    factor 11 of ``2^63``): ``packable`` says whether it fits."""
-    if packable:
-        key = np.ascontiguousarray((dist * space + ids).T)
-        key.partition(top - 1, axis=1)
-        key = np.sort(key[:, :top], axis=1)
-        return key // space, key % space
-    dist, ids = dist.T, ids.T
-    order = np.lexsort((ids, dist), axis=1)[:, :top]
-    return (np.take_along_axis(dist, order, axis=1),
-            np.take_along_axis(ids, order, axis=1))
+def _rank_pairs(top: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(a, b)``, as two arrays, of every rank pair with ``(a + 1)(b + 1)
+    <= top`` and ``b < 24``: the only pairs a fold step can need (module
+    docstring)."""
+    fanout = top // np.arange(1, min(ALPHABET_SIZE, top) + 1)
+    b = np.repeat(np.arange(len(fanout)), fanout)
+    a = np.arange(len(b)) - np.repeat(np.cumsum(fanout) - fanout, fanout)
+    return a, b
 
 
 def substitute_kmers_batch(
@@ -153,30 +133,46 @@ def substitute_kmers_batch(
     roots = np.asarray(kmer_ids, dtype=np.int64).ravel()
     if len(roots) and not 0 <= roots.min() <= roots.max() < space:
         raise ValueError("k-mer id out of range")
-    E = scoring.expense_matrix()
-    # transposed once: column r of costs_t is the sorted option list of r
-    costs_t = E.costs.T.astype(np.int64)
-    bases_t = E.bases.T.astype(np.int64)
-    place = _place_values(k)
-    packable = (k * int(np.abs(costs_t).max()) + 1) * space < 2**63
-
-    lattice = np.ascontiguousarray(_lattice(k, m).T)  # (k, L)
+    E = scoring.expense_matrix()  # row r: the option list of letter r
+    costs, bases = E.costs.astype(np.int64), E.bases.astype(np.int64)
+    max_cost = int(np.abs(costs).max())
     top = min(m + 1, space)  # root included
+    ra, rb = _rank_pairs(top)
+    # step i: its pairs within the prefix list, the length of the list it
+    # leaves and, while the packed key fits, the option table it adds
+    steps = []
+    for i in range(k):
+        pairs = ra < ALPHABET_SIZE**i
+        weight = ALPHABET_SIZE ** (i + 1)
+        fits = ((i + 1) * max_cost + 1) * weight < _KEY_LIMIT
+        table = (costs * weight + bases)[:, rb[pairs]] if fits else None
+        steps.append((ra[pairs], rb[pairs], min(top, weight), table))
+
     out_ids = np.empty((len(roots), top - 1), dtype=np.int64)
     out_dist = np.empty_like(out_ids)
-    chunk = max(1, _CHUNK_CELLS // lattice.shape[1])
+    chunk = max(1, _CHUNK_CELLS // len(ra))
     for lo in range(0, len(roots), chunk):
         root = roots[lo:lo + chunk, None]
-        digits = (root // place) % ALPHABET_SIZE  # (P, k)
-        dist = np.zeros((lattice.shape[1], len(root)), dtype=np.int64)
-        ids = np.zeros_like(dist)
-        for i in range(k):
-            # (24, P) option tables of position i, gathered to (L, P)
-            dist += costs_t[:, digits[:, i]].take(lattice[i], axis=0)
-            ids += (bases_t[:, digits[:, i]] * place[i]).take(
-                lattice[i], axis=0
-            )
-        dist, ids = _nearest(dist, ids, top, space, packable)
+        digits = (root // _place_values(k)) % ALPHABET_SIZE  # (P, k)
+        key = np.zeros((len(root), 1), dtype=np.int64)
+        dist = ids = None
+        for i, (a, b, keep, table) in enumerate(steps):
+            digit = digits[:, i]
+            if table is not None:  # key = distance * 24^(i+1) + prefix id
+                key = key[:, a] * ALPHABET_SIZE + table[digit]
+                if key.shape[1] > keep:
+                    key.partition(keep - 1, axis=1)
+                key = np.sort(key[:, :keep], axis=1)
+                continue
+            if dist is None:  # the key no longer fits int64: split it
+                dist, ids = np.divmod(key, ALPHABET_SIZE**i)
+            dist = dist[:, a] + costs[digit][:, b]
+            ids = ids[:, a] * ALPHABET_SIZE + bases[digit][:, b]
+            order = np.lexsort((ids, dist), axis=1)[:, :keep]
+            dist = np.take_along_axis(dist, order, axis=1)
+            ids = np.take_along_axis(ids, order, axis=1)
+        if dist is None:
+            dist, ids = np.divmod(key, space)
         # drop one entry per root: the root where it made the cut, else
         # the last (the root can rank below m negative-expense candidates)
         drop = ids == root

@@ -4,7 +4,10 @@ and every choice must round-trip into a validated
 :class:`~repro.core.config.PastisConfig`."""
 
 import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -443,3 +446,29 @@ class TestWriteEdges:
         path = tmp_path / "e.tsv"
         write_edges_tsv(str(path), g)
         assert "0\t1\t" in path.read_text()
+
+
+class TestStartup:
+    """``import repro`` keeps NumPy's BLAS on the calling thread unless the
+    caller chose otherwise: an idle OpenBLAS pool spins at start-up."""
+
+    def _run(self, code, **env):
+        src = Path(__file__).resolve().parents[1] / "src"
+        base = {k: v for k, v in os.environ.items()
+                if k != "OPENBLAS_NUM_THREADS"}
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**base, "PYTHONPATH": str(src), **env},
+            capture_output=True, text=True, check=True,
+        )
+        return out.stdout.strip()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="counts threads in /proc")
+    def test_no_blas_pool(self):
+        code = "import repro, os; print(len(os.listdir('/proc/self/task')))"
+        assert self._run(code) == "1"
+
+    def test_caller_setting_wins(self):
+        code = "import repro, os; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        assert self._run(code, OPENBLAS_NUM_THREADS="3") == "3"

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.bio.generate import make_family, random_protein
 from repro.bio.scoring import BLOSUM62
 from repro.bio.sequences import SequenceStore
+from repro.core import overlap
 from repro.core.config import PastisConfig
 from repro.core.overlap import (
     CandidatePairs,
@@ -87,6 +88,25 @@ class TestBuildS:
         for got, want in zip(restricted, full):
             assert got.dtype == np.int64
             assert np.array_equal(got, want[keep])
+
+    @pytest.mark.parametrize("restrict", [False, True])
+    def test_chunks_equal_one_call(self, small_store, monkeypatch, restrict):
+        # chunks of 4 roots (4 * 11 entries): ragged last chunk included
+        _, cols, _ = build_a_triples(small_store, 3)
+        vocab = np.unique(cols)
+        assert len(vocab) % 4
+        restrict_to = vocab if restrict else None
+        whole = build_s_triples(vocab, 3, 10, BLOSUM62, restrict_to)
+        monkeypatch.setattr(overlap, "_S_CHUNK_ENTRIES", 4 * 11)
+        chunked = build_s_triples(vocab, 3, 10, BLOSUM62, restrict_to)
+        for got, want in zip(chunked, whole):
+            assert np.array_equal(got, want)
+
+    def test_no_roots(self):
+        for restrict_to in (None, np.array([5])):
+            triples = build_s_triples(np.array([], dtype=np.int64), 3, 4,
+                                      BLOSUM62, restrict_to)
+            assert [(len(a), a.dtype) for a in triples] == [(0, np.int64)] * 3
 
     def test_distances_match_substitute_search(self):
         kid = kmer_id_from_string("AAC")

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bio.alphabet import BASE_TO_INDEX, decode_sequence, encode_sequence
+from repro.bio.alphabet import ALPHABET_SIZE, decode_sequence, encode_sequence
 from repro.bio.scoring import BLOSUM62, PAM250
 from repro.kmers import substitutes
-from repro.kmers.encoding import encode_kmer
+from repro.kmers.encoding import encode_kmer, kmer_space_size
 from repro.kmers.substitutes import (
     brute_force_substitutes,
     find_substitute_kmers,
@@ -39,6 +39,14 @@ class TestKmerDistance:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             kmer_distance(encode_sequence("AA"), encode_sequence("AAC"))
+
+    @pytest.mark.parametrize("root, candidate", [
+        ([-1, 0], [0, 0]),  # would read C[-1] = the '*' row
+        ([0, 0], [0, 24]),  # would raise a bare IndexError
+    ])
+    def test_bad_index_names_the_range(self, root, candidate):
+        with pytest.raises(ValueError, match="0..23"):
+            kmer_distance(root, candidate)
 
 
 class TestPaperExamples:
@@ -199,17 +207,133 @@ class TestAgainstBruteForce:
         }
         assert cheaper <= {s.indices for s in subs}
 
-    def test_two_key_cut_equals_packed_cut(self):
-        rng = np.random.default_rng(2)
-        dist = rng.integers(-6, 12, (300, 9))
-        ids = rng.permuted(
-            np.tile(np.arange(300), (9, 1)), axis=1
-        ).T  # distinct per column
-        for top in (1, 26, 300):
-            packed = substitutes._nearest(dist, ids, top, 24**3, True)
-            two_key = substitutes._nearest(dist, ids, top, 24**3, False)
-            for a, b in zip(packed, two_key):
-                assert np.array_equal(a, b)
+    def test_pam250_k12_two_key_steps(self):
+        # PAM250 costs reach 25: the packed key already overflows at k=12
+        scoring = PAM250
+        max_cost = int(np.abs(scoring.expense_matrix().costs).max())
+        assert (12 * max_cost + 1) * 24**12 >= 2**63
+        root = np.random.default_rng(7).integers(0, 24, 12)
+        subs = find_substitute_kmers(root, 40, scoring)
+        assert len(subs) == 40
+        for s in subs:
+            assert kmer_distance(root, s.indices, scoring) == s.distance
+        keys = [(s.distance, s.kmer_id) for s in subs]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        ids, dist = lattice_substitutes([encode_kmer(root)], 12, 40, scoring)
+        assert keys == list(zip(dist[0].tolist(), ids[0].tolist()))
+
+    def test_two_key_cut_equals_packed_cut(self, monkeypatch):
+        # the two-key steps from the first step on (limit 1) and from the
+        # third on (24^4), against the all-packed fold
+        roots = np.random.default_rng(2).integers(0, 24**5, 40)
+        cases = [(s, m) for s in (BLOSUM62, PAM250) for m in (0, 1, 25, 300)]
+        packed = [substitute_kmers_batch(roots, 5, m, s) for s, m in cases]
+        for limit in (1, 24**4):
+            monkeypatch.setattr(substitutes, "_KEY_LIMIT", limit)
+            for (scoring, m), expected in zip(cases, packed):
+                got = substitute_kmers_batch(roots, 5, m, scoring)
+                for a, b in zip(got, expected):
+                    assert np.array_equal(a, b)
+
+
+def _lattice(k: int, m: int) -> np.ndarray:
+    """Every option-index vector ``j`` (one row each, shape ``(L, k)``) with
+    ``prod(j + 1) <= m + 1`` and ``j < 24`` — a superset of the ``m + 1``
+    nearest candidates of any root (see :func:`lattice_substitutes`)."""
+    vecs = np.zeros((1, 0), dtype=np.intp)
+    prod = np.ones(1, dtype=np.int64)
+    for _ in range(k):
+        fanout = np.minimum(ALPHABET_SIZE, (m + 1) // prod)
+        parent = np.repeat(np.arange(len(prod)), fanout)
+        j = np.arange(len(parent)) - np.repeat(
+            np.cumsum(fanout) - fanout, fanout
+        )
+        vecs = np.column_stack((vecs[parent], j))
+        prod = prod[parent] * (j + 1)
+    return vecs
+
+
+def _nearest(
+    dist: np.ndarray, ids: np.ndarray, top: int, space: int, packable: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``top`` first entries of every column of the ``(L, P)`` arrays
+    ``(dist, ids)`` in ``(distance, id)`` order, as ``(dist, ids)`` of shape
+    ``(P, top)``.
+
+    The fused key ``distance * 24^k + id`` allows a partition instead of a
+    full sort, but overflows int64 for large ``k`` (``24^13`` is within a
+    factor 11 of ``2^63``): ``packable`` says whether it fits."""
+    if packable:
+        key = np.ascontiguousarray((dist * space + ids).T)
+        key.partition(top - 1, axis=1)
+        key = np.sort(key[:, :top], axis=1)
+        return key // space, key % space
+    dist, ids = dist.T, ids.T
+    order = np.lexsort((ids, dist), axis=1)[:, :top]
+    return (np.take_along_axis(dist, order, axis=1),
+            np.take_along_axis(ids, order, axis=1))
+
+
+def lattice_substitutes(kmer_ids, k, m, scoring=BLOSUM62):
+    """The lattice search, an oracle where brute force cannot enumerate:
+    every root scores the whole lattice ``{j : prod(j_i + 1) <=
+    m + 1}`` of option-index vectors (it holds the ``m + 1`` nearest, by
+    the pair bound's argument over k lists at once), one ``(L, P)`` gather
+    per position, then one cut.  Same contract as
+    :func:`substitute_kmers_batch`, in one chunk."""
+    space = kmer_space_size(k)
+    roots = np.asarray(kmer_ids, dtype=np.int64).ravel()
+    E = scoring.expense_matrix()
+    costs_t = E.costs.T.astype(np.int64)
+    bases_t = E.bases.T.astype(np.int64)
+    place = ALPHABET_SIZE ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    packable = (k * int(np.abs(costs_t).max()) + 1) * space < 2**63
+    lattice = np.ascontiguousarray(_lattice(k, m).T)  # (k, L)
+    top = min(m + 1, space)
+    root = roots[:, None]
+    digits = (root // place) % ALPHABET_SIZE  # (P, k)
+    dist = np.zeros((lattice.shape[1], len(root)), dtype=np.int64)
+    ids = np.zeros_like(dist)
+    for i in range(k):
+        dist += costs_t[:, digits[:, i]].take(lattice[i], axis=0)
+        ids += (bases_t[:, digits[:, i]] * place[i]).take(lattice[i], axis=0)
+    dist, ids = _nearest(dist, ids, top, space, packable)
+    drop = ids == root
+    drop[:, -1] |= ~drop.any(axis=1)
+    return (ids[~drop].reshape(len(root), top - 1),
+            dist[~drop].reshape(len(root), top - 1))
+
+
+def _roots_over_the_alphabet(k, n, seed):
+    """``n`` random roots over all 24 letters, plus roots made of the
+    ambiguity codes ``BZX*`` alone, where substitutes can be negative."""
+    rng = np.random.default_rng(seed)
+    letters = np.vstack((rng.integers(0, 24, (n, k)),
+                         rng.integers(20, 24, (4, k))))
+    return letters @ (ALPHABET_SIZE ** np.arange(k - 1, -1, -1))
+
+
+class TestAgainstLattice:
+    """The fold returns exactly what the earlier lattice search returns, at
+    the k where brute force cannot enumerate ``24^k`` candidates."""
+
+    @pytest.mark.parametrize("scoring", [BLOSUM62, PAM250],
+                             ids=lambda s: s.name)
+    @pytest.mark.parametrize("k", range(5, 13))
+    def test_array_equal(self, k, scoring):
+        roots = _roots_over_the_alphabet(k, 12, seed=k)
+        for m in (0, 1, 10, 23, 24, 25, 100):
+            got = substitute_kmers_batch(roots, k, m, scoring)
+            expected = lattice_substitutes(roots, k, m, scoring)
+            for a, b in zip(got, expected):
+                assert np.array_equal(a, b), (k, scoring.name, m)
+
+    def test_array_equal_m1000(self):
+        roots = _roots_over_the_alphabet(6, 4, seed=0)
+        got = substitute_kmers_batch(roots, 6, 1000)
+        expected = lattice_substitutes(roots, 6, 1000)
+        for a, b in zip(got, expected):
+            assert np.array_equal(a, b)
 
 
 class TestBatch:
@@ -240,7 +364,7 @@ class TestBatch:
         chunk = 8
         monkeypatch.setattr(
             substitutes, "_CHUNK_CELLS",
-            chunk * len(substitutes._lattice(self.K, self.M)),
+            chunk * len(substitutes._rank_pairs(self.M + 1)[0]),
         )
         roots = np.random.default_rng(1).integers(
             0, 24**self.K, 2 * chunk + delta
