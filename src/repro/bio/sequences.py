@@ -28,7 +28,7 @@ __all__ = [
     "check_unique_ids",
 ]
 
-#: Sequences must be strictly shorter than this: it is the CommonKmers seed
+#: Sequences must be strictly shorter than this: it is the seed
 #: pack's distance bound (``repro.core.semirings.CK_DIST_LIMIT``, 2^21 - 1),
 #: which keeps every k-mer position inside the pack too — ~60x the longest
 #: known protein.

@@ -9,23 +9,10 @@ from .overlap import (
     build_a_triples,
     build_s_triples,
     find_candidate_pairs,
-    find_candidate_pairs_semiring,
     symmetrize_candidates,
 )
 from .pipeline import edge_weight, pastis_pipeline
-from .semirings import (
-    CK_DTYPE,
-    MAX_SEEDS,
-    CommonKmers,
-    SeedHit,
-    ck_struct_spec,
-    exact_overlap_semiring,
-    merge_common_kmers,
-    substitute_as_numeric_semiring,
-    substitute_as_semiring,
-    substitute_overlap_encoded_semiring,
-    substitute_overlap_semiring,
-)
+from .semirings import MAX_SEEDS, substitute_as_numeric_semiring
 
 __all__ = [
     "PastisConfig",
@@ -37,19 +24,9 @@ __all__ = [
     "build_a_triples",
     "build_s_triples",
     "find_candidate_pairs",
-    "find_candidate_pairs_semiring",
     "symmetrize_candidates",
     "edge_weight",
     "pastis_pipeline",
-    "CK_DTYPE",
-    "ck_struct_spec",
     "MAX_SEEDS",
-    "CommonKmers",
-    "SeedHit",
-    "exact_overlap_semiring",
-    "merge_common_kmers",
     "substitute_as_numeric_semiring",
-    "substitute_as_semiring",
-    "substitute_overlap_encoded_semiring",
-    "substitute_overlap_semiring",
 ]

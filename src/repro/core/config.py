@@ -157,7 +157,7 @@ class PastisConfig:
         if self.substitutes < 0:
             raise ConfigError("substitutes must be non-negative")
         # a k-mer's substitution distance is a sum of k expenses, and it
-        # must fit the CommonKmers seed pack (whatever the substitutes)
+        # must fit the seed pack (whatever the substitutes)
         costs = self.scoring.expense_matrix().costs
         reach = self.k * int(abs(costs).max())
         if reach >= CK_DIST_LIMIT:

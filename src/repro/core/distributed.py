@@ -9,14 +9,14 @@ Every stage executed SPMD over the process-per-rank MPI-style runtime:
 3. overlapped remote-sequence exchange posted immediately (V-C);
 4. distributed ``A`` (2-D blocks over the 24^k k-mer space), distributed
    transpose, optional distributed ``S``;
-5. Sparse SUMMA with the PASTIS semirings: ``B = A Aᵀ`` or ``(A S) Aᵀ``
+5. Sparse SUMMA: ``B = A Aᵀ`` or ``(A S) Aᵀ`` as shared-k-mer counts,
    plus the symmetrization step (IV-C);
 6. waitall on the exchange (the "wait" dissection component);
 7. this block's triangle of ``B`` as
    :class:`~repro.core.overlap.CandidatePairs` — "moving computation to
    data" (V-D, Fig. 11), so no rank sits idle and no pair is aligned twice
-   — then the CK threshold on the count column and one alignment task per
-   survivor;
+   — filtered by the CK threshold on the counts, seeds joined for the
+   survivors only, and one alignment task per survivor;
 8. optional cross-rank alignment rebalancing (``config.align_balance``):
    every rank costs its tasks in DP cells and ships its surplus along one
    deterministic plan (:func:`repro.core.balance.plan_and_ship`);
@@ -45,25 +45,29 @@ from ..kmers.encoding import kmer_space_size
 from ..mpisim.backend import CommBackend, run_spmd
 from ..mpisim.grid import ProcessGrid
 from ..mpisim.tracing import CommTracer
-from ..sparse.coo import sorted_unique
+from ..sparse.coo import COOMatrix, sorted_unique
 from ..sparse.distmat import DistSparseMatrix
-from ..sparse.summa import summa
+from ..sparse.semiring import COUNTING
+from ..sparse.summa import summa, summa_with_panels
 from .balance import align_and_drain, estimate_batch_cells, plan_and_ship
 from .config import PastisConfig, check_ranks
 from .graph import SimilarityGraph
 from .overlap import (
     CandidatePairs,
+    block_seeds,
     build_a_triples,
     build_s_triples,
+    check_s_triples,
+    ck_keep_mask,
+    orient_seeds,
     pairs_from_block,
     symmetrize_candidates,
 )
 from .pipeline import align_kwargs, edges_from_alignments, tasks_from_pairs
 from .semirings import (
-    check_seed_distances,
-    exact_overlap_semiring,
+    CK_SEED_NONE,
+    MAX_SEEDS,
     substitute_as_numeric_semiring,
-    substitute_overlap_encoded_semiring,
 )
 from .exchange import start_exchange
 
@@ -125,18 +129,21 @@ def block_pairs(
     config: PastisConfig,
     s_triples: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
     timings: dict[str, float],
-) -> CandidatePairs:
+) -> tuple[CandidatePairs, int]:
     """The overlap stage of one rank (steps 4, 5 and the first half of 7):
     ``A`` from the rank's sequences (global ids from ``gid0``, ``n`` in
     all); ``B = A Aᵀ``, or ``S``, ``AS``, ``(AS) Aᵀ`` and the
     symmetrization, by Sparse SUMMA, each timed under its dissection name;
-    and this block's Fig.-11 triangle of ``B``.
+    and the CK survivors of this block's Fig.-11 triangle of ``B`` with
+    their seeds, plus the number of candidates before CK.
 
-    The AS stage runs numerically (AS values travel as packed int64 seed
-    hits) and the ``B`` stage runs SUMMA's block-local struct
-    expand-reduce — CommonKmers as record columns, no per-element Python,
-    on every block: the store and the config bound every position and
-    distance to the seed pack before a rank starts.
+    ``B`` is a count on :data:`~repro.sparse.semiring.COUNTING`.  Seeds
+    are joined after CK from the panels the ``B`` SUMMA broadcast to this
+    rank anyway (:func:`~repro.core.overlap.block_seeds`): at ``s = 0``
+    for this block's survivors, cut in ``(lo, hi)`` orientation; at
+    ``s > 0`` for every CK-passing directed entry — the symmetrization
+    may give its pair to the partner block — cut in AS-side orientation,
+    then turned to ``(lo, hi)``.
     """
     comm = grid.comm
     # the int64 triples go through untouched: a rank with no sequences
@@ -150,47 +157,75 @@ def block_pairs(
         )
     with _timed(timings, "tr. A"):
         at = a.transpose()
+    row0, col0 = a.row_range[0], at.col_range[0]
+    extract = partial(
+        pairs_from_block, n, row_offset=row0, col_offset=col0,
+        owns_diagonal=grid.row < grid.col,
+        threshold=config.common_kmer_threshold,
+    )
     if config.substitutes == 0:
         with _timed(timings, "(AS)AT"):
-            b = summa(a, at, exact_overlap_semiring())
-    else:
-        with _timed(timings, "form S"):
-            if s_triples is None:
-                # once per grid: every rank learns the global vocabulary,
-                # expands an interleaved share of it and keeps only the
-                # substitute columns that can match Aᵀ
-                vocab = sorted_unique(np.concatenate(
-                    comm.allgather(sorted_unique(kmers))
-                ))
-                s_rows, s_cols, s_dist = build_s_triples(
-                    vocab[comm.rank::comm.size], config.k,
-                    config.substitutes, config.scoring, restrict_to=vocab,
-                )
-            else:  # an injected S: every rank contributes a slice
-                s_rows, s_cols, s_dist = (
-                    np.asarray(t, dtype=np.int64)[comm.rank::comm.size]
-                    for t in s_triples
-                )
-            s = DistSparseMatrix.distribute(
-                grid, a.ncols, a.ncols, s_rows, s_cols, s_dist
+            b, left, right = summa_with_panels(a, at, COUNTING)
+            blk = b.local
+            return extract(blk, lambda idx, swap: block_seeds(
+                left, right, blk.rows[idx], blk.cols[idx], swap
+            ))
+    with _timed(timings, "form S"):
+        if s_triples is None:
+            # once per grid: every rank learns the global vocabulary,
+            # expands an interleaved share of it and keeps only the
+            # substitute columns that can match Aᵀ
+            vocab = sorted_unique(np.concatenate(
+                comm.allgather(sorted_unique(kmers))
+            ))
+            s_rows, s_cols, s_dist = build_s_triples(
+                vocab[comm.rank::comm.size], config.k,
+                config.substitutes, config.scoring, restrict_to=vocab,
             )
-        with _timed(timings, "AS"):
-            a_s = summa(a, s, substitute_as_numeric_semiring())
-        with _timed(timings, "(AS)AT"):
-            b = summa(a_s, at, substitute_overlap_encoded_semiring())
-        with _timed(timings, "sym."):
-            # B ∪ Bᵀ: the cross-diagonal block exchange inside transpose()
-            # hands every rank the partner block that mirrors its own, then
-            # the block-local merge (a 1-rank grid's block is its own mirror)
-            merged = symmetrize_candidates(
-                b.local, b.row_range[0], b.col_range[0],
-                mirror=b.transpose().local,
+        else:  # an injected S: every rank contributes a slice
+            s_rows, s_cols, s_dist = (
+                np.asarray(t, dtype=np.int64)[comm.rank::comm.size]
+                for t in s_triples
             )
-            b = DistSparseMatrix(grid=grid, nrows=n, ncols=n, local=merged)
-    return pairs_from_block(
-        n, b.local, b.row_range[0], b.col_range[0],
-        owns_diagonal=grid.row < grid.col,
-    )
+        s = DistSparseMatrix.distribute(
+            grid, a.ncols, a.ncols, s_rows, s_cols, s_dist
+        )
+    with _timed(timings, "AS"):
+        a_s = summa(a, s, substitute_as_numeric_semiring())
+    with _timed(timings, "(AS)AT"):
+        b, left, right = summa_with_panels(a_s, at, COUNTING)
+        blk = b.local
+        passing = ck_keep_mask(blk.vals, config.common_kmer_threshold)
+        p_rows, p_cols = blk.rows[passing], blk.cols[passing]
+        # cut in AS-side orientation, then turned to (lo, hi): every seed
+        # row crosses the diagonal in the orientation pairs are built in
+        seeds = orient_seeds(
+            block_seeds(left, right, p_rows, p_cols,
+                        np.zeros(len(p_rows), dtype=bool)),
+            p_rows + row0 > p_cols + col0,
+        )
+    with _timed(timings, "sym."):
+        # B ∪ Bᵀ: one exchange across the grid diagonal hands every rank
+        # the partner block that mirrors its own (a 1-rank grid's block is
+        # its own mirror) — the whole count block, and seeds only for its
+        # CK-passing entries: an entry at or below the threshold never
+        # wins a surviving pair
+        t_blk = blk.transpose()
+        m_rows, m_cols, m_counts, m_seeds = grid.swap_across_diagonal(
+            (t_blk.rows, t_blk.cols, t_blk.vals, seeds)
+        )
+        merged, winner = symmetrize_candidates(
+            blk, row0, col0,
+            mirror=COOMatrix(blk.nrows, blk.ncols, m_rows, m_cols, m_counts),
+            return_winner=True,
+        )
+        # the seeds of every directed entry, forward then mirror
+        directed = np.full((len(passing) + len(m_counts), MAX_SEEDS),
+                           CK_SEED_NONE)
+        directed[np.concatenate((
+            passing, ck_keep_mask(m_counts, config.common_kmer_threshold)
+        ))] = np.concatenate((seeds, m_seeds))
+        return extract(merged, lambda idx, swap: directed[winner[idx]])
 
 
 def store_pairs(
@@ -204,7 +239,7 @@ def store_pairs(
     return block_pairs(
         ProcessGrid.create(comm), store, len(store), 0, config, s_triples,
         dict.fromkeys(STAGES, 0.0),
-    )
+    )[0]
 
 
 def pastis_rank(
@@ -234,8 +269,8 @@ def pastis_rank(
     # -- 3. overlapped sequence exchange (posted now, finished after B)
     exchange = start_exchange(comm, grid, index, local_store, n)
 
-    # -- 4, 5, 7. form A, SpGEMM(s), this block's Fig.-11 triangle
-    pairs = block_pairs(
+    # -- 4, 5, 7. form A, SpGEMM(s), this block's Fig.-11 triangle, CK
+    pairs, candidates = block_pairs(
         grid, local_store, n, index.rank_range(comm.rank)[0], config,
         s_triples, timings,
     )
@@ -244,11 +279,8 @@ def pastis_rank(
     with _timed(timings, "wait"):
         cache = exchange.finish()
 
-    # -- 7. CK on the count column, one task per survivor
-    tasks = tasks_from_pairs(
-        pairs.apply_ck_threshold(config.common_kmer_threshold),
-        cache.__getitem__,
-    )
+    # -- 7. one task per CK survivor
+    tasks = tasks_from_pairs(pairs, cache.__getitem__)
 
     # -- 8. cross-rank alignment rebalancing: ragged triangles make the
     # align stage run at the speed of the unluckiest rank, so "greedy"
@@ -276,7 +308,7 @@ def pastis_rank(
         edges = edges_from_alignments(aligned, config)
 
     return RankResult(
-        edges, timings, len(aligned), pairs.npairs, rebalance
+        edges, timings, len(aligned), candidates, rebalance
     )
 
 
@@ -293,7 +325,8 @@ def run_pastis_distributed(
     ``nranks`` must be a positive perfect square (paper requirement;
     anything else is a :class:`~repro.core.config.ConfigError`) and the
     store's ids distinct (:class:`~repro.bio.fasta.FastaError`), and an
-    injected ``s_triples`` must fit the seed pack (:class:`ValueError`) —
+    injected ``s_triples`` well formed
+    (:func:`~repro.core.overlap.check_s_triples`, :class:`ValueError`) —
     all raised here, before a rank is spawned, so they read the same at
     every rank count.  The result is byte-identical at any rank count and under
     every ``config.align_balance`` mode (the golden obliviousness
@@ -312,7 +345,7 @@ def run_pastis_distributed(
     check_ranks(nranks)
     check_unique_ids(store.ids)
     if s_triples is not None:
-        check_seed_distances(s_triples[2])
+        check_s_triples(s_triples, config.k)
     fasta = store_to_fasta_bytes(store)
     results: list[RankResult] = run_spmd(
         nranks, pastis_rank, fasta, config, s_triples, tracer=tracer,

@@ -1,60 +1,56 @@
-"""Overlap detection: matrices ``A``/``S`` and candidate-pair extraction.
+"""Overlap detection: matrices ``A``/``S``, the count matrix ``B`` and
+candidate-pair extraction.
 
-One matrix model — ``B = A Aᵀ``, or ``B = (A S) Aᵀ`` plus the
-symmetrization merge — with two whole-store entries:
-
-* :func:`find_candidate_pairs` — the pipeline's own overlap stage
-  (:func:`repro.core.distributed.block_pairs`: SUMMA over
-  :func:`~repro.sparse.spgemm.spgemm_coo` on the packed-record
-  semirings) on one inline rank; there is no second formulation of the
-  fast path to drift from the driver's.
-* :func:`find_candidate_pairs_semiring` — the literal one: object
-  semirings through the scalar :func:`~repro.sparse.spgemm.spgemm_hash`.
-  Slow, always correct; the oracle the tests validate the pipeline
-  against, reachable from no driver.
-
-Both return :class:`CandidatePairs`: for every unordered sequence pair
-``(i < j)`` sharing at least one (substitute) k-mer, the shared count and up
-to :data:`~repro.core.semirings.MAX_SEEDS` seed positions; exact agreement
-of the two is a tested invariant.
+``B = A Aᵀ``, or ``(A S) Aᵀ`` plus the symmetrization merge, holds the
+shared-k-mer count, all CK (Section VI) reads; a pair's seeds are joined
+once it survives, from the operands the ``B`` SUMMA broadcast anyway
+(:func:`block_seeds`) — the filter/verify split of set-similarity joins.
+:func:`find_candidate_pairs` is the whole-store entry: the pipeline's own
+overlap stage on one inline rank.  The paper's literal object formulation
+is the tests' oracle; :func:`symmetrize_candidates` also merges the
+record ``B`` of :mod:`repro.core.semirings`' one-pass formulation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from ..bio.scoring import ScoringMatrix
 from ..bio.sequences import SequenceStore
+from ..kmers.encoding import kmer_space_size
 from ..kmers.extraction import store_kmers
 from ..kmers.substitutes import substitute_kmers_batch
-from ..sparse.coo import COOMatrix, group_coords, sorted_unique
-from ..sparse.csr import CSRMatrix
-from ..sparse.spgemm import spgemm_hash
+from ..sparse.coo import (
+    COOMatrix,
+    group_coords,
+    in_sorted,
+    sorted_unique,
+)
+from ..sparse.spgemm import masked_products
 from .config import PastisConfig
 from .semirings import (
-    CK_SEED_FIELDS,
     CK_SEED_NONE,
-    MAX_SEEDS,
-    CommonKmers,
+    SEED_ENCODE_SHIFT,
     check_seed_distances,
-    ck_flip_records,
     is_ck_records,
-    exact_overlap_semiring,
-    substitute_as_semiring,
-    substitute_overlap_semiring,
+    lowest_seeds,
+    pack_seeds,
     unpack_seeds,
 )
 
 __all__ = [
     "CandidatePairs",
+    "block_seeds",
     "build_a_triples",
     "build_s_triples",
+    "check_s_triples",
     "ck_keep_mask",
     "find_candidate_pairs",
-    "find_candidate_pairs_semiring",
     "find_candidate_pairs_struct",
+    "orient_seeds",
     "pairs_from_block",
     "symmetrize_candidates",
 ]
@@ -107,10 +103,31 @@ def build_s_triples(
         cols = np.column_stack((part, sub_ids)).ravel()
         dists = np.column_stack((np.zeros_like(part), sub_dist)).ravel()
         if restrict_to is not None:
-            keep = _in_sorted(np.asarray(restrict_to, dtype=np.int64), cols)
+            keep = in_sorted(np.asarray(restrict_to, dtype=np.int64), cols)
             rows, cols, dists = rows[keep], cols[keep], dists[keep]
         parts.append((rows, cols, dists))
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
+def check_s_triples(s_triples, k: int) -> None:
+    """Raise a :class:`ValueError` naming the failed condition unless an
+    injected ``S`` is three equal-length 1-D integer arrays ``(kmer,
+    substitute, distance)``, both ids in ``[0, 24^k)`` and every distance
+    inside the seed pack — checked by the driver before any rank starts,
+    so it reads the same at every rank count."""
+    arrays = [np.asarray(x) for x in s_triples]
+    if len(arrays) != 3:
+        raise ValueError("s_triples: expected 3 arrays "
+                         "(kmer, substitute, distance)")
+    if any(x.ndim != 1 or (x.size and x.dtype.kind not in "iu")
+           for x in arrays):
+        raise ValueError("s_triples: each array must be 1-D of integers")
+    if len({len(x) for x in arrays}) != 1:
+        raise ValueError("s_triples: arrays of unequal length")
+    for name, ids in zip(("k-mer", "substitute"), arrays):
+        if ids.size and (ids.min() < 0 or ids.max() >= kmer_space_size(k)):
+            raise ValueError(f"s_triples: {name} id outside [0, 24^{k})")
+    check_seed_distances(arrays[2])
 
 
 # ---------------------------------------------------------------------------
@@ -118,16 +135,20 @@ def build_s_triples(
 # ---------------------------------------------------------------------------
 
 
-def ck_keep_mask(counts, t: int) -> np.ndarray:
+def ck_keep_mask(counts, t: int | None) -> np.ndarray:
     """The CK predicate (Section VI): keep pairs sharing *strictly more*
-    than ``t`` (substitute) k-mers; works on scalars and arrays.
+    than ``t`` (substitute) k-mers, everything when ``t`` is ``None``;
+    works on scalars and arrays.
 
-    This is the single definition of the ``>`` semantics;
-    :meth:`CandidatePairs.apply_ck_threshold` is its one caller, so the
-    boundary behaviour is the same at every rank count (a tested
-    invariant).
+    This is the single definition of the ``>`` semantics, read by
+    :func:`pairs_from_block` (the pipeline's CK site, every rank count)
+    and :meth:`CandidatePairs.apply_ck_threshold`, so the boundary
+    behaviour is the same everywhere (a tested invariant).
     """
-    return np.asarray(counts) > t
+    counts = np.asarray(counts)
+    if t is None:
+        return np.ones(counts.shape, dtype=bool)
+    return counts > t
 
 
 @dataclass
@@ -158,8 +179,9 @@ class CandidatePairs:
         )
 
     def apply_ck_threshold(self, t: int | None) -> "CandidatePairs":
-        """Drop pairs sharing ``t`` or fewer k-mers (the CK variant) — the
-        pipeline's one CK site, a filter on the count column."""
+        """Drop pairs sharing ``t`` or fewer k-mers (the CK variant), a
+        filter on the count column; a no-op on the survivors
+        :func:`find_candidate_pairs` returns for the same ``t``."""
         if t is None:
             return self
         return self.take(ck_keep_mask(self.counts, t))
@@ -183,15 +205,6 @@ class CandidatePairs:
         return self.take(np.lexsort((self.rj, self.ri)))
 
 
-def _in_sorted(sorted_arr: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Membership mask of ``values`` in a sorted array."""
-    if len(sorted_arr) == 0:
-        return np.zeros(len(values), dtype=bool)
-    pos = np.clip(np.searchsorted(sorted_arr, values), 0,
-                  len(sorted_arr) - 1)
-    return sorted_arr[pos] == values
-
-
 # ---------------------------------------------------------------------------
 # symmetrization of B
 # ---------------------------------------------------------------------------
@@ -199,93 +212,106 @@ def _in_sorted(sorted_arr: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 def symmetrize_candidates(
     b: COOMatrix,
-    row_offset: int = 0,
-    col_offset: int = 0,
-    mirror: COOMatrix | None = None,
-) -> COOMatrix:
-    """``B ∪ Bᵀ`` for :class:`~repro.core.semirings.CommonKmers` values,
-    with seed orientation corrected on the transposed copies.
+    row_offset: int,
+    col_offset: int,
+    mirror: COOMatrix,
+    return_winner: bool = False,
+):
+    """``B ∪ Bᵀ`` on shared counts: the merged block and, with
+    ``return_winner``, per merged entry the index of its winning directed
+    entry in ``b`` followed by ``mirror`` (``>= b.nnz``: the mirror won).
 
-    Where both directions produced an entry, the one with the larger shared
-    count wins; on ties the *forward* direction — the one whose substitutes
-    were expanded from the smaller global sequence id — wins, making the
-    result canonical regardless of evaluation order.  ``row_offset`` /
-    ``col_offset`` translate block-local coordinates to global ids for the
-    distributed pipeline (the tie-break needs global ids).
+    The direction with the larger shared count wins; on ties the
+    *forward* one — whose substitutes were expanded from the smaller
+    global sequence id — so the result is canonical whatever the
+    evaluation order.  ``row_offset`` / ``col_offset`` translate
+    block-local coordinates to global ids (the tie-break needs them).
+    ``mirror`` is the partner block at ``(col_offset, row_offset)``
+    *transposed into this block's index space*, so its entry at local
+    ``(r, c)`` is the directed value of global ``(col_offset + c,
+    row_offset + r)``, AS side ``col_offset + c`` (a square diagonal
+    block's mirror is its own transpose).
 
-    Off-diagonal-block contract
-    ---------------------------
-    The mirrored entries of an output block at global position
-    ``(row_offset, col_offset)`` live in the partner block at
-    ``(col_offset, row_offset)``; ``mirror`` must be that partner block
-    *transposed into this block's index space* (exactly what
-    :meth:`~repro.sparse.distmat.DistSparseMatrix.transpose` delivers).  Its
-    entry at local ``(r, c)`` is the un-flipped directed value of global
-    coordinate ``(col_offset + c, row_offset + r)``, so its AS side is
-    ``col_offset + c`` and its seeds are flipped here.  When ``mirror`` is
-    omitted it defaults to ``b.transpose()``, which is only the partner
-    block when ``b`` *is* its own mirror — a square diagonal block
-    (``row_offset == col_offset``); unequal offsets without an explicit
-    mirror raise :class:`ValueError` instead of silently merging entries
-    from the wrong coordinate space.
-
-    Values are struct-of-arrays records
-    (:data:`~repro.core.semirings.CK_DTYPE`) on the pipeline's path and
-    ``CommonKmers`` objects in the oracle
-    (:func:`find_candidate_pairs_semiring`), the same in ``b`` and
-    ``mirror``; the winner selection is one vectorized
-    :func:`~repro.sparse.coo.group_coords` either way, and the record path
-    touches no per-element Python at all.
+    Values are counts (the pipeline's ``B``) or
+    :data:`~repro.core.semirings.CK_DTYPE` records, the same in ``b`` and
+    ``mirror``; a mirror-won record's seeds are flipped to this block's
+    orientation.
     """
-    if mirror is None:
-        if row_offset != col_offset or b.nrows != b.ncols:
-            raise ValueError(
-                "off-diagonal block symmetrization needs the mirrored "
-                "partner block: pass mirror= (see the off-diagonal-block "
-                "contract in the docstring)"
-            )
-        mirror = b.transpose()
     if mirror.shape != b.shape:
         raise ValueError(
             f"mirror shape {mirror.shape} does not match block {b.shape}"
         )
     rows = np.concatenate((b.rows, mirror.rows))
     cols = np.concatenate((b.cols, mirror.cols))
+    vals = np.concatenate((b.vals, mirror.vals))
+    records = is_ck_records(vals)
+    counts = (vals["count"] if records else vals).astype(np.int64)
     # as_side = global id of the sequence whose substitutes were expanded
     # (the AS-side row of the original directed entry)
-    side = np.concatenate(
-        (b.rows + row_offset, mirror.cols + col_offset)
-    )
+    side = np.concatenate((b.rows + row_offset, mirror.cols + col_offset))
     # forward entries first: the stable sort makes them win full ties
     flag = np.concatenate(
         (np.zeros(b.nnz, dtype=np.int64), np.ones(mirror.nnz, dtype=np.int64))
     )
-
-    struct_path = is_ck_records(b.vals)
-    if struct_path:
-        vals = np.concatenate((b.vals, ck_flip_records(mirror.vals)))
-        counts = vals["count"]
-    else:
-        # mirrored values are flipped lazily — only the group winners pay
-        # the per-element flip; counts are read out as one column
-        vals = np.concatenate((b.vals, mirror.vals))
-        counts = np.fromiter(
-            (v.count for v in vals), dtype=np.int64, count=len(vals)
-        )
-    if len(rows) == 0:
-        return COOMatrix(b.nrows, b.ncols, rows, cols, vals)
-
     # per coordinate: count descending, AS side ascending, forward first —
     # the first entry of every (row, col) group is the canonical winner
-    order, winners, _, out_rows, out_cols = group_coords(
+    order, starts, _, out_rows, out_cols = group_coords(
         rows, cols, tiebreak=(flag, side, -counts)
     )
-    out_vals = np.take(vals, order[winners])
-    if not struct_path:
-        flagw = flag[order[winners]]
-        for t in np.flatnonzero(flagw):
-            out_vals[t] = out_vals[t].flip()
-    return COOMatrix(b.nrows, b.ncols, out_rows, out_cols, out_vals)
+    winner = order[starts]
+    if records:
+        out_vals = vals[winner]
+        out_vals["seeds"] = orient_seeds(out_vals["seeds"], winner >= b.nnz)
+    else:
+        out_vals = counts[winner]
+    merged = COOMatrix(b.nrows, b.ncols, out_rows, out_cols, out_vals)
+    return (merged, winner) if return_winner else merged
+
+
+# ---------------------------------------------------------------------------
+# seeds, after CK
+# ---------------------------------------------------------------------------
+
+
+def block_seeds(
+    left: COOMatrix,
+    right: COOMatrix,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    swap: np.ndarray,
+) -> np.ndarray:
+    """The packed seeds of the ``B`` entries ``(rows[e], cols[e])``: one
+    masked join of ``left`` (``A`` or ``AS``: positions or packed seed
+    hits) against ``right`` (``Aᵀ``: positions) on the k-mer id, keeping
+    each entry's ``MAX_SEEDS`` lowest.
+
+    Entry ``e`` packs its seeds as ``(pos_row, pos_col, distance)``, or
+    as ``(pos_col, pos_row, distance)`` where ``swap[e]`` — *before* the
+    cut, so the kept seeds are the lowest of that orientation.  Returns
+    an ``(len(rows), MAX_SEEDS)`` int64 array, ascending per row, padded
+    with :data:`~repro.core.semirings.CK_SEED_NONE`.
+    """
+    entry, hit, pos_col = masked_products(left, right, rows, cols)
+    # a position of A decodes as distance 0 (positions < SEED_ENCODE_SHIFT)
+    pos_row, dist = hit % SEED_ENCODE_SHIFT, hit // SEED_ENCODE_SHIFT
+    sw = np.asarray(swap, dtype=bool)[entry]
+    packed = pack_seeds(np.where(sw, pos_col, pos_row),
+                        np.where(sw, pos_row, pos_col), dist)
+    return lowest_seeds(entry, packed, len(rows))
+
+
+def orient_seeds(packed: np.ndarray, swap: np.ndarray) -> np.ndarray:
+    """Swap the two positions of every seed in the rows ``swap`` selects,
+    then restore ascending canonical order per row; sentinel slots stay
+    sentinels at the tail."""
+    valid = packed != CK_SEED_NONE
+    pos_row, pos_col, dist = (np.where(valid, x, 0)
+                              for x in unpack_seeds(packed))
+    flipped = np.where(valid, pack_seeds(pos_col, pos_row, dist),
+                       CK_SEED_NONE)
+    out = np.where(np.asarray(swap, dtype=bool)[:, None], flipped, packed)
+    out.sort(axis=1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -293,68 +319,44 @@ def symmetrize_candidates(
 # ---------------------------------------------------------------------------
 
 
-def _pairs_from_common_kmers(
-    n: int, ri: np.ndarray, rj: np.ndarray, vals: np.ndarray
-) -> CandidatePairs:
-    """Unpack ``B`` entries ``(ri, rj, vals)`` into :class:`CandidatePairs`;
-    values may be :class:`CommonKmers` objects or CK struct records."""
-    npairs = len(ri)
-    counts = np.empty(npairs, dtype=np.int64)
-    spos_i = np.full((npairs, MAX_SEEDS), -1, dtype=np.int64)
-    spos_j = np.full((npairs, MAX_SEEDS), -1, dtype=np.int64)
-    sdist = np.full((npairs, MAX_SEEDS), -1, dtype=np.int64)
-    if is_ck_records(vals):
-        counts[:] = vals["count"]
-        for s, f in enumerate(CK_SEED_FIELDS):
-            packed = vals[f]
-            has = packed != CK_SEED_NONE
-            pi, pj, dd = unpack_seeds(packed[has])
-            spos_i[has, s] = pi
-            spos_j[has, s] = pj
-            sdist[has, s] = dd
-    else:
-        for p, v in enumerate(vals):
-            assert isinstance(v, CommonKmers)
-            counts[p] = v.count
-            for s, (pi, pj, dd) in enumerate(v.seeds[:MAX_SEEDS]):
-                spos_i[p, s] = pi
-                spos_j[p, s] = pj
-                sdist[p, s] = dd
-    return CandidatePairs(n, ri, rj, counts, spos_i, spos_j, sdist)
-
-
 def pairs_from_block(
     n: int,
     block: COOMatrix,
+    seeds_of: Callable[[np.ndarray, np.ndarray], np.ndarray],
     row_offset: int = 0,
     col_offset: int = 0,
     owns_diagonal: bool = False,
-) -> CandidatePairs:
-    """The candidate pairs one block of the symmetric ``n x n`` ``B`` is
-    responsible for (Fig. 11) — the one ``B`` -> :class:`CandidatePairs`
-    step; the whole matrix is the block at offsets 0.
+    threshold: int | None = None,
+) -> tuple[CandidatePairs, int]:
+    """The CK survivors, with their seeds, among the candidate pairs one
+    block of the symmetric ``n x n`` count matrix ``B`` is responsible for
+    (Fig. 11), and the number of candidates before CK.
 
     Block ``(pi, pj)`` local ``(r, c)`` mirrors block ``(pj, pi)`` local
     ``(c, r)``, so ``r < c`` in every block, plus ``r == c`` in the blocks
     above the grid diagonal (``owns_diagonal``), covers every off-diagonal
-    pair exactly once.  The offsets translate to global ids, global
-    self-pairs are dropped, and a pair a below-diagonal block holds as
-    ``(hi, lo)`` becomes ``(lo, hi)`` by swapping its ids and its seed
-    position columns.  Entry order is kept: the graph bytes depend on it.
+    pair exactly once.  Global self-pairs are dropped, and a pair held as
+    ``(hi, lo)`` becomes ``(lo, hi)``: ``seeds_of(idx, swap)`` returns the
+    packed seeds of block entries ``idx`` in ``(lo, hi)`` orientation,
+    ``swap`` marking those held as ``(hi, lo)``.  Entry order is kept: the
+    graph bytes depend on it.
     """
-    gi = block.rows + row_offset
-    gj = block.cols + col_offset
-    keep = block.rows < block.cols
+    candidates = block.rows < block.cols
     if owns_diagonal:
-        keep |= block.rows == block.cols
-    keep &= gi != gj
-    pairs = _pairs_from_common_kmers(n, gi[keep], gj[keep], block.vals[keep])
-    swap = pairs.ri > pairs.rj
-    pairs.ri[swap], pairs.rj[swap] = pairs.rj[swap], pairs.ri[swap]
-    pairs.seed_pos_i[swap], pairs.seed_pos_j[swap] = (
-        pairs.seed_pos_j[swap], pairs.seed_pos_i[swap]
+        candidates |= block.rows == block.cols
+    candidates &= block.rows + row_offset != block.cols + col_offset
+    idx = np.flatnonzero(candidates & ck_keep_mask(block.vals, threshold))
+    gi = block.rows[idx] + row_offset
+    gj = block.cols[idx] + col_offset
+    swap = gi > gj
+    packed = seeds_of(idx, swap)
+    valid = packed != CK_SEED_NONE
+    pos_i, pos_j, dist = (np.where(valid, x, -1) for x in unpack_seeds(packed))
+    pairs = CandidatePairs(
+        n, np.where(swap, gj, gi), np.where(swap, gi, gj),
+        block.vals[idx].astype(np.int64), pos_i, pos_j, dist,
     )
-    return pairs
+    return pairs, int(np.count_nonzero(candidates))
 
 
 def find_candidate_pairs(
@@ -364,68 +366,23 @@ def find_candidate_pairs(
 ) -> CandidatePairs:
     """Overlap detection for a whole store: the pipeline's overlap stage
     (:func:`repro.core.distributed.block_pairs`) on one inline rank, whose
-    single block is all of ``B``, sorted by ``(i, j)``.
-
-    With ``config.substitutes == 0`` this is ``A Aᵀ``; otherwise
-    ``(A S) Aᵀ`` followed by the symmetrization merge (the direction with
-    the larger shared count wins, forward on ties), on the semirings of a
-    full run.  ``s_triples`` allows reusing a precomputed ``S``; a
-    distance outside the seed pack raises :class:`ValueError`.  Agrees
-    exactly with :func:`find_candidate_pairs_semiring` (a tested
-    invariant).
+    single block is all of ``B``.  Returns the pairs surviving
+    ``config.common_kmer_threshold`` (every candidate when it is ``None``)
+    with their seeds, sorted by ``(i, j)``.  ``s_triples`` allows reusing
+    a precomputed ``S`` (:func:`check_s_triples`).  Agrees exactly with
+    the tests' oracles (a tested invariant).
     """
     # deferred imports: core.distributed builds on this module
     from ..mpisim.backend import run_spmd
     from .distributed import store_pairs
 
     if s_triples is not None:
-        check_seed_distances(s_triples[2])
+        check_s_triples(s_triples, config.k)
     [pairs] = run_spmd(1, store_pairs, store, config, s_triples)
     return pairs.sort()
 
 
-# alias kept for benchmarks/e2e/probes.py, which resolves this name at call
-# time and is its only caller
+#: The record formulation's entry point (``benchmarks/e2e`` times it): a
+#: whole-store ``B`` is one diagonal block, whose records and counts give
+#: the same pairs and seeds, so it is :func:`find_candidate_pairs`.
 find_candidate_pairs_struct = find_candidate_pairs
-
-
-def find_candidate_pairs_semiring(
-    store: SequenceStore,
-    config: PastisConfig,
-    s_triples: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> CandidatePairs:
-    """Reference overlap detection through the object PASTIS semirings and
-    the scalar hash SpGEMM — slow, but a direct transcription of the
-    paper's matrix formulation, sharing no multiplier, communicator or
-    block layout with the pipeline.  No driver reaches it; the tests
-    validate :func:`find_candidate_pairs` and the full runs against it.
-    ``s_triples`` allows reusing a precomputed ``S``."""
-    rows, cols, pos = build_a_triples(store, config.k)
-    if config.substitutes and s_triples is None:
-        present = np.unique(cols)
-        s_triples = build_s_triples(
-            present, config.k, config.substitutes, config.scoring,
-            restrict_to=present,
-        )
-    s_rows, s_cols, s_dist = s_triples or (cols[:0],) * 3
-    # k-mer ids relabelled to dense indices over every id in play: CSR row
-    # pointers over the whole 24^k space would not fit
-    vocab = np.unique(np.concatenate((cols, s_rows, s_cols)))
-    nk = max(len(vocab), 1)
-
-    def csr(nrows, ncols, r, c, v) -> CSRMatrix:
-        return CSRMatrix.from_coo(COOMatrix(nrows, ncols, r, c, v))
-
-    a = csr(len(store), nk, rows, np.searchsorted(vocab, cols), pos)
-    at = a.transpose()
-    if config.substitutes == 0:
-        b = spgemm_hash(a, at, exact_overlap_semiring())
-    else:
-        s = csr(nk, nk, np.searchsorted(vocab, s_rows),
-                np.searchsorted(vocab, s_cols),
-                np.asarray(s_dist, dtype=np.int64))
-        a_s = CSRMatrix.from_coo(spgemm_hash(a, s, substitute_as_semiring()))
-        b = symmetrize_candidates(
-            spgemm_hash(a_s, at, substitute_overlap_semiring())
-        )
-    return pairs_from_block(len(store), b).sort()

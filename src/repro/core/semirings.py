@@ -1,53 +1,49 @@
-"""PASTIS's custom semirings (paper Sections IV-A and IV-C).
+"""PASTIS's AS semiring and the seed encodings (paper Sections IV-A,
+IV-C).
 
-Matrix values:
+``A[i, t]`` is the position of k-mer ``t`` in sequence ``i``; ``S[t, u]``
+the distance from k-mer ``t`` to its substitute ``u``; ``AS[i, u]`` the
+closest k-mer's seed hit ``(position, distance)`` packed into one int64
+(:func:`substitute_as_numeric_semiring`); ``B[i, j]`` the shared-k-mer
+count (:data:`repro.sparse.semiring.COUNTING`), all the CK filter reads.
+A surviving pair's up to :data:`MAX_SEEDS` seeds ``(pos_i, pos_j,
+distance)`` are joined after CK, each packed into an int64 whose integer
+order is the canonical seed order (:func:`pack_seeds`).  The paper's
+object formulation (``CommonKmers`` / ``SeedHit``) is the tests' oracle.
 
-* ``A[i, t]``   — starting position (int) of k-mer ``t`` in sequence ``i``;
-* ``S[t, u]``   — substitution distance (int) from k-mer ``t`` to its
-  substitute ``u`` (0 on the diagonal);
-* ``AS[i, u]``  — :class:`SeedHit` ``(position, distance)``: where the
-  closest k-mer of sequence ``i`` mapping to substitute ``u`` starts.  When
-  several k-mers of the sequence share the substitute, the *closest* one
-  (minimum distance) wins — the paper's AS semiring;
-* ``B[i, j]``   — :class:`CommonKmers`: the number of shared (substitute)
-  k-mers plus up to ``MAX_SEEDS`` seed pairs, each ``(pos_i, pos_j,
-  distance)``, kept in ascending distance.
+The one-pass formulation — every ``B`` entry a :data:`CK_DTYPE` record of
+count and seeds, folded by the SpGEMM itself — stays runnable on the same
+numeric SUMMA (:func:`exact_overlap_semiring`,
+:func:`substitute_overlap_encoded_semiring`) for the per-layer probes of
+``benchmarks/e2e``; the pipeline does not call it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from ..sparse.semiring import NumericSpec, Semiring, StructSpec
+from ..sparse.coo import stable_order
+from ..sparse.semiring import NumericSpec, Semiring
 
 __all__ = [
-    "SeedHit",
-    "CommonKmers",
     "MAX_SEEDS",
     "SEED_ENCODE_SHIFT",
-    "CK_DTYPE",
     "CK_DIST_LIMIT",
-    "CK_SEED_FIELDS",
     "CK_SEED_LIMIT",
     "CK_SEED_NONE",
     "check_seed_distances",
-    "encode_seed_hits",
     "pack_seeds",
     "unpack_seeds",
-    "is_ck_records",
-    "common_kmers_to_records",
-    "records_to_common_kmers",
-    "ck_flip_records",
-    "ck_merge_records",
-    "ck_struct_spec",
-    "exact_overlap_semiring",
-    "substitute_as_semiring",
+    "lowest_seeds",
     "substitute_as_numeric_semiring",
-    "substitute_overlap_semiring",
+    "CK_DTYPE",
+    "CommonKmerRecord",
+    "exact_overlap_semiring",
     "substitute_overlap_encoded_semiring",
-    "merge_common_kmers",
+    "is_ck_records",
+    "records_to_common_kmers",
 ]
 
 #: "Currently, a maximum of two shared k-mer locations per sequence pair are
@@ -55,121 +51,30 @@ __all__ = [
 MAX_SEEDS = 2
 
 
-@dataclass(frozen=True)
-class SeedHit:
-    """An ``AS`` value: seed position on the sequence plus the substitution
-    distance of the k-mer that produced it."""
-
-    position: int
-    distance: int
-
-
-@dataclass(frozen=True)
-class CommonKmers:
-    """A ``B`` value: shared-k-mer count and up to ``MAX_SEEDS`` seed pairs
-    ``(pos_row, pos_col, distance)``.
-
-    Seeds are kept in the canonical order ``(distance, pos_row, pos_col)``
-    ascending; because the order is total and consistent, incremental
-    merging retains exactly the global top-``MAX_SEEDS`` — which makes the
-    pipeline output independent of accumulation order (and hence of the
-    process count, the paper's reproducibility claim)."""
-
-    count: int
-    seeds: tuple[tuple[int, int, int], ...]
-
-    def merge(self, other: "CommonKmers") -> "CommonKmers":
-        seeds = sorted(
-            self.seeds + other.seeds, key=lambda s: (s[2], s[0], s[1])
-        )
-        return CommonKmers(
-            count=self.count + other.count,
-            seeds=tuple(seeds[:MAX_SEEDS]),
-        )
-
-    def flip(self) -> "CommonKmers":
-        """Orientation for the transposed coordinate: swap the row/column
-        roles of every seed (needed whenever ``Bᵀ`` values are reused)."""
-        seeds = sorted(
-            ((pj, pi, d) for (pi, pj, d) in self.seeds),
-            key=lambda s: (s[2], s[0], s[1]),
-        )
-        return CommonKmers(count=self.count, seeds=tuple(seeds))
-
-
-def merge_common_kmers(a: CommonKmers, b: CommonKmers) -> CommonKmers:
-    """Semiring add for ``B``."""
-    return a.merge(b)
-
-
-def exact_overlap_semiring() -> Semiring:
-    """``B = A Aᵀ`` (Fig. 4): multiply pairs the two seed positions of the
-    shared k-mer (distance 0); add accumulates count and best seeds."""
-
-    def mul(pos_r, pos_c) -> CommonKmers:
-        return CommonKmers(1, ((int(pos_r), int(pos_c), 0),))
-
-    return Semiring(
-        "pastis_exact_overlap", merge_common_kmers, mul,
-        struct=ck_struct_spec(encoded=False),
-    )
-
-
-def substitute_as_semiring() -> Semiring:
-    """``AS`` (Section IV-C): multiply attaches the substitution distance to
-    the seed position; add keeps the closest k-mer when a substitute is
-    reachable from several k-mers of the same sequence."""
-
-    def mul(pos, dist) -> SeedHit:
-        return SeedHit(int(pos), int(dist))
-
-    def add(x: SeedHit, y: SeedHit) -> SeedHit:
-        if (y.distance, y.position) < (x.distance, x.position):
-            return y
-        return x
-
-    return Semiring("pastis_as", add, mul)
-
-
-def substitute_overlap_semiring() -> Semiring:
-    """``(A S) Aᵀ``: multiply combines a :class:`SeedHit` from ``AS`` with
-    the exact position from ``Aᵀ``; add is the same count/seed merge."""
-
-    def mul(hit: SeedHit, pos_c) -> CommonKmers:
-        return CommonKmers(1, ((hit.position, int(pos_c), hit.distance),))
-
-    return Semiring("pastis_substitute_overlap", merge_common_kmers, mul)
-
-
 # ---------------------------------------------------------------------------
-# numeric twins: SeedHit packed into int64
+# AS: seed hits packed into int64
 # ---------------------------------------------------------------------------
 
-#: A :class:`SeedHit` packs into one int64 as ``distance * SHIFT +
-#: position``; because ``0 <= position < SHIFT``, integer ``min`` over the
-#: encoding realises exactly the lexicographic ``(distance, position)`` min
-#: of the AS semiring's add — which is what lets the AS stage run on the
-#: vectorized numeric SpGEMM path.  ``%`` and floor ``//`` decode signed
-#: distances (an ambiguity code's expense can be negative).
+#: A seed hit ``(position, distance)`` packs into one int64 as ``distance *
+#: SHIFT + position``; because ``0 <= position < SHIFT``, integer ``min``
+#: over the encoding realises exactly the lexicographic ``(distance,
+#: position)`` min of the AS semiring's add — which is what lets the AS
+#: stage run on the vectorized numeric SpGEMM path.  ``%`` and floor
+#: ``//`` decode signed distances (an ambiguity code's expense can be
+#: negative), and decode a bare position of ``A`` as distance 0.
 SEED_ENCODE_SHIFT = np.int64(1) << 32
 
 
-def encode_seed_hits(positions, distances):
-    """Pack ``(position, distance)`` pairs (scalars or arrays) into int64."""
-    return (
-        np.asarray(distances, dtype=np.int64) * SEED_ENCODE_SHIFT
-        + np.asarray(positions, dtype=np.int64)
-    )
-
-
 def substitute_as_numeric_semiring() -> Semiring:
-    """Numeric twin of :func:`substitute_as_semiring`.
+    """``AS`` (Section IV-C) on packed seed hits.
 
     ``A`` holds int positions and ``S`` int distances, so the whole ``AS``
-    stage fits a numeric semiring once the :class:`SeedHit` is packed into
-    int64 (see :data:`SEED_ENCODE_SHIFT`): multiply encodes, add is integer
-    min.  The same callables serve scalars and arrays, so the generic and
-    vectorized kernels share one definition and cannot drift.
+    stage fits a numeric semiring once the hit is packed into int64 (see
+    :data:`SEED_ENCODE_SHIFT`): multiply encodes, add is integer min — the
+    closest k-mer wins when a substitute is reachable from several k-mers
+    of the same sequence.  The same callables serve scalars and arrays, so
+    the generic and vectorized kernels share one definition and cannot
+    drift.
     """
 
     def mul(pos, dist):
@@ -184,36 +89,17 @@ def substitute_as_numeric_semiring() -> Semiring:
     )
 
 
-def substitute_overlap_encoded_semiring() -> Semiring:
-    """``(A S) Aᵀ`` when ``AS`` carries int64-encoded seed hits instead of
-    :class:`SeedHit` objects; output values are :class:`CommonKmers` as in
-    :func:`substitute_overlap_semiring`."""
-
-    def mul(enc, pos_c) -> CommonKmers:
-        return CommonKmers(
-            1,
-            ((int(enc % SEED_ENCODE_SHIFT), int(pos_c),
-              int(enc // SEED_ENCODE_SHIFT)),),
-        )
-
-    return Semiring(
-        "pastis_substitute_overlap_encoded", merge_common_kmers, mul,
-        struct=ck_struct_spec(encoded=True),
-    )
-
-
 # ---------------------------------------------------------------------------
-# struct twins: CommonKmers as struct-of-arrays record columns
+# B's seeds: (pos_row, pos_col, distance) packed into int64
 # ---------------------------------------------------------------------------
 
-#: A ``B``-stage seed ``(pos_row, pos_col, distance)`` packs into one int64
-#: as ``(distance * LIMIT + pos_row) * LIMIT + pos_col``, so integer order
-#: over the packing equals the canonical CommonKmers seed order
-#: ``(distance, pos_row, pos_col)``, negative distances included.  Positions
-#: lie in ``[0, CK_SEED_LIMIT)`` and ``|distance|`` below
-#: :data:`CK_DIST_LIMIT` for every input the pipeline accepts (the store
-#: bounds sequence lengths, the config k-mer expenses), so the pack is
-#: total.
+#: A seed ``(pos_row, pos_col, distance)`` packs into one int64 as
+#: ``(distance * LIMIT + pos_row) * LIMIT + pos_col``, so integer order over
+#: the packing equals the canonical seed order ``(distance, pos_row,
+#: pos_col)``, negative distances included.  Positions lie in ``[0,
+#: CK_SEED_LIMIT)`` and ``|distance|`` below :data:`CK_DIST_LIMIT` for every
+#: input the pipeline accepts (the store bounds sequence lengths, the config
+#: k-mer expenses, the driver an injected ``S``), so the pack is total.
 CK_SEED_LIMIT = np.int64(1) << 21
 
 #: Distance bound of the seed pack: one below :data:`CK_SEED_LIMIT`, so
@@ -225,13 +111,6 @@ CK_DIST_LIMIT = CK_SEED_LIMIT - 1
 #: and empty slots stay at the tail under ``np.sort``.  The distance bound
 #: above reserves this value: no real seed packs to it.
 CK_SEED_NONE = np.int64(np.iinfo(np.int64).max)
-
-#: Record columns of a struct-valued ``B``: the shared-k-mer count plus the
-#: top-``MAX_SEEDS`` packed seeds in ascending canonical order.
-CK_SEED_FIELDS = tuple(f"seed{s + 1}" for s in range(MAX_SEEDS))
-CK_DTYPE = np.dtype(
-    [("count", np.int64)] + [(f, np.int64) for f in CK_SEED_FIELDS]
-)
 
 
 def check_seed_distances(dist) -> None:
@@ -272,136 +151,126 @@ def unpack_seeds(packed):
     )
 
 
+def lowest_seeds(group: np.ndarray, packed: np.ndarray,
+                 ngroups: int) -> np.ndarray:
+    """The :data:`MAX_SEEDS` lowest packed seeds of each group ``g`` in
+    ``range(ngroups)`` (``packed[e]`` belongs to ``group[e]``), as an
+    ``(ngroups, MAX_SEEDS)`` array, ascending per row, padded with
+    :data:`CK_SEED_NONE`."""
+    order = stable_order((packed, group))
+    group, packed = group[order], packed[order]
+    # rank of each seed within its group's ascending run
+    rank = np.arange(len(group)) - np.searchsorted(group, group)
+    top = rank < MAX_SEEDS
+    out = np.full((ngroups, MAX_SEEDS), CK_SEED_NONE, dtype=np.int64)
+    out[group[top], rank[top]] = packed[top]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# B as records: count and seeds folded by the SpGEMM itself
+# ---------------------------------------------------------------------------
+
+#: One ``B`` entry as a record: the shared-k-mer count and the entry's
+#: :data:`MAX_SEEDS` lowest packed seeds, ascending, padded with
+#: :data:`CK_SEED_NONE`.  The pipeline never builds it — its ``B`` is a
+#: count and seeds come after CK — but the record semirings below keep
+#: the one-pass formulation (every ``B`` entry carries its seeds through
+#: the SUMMA) runnable for the per-layer probes of ``benchmarks/e2e``.
+CK_DTYPE = np.dtype([("count", np.int64), ("seeds", np.int64, (MAX_SEEDS,))])
+
+
+class CommonKmerRecord(NamedTuple):
+    """One decoded record: the count and its ``(pos_row, pos_col,
+    distance)`` seeds in canonical order."""
+
+    count: int
+    seeds: tuple[tuple[int, int, int], ...]
+
+
+class _RecordFold:
+    """The records' ``add`` in ufunc form: ``reduceat`` sums each group's
+    counts and keeps its :data:`MAX_SEEDS` lowest seeds."""
+
+    @staticmethod
+    def reduceat(records: np.ndarray, starts) -> np.ndarray:
+        starts = np.asarray(starts, dtype=np.int64)
+        out = np.empty(len(starts), dtype=CK_DTYPE)
+        if len(starts) == 0:
+            return out
+        out["count"] = np.add.reduceat(records["count"], starts)
+        sizes = np.diff(np.append(starts, len(records)))
+        group = np.repeat(np.arange(len(starts)), sizes * MAX_SEEDS)
+        out["seeds"] = lowest_seeds(group, records["seeds"].ravel(),
+                                    len(starts))
+        return out
+
+
+class _RecordSpec(NumericSpec):
+    """The record semirings' numeric spec: it covers integer operands
+    (the multiply: positions, packed seed hits) or record operands (the
+    fold), nothing else — a float or bool operand is a
+    :class:`~repro.sparse.semiring.NoKernelError`, never a truncation."""
+
+    def compatible(self, *dtypes) -> bool:
+        dts = {np.dtype(dt) for dt in dtypes}
+        return dts == {CK_DTYPE} or all(dt.kind in "iu" for dt in dts)
+
+
+def _seed_records(hit, pos_col) -> np.ndarray:
+    """One record per partial product: count 1 and the seed ``(hit
+    position, pos_col, hit distance)`` — a bare position of ``A`` decodes
+    as distance 0, so one multiply serves ``A Aᵀ`` and ``(AS) Aᵀ``."""
+    hit = np.asarray(hit, dtype=np.int64)
+    out = np.empty(hit.shape, dtype=CK_DTYPE)
+    out["count"] = 1
+    out["seeds"] = CK_SEED_NONE
+    out["seeds"][..., 0] = pack_seeds(
+        hit % SEED_ENCODE_SHIFT, pos_col, hit // SEED_ENCODE_SHIFT
+    )
+    return out
+
+
+def _add_records(x, y):
+    return _RecordFold.reduceat(np.stack((x, y)), [0])[0]
+
+
+def _record_semiring(name: str) -> Semiring:
+    return Semiring(
+        name, _add_records, _seed_records,
+        numeric=_RecordSpec(CK_DTYPE, _RecordFold(), _seed_records),
+    )
+
+
+def exact_overlap_semiring() -> Semiring:
+    """``B = A Aᵀ`` (Fig. 4) on :data:`CK_DTYPE` records: multiply pairs
+    the two positions of a shared k-mer (distance 0), add sums counts and
+    keeps the lowest seeds."""
+    return _record_semiring("pastis_exact_overlap")
+
+
+def substitute_overlap_encoded_semiring() -> Semiring:
+    """``(AS) Aᵀ`` (Section IV-C) on :data:`CK_DTYPE` records, ``AS``
+    holding packed seed hits (:func:`substitute_as_numeric_semiring`);
+    seeds in AS-side orientation."""
+    return _record_semiring("pastis_substitute_overlap")
+
+
 def is_ck_records(arr) -> bool:
-    """Whether a value array holds struct-of-arrays CommonKmers records."""
+    """Whether a value array holds :data:`CK_DTYPE` records."""
     return getattr(arr, "dtype", None) == CK_DTYPE
 
 
-def _ck_blank(n: int) -> np.ndarray:
-    rec = np.empty(n, dtype=CK_DTYPE)
-    rec["count"] = 1
-    for f in CK_SEED_FIELDS[1:]:
-        rec[f] = CK_SEED_NONE
-    return rec
-
-
-def _ck_expand_exact(pos_r: np.ndarray, pos_c: np.ndarray) -> np.ndarray:
-    """One record per exact partial product: count 1, one seed at
-    distance 0."""
-    rec = _ck_blank(len(pos_r))
-    rec["seed1"] = pack_seeds(pos_r, pos_c, np.zeros(len(pos_r), np.int64))
-    return rec
-
-
-def _ck_expand_encoded(enc: np.ndarray, pos_c: np.ndarray) -> np.ndarray:
-    """One record per ``(AS) Aᵀ`` partial product: the AS value is an
-    int64-encoded :class:`SeedHit` (see :data:`SEED_ENCODE_SHIFT`)."""
-    enc = np.asarray(enc, dtype=np.int64)
-    rec = _ck_blank(len(enc))
-    rec["seed1"] = pack_seeds(
-        enc % SEED_ENCODE_SHIFT, pos_c, enc // SEED_ENCODE_SHIFT
-    )
-    return rec
-
-
-def _ck_sort_key(records: np.ndarray) -> np.ndarray:
-    # expanded records carry their single seed in ``seed1``; sorting by it
-    # realises the canonical (distance, pos_row, pos_col) group order
-    return records["seed1"]
-
-
-def _ck_reduce(records: np.ndarray, starts: np.ndarray,
-               sizes: np.ndarray) -> np.ndarray:
-    """Fold groups of expanded records (sorted by ``seed1`` within each
-    group): count = group size, seeds = the ``MAX_SEEDS`` lowest."""
-    out = np.empty(len(starts), dtype=CK_DTYPE)
-    out["count"] = np.add.reduceat(records["count"], starts)
-    for s, f in enumerate(CK_SEED_FIELDS):
-        col = np.full(len(starts), CK_SEED_NONE, dtype=np.int64)
-        has = sizes > s
-        col[has] = records["seed1"][starts[has] + s]
-        out[f] = col
-    return out
-
-
-def ck_merge_records(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Elementwise :meth:`CommonKmers.merge` on aligned record arrays:
-    counts add, seeds are the ``MAX_SEEDS`` lowest of the union (sentinels
-    sort last, so unused slots never displace real seeds)."""
-    out = np.empty(len(x), dtype=CK_DTYPE)
-    out["count"] = x["count"] + y["count"]
-    stacked = np.stack(
-        [x[f] for f in CK_SEED_FIELDS] + [y[f] for f in CK_SEED_FIELDS],
-        axis=1,
-    )
-    stacked.sort(axis=1)
-    for s, f in enumerate(CK_SEED_FIELDS):
-        out[f] = stacked[:, s]
-    return out
-
-
-def ck_flip_records(records: np.ndarray) -> np.ndarray:
-    """Vectorized :meth:`CommonKmers.flip`: swap the row/column role of
-    every seed, then restore ascending canonical order."""
-    cols = []
-    for f in CK_SEED_FIELDS:
-        packed = records[f]
-        valid = packed != CK_SEED_NONE
-        pr, pc, d = unpack_seeds(packed)
-        # sentinel lanes decode to garbage outside the packable range;
-        # zero them before repacking, then restore the sentinel
-        pr, pc, d = (np.where(valid, x, 0) for x in (pr, pc, d))
-        cols.append(np.where(valid, pack_seeds(pc, pr, d), CK_SEED_NONE))
-    stacked = np.stack(cols, axis=1)
-    stacked.sort(axis=1)
-    out = np.empty(len(records), dtype=CK_DTYPE)
-    out["count"] = records["count"]
-    for s, f in enumerate(CK_SEED_FIELDS):
-        out[f] = stacked[:, s]
-    return out
-
-
-def records_to_common_kmers(records: np.ndarray) -> np.ndarray:
-    """Record array -> ``dtype=object`` array of :class:`CommonKmers`."""
-    out = np.empty(len(records), dtype=object)
-    seed_cols = [records[f] for f in CK_SEED_FIELDS]
-    for i in range(len(records)):
-        seeds = []
-        for col in seed_cols:
-            packed = int(col[i])
-            if packed == int(CK_SEED_NONE):
-                break
-            pr, pc, d = unpack_seeds(packed)
-            seeds.append((int(pr), int(pc), int(d)))
-        out[i] = CommonKmers(int(records["count"][i]), tuple(seeds))
-    return out
-
-
-def common_kmers_to_records(values) -> np.ndarray:
-    """``dtype=object`` array (or sequence) of :class:`CommonKmers` ->
-    record array."""
-    values = list(values)
-    out = np.empty(len(values), dtype=CK_DTYPE)
-    for i, v in enumerate(values):
-        out["count"][i] = v.count
-        for s, f in enumerate(CK_SEED_FIELDS):
-            if s < len(v.seeds):
-                pr, pc, d = v.seeds[s]
-                out[f][i] = pack_seeds(pr, pc, d)
-            else:
-                out[f][i] = CK_SEED_NONE
-    return out
-
-
-def ck_struct_spec(encoded: bool) -> StructSpec:
-    """The :class:`~repro.sparse.semiring.StructSpec` of the ``B``-stage
-    semirings: ``encoded=True`` for ``(AS) Aᵀ`` (left values are packed
-    seed hits), ``False`` for exact ``A Aᵀ`` (left values are positions)."""
-    return StructSpec(
-        dtype=CK_DTYPE,
-        expand=_ck_expand_encoded if encoded else _ck_expand_exact,
-        reduce=_ck_reduce,
-        merge=ck_merge_records,
-        sort_key=_ck_sort_key,
-        operand_dtype=np.int64,
-    )
+def records_to_common_kmers(records: np.ndarray) -> list[CommonKmerRecord]:
+    """Decode :data:`CK_DTYPE` records, sentinel slots dropped."""
+    seeds = records["seeds"]
+    pos_row, pos_col, dist = (x.tolist() for x in unpack_seeds(seeds))
+    valid = (seeds != CK_SEED_NONE).tolist()
+    return [
+        CommonKmerRecord(count, tuple(
+            (r, c, d) for r, c, d, v in zip(rs, cs, ds, vs) if v
+        ))
+        for count, rs, cs, ds, vs in zip(
+            records["count"].tolist(), pos_row, pos_col, dist, valid
+        )
+    ]

@@ -90,6 +90,17 @@ class ProcessGrid:
             raise ValueError("grid coordinates out of range")
         return row * self.q + col
 
+    def swap_across_diagonal(self, payload):
+        """Exchange ``payload`` with the rank at the mirrored grid
+        coordinates ``(col, row)`` and return the partner's; a rank on the
+        grid diagonal is its own partner.  Collective over the grid: the
+        one pairwise exchange of a distributed transpose."""
+        partner = self.rank_of(self.col, self.row)
+        if partner == self.comm.rank:
+            return payload
+        self.comm.send(payload, dest=partner, tag=71)
+        return self.comm.recv(source=partner, tag=71)
+
     def row_block(self, n: int) -> tuple[int, int]:
         """This rank's row range of an ``n``-row distributed matrix."""
         return block_ranges(n, self.q)[self.row]

@@ -7,17 +7,13 @@ from .distmat import DistSparseMatrix
 from .ops import elementwise_add
 from .semiring import (
     ARITHMETIC,
-    BOOLEAN,
     COUNTING,
-    MAX_MIN,
-    MAX_TIMES,
-    MIN_PLUS,
     NoKernelError,
     NumericSpec,
     Semiring,
 )
 from .spgemm import spgemm_coo, spgemm_hash
-from .summa import summa
+from .summa import summa, summa_with_panels
 
 __all__ = [
     "COOMatrix",
@@ -25,15 +21,12 @@ __all__ = [
     "DistSparseMatrix",
     "elementwise_add",
     "ARITHMETIC",
-    "BOOLEAN",
     "COUNTING",
-    "MAX_MIN",
-    "MAX_TIMES",
-    "MIN_PLUS",
     "NoKernelError",
     "NumericSpec",
     "Semiring",
     "spgemm_coo",
     "spgemm_hash",
     "summa",
+    "summa_with_panels",
 ]

@@ -16,7 +16,9 @@ from typing import Any, Callable, Iterator
 
 import numpy as np
 
-__all__ = ["COOMatrix", "group_coords", "sorted_unique", "stable_order"]
+__all__ = [
+    "COOMatrix", "group_coords", "in_sorted", "sorted_unique", "stable_order",
+]
 
 
 def _as_values(vals: Any, n: int) -> np.ndarray:
@@ -85,8 +87,8 @@ def group_coords(
     The sort is one :func:`stable_order` over ``(*tiebreak, cols, rows)``,
     so it costs a radix pass per 16 bits of each key's span whatever the
     matrix shape.  This is the one shared group-by under the SpGEMM
-    accumulators, the struct record merge, the symmetrization winner
-    selection and the k-mer extraction of ``A``.
+    accumulator, the symmetrization winner selection and the k-mer
+    extraction of ``A``.
     """
     order = stable_order((*tiebreak, cols, rows))
     r, c = rows[order], cols[order]
@@ -106,8 +108,18 @@ def sorted_unique(values) -> np.ndarray:
     return s[keep]
 
 
+def in_sorted(sorted_keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Membership mask of ``values`` in an ascending key array, by binary
+    search."""
+    if len(sorted_keys) == 0:
+        return np.zeros(len(values), dtype=bool)
+    at = np.minimum(np.searchsorted(sorted_keys, values),
+                    len(sorted_keys) - 1)
+    return sorted_keys[at] == values
+
+
 def _reduce_sorted_coords(
-    rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, add: np.ufunc
+    rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, add
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fold consecutive equal ``(row, col)`` groups of an already-sorted
     triple stream with ``add.reduceat``; returns the deduplicated triples.
@@ -216,14 +228,15 @@ class COOMatrix:
     def sum_duplicates(self, add: Callable[[Any, Any], Any]) -> "COOMatrix":
         """Fold duplicate coordinates with the semiring ``add``.
 
-        When ``add`` is a binary ufunc and the values are typed (not
+        When ``add`` has a ufunc's ``reduceat`` (a binary ufunc, or a
+        numeric spec's record fold) and the values are typed (not
         ``object``), the fold is vectorized with ``reduceat`` over the
         stable ``(row, col)`` sort — the same left-to-right order the
         generic loop uses, so results are identical.
         """
         if self.nnz == 0:
             return self.copy()
-        if isinstance(add, np.ufunc) and self.vals.dtype != object:
+        if hasattr(add, "reduceat") and self.vals.dtype != object:
             m = self.sort()
             return COOMatrix(
                 self.nrows, self.ncols,

@@ -119,16 +119,11 @@ class DistSparseMatrix:
         """Distributed transpose: block ``(i, j)`` of ``Aᵀ`` is the local
         transpose of block ``(j, i)`` of ``A`` — one pairwise exchange
         across the grid diagonal (the paper's "tr. A" component)."""
-        grid = self.grid
-        partner = grid.rank_of(grid.col, grid.row)
         t = self.local.transpose()
-        payload = (t.rows, t.cols, t.vals, t.nrows, t.ncols)
-        if partner == grid.comm.rank:
-            recv = payload
-        else:
-            grid.comm.send(payload, dest=partner, tag=71)
-            recv = grid.comm.recv(source=partner, tag=71)
+        recv = self.grid.swap_across_diagonal(
+            (t.rows, t.cols, t.vals, t.nrows, t.ncols)
+        )
         local = COOMatrix(recv[3], recv[4], recv[0], recv[1], recv[2])
         return DistSparseMatrix(
-            grid=grid, nrows=self.ncols, ncols=self.nrows, local=local
+            grid=self.grid, nrows=self.ncols, ncols=self.nrows, local=local
         )

@@ -5,19 +5,19 @@ One scalar reference and one vectorized dispatcher:
 * :func:`spgemm_hash` — Gustavson's algorithm with a per-output-row dict
   accumulator and per-element Python ``add``/``multiply``.  Slow and
   literal; every other path is validated against it.
-* :func:`spgemm_coo` — the dispatcher, a sort-merge join on COO operands
-  that never allocates anything proportional to a matrix dimension.  It
-  has two rungs: the semiring's
-  :class:`~repro.sparse.semiring.NumericSpec` (vectorized multiply +
-  ``ufunc.reduceat``), then its :class:`~repro.sparse.semiring.StructSpec`
-  (multi-column record values, e.g. PASTIS's ``CommonKmers``).  Both share
-  one expansion prologue and differ only in how they multiply and fold the
-  partial-product stream; a product neither covers raises
+* :func:`spgemm_coo` — the vectorized kernel, a sort-merge join on COO
+  operands that never allocates anything proportional to a matrix
+  dimension: the semiring's :class:`~repro.sparse.semiring.NumericSpec`
+  multiplies and ``ufunc.reduceat`` folds the partial-product stream; a
+  product the spec does not cover raises
   :class:`~repro.sparse.semiring.NoKernelError`.
+* :func:`masked_products` — the same join restricted to a given set of
+  output coordinates (a masked SpGEMM): the partial products themselves,
+  unfolded, for a caller that reduces them its own way.
 
-Both are generic over :class:`~repro.sparse.semiring.Semiring` and return a
-duplicate-free :class:`~repro.sparse.coo.COOMatrix`.  Every formulation
-folds the partial products of one output coordinate in the same
+The two kernels are generic over :class:`~repro.sparse.semiring.Semiring`
+and return a duplicate-free :class:`~repro.sparse.coo.COOMatrix`.  Both
+fold the partial products of one output coordinate in the same
 deterministic order (ascending inner index ``k``), so their results are
 identical — bitwise, even for floating-point values.
 """
@@ -28,7 +28,13 @@ from typing import Any
 
 import numpy as np
 
-from .coo import COOMatrix, group_coords, stable_order
+from .coo import (
+    COOMatrix,
+    group_coords,
+    in_sorted,
+    sorted_unique,
+    stable_order,
+)
 from .csr import CSRMatrix
 from .semiring import ARITHMETIC, NoKernelError, Semiring
 
@@ -36,6 +42,7 @@ __all__ = [
     "spgemm_hash",
     "spgemm_coo",
     "join_cartesian",
+    "masked_products",
     "result_dtype",
 ]
 
@@ -83,7 +90,7 @@ def spgemm_hash(
 
 
 # ---------------------------------------------------------------------------
-# the vectorized sort-merge join (shared by both rungs)
+# the vectorized sort-merge join
 # ---------------------------------------------------------------------------
 
 
@@ -148,57 +155,18 @@ def _expand_coo(
     return a.rows[ai], b.cols[bi], a.vals[ai], b.vals[bi]
 
 
-def _rung(semiring: Semiring, *operand_dtypes):
-    """``(fold, value dtype)`` of the rung that runs a product of operands
-    with the given value dtypes: the numeric spec when it covers them,
-    then the struct spec; :class:`NoKernelError` when neither does."""
-    spec = semiring.numeric
-    if spec is not None and spec.compatible(*operand_dtypes):
-        return _fold_numeric, spec.dtype
-    sspec = semiring.struct
-    if sspec is not None and sspec.compatible(*operand_dtypes):
-        return _fold_struct, sspec.dtype
-    raise NoKernelError(
-        f"semiring {semiring.name!r} has no spec covering operand value "
-        f"dtypes {' x '.join(str(np.dtype(d)) for d in operand_dtypes)}"
-    )
-
-
 def result_dtype(semiring: Semiring, *operand_dtypes) -> Any:
-    """The value dtype a product of the given operands carries, empty
-    ones included (an int64 empty from an idle rank would knock every
-    later concatenation off the record path)."""
-    return _rung(semiring, *operand_dtypes)[1]
-
-
-def _fold_numeric(nrows, ncols, rows, cols, a_vals, b_vals,
-                  semiring: Semiring) -> COOMatrix:
-    """Numeric rung: vectorized ``multiply``, then the shared
-    :func:`~repro.sparse.coo.group_coords` sort and ``add.reduceat`` per
-    group — the vectorized equivalent of sequential accumulation in stream
-    order.  No per-element Python dispatch anywhere."""
+    """The value dtype a product of operands with the given value dtypes
+    carries, empty ones included; :class:`NoKernelError` when the
+    semiring's numeric spec does not cover them."""
     spec = semiring.numeric
-    vals = np.asarray(spec.multiply(a_vals, b_vals))
-    order, starts, _, out_rows, out_cols = group_coords(rows, cols)
-    return COOMatrix(nrows, ncols, out_rows, out_cols,
-                     spec.add.reduceat(vals[order], starts))
-
-
-def _fold_struct(nrows, ncols, rows, cols, a_vals, b_vals,
-                 semiring: Semiring) -> COOMatrix:
-    """Struct rung: one record per partial product (``expand``), grouped
-    by output coordinate with the spec's ``sort_key`` as the within-group
-    tiebreak so the vectorized ``reduce`` sees every group in its
-    canonical accumulation order."""
-    spec = semiring.struct
-    records = spec.expand(a_vals, b_vals)
-    order, starts, sizes, out_rows, out_cols = group_coords(
-        rows, cols, tiebreak=(spec.sort_key(records),)
-    )
-    # np.take, not records[order]: fancy indexing copies structured
-    # records several times slower
-    return COOMatrix(nrows, ncols, out_rows, out_cols,
-                     spec.reduce(np.take(records, order), starts, sizes))
+    if spec is None or not spec.compatible(*operand_dtypes):
+        raise NoKernelError(
+            f"semiring {semiring.name!r} has no spec covering operand "
+            f"value dtypes "
+            f"{' x '.join(str(np.dtype(d)) for d in operand_dtypes)}"
+        )
+    return spec.dtype
 
 
 def spgemm_coo(
@@ -209,18 +177,56 @@ def spgemm_coo(
     Never allocates anything proportional to a matrix *dimension* — only to
     the nonzero counts — so it is safe for hypersparse blocks whose inner
     dimension is the 24^k k-mer space (what CombBLAS stores as DCSC).
-    Every SUMMA stage of the overlap runs it, at every rank count.  Two
-    rungs, chosen by the operand value dtypes alone: the numeric spec when
-    it covers them, then the struct spec; a product neither covers raises
+    Every SUMMA stage of the overlap runs it, at every rank count.  The
+    verdict comes from the operand value dtypes alone: a product the
+    numeric spec does not cover raises
     :class:`~repro.sparse.semiring.NoKernelError` — for empty operands
-    too, so the verdict never depends on which block a rank holds.
+    too, so it never depends on which block a rank holds.  Otherwise a
+    vectorized ``multiply``, then the shared
+    :func:`~repro.sparse.coo.group_coords` sort and ``add.reduceat`` per
+    group — sequential accumulation in stream order, with no per-element
+    Python dispatch anywhere.
     """
     if a.ncols != b.nrows:
         raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
-    fold, dtype = _rung(semiring, a.vals.dtype, b.vals.dtype)
+    dtype = result_dtype(semiring, a.vals.dtype, b.vals.dtype)
     if a.nnz == 0 or b.nnz == 0:
         return COOMatrix.empty(a.nrows, b.ncols, dtype=dtype)
     rows, cols, a_vals, b_vals = _expand_coo(a, b)
     if len(rows) == 0:
         return COOMatrix.empty(a.nrows, b.ncols, dtype=dtype)
-    return fold(a.nrows, b.ncols, rows, cols, a_vals, b_vals, semiring)
+    spec = semiring.numeric
+    vals = np.asarray(spec.multiply(a_vals, b_vals))
+    order, starts, _, out_rows, out_cols = group_coords(rows, cols)
+    return COOMatrix(a.nrows, b.ncols, out_rows, out_cols,
+                     spec.add.reduceat(vals[order], starts))
+
+
+def masked_products(
+    a: COOMatrix, b: COOMatrix, rows: np.ndarray, cols: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The partial products of ``A · B`` that land on the output
+    coordinates ``(rows[e], cols[e])`` — the expansion of a masked SpGEMM,
+    left unfolded.
+
+    Returns ``(entry, a_vals, b_vals)``: per partial product, the index
+    ``e`` of its coordinate and its two operand values, inner index
+    ascending.  The coordinates must be distinct.  Only the masked rows of
+    ``A`` and columns of ``B`` take part in the join, so a small mask
+    costs a small join.
+    """
+    if a.ncols != b.nrows:
+        raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
+    rows = np.asarray(rows, dtype=np.int64)
+    keys = rows * b.ncols + np.asarray(cols, dtype=np.int64)
+    order = stable_order((keys,))
+    keys = keys[order]
+    if len(keys) == 0:
+        return order, a.vals[:0], b.vals[:0]
+    a = a.filter(in_sorted(sorted_unique(rows), a.rows))
+    b = b.filter(in_sorted(sorted_unique(cols), b.cols))
+    out_rows, out_cols, a_vals, b_vals = _expand_coo(a, b)
+    out_keys = out_rows * b.ncols + out_cols
+    at = np.minimum(np.searchsorted(keys, out_keys), len(keys) - 1)
+    hit = keys[at] == out_keys
+    return order[at[hit]], a_vals[hit], b_vals[hit]

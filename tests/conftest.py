@@ -13,12 +13,12 @@ from repro.align.batch import align_batch
 from repro.bio.generate import scope_like
 from repro.bio.sequences import SequenceStore
 from repro.core.graph import SimilarityGraph
-from repro.core.overlap import find_candidate_pairs_semiring
 from repro.core.pipeline import (
     align_kwargs,
     edges_from_alignments,
     tasks_from_pairs,
 )
+from semiring_oracle import find_candidate_pairs_semiring
 
 
 class RankLog:

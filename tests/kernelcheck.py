@@ -3,8 +3,8 @@
 A library, not a test module (no ``test_`` prefix — pytest never collects
 it): ``tests/test_kernelcheck.py`` drives it.  A kernel under test is any
 ``(a: CSRMatrix, b: CSRMatrix, semiring) -> COOMatrix`` callable — the
-scalar :func:`~repro.sparse.spgemm.spgemm_hash`, :func:`dispatch` (the
-``spgemm_coo`` ladder), or a deliberately broken double.
+scalar :func:`~repro.sparse.spgemm.spgemm_hash`, :func:`dispatch`
+(``spgemm_coo``), or a deliberately broken double.
 
 Pieces
 ------
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.semirings import substitute_as_numeric_semiring
 from repro.mpisim.backend import run_spmd
 from repro.mpisim.grid import ProcessGrid
 from repro.sparse.coo import COOMatrix
@@ -37,18 +38,19 @@ from repro.sparse.csr import CSRMatrix
 from repro.sparse.distmat import DistSparseMatrix
 from repro.sparse.semiring import (
     ARITHMETIC,
-    BOOLEAN,
     COUNTING,
-    MAX_MIN,
-    MAX_TIMES,
-    MIN_PLUS,
     NoKernelError,
+    NumericSpec,
     Semiring,
 )
 from repro.sparse.spgemm import spgemm_coo, spgemm_hash
 from repro.sparse.summa import summa
 
 __all__ = [
+    "BOOLEAN",
+    "MIN_PLUS",
+    "MAX_MIN",
+    "MAX_TIMES",
     "SWEEP_SEMIRINGS",
     "SWEEP_DTYPES",
     "corpus",
@@ -61,11 +63,42 @@ __all__ = [
     "summa_product",
 ]
 
-#: Semirings the sweep exercises — every bundled one: plus-times
-#: arithmetic, value-ignoring counting, three ufunc folds, and BOOLEAN
-#: (whose bool-only spec covers none of the numeric corpus).
-SWEEP_SEMIRINGS = (ARITHMETIC, COUNTING, MIN_PLUS, MAX_TIMES, MAX_MIN,
-                   BOOLEAN)
+#: Semirings the sweep exercises — every one the pipeline runs: plus-times
+#: arithmetic, value-ignoring counting (both ``B`` products), and the AS
+#: stage's ``np.minimum`` fold over packed seed hits (whose int64 spec
+#: covers no float corpus dtype, so the raise branch is swept too).
+SWEEP_SEMIRINGS = (ARITHMETIC, COUNTING, substitute_as_numeric_semiring())
+
+# User-defined numeric semirings: no pipeline stage runs them, so they are
+# not in the sweep, but they keep the numeric kernel's other ufunc folds
+# (``np.maximum``, ``np.minimum`` over floats, ``np.logical_or`` on a
+# bool-only spec) under the crossval and SUMMA tests.
+
+#: (or, and) — pattern multiplication.  The spec covers only genuinely
+#: boolean value arrays: int values would need the scalar operators'
+#: truthiness semantics, which only the reference kernel runs.
+BOOLEAN = Semiring(
+    "boolean", lambda a, b: a or b, lambda a, b: a and b, False,
+    numeric=NumericSpec(np.bool_, np.logical_or, np.logical_and),
+)
+
+#: (min, +) — shortest paths.
+MIN_PLUS = Semiring(
+    "min_plus", min, lambda a, b: a + b, None,
+    numeric=NumericSpec(np.float64, np.minimum, np.add),
+)
+
+#: (max, min) — bottleneck paths.
+MAX_MIN = Semiring(
+    "max_min", max, min, None,
+    numeric=NumericSpec(np.float64, np.maximum, np.minimum),
+)
+
+#: (max, *) — most-reliable paths over non-negative weights.
+MAX_TIMES = Semiring(
+    "max_times", max, lambda a, b: a * b, None,
+    numeric=NumericSpec(np.float64, np.maximum, np.multiply),
+)
 
 #: Operand dtype combinations: a tuple entry means (A dtype, B dtype).
 #: int32 × int64 keeps the mixed-width promotion rules honest.
@@ -185,11 +218,12 @@ def corpus(dtype=np.float64, seed: int = 0):
         R(6, 6, 14, db, values=np.zeros(14, dtype=db)))
     # one output cell receives v + (0 - v): an explicit cancellation zero
     # for signed dtypes (and a wrap-to-zero for unsigned) that every
-    # kernel must keep stored
+    # kernel must keep stored; bool has no subtraction, so (True, False)
     v = da.type(3)
     add("cancellation",
         COOMatrix(2, 2, [0, 0], [0, 1],
-                  np.array([v, da.type(0) - v], dtype=da)),
+                  np.array([v, da.type(0) if da.kind == "b"
+                            else da.type(0) - v], dtype=da)),
         COOMatrix(2, 1, [0, 1], [0, 0], np.ones(2, dtype=db)))
     add("large_values",
         R(5, 5, 8, da, values=np.full(8, _big(da))),
@@ -204,16 +238,14 @@ def corpus(dtype=np.float64, seed: int = 0):
 
 def covered(semiring: Semiring, da, db) -> bool:
     """Whether a spec of ``semiring`` covers operand value dtypes
-    ``da`` × ``db`` — i.e. whether the vectorized dispatcher has a rung
-    for the product (checked against the specs, not the dispatcher)."""
-    return any(
-        spec is not None and spec.compatible(da, db)
-        for spec in (semiring.numeric, semiring.struct)
-    )
+    ``da`` × ``db`` — i.e. whether the vectorized dispatcher has a kernel
+    for the product (checked against the spec, not the dispatcher)."""
+    spec = semiring.numeric
+    return spec is not None and spec.compatible(da, db)
 
 
 def dispatch(a: CSRMatrix, b: CSRMatrix, semiring: Semiring) -> COOMatrix:
-    """The ``spgemm_coo`` ladder on corpus (CSR) operands."""
+    """``spgemm_coo`` on corpus (CSR) operands."""
     return spgemm_coo(a.to_coo(), b.to_coo(), semiring)
 
 

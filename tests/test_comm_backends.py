@@ -356,8 +356,10 @@ class TestPipelineTraceTotals:
 
     @pytest.mark.parametrize("knobs, totals", [
         (dict(k=5), (67, 788_568)),
+        # the sym. exchange carries 8-byte counts plus seeds for the
+        # CK-passing entries only
         (dict(k=5, substitutes=4, common_kmer_threshold=1,
-              align_balance="greedy"), (116, 1_755_358)),
+              align_balance="greedy"), (116, 1_754_404)),
     ], ids=["exact", "subs-ck-greedy"])
     def test_summary_totals_pinned(self, knobs, totals):
         from repro.bio.generate import scope_like

@@ -1,23 +1,45 @@
-"""Tests for PASTIS's custom semirings and their value types."""
+"""Tests for PASTIS's semirings, their value types and the seed pack:
+the paper's object values (the tests' oracle) and the packed int64 seeds
+the pipeline carries."""
 
 import numpy as np
 import pytest
 
 from repro.bio.scoring import BLOSUM62, ScoringMatrix
 from repro.core.config import ConfigError, PastisConfig
+from repro.core.overlap import orient_seeds
 from repro.core.semirings import (
     CK_DIST_LIMIT,
+    CK_SEED_NONE,
     MAX_SEEDS,
+    pack_seeds,
+    unpack_seeds,
+)
+from semiring_oracle import (
     CommonKmers,
     SeedHit,
-    ck_flip_records,
-    common_kmers_to_records,
     exact_overlap_semiring,
     merge_common_kmers,
-    records_to_common_kmers,
     substitute_as_semiring,
     substitute_overlap_semiring,
 )
+
+
+def _packed_rows(cks) -> np.ndarray:
+    """The seeds of each :class:`CommonKmers` as one packed row, padded
+    with the sentinel — the pipeline's representation."""
+    out = np.full((len(cks), MAX_SEEDS), CK_SEED_NONE, dtype=np.int64)
+    for p, ck in enumerate(cks):
+        for s, seed in enumerate(ck.seeds):
+            out[p, s] = pack_seeds(*seed)
+    return out
+
+
+def _seed_tuples(row) -> tuple:
+    return tuple(
+        tuple(int(x) for x in unpack_seeds(v)) for v in row
+        if v != CK_SEED_NONE
+    )
 
 
 class TestCommonKmers:
@@ -68,17 +90,23 @@ class TestCommonKmers:
         # on both sides)
         assert f.flip() == ck
 
-    def test_flip_struct_records_match_scalar(self):
+    def test_orient_seeds_matches_scalar_flip(self):
+        """The pipeline's vectorized flip of packed seed rows (a
+        mirror-won pair, or a pair held as ``(hi, lo)``) equals
+        :meth:`CommonKmers.flip`, and leaves unselected rows alone."""
         cks = [
             CommonKmers(2, ((2, 9, 1), (5, 1, 1))),  # distance-tie reorder
             CommonKmers(2, ((1, 9, 0), (2, 0, 0))),
             CommonKmers(1, ((7, 3, 2),)),            # single seed
             CommonKmers(3, ()),                       # no seeds
         ]
-        flipped = records_to_common_kmers(
-            ck_flip_records(common_kmers_to_records(cks))
-        )
-        assert list(flipped) == [ck.flip() for ck in cks]
+        rows = _packed_rows(cks)
+        flipped = orient_seeds(rows, np.ones(len(cks), dtype=bool))
+        assert [_seed_tuples(r) for r in flipped] == [
+            ck.flip().seeds for ck in cks
+        ]
+        kept = orient_seeds(rows, np.zeros(len(cks), dtype=bool))
+        assert kept.tobytes() == rows.tobytes()
 
 
 class TestSemirings:
@@ -123,6 +151,57 @@ class TestSemirings:
         a = CommonKmers(1, ((0, 0, 1),))
         b = CommonKmers(1, ((1, 1, 0),))
         assert merge_common_kmers(a, b) == a.merge(b)
+
+
+#: The packable distance range, ``(-CK_DIST_LIMIT, CK_DIST_LIMIT)``.
+_DIST = (2 - (1 << 21), (1 << 21) - 1)
+
+
+class TestSeedPacking:
+    def test_roundtrip(self):
+        rng = np.random.default_rng(0)
+        pi = rng.integers(0, 1 << 21, 100)
+        pj = rng.integers(0, 1 << 21, 100)
+        d = rng.integers(*_DIST, 100)
+        # the four corners of the pack, both distance signs
+        pi = np.append(pi, [0, (1 << 21) - 1, 0, (1 << 21) - 1])
+        pj = np.append(pj, [0, (1 << 21) - 1, 0, (1 << 21) - 1])
+        d = np.append(d, [_DIST[0], _DIST[0], _DIST[1] - 1, _DIST[1] - 1])
+        packed = pack_seeds(pi, pj, d)
+        assert (packed < CK_SEED_NONE).all()
+        ri, rj, rd = unpack_seeds(packed)
+        assert (ri == pi).all() and (rj == pj).all() and (rd == d).all()
+
+    def test_integer_order_is_canonical_seed_order(self):
+        rng = np.random.default_rng(1)
+        pi = rng.integers(0, 50, 200)
+        pj = rng.integers(0, 50, 200)
+        d = rng.integers(-3, 4, 200)
+        packed = pack_seeds(pi, pj, d)
+        order = np.argsort(packed, kind="stable")
+        ref = np.lexsort((pj, pi, d))
+        assert (order == ref).all()
+
+    def test_out_of_range_rejected(self):
+        with pytest.raises(ValueError):
+            pack_seeds(np.array([1 << 21]), np.array([0]), np.array([0]))
+        with pytest.raises(ValueError):
+            pack_seeds(np.array([0]), np.array([-1]), np.array([0]))
+        for d in (_DIST[0] - 1, _DIST[1]):
+            with pytest.raises(ValueError, match="distance"):
+                pack_seeds(np.array([0]), np.array([0]), np.array([d]))
+
+    def test_sentinel_value_is_unreachable(self):
+        """Regression: the all-max triple used to pack to exactly int64
+        max == CK_SEED_NONE, silently vanishing a boundary seed.  The
+        distance bound now reserves the sentinel."""
+        lim = (1 << 21) - 1
+        with pytest.raises(ValueError, match="distance"):
+            pack_seeds(np.array([lim]), np.array([lim]), np.array([lim]))
+        # the true maximal packable seed survives a full roundtrip
+        ck = CommonKmers(1, ((lim, lim, lim - 1),))
+        assert _seed_tuples(_packed_rows([ck])[0]) == ck.seeds
+        assert int(pack_seeds(lim, lim, lim - 1)) < int(CK_SEED_NONE)
 
 
 class TestConfig:
@@ -221,3 +300,62 @@ class TestSeedPackIsTotal:
                 )
         with pytest.raises(ValueError, match="seed distance"):
             find_candidate_pairs(store, cfg, s_triples)
+
+
+def _s_triples(rows=(0, 1), cols=(1, 0), dists=(0, 2)):
+    return tuple(np.array(x) for x in (rows, cols, dists))
+
+
+class TestInjectedSIsChecked:
+    """An injected ``S`` is validated whole before any rank starts: three
+    equal-length 1-D integer arrays, both ids in ``[0, 24^k)``, distances
+    inside the seed pack.  Before, only the distances were checked — a
+    substitute id past the k-mer space failed inside a rank, a root id of
+    -1 was silently ignored and arrays of unequal length raised an
+    IndexError from a rank."""
+
+    K = 3
+
+    @pytest.mark.parametrize("s_triples,message", [
+        (_s_triples(cols=(1, 24 ** 3 + 5)),
+         r"substitute id outside \[0, 24\^3\)"),
+        (_s_triples(rows=(-1, 1)), r"k-mer id outside \[0, 24\^3\)"),
+        (_s_triples(dists=(0, 2, 3)), "unequal length"),
+        (_s_triples(dists=(0.0, 2.5)), "1-D of integers"),
+        (_s_triples(rows=((0, 1), (1, 0))), "1-D of integers"),
+        (_s_triples()[:2], "expected 3 arrays"),
+        (_s_triples(dists=(0, int(CK_DIST_LIMIT))), "seed distance"),
+    ], ids=["substitute-id", "root-id", "lengths", "float", "2-d", "arity",
+            "distance"])
+    def test_bad_triples_raise_before_spawning(self, monkeypatch, s_triples,
+                                               message):
+        from repro.bio.sequences import SequenceStore
+        from repro.core import distributed
+        from repro.core.overlap import find_candidate_pairs
+        from repro.mpisim import backend
+
+        def never(*_args, **_kwargs):
+            raise AssertionError("a rank was spawned")
+
+        monkeypatch.setattr(distributed, "run_spmd", never)
+        monkeypatch.setattr(backend, "run_spmd", never)
+        store = SequenceStore(["AVGDMKAVG", "AVGDMRAVG"])
+        cfg = PastisConfig(k=self.K, substitutes=1)
+        seen = set()
+        for nranks in (1, 4):
+            with pytest.raises(ValueError, match=message) as err:
+                distributed.run_pastis_distributed(
+                    store, cfg, nranks=nranks, s_triples=s_triples
+                )
+            seen.add(str(err.value))
+        with pytest.raises(ValueError, match=message) as err:
+            find_candidate_pairs(store, cfg, s_triples)
+        seen.add(str(err.value))
+        assert len(seen) == 1, seen  # one message at every rank count
+
+    def test_well_formed_triples_pass(self):
+        from repro.core.overlap import check_s_triples
+
+        check_s_triples(_s_triples(), self.K)
+        check_s_triples(_s_triples(rows=(0, 24 ** 3 - 1)), self.K)
+        check_s_triples(([], [], []), self.K)

@@ -170,28 +170,28 @@ def _edge_list(graph) -> list[tuple[int, int, float]]:
 
 
 class TestDistributedKernels:
-    """The struct SUMMA path must produce the edge list of the
-    object-semiring oracle on every grid, with and without substitutes."""
+    """The count SUMMA path, with seeds joined after CK, must produce the
+    edge list of the object-semiring oracle on every grid, with and
+    without substitutes."""
 
     @pytest.mark.parametrize("p", [1, 4, 9])
     @pytest.mark.parametrize("subs", [0, 4])
-    def test_struct_equals_semiring_reference(self, data, p, subs,
-                                              oracle_graph):
+    def test_pipeline_equals_semiring_reference(self, data, p, subs,
+                                                oracle_graph):
         cfg = PastisConfig(k=4, substitutes=subs)
         ref = oracle_graph(data.store, cfg)
         got = run_pastis_distributed(data.store, cfg, nranks=p)
         assert _edge_list(got) == _edge_list(ref)
 
     @pytest.mark.parametrize("p", [1, 4, 9])
-    def test_ambiguity_code_keeps_every_block_on_records(self, data, p,
-                                                         oracle_graph,
-                                                         rank_log):
+    def test_ambiguity_code_keeps_every_block_numeric(self, data, p,
+                                                      oracle_graph,
+                                                      rank_log):
         """One ``X`` makes some AS hits negative (BLOSUM62 scores X
-        against A/S/T above X against X); every ``B`` block must still run
-        on CommonKmers records and the graph equal the oracle's."""
+        against A/S/T above X against X); every block product must still
+        run on int64 values — packed hits in ``AS``, counts in ``B`` — and
+        the graph equal the oracle's."""
         import sys
-
-        from repro.core.semirings import CK_DTYPE
 
         seqs = [data.store.sequence(i) for i in range(len(data.store))]
         seqs[3] = seqs[3][:10] + "X" + seqs[3][11:]
@@ -202,26 +202,24 @@ class TestDistributedKernels:
 
         def recording(a, b, semiring):
             out = real(a, b, semiring)
-            rank_log.append(out.vals.dtype)
+            rank_log.append((semiring.name, out.vals.dtype))
             return out
 
         with mock.patch.object(summa_module, "spgemm_coo", recording):
             got = run_pastis_distributed(store, cfg, nranks=p)
-        dtypes = rank_log.read()
-        assert CK_DTYPE in dtypes and np.dtype(object) not in dtypes
+        products = set(rank_log.read())
+        assert products == {("pastis_as_numeric", np.dtype(np.int64)),
+                            ("counting", np.dtype(np.int64))}
         assert _edge_list(got) == _edge_list(oracle_graph(store, cfg))
 
     @pytest.mark.parametrize("p", [1, 4, 9])
     def test_substitute_injection_through_summa(self, data, p):
         """The substitute path with an externally supplied ``S``
-        (``s_triples`` is not None) through SUMMA on the struct kernel
-        must match the single-process semiring reference fed the same
-        triples, across process counts."""
-        from repro.core.overlap import (
-            build_a_triples,
-            build_s_triples,
-            find_candidate_pairs_semiring,
-        )
+        (``s_triples`` is not None) through SUMMA on counts must match
+        the single-process semiring reference fed the same triples,
+        across process counts."""
+        from repro.core.overlap import build_a_triples, build_s_triples
+        from semiring_oracle import find_candidate_pairs_semiring
         from repro.align.batch import align_batch
         from repro.core.graph import SimilarityGraph
         from repro.core.pipeline import (
@@ -343,29 +341,28 @@ class TestCkThresholdParity:
 
 
 class TestCountFirstTail:
-    """The distributed tail is the single-process one: block ->
-    ``CandidatePairs`` arrays -> CK on the count column -> tasks.  On the
-    struct kernel no ``CommonKmers`` object is ever built — before, every
-    pre-CK candidate was unpacked into one just to read its count."""
+    """The distributed tail is the single-process one: count block -> CK
+    on the counts -> seeds -> ``CandidatePairs`` -> tasks.  At ``s = 0``
+    the seed join sees the CK survivors and nothing else — before, every
+    pre-CK candidate carried two seeds through ``B``."""
 
-    def test_struct_kernel_with_ck_builds_no_objects(self, data,
-                                                     monkeypatch, rank_log):
-        from repro.core import semirings
+    def test_seeds_joined_for_ck_survivors_only(self, data, monkeypatch,
+                                                rank_log):
+        from repro.core import distributed
 
         cfg = PastisConfig(k=4, substitutes=0).default_ck()
         ref = pastis_pipeline(data.store, cfg)
 
-        real = semirings.CommonKmers
+        real = distributed.block_seeds
 
-        def counting(*args, **kwargs):
-            rank_log.append(1)
-            return real(*args, **kwargs)
+        def counting(left, right, rows, cols, swap):
+            rank_log.append(len(rows))
+            return real(left, right, rows, cols, swap)
 
         # patched before the ranks fork, so all four of them see it
-        monkeypatch.setattr(semirings, "CommonKmers", counting)
+        monkeypatch.setattr(distributed, "block_seeds", counting)
         got = run_pastis_distributed(data.store, cfg, nranks=4)
-        built = rank_log.read()
-        assert built == []
+        assert sum(rank_log.read()) == got.meta["aligned_pairs"]
         assert _edge_list(got) == _edge_list(ref)
         assert got.meta["candidate_pairs"] == ref.meta["candidate_pairs"]
         assert got.meta["aligned_pairs"] == ref.meta["aligned_pairs"]

@@ -4,26 +4,20 @@ The paper stresses that PASTIS's output is "oblivious to the number of
 processes"; this repo extends the invariant across implementation knobs:
 the pipeline's serialised edge list must be byte-identical across 1, 4, and
 9 processes, every alignment engine × balance mode, AND to the graph of the
-object-semiring oracle (``find_candidate_pairs_semiring``: scalar SpGEMM,
-no SUMMA, no seed pack).
+object-semiring oracle (``semiring_oracle.find_candidate_pairs_semiring``:
+scalar SpGEMM, no SUMMA, no seed pack).
 Any nondeterminism or accumulation-order dependence introduced into the
-sparse stack shows up here first.
+sparse stack shows up here first; generated inputs, pair by pair, are the
+business of ``test_overlap_oracle.py``.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import replace
-from unittest import mock
 
-import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
-from repro.bio.alphabet import PROTEIN_ALPHABET
 from repro.bio.generate import scope_like
-from repro.bio.sequences import SequenceStore
 from repro.core.config import (
     ALIGN_BALANCE_MODES,
     ALIGN_ENGINES,
@@ -31,14 +25,7 @@ from repro.core.config import (
 )
 from repro.core.distributed import run_pastis_distributed
 from repro.core.graph import SimilarityGraph
-from repro.core.overlap import (
-    find_candidate_pairs,
-    find_candidate_pairs_semiring,
-)
 from repro.core.pipeline import pastis_pipeline
-
-# the module, not the function ``repro.sparse`` re-exports under its name
-summa_module = sys.modules["repro.sparse.summa"]
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +66,7 @@ def test_golden_oblivious(data, config, oracle_graph):
     golden = edge_bytes(pastis_pipeline(data.store, config))
     assert golden, "pipeline produced no edges — the invariant is vacuous"
 
-    # the packed-record pipeline and the object-semiring oracle serialise
+    # the count pipeline and the object-semiring oracle serialise
     # identically
     assert edge_bytes(oracle_graph(data.store, config)) == golden, (
         "the oracle's graph diverged from golden"
@@ -136,63 +123,3 @@ def test_more_ranks_than_sequences():
     golden = edge_bytes(pastis_pipeline(tiny.store, config))
     got = edge_bytes(run_pastis_distributed(tiny.store, config, nranks=9))
     assert got == golden
-
-
-#: Sequences over the whole 24-letter alphabet, ambiguity codes and ``*``
-#: included: under BLOSUM62 ``B``/``Z``/``X``/``*`` have negative
-#: substitution expenses, so with ``s > 0`` their AS hits carry negative
-#: distances through the seed pack.
-_residues = st.text(alphabet=PROTEIN_ALPHABET, min_size=1, max_size=40)
-
-
-@st.composite
-def _stores(draw):
-    """A few random sequences plus copies of some of them with residues
-    turned into ambiguity codes, so that pairs share more than
-    ``MAX_SEEDS`` k-mers as well as none, and a k-mer with an ``X`` meets
-    its cheaper-than-identity substitutes."""
-    seqs = draw(st.lists(_residues, min_size=1, max_size=5))
-    for _ in range(draw(st.integers(0, 5))):
-        base = list(seqs[draw(st.integers(0, len(seqs) - 1))])
-        for _ in range(draw(st.integers(0, 3))):
-            at = draw(st.integers(0, len(base) - 1))
-            base[at] = draw(st.sampled_from("XBZ*"))
-        seqs.append("".join(base))
-    return SequenceStore(seqs)
-
-
-@settings(max_examples=25, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow,
-                                 HealthCheck.function_scoped_fixture])
-@given(store=_stores(), k=st.integers(2, 3), s=st.sampled_from([0, 3]))
-def test_full_alphabet_records_match_oracle_at_every_rank_count(
-        rank_log, store, k, s):
-    """Every block product runs on typed values, whatever the residues
-    (``B`` on CommonKmers records): the candidates equal the
-    object-semiring oracle's, and the distributed graph at p = 4 and 9
-    equals p = 1 (the patched SUMMA block multiply is inherited by the
-    forked ranks, so it sees every block)."""
-    config = PastisConfig(k=k, substitutes=s)
-    rank_log.clear()  # one log for every example
-
-    def recording(a, b, semiring):
-        out = real(a, b, semiring)
-        rank_log.append(out.vals.dtype)
-        return out
-
-    real = summa_module.spgemm_coo
-    with mock.patch.object(summa_module, "spgemm_coo", recording):
-        got = find_candidate_pairs(store, config)
-        golden = edge_bytes(run_pastis_distributed(store, config, nranks=1))
-        by_ranks = {
-            p: edge_bytes(run_pastis_distributed(store, config, nranks=p))
-            for p in (4, 9)
-        }
-    dtypes = rank_log.read()
-    assert np.dtype(object) not in dtypes
-    ref = find_candidate_pairs_semiring(store, config)
-    for field in ("ri", "rj", "counts", "seed_pos_i", "seed_pos_j",
-                  "seed_dist"):
-        assert getattr(got, field).tolist() == getattr(ref, field).tolist()
-    for nranks, got_bytes in by_ranks.items():
-        assert got_bytes == golden, f"{nranks} ranks diverged from 1"

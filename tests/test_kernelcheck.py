@@ -16,13 +16,7 @@ import numpy as np
 import pytest
 
 import kernelcheck as kc
-from repro.sparse.semiring import (
-    ARITHMETIC,
-    BOOLEAN,
-    COUNTING,
-    NoKernelError,
-    Semiring,
-)
+from repro.sparse.semiring import ARITHMETIC, COUNTING, NoKernelError, Semiring
 from repro.sparse.spgemm import spgemm_coo, spgemm_hash
 
 #: Arithmetic with no spec at all: no operand dtype is covered.
@@ -86,20 +80,23 @@ class TestConformanceSweep:
                             dtypes=(np.float64,))
 
     def test_uncovered_products_are_swept(self):
-        """The raise branch is not vacuous: BOOLEAN's bool-only spec
-        covers no numeric corpus dtype, everything else covers them all —
+        """The raise branch is not vacuous: the AS stage's int64 spec
+        covers no float corpus dtype, everything else covers them all —
         and a kernel that quietly runs an uncovered product (the scalar
-        reference, posing as vectorized) fails the sweep."""
+        reference on bool operands under ARITHMETIC, posing as
+        vectorized) fails the sweep."""
         uncovered = {
             (semiring.name, str(dt))
             for semiring in kc.SWEEP_SEMIRINGS for dt in kc.SWEEP_DTYPES
             if not kc.covered(semiring,
                               *(dt if isinstance(dt, tuple) else (dt, dt)))
         }
-        assert uncovered == {("boolean", str(dt)) for dt in kc.SWEEP_DTYPES}
+        assert uncovered == {("pastis_as_numeric", str(dt))
+                             for dt in (np.float64, np.float32)}
+        assert not kc.covered(ARITHMETIC, np.bool_, np.bool_)
         with pytest.raises(AssertionError, match="no NoKernelError"):
-            kc.sweep_kernel(spgemm_hash, semirings=(BOOLEAN,),
-                            dtypes=(np.int64,))
+            kc.sweep_kernel(spgemm_hash, semirings=(ARITHMETIC,),
+                            dtypes=(np.bool_,))
 
     @pytest.mark.parametrize("dtype", [np.int64, np.float64, object])
     def test_spec_less_semiring_raises(self, dtype):

@@ -10,24 +10,23 @@ from hypothesis import strategies as st
 from repro.bio.generate import make_family, random_protein
 from repro.bio.scoring import BLOSUM62
 from repro.bio.sequences import SequenceStore
-from repro.core import overlap
+from repro.core import overlap, semirings
 from repro.core.config import PastisConfig
 from repro.core.overlap import (
     CandidatePairs,
     build_a_triples,
     build_s_triples,
     find_candidate_pairs,
-    find_candidate_pairs_semiring,
     pairs_from_block,
 )
-from repro.core.semirings import (
-    MAX_SEEDS,
-    CommonKmers,
-    common_kmers_to_records,
-)
-from repro.kmers.encoding import kmer_id_from_string
-from repro.mpisim.grid import block_ranges
+from repro.core.semirings import CK_SEED_NONE, MAX_SEEDS, pack_seeds
+from repro.kmers.encoding import kmer_id_from_string, kmer_space_size
+from repro.mpisim import run_spmd
+from repro.mpisim.grid import ProcessGrid, block_ranges
 from repro.sparse.coo import COOMatrix
+from repro.sparse.distmat import DistSparseMatrix
+from repro.sparse.summa import summa
+from semiring_oracle import find_candidate_pairs_semiring
 
 
 class TestBuildA:
@@ -234,97 +233,186 @@ class TestAgainstSemiringReference:
 
 
 def _random_symmetric_b(rng, n):
-    """Entries ``(row, col, CommonKmers)`` of a random ``n x n`` ``B`` with
-    a symmetric pattern (some diagonal entries included) and symmetric
-    counts; the two directions of a pair carry *independent* seeds, so a
-    wrong orientation cannot cancel out."""
-    def value(count):
-        seeds = sorted(
-            {(int(rng.integers(60)), int(rng.integers(60)),
-              int(rng.integers(4)))
-             for _ in range(int(rng.integers(1, MAX_SEEDS + 1)))},
-            key=lambda s: (s[2], s[0], s[1]),
-        )
-        return CommonKmers(count, tuple(seeds))
-
+    """Entries ``(row, col, count)`` of a random ``n x n`` count matrix
+    ``B`` with a symmetric pattern (some diagonal entries included) and
+    symmetric counts."""
     entries = []
     for i in range(n):
         for j in range(i, n):
             if rng.random() < 0.6:
                 count = int(rng.integers(1, 6))
-                entries.append((i, j, value(count)))
+                entries.append((i, j, count))
                 if i != j:
-                    entries.append((j, i, value(count)))
+                    entries.append((j, i, count))
     order = rng.permutation(len(entries))
     return [entries[t] for t in order]
 
 
-def _reference_block_pairs(entries, rs, cs, above_diagonal):
-    """The parent commit's distributed step 7, kept as the oracle: Fig.-11
-    triangle selection plus the per-pair seed-orientation loop."""
-    out = []
-    for r, c, ck in entries:
-        if r < c or (r == c and above_diagonal):
-            gi, gj = rs + r, cs + c
-            if gi == gj:
-                continue  # global self-pair
-            lo, hi = (gi, gj) if gi < gj else (gj, gi)
-            seeds = [(pi, pj) if gi == lo else (pj, pi)
-                     for pi, pj, _d in ck.seeds]
-            out.append((lo, hi, ck.count, seeds))
-    return out
+def _seeds(lo, hi):
+    """Packed stand-in seeds of pair ``(lo, hi)``: one ascending row that
+    names the pair, with a second slot for some pairs only."""
+    row = [int(pack_seeds(lo, hi, 0))]
+    if (lo + hi) % 2:
+        row.append(int(pack_seeds(hi, lo, 1)))
+    row += [CK_SEED_NONE] * (MAX_SEEDS - len(row))
+    return np.array(row, dtype=np.int64)
 
 
 class TestPairsFromBlock:
-    """``pairs_from_block`` is the one ``B`` -> CandidatePairs step of both
-    pipelines: over any q x q blocking it must cover exactly the pairs of
-    the whole-matrix call, oriented ``(lo, hi)``, with the seeds of the
-    parent's orientation loop — on records and on objects alike."""
+    """``pairs_from_block`` is the one ``B`` -> CandidatePairs step of the
+    pipeline: over any q x q blocking it must cover exactly the CK
+    survivors of the whole-matrix call, once each, oriented ``(lo, hi)``
+    with the seeds its ``seeds_of`` gives in that orientation, and count
+    every candidate before CK exactly once."""
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(2, 9),
-           as_records=st.booleans())
-    def test_blocks_cover_whole_matrix_once(self, seed, n, as_records):
+           threshold=st.sampled_from([None, 0, 2, 4]))
+    def test_blocks_cover_whole_matrix_once(self, seed, n, threshold):
         entries = _random_symmetric_b(np.random.default_rng(seed), n)
 
         def block(rlo, rhi, clo, chi):
             local = [(r - rlo, c - clo, v) for r, c, v in entries
                      if rlo <= r < rhi and clo <= c < chi]
-            vals = np.empty(len(local), dtype=object)
-            vals[:] = [v for _, _, v in local]
-            coo = COOMatrix(
+            return COOMatrix(
                 rhi - rlo, chi - clo,
                 np.array([r for r, _, _ in local], dtype=np.int64),
                 np.array([c for _, c, _ in local], dtype=np.int64),
-                common_kmers_to_records(vals) if as_records else vals,
+                np.array([v for _, _, v in local], dtype=np.int64),
             )
-            return local, coo
 
-        def key_counts(pairs):
-            return sorted(zip(pairs.ri.tolist(), pairs.rj.tolist(),
-                              pairs.counts.tolist()))
+        def extract(coo, rlo, clo, owns_diagonal):
+            def seeds_of(idx, swap):
+                # the (lo, hi) pair of each entry: the orientation the
+                # caller must pack, whichever block holds the entry
+                gi, gj = coo.rows[idx] + rlo, coo.cols[idx] + clo
+                assert np.array_equal(swap, gi > gj)
+                lo, hi = np.minimum(gi, gj), np.maximum(gi, gj)
+                return np.array(
+                    [_seeds(a, b) for a, b in zip(lo, hi)],
+                    dtype=np.int64,
+                ).reshape(len(idx), MAX_SEEDS)
 
-        whole = pairs_from_block(n, block(0, n, 0, n)[1])
-        expected = {(r, c) for r, c, _ in entries if r < c}
-        assert set(zip(whole.ri.tolist(), whole.rj.tolist())) == expected
+            return pairs_from_block(n, coo, seeds_of, rlo, clo,
+                                    owns_diagonal, threshold)
+
+        def rows_of(pairs):
+            return sorted(
+                (int(pairs.ri[p]), int(pairs.rj[p]), int(pairs.counts[p]),
+                 pairs.seeds_of(p), pairs.seed_dist[p].tolist())
+                for p in range(pairs.npairs)
+            )
+
+        whole, whole_candidates = extract(block(0, n, 0, n), 0, 0, False)
+        upper = [(r, c, v) for r, c, v in entries if r < c]
+        assert whole_candidates == len(upper)
+        assert {(int(i), int(j)) for i, j in zip(whole.ri, whole.rj)} == {
+            (r, c) for r, c, v in upper
+            if threshold is None or v > threshold
+        }
+        for p in range(whole.npairs):
+            i, j = int(whole.ri[p]), int(whole.rj[p])
+            assert whole.seeds_of(p) == [(i, j), (j, i)][:1 + (i + j) % 2]
 
         for q in (1, 2, 3):
             ranges = block_ranges(n, q)
-            union = []
+            union, candidates = [], 0
             for pi, (rlo, rhi) in enumerate(ranges):
                 for pj, (clo, chi) in enumerate(ranges):
-                    local, coo = block(rlo, rhi, clo, chi)
-                    got = pairs_from_block(
-                        n, coo, rlo, clo, owns_diagonal=pi < pj
-                    )
+                    got, cands = extract(block(rlo, rhi, clo, chi), rlo,
+                                         clo, pi < pj)
                     assert got.n == n
                     assert (got.ri < got.rj).all()
-                    # entry order kept, seeds by the parent's swap rule
-                    assert [
-                        (int(got.ri[p]), int(got.rj[p]),
-                         int(got.counts[p]), got.seeds_of(p))
-                        for p in range(got.npairs)
-                    ] == _reference_block_pairs(local, rlo, clo, pi < pj)
-                    union.extend(key_counts(got))
-            # every off-diagonal pair exactly once, with the same counts
-            assert sorted(union) == key_counts(whole)
+                    union.extend(rows_of(got))
+                    candidates += cands
+            # every surviving pair exactly once, with the same counts and
+            # seeds; every candidate counted exactly once
+            assert sorted(union) == rows_of(whole)
+            assert candidates == whole_candidates
+
+
+def _record_b(store, cfg, nranks):
+    """The one-pass record formulation: ``B`` on
+    :data:`~repro.core.semirings.CK_DTYPE` records by SUMMA (``(AS) Aᵀ``
+    and the record symmetrization when ``s > 0``), gathered as
+    ``{(i, j): (count, seeds)}``."""
+    n, kspace = len(store), kmer_space_size(cfg.k)
+    rows, cols, pos = build_a_triples(store, cfg.k)
+    present = np.unique(cols)
+    s_triples = build_s_triples(present, cfg.k, cfg.substitutes, cfg.scoring,
+                                restrict_to=present)
+
+    def fn(comm):
+        grid = ProcessGrid.create(comm)
+        mine = slice(comm.rank, None, comm.size)
+        a = DistSparseMatrix.distribute(
+            grid, n, kspace, rows[mine], cols[mine], pos[mine]
+        )
+        at = a.transpose()
+        if cfg.substitutes == 0:
+            b = summa(a, at, semirings.exact_overlap_semiring())
+        else:
+            s = DistSparseMatrix.distribute(
+                grid, kspace, kspace, *(t[mine] for t in s_triples)
+            )
+            a_s = summa(a, s, semirings.substitute_as_numeric_semiring())
+            b = summa(a_s, at, semirings.substitute_overlap_encoded_semiring())
+            merged = overlap.symmetrize_candidates(
+                b.local, b.row_range[0], b.col_range[0],
+                mirror=b.transpose().local,
+            )
+            b = DistSparseMatrix(grid=grid, nrows=n, ncols=n, local=merged)
+        assert semirings.is_ck_records(b.local.vals)
+        return b.gather_global()
+
+    b = run_spmd(nranks, fn)[0]
+    return {
+        (int(i), int(j)): (ck.count, ck.seeds)
+        for i, j, ck in zip(b.rows, b.cols,
+                            semirings.records_to_common_kmers(b.vals))
+    }
+
+
+class TestRecordFormulation:
+    """``B`` on records through the same SUMMA: counts and seeds folded
+    by the SpGEMM equal the count path's pairs at one rank, and at
+    ``s = 0`` the records do not depend on the rank count."""
+
+    @pytest.fixture
+    def store(self):
+        fam = make_family(5, 50, 0.25, 3, indel_rate=0.01)
+        return SequenceStore(fam + [random_protein(45, 4), "AV"])
+
+    @pytest.mark.parametrize("subs", [0, 4])
+    def test_upper_triangle_equals_count_path(self, store, subs):
+        cfg = PastisConfig(k=4, substitutes=subs)
+        records = _record_b(store, cfg, 1)
+        ref = find_candidate_pairs(store, cfg)
+        assert {p: c for p, (c, _) in records.items() if p[0] < p[1]} == {
+            (int(i), int(j)): int(c)
+            for i, j, c in zip(ref.ri, ref.rj, ref.counts)
+        }
+        for p in range(ref.npairs):
+            got = records[int(ref.ri[p]), int(ref.rj[p])][1]
+            assert got == tuple(
+                (int(i), int(j), int(d)) for i, j, d in zip(
+                    ref.seed_pos_i[p], ref.seed_pos_j[p], ref.seed_dist[p]
+                ) if i >= 0
+            )
+
+    def test_exact_records_oblivious_to_rank_count(self, store):
+        cfg = PastisConfig(k=4, substitutes=0)
+        assert _record_b(store, cfg, 4) == _record_b(store, cfg, 1)
+
+    def test_fold_keeps_lowest_seeds_and_sums_counts(self):
+        hits = np.array([5, 3, 7, 3], dtype=np.int64)
+        recs = semirings.exact_overlap_semiring().numeric.multiply(
+            hits, np.array([1, 2, 0, 1], dtype=np.int64)
+        )
+        out = semirings.exact_overlap_semiring().numeric.add.reduceat(
+            recs, np.array([0, 3])
+        )
+        assert out["count"].tolist() == [3, 1]
+        assert semirings.records_to_common_kmers(out) == [
+            (3, ((3, 2, 0), (5, 1, 0))), (1, ((3, 1, 0),)),
+        ]

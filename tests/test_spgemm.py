@@ -10,14 +10,13 @@ from hypothesis import strategies as st
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.ops import elementwise_add
-from repro.sparse.semiring import (
-    ARITHMETIC,
-    BOOLEAN,
-    COUNTING,
-    MIN_PLUS,
-    Semiring,
+from repro.sparse.semiring import ARITHMETIC, COUNTING, Semiring
+from repro.sparse.spgemm import (
+    join_cartesian,
+    masked_products,
+    spgemm_coo,
+    spgemm_hash,
 )
-from repro.sparse.spgemm import join_cartesian, spgemm_coo, spgemm_hash
 
 
 def _random_pair(seed, shape_a=(12, 9), shape_b=(9, 14), density=0.3):
@@ -76,17 +75,6 @@ class TestArithmetic:
 
 
 class TestSemirings:
-    def test_boolean_pattern(self):
-        a, b = _random_pair(3)
-        got = spgemm_hash(_to_csr(a), _to_csr(b), BOOLEAN)
-        ref = a @ b
-        ref.eliminate_zeros()
-        assert {(r, c) for r, c, _ in got} == set(
-            zip(*ref.tocoo().coords)
-        ) or {(r, c) for r, c, _ in got} == set(
-            zip(ref.tocoo().row.tolist(), ref.tocoo().col.tolist())
-        )
-
     def test_counting_semiring(self):
         # counting over AAT gives common-nonzero counts regardless of values
         coo = COOMatrix(3, 4, [0, 0, 1, 1, 2], [0, 1, 1, 2, 3],
@@ -97,14 +85,6 @@ class TestSemirings:
         assert b[(0, 1)] == 1  # share column 1
         assert b[(0, 0)] == 2
         assert (2, 0) not in b
-
-    def test_min_plus_shortest_paths(self):
-        # one step of min-plus matrix "multiplication" = path relaxation
-        inf = None
-        coo = COOMatrix(3, 3, [0, 0, 1], [1, 2, 2], [1, 10, 2])
-        a = CSRMatrix.from_coo(coo)
-        sq = spgemm_hash(a, a, MIN_PLUS).to_dict()
-        assert sq[(0, 2)] == 3  # 0->1->2 beats direct 10 via multiply chain
 
     def test_custom_object_semiring(self):
         concat = Semiring(
@@ -163,3 +143,33 @@ class TestJoinCartesian:
         li, ri = join_cartesian(np.array(left, dtype=np.int64),
                                 np.array(right, dtype=np.int64))
         assert list(zip(li.tolist(), ri.tolist())) == _join_brute(left, right)
+
+
+_triples = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4),
+                              st.integers(1, 99)), max_size=20)
+
+
+class TestMaskedProducts:
+    @given(_triples, _triples,
+           st.sets(st.tuples(st.integers(0, 4), st.integers(0, 4))))
+    def test_matches_brute_force(self, a, b, mask):
+        """Every partial product landing on a masked coordinate, once per
+        occurrence pair, with the index of its coordinate; nothing else
+        — masked coordinates the product misses included."""
+        mask = sorted(mask)
+
+        def coo(t):
+            r, c, v = (np.array(x, dtype=np.int64) for x in zip(*t)) if t \
+                else (np.empty(0, dtype=np.int64),) * 3
+            return COOMatrix(5, 5, r, c, v)
+
+        entry, av, bv = masked_products(
+            coo(a), coo(b), np.array([m[0] for m in mask], dtype=np.int64),
+            np.array([m[1] for m in mask], dtype=np.int64),
+        )
+        where = {m: e for e, m in enumerate(mask)}
+        assert sorted(zip(entry.tolist(), av.tolist(), bv.tolist())) == sorted(
+            (where[i, j], x, y)
+            for i, k, x in a for k2, j, y in b
+            if k == k2 and (i, j) in where
+        )

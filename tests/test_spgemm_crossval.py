@@ -1,9 +1,9 @@
-"""Cross-validation of every SpGEMM formulation against every bundled
-semiring.
+"""Cross-validation of every SpGEMM formulation against every numeric
+semiring fold.
 
-The numeric fast path (the vectorized numeric rung of `spgemm_coo`) must
-be indistinguishable from the scalar hash reference on every bundled
-semiring and sparsity pattern — including empty rows and
+The numeric fast path (`spgemm_coo`) must be indistinguishable from the
+scalar hash reference on every bundled semiring, every user-defined one of
+the kernel harness (one per ufunc fold), and every sparsity pattern — including empty rows and
 columns, 0×N shapes, and duplicate-entry COO inputs.  These tests are the
 safety net that let the kernels be rewritten freely; they also assert the
 fast path's defining property: no per-element Python ``add``/``multiply``
@@ -16,25 +16,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.core.semirings import (
-    encode_seed_hits,
-    substitute_as_numeric_semiring,
-)
+from repro.core.semirings import substitute_as_numeric_semiring
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.semiring import (
-    ARITHMETIC,
-    BOOLEAN,
-    COUNTING,
-    MAX_MIN,
-    MAX_TIMES,
-    MIN_PLUS,
-    NoKernelError,
-    Semiring,
-)
+from kernelcheck import BOOLEAN, MAX_MIN, MAX_TIMES, MIN_PLUS
+from repro.sparse.semiring import ARITHMETIC, COUNTING, NoKernelError, Semiring
 from repro.sparse.spgemm import spgemm_coo, spgemm_hash
 
-#: Every semiring bundled by repro.sparse.semiring.
+#: The two semirings bundled by repro.sparse.semiring plus the
+#: user-defined ones of the kernel harness: one per ufunc fold.
 ALL_SEMIRINGS = [ARITHMETIC, BOOLEAN, MIN_PLUS, MAX_MIN, MAX_TIMES, COUNTING]
 
 #: add distributes over multiply for these, so duplicate-entry COO inputs
@@ -77,7 +67,7 @@ def _norm(d: dict, semiring: Semiring) -> dict:
 
 
 class TestAllKernelsAgree:
-    """~50 seeded random cases: every kernel, every bundled semiring."""
+    """~50 seeded random cases: every kernel, every semiring."""
 
     @pytest.mark.parametrize("semiring", ALL_SEMIRINGS,
                              ids=lambda s: s.name)
@@ -117,6 +107,8 @@ class TestAllKernelsAgree:
             assert out.shape == (m, n) and out.nnz == 0
             out = spgemm_coo(a.to_coo(), b.to_coo(), semiring)
             assert out.shape == (m, n) and out.nnz == 0
+            # an empty product still carries the spec's value dtype
+            assert out.vals.dtype == semiring.numeric.dtype
 
     @pytest.mark.parametrize("semiring", ALL_SEMIRINGS,
                              ids=lambda s: s.name)
@@ -181,7 +173,7 @@ class TestPastisNumericSemiring:
     def test_encoding_preserves_min_order(self):
         pos = np.array([7, 3, 7, 0])
         dist = np.array([1, 2, 0, 1])
-        enc = encode_seed_hits(pos, dist)
+        enc = substitute_as_numeric_semiring().multiply(pos, dist)
         # lexicographic (distance, position) order == integer order
         order = np.lexsort((pos, dist))
         assert (np.argsort(enc, kind="stable") == order).all()

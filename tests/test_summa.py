@@ -8,18 +8,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.core import semirings
 from repro.mpisim import run_spmd
 from repro.mpisim.grid import ProcessGrid
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.distmat import DistSparseMatrix
-from repro.sparse.semiring import (
-    ARITHMETIC,
-    COUNTING,
-    MIN_PLUS,
-    Semiring,
-)
-from repro.sparse.spgemm import spgemm_hash
+from kernelcheck import MIN_PLUS
+from repro.sparse.semiring import ARITHMETIC, COUNTING, NoKernelError, Semiring
+from repro.sparse.spgemm import spgemm_coo, spgemm_hash
 from repro.sparse.summa import summa
 
 def _random_coo(m, n, density, seed) -> COOMatrix:
@@ -98,6 +95,43 @@ class TestSummaEqualsLocal:
         a = _random_coo(12, 12, 0.2, 7)
         got = _summa_product(4, a, a, ARITHMETIC)
         assert got.vals.dtype != object
+
+    @pytest.mark.parametrize("make", [
+        lambda: COUNTING,
+        semirings.exact_overlap_semiring,
+        semirings.substitute_overlap_encoded_semiring,
+    ], ids=["counting", "exact-records", "subs-records"])
+    @pytest.mark.parametrize("nranks", [1, 4, 9])
+    def test_idle_ranks_keep_the_spec_dtype(self, nranks, make):
+        """Data in one corner of the grid, or nowhere: every rank's
+        product — an idle rank's empty one included — carries the spec's
+        dtype (COUNTING's int64, the record semirings' ``CK_DTYPE``), or
+        the gather and the ``sym.`` exchange would promote its typed
+        siblings."""
+        semiring = make()
+
+        def fn(comm, populated):
+            grid = ProcessGrid.create(comm)
+            e = np.empty(0, dtype=np.int64)
+            rows = np.array([0, 1]) if populated and comm.rank == 0 else e
+            m = DistSparseMatrix.distribute(grid, 9, 9, rows, rows, rows)
+            c = summa(m, m, semiring)
+            return c.local.vals.dtype, c.gather_global()
+
+        for populated in (True, False):
+            results = run_spmd(nranks, fn, populated)
+            assert {dt for dt, _ in results} == {np.dtype(semiring.numeric.dtype)}
+            assert results[0][1].nnz == (2 if populated else 0)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.bool_])
+    def test_record_semirings_refuse_non_integer_operands(self, dtype):
+        """A float or bool operand has no record kernel: the SpGEMM under
+        SUMMA raises instead of truncating it into a seed."""
+        a = _random_coo(6, 6, 0.4, 3).astype(dtype)
+        for semiring in (semirings.exact_overlap_semiring(),
+                         semirings.substitute_overlap_encoded_semiring()):
+            with pytest.raises(NoKernelError):
+                spgemm_coo(a, a, semiring)
 
     def test_distribute_with_empty_rank_preserves_dtype(self):
         """A rank contributing zero triples must not promote the other

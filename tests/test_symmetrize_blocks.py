@@ -3,10 +3,12 @@
 ``symmetrize_candidates`` historically computed the AS-side global id of
 mirrored entries from the *column* offset, which is only correct for square
 diagonal blocks (``row_offset == col_offset``) — the old NOTE admitted as
-much.  These tests pin the repaired contract: an off-diagonal block must be
-merged against its explicitly supplied mirrored partner block, the helper
-must refuse unequal offsets without one, and the block-wise results (object
-and struct-record values alike) must tile exactly into the global
+much.  These tests pin the repaired contract for both formulations — the
+pipeline's count merge (``repro.core.overlap``: merged counts plus the
+winning directed entry) and the oracle's object
+merge (``semiring_oracle``, which refuses unequal offsets without a
+mirror): an off-diagonal block is merged against its mirrored partner
+block, and the block-wise results must tile exactly into the global
 single-matrix symmetrization.
 """
 
@@ -15,15 +17,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.overlap import symmetrize_candidates
-from repro.core.semirings import (
-    CK_DTYPE,
-    CommonKmers,
-    common_kmers_to_records,
-    records_to_common_kmers,
-)
+import semiring_oracle
+from repro.core import overlap
 from repro.mpisim.grid import block_ranges
 from repro.sparse.coo import COOMatrix
+from semiring_oracle import CommonKmers
+
+#: the two formulations under test, by parameter id
+_FORMS = ("object", "counts")
 
 
 def _random_directed_b(n: int, seed: int, nnz: int) -> COOMatrix:
@@ -67,37 +68,62 @@ def _block(b: COOMatrix, rr, cr) -> COOMatrix:
                      b.cols[keep] - cr[0], b.vals[keep])
 
 
-def _to_struct(b: COOMatrix) -> COOMatrix:
+def _counts(b: COOMatrix) -> COOMatrix:
     return COOMatrix(b.nrows, b.ncols, b.rows, b.cols,
-                     common_kmers_to_records(list(b.vals)))
+                     np.array([v.count for v in b.vals], dtype=np.int64))
 
 
-def _as_dict(b: COOMatrix) -> dict:
-    vals = b.vals
-    if vals.dtype == CK_DTYPE:
-        vals = records_to_common_kmers(vals)
-    return {(int(r), int(c)): v for r, c, v in zip(b.rows, b.cols, vals)}
+def _merge(form: str, b: COOMatrix, row_offset: int = 0,
+           col_offset: int = 0, mirror: COOMatrix | None = None) -> dict:
+    """``{(global row, global col): value}`` of one block's merge.  A
+    value is the :class:`CommonKmers` of the object merge, or ``(count,
+    winning directed entry)`` of the count merge, the entry named by its
+    global ``(AS side, other side)`` coordinate."""
+    if form == "object":
+        out = semiring_oracle.symmetrize_candidates(
+            b, row_offset, col_offset, mirror
+        )
+        return {(int(r) + row_offset, int(c) + col_offset): v
+                for r, c, v in zip(out.rows, out.cols, out.vals)}
+    b = _counts(b)
+    m = b.transpose() if mirror is None else _counts(mirror)
+    merged, winner = overlap.symmetrize_candidates(
+        b, row_offset, col_offset, mirror=m, return_winner=True
+    )
+    directed = list(zip(b.rows + row_offset, b.cols + col_offset)) + list(
+        zip(m.cols + col_offset, m.rows + row_offset)
+    )
+    return {
+        (int(r) + row_offset, int(c) + col_offset):
+            (int(v), tuple(int(x) for x in directed[w]))
+        for r, c, v, w in zip(merged.rows, merged.cols, merged.vals, winner)
+    }
 
 
 class TestOffsetContract:
+    """A merge whose mirror cannot be right is refused: the object
+    oracle's default mirror only on a square diagonal block (the count
+    merge takes no default), and a mirror of the wrong shape by both
+    formulations."""
+
     def test_unequal_offsets_without_mirror_raise(self):
         b = _random_directed_b(6, 0, 8)
         with pytest.raises(ValueError, match="mirror"):
-            symmetrize_candidates(b, row_offset=0, col_offset=6)
+            _merge("object", b, row_offset=0, col_offset=6)
 
     def test_rectangular_block_without_mirror_raises(self):
-        b = _random_directed_b(6, 1, 8)
-        blk = _block(b, (0, 2), (0, 6))
+        blk = _block(_random_directed_b(6, 1, 8), (0, 2), (0, 6))
         with pytest.raises(ValueError):
-            symmetrize_candidates(blk, 0, 0)
+            _merge("object", blk, 0, 0)
 
     def test_mirror_shape_mismatch_raises(self):
         b = _random_directed_b(6, 2, 8)
-        with pytest.raises(ValueError, match="shape"):
-            symmetrize_candidates(b, 0, 0, mirror=_block(b, (0, 3), (0, 6)))
+        for form in _FORMS:
+            with pytest.raises(ValueError, match="shape"):
+                _merge(form, b, 0, 0, mirror=_block(b, (0, 3), (0, 6)))
 
 
-@pytest.mark.parametrize("struct", [False, True], ids=["object", "struct"])
+@pytest.mark.parametrize("form", _FORMS)
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("seed", range(3))
 class TestBlocksTileTheGlobalMerge:
@@ -105,26 +131,22 @@ class TestBlocksTileTheGlobalMerge:
     grid — including off-diagonal blocks with unequal row/col offsets and
     uneven block sizes — must reproduce its window of the global merge."""
 
-    def test_blockwise_equals_global(self, struct, q, seed):
+    def test_blockwise_equals_global(self, form, q, seed):
         n = 11  # does not divide evenly by q: offsets differ per block
         b = _random_directed_b(n, seed, 14)
-        ref = _as_dict(symmetrize_candidates(b))
+        ref = _merge(form, b)
         ranges = block_ranges(n, q)
         covered = 0
         for pi in range(q):
             for pj in range(q):
                 rr, cr = ranges[pi], ranges[pj]
-                blk = _block(b, rr, cr)
                 # the mirrored partner block, transposed into this block's
-                # index space — what DistSparseMatrix.transpose delivers
-                mirror = _block(b, cr, rr).transpose()
-                if struct:
-                    blk, mirror = _to_struct(blk), _to_struct(mirror)
-                got = symmetrize_candidates(
-                    blk, row_offset=rr[0], col_offset=cr[0], mirror=mirror
-                )
-                for (r, c), v in _as_dict(got).items():
-                    assert ref[(r + rr[0], c + cr[0])] == v
+                # index space — what the exchange across the grid
+                # diagonal delivers
+                got = _merge(form, _block(b, rr, cr), rr[0], cr[0],
+                             mirror=_block(b, cr, rr).transpose())
+                for coord, v in got.items():
+                    assert ref[coord] == v
                     covered += 1
         assert covered == len(ref)
 
@@ -139,27 +161,25 @@ class TestForwardWinsTieBreak:
         v[1] = CommonKmers(2, ((8, 3, 0), (1, 7, 1)))
         return COOMatrix(5, 5, [1, 3], [3, 1], v)
 
-    @pytest.mark.parametrize("struct", [False, True],
-                             ids=["object", "struct"])
-    def test_forward_direction_wins_count_ties(self, struct):
-        b = self._tie_matrix()
-        if struct:
-            b = _to_struct(b)
-        out = _as_dict(symmetrize_candidates(b))
-        assert out[(1, 3)] == CommonKmers(2, ((4, 9, 0), (6, 2, 1)))
-        assert out[(3, 1)] == CommonKmers(2, ((9, 4, 0), (2, 6, 1)))
+    @pytest.mark.parametrize("form", _FORMS)
+    def test_forward_direction_wins_count_ties(self, form):
+        out = _merge(form, self._tie_matrix())
+        if form == "object":
+            assert out[(1, 3)] == CommonKmers(2, ((4, 9, 0), (6, 2, 1)))
+            assert out[(3, 1)] == CommonKmers(2, ((9, 4, 0), (2, 6, 1)))
+        else:
+            assert out == {(1, 3): (2, (1, 3)), (3, 1): (2, (1, 3))}
 
-    @pytest.mark.parametrize("struct", [False, True],
-                             ids=["object", "struct"])
-    def test_larger_count_beats_forward(self, struct):
+    @pytest.mark.parametrize("form", _FORMS)
+    def test_larger_count_beats_forward(self, form):
         v = np.empty(2, dtype=object)
         v[0] = CommonKmers(1, ((4, 9, 0),))
         v[1] = CommonKmers(3, ((8, 3, 0),))
-        b = COOMatrix(5, 5, [1, 3], [3, 1], v)
-        if struct:
-            b = _to_struct(b)
-        out = _as_dict(symmetrize_candidates(b))
+        out = _merge(form, COOMatrix(5, 5, [1, 3], [3, 1], v))
         # the backward direction (3 -> 1) has the larger count: its value
         # lands unflipped at (3, 1) and flipped at (1, 3)
-        assert out[(3, 1)] == CommonKmers(3, ((8, 3, 0),))
-        assert out[(1, 3)] == CommonKmers(3, ((3, 8, 0),))
+        if form == "object":
+            assert out[(3, 1)] == CommonKmers(3, ((8, 3, 0),))
+            assert out[(1, 3)] == CommonKmers(3, ((3, 8, 0),))
+        else:
+            assert out == {(1, 3): (3, (3, 1)), (3, 1): (3, (3, 1))}
