@@ -4,7 +4,9 @@ No end-to-end workload passes ``--comm-sanitize``, so this is the one
 timing gate outside ``benchmarks/e2e``: a 4-rank alignment stage with a
 collective per chunk on the clock, run with the sanitizer off and on,
 must give the same scores and stay within :data:`SANITIZER_OVERHEAD_GATE`
-(the fingerprint prelude is one extra small allgather per collective).
+(the sanitizer adds no round per collective — the lockstep check rides
+every exchange round either way — only p2p counting, the shared-memory
+ledger and one final audit round).
 
 Run:  PYTHONPATH=src python -m pytest -q -s benchmarks/bench_sanitizer.py
 """
@@ -49,9 +51,8 @@ def _rank_tasks(rank: int, npairs: int, length: int,
 def _chunked_stage_body(comm, npairs: int, length: int,
                         nchunks: int = 8):
     """SPMD body with collective traffic *inside* the timed region:
-    align in chunks with a progress allgather per chunk, so the
-    sanitizer's per-collective fingerprint prelude is actually on the
-    clock.
+    align in chunks with a progress allgather per chunk, so any
+    per-collective cost of the sanitizer would be on the clock.
 
     Returns ``(stage_seconds, score_checksum)``.
     """

@@ -1,5 +1,5 @@
-"""SPMD correctness tooling: one static analyzer + a runtime comm
-sanitizer.
+"""SPMD correctness tooling: one static analyzer, and the runtime
+checks it shares its finding codes with.
 
 The pipeline's output rests on SPMD discipline — every rank executes the
 identical collective sequence and the rebalance plan is bitwise
@@ -23,18 +23,18 @@ during* the run, with one shared vocabulary of finding codes
     pragma audit over all of them.  Supports ``--format json`` and a
     committed-baseline diff mode.
 
-``repro.analysis.sanitizer``
-    :class:`~repro.analysis.sanitizer.SanitizedComm`, a
-    :class:`~repro.mpisim.backend.CommBackend` wrapper that fingerprints
-    every collective and verifies lockstep across ranks at runtime,
-    raising a named-ranks :class:`~repro.mpisim.backend.SpmdError`
-    instead of deadlocking; it also accounts unmatched sends and
-    ``mpcomm`` shared-memory segment leaks at teardown.  Enabled by the
-    ``comm_sanitize`` config knob / ``--comm-sanitize`` flag /
-    ``REPRO_COMM_SANITIZE`` environment default.
+The runtime checks live in the communicator, not here: every
+collective's exchange round of :class:`~repro.mpisim.backend.CommBackend`
+compares the op names the ranks entered and raises a named-ranks
+``[rank-divergent-collective]`` :class:`~repro.mpisim.backend.SpmdError`
+instead of deadlocking or crossing values, always.  The
+``comm_sanitize`` config knob / ``--comm-sanitize`` flag /
+``REPRO_COMM_SANITIZE`` environment default adds the teardown audit
+(:func:`repro.mpisim.mpcomm.teardown_audit`): unmatched sends and leaked
+``mpcomm`` shared-memory segments.
 
-Submodules are imported lazily so the analyzer stays usable without
-pulling in the sanitizer (and vice versa).
+Submodules are imported lazily, so importing the package loads none of
+the analyzer.
 """
 
 from __future__ import annotations
@@ -42,8 +42,6 @@ from __future__ import annotations
 __all__ = [
     "FINDING_CODES",
     "Finding",
-    "SanitizedComm",
-    "sanitize_spmd_fn",
     "verify_paths",
     "verify_source",
     "verify_sources",
@@ -55,8 +53,6 @@ _LAZY = {
     "verify_paths": "verify",
     "verify_source": "verify",
     "verify_sources": "verify",
-    "SanitizedComm": "sanitizer",
-    "sanitize_spmd_fn": "sanitizer",
 }
 
 

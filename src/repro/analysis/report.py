@@ -1,13 +1,14 @@
 """Shared reporting layer of the analysis subsystem.
 
-One naming scheme ties the two SPMD correctness tools together: the
-static analyzer (:mod:`repro.analysis.verify`) and the runtime comm
-sanitizer (:mod:`repro.analysis.sanitizer`) report under the stable
-finding codes of :data:`FINDING_CODES` — a static
-``rank-divergent-collective`` is the compile-time shadow of the
-sanitizer's runtime collective mismatch, a static ``unmatched-send`` the
-shadow of its teardown audit.  ``docs/analysis.md`` renders the full
-table.
+One naming scheme ties the SPMD correctness tools together: the static
+analyzer (:mod:`repro.analysis.verify`) and the runtime checks of the
+communicator report under the stable finding codes of
+:data:`FINDING_CODES` — a static ``rank-divergent-collective`` is the
+compile-time shadow of the runtime collective mismatch every exchange
+round checks (:class:`~repro.mpisim.backend.CommBackend`), a static
+``unmatched-send`` the shadow of the comm sanitizer's teardown audit
+(:func:`~repro.mpisim.mpcomm.teardown_audit`).  ``docs/analysis.md``
+renders the full table.
 
 This module also owns the analyzer's machine surface:
 
@@ -61,17 +62,20 @@ class CodeInfo:
 
     severity: str           # "error" | "warning"
     pragma: str | None      # the spmd pragma code that allowlists it
-    tools: tuple[str, ...]  # which of verify / sanitizer emit it
+    tools: tuple[str, ...]  # which of verify / runtime / sanitizer emit it
     description: str
 
 
-#: the stable finding-code table shared by the analyzer and sanitizer
+#: the stable finding-code table shared by the analyzer and the runtime
+#: checks (``runtime``: every collective's lockstep check, always on;
+#: ``sanitizer``: the ``comm_sanitize`` teardown audit)
 FINDING_CODES: Mapping[str, CodeInfo] = {
     "rank-divergent-collective": CodeInfo(
-        "error", "rank-divergent-ok", ("verify", "sanitizer"),
+        "error", "rank-divergent-ok", ("verify", "runtime"),
         "a collective is executed by only some ranks (branch or loop "
-        "guarded by a rank-derived value; the sanitizer reports the "
-        "runtime counterpart as a collective mismatch)",
+        "guarded by a rank-derived value; every collective's exchange "
+        "round reports the runtime counterpart as a collective "
+        "mismatch)",
     ),
     "unmatched-send": CodeInfo(
         "error", "unmatched-send-ok", ("verify", "sanitizer"),

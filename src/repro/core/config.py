@@ -112,17 +112,16 @@ class PastisConfig:
         The graph is byte-identical in both modes (a tested invariant —
         rebalancing moves work, never changes it).
     comm_sanitize:
-        Run the distributed pipeline under the runtime comm sanitizer
-        (:class:`repro.analysis.sanitizer.SanitizedComm`): every
-        collective is fingerprinted and lockstep-checked across ranks —
-        an SPMD divergence raises a named
-        :class:`~repro.mpisim.backend.SpmdError` instead of deadlocking
-        — and unmatched sends / leaked shared-memory segments are
-        reported at teardown.  Payloads are untouched, so the graph
-        stays byte-identical; the fingerprint exchange costs one extra
-        small allgather per collective.  The default honours the
-        ``REPRO_COMM_SANITIZE`` environment variable (truthy values:
-        ``1``/``true``/``yes``/``on``).
+        Run the distributed pipeline under the runtime comm sanitizer's
+        teardown audit (:func:`repro.mpisim.mpcomm.teardown_audit`):
+        unmatched sends and leaked shared-memory segments raise a named
+        :class:`~repro.mpisim.backend.SpmdError` after the run.  The
+        collective lockstep check is not part of it: every collective's
+        exchange round checks it, always.  Payloads are untouched, so
+        the graph stays byte-identical, and the audit's one final round
+        is untraced, so the traced comm totals are too.  The default
+        honours the ``REPRO_COMM_SANITIZE`` environment variable
+        (truthy values: ``1``/``true``/``yes``/``on``).
     """
 
     k: int = 6

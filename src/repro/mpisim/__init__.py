@@ -1,6 +1,7 @@
-"""The SPMD communication runtime the distributed pipeline runs on: the
-:class:`CommBackend` interface with its collectives, and one transport
-under it, one OS process per rank (:mod:`repro.mpisim.mpcomm`)."""
+"""The SPMD communication runtime the distributed pipeline runs on: one
+communicator class, :class:`CommBackend`, with its lockstep-checked
+collectives, over one transport, one OS process per rank
+(:mod:`repro.mpisim.mpcomm`)."""
 
 from .backend import (
     ANY_SOURCE,

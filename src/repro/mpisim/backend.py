@@ -1,27 +1,32 @@
-"""The communicator abstraction the SPMD runtime implements.
+"""The communicator the SPMD runtime implements, and its entry point.
 
 The distributed pipeline is written against a small MPI-shaped surface —
 point-to-point sends/receives with tags and non-blocking handles, the
 collectives SUMMA and the balance executors use, and ``split`` for the
-grid's row/column sub-communicators.  :class:`CommBackend` names that
-surface once and implements every collective, ``split``'s validation and
-the collectives' tracer records on top of two transport primitives; the
-one transport, :class:`~repro.mpisim.mpcomm.MPComm`, runs one OS process
-per rank with block payloads shipped through shared-memory ndarray
-segments.
+grid's row/column sub-communicators.  :class:`CommBackend` is that
+surface, one concrete class over the one transport
+(:mod:`repro.mpisim.mpcomm`: one OS process per rank, block payloads
+shipped through shared-memory ndarray segments).  Every collective,
+``split`` and the collectives' tracer records are written once, over one
+untraced exchange round that also checks the SPMD lockstep contract:
+each contribution carries the name of the collective its rank called,
+and a rank that entered a different one makes every rank raise the same
+named :class:`SpmdError` in that round.
 
 :func:`run_spmd` is the single entry point: it runs ``fn(comm, *args)``
 on ``nranks`` ranks and returns the per-rank results in rank order.  The
-runtime module is imported on first use, so importing this module never
+runner module is imported on first use, so importing this module never
 pays for it.
 """
 
 from __future__ import annotations
 
 import functools
-from abc import ABC, abstractmethod
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
+
+import numpy as np
 
 from .tracing import payload_bytes
 
@@ -31,6 +36,7 @@ __all__ = [
     "CommBackend",
     "Request",
     "SpmdError",
+    "payload_digest",
     "run_spmd",
 ]
 
@@ -54,9 +60,40 @@ COMM_OP_KINDS: dict[str, str] = {
 #: Watchdog timeout (seconds) converting deadlocks into failures.
 DEFAULT_TIMEOUT = 120.0
 
+# internal message channels (the public p2p API only sees _CHAN_P2P)
+_CHAN_P2P = 0
+_CHAN_COLL = 1  # rank-0-bound collective contributions, tag = generation
+_CHAN_FAN = 2  # rank-0 fan-out of collective results, tag = generation
+
 
 class SpmdError(RuntimeError):
     """Raised when a rank fails or the program deadlocks/times out."""
+
+
+def payload_digest(obj: Any, _depth: int = 0) -> str:
+    """Structural digest of a payload: dtype + shape, never data.
+
+    Makes a collective-mismatch report readable ("rank 2 broadcast
+    ``ndarray[<i8](4096,)`` where rank 0 broadcast ``dict[3]``")."""
+    if obj is None:
+        return "None"
+    if isinstance(obj, np.ndarray):
+        return f"ndarray[{obj.dtype.str}]{obj.shape}"
+    if isinstance(obj, (bytes, bytearray, memoryview)):
+        return f"bytes[{len(obj)}]"
+    if isinstance(obj, (bool, int, float, complex, str)):
+        return type(obj).__name__
+    if isinstance(obj, (list, tuple)):
+        name = type(obj).__name__
+        if _depth >= 2:
+            return f"{name}[{len(obj)}]"
+        head = [payload_digest(x, _depth + 1) for x in obj[:4]]
+        if len(obj) > 4:
+            head.append("...")
+        return f"{name}[{len(obj)}]({', '.join(head)})"
+    if isinstance(obj, dict):
+        return f"dict[{len(obj)}]"
+    return type(obj).__name__
 
 
 @dataclass
@@ -91,49 +128,65 @@ class Request:
         return False, None
 
 
-class CommBackend(ABC):
+class CommBackend:
     """Per-rank communicator: the operations the pipeline actually uses.
 
-    A transport provides ``send`` / ``recv`` / ``tryrecv`` and two
-    primitives, :meth:`_exchange` (an untraced internal allgather) and
-    :meth:`_sub` (the view for one split group); every collective and
-    ``split`` are written here, once, and traced as their logical
-    point-to-point decomposition (a broadcast is ``size - 1`` messages
-    from the root) — a transport records only its ``send``.  Semantics
-    follow mpi4py's lowercase (pickle-object) API: messages match on
-    ``(source, tag)`` in FIFO order per channel, sends are buffered
-    (never block), and collectives synchronise all ranks.
+    ``ranks`` maps communicator rank -> world rank over this process's
+    transport (:class:`~repro.mpisim.mpcomm._MPTransport`).  A
+    sub-communicator from :meth:`split` is a new ``(comm_id, ranks)``
+    view over the same transport, told apart on the wire by its
+    ``comm_id``, which is also its trace label: ``"world"``, and
+    ``"<parent>/<split call>.<color>"`` for a split group.
+
+    Semantics follow mpi4py's lowercase (pickle-object) API: messages
+    match on ``(source, tag)`` in FIFO order per channel, sends are
+    buffered (never block), and collectives synchronise all ranks.
+    Collectives are traced as their logical point-to-point decomposition
+    (a broadcast is ``size - 1`` messages from the root); the exchange
+    round under them is not traced.
     """
 
-    #: this rank's id within the communicator
-    rank: int
-    #: number of ranks in the communicator
-    size: int
-
-    def __init__(self, rank: int, size: int, tracer: Any | None,
-                 label: str):
+    def __init__(self, transport: Any, comm_id: str,
+                 ranks: tuple[int, ...], rank: int):
+        #: this rank's id within the communicator
         self.rank = rank
-        self.size = size
-        self._tracer = tracer
-        #: communicator label for tracing: ``"world"``, and
-        #: ``"<parent>/<split call>.<color>"`` for a split group
-        self._label = label
+        #: number of ranks in the communicator
+        self.size = len(ranks)
+        self._transport = transport
+        self._tracer = transport.tracer
+        self._label = comm_id
+        self._ranks = ranks
+        self._coll_gen = 0
         self._split_calls = 0
 
-    # -- transport ------------------------------------------------------------
+    # -- point-to-point -----------------------------------------------------
 
-    @abstractmethod
     def send(self, obj: Any, dest: int, tag: int = 0,
              kind: str = "p2p") -> None:
         """Buffered send.  ``kind`` labels the traffic for the
         :class:`~repro.mpisim.tracing.CommTracer` (default ``"p2p"``; the
         alignment rebalancer tags its shipped tasks ``"rebal"``)."""
+        if not 0 <= dest < self.size:
+            raise ValueError(f"bad destination rank {dest}")
+        if self._tracer is not None:
+            self._tracer.record(self.rank, dest, payload_bytes(obj), kind,
+                                self._label, "send")
+        tp = self._transport
+        tp.sent[(self._label, self._ranks[dest], tag)] += 1
+        tp.send_env(
+            self._label, _CHAN_P2P, self._ranks[dest], self.rank, tag, obj
+        )
 
-    @abstractmethod
     def recv(self, source: int = ANY_SOURCE, tag: int = 0) -> Any:
         """Blocking receive matching ``(source, tag)`` in FIFO order."""
+        tp = self._transport
+        obj = tp.recv_env(
+            self._label, _CHAN_P2P, source, tag,
+            f"recv(comm={self._label!r}, source={source}, tag={tag})",
+        )[1]
+        tp.recvd[(self._label, tag)] += 1
+        return obj
 
-    @abstractmethod
     def tryrecv(
         self, source: int = ANY_SOURCE, tag: int = 0
     ) -> tuple[bool, Any]:
@@ -141,20 +194,11 @@ class CommBackend(ABC):
         the first queued message matching ``(source, tag)`` as
         ``(True, payload)``, or report ``(False, None)`` without
         blocking."""
-
-    def _exchange(self, obj: Any) -> list[Any]:
-        """Transport primitive: untraced allgather of one object per rank,
-        synchronising every rank of the communicator."""
-        raise NotImplementedError
-
-    def _sub(self, call_idx: int, color: int, members: list[int],
-             rank: int) -> "CommBackend":
-        """Transport primitive: this rank's view of the group ``color`` of
-        split call ``call_idx``, whose ranks are ``members`` (parent
-        ranks, in sub-communicator order); ``rank`` is its place there."""
-        raise NotImplementedError
-
-    # -- point-to-point -----------------------------------------------------
+        tp = self._transport
+        ok, obj = tp.tryrecv_env(self._label, _CHAN_P2P, source, tag)
+        if ok:
+            tp.recvd[(self._label, tag)] += 1
+        return ok, obj
 
     def isend(self, obj: Any, dest: int, tag: int = 0,
               kind: str = "p2p") -> Request:
@@ -175,6 +219,71 @@ class CommBackend(ABC):
         """Complete every request (MPI_Waitall)."""
         return [r.wait() for r in requests]
 
+    # -- the exchange round -------------------------------------------------
+
+    def _exchange(self, op: str, obj: Any) -> list[Any]:
+        """Untraced allgather of one object per rank for the collective
+        ``op``, synchronising every rank of the communicator.
+
+        Rank 0 of the communicator collects one ``(op, obj)``
+        contribution per rank and fans the full list back out; a
+        per-communicator generation counter tags the round.  Every rank
+        then compares the op names, so a rank that entered a different
+        collective makes every rank raise the same named
+        :class:`SpmdError` in this round instead of silently crossing
+        values (rank 0 fans out before it checks, so no rank is left
+        waiting).  A single rank sends nothing."""
+        if self.size == 1:
+            return [obj]
+        tp = self._transport
+        gen = self._coll_gen
+        self._coll_gen += 1
+        cid = self._label
+        what = f"collective (comm={cid!r}, generation {gen})"
+        if self.rank != 0:
+            tp.send_env(
+                cid, _CHAN_COLL, self._ranks[0], self.rank, gen, (op, obj)
+            )
+            entries = tp.recv_env(cid, _CHAN_FAN, 0, gen, what)[1]
+        else:
+            entries = [None] * self.size
+            entries[0] = (op, obj)
+            for _ in range(self.size - 1):
+                # contributions arrive in any order; envelopes carry src
+                src, entry = tp.recv_env(cid, _CHAN_COLL, ANY_SOURCE, gen,
+                                         what)
+                entries[src] = entry
+            for dst in range(1, self.size):
+                tp.send_env(
+                    cid, _CHAN_FAN, self._ranks[dst], 0, gen, entries
+                )
+        if any(entry[0] != op for entry in entries):
+            raise self._mismatch(gen, entries)
+        return [entry[1] for entry in entries]
+
+    def _mismatch(self, gen: int, entries: list[tuple[str, Any]]
+                  ) -> SpmdError:
+        """The named error of a round whose ranks entered different
+        collectives: the diverging *world* ranks, and each rank's op and
+        payload digest."""
+        ops = [op for op, _obj in entries]
+        majority = Counter(ops).most_common(1)[0][0]
+        divergers = sorted(
+            self._ranks[r] for r, op in enumerate(ops) if op != majority
+        )
+        detail = "; ".join(
+            f"world rank {self._ranks[r]}: {op}() "
+            f"[payload {payload_digest(obj)}]"
+            for r, (op, obj) in enumerate(entries)
+        )
+        return SpmdError(
+            f"comm sanitizer: collective mismatch "
+            f"[rank-divergent-collective] on comm {self._label!r} "
+            f"(generation {gen}): "
+            f"world rank(s) {', '.join(map(str, divergers))} diverged "
+            f"from the majority op {majority}() — {detail}"
+        )
+
     # -- collectives ----------------------------------------------------------
 
     def _trace(self, op: str, src: int, obj: Any,
@@ -189,25 +298,32 @@ class CommBackend(ABC):
             for dst in dsts:
                 self._tracer.record(src, dst, nbytes, op, self._label, op)
 
+    def _allgather(self, op: str, obj: Any) -> list[Any]:
+        """:meth:`allgather` for the collective ``op`` (the reductions
+        and ``split`` are allgathers on the wire and in the trace)."""
+        self._trace("allgather", self.rank, obj, range(self.size))
+        return self._exchange(op, obj)
+
     def barrier(self) -> None:
         """Synchronise all ranks."""
-        self._exchange(None)
+        self._exchange("barrier", None)
 
     def bcast(self, obj: Any, root: int = 0) -> Any:
         """Broadcast from ``root``."""
         if self.rank == root:
             self._trace("bcast", root, obj, range(self.size))
-        return self._exchange(obj if self.rank == root else None)[root]
+        return self._exchange(
+            "bcast", obj if self.rank == root else None
+        )[root]
 
     def allgather(self, obj: Any) -> list[Any]:
         """Every rank receives ``[obj_of_rank_0, ..., obj_of_rank_p-1]``."""
-        self._trace("allgather", self.rank, obj, range(self.size))
-        return self._exchange(obj)
+        return self._allgather("allgather", obj)
 
     def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
         """``root`` receives the per-rank list; everyone else ``None``."""
         self._trace("gather", self.rank, obj, (root,))
-        vals = self._exchange(obj)
+        vals = self._exchange("gather", obj)
         return vals if self.rank == root else None
 
     def scatter(self, objs: Sequence[Any] | None, root: int = 0) -> Any:
@@ -217,7 +333,9 @@ class CommBackend(ABC):
                 raise ValueError("root must provide size objects")
             for dst in range(self.size):
                 self._trace("scatter", root, objs[dst], (dst,))
-        vals = self._exchange(list(objs) if self.rank == root else None)
+        vals = self._exchange(
+            "scatter", list(objs) if self.rank == root else None
+        )
         return vals[root][self.rank]
 
     def alltoall(self, objs: Sequence[Any]) -> list[Any]:
@@ -227,7 +345,7 @@ class CommBackend(ABC):
             raise ValueError("alltoall requires size objects")
         for dst in range(self.size):
             self._trace("alltoall", self.rank, objs[dst], (dst,))
-        mat = self._exchange(list(objs))
+        mat = self._exchange("alltoall", list(objs))
         return [mat[src][self.rank] for src in range(self.size)]
 
     def reduce(self, obj: Any, op: Callable[[Any, Any], Any],
@@ -235,17 +353,17 @@ class CommBackend(ABC):
         """Left-fold of the per-rank values on ``root`` (``None``
         elsewhere)."""
         self._trace("reduce", self.rank, obj, (root,))
-        vals = self._exchange(obj)
+        vals = self._exchange("reduce", obj)
         return functools.reduce(op, vals) if self.rank == root else None
 
     def allreduce(self, obj: Any, op: Callable[[Any, Any], Any]) -> Any:
         """Left-fold of the per-rank values, result on every rank."""
-        return functools.reduce(op, self.allgather(obj))
+        return functools.reduce(op, self._allgather("allreduce", obj))
 
     def exscan(self, value: int) -> int:
         """Exclusive prefix sum of integers (0 on rank 0) — PASTIS's
         cooperative sequence-count prefix sums."""
-        return sum(self.allgather(value)[: self.rank])
+        return sum(self._allgather("exscan", value)[: self.rank])
 
     # -- sub-communicators ------------------------------------------------------
 
@@ -253,35 +371,25 @@ class CommBackend(ABC):
         """Partition ranks by ``color`` into sub-communicators; rank order
         within a group follows ``(key, parent rank)``.
 
-        A collective: a sub-communicator is identified by the split call
-        index, so the indices are allgathered and validated — ranks whose
-        ``split`` counts diverged raise a clear :class:`SpmdError` instead
-        of pairing into wrong groups."""
+        A collective: the ``(color, key)`` pairs are allgathered, and the
+        group's ``comm_id`` carries this communicator's split call index,
+        so the wire traffic of different sub-communicators can never
+        cross.  Ranks whose ``split`` counts diverged pair a ``split``
+        with another collective in some round, which raises the named
+        mismatch."""
         call_idx = self._split_calls
         self._split_calls += 1
         if key is None:
             key = self.rank
-        quads = self.allgather(("split", call_idx, color, key, self.rank))
-        seen_calls = set()
-        for q in quads:
-            if not isinstance(q, tuple) or len(q) != 5 or q[0] != "split":
-                # the peer was inside a *different* collective — the
-                # signature of unequal split counts
-                raise SpmdError(
-                    f"rank {self.rank} split(call {call_idx}) paired with "
-                    f"a non-split collective: ranks must call split() the "
-                    f"same number of times"
-                )
-            seen_calls.add(q[1])
-        if len(seen_calls) != 1:
-            raise SpmdError(
-                f"split call-index mismatch across ranks "
-                f"({sorted(seen_calls)}): ranks must call split() the "
-                f"same number of times"
-            )
-        group = sorted((k, r) for (_m, _ci, c, k, r) in quads if c == color)
-        return self._sub(call_idx, color, [r for (_k, r) in group],
-                         group.index((key, self.rank)))
+        pairs = self._allgather("split", (color, key))
+        group = sorted(
+            (k, r) for r, (c, k) in enumerate(pairs) if c == color
+        )
+        return CommBackend(
+            self._transport, f"{self._label}/{call_idx}.{color}",
+            tuple(self._ranks[r] for (_k, r) in group),
+            group.index((key, self.rank)),
+        )
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"{type(self).__name__}(rank={self.rank}, size={self.size})"
@@ -301,17 +409,17 @@ def run_spmd(
 
     Any rank raising aborts all ranks and re-raises as :class:`SpmdError`
     carrying the root-cause failure (see
-    :func:`~repro.mpisim.mpcomm.blame_order`) as ``__cause__``.  At
-    ``nranks == 1`` nothing is started: ``fn`` runs inline in the calling
-    thread on a 1-rank communicator, under no whole-run deadline
-    (``timeout`` still bounds a blocked receive).
+    :func:`~repro.mpisim.mpcomm.blame_order`) as ``__cause__``; a
+    rank-divergent collective is one such failure, named in the round
+    where it happens.  At ``nranks == 1`` nothing is started: ``fn`` runs
+    inline in the calling thread on a 1-rank communicator, under no
+    whole-run deadline (``timeout`` still bounds a blocked receive).
 
-    ``comm_sanitize`` wraps every rank's communicator in
-    :class:`repro.analysis.sanitizer.SanitizedComm`: collectives are
-    lockstep-checked across ranks (a divergence raises a named
-    :class:`SpmdError` instead of deadlocking) and unmatched sends /
-    leaked shared-memory segments are reported at teardown.  Payloads
-    are untouched, so results stay byte-identical.
+    ``comm_sanitize`` adds the teardown audit
+    (:func:`~repro.mpisim.mpcomm.teardown_audit`): after ``fn`` returns,
+    sends no rank received and shared-memory segments never unlinked
+    raise a named :class:`SpmdError`.  Payloads are untouched, so
+    results stay byte-identical.
 
     ``comm_backend`` accepts ``"mp"``, the one transport, and nothing
     else.
@@ -321,11 +429,8 @@ def run_spmd(
             f"comm_backend {comm_backend!r}: the thread simulator was "
             f"removed; 'mp' is the only transport"
         )
-    # lazy: the runtime module imports this one
+    # lazy: the runner module imports this one
     from .mpcomm import run_spmd_mp
 
-    if comm_sanitize:
-        from ..analysis.sanitizer import sanitize_spmd_fn
-
-        fn = sanitize_spmd_fn(fn)
-    return run_spmd_mp(nranks, fn, *args, tracer=tracer, timeout=timeout)
+    return run_spmd_mp(nranks, fn, *args, tracer=tracer, timeout=timeout,
+                       sanitize=comm_sanitize)

@@ -3,7 +3,8 @@
 :func:`run_spmd_mp` runs ``fn(comm, *args)`` with one forked process per
 rank, so a laptop run uses all cores — the paper's process-parallel SPMD
 shape, minus the network.  A 1-rank run forks nothing: ``fn`` runs inline
-on the same :class:`MPComm` over an in-process transport.
+on the same :class:`~repro.mpisim.backend.CommBackend` over an
+in-process transport.
 
 Transport
 ---------
@@ -23,13 +24,15 @@ at sender exit), the receiver attaches, copies out and unlinks it.  Every
 segment name carries a run-unique prefix and the parent sweeps leftovers
 when the run ends, so an aborted rank cannot leak ``/dev/shm`` space.
 
-The collectives themselves are written once on
-:class:`~repro.mpisim.backend.CommBackend`; this module supplies their
-exchange primitive on internal channels: a per-communicator generation
-counter tags each round, rank 0 of the communicator gathers and fans
-out.  Tracing records the *logical* messages (sender-side, collective
-decomposition), not the transport traffic; child-process tracers are
-shipped back with the results and merged.
+The communicator itself, its collectives and their exchange round
+(tagged by a per-communicator generation counter; rank 0 of the
+communicator gathers and fans out) are
+:class:`~repro.mpisim.backend.CommBackend`; this module supplies the
+per-rank transport under it, the runner, and the ``comm_sanitize``
+teardown audit (:func:`teardown_audit`).  Tracing records the *logical*
+messages (sender-side, collective decomposition), not the transport
+traffic; child-process tracers are shipped back with the results and
+merged.
 
 ``multiprocessing`` and its ``shared_memory`` module are imported only
 where processes or segments are created, so a 1-rank run loads neither.
@@ -47,19 +50,20 @@ import pickle
 import queue
 import threading
 import time
+from collections import Counter
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from .backend import ANY_SOURCE, DEFAULT_TIMEOUT, CommBackend, SpmdError
-from .tracing import CommTracer, payload_bytes
+from .tracing import CommTracer
 
 __all__ = [
-    "MPComm",
     "SHM_MIN_BYTES",
     "begin_shm_audit",
     "end_shm_audit",
     "run_spmd_mp",
+    "teardown_audit",
 ]
 
 #: ndarrays at least this large travel through shared memory instead of
@@ -69,25 +73,20 @@ SHM_MIN_BYTES = 1 << 13  # 8 KiB
 #: what every surviving rank raises once another rank has failed
 ABORTED = "aborted by a failing rank"
 
-# internal message channels (the public p2p API only sees CHAN_P2P)
-_CHAN_P2P = 0
-_CHAN_COLL = 1  # rank-0-bound collective contributions, tag = generation
-_CHAN_FAN = 2  # rank-0 fan-out of collective results, tag = generation
-
 
 # ---------------------------------------------------------------------------
 # shared-memory pickling
 # ---------------------------------------------------------------------------
 
 #: per-process shared-memory audit: ``(created names, unlinked names)``
-#: while a comm-sanitizer run is active, else ``None``.  Per-process
+#: while a ``comm_sanitize`` run is active, else ``None``.  Per-process
 #: module state is per-*rank* state under the process-per-rank backend.
 _shm_audit: tuple[list[str], list[str]] | None = None
 
 
 def begin_shm_audit() -> None:
-    """Start recording segment create/unlink pairs in this process (the
-    comm sanitizer calls this at rank startup)."""
+    """Start recording segment create/unlink pairs in this process (a
+    ``comm_sanitize`` run calls this at rank startup)."""
     global _shm_audit
     _shm_audit = ([], [])
 
@@ -203,7 +202,8 @@ def _sweep_shm(prefix: str) -> None:
 
 class _MPTransport:
     """This process's view of the fleet: its inbox, every outbox, the
-    abort flag, and the out-of-order stash of received envelopes."""
+    abort flag, the out-of-order stash of received envelopes, and the
+    point-to-point counters the teardown audit reads."""
 
     def __init__(
         self,
@@ -225,6 +225,10 @@ class _MPTransport:
         )
         # envelopes received but not yet matched, in arrival order
         self._stash: list[tuple] = []
+        #: (comm label, dest world rank, tag) -> p2p sends posted
+        self.sent: Counter = Counter()
+        #: (comm label, tag) -> p2p receives completed on this rank
+        self.recvd: Counter = Counter()
 
     def check_abort(self) -> None:
         if self.abort.is_set():
@@ -304,94 +308,62 @@ class _MPTransport:
 
 
 # ---------------------------------------------------------------------------
-# communicator
+# teardown audit
 # ---------------------------------------------------------------------------
 
 
-class MPComm(CommBackend):
-    """Per-rank view of a process-backed communicator.
+def teardown_audit(comm: CommBackend) -> None:
+    """The ``comm_sanitize`` teardown audit, on the *world* communicator
+    after the SPMD body returned cleanly (after a failure the peers may
+    be gone, and a further round would hang): one final exchange round
+    of every rank's p2p counters and shared-memory ledger, then one named
+    :class:`SpmdError` if any send was never received or any segment was
+    created but never unlinked.  A rank still inside another collective
+    pairs with this round and raises the named collective mismatch."""
+    tp = comm._transport
+    created, unlinked = end_shm_audit()
+    per_rank = comm._exchange(
+        "finalize",
+        (dict(tp.sent), dict(tp.recvd), sorted(created), sorted(unlinked)),
+    )
 
-    ``ranks`` maps communicator rank -> world rank; sub-communicators from
-    :meth:`split` are just new ``(comm_id, ranks)`` views over the same
-    transport, distinguished on the wire by their ``comm_id`` (which is
-    also the communicator's trace label).
-    """
+    problems: list[str] = []
+    sent_to: dict[tuple[int, str, int], list] = {}
+    for src, (sent, _recvd, _c, _u) in enumerate(per_rank):
+        for (label, dest_world, tag), n in sent.items():
+            entry = sent_to.setdefault((dest_world, label, tag), [0, []])
+            entry[0] += n
+            entry[1].append(src)
+    for (dest_world, label, tag), (total, srcs) in sorted(sent_to.items()):
+        got = per_rank[dest_world][1].get((label, tag), 0)
+        if total > got:
+            problems.append(
+                f"[unmatched-send] "
+                f"{total - got} unmatched send(s) to world rank "
+                f"{dest_world} (comm {label!r}, tag {tag}) from "
+                f"rank(s) {sorted(set(srcs))}"
+            )
 
-    def __init__(
-        self,
-        transport: _MPTransport,
-        comm_id: str,
-        ranks: tuple[int, ...],
-        rank: int,
-    ):
-        super().__init__(rank, len(ranks), transport.tracer, comm_id)
-        self._transport = transport
-        self._ranks = ranks
-        self._coll_gen = 0
-
-    def send(self, obj: Any, dest: int, tag: int = 0,
-             kind: str = "p2p") -> None:
-        tp = self._transport
-        if not 0 <= dest < self.size:
-            raise ValueError(f"bad destination rank {dest}")
-        if tp.tracer is not None:
-            tp.tracer.record(self.rank, dest, payload_bytes(obj), kind,
-                             self._label, "send")
-        tp.send_env(
-            self._label, _CHAN_P2P, self._ranks[dest], self.rank, tag, obj
+    all_created: dict[str, int] = {}
+    all_unlinked: set[str] = set()
+    for world, (_s, _r, c_names, u_names) in enumerate(per_rank):
+        for name in c_names:
+            all_created[name] = world
+        all_unlinked.update(u_names)
+    leaked = sorted(set(all_created) - all_unlinked)
+    if leaked:
+        owners = sorted({all_created[n] for n in leaked})
+        problems.append(
+            f"[shm-leak] "
+            f"{len(leaked)} leaked shared-memory segment(s) "
+            f"created by rank(s) {owners} and never unlinked: "
+            f"{', '.join(leaked[:8])}"
+            + (" ..." if len(leaked) > 8 else "")
         )
 
-    def recv(self, source: int = ANY_SOURCE, tag: int = 0) -> Any:
-        return self._transport.recv_env(
-            self._label, _CHAN_P2P, source, tag,
-            f"recv(comm={self._label!r}, source={source}, tag={tag})",
-        )[1]
-
-    def tryrecv(
-        self, source: int = ANY_SOURCE, tag: int = 0
-    ) -> tuple[bool, Any]:
-        return self._transport.tryrecv_env(
-            self._label, _CHAN_P2P, source, tag
-        )
-
-    def _exchange(self, obj: Any) -> list[Any]:
-        """Rank 0 of the communicator collects one contribution per rank
-        and fans the full list back out.  The per-communicator generation
-        counter tags the round, so every rank must reach collectives in
-        the same order (the SPMD contract); a divergence starves some
-        generation's gather and surfaces as the watchdog timeout instead
-        of silent value crossing."""
-        tp = self._transport
-        gen = self._coll_gen
-        self._coll_gen += 1
-        cid = self._label
-        what = f"collective (comm={cid!r}, generation {gen})"
-        if self.rank != 0:
-            tp.send_env(
-                cid, _CHAN_COLL, self._ranks[0], self.rank, gen, obj
-            )
-            return tp.recv_env(cid, _CHAN_FAN, 0, gen, what)[1]
-        vals: list[Any] = [None] * self.size
-        vals[0] = obj
-        for _ in range(self.size - 1):
-            # contributions arrive in any order; envelopes carry src
-            src, src_obj = tp.recv_env(cid, _CHAN_COLL, ANY_SOURCE, gen,
-                                       what)
-            vals[src] = src_obj
-        for dst in range(1, self.size):
-            tp.send_env(
-                cid, _CHAN_FAN, self._ranks[dst], 0, gen, vals
-            )
-        return list(vals)
-
-    def _sub(self, call_idx: int, color: int, members: list[int],
-             rank: int) -> "MPComm":
-        """A fresh ``comm_id`` view derived from the split call index, so
-        the wire traffic of different sub-communicators can never
-        cross."""
-        return MPComm(
-            self._transport, f"{self._label}/{call_idx}.{color}",
-            tuple(self._ranks[m] for m in members), rank,
+    if problems:
+        raise SpmdError(
+            "comm sanitizer: teardown audit failed: " + "; ".join(problems)
         )
 
 
@@ -400,11 +372,28 @@ class MPComm(CommBackend):
 # ---------------------------------------------------------------------------
 
 
+def _run_rank(comm: CommBackend, fn: Callable[..., Any], args: tuple,
+              sanitize: bool) -> Any:
+    """``fn(comm, *args)``, under the teardown audit when ``sanitize``."""
+    if not sanitize:
+        return fn(comm, *args)
+    begin_shm_audit()
+    try:
+        value = fn(comm, *args)
+    except BaseException:
+        # no audit after a failure, but an inline rank shares the
+        # caller's process: stop recording there
+        end_shm_audit()
+        raise
+    teardown_audit(comm)
+    return value
+
+
 def blame_order(rank: int, is_spmd: bool, text: str) -> tuple[int, int]:
     """Sort key putting a run's root-cause failure first.
 
     A rank's own exception (anything but an :class:`SpmdError`) beats a
-    primary :class:`SpmdError` (a timeout, a sanitizer mismatch), which
+    primary :class:`SpmdError` (a timeout, a collective mismatch), which
     beats the :data:`ABORTED` echo the surviving ranks raise once the
     abort flag is up; ties go to the lowest rank."""
     if not is_spmd:
@@ -421,6 +410,7 @@ def _mp_worker(
     timeout: float,
     trace: bool,
     shm_prefix: str,
+    sanitize: bool,
     fn: Callable[..., Any],
     args: tuple,
 ) -> None:
@@ -428,9 +418,9 @@ def _mp_worker(
     transport = _MPTransport(
         rank, inboxes, abort, timeout, tracer, shm_prefix
     )
-    comm = MPComm(transport, "world", tuple(range(nranks)), rank)
+    comm = CommBackend(transport, "world", tuple(range(nranks)), rank)
     try:
-        value = fn(comm, *args)
+        value = _run_rank(comm, fn, args, sanitize)
     except BaseException as exc:  # noqa: BLE001 - must propagate any
         import traceback
 
@@ -453,9 +443,11 @@ def run_spmd_mp(
     *args: Any,
     tracer: CommTracer | None = None,
     timeout: float = DEFAULT_TIMEOUT,
+    sanitize: bool = False,
 ) -> list[Any]:
     """Run ``fn(comm, *args)`` on ``nranks`` OS-process ranks; return the
-    per-rank results in rank order.
+    per-rank results in rank order (under :func:`teardown_audit` when
+    ``sanitize``).
 
     Any rank raising aborts all ranks and re-raises as :class:`SpmdError`
     with the root-cause failure (:func:`blame_order`) as ``__cause__``.
@@ -468,7 +460,7 @@ def run_spmd_mp(
     receives every child's logical message records.
 
     ``nranks == 1`` forks nothing: ``fn`` runs inline in the calling
-    thread on a 1-rank :class:`MPComm` over an in-process queue, under no
+    thread on a 1-rank communicator over an in-process queue, under no
     whole-run deadline (``timeout`` still bounds a blocked receive).
     """
     if nranks <= 0:
@@ -478,7 +470,8 @@ def run_spmd_mp(
         transport = _MPTransport(0, [queue.Queue()], threading.Event(),
                                  timeout, tracer, shm_prefix)
         try:
-            return [fn(MPComm(transport, "world", (0,), 0), *args)]
+            comm = CommBackend(transport, "world", (0,), 0)
+            return [_run_rank(comm, fn, args, sanitize)]
         except Exception as exc:
             raise SpmdError(f"rank 0 failed: {exc!r}") from exc
         finally:
@@ -496,7 +489,7 @@ def run_spmd_mp(
         ctx.Process(
             target=_mp_worker,
             args=(r, nranks, inboxes, result_q, abort, timeout,
-                  tracer is not None, shm_prefix, fn, args),
+                  tracer is not None, shm_prefix, sanitize, fn, args),
             name=f"spmd-mp-rank-{r}",
             daemon=True,
         )

@@ -25,12 +25,11 @@ import numpy as np
 import pytest
 
 from repro.analysis.report import FINDING_CODES, Finding, pragma_map
-from repro.analysis.sanitizer import payload_digest
 from repro.analysis.verify import verify_source, verify_sources
 from repro.bio.generate import scope_like
 from repro.core.config import PastisConfig
 from repro.core.distributed import run_pastis_distributed
-from repro.mpisim.backend import SpmdError, run_spmd
+from repro.mpisim.backend import SpmdError, payload_digest, run_spmd
 
 
 def codes(violations: list[Finding]) -> list[str]:

@@ -152,6 +152,28 @@ def _split_mismatch(comm):
     return None
 
 
+def _diverge(comm):
+    """The last rank enters a different collective than its peers."""
+    comm.bcast("warmup", root=0)
+    if comm.rank == comm.size - 1:  # spmd: rank-divergent-ok (seeded fault)
+        comm.barrier()
+    else:
+        comm.allgather(comm.rank)
+    return comm.rank
+
+
+def _row_diverge(comm):
+    """World rank 3 (row rank 1 of row 1 on a 2 x 2 grid) diverges on
+    its row communicator."""
+    grid = ProcessGrid.create(comm)
+    grid.row_comm.bcast("warmup", root=0)
+    if comm.rank == 3:  # spmd: rank-divergent-ok (seeded fault)
+        grid.row_comm.barrier()
+    else:
+        grid.row_comm.allgather(comm.rank)
+    return comm.rank
+
+
 def _one_rank_raises(comm):
     comm.barrier()
     if comm.rank == comm.size - 1:
@@ -308,6 +330,35 @@ class TestConformance:
         assert kinds.get("allgather") == 4 * 3
 
 
+class TestLockstepCheck:
+    """Every collective's exchange round compares the op names the ranks
+    entered, sanitizer or not: a divergence raises the named error in
+    the round where it happens, instead of silently crossing values
+    between two collectives of the same shape."""
+
+    @pytest.mark.parametrize("nranks", [2, 4])
+    def test_divergent_collective_named(self, nranks):
+        t0 = time.monotonic()
+        with pytest.raises(SpmdError) as exc_info:
+            spmd(nranks, _diverge, timeout=60.0)
+        assert time.monotonic() - t0 < 2.0
+        msg = str(exc_info.value)
+        assert "[rank-divergent-collective]" in msg
+        assert "barrier" in msg and "allgather" in msg
+        if nranks == 4:
+            assert "world rank(s) 3 diverged" in msg
+
+    def test_row_comm_divergence_names_world_ranks(self):
+        t0 = time.monotonic()
+        with pytest.raises(SpmdError) as exc_info:
+            spmd(4, _row_diverge, timeout=60.0)
+        assert time.monotonic() - t0 < 2.0
+        msg = str(exc_info.value)
+        assert "[rank-divergent-collective]" in msg
+        assert "world rank(s) 3 diverged" in msg
+        assert "world rank 2: allgather()" in msg
+
+
 def _where_am_i(comm):
     return threading.get_ident(), os.getpid()
 
@@ -347,30 +398,45 @@ class TestSingleRankRunsInline:
         cause = exc_info.value.__cause__
         assert type(cause) is ValueError and cause.args == ("kapow",)
 
+    def test_failed_sanitized_run_stops_the_shm_audit(self):
+        """The inline rank runs in the caller's process: a failing body
+        must not leave the sanitizer's segment ledger recording there."""
+        from repro.mpisim import mpcomm
+
+        with pytest.raises(SpmdError, match="kapow"):
+            run_spmd(1, _raises_kapow, comm_sanitize=True)
+        assert mpcomm._shm_audit is None
+
 
 class TestPipelineTraceTotals:
     """The tracer's record of the real pipeline is pinned: same message
     count, same byte total — ``CommTracer.summary()`` and the α–β
     seconds in ``graph.meta["commcost"]`` are computed from it, so a
-    tracing regression moves these numbers."""
+    tracing regression moves these numbers.  The sanitizer adds no
+    traced traffic: its teardown audit rides the untraced exchange
+    round, so the totals are the same with it on."""
 
-    @pytest.mark.parametrize("knobs, totals", [
-        (dict(k=5), (67, 788_568)),
-        # the sym. exchange carries 8-byte counts plus seeds for the
-        # CK-passing entries only
-        (dict(k=5, substitutes=4, common_kmer_threshold=1,
-              align_balance="greedy"), (116, 1_754_404)),
-    ], ids=["exact", "subs-ck-greedy"])
-    def test_summary_totals_pinned(self, knobs, totals):
+    EXACT = dict(k=5)
+    # the sym. exchange carries 8-byte counts plus seeds for the
+    # CK-passing entries only
+    SUBS = dict(k=5, substitutes=4, common_kmer_threshold=1,
+                align_balance="greedy")
+
+    @pytest.mark.parametrize("knobs, sanitize, totals", [
+        pytest.param(EXACT, False, (67, 788_256), id="exact"),
+        pytest.param(SUBS, False, (116, 1_754_092), id="subs-ck-greedy"),
+        pytest.param(EXACT, True, (67, 788_256), id="exact-sanitized"),
+        pytest.param(SUBS, True, (116, 1_754_092),
+                     id="subs-ck-greedy-sanitized"),
+    ])
+    def test_summary_totals_pinned(self, knobs, sanitize, totals):
         from repro.bio.generate import scope_like
         from repro.core.config import PastisConfig
         from repro.core.distributed import run_pastis_distributed
 
         store = scope_like(n_families=6, seed=3).store
         tracer = CommTracer()
-        # sanitizer off: its teardown audit is traced too, and it also
-        # ships the shared-memory segment ledger
-        config = PastisConfig(comm_sanitize=False, **knobs)
+        config = PastisConfig(comm_sanitize=sanitize, **knobs)
         run_pastis_distributed(store, config, nranks=4, tracer=tracer)
         summary = tracer.summary()
         assert (summary["total_messages"], summary["total_bytes"]) == totals

@@ -343,7 +343,8 @@ class TestSatelliteFixes:
     def test_recv_rescans_mailbox_after_deadline(self):
         """A message delivered between a timed-out wait and the deadline
         check must be consumed, not reported as a spurious timeout."""
-        from repro.mpisim.mpcomm import _CHAN_P2P, _MPTransport, _dumps
+        from repro.mpisim.backend import _CHAN_P2P
+        from repro.mpisim.mpcomm import _MPTransport, _dumps
 
         class LateInbox(queue.Queue):
             def get(self, block=True, timeout=None):
@@ -450,7 +451,7 @@ class TestTracing:
         assert doc["schema"] == SUMMARY_SCHEMA
         keys = [(g["comm"], g["op"], g["kind"]) for g in doc["groups"]]
         assert keys == sorted(keys)
-        # the split fingerprint allgather, both colours' bcasts, and the
+        # the split's allgather, both colours' bcasts, and the
         # ring sends each aggregate into their own (comm, op, kind) group
         assert ("world", "allgather", "allgather") in keys
         assert ("world/0.0", "bcast", "bcast") in keys
