@@ -23,7 +23,8 @@ Two wavefronts are implemented:
   (:func:`_sw_chunks`).
 * :func:`xdrop_extend_batch` — the gapped x-drop extension of
   :mod:`repro.align.xdrop` with the co-propagated ``(matches, length)``
-  stats.  Lanes retire as soon as their corridor dies (every cell of a row
+  stats, or score-only (``stats=False``: score and extents, ~0.6x the
+  cost).  Lanes retire as soon as their corridor dies (every cell of a row
   pruned).  Horizontal-gap chains are resolved exactly with a last-argmax
   mark scan inside the previous row's window, and in closed form right of
   it, where only a decaying gap chain can live; the pruning threshold uses
@@ -32,6 +33,13 @@ Two wavefronts are implemented:
   windows, not the width of ``b``, so lanes are chunked by count: runs of
   :data:`_XDROP_LANES` lanes in ``(len(b), len(a))`` order, few enough
   that one row's ~20 state arrays stay in a core's L2 cache.
+
+:func:`align_batch_batched` runs every XD extension score-only without
+``traceback``.  With it, it extends each pair's first seed with
+statistics and, in a batch of at least :data:`_XDROP_LANES` second-seed
+extensions, its second seed score-only: that seed wins only on a strictly
+higher score and is then extended again with statistics, unless its
+extents already miss ``min_coverage`` (the pair is then ``None``).
 
 Both produce results *byte-identical* to the per-pair Python reference
 (``engine="python"``) — a tested invariant — whatever the chunk
@@ -357,8 +365,11 @@ def _select(dst, src, mask):
 # spmd: hot-loop-ok (the wavefront design: one Python iteration per
 # antidiagonal row with every live lane advanced vectorized, plus
 # O(lanes) padding and emission loops)
-def _xdrop_chunk(pairs, idxs, xdrop, scoring, gap_open, gap_extend, out):
-    """One lane chunk of the batched x-drop wavefront.
+def _xdrop_chunk(pairs, idxs, xdrop, scoring, gap_open, gap_extend, out,
+                 stats=True):
+    """One lane chunk of the batched x-drop wavefront.  With ``stats``
+    false it skips every path-statistics operation below, and each lane's
+    ``matches`` and ``length`` are 0.
 
     Exactness relative to the reference's row-major dict scan rests on
     three facts about linear-affine gaps (``open >= 1``):
@@ -469,11 +480,6 @@ def _xdrop_chunk(pairs, idxs, xdrop, scoring, gap_open, gap_extend, out):
         H0[:, 0] = neg
         # (the indices are in range; "wrap" only skips the bounds check)
         np.add(H, csub.take(cell, mode="wrap"), out=H0[:, 1:])
-        inc = (bw == av[:, None]) * match
-        inc += 1
-        H0s = np.empty((Lc, Wi), dtype=sdt)
-        H0s[:, 0] = 0
-        np.add(sH, inc, out=H0s[:, 1:])
         # vertical slot: open from H above or extend F above (F is dead
         # right of its own columns); an opened gap carries the statistics
         # of H above, an extended one those of F above -- sH is not read
@@ -481,22 +487,28 @@ def _xdrop_chunk(pairs, idxs, xdrop, scoring, gap_open, gap_extend, out):
         wF = F.shape[1]
         Fn = H - dt(o + e)
         ff = F - dt(e)
-        ext = ff > Fn[:, :wF]
+        if stats:
+            inc = (bw == av[:, None]) * match
+            inc += 1
+            H0s = np.empty((Lc, Wi), dtype=sdt)
+            H0s[:, 0] = 0
+            np.add(sH, inc, out=H0s[:, 1:])
+            nF = sH
+            _select(nF[:, :wF], sF, ff > Fn[:, :wF])
         np.maximum(Fn[:, :wF], ff, out=Fn[:, :wF])
-        nF = sH
-        _select(nF[:, :wF], sF, ext)
         # pre-gap score H0 = max(diag, F); diagonal wins ties
-        vert = Fn > H0[:, :Wp]
+        if stats:
+            _select(H0s[:, :Wp], nF, Fn > H0[:, :Wp])
         np.maximum(H0[:, :Wp], Fn, out=H0[:, :Wp])
-        _select(H0s[:, :Wp], nF, vert)
         # horizontal slot: E(c) = run(c-1) - open - c*extend, run the
         # prefix maximum of u
         u = H0 + ecol[:Wi]
         run = np.maximum.accumulate(u, axis=1)
-        # A(c): flat position of the last argmax of u over [0, c]
-        A = (u == run).reshape(-1) * np.arange(Lc * Wi, dtype=pdt)
-        np.maximum.accumulate(A, out=A)
-        Hn = H0.copy()
+        if stats:
+            # A(c): flat position of the last argmax of u over [0, c]
+            A = (u == run).reshape(-1) * np.arange(Lc * Wi, dtype=pdt)
+            np.maximum.accumulate(A, out=A)
+        Hn = H0.copy() if stats else H0  # H0 is read again for statistics
         np.maximum(Hn[:, 1:], run[:, :-1] - oecol[1:Wi], out=Hn[:, 1:])
         # kill the cells past b's end: only once the window passes some
         # lane's end, and only right of the earliest such end
@@ -517,12 +529,14 @@ def _xdrop_chunk(pairs, idxs, xdrop, scoring, gap_open, gap_extend, out):
             best[lu] = rb[upd, -1]
             best_i[lu] = i
             best_j[lu] = lo + jstar
-            best_s[lu] = H0s[upd, jstar]
-        # statistics of the live cells a horizontal gap wins (Hn > H0): the
-        # source's (flat indices; such a cell has c >= 1)
-        k = np.flatnonzero((Hn > H0) & live)
-        sflat = H0s.reshape(-1)
-        sflat[k] = sflat[A[k - 1]]
+            if stats:
+                best_s[lu] = H0s[upd, jstar]
+        if stats:
+            # statistics of the live cells a horizontal gap wins (Hn > H0):
+            # the source's (flat indices; such a cell has c >= 1)
+            k = np.flatnonzero((Hn > H0) & live)
+            sflat = H0s.reshape(-1)
+            sflat[k] = sflat[A[k - 1]]
 
         # retire lanes whose rows ran out (a suffix: ids sorted by -n) and
         # compact away lanes whose corridor died
@@ -545,10 +559,11 @@ def _xdrop_chunk(pairs, idxs, xdrop, scoring, gap_open, gap_extend, out):
         ahi = int(live_cols[-1]) + 1
         pick = slice(None) if sel.size == Lc else sel
         H = np.where(live[pick, alo:ahi], Hn[pick, alo:ahi], neg)
-        sH = H0s[pick, alo:ahi]
         # a pruned cell's F stays below threshold
         F = Fn[pick, alo : min(ahi, Wp)]
-        sF = nF[pick, alo : min(ahi, Wp)]
+        if stats:
+            sH = H0s[pick, alo:ahi]
+            sF = nF[pick, alo : min(ahi, Wp)]
         if tmax > 0:  # a live tail implies a live column Wi - 1
             tc = np.arange(tmax)
             tail = R[:, None] - (Wi + tc) * e
@@ -556,11 +571,12 @@ def _xdrop_chunk(pairs, idxs, xdrop, scoring, gap_open, gap_extend, out):
                 [H, np.where(tc < tlen[:, None], tail, _XNEG).astype(dt)],
                 axis=1,
             )
-            tstat = sflat[A[sel * Wi + Wi - 1]]
-            sH = np.concatenate(
-                [sH, np.broadcast_to(tstat[:, None], (sel.size, tmax))],
-                axis=1,
-            )
+            if stats:
+                tstat = sflat[A[sel * Wi + Wi - 1]]
+                sH = np.concatenate(
+                    [sH, np.broadcast_to(tstat[:, None], (sel.size, tmax))],
+                    axis=1,
+                )
         if sel.size < Lc:
             ids, nneg, lms = ids[sel], nneg[sel], lms[sel]
             lmin = int(lms.min())
@@ -572,8 +588,8 @@ def _xdrop_chunk(pairs, idxs, xdrop, scoring, gap_open, gap_extend, out):
             score=int(best[t]),
             ext_a=int(best_i[t]),
             ext_b=int(best_j[t]),
-            matches=int(best_s[t] // S),
-            length=int(best_i[t] + best_j[t] - steps[t]),
+            matches=int(best_s[t] // S) if stats else 0,
+            length=int(best_i[t] + best_j[t] - steps[t]) if stats else 0,
         )
 
 
@@ -585,11 +601,14 @@ def xdrop_extend_batch(
     scoring: ScoringMatrix = BLOSUM62,
     gap_open: int = 11,
     gap_extend: int = 1,
+    stats: bool = True,
 ) -> list[ExtensionResult]:
     """Gapped x-drop extensions over a batch of encoded pairs, one wavefront
     row advanced in every live lane at once; byte-identical to per-pair
     :func:`repro.align.xdrop.xdrop_extend` (requires ``gap_open >= 1``,
-    ``xdrop >= 0`` and gap penalties of at most :data:`GAP_LIMIT`)."""
+    ``xdrop >= 0`` and gap penalties of at most :data:`GAP_LIMIT`).  With
+    ``stats`` false only ``score``, ``ext_a`` and ``ext_b`` are computed,
+    and ``matches`` and ``length`` are 0."""
     if gap_open < 1:
         raise ValueError("batched x-drop requires gap_open >= 1")
     if xdrop < 0:
@@ -607,7 +626,7 @@ def xdrop_extend_batch(
     lanes.sort(key=lambda i: (ms[i], ns[i]))
     for c in range(0, len(lanes), _XDROP_LANES):
         _xdrop_chunk(pairs, lanes[c : c + _XDROP_LANES], xdrop, scoring,
-                     gap_open, gap_extend, out)
+                     gap_open, gap_extend, out, stats)
     return out  # type: ignore[return-value]
 
 
@@ -627,15 +646,17 @@ def align_batch_batched(
     gap_extend: int = 1,
     xdrop: int = 49,
     traceback: bool = True,
-) -> list[AlignmentResult]:
+    min_coverage: float | None = None,
+) -> list[AlignmentResult | None]:
     """Align a batch of :class:`AlignmentTask`s on the batched wavefront
     engine, preserving task order; results are byte-identical to mapping
-    :func:`repro.align.batch.align_pair` over the batch."""
+    :func:`repro.align.batch.align_pair` over the batch, ``None`` for a
+    coverage reject included.  The second seeds run score-only (see the
+    module docstring) only from :data:`_XDROP_LANES` extensions on: a
+    score-only chunk pays its own per-row dispatch."""
     if mode == "sw":
-        return sw_batch(
-            [(t.a, t.b) for t in tasks], scoring, gap_open, gap_extend,
-            traceback,
-        )
+        return _cut(sw_batch([(t.a, t.b) for t in tasks], scoring, gap_open,
+                             gap_extend, traceback), min_coverage)
     if mode != "xd":
         raise ValueError(f"unknown alignment mode {mode!r}")
     for t in tasks:
@@ -646,35 +667,64 @@ def align_batch_batched(
 
         return [
             align_pair(t, mode, k, scoring, gap_open, gap_extend, xdrop,
-                       traceback)
+                       traceback, min_coverage)
             for t in tasks
         ]
 
     results: list[AlignmentResult | None] = [None] * len(tasks)
-    plans: list[tuple[int, int, int, int, int]] = []
-    ext_pairs: list[tuple[np.ndarray, np.ndarray]] = []
+    # (task, seed in a, seed in b) of every pair's first and second seed
+    first, second = [], []
     for ti, t in enumerate(tasks):
         n, m = len(t.a), len(t.b)
         if n < k or m < k:
             # no legal seed placement: skip with an explicit empty result
             results[ti] = AlignmentResult(0, 0, 0, 0, 0, 0, 0, n, m, "xd")
             continue
-        for sa, sb in t.seeds[:2]:
+        for si, (sa, sb) in enumerate(t.seeds[:2]):
             sa = min(max(int(sa), 0), n - k)
             sb = min(max(int(sb), 0), m - k)
-            ri = len(ext_pairs)
-            ext_pairs.append((t.a[sa + k :], t.b[sb + k :]))
-            li = len(ext_pairs)
-            ext_pairs.append((t.a[:sa][::-1], t.b[:sb][::-1]))
-            plans.append((ti, sa, sb, ri, li))
-    exts = xdrop_extend_batch(ext_pairs, xdrop, scoring, gap_open,
-                              gap_extend)
-    for ti, sa, sb, ri, li in plans:
-        t = tasks[ti]
-        cand = assemble_seed_extension(
-            t.a, t.b, sa, sb, k, exts[li], exts[ri], scoring
-        )
-        prev = results[ti]
-        if prev is None or cand.score > prev.score:
-            results[ti] = cand
-    return results  # type: ignore[return-value]
+            (first, second)[si].append((ti, sa, sb))
+
+    def extend(seeds, stats):
+        """Each seed's result; only score and spans when score-only."""
+        pairs = []
+        for ti, sa, sb in seeds:
+            a, b = tasks[ti].a, tasks[ti].b
+            pairs += [(a[sa + k :], b[sb + k :]), (a[:sa][::-1], b[:sb][::-1])]
+        exts = xdrop_extend_batch(pairs, xdrop, scoring, gap_open,
+                                  gap_extend, stats)
+        return [
+            assemble_seed_extension(tasks[ti].a, tasks[ti].b, sa, sb, k,
+                                    exts[2 * p + 1], exts[2 * p], scoring)
+            for p, (ti, sa, sb) in enumerate(seeds)
+        ]
+
+    split = traceback and 2 * len(second) >= _XDROP_LANES
+    if split:
+        cands = extend(first, True) + extend(second, False)
+    else:
+        cands = extend(first + second, traceback)
+    wins = []
+    for plan, cand in zip(first + second, cands):
+        prev = results[plan[0]]
+        if prev is None or cand.score > prev.score:  # the first wins ties
+            results[plan[0]] = cand
+            if prev is not None:
+                wins.append(plan)
+    if split:
+        # a winner below min_coverage on its score-only spans is cut below
+        wins = [p for p in wins if min_coverage is None
+                or results[p[0]].coverage_short >= min_coverage]
+        for p, res in zip(wins, extend(wins, True)):
+            results[p[0]] = res
+    if not traceback:
+        results = [AlignmentResult(r.score, 0, 0, 0, 0, 0, 0, r.len_a,
+                                   r.len_b, "xd") for r in results]
+    return _cut(results, min_coverage)
+
+
+def _cut(results, min_coverage):
+    """The results, each ``None`` that covers less than ``min_coverage``."""
+    if min_coverage is None:
+        return results
+    return [r if r.coverage_short >= min_coverage else None for r in results]

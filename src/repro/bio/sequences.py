@@ -53,8 +53,9 @@ class SequenceStore:
 
     Residues live in a single contiguous buffer; sequence ``i`` occupies
     ``buffer[offsets[i]:offsets[i + 1]]``.  Ids are kept in a parallel list.
-    An invalid residue or a length of :data:`MAX_SEQUENCE_LENGTH` or more
-    raises :class:`FastaError` naming the record.
+    An empty sequence, an invalid residue or a length of
+    :data:`MAX_SEQUENCE_LENGTH` or more raises :class:`FastaError` naming
+    the record.
     """
 
     __slots__ = ("_buffer", "_offsets", "_ids")
@@ -64,6 +65,8 @@ class SequenceStore:
         for number, seq in enumerate(sequences, 1):
             try:
                 enc = encode_sequence(seq)
+                if len(enc) == 0:
+                    raise ValueError("empty sequence")
                 if len(enc) >= MAX_SEQUENCE_LENGTH:
                     raise ValueError(
                         f"length {len(enc)} reaches the limit "
@@ -76,8 +79,6 @@ class SequenceStore:
                 ) from None
             encoded.append(enc)
         lengths = np.array([len(e) for e in encoded], dtype=np.int64)
-        if (lengths == 0).any():
-            raise ValueError("empty sequences are not allowed")
         self._offsets = np.concatenate(([0], np.cumsum(lengths)))
         self._buffer = (
             np.concatenate(encoded) if encoded else np.empty(0, dtype=np.int8)

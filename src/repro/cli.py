@@ -10,13 +10,15 @@ Usage::
         [--align xd|sw] [--weight ani|ns] [--ck N] [--ranks 4]
         [--align-engine batched|python]
         [--align-balance off|greedy]
+        [--comm-sanitize]
         [--cluster families.tsv]
 
 Every flag maps onto one :class:`~repro.core.config.PastisConfig` field
 (see :func:`config_from_args`); the implementation knobs
-(``align-engine``, ``align-balance``, ``comm-sanitize``) never change
-the output graph — a tested byte-identity contract documented in
-``docs/knobs.md``.
+(``align-engine``, ``align-balance``) never change the output graph — a
+tested byte-identity contract documented in ``docs/knobs.md`` — and
+neither does ``comm-sanitize``, which only adds the runtime sanitizer's
+teardown audit (the collective lockstep check runs in every run).
 """
 
 from __future__ import annotations
@@ -94,13 +96,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--comm-backend", choices=("mp",),
                    help=argparse.SUPPRESS)
     p.add_argument("--comm-sanitize", action="store_true", default=None,
-                   help="run the distributed stage under the runtime "
-                   "comm sanitizer: collectives are lockstep-checked "
-                   "across ranks (an SPMD divergence raises a named "
-                   "error instead of deadlocking) and unmatched sends / "
-                   "leaked shared-memory segments are reported at "
-                   "teardown; byte-identical output (defaults to "
-                   "$REPRO_COMM_SANITIZE or off)")
+                   help="audit the distributed stage at teardown: "
+                   "unmatched sends and leaked shared-memory segments "
+                   "raise a named error after one final round (the "
+                   "collective lockstep check runs in every run, with "
+                   "or without this flag); byte-identical output "
+                   "(defaults to $REPRO_COMM_SANITIZE or off)")
     p.add_argument("--cluster", metavar="TSV", default=None,
                    help="also run Markov Clustering and write "
                    "(id, cluster) rows to this file")

@@ -41,8 +41,11 @@ def align_kwargs(config: PastisConfig) -> dict:
     A traceback is only paid for when something consumes it: the ANI
     weight and the similarity filter.  NS weighting needs the raw score
     alone (stats.py: "NS ... cheaper because no traceback is needed"), so
-    it runs score-only.
+    it runs score-only.  Under the filter, XD mode hands the coverage cut
+    to the engine, whose ``None`` for a reject lets it skip the path
+    statistics of a second seed that wins below coverage.
     """
+    cut = config.uses_filter and config.align_mode == "xd"
     return dict(
         mode=config.align_mode,
         k=config.k,
@@ -52,18 +55,21 @@ def align_kwargs(config: PastisConfig) -> dict:
         xdrop=config.xdrop,
         traceback=config.needs_traceback,
         engine=config.align_engine,
+        min_coverage=config.min_coverage if cut else None,
     )
 
 
 def edges_from_alignments(
-    aligned: Iterable[tuple[AlignmentTask, AlignmentResult]],
+    aligned: Iterable[tuple[AlignmentTask, AlignmentResult | None]],
     config: PastisConfig,
 ) -> list[tuple[int, int, float]]:
-    """The tasks→edges tail: apply the similarity filter (ANI weighting
-    only), weight the survivors, and keep the positive-weight
-    ``(i, j, weight)`` edges."""
+    """The tasks→edges tail: skip the engine's coverage rejects (``None``),
+    apply the similarity filter (ANI weighting only), weight the
+    survivors, and keep the positive-weight ``(i, j, weight)`` edges."""
     edges: list[tuple[int, int, float]] = []
     for task, res in aligned:
+        if res is None:
+            continue
         if config.uses_filter and not passes_filter(
             res, config.min_identity, config.min_coverage
         ):

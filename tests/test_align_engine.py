@@ -20,7 +20,7 @@ from repro.align.smith_waterman import (
     sw_reference,
     sw_score_only,
 )
-from repro.align.stats import passes_filter
+from repro.align.stats import AlignmentResult, passes_filter
 from repro.align.xdrop import xdrop_extend
 from repro.bio.alphabet import PROTEIN_ALPHABET, encode_sequence
 from repro.bio.generate import mutate, random_protein, scope_like
@@ -75,11 +75,13 @@ class TestCrossValidation:
     @pytest.mark.parametrize("k", [3, 6])
     def test_xd_mode(self, scoring, go, ge, xd, k):
         tasks = _random_tasks(seed=go * 100 + ge * 10 + k)
-        ref = align_batch(tasks, "xd", k, scoring, go, ge, xd,
-                          engine="python")
-        got = align_batch(tasks, "xd", k, scoring, go, ge, xd,
-                          engine="batched")
-        assert got == ref
+        # with traceback (ANI) and score-only (NS)
+        for traceback in (True, False):
+            ref = align_batch(tasks, "xd", k, scoring, go, ge, xd,
+                              traceback=traceback, engine="python")
+            got = align_batch(tasks, "xd", k, scoring, go, ge, xd,
+                              traceback=traceback, engine="batched")
+            assert got == ref, traceback
 
     @pytest.mark.parametrize("scoring,go,ge,xd", PARAMS)
     @pytest.mark.parametrize("traceback", [True, False],
@@ -251,6 +253,92 @@ class TestXdropCorridor:
                 for a, b in pairs
             ]
         assert set(seen) == {np.int64}
+
+
+class TestScoreOnlyExtension:
+    """``stats=False`` lanes skip the path statistics but keep the
+    reference's score and extents; ``align_batch_batched`` extends the
+    second seeds that way and cuts on coverage before extending a winner
+    again with statistics."""
+
+    @staticmethod
+    def _extents(results):
+        return [(r.score, r.ext_a, r.ext_b) for r in results]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(_indel_pair(), min_size=1, max_size=8),
+           st.integers(1, 12), st.integers(0, 3), st.integers(0, 120))
+    def test_property_score_only_matches_reference(self, pairs, go, ge, xd):
+        want = [xdrop_extend(a, b, xd, BLOSUM62, go, ge) for a, b in pairs]
+        got = xdrop_extend_batch(pairs, xd, BLOSUM62, go, ge, stats=False)
+        assert self._extents(got) == self._extents(want)
+        assert {(r.matches, r.length) for r in got} == {(0, 0)}
+        # int64 lanes, the path of very long sequences
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_I32", 0)
+            got = xdrop_extend_batch(pairs, xd, BLOSUM62, go, ge,
+                                     stats=False)
+        assert self._extents(got) == self._extents(want)
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, engine._XDROP_LANES])
+    @pytest.mark.parametrize("min_coverage", [None, 0.0, 0.7, 1.0])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_coverage_cut_matches_python(self, monkeypatch, cap,
+                                         min_coverage, seed):
+        monkeypatch.setattr(engine, "_XDROP_LANES", cap)
+        tasks = _random_tasks(seed=seed, n_tasks=60)
+        ref = align_batch(tasks, "xd", 3, min_coverage=min_coverage,
+                          engine="python")
+        got = align_batch(tasks, "xd", 3, min_coverage=min_coverage,
+                          engine="batched")
+        assert got == ref
+        if min_coverage is not None:
+            full = align_batch(tasks, "xd", 3, engine="python")
+            assert ref == [r if r.coverage_short >= min_coverage else None
+                           for r in full]
+
+    def test_split_rerun_and_reject_each_run(self, monkeypatch):
+        calls = []
+        extend = engine.xdrop_extend_batch
+
+        def spy(pairs, *args):
+            calls.append((len(pairs), args[-1]))
+            return extend(pairs, *args)
+
+        monkeypatch.setattr(engine, "xdrop_extend_batch", spy)
+        monkeypatch.setattr(engine, "_XDROP_LANES", 8)
+        tasks = [t for t in _random_tasks(seed=4, n_tasks=120)
+                 if len(t.seeds) == 2 and min(len(t.a), len(t.b)) >= 3]
+        # per-seed reference results: which second seeds win outright, and
+        # which of those winners pass coverage
+        passing = failing = 0
+        for t in tasks:
+            one, two = (align_batch([AlignmentTask(t.a, t.b, (s,))], "xd",
+                                    3, engine="python")[0]
+                        for s in t.seeds)
+            if two.score > one.score:
+                passing += two.coverage_short >= 0.7
+                failing += two.coverage_short < 0.7
+        assert passing and failing
+        got = align_batch(tasks, "xd", 3, min_coverage=0.7)
+        assert got == align_batch(tasks, "xd", 3, min_coverage=0.7,
+                                  engine="python")
+        # seed 1 with statistics, seed 2 score-only, then the winners that
+        # pass coverage again with statistics -- and only those
+        assert calls == [(2 * len(tasks), True), (2 * len(tasks), False),
+                         (2 * passing, True)]
+        # a batch under the lane cap keeps the single statistics batch
+        calls.clear()
+        monkeypatch.setattr(engine, "_XDROP_LANES", 2 * len(tasks) + 1)
+        assert align_batch(tasks, "xd", 3, min_coverage=0.7) == got
+        assert calls == [(4 * len(tasks), True)]
+
+    def test_coverage_cut_needs_traceback(self):
+        tasks = _random_tasks(seed=2, n_tasks=3)
+        for eng in ("python", "batched"):
+            with pytest.raises(ValueError, match="min_coverage"):
+                align_batch(tasks, "xd", 3, traceback=False,
+                            min_coverage=0.7, engine=eng)
 
 
 def _lane_dtypes(monkeypatch):
@@ -471,6 +559,20 @@ class TestScoreOnlySentinel:
         res = smith_waterman(a, a, traceback=True)
         assert not res.score_only
         assert passes_filter(res)
+
+    @pytest.mark.parametrize("eng", ["python", "batched"])
+    def test_xd_score_only_is_the_sentinel(self, eng):
+        s = random_protein(60, 11)
+        a = encode_sequence(s)
+        b = encode_sequence(mutate(s, 0.1, 0.0, 12))
+        task = AlignmentTask(a=a, b=b, seeds=((10, 10), (30, 30)))
+        full, = align_batch([task], "xd", 6, engine=eng)
+        res, = align_batch([task], "xd", 6, traceback=False, engine=eng)
+        assert res == AlignmentResult(full.score, 0, 0, 0, 0, 0, 0, 60,
+                                      len(b), "xd")
+        assert res.score_only
+        with pytest.raises(AssertionError, match="score-only"):
+            passes_filter(res)
 
 
 class TestPipelineObliviousness:

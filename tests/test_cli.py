@@ -347,6 +347,13 @@ class TestNamedErrors:
         assert "record 2 ('sel1')" in err
         assert repr(residue) in err
 
+    @pytest.mark.parametrize("ranks", ["1", "4"])
+    def test_empty_record_names_the_record(self, capsys, tmp_path, ranks):
+        fa = tmp_path / "empty.fa"
+        fa.write_text(">a\nMKVLAAG\n>b\n>c\nMKVLAAG\n")
+        err = self._fails([str(fa), "--ranks", ranks], capsys, tmp_path)
+        assert err == "error: record 2 ('b'): empty sequence\n"
+
     def test_overlong_sequence_names_the_record(self, capsys, tmp_path):
         """A sequence the CommonKmers seed pack cannot position is refused
         when the store is built, before any rank runs."""

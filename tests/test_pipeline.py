@@ -154,6 +154,35 @@ class TestPipeline:
         pastis_pipeline(data.store, PastisConfig(k=4, weight=weight))
         assert seen == [expect_traceback]
 
+    @pytest.mark.parametrize("mode,weight,cut", [
+        ("xd", "ani", 0.7), ("xd", "ns", None), ("sw", "ani", None),
+    ])
+    def test_coverage_cut_handed_to_the_xd_engine(self, data, mode, weight,
+                                                   cut):
+        """Under the filter, XD mode passes ``min_coverage`` to the engine;
+        its ``None`` rejects are skipped and the edges are the ones the
+        filter keeps from the uncut results."""
+        from repro.align.batch import align_batch
+        from repro.core.overlap import find_candidate_pairs
+        from repro.core.pipeline import (
+            align_kwargs,
+            edges_from_alignments,
+            tasks_from_pairs,
+        )
+
+        cfg = PastisConfig(k=4, align_mode=mode, weight=weight)
+        kwargs = align_kwargs(cfg)
+        assert kwargs["min_coverage"] == cut
+        tasks = tasks_from_pairs(find_candidate_pairs(data.store, cfg),
+                                 data.store.encoded)
+        results = align_batch(tasks, **kwargs)
+        uncut = align_batch(tasks, **{**kwargs, "min_coverage": None})
+        if cut is not None:
+            assert None in results
+        assert edges_from_alignments(zip(tasks, results), cfg) == (
+            edges_from_alignments(zip(tasks, uncut), cfg)
+        )
+
     def test_substitutes_never_lose_edges(self, data):
         g0 = pastis_pipeline(data.store, PastisConfig(k=5, substitutes=0))
         g5 = pastis_pipeline(data.store, PastisConfig(k=5, substitutes=5))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.bio.fasta import FastaRecord
+from repro.bio.fasta import FastaError, FastaRecord
 from repro.bio.sequences import DistributedIndex, SequenceStore
 
 
@@ -36,6 +36,13 @@ class TestSequenceStore:
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
             SequenceStore(["AVG", ""])
+
+    def test_empty_record_names_the_record(self):
+        records = [FastaRecord(i, i, seq)
+                   for i, seq in (("a", "MKVL"), ("b", ""), ("c", "MKVL"))]
+        with pytest.raises(FastaError,
+                           match=r"^record 2 \('b'\): empty sequence$"):
+            SequenceStore.from_records(records)
 
     def test_id_length_mismatch(self):
         with pytest.raises(ValueError):
