@@ -27,11 +27,10 @@ The runtime checks live in the communicator, not here: every
 collective's exchange round of :class:`~repro.mpisim.backend.CommBackend`
 compares the op names the ranks entered and raises a named-ranks
 ``[rank-divergent-collective]`` :class:`~repro.mpisim.backend.SpmdError`
-instead of deadlocking or crossing values, always.  The
-``comm_sanitize`` config knob / ``--comm-sanitize`` flag /
-``REPRO_COMM_SANITIZE`` environment default adds the teardown audit
-(:func:`repro.mpisim.mpcomm.teardown_audit`): unmatched sends and leaked
-``mpcomm`` shared-memory segments.
+instead of deadlocking or crossing values, always.  The runner's
+teardown audit (:func:`repro.mpisim.mpcomm.teardown_audit`) runs on
+every run that returns: unmatched sends and leaked ``mpcomm``
+shared-memory segments raise a named error, with no switch.
 
 Submodules are imported lazily, so importing the package loads none of
 the analyzer.

@@ -6,7 +6,7 @@ communicator report under the stable finding codes of
 :data:`FINDING_CODES` — a static ``rank-divergent-collective`` is the
 compile-time shadow of the runtime collective mismatch every exchange
 round checks (:class:`~repro.mpisim.backend.CommBackend`), a static
-``unmatched-send`` the shadow of the comm sanitizer's teardown audit
+``unmatched-send`` the shadow of the runner's teardown audit
 (:func:`~repro.mpisim.mpcomm.teardown_audit`).  ``docs/analysis.md``
 renders the full table.
 
@@ -62,13 +62,13 @@ class CodeInfo:
 
     severity: str           # "error" | "warning"
     pragma: str | None      # the spmd pragma code that allowlists it
-    tools: tuple[str, ...]  # which of verify / runtime / sanitizer emit it
+    tools: tuple[str, ...]  # which of verify / runtime emit it
     description: str
 
 
 #: the stable finding-code table shared by the analyzer and the runtime
-#: checks (``runtime``: every collective's lockstep check, always on;
-#: ``sanitizer``: the ``comm_sanitize`` teardown audit)
+#: checks (``runtime``: every collective's lockstep check and the
+#: runner's teardown audit, both on in every run)
 FINDING_CODES: Mapping[str, CodeInfo] = {
     "rank-divergent-collective": CodeInfo(
         "error", "rank-divergent-ok", ("verify", "runtime"),
@@ -78,10 +78,10 @@ FINDING_CODES: Mapping[str, CodeInfo] = {
         "mismatch)",
     ),
     "unmatched-send": CodeInfo(
-        "error", "unmatched-send-ok", ("verify", "sanitizer"),
+        "error", "unmatched-send-ok", ("verify", "runtime"),
         "a p2p send whose (tag, peer) has no matching recv site in the "
         "entry point's schedule closure (statically) or that no rank "
-        "ever received (sanitizer teardown audit)",
+        "ever received (runtime teardown audit)",
     ),
     "unmatched-recv": CodeInfo(
         "warning", "unmatched-recv-ok", ("verify",),
@@ -120,7 +120,7 @@ FINDING_CODES: Mapping[str, CodeInfo] = {
         "a module that does not parse",
     ),
     "shm-leak": CodeInfo(
-        "error", None, ("sanitizer",),
+        "error", None, ("runtime",),
         "a shared-memory segment created by the mpcomm transport and "
         "never unlinked (runtime teardown audit)",
     ),

@@ -22,7 +22,7 @@ schedule of every SPMD entry point (:mod:`repro.analysis.schedule`)
 A rank-divergent collective hidden two helpers deep, or a send whose
 only possible partner lives in another module and was never written, is
 reported here — before a single rank is spawned, instead of at runtime
-by the sanitizer (or a watchdog deadlock).  The code table is
+by the runner's teardown audit (or a watchdog deadlock).  The code table is
 :data:`repro.analysis.report.FINDING_CODES` (``docs/analysis.md``).
 
 Suppression is ``# spmd: <code>-ok (reason)`` on or above the flagged

@@ -17,7 +17,6 @@ from .fasta import (
     parse_fasta_text,
     read_fasta,
     read_fasta_chunk,
-    read_fasta_parallel,
     write_fasta,
 )
 from .generate import (
@@ -53,7 +52,6 @@ __all__ = [
     "parse_fasta_text",
     "read_fasta",
     "read_fasta_chunk",
-    "read_fasta_parallel",
     "write_fasta",
     "FamilyDataset",
     "make_family",

@@ -7,7 +7,8 @@ record it owns.  Balancing bytes (total sequence length) rather than sequence
 counts is what balances the parse time.
 
 This module implements both the plain serial reader/writer and the chunked
-reader used by the simulated-MPI pipeline.
+reader the distributed pipeline calls on each rank's byte range
+(:func:`chunk_boundaries` + :func:`read_fasta_chunk`).
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ __all__ = [
     "parse_fasta_text",
     "chunk_boundaries",
     "read_fasta_chunk",
-    "read_fasta_parallel",
 ]
 
 #: Default extra bytes read past a chunk boundary to complete a record
@@ -186,19 +186,3 @@ def read_fasta_chunk(
     # A header exactly at `end` is owned by the next chunk.
     text = data[first:stop].decode("ascii")
     return parse_fasta_text(text)
-
-
-def read_fasta_parallel(
-    path: str | os.PathLike, nchunks: int, overlap: int = DEFAULT_OVERLAP_BYTES
-) -> list[list[FastaRecord]]:
-    """Simulate the parallel FASTA read: return per-chunk record lists.
-
-    The concatenation of all chunks equals the serial read, each record
-    appearing exactly once (tested invariant).
-    """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    return [
-        read_fasta_chunk(data, s, e, overlap)
-        for (s, e) in chunk_boundaries(len(data), nchunks)
-    ]

@@ -10,15 +10,14 @@ Usage::
         [--align xd|sw] [--weight ani|ns] [--ck N] [--ranks 4]
         [--align-engine batched|python]
         [--align-balance off|greedy]
-        [--comm-sanitize]
         [--cluster families.tsv]
 
 Every flag maps onto one :class:`~repro.core.config.PastisConfig` field
 (see :func:`config_from_args`); the implementation knobs
 (``align-engine``, ``align-balance``) never change the output graph — a
-tested byte-identity contract documented in ``docs/knobs.md`` — and
-neither does ``comm-sanitize``, which only adds the runtime sanitizer's
-teardown audit (the collective lockstep check runs in every run).
+tested byte-identity contract documented in ``docs/knobs.md``.  The SPMD
+runtime's checks (the collective lockstep check, the runner's teardown
+audit) run in every run and have no flag.
 """
 
 from __future__ import annotations
@@ -95,13 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     # hidden and inert: 'mp', the one transport, is its only value
     p.add_argument("--comm-backend", choices=("mp",),
                    help=argparse.SUPPRESS)
-    p.add_argument("--comm-sanitize", action="store_true", default=None,
-                   help="audit the distributed stage at teardown: "
-                   "unmatched sends and leaked shared-memory segments "
-                   "raise a named error after one final round (the "
-                   "collective lockstep check runs in every run, with "
-                   "or without this flag); byte-identical output "
-                   "(defaults to $REPRO_COMM_SANITIZE or off)")
     p.add_argument("--cluster", metavar="TSV", default=None,
                    help="also run Markov Clustering and write "
                    "(id, cluster) rows to this file")
@@ -117,11 +109,6 @@ def config_from_args(args: argparse.Namespace) -> PastisConfig:
     The single authoritative flag-to-field mapping — ``main`` uses it, and
     the CLI round-trip tests exercise it for every knob choice.
     """
-    extra = {}
-    if args.comm_sanitize is not None:
-        # leave the field to its default otherwise, so an absent flag
-        # defers to REPRO_COMM_SANITIZE
-        extra["comm_sanitize"] = args.comm_sanitize
     return PastisConfig(
         k=args.k,
         substitutes=args.substitutes,
@@ -133,7 +120,6 @@ def config_from_args(args: argparse.Namespace) -> PastisConfig:
         min_coverage=args.min_coverage,
         align_engine=args.align_engine,
         align_balance=args.align_balance,
-        **extra,
     )
 
 

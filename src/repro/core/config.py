@@ -9,7 +9,6 @@ and 3 for substitute k-mers when the CK variant is enabled.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 from ..align.engine import GAP_LIMIT
@@ -62,15 +61,6 @@ def check_inflation(inflation: float) -> None:
         )
 
 
-def _default_comm_sanitize() -> bool:
-    """``comm_sanitize``'s default honours ``REPRO_COMM_SANITIZE``, so CI
-    can run the whole suite under the runtime comm sanitizer without
-    touching any call site."""
-    return os.environ.get(
-        "REPRO_COMM_SANITIZE", ""
-    ).strip().lower() in ("1", "true", "yes", "on")
-
-
 @dataclass(frozen=True)
 class PastisConfig:
     """Every knob of the pipeline, immutable so runs are reproducible.
@@ -111,17 +101,10 @@ class PastisConfig:
 
         The graph is byte-identical in both modes (a tested invariant —
         rebalancing moves work, never changes it).
-    comm_sanitize:
-        Run the distributed pipeline under the runtime comm sanitizer's
-        teardown audit (:func:`repro.mpisim.mpcomm.teardown_audit`):
-        unmatched sends and leaked shared-memory segments raise a named
-        :class:`~repro.mpisim.backend.SpmdError` after the run.  The
-        collective lockstep check is not part of it: every collective's
-        exchange round checks it, always.  Payloads are untouched, so
-        the graph stays byte-identical, and the audit's one final round
-        is untraced, so the traced comm totals are too.  The default
-        honours the ``REPRO_COMM_SANITIZE`` environment variable
-        (truthy values: ``1``/``true``/``yes``/``on``).
+
+    The SPMD runtime's checks are no knob: every run's collectives are
+    lockstep-checked and every run that returns passes the runner's
+    teardown audit (:func:`repro.mpisim.mpcomm.teardown_audit`).
     """
 
     k: int = 6
@@ -137,7 +120,6 @@ class PastisConfig:
     min_coverage: float = 0.70
     align_engine: str = "batched"
     align_balance: str = "off"
-    comm_sanitize: bool = field(default_factory=_default_comm_sanitize)
 
     def __post_init__(self) -> None:
         if self.align_mode not in ALIGN_MODES:

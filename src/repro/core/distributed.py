@@ -348,8 +348,7 @@ def run_pastis_distributed(
         check_s_triples(s_triples, config.k)
     fasta = store_to_fasta_bytes(store)
     results: list[RankResult] = run_spmd(
-        nranks, pastis_rank, fasta, config, s_triples, tracer=tracer,
-        comm_sanitize=config.comm_sanitize,
+        nranks, pastis_rank, fasta, config, s_triples, tracer=tracer
     )
     graph = SimilarityGraph.from_edges(
         len(store), [e for r in results for e in r.edges],

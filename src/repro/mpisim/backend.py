@@ -402,7 +402,6 @@ def run_spmd(
     tracer: Any | None = None,
     timeout: float = DEFAULT_TIMEOUT,
     comm_backend: str = "mp",
-    comm_sanitize: bool = False,
 ) -> list[Any]:
     """Run ``fn(comm, *args)`` on ``nranks`` ranks; return the per-rank
     results in rank order (:func:`repro.mpisim.mpcomm.run_spmd_mp`).
@@ -415,11 +414,10 @@ def run_spmd(
     inline in the calling thread on a 1-rank communicator, under no
     whole-run deadline (``timeout`` still bounds a blocked receive).
 
-    ``comm_sanitize`` adds the teardown audit
-    (:func:`~repro.mpisim.mpcomm.teardown_audit`): after ``fn`` returns,
-    sends no rank received and shared-memory segments never unlinked
-    raise a named :class:`SpmdError`.  Payloads are untouched, so
-    results stay byte-identical.
+    Every run that returns passes the runner's teardown audit
+    (:func:`~repro.mpisim.mpcomm.teardown_audit`) first: a send no rank
+    received or a shared-memory segment never unlinked raises a named
+    :class:`SpmdError`.
 
     ``comm_backend`` accepts ``"mp"``, the one transport, and nothing
     else.
@@ -432,5 +430,4 @@ def run_spmd(
     # lazy: the runner module imports this one
     from .mpcomm import run_spmd_mp
 
-    return run_spmd_mp(nranks, fn, *args, tracer=tracer, timeout=timeout,
-                       sanitize=comm_sanitize)
+    return run_spmd_mp(nranks, fn, *args, tracer=tracer, timeout=timeout)

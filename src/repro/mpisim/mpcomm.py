@@ -28,11 +28,14 @@ The communicator itself, its collectives and their exchange round
 (tagged by a per-communicator generation counter; rank 0 of the
 communicator gathers and fans out) are
 :class:`~repro.mpisim.backend.CommBackend`; this module supplies the
-per-rank transport under it, the runner, and the ``comm_sanitize``
-teardown audit (:func:`teardown_audit`).  Tracing records the *logical*
-messages (sender-side, collective decomposition), not the transport
-traffic; child-process tracers are shipped back with the results and
-merged.
+per-rank transport under it and the runner.  Every run ends in the
+runner's teardown audit (:func:`teardown_audit`): each rank whose body
+returned reports its transport's ledger (point-to-point sends and
+receives, shared-memory segments created and unlinked) with its result,
+and an unmatched send or a leaked segment raises a named error.  Tracing
+records the *logical* messages (sender-side, collective decomposition),
+not the transport traffic; child-process tracers are shipped back with
+the results and merged.
 
 ``multiprocessing`` and its ``shared_memory`` module are imported only
 where processes or segments are created, so a 1-rank run loads neither.
@@ -60,8 +63,6 @@ from .tracing import CommTracer
 
 __all__ = [
     "SHM_MIN_BYTES",
-    "begin_shm_audit",
-    "end_shm_audit",
     "run_spmd_mp",
     "teardown_audit",
 ]
@@ -77,28 +78,6 @@ ABORTED = "aborted by a failing rank"
 # ---------------------------------------------------------------------------
 # shared-memory pickling
 # ---------------------------------------------------------------------------
-
-#: per-process shared-memory audit: ``(created names, unlinked names)``
-#: while a ``comm_sanitize`` run is active, else ``None``.  Per-process
-#: module state is per-*rank* state under the process-per-rank backend.
-_shm_audit: tuple[list[str], list[str]] | None = None
-
-
-def begin_shm_audit() -> None:
-    """Start recording segment create/unlink pairs in this process (a
-    ``comm_sanitize`` run calls this at rank startup)."""
-    global _shm_audit
-    _shm_audit = ([], [])
-
-
-def end_shm_audit() -> tuple[list[str], list[str]]:
-    """Stop the audit and return ``(created, unlinked)`` segment names
-    recorded in this process since :func:`begin_shm_audit`."""
-    global _shm_audit
-    created, unlinked = _shm_audit if _shm_audit is not None else ([], [])
-    _shm_audit = None
-    return created, unlinked
-
 
 def _unregister_segment(name: str) -> None:
     """Detach a created segment from this process's resource tracker:
@@ -139,15 +118,18 @@ class _ShmPickler(pickle.Pickler):
             finally:
                 seg.close()
             _unregister_segment(name)
-            if _shm_audit is not None:
-                _shm_audit[0].append(name)
             return ("ndarray-shm", name, obj.shape, obj.dtype.str)
         return None
 
 
 class _ShmUnpickler(pickle.Unpickler):
     """Unpickler resolving shared-memory ndarray references (copy out,
-    then unlink — each message payload is consumed exactly once)."""
+    then unlink — each message payload is consumed exactly once),
+    appending each segment's name to ``unlinked``."""
+
+    def __init__(self, file: io.BytesIO, unlinked: list[str]):
+        super().__init__(file)
+        self._unlinked = unlinked
 
     def persistent_load(self, pid):
         kind, name, shape, dtype = pid
@@ -165,8 +147,7 @@ class _ShmUnpickler(pickle.Unpickler):
                 seg.unlink()
             except FileNotFoundError:  # pragma: no cover - already swept
                 pass
-        if _shm_audit is not None:
-            _shm_audit[1].append(name)
+        self._unlinked.append(name)
         return arr
 
 
@@ -176,8 +157,8 @@ def _dumps(obj: Any, name_iter) -> bytes:
     return buf.getvalue()
 
 
-def _loads(payload: bytes) -> Any:
-    return _ShmUnpickler(io.BytesIO(payload)).load()
+def _loads(payload: bytes, unlinked: list[str]) -> Any:
+    return _ShmUnpickler(io.BytesIO(payload), unlinked).load()
 
 
 def _sweep_shm(prefix: str) -> None:
@@ -203,7 +184,7 @@ def _sweep_shm(prefix: str) -> None:
 class _MPTransport:
     """This process's view of the fleet: its inbox, every outbox, the
     abort flag, the out-of-order stash of received envelopes, and the
-    point-to-point counters the teardown audit reads."""
+    ledger the teardown audit reads (:meth:`ledger`)."""
 
     def __init__(
         self,
@@ -219,16 +200,30 @@ class _MPTransport:
         self.abort = abort
         self.timeout = timeout
         self.tracer = tracer
-        # run/rank-unique shared-memory segment names
-        self.shm_names = (
-            f"{shm_prefix}{world_rank}-{i}" for i in itertools.count()
-        )
+        #: shared-memory segments this rank created / received and unlinked
+        self.created: list[str] = []
+        self.unlinked: list[str] = []
+        self.shm_names = self._segment_names(f"{shm_prefix}{world_rank}-")
         # envelopes received but not yet matched, in arrival order
         self._stash: list[tuple] = []
         #: (comm label, dest world rank, tag) -> p2p sends posted
         self.sent: Counter = Counter()
         #: (comm label, tag) -> p2p receives completed on this rank
         self.recvd: Counter = Counter()
+
+    def _segment_names(self, prefix: str):
+        """Run/rank-unique segment names; the pickler draws one per
+        segment it creates, so each is recorded in ``created`` here."""
+        for i in itertools.count():
+            name = f"{prefix}{i}"
+            self.created.append(name)
+            yield name
+
+    def ledger(self) -> tuple[dict, dict, list[str], list[str]]:
+        """A snapshot of ``(sent, recvd, created, unlinked)``, this
+        rank's entry of :func:`teardown_audit`."""
+        return (dict(self.sent), dict(self.recvd), list(self.created),
+                list(self.unlinked))
 
     def check_abort(self) -> None:
         if self.abort.is_set():
@@ -272,7 +267,7 @@ class _MPTransport:
         while True:
             hit = self._scan_stash(comm_id, chan, source, tag)
             if hit is not None:
-                return hit[0], _loads(hit[1])
+                return hit[0], _loads(hit[1], self.unlinked)
             self.check_abort()
             remaining = deadline - time.monotonic()
             if remaining <= 0:
@@ -294,7 +289,9 @@ class _MPTransport:
         self.check_abort()
         self._drain(self.inboxes[self.world_rank])
         hit = self._scan_stash(comm_id, chan, source, tag)
-        return (False, None) if hit is None else (True, _loads(hit[1]))
+        if hit is None:
+            return False, None
+        return True, _loads(hit[1], self.unlinked)
 
     def _drain(self, inbox) -> bool:
         """Move every already-delivered envelope to the stash; report
@@ -312,21 +309,12 @@ class _MPTransport:
 # ---------------------------------------------------------------------------
 
 
-def teardown_audit(comm: CommBackend) -> None:
-    """The ``comm_sanitize`` teardown audit, on the *world* communicator
-    after the SPMD body returned cleanly (after a failure the peers may
-    be gone, and a further round would hang): one final exchange round
-    of every rank's p2p counters and shared-memory ledger, then one named
-    :class:`SpmdError` if any send was never received or any segment was
-    created but never unlinked.  A rank still inside another collective
-    pairs with this round and raises the named collective mismatch."""
-    tp = comm._transport
-    created, unlinked = end_shm_audit()
-    per_rank = comm._exchange(
-        "finalize",
-        (dict(tp.sent), dict(tp.recvd), sorted(created), sorted(unlinked)),
-    )
-
+def teardown_audit(per_rank: Sequence[tuple]) -> None:
+    """The runner's teardown audit over one :meth:`_MPTransport.ledger`
+    per rank, in world-rank order, reported once every rank's body
+    returned (a failed run is not audited): one named
+    :class:`SpmdError` if any send was never received or any segment
+    was created but never unlinked."""
     problems: list[str] = []
     sent_to: dict[tuple[int, str, int], list] = {}
     for src, (sent, _recvd, _c, _u) in enumerate(per_rank):
@@ -372,23 +360,6 @@ def teardown_audit(comm: CommBackend) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _run_rank(comm: CommBackend, fn: Callable[..., Any], args: tuple,
-              sanitize: bool) -> Any:
-    """``fn(comm, *args)``, under the teardown audit when ``sanitize``."""
-    if not sanitize:
-        return fn(comm, *args)
-    begin_shm_audit()
-    try:
-        value = fn(comm, *args)
-    except BaseException:
-        # no audit after a failure, but an inline rank shares the
-        # caller's process: stop recording there
-        end_shm_audit()
-        raise
-    teardown_audit(comm)
-    return value
-
-
 def blame_order(rank: int, is_spmd: bool, text: str) -> tuple[int, int]:
     """Sort key putting a run's root-cause failure first.
 
@@ -410,7 +381,6 @@ def _mp_worker(
     timeout: float,
     trace: bool,
     shm_prefix: str,
-    sanitize: bool,
     fn: Callable[..., Any],
     args: tuple,
 ) -> None:
@@ -420,7 +390,7 @@ def _mp_worker(
     )
     comm = CommBackend(transport, "world", tuple(range(nranks)), rank)
     try:
-        value = _run_rank(comm, fn, args, sanitize)
+        value = fn(comm, *args)
     except BaseException as exc:  # noqa: BLE001 - must propagate any
         import traceback
 
@@ -434,7 +404,11 @@ def _mp_worker(
             q.cancel_join_thread()
         return
     records = tracer.records if tracer is not None else None
-    result_q.put(("ok", rank, _dumps(value, transport.shm_names), records))
+    # snapshot before the result is pickled: its segments are the
+    # parent's to unlink, outside the audit
+    ledger = transport.ledger()
+    payload = _dumps(value, transport.shm_names)
+    result_q.put(("ok", rank, payload, records, ledger))
 
 
 def run_spmd_mp(
@@ -443,11 +417,10 @@ def run_spmd_mp(
     *args: Any,
     tracer: CommTracer | None = None,
     timeout: float = DEFAULT_TIMEOUT,
-    sanitize: bool = False,
 ) -> list[Any]:
     """Run ``fn(comm, *args)`` on ``nranks`` OS-process ranks; return the
-    per-rank results in rank order (under :func:`teardown_audit` when
-    ``sanitize``).
+    per-rank results in rank order, once :func:`teardown_audit` passed
+    over every rank's ledger.
 
     Any rank raising aborts all ranks and re-raises as :class:`SpmdError`
     with the root-cause failure (:func:`blame_order`) as ``__cause__``.
@@ -471,11 +444,13 @@ def run_spmd_mp(
                                  timeout, tracer, shm_prefix)
         try:
             comm = CommBackend(transport, "world", (0,), 0)
-            return [_run_rank(comm, fn, args, sanitize)]
+            value = fn(comm, *args)
         except Exception as exc:
             raise SpmdError(f"rank 0 failed: {exc!r}") from exc
         finally:
             _sweep_shm(shm_prefix)
+        teardown_audit([transport.ledger()])
+        return [value]
     import multiprocessing
     # loaded before the fork, so the ranks share its pages instead of
     # each importing a private copy (+3 MB peak RSS on a 4-rank run)
@@ -489,7 +464,7 @@ def run_spmd_mp(
         ctx.Process(
             target=_mp_worker,
             args=(r, nranks, inboxes, result_q, abort, timeout,
-                  tracer is not None, shm_prefix, sanitize, fn, args),
+                  tracer is not None, shm_prefix, fn, args),
             name=f"spmd-mp-rank-{r}",
             daemon=True,
         )
@@ -498,6 +473,7 @@ def run_spmd_mp(
     unfilled = object()
     results: list[Any] = [unfilled] * nranks
     traces: list[Any] = [None] * nranks
+    ledgers: list[Any] = [None] * nranks
     errors: list[tuple[int, str, str, str, bool]] = []
 
     def silent(r: int) -> bool:
@@ -527,8 +503,8 @@ def run_spmd_mp(
                 except queue.Empty:
                     break
             if msg[0] == "ok":
-                _tag, rank, payload, records = msg
-                results[rank] = _loads(payload)
+                _tag, rank, payload, records, ledgers[rank] = msg
+                results[rank] = _loads(payload, [])
                 traces[rank] = records
             else:
                 _tag, rank, ename, etext, etb, is_spmd = msg
@@ -575,4 +551,5 @@ def run_spmd_mp(
             f"ranks {missing} terminated without producing a result "
             f"(exit codes {[procs[r].exitcode for r in missing]})"
         )
+    teardown_audit(ledgers)
     return results

@@ -9,8 +9,8 @@ extrapolations; :meth:`CommTracer.summary` is where a run's messages and
 bytes per ``(comm, op)`` are read — they depend on the nonzeros of the
 SUMMA blocks, so they are measured, never statically predicted.
 
-Communicator labels follow the scheme shared with the mp transport and the
-comm sanitizer: the world communicator is ``"world"`` and a communicator
+Communicator labels follow the scheme shared with the mp transport and its
+teardown audit: the world communicator is ``"world"`` and a communicator
 produced by the ``n``-th ``split`` call on parent ``L`` with ``color=c`` is
 ``"L/n.c"``.
 """

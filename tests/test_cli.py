@@ -142,6 +142,8 @@ class TestCliSurface:
             ["--steal-chunks", "4"],
             # the deleted mpi4py adapter left no value behind either
             ["--comm-backend", "mpi"],
+            # the teardown audit runs in every run: no flag left
+            ["--comm-sanitize"],
         ):
             with pytest.raises(SystemExit) as exc_info:
                 build_parser().parse_args(["in.fa", "-o", "o.tsv", *flags])

@@ -332,7 +332,7 @@ class TestConformance:
 
 class TestLockstepCheck:
     """Every collective's exchange round compares the op names the ranks
-    entered, sanitizer or not: a divergence raises the named error in
+    entered, in every run: a divergence raises the named error in
     the round where it happens, instead of silently crossing values
     between two collectives of the same shape."""
 
@@ -398,23 +398,13 @@ class TestSingleRankRunsInline:
         cause = exc_info.value.__cause__
         assert type(cause) is ValueError and cause.args == ("kapow",)
 
-    def test_failed_sanitized_run_stops_the_shm_audit(self):
-        """The inline rank runs in the caller's process: a failing body
-        must not leave the sanitizer's segment ledger recording there."""
-        from repro.mpisim import mpcomm
-
-        with pytest.raises(SpmdError, match="kapow"):
-            run_spmd(1, _raises_kapow, comm_sanitize=True)
-        assert mpcomm._shm_audit is None
-
 
 class TestPipelineTraceTotals:
     """The tracer's record of the real pipeline is pinned: same message
     count, same byte total — ``CommTracer.summary()`` and the α–β
     seconds in ``graph.meta["commcost"]`` are computed from it, so a
-    tracing regression moves these numbers.  The sanitizer adds no
-    traced traffic: its teardown audit rides the untraced exchange
-    round, so the totals are the same with it on."""
+    tracing regression moves these numbers.  The teardown audit adds no
+    traffic: the runner reads each rank's ledger from its result."""
 
     EXACT = dict(k=5)
     # the sym. exchange carries 8-byte counts plus seeds for the
@@ -422,21 +412,18 @@ class TestPipelineTraceTotals:
     SUBS = dict(k=5, substitutes=4, common_kmer_threshold=1,
                 align_balance="greedy")
 
-    @pytest.mark.parametrize("knobs, sanitize, totals", [
-        pytest.param(EXACT, False, (67, 788_256), id="exact"),
-        pytest.param(SUBS, False, (116, 1_754_092), id="subs-ck-greedy"),
-        pytest.param(EXACT, True, (67, 788_256), id="exact-sanitized"),
-        pytest.param(SUBS, True, (116, 1_754_092),
-                     id="subs-ck-greedy-sanitized"),
+    @pytest.mark.parametrize("knobs, totals", [
+        pytest.param(EXACT, (67, 788_256), id="exact"),
+        pytest.param(SUBS, (116, 1_754_092), id="subs-ck-greedy"),
     ])
-    def test_summary_totals_pinned(self, knobs, sanitize, totals):
+    def test_summary_totals_pinned(self, knobs, totals):
         from repro.bio.generate import scope_like
         from repro.core.config import PastisConfig
         from repro.core.distributed import run_pastis_distributed
 
         store = scope_like(n_families=6, seed=3).store
         tracer = CommTracer()
-        config = PastisConfig(comm_sanitize=sanitize, **knobs)
+        config = PastisConfig(**knobs)
         run_pastis_distributed(store, config, nranks=4, tracer=tracer)
         summary = tracer.summary()
         assert (summary["total_messages"], summary["total_bytes"]) == totals

@@ -12,7 +12,6 @@ from repro.bio.fasta import (
     parse_fasta_text,
     read_fasta,
     read_fasta_chunk,
-    read_fasta_parallel,
     write_fasta,
 )
 from repro.bio.sequences import MAX_SEQUENCE_LENGTH, SequenceStore
@@ -115,8 +114,12 @@ class TestChunking:
         path = tmp_path / "t.fasta"
         write_fasta(path, [(f"s{i}", "AVG" * (i + 1)) for i in range(17)])
         serial = read_fasta(path)
+        data = path.read_bytes()
         for n in (1, 3, 4, 9):
-            chunks = read_fasta_parallel(path, n)
+            chunks = [
+                read_fasta_chunk(data, s, e)
+                for s, e in chunk_boundaries(len(data), n)
+            ]
             assert len(chunks) == n
             merged = [r for c in chunks for r in c]
             assert [r.id for r in merged] == [r.id for r in serial]
