@@ -2,11 +2,11 @@
 checks it shares its finding codes with.
 
 The pipeline's output rests on SPMD discipline — every rank executes the
-identical collective sequence and the rebalance plan is bitwise
-deterministic across ranks — invariants the golden-obliviousness tests
-check only *after the fact*.  This package enforces them *before and
-during* the run, with one shared vocabulary of finding codes
-(:mod:`repro.analysis.report`, rendered in ``docs/analysis.md``):
+identical collective sequence and every send meets its receive —
+invariants the golden-obliviousness tests check only *after the fact*.
+This package enforces them *before and during* the run, with one shared
+vocabulary of finding codes (:mod:`repro.analysis.report`, rendered in
+``docs/analysis.md``):
 
 ``repro.analysis.verify``
     The static analyzer, ``python -m repro.analysis.verify``.  One run
@@ -14,14 +14,15 @@ during* the run, with one shared vocabulary of finding codes
     interprocedural rank-taint fixpoint (``dataflow``) and the static
     communication schedule of every SPMD entry point (``schedule``)
     once, and runs every static checker over them: the per-file
-    checkers (``filechecks`` — nondeterminism in deterministic-plan
-    modules, Python hot loops in vectorized kernels, duplicate p2p tags
-    with module-constant resolution, broad excepts), the schedule
-    checkers (collective-sequence uniformity across rank-tainted control
-    flow at any helper depth, p2p send/recv matching by tag), the
-    comm-performance checks (``commperf``), and one ``# spmd: <code>-ok``
-    pragma audit over all of them.  Supports ``--format json`` and a
-    committed-baseline diff mode.
+    checkers (``filechecks`` — Python hot loops in vectorized kernels,
+    duplicate p2p tags with module-constant resolution, broad excepts),
+    the schedule checkers (collective-sequence uniformity across
+    rank-tainted control flow at any helper depth, recv sites no send
+    site matches by tag), and one ``# spmd: <code>-ok`` pragma audit
+    over all of them.  Supports ``--format json`` and a
+    committed-baseline diff mode.  Every static code names some fault
+    no tier-1 run names (the tool x fault matrix,
+    ``tests/test_verify.py``).
 
 The runtime checks live in the communicator, not here: every
 collective's exchange round of :class:`~repro.mpisim.backend.CommBackend`

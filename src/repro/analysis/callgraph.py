@@ -245,8 +245,6 @@ class ProjectIndex:
     def __init__(self) -> None:
         self.modules: dict[str, ModuleInfo] = {}
         self.functions: dict[str, FunctionInfo] = {}
-        #: modules that failed to parse: path -> (lineno, message)
-        self.broken: dict[str, tuple[int, str]] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -256,16 +254,14 @@ class ProjectIndex:
     ) -> "ProjectIndex":
         """Index in-memory ``(path, source)`` pairs (tests seed synthetic
         multi-module projects this way); module dotted names derive from
-        the paths."""
+        the paths.  A module that does not parse raises its
+        :class:`SyntaxError`: no run of that tree gets past importing
+        it either."""
         index = cls()
         for path, source in named_sources:
-            try:
-                tree = ast.parse(source, filename=path)
-            except SyntaxError as exc:
-                index.broken[path] = (exc.lineno or 1, str(exc.msg))
-                continue
             mod = ModuleInfo(
-                name=module_name(path), path=path, tree=tree,
+                name=module_name(path), path=path,
+                tree=ast.parse(source, filename=path),
                 source=source,
             )
             index.modules[mod.name] = mod

@@ -52,8 +52,6 @@ __all__ = [
     "RankTaint",
     "TaintSummary",
     "comm_op_of",
-    "looks_like_comm",
-    "receiver_ident",
 ]
 
 #: collectives of the CommBackend surface (mirrors

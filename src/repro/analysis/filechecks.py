@@ -1,24 +1,19 @@
 """Per-file checkers and the ``# spmd:`` pragma index.
 
-Four AST checkers that need no more than one parsed module, each tied to
-one way the pipeline's contract has historically been broken.  They read
-the :class:`~repro.analysis.callgraph.ModuleInfo` parse the whole-program
-passes share and are run by ``python -m repro.analysis.verify``, the one
-analyzer, next to the schedule and comm-performance checks:
-
-``plan-nondeterminism``
-    Inside the deterministic-plan modules (``core/balance.py`` and
-    ``perfmodel/``), whose computations must be bitwise identical on all
-    ranks: iteration over a ``set`` (hash order) or a dynamically built
-    ``dict`` (insertion order, which may differ per rank) without a
-    ``sorted()`` wrapper, and calls producing ``random``/``time``-derived
-    values.
+Three AST checkers that need no more than one parsed module, each tied
+to one way the pipeline's contract has historically been broken.  They
+read the :class:`~repro.analysis.callgraph.ModuleInfo` parse the
+whole-program passes share and are run by ``python -m
+repro.analysis.verify``, the one analyzer, next to the schedule checks.
+Each names a fault no tier-1 run does (the tool x fault matrix,
+``tests/test_verify.py::TestToolFaultMatrix``):
 
 ``python-hot-loop``
     A per-element Python ``for``/``while`` loop in the vectorized kernel
-    modules (``sparse/spgemm.py`` numeric/struct paths and
-    ``align/engine.py``).  The intended per-row / per-lane / reference
-    loops carry pragmas; anything new is a performance regression.
+    modules (``sparse/spgemm.py``, ``align/engine.py`` and
+    ``kmers/extraction.py``).  The intended per-row / per-lane /
+    reference loops carry pragmas; anything new is a performance
+    regression that leaves every result unchanged.
 
 ``duplicate-p2p-tag``
     The same p2p tag value — literal, or a module-level integer constant
@@ -32,7 +27,7 @@ analyzer, next to the schedule and comm-performance checks:
 ``broad-except``
     ``except:`` / ``except Exception:`` handlers that neither re-raise
     nor inspect the exception — the pattern that made tracer bugs vanish
-    silently.
+    silently; a run only shows it once something raises.
 
 Pragmas
 -------
@@ -64,9 +59,9 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
-from .callgraph import ModuleInfo, ProjectIndex, dotted_name, iter_scope
+from .callgraph import ModuleInfo, ProjectIndex, dotted_name
 from .report import Finding, pragma_map
 
 __all__ = [
@@ -78,17 +73,10 @@ __all__ = [
 #: pragma -> code over the whole vocabulary
 _PRAGMA_CHECKS = {p: c for c, p in pragma_map().items()}
 
-#: modules whose computations must be bitwise identical on every rank
-_PLAN_MODULE_MARKERS = ("core/balance.py", "perfmodel/")
 #: modules whose kernels are vectorized (per-element loops are suspect)
 _HOT_MODULE_MARKERS = (
     "sparse/spgemm.py", "align/engine.py", "kmers/extraction.py",
 )
-
-_TIME_FUNCS = frozenset({
-    "time", "time_ns", "monotonic", "monotonic_ns", "perf_counter",
-    "perf_counter_ns", "process_time", "process_time_ns",
-})
 
 _PRAGMA_RE = re.compile(r"#\s*spmd:\s*(.+?)\s*$")
 _TAG_NAME_RE = re.compile(r"(^|_)TAG(_|$)|TAG$", re.IGNORECASE)
@@ -245,178 +233,11 @@ class _FileChecks:
 
     def run(self) -> list[Finding]:
         self._check_broad_except()
-        if _module_matches(self.path, _PLAN_MODULE_MARKERS):
-            self._check_plan_nondeterminism()
         if _module_matches(self.path, _HOT_MODULE_MARKERS):
             self._check_hot_loops()
         return self.findings
 
-    def _scopes(self) -> Iterator[Sequence[ast.stmt]]:
-        yield self.tree.body
-        for node in ast.walk(self.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield node.body
-
-    # -- (a) nondeterminism in plan modules ------------------------------
-
-    def _check_plan_nondeterminism(self) -> None:
-        self._check_unordered_iteration()
-        self._check_entropy_calls()
-
-    def _infer_unordered_types(
-        self, body: Sequence[ast.stmt]
-    ) -> tuple[set[str], set[str]]:
-        set_typed: set[str] = set()
-        dict_typed: set[str] = set()
-        for stmt in iter_scope(body):
-            targets: list[ast.AST] = []
-            value = None
-            if isinstance(stmt, ast.Assign):
-                targets, value = stmt.targets, stmt.value
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                targets, value = [stmt.target], stmt.value
-            if value is None:
-                continue
-            kind = self._value_kind(value)
-            if kind is None:
-                continue
-            for tgt in targets:
-                if isinstance(tgt, ast.Name):
-                    (set_typed if kind == "set" else dict_typed).add(tgt.id)
-        return set_typed, dict_typed
-
-    @staticmethod
-    def _value_kind(value: ast.AST) -> str | None:
-        if isinstance(value, (ast.Set, ast.SetComp)):
-            return "set"
-        if isinstance(value, (ast.Dict, ast.DictComp)):
-            return "dict"
-        if isinstance(value, ast.Call):
-            name = dotted_name(value.func) or ""
-            leaf = name.rsplit(".", 1)[-1]
-            if leaf in ("set", "frozenset"):
-                return "set"
-            if leaf in ("dict", "defaultdict", "Counter", "OrderedDict"):
-                return "dict"
-        return None
-
-    def _check_unordered_iteration(self) -> None:
-        for body in self._scopes():
-            set_typed, dict_typed = self._infer_unordered_types(body)
-            for stmt in iter_scope(body):
-                iters: list[ast.AST] = []
-                if isinstance(stmt, (ast.For, ast.AsyncFor)):
-                    iters.append(stmt.iter)
-                for node in ast.walk(stmt):
-                    if isinstance(node, (ast.ListComp, ast.SetComp,
-                                         ast.DictComp, ast.GeneratorExp)):
-                        iters.extend(g.iter for g in node.generators)
-                for it in iters:
-                    reason = self._unordered_reason(
-                        it, set_typed, dict_typed
-                    )
-                    if reason:
-                        self._flag(
-                            "plan-nondeterminism", it.lineno,
-                            f"iteration over {reason} in a "
-                            f"deterministic-plan module; wrap in "
-                            f"sorted() so every rank sees one order",
-                        )
-
-    def _unordered_reason(
-        self, expr: ast.AST, set_typed: set[str], dict_typed: set[str]
-    ) -> str | None:
-        # benign wrappers: order-fixing or order-preserving pass-throughs
-        if isinstance(expr, ast.Call):
-            name = dotted_name(expr.func) or ""
-            leaf = name.rsplit(".", 1)[-1]
-            if leaf in ("sorted", "min", "max", "sum", "len"):
-                return None
-            if leaf in ("list", "tuple", "enumerate", "reversed", "iter"):
-                if expr.args:
-                    return self._unordered_reason(
-                        expr.args[0], set_typed, dict_typed
-                    )
-                return None
-            if leaf in ("set", "frozenset"):
-                return f"a {leaf}() value"
-        if isinstance(expr, ast.Set):
-            return "a set literal"
-        if isinstance(expr, ast.SetComp):
-            return "a set comprehension"
-        if isinstance(expr, ast.Name):
-            if expr.id in set_typed:
-                return f"set-typed variable {expr.id!r}"
-            if expr.id in dict_typed:
-                return (f"dict-typed variable {expr.id!r} (per-rank "
-                        f"insertion order)")
-        if (isinstance(expr, ast.Call)
-                and isinstance(expr.func, ast.Attribute)
-                and expr.func.attr in ("keys", "values", "items")
-                and isinstance(expr.func.value, ast.Name)
-                and expr.func.value.id in dict_typed):
-            return (f"dict-typed variable "
-                    f"{expr.func.value.id!r}.{expr.func.attr}() "
-                    f"(per-rank insertion order)")
-        return None
-
-    def _check_entropy_calls(self) -> None:
-        time_names: set[str] = set()
-        random_names: set[str] = set()
-        for node in ast.walk(self.tree):
-            if isinstance(node, ast.ImportFrom):
-                bucket = {"time": time_names,
-                          "random": random_names}.get(node.module or "")
-                if bucket is not None:
-                    bucket.update(a.asname or a.name for a in node.names)
-        for node in ast.walk(self.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            dotted = dotted_name(node.func)
-            reason = self._entropy_reason(dotted, node,
-                                          time_names, random_names)
-            if reason:
-                self._flag(
-                    "plan-nondeterminism", node.lineno,
-                    f"{reason} in a deterministic-plan module; plans "
-                    f"must compute identically on all ranks",
-                )
-
-    @staticmethod
-    def _entropy_reason(
-        dotted: str | None,
-        call: ast.Call,
-        time_names: set[str],
-        random_names: set[str],
-    ) -> str | None:
-        if dotted is None:
-            return None
-        head, _, rest = dotted.partition(".")
-        leaf = dotted.rsplit(".", 1)[-1]
-        if head == "time" and rest in _TIME_FUNCS:
-            return f"wall-clock call {dotted}()"
-        if dotted in time_names and dotted in _TIME_FUNCS:
-            return f"wall-clock call {dotted}()"
-        if head == "random" and rest:
-            return f"stdlib random call {dotted}()"
-        if dotted in random_names:
-            return f"stdlib random call {dotted}()"
-        if ".random." in f".{dotted}.".replace("..", "."):
-            # numpy-style rng: a seeded generator is deterministic, so
-            # only the legacy global functions and an unseeded
-            # default_rng() count as entropy
-            if leaf == "default_rng":
-                return (None if call.args or call.keywords
-                        else "unseeded default_rng()")
-            return f"numpy random call {dotted}()"
-        if dotted in ("os.urandom",) or head == "uuid":
-            return f"entropy source {dotted}()"
-        if dotted.endswith("datetime.now") or dotted.endswith(
-                "datetime.utcnow") or dotted in ("datetime.now",):
-            return f"wall-clock call {dotted}()"
-        return None
-
-    # -- (b) hot loops in vectorized kernels -----------------------------
+    # -- hot loops in vectorized kernels --------------------------------
 
     def _check_hot_loops(self) -> None:
         for node in ast.walk(self.tree):
@@ -429,7 +250,7 @@ class _FileChecks:
                     f"'# spmd: hot-loop-ok (reason)'",
                 )
 
-    # -- (c) broad excepts ------------------------------------------------
+    # -- broad excepts ----------------------------------------------------
 
     def _check_broad_except(self) -> None:
         for node in ast.walk(self.tree):

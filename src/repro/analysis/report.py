@@ -5,10 +5,12 @@ analyzer (:mod:`repro.analysis.verify`) and the runtime checks of the
 communicator report under the stable finding codes of
 :data:`FINDING_CODES` — a static ``rank-divergent-collective`` is the
 compile-time shadow of the runtime collective mismatch every exchange
-round checks (:class:`~repro.mpisim.backend.CommBackend`), a static
-``unmatched-send`` the shadow of the runner's teardown audit
-(:func:`~repro.mpisim.mpcomm.teardown_audit`).  ``docs/analysis.md``
-renders the full table.
+round checks (:class:`~repro.mpisim.backend.CommBackend`), while
+``unmatched-send`` and ``shm-leak`` are the runner's teardown audit's
+alone (:func:`~repro.mpisim.mpcomm.teardown_audit`).  A code's
+``tools`` say which of them names it; each row is earned by a row of
+the tool x fault matrix (``tests/test_verify.py``) that nothing else
+names.  ``docs/analysis.md`` renders the full table.
 
 This module also owns the analyzer's machine surface:
 
@@ -78,20 +80,13 @@ FINDING_CODES: Mapping[str, CodeInfo] = {
         "mismatch)",
     ),
     "unmatched-send": CodeInfo(
-        "error", "unmatched-send-ok", ("verify", "runtime"),
-        "a p2p send whose (tag, peer) has no matching recv site in the "
-        "entry point's schedule closure (statically) or that no rank "
-        "ever received (runtime teardown audit)",
+        "error", None, ("runtime",),
+        "a p2p send that no rank ever received (runtime teardown audit)",
     ),
     "unmatched-recv": CodeInfo(
         "warning", "unmatched-recv-ok", ("verify",),
         "a p2p recv site whose tag no send site in the entry point's "
         "schedule closure ever posts",
-    ),
-    "plan-nondeterminism": CodeInfo(
-        "error", "nondeterminism-ok", ("verify",),
-        "unordered iteration or an entropy source in a "
-        "deterministic-plan module",
     ),
     "python-hot-loop": CodeInfo(
         "warning", "hot-loop-ok", ("verify",),
@@ -115,38 +110,10 @@ FINDING_CODES: Mapping[str, CodeInfo] = {
         "warning", None, ("verify",),
         "a '# spmd:' pragma that no longer suppresses any finding",
     ),
-    "syntax-error": CodeInfo(
-        "error", None, ("verify",),
-        "a module that does not parse",
-    ),
     "shm-leak": CodeInfo(
         "error", None, ("runtime",),
         "a shared-memory segment created by the mpcomm transport and "
         "never unlinked (runtime teardown audit)",
-    ),
-    "redundant-collective": CodeInfo(
-        "warning", "redundant-collective-ok", ("verify",),
-        "a bcast/allgather/allreduce whose payload is syntactically "
-        "rank-uniform (a literal, module constant, or never-reassigned "
-        "parameter) — every rank already holds the value",
-    ),
-    "grid-loop-collective": CodeInfo(
-        "warning", "grid-loop-collective-ok", ("verify",),
-        "a collective inside a loop whose trip count scales with the "
-        "process grid, where no argument depends on the loop variable — "
-        "the calls are identical and hoistable",
-    ),
-    "per-element-send": CodeInfo(
-        "warning", "per-element-send-ok", ("verify",),
-        "a send/isend inside a loop shipping one element of the "
-        "iterated sequence per message — alpha-dominated; batch into "
-        "one message or use alltoall",
-    ),
-    "pickled-envelope": CodeInfo(
-        "warning", "pickled-envelope-ok", ("verify",),
-        "a send/isend whose payload is a list of ndarrays — the "
-        "general pickle codec copies each; pack into one flat ndarray "
-        "to use the zero-copy buffer path",
     ),
 }
 

@@ -3,7 +3,7 @@
 For every SPMD entry point (the rebalance stage, the SUMMA k-loop,
 anything handed to ``run_spmd``), this pass collects
 the comm operations the entry's call closure performs **in program
-order**, then checks the two halves of the SPMD contract statically:
+order**, then checks two halves of the SPMD contract statically:
 
 * **Collective-sequence uniformity** — at every ``if``/``while``/
   ``for`` guarded by a rank-tainted value (per
@@ -13,14 +13,16 @@ order**, then checks the two halves of the SPMD contract statically:
   ``bcast`` two helpers deep is still seen.  Arms that run the same
   collectives are fine — rank-guarded *p2p* asymmetry is how protocols
   are written and is never flagged here.
-* **P2p send/recv matching** — every send site is matched against the
-  recv sites of the same entry closure by tag (literal, or a
+* **P2p recv matching** — every recv site is matched against the
+  send sites of the same entry closure by tag (literal, or a
   module-level integer constant resolved through imports); an
-  unmatched send is a potential deadlock (error), an unmatched recv a
-  potential hang (warning).  Sites whose tag cannot be resolved
-  statically match anything — the checker under-reports rather than
-  false-positives.  Peer expressions are classified (constant /
-  rank-derived / dynamic) as finding metadata only.
+  unmatched recv is a potential hang (warning), which at runtime is
+  only an unnamed watchdog timeout.  Sites whose tag cannot be
+  resolved statically match anything — the checker under-reports
+  rather than false-positives.  Peer expressions are classified
+  (constant / rank-derived / dynamic) as finding metadata only.  The
+  other direction, a send nobody receives, is the runner's teardown
+  audit's: it names it as ``[unmatched-send]`` in every run.
 
 Findings are only *reported* for pipeline code: the comm-backend
 implementation modules and the analysis package itself (which
@@ -104,9 +106,6 @@ class Loop:
     lineno: int
     tainted: bool
     body: list = field(default_factory=list)
-    #: the ``for``/``while`` statement: the comm-performance checks read
-    #: the loop variable and the ``range(...)`` bound off it
-    node: ast.stmt | None = None
 
 
 def _op_kind(op: str) -> str:
@@ -201,7 +200,6 @@ class ScheduleAnalysis:
                 items.append(Loop(
                     stmt.lineno,
                     self.taint.expr_tainted(fn, stmt.test), body,
-                    node=stmt,
                 ))
             elif isinstance(stmt, (ast.For, ast.AsyncFor)):
                 items.extend(self._expr_items(fn, stmt.iter))
@@ -210,7 +208,6 @@ class ScheduleAnalysis:
                 items.append(Loop(
                     stmt.lineno,
                     self.taint.expr_tainted(fn, stmt.iter), body,
-                    node=stmt,
                 ))
             elif isinstance(stmt, ast.Try):
                 items.extend(self._body_items(fn, stmt.body))
@@ -404,6 +401,10 @@ class ScheduleAnalysis:
         return P2pSite(op, tag, label, peer_class)
 
     def matching_findings(self) -> list[Finding]:
+        """``unmatched-recv``: a recv site whose tag no send site posts,
+        in every entry closure that contains it.  (A send nobody
+        receives is reported at runtime, by the runner's teardown
+        audit.)"""
         #: site_id -> (site, [roots containing it], [roots unmatched in])
         status: dict[tuple, tuple[P2pSite, list[str], list[str]]] = {}
         for root in self.entry_points:
@@ -411,16 +412,11 @@ class ScheduleAnalysis:
             sites = [s for q in sorted(closure)
                      for s in self._p2p_sites(q)]
             send_tags = {s.tag for s in sites if s.op.kind == "send"}
-            recv_tags = {s.tag for s in sites if s.op.kind == "recv"}
-            dyn_send = ("dyn",) in send_tags
-            dyn_recv = ("dyn",) in recv_tags
             for site in sites:
-                if site.op.kind == "send":
-                    matched = (site.tag == ("dyn",) or dyn_recv
-                               or site.tag in recv_tags)
-                else:
-                    matched = (site.tag == ("dyn",) or dyn_send
-                               or site.tag in send_tags)
+                if site.op.kind != "recv":
+                    continue
+                matched = (site.tag == ("dyn",) or ("dyn",) in send_tags
+                           or site.tag in send_tags)
                 entry = status.setdefault(
                     site.site_id, (site, [], [])
                 )
@@ -437,26 +433,15 @@ class ScheduleAnalysis:
             if excluded(site.path):
                 continue
             op = site.op
-            if op.kind == "send":
-                findings.append(Finding(
-                    site.path, op.lineno, "unmatched-send",
-                    f"{op.op}() with {site.tag_label} "
-                    f"(peer: {site.peer_class}) in {op.fn.qualname} "
-                    f"has no matching recv site in the schedule of "
-                    f"entry {', '.join(sorted(unmatched_in))}; an "
-                    f"unreceived send strands its payload and can "
-                    f"deadlock teardown",
-                ))
-            else:
-                findings.append(Finding(
-                    site.path, op.lineno, "unmatched-recv",
-                    f"{op.op}() with {site.tag_label} "
-                    f"(peer: {site.peer_class}) in {op.fn.qualname} "
-                    f"has no send site posting that tag in the "
-                    f"schedule of entry "
-                    f"{', '.join(sorted(unmatched_in))}; the receive "
-                    f"can never complete",
-                ))
+            findings.append(Finding(
+                site.path, op.lineno, "unmatched-recv",
+                f"{op.op}() with {site.tag_label} "
+                f"(peer: {site.peer_class}) in {op.fn.qualname} "
+                f"has no send site posting that tag in the "
+                f"schedule of entry "
+                f"{', '.join(sorted(unmatched_in))}; the receive "
+                f"can never complete",
+            ))
         return findings
 
     def findings(self) -> list[Finding]:

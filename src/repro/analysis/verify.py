@@ -7,23 +7,25 @@ schedule of every SPMD entry point (:mod:`repro.analysis.schedule`)
 **once**, then runs every static checker over them:
 
 * the per-file checkers (:mod:`repro.analysis.filechecks`):
-  ``plan-nondeterminism``, ``python-hot-loop``, ``duplicate-p2p-tag``,
-  ``broad-except``;
+  ``python-hot-loop``, ``duplicate-p2p-tag``, ``broad-except``;
 * the schedule checkers: ``rank-divergent-collective`` (at any helper
-  depth), ``unmatched-send``, ``unmatched-recv``;
-* the comm-performance checks (:mod:`repro.analysis.commperf`):
-  ``redundant-collective``, ``grid-loop-collective``,
-  ``per-element-send``, ``pickled-envelope``;
+  depth) and ``unmatched-recv``;
 * pragma hygiene: ``unknown-pragma``, and one ``unused-pragma`` audit
   over every code above — each finding is suppressed through the one
   pragma index of its file, so a pragma is stale exactly when no checker
-  needed it; plus ``syntax-error`` for a module that does not parse.
+  needed it.  A module that does not parse is a usage error (exit 2).
 
-A rank-divergent collective hidden two helpers deep, or a send whose
-only possible partner lives in another module and was never written, is
-reported here — before a single rank is spawned, instead of at runtime
-by the runner's teardown audit (or a watchdog deadlock).  The code table is
-:data:`repro.analysis.report.FINDING_CODES` (``docs/analysis.md``).
+Each code is kept because some fault of the tool x fault matrix
+(``tests/test_verify.py::TestToolFaultMatrix``) is named by it and by no
+tier-1 run: a rank-divergent collective across two communicators (the
+runtime sees only a watchdog timeout), a recv nobody sends to (another
+timeout), a p2p tag shared by two protocols, a per-element loop in a
+kernel and a swallowed exception (all three leave every result
+unchanged).  What a run already names — a send nobody receives, a
+hoistable or redundant collective, a nondeterministic plan — is left to
+the runner's teardown audit, the pinned trace totals and the tier-1
+tests.  The code table is :data:`repro.analysis.report.FINDING_CODES`
+(``docs/analysis.md``).
 
 Suppression is ``# spmd: <code>-ok (reason)`` on or above the flagged
 line.  For findings that are accepted long-term, a committed baseline
@@ -47,7 +49,6 @@ from pathlib import Path
 from typing import Sequence
 
 from .callgraph import CallGraph, ProjectIndex, read_tree
-from .commperf import comm_perf_findings
 from .dataflow import RankTaint
 from .filechecks import PragmaIndex, duplicate_tag_findings, file_findings
 from .report import (
@@ -81,16 +82,12 @@ def verify_sources(
         raw.extend(file_findings(mod))
     raw.extend(duplicate_tag_findings(index))
     raw.extend(schedule.findings())
-    raw.extend(comm_perf_findings(index, schedule))
 
     pragmas = {
         mod.path: PragmaIndex(mod.path, mod.source, mod.tree)
         for mod in index.modules.values()
     }
-    findings: list[Finding] = [
-        Finding(path, line, "syntax-error", message)
-        for path, (line, message) in index.broken.items()
-    ]
+    findings: list[Finding] = []
     # a checker may reach one site twice (nested scopes); report it once
     for finding in dict.fromkeys(raw):
         if not pragmas[finding.path].suppressed(finding.code, finding.line):
@@ -121,8 +118,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     ap = argparse.ArgumentParser(
         prog="python -m repro.analysis.verify",
         description="static SPMD analyzer: per-file checks, "
-        "interprocedural rank-taint + communication-schedule matching, "
-        "comm-performance checks and the pragma audit in one run "
+        "interprocedural rank-taint + communication-schedule matching "
+        "and the pragma audit in one run "
         "(exit 0 clean, 1 new findings, 2 usage error)",
     )
     ap.add_argument("paths", nargs="*",
@@ -142,7 +139,12 @@ def main(argv: Sequence[str] | None = None) -> int:
                     "to FILE (for CI artifacts)")
     args = ap.parse_args(argv)
 
-    findings = verify_paths(args.paths or None)
+    try:
+        findings = verify_paths(args.paths or None)
+    except SyntaxError as exc:
+        print(f"error: {exc.filename}:{exc.lineno}: {exc.msg}",
+              file=sys.stderr)
+        return 2
 
     if args.write_baseline:
         write_baseline(args.write_baseline, findings)

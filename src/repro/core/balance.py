@@ -331,10 +331,9 @@ def align_and_drain(
 
     def run(batch: Sequence[AlignmentTask], batch_costs) -> None:
         nonlocal aligned_cells, align_seconds
-        # spmd: nondeterminism-ok (measured throughput: reported only)
         t0 = time.perf_counter()
         results = align_fn(batch)
-        align_seconds += time.perf_counter() - t0  # spmd: nondeterminism-ok
+        align_seconds += time.perf_counter() - t0
         aligned.extend(zip(batch, results))
         aligned_cells += float(sum(batch_costs))
 

@@ -176,9 +176,10 @@ class PastisConfig:
     @property
     def needs_traceback(self) -> bool:
         """A traceback is only paid for when something consumes it: the
-        ANI weight or the similarity filter.  NS runs score-only
-        (stats.py: "NS ... cheaper because no traceback is needed")."""
-        return self.uses_filter or self.weight == "ani"
+        ANI weight and its similarity filter, which apply together.  NS
+        runs score-only (stats.py: "NS ... cheaper because no traceback
+        is needed")."""
+        return self.uses_filter
 
     @property
     def variant_name(self) -> str:

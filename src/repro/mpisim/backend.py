@@ -287,14 +287,18 @@ class CommBackend:
     # -- collectives ----------------------------------------------------------
 
     def _trace(self, op: str, src: int, obj: Any,
-               dsts: Iterable[int]) -> None:
-        """Record one logical ``op`` message of ``obj``'s size from
-        ``src`` to each of ``dsts`` other than ``src`` (no-op untraced)."""
+               dsts: Iterable[int], nbytes: int | None = None) -> None:
+        """Record one logical ``op`` message of ``obj``'s size (or of
+        ``nbytes``) from ``src`` to each of ``dsts`` other than ``src``
+        (no-op untraced).  A barrier is recorded the way a gather is:
+        one zero-byte message from each non-root rank to rank 0, so a
+        hoistable barrier moves the traced totals like any collective."""
         if self._tracer is None:
             return
         dsts = [d for d in dsts if d != src]
         if dsts:
-            nbytes = payload_bytes(obj)
+            if nbytes is None:
+                nbytes = payload_bytes(obj)
             for dst in dsts:
                 self._tracer.record(src, dst, nbytes, op, self._label, op)
 
@@ -306,6 +310,7 @@ class CommBackend:
 
     def barrier(self) -> None:
         """Synchronise all ranks."""
+        self._trace("barrier", self.rank, None, (0,), nbytes=0)
         self._exchange("barrier", None)
 
     def bcast(self, obj: Any, root: int = 0) -> Any:

@@ -35,8 +35,6 @@ __all__ = [
 ]
 
 
-# spmd: nondeterminism-ok (wall-clock measurement is the whole point:
-# calibration runs once per process, outside any SPMD body)
 def _time(fn, *args, repeat: int = 3) -> float:
     best = float("inf")
     for _ in range(repeat):
@@ -75,8 +73,6 @@ _TAG_PING = 93
 _TAG_PONG = 94
 
 
-# spmd: nondeterminism-ok (wall-clock measurement is the whole point;
-# every rank times the same loop and the fit takes the slowest rank)
 def _pingpong_rank(comm, nbytes: int, rounds: int) -> float:
     """SPMD body: ``rounds`` ping-pong round trips of an ``nbytes``
     float64 payload between ranks 0 and 1; returns the loop seconds."""
@@ -94,8 +90,6 @@ def _pingpong_rank(comm, nbytes: int, rounds: int) -> float:
     return time.perf_counter() - t0
 
 
-# spmd: nondeterminism-ok (wall-clock measurement is the whole point;
-# every rank times the same loop and the fit takes the slowest rank)
 def _allgather_rank(comm, nbytes: int, rounds: int) -> float:
     """SPMD body: ``rounds`` allgathers of an ``nbytes`` float64 payload;
     returns the loop seconds."""

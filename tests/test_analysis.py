@@ -93,55 +93,6 @@ class TestLintRankDivergence:
 
 
 # ---------------------------------------------------------------------------
-# nondeterminism in plan code
-# ---------------------------------------------------------------------------
-
-
-class TestLintPlanNondeterminism:
-    def test_set_iteration_flagged_in_plan_module(self):
-        out = verify_source(src("""
-            def plan(tasks):
-                seen = {t.key for t in tasks}
-                return [k for k in seen]
-        """), "repro/core/balance.py")
-        assert codes(out) == ["plan-nondeterminism"]
-
-    def test_sorted_set_not_flagged(self):
-        out = verify_source(src("""
-            def plan(tasks):
-                seen = {t.key for t in tasks}
-                return sorted(seen)
-        """), "repro/core/balance.py")
-        assert out == []
-
-    def test_clock_flagged_in_plan_module_only(self):
-        body = src("""
-            import time
-
-            def cost():
-                return time.perf_counter()
-        """)
-        assert codes(verify_source(body, "repro/perfmodel/x.py")) == [
-            "plan-nondeterminism"
-        ]
-        # the same code outside a plan module is nobody's business
-        assert verify_source(body, "repro/align/x.py") == []
-
-    def test_unseeded_rng_flagged_seeded_ok(self):
-        out = verify_source(src("""
-            import numpy as np
-
-            def jitter():
-                return np.random.default_rng().random()
-
-            def stable():
-                return np.random.default_rng(7).random()
-        """), "repro/perfmodel/x.py")
-        assert codes(out) == ["plan-nondeterminism"]
-        assert out[0].line == 5
-
-
-# ---------------------------------------------------------------------------
 # per-element Python loops in hot modules
 # ---------------------------------------------------------------------------
 
@@ -277,12 +228,12 @@ class TestLintPragmasAndRepo:
         assert "tyop-ok" in out[0].message
 
     def test_every_check_has_a_pragma(self):
-        # every static code but the three that report on the pragmas and
-        # the parse themselves can be allowlisted in place
+        # every static code but the two that report on the pragmas
+        # themselves can be allowlisted in place
         static = {c for c, info in FINDING_CODES.items()
                   if "verify" in info.tools}
         assert set(pragma_map()) == static - {
-            "unknown-pragma", "unused-pragma", "syntax-error",
+            "unknown-pragma", "unused-pragma",
         }
         assert len(set(pragma_map().values())) == len(pragma_map())
 

@@ -422,6 +422,15 @@ class TestTracing:
         run_spmd(3, lambda comm: comm.allgather(comm.rank), tracer=tracer)
         assert tracer.messages_by_kind()["allgather"] == 6  # 3 * (3-1)
 
+    def test_barrier_traced_like_a_gather_of_nothing(self):
+        # one zero-byte message from each non-root rank to rank 0, so a
+        # hoistable barrier loop moves the pinned pipeline totals
+        tracer = CommTracer()
+        run_spmd(4, lambda comm: comm.barrier(), tracer=tracer)
+        assert sorted((r.src, r.dst, r.nbytes) for r in tracer.records) \
+            == [(1, 0, 0), (2, 0, 0), (3, 0, 0)]
+        assert tracer.messages_by_kind() == {"barrier": 3}
+
     def test_payload_bytes(self):
         assert payload_bytes(np.zeros(10, dtype=np.int64)) >= 80
         assert payload_bytes(b"abcd") == 20

@@ -3,19 +3,24 @@
 
 The backbone is seeded faults no per-scope pass can see: a divergent
 collective behind one or two helper calls, taint through a return value
-or a parameter, a send whose partner lives a module away.  The rest
-covers the substrate (project index, symbol resolution, call graph,
-taint laundering), the pragma/baseline suppression surfaces, the JSON
-schema and exit-code contract, the fault corpus on the shipped SPMD
-source, and the two whole-repo gates: the shipped tree analyzes clean
-(the one whole-tree run of tier-1), and the committed baseline file is
-valid and empty.
+or a parameter.  The rest covers the substrate (project index, symbol
+resolution, call graph, taint laundering), the pragma/baseline
+suppression surfaces, the JSON schema and exit-code contract, the tool x
+fault matrix on the shipped tree (which static code and which run name
+each seeded fault, and so which codes the analyzer keeps), and the two
+whole-repo gates: the shipped tree analyzes clean (the one whole-tree
+run of tier-1), and the committed baseline file is valid and empty.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import subprocess
+import sys
 import textwrap
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -84,26 +89,6 @@ TWO_DEEP = src("""
             mid(comm)
 """)
 
-UNMATCHED_2DEEP = [
-    ("repro/core/proto.py", src("""
-        ORPHAN_TAG = 91
-
-        def fire(comm, peer):
-            comm.send(b"x", peer, tag=ORPHAN_TAG)
-    """)),
-    ("repro/core/x.py", src("""
-        from .proto import fire
-
-        def mid(comm):
-            fire(comm, 1)
-
-        def body(comm):
-            mid(comm)
-            comm.barrier()
-    """)),
-]
-
-
 class TestCatchesWhatLintMisses:
     def test_divergent_collective_one_helper_deep(self):
         named = [("repro/core/x.py", ONE_DEEP)]
@@ -145,12 +130,6 @@ class TestCatchesWhatLintMisses:
         assert codes(verify_sources(named)) == [
             "rank-divergent-collective"
         ]
-
-    def test_unmatched_send_two_helpers_and_a_module_away(self):
-        out = verify_sources(UNMATCHED_2DEEP)
-        assert codes(out) == ["unmatched-send"]
-        assert out[0].path == "repro/core/proto.py"
-        assert "ORPHAN_TAG" in out[0].message
 
     def test_rank_bounded_loop_with_collective(self):
         named = [("repro/core/x.py", src("""
@@ -278,14 +257,6 @@ class TestUnmatchedRecvAndSuppression:
         """))
         assert out == []
 
-    def test_unmatched_send_pragma(self):
-        out = verify_source(src("""
-            def body(comm):
-                # spmd: unmatched-send-ok (sink rank drains later)
-                comm.send(b"x", 1, tag=93)
-        """))
-        assert out == []
-
     def test_used_pragma_of_either_tool_not_reported(self):
         # the pragma suppresses a per-file finding only; the whole-program
         # half must see that usage and not call it stale
@@ -296,14 +267,30 @@ class TestUnmatchedRecvAndSuppression:
         """))])
         assert out == []
 
-    def test_syntax_error_reported(self):
-        out = verify_source("def broken(:\n")
-        assert codes(out) == ["syntax-error"]
+    def test_unparsable_module_is_a_usage_error(self, tmp_path, capsys):
+        # no run gets past importing it either: exit 2, not a finding
+        with pytest.raises(SyntaxError):
+            verify_source("def broken(:\n")
+        bad = tmp_path / "broken.py"
+        bad.write_text("def broken(:\n")
+        assert verify_main([str(bad)]) == 2
+        assert f"error: {bad}:1:" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
-# fault corpus: text mutants of the shipped SPMD source
+# the tool x fault matrix: text mutants of the shipped source
 # ---------------------------------------------------------------------------
+
+#: the runtime verdicts that name nothing: the watchdog expires, or the
+#: mutated tree runs, and tier-1 passes, with the fault in it
+TIMEOUT, MISSED = "timeout", "missed"
+#: the mutant is no fault: its run's edges equal the shipped tree's,
+#: and tier-1 passes
+CORRECT = "correct"
+
+#: the tier-1 test that sees traffic a mutant adds or reshapes
+PINS = ("tests/test_comm_backends.py::TestPipelineTraceTotals::"
+        "test_summary_totals_pinned[subs-ck-greedy]")
 
 _SPMD_FILES = (
     "core/distributed.py", "core/balance.py", "core/exchange.py",
@@ -312,75 +299,247 @@ _SPMD_FILES = (
     "mpisim/grid.py", "sparse/distmat.py",
 )
 
-_RANK_GUARDED_BARRIER = "    if {0}.rank == 0:\n        {0}.barrier()\n"
 
-#: name -> (file, anchor text, replacement, the one code it must yield);
-#: ``{anchor}`` in a replacement keeps the anchor, so the mutant inserts
-_MUTANTS = {
-    "divergent-barrier-depth0-pastis_rank": (
-        "core/distributed.py", "    n = index.total\n",
-        "{anchor}" + _RANK_GUARDED_BARRIER.format("comm"),
-        "rank-divergent-collective"),
-    "divergent-barrier-depth1-block_pairs": (
-        "core/distributed.py", '    with _timed(timings, "tr. A"):\n',
-        _RANK_GUARDED_BARRIER.format("comm") + "{anchor}",
-        "rank-divergent-collective"),
-    "divergent-barrier-depth2-summa": (
-        "sparse/summa.py", "    inner_ranges = block_ranges(a.ncols, q)\n",
-        "{anchor}" + _RANK_GUARDED_BARRIER.format("grid.comm"),
-        "rank-divergent-collective"),
-    "allgather-in-rank-bounded-loop": (
-        "core/distributed.py", "    n = index.total\n",
-        "{anchor}    for _ in range(comm.rank):\n"
-        "        comm.allgather(n)\n",
-        "rank-divergent-collective"),
-    "rebal-irecv-removed": (
-        "core/balance.py", "comm.irecv(src, tag=_TAG_REBAL)", "None",
-        "unmatched-send"),
-    "rebal-tag-collides-with-exchange": (
-        "core/balance.py", "_TAG_REBAL = 77\n", "_TAG_REBAL = 55\n",
-        "duplicate-p2p-tag"),
-    "set-iterated-in-greedy_plan": (
-        "core/balance.py", "    for neg_cost, src, idx in pool:\n",
-        "    for neg_cost, src, idx in set(pool):\n",
-        "plan-nondeterminism"),
-    "bcast-of-a-module-constant": (
-        "core/balance.py", "    plan = greedy_plan(comm.allgather(costs))\n",
-        "    comm.bcast(_TAG_REBAL, root=0)\n{anchor}",
-        "redundant-collective"),
-    "per-element-isend-in-plan_and_ship": (
-        "core/balance.py", "    plan = greedy_plan(comm.allgather(costs))\n",
-        "{anchor}    for task in tasks:\n"
-        "        comm.isend(task, dest=0, tag=_TAG_REBAL)\n",
-        "per-element-send"),
+@dataclass(frozen=True)
+class Mutant:
+    """One fault seeded into the shipped tree, and what names it.
+
+    ``edits`` are ``(file under repro/, anchor, replacement)``; an
+    ``{anchor}`` in the replacement keeps the anchor.  ``static`` is the
+    one code ``verify`` reports on the mutated tree, ``None`` for none.
+    ``runtime`` is what the mutated tree's run gives: a finding code
+    the run raises as a named :class:`SpmdError`, the id of the tier-1
+    test that fails, :data:`TIMEOUT`, :data:`MISSED` or :data:`CORRECT`.
+    ``retired`` is the deleted static code that reported the fault
+    before; the runtime verdict is what that deletion rests on, so only
+    these rows run their oracle in tier-1.
+    """
+
+    edits: tuple[tuple[str, str, str], ...]
+    static: str | None
+    runtime: str
+    retired: str | None = None
+
+
+def _guarded_barrier(comm: str) -> str:
+    return f"    if {comm}.rank == 0:\n        {comm}.barrier()\n"
+
+
+_ISEND = (
+    "            comm.isend(\n"
+    "                encode_tasks([t for t, d in zip(tasks, dest)"
+    " if d == dst]),\n"
+    "                dest=dst, tag=_TAG_REBAL, kind=\"rebal\",\n"
+    "            )\n"
+)
+_IRECV = "            incoming[src] = comm.irecv(src, tag=_TAG_REBAL)\n"
+_N = "    n = index.total\n"
+_Q = "    inner_ranges = block_ranges(a.ncols, q)\n"
+
+MATRIX = {
+    # a collective only some ranks enter: the lockstep check names it
+    # when the ranks meet on one communicator ...
+    "divergent-barrier-depth0-pastis_rank": Mutant(
+        (("core/distributed.py", _N, "{anchor}" + _guarded_barrier("comm")),),
+        "rank-divergent-collective", "rank-divergent-collective"),
+    "divergent-barrier-depth1-block_pairs": Mutant(
+        (("core/distributed.py", '    with _timed(timings, "tr. A"):\n',
+          _guarded_barrier("comm") + "{anchor}"),),
+        "rank-divergent-collective", "rank-divergent-collective"),
+    "allgather-in-rank-bounded-loop": Mutant(
+        (("core/distributed.py", _N, "{anchor}    for _ in range(comm.rank):\n"
+          "        comm.allgather(n)\n"),),
+        "rank-divergent-collective", "rank-divergent-collective"),
+    # ... and only the analyzer when they wait on different ones
+    "divergent-barrier-depth2-summa": Mutant(
+        (("sparse/summa.py", _Q, "{anchor}" + _guarded_barrier("grid.comm")),),
+        "rank-divergent-collective", TIMEOUT),
+    # p2p: a send nobody receives is the teardown audit's; a recv nobody
+    # sends to, or a tag two protocols share, only the analyzer's
+    "rebal-irecv-removed": Mutant(
+        (("core/balance.py", _IRECV, ""),),
+        None, "unmatched-send", retired="unmatched-send"),
+    "isend-skipped-in-plan_and_ship": Mutant(
+        (("core/balance.py", _ISEND, "            pass\n"),),
+        "unmatched-recv", TIMEOUT),
+    "rebal-tag-collides-with-exchange": Mutant(
+        (("core/balance.py", "_TAG_REBAL = 77\n", "_TAG_REBAL = 55\n"),),
+        "duplicate-p2p-tag", MISSED),
+    # plan nondeterminism: a set of integer tuples iterates in one order
+    # on every rank, and an entropy source fails the plan's own test
+    "set-iterated-in-greedy_plan": Mutant(
+        (("core/balance.py", "    for neg_cost, src, idx in pool:\n",
+          "    for neg_cost, src, idx in set(pool):\n"),),
+        None, CORRECT, retired="plan-nondeterminism"),
+    "random-shuffle-in-greedy_plan": Mutant(
+        (("core/balance.py",
+          "    # pass 3: pack the surplus onto the least-loaded ranks\n",
+          "{anchor}    import random\n    random.shuffle(pool)\n"),),
+        None,
+        "tests/test_balance.py::TestGreedyPlan::"
+        "test_deterministic_and_balanced",
+        retired="plan-nondeterminism"),
+    # wasted or reshaped traffic moves the pinned trace totals
+    "bcast-of-a-module-constant": Mutant(
+        (("core/balance.py", "    plan = greedy_plan(",
+          "    comm.bcast(_TAG_REBAL, root=0)\n{anchor}"),),
+        None, PINS, retired="redundant-collective"),
+    "per-element-isend-in-plan_and_ship": Mutant(
+        (("core/balance.py", "from ..align.batch import AlignmentTask\n",
+          "{anchor}from ..mpisim.backend import Request\n"),
+         ("core/balance.py", _ISEND,
+          "            for task in [t for t, d in zip(tasks, dest)"
+          " if d == dst]:\n"
+          "                comm.isend(task, dest=dst, tag=_TAG_REBAL,"
+          " kind=\"rebal\")\n"),
+         ("core/balance.py", _IRECV,
+          "            reqs = [comm.irecv(src, tag=_TAG_REBAL)"
+          " for _ in range(ntasks)]\n"
+          "            incoming[src] = Request(lambda reqs=reqs: "
+          "encode_tasks(\n"
+          "                [r.wait() for r in reqs]))\n")),
+        None, PINS, retired="per-element-send"),
+    "grid-loop-bcast-in-summa": Mutant(
+        (("sparse/summa.py", _Q, "{anchor}    for _t in range(grid.q):\n"
+          "        grid.comm.bcast(None, root=0)\n"),),
+        None, PINS, retired="grid-loop-collective"),
+    "barrier-loop-in-summa": Mutant(
+        (("sparse/summa.py", _Q, "{anchor}    for _t in range(q):\n"
+          "        grid.comm.barrier()\n"),),
+        None, PINS),
+    "list-envelope-in-exchange": Mutant(
+        (("core/exchange.py", "_pack(local_store, local_ids, my_owned[0]),",
+          "[*_pack(local_store, local_ids, my_owned[0])],"),),
+        None, PINS),
+    # a leaked segment is the teardown audit's
+    "segment-never-unlinked": Mutant(
+        (("mpisim/mpcomm.py",
+          "            try:\n                seg.unlink()\n"
+          "            except FileNotFoundError:  # pragma: no cover - "
+          "already swept\n"
+          "                pass\n        self._unlinked.append(name)\n",
+          ""),),
+        None, "shm-leak"),
+    # faults that leave every result unchanged
+    "per-window-loop-in-sequence_kmers": Mutant(
+        (("kmers/extraction.py", "    ids = windows @ weights\n",
+          "    ids = np.empty(n, dtype=np.int64)\n    for p in range(n):\n"
+          "        ids[p] = windows[p] @ weights\n"),),
+        "python-hot-loop", MISSED),
+    "broad-except-in-payload_bytes": Mutant(
+        (("mpisim/tracing.py",
+          "    except (pickle.PicklingError, TypeError, AttributeError):\n",
+          "    except Exception:\n"),),
+        "broad-except", MISSED),
+    "misspelled-pragma": Mutant(
+        (("core/balance.py", "_TAG_REBAL = 77\n",
+          "_TAG_REBAL = 77  # spmd: tag-okay (reserved)\n"),),
+        "unknown-pragma", MISSED),
+    "stale-pragma": Mutant(
+        (("core/balance.py", "_TAG_REBAL = 77\n",
+          "_TAG_REBAL = 77  # spmd: tag-ok (reserved)\n"),),
+        "unused-pragma", MISSED),
 }
 
 
-@pytest.fixture(scope="module")
-def spmd_sources():
-    root = REPO_ROOT / "src" / "repro"
-    return dict(read_tree([root / rel for rel in _SPMD_FILES]))
-
-
-class TestFaultCorpus:
-    """The static slice of the tool x fault matrix: each fault seeded
-    into the *real* pipeline source is reported under its own code, and
-    under no other."""
-
-    def test_shipped_spmd_source_is_clean(self, spmd_sources):
-        assert verify_sources(list(spmd_sources.items())) == []
-
-    @pytest.mark.parametrize("name", sorted(_MUTANTS))
-    def test_mutant_yields_exactly_its_code(self, spmd_sources, name):
-        rel, anchor, replacement, code = _MUTANTS[name]
+def _mutate(sources: dict[str, str], mutant: Mutant) -> dict[str, str]:
+    """``sources`` (keyed ``repro/<rel>``) with the mutant's edits."""
+    out = dict(sources)
+    for rel, anchor, replacement in mutant.edits:
         path = f"repro/{rel}"
-        source = spmd_sources[path]
-        assert source.count(anchor) == 1, f"anchor moved: {anchor!r}"
-        mutated = dict(spmd_sources)
-        mutated[path] = source.replace(
+        assert out[path].count(anchor) == 1, f"anchor moved: {anchor!r}"
+        out[path] = out[path].replace(
             anchor, replacement.replace("{anchor}", anchor))
-        out = verify_sources(list(mutated.items()))
-        assert set(codes(out)) == {code}, [f.render() for f in out]
+    return out
+
+
+#: the runtime oracle: the subs-CK-greedy pipeline on 4 ranks, its
+#: edges on stdout
+_PIPELINE = """\
+from repro.bio.generate import scope_like
+from repro.core.config import PastisConfig
+from repro.core.distributed import pastis_rank, store_to_fasta_bytes
+from repro.mpisim.backend import run_spmd
+store = scope_like(n_families=6, seed=3).store
+config = PastisConfig(k=5, substitutes=4, common_kmer_threshold=1,
+                      align_balance="greedy")
+ranks = run_spmd(4, pastis_rank, store_to_fasta_bytes(store), config,
+                 timeout=5.0)
+print(sorted(e for r in ranks for e in r.edges))
+"""
+
+
+def _run(src_root: Path, *argv: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, *argv], cwd=REPO_ROOT, capture_output=True,
+        text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src_root)},
+    )
+
+
+def _runtime_verdict_holds(mutant: Mutant, tree: Path) -> None:
+    if mutant.runtime.startswith("tests/"):
+        out = _run(tree, "-m", "pytest", "-q", "-rf", "-p",
+                   "no:cacheprovider", mutant.runtime)
+        assert f"FAILED {mutant.runtime}" in out.stdout, out.stdout[-2000:]
+        return
+    out = _run(tree, "-c", _PIPELINE)
+    if mutant.runtime == CORRECT:
+        shipped = _run(REPO_ROOT / "src", "-c", _PIPELINE)
+        assert out.returncode == shipped.returncode == 0, out.stderr
+        assert out.stdout == shipped.stdout
+    else:
+        assert f"[{mutant.runtime}]" in out.stderr, out.stderr[-2000:]
+
+
+@pytest.fixture(scope="module")
+def shipped_sources():
+    return dict(read_tree([REPO_ROOT / "src" / "repro"]))
+
+
+class TestToolFaultMatrix:
+    """Each fault seeded into the *real* tree, with the code the static
+    analyzer reports and what its run gives.  A static code is kept only
+    while some row names it and no run does."""
+
+    def test_shipped_spmd_source_is_clean(self, shipped_sources):
+        spmd = [(f"repro/{rel}", shipped_sources[f"repro/{rel}"])
+                for rel in _SPMD_FILES]
+        assert verify_sources(spmd) == []
+
+    @pytest.mark.parametrize("name", sorted(MATRIX))
+    def test_row(self, shipped_sources, tmp_path, name):
+        mutant = MATRIX[name]
+        mutated = _mutate(shipped_sources, mutant)
+        files = {f"repro/{rel}" for rel in _SPMD_FILES}
+        files |= {f"repro/{rel}" for rel, _a, _r in mutant.edits}
+        out = verify_sources([(p, mutated[p]) for p in sorted(files)])
+        assert set(codes(out)) == ({mutant.static} - {None}), \
+            [f.render() for f in out]
+        if mutant.retired is None:
+            return
+        tree = tmp_path / "src"
+        shutil.copytree(REPO_ROOT / "src" / "repro", tree / "repro",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        for path, text in mutated.items():
+            if text != shipped_sources[path]:
+                (tree / path).write_text(text, encoding="utf-8")
+        _runtime_verdict_holds(mutant, tree)
+
+    def test_every_static_code_names_what_no_run_does(self):
+        # the deletion rule: a static code stays only while some fault
+        # is named by it and by no run (a timeout names nothing)
+        unnamed = (TIMEOUT, MISSED)
+        for name, m in MATRIX.items():
+            assert (m.runtime in FINDING_CODES or m.runtime == CORRECT
+                    or m.runtime in unnamed
+                    or m.runtime.startswith("tests/")), name
+            # no fault is left that nothing names
+            assert m.static is not None or m.runtime not in unnamed, name
+        needed = {m.static for m in MATRIX.values()
+                  if m.static is not None and m.runtime in unnamed}
+        assert needed == {code for code, info in FINDING_CODES.items()
+                          if "verify" in info.tools}
 
 
 # ---------------------------------------------------------------------------
@@ -479,9 +638,16 @@ class TestSubstrate:
                             if kind == "recv"}
 
     def test_every_finding_code_has_severity_and_tools(self):
+        # the table is the matrix's: a code is static exactly when some
+        # row's static verdict is it, runtime when some run raises it
+        static = {m.static for m in MATRIX.values()} - {None}
+        runtime = {m.runtime for m in MATRIX.values()} & set(FINDING_CODES)
         for code, info in FINDING_CODES.items():
             assert info.severity in ("error", "warning"), code
-            assert info.tools, code
+            assert ("verify" in info.tools) == (code in static), code
+            assert ("runtime" in info.tools) == (code in runtime), code
+            assert set(info.tools) <= {"verify", "runtime"}, code
+        assert static <= set(FINDING_CODES)
 
 
 # ---------------------------------------------------------------------------
@@ -552,13 +718,13 @@ class TestRepoAndCli:
         # ... but a genuinely new finding still fails
         target.write_text(ONE_DEEP + src("""
             def extra(comm):
-                comm.send(b"x", 1, tag=93)
+                comm.recv(source=1, tag=93)
                 comm.barrier()
         """))
         assert verify_main([str(target), "--baseline",
                             str(baseline)]) == 1
         out = capsys.readouterr().out
-        assert "unmatched-send" in out
+        assert "unmatched-recv" in out
         assert "rank-divergent-collective" not in out
 
     def test_unusable_baseline_exits_2(self, tmp_path, capsys):
