@@ -13,14 +13,13 @@ Two refinements matter for precision on real SPMD code and are the
 reason the verifier false-positives less than a naive object-taint
 model would:
 
-* **Laundering** — the results of ``bcast``/``allgather``/``allreduce``
-  and ``barrier`` are *uniform across ranks* by construction, so a call
+* **Laundering** — the results of ``bcast``/``allgather`` and
+  ``barrier`` are *uniform across ranks* by construction, so a call
   result like ``counts = comm.allgather(len(mine))`` is clean even
   though its argument is rank-local.  Conversely ``recv``/``gather``/
-  ``scatter``/``exscan``/``reduce``/``alltoall`` results are per-rank
-  and taint.  This requires the expression evaluator to be recursive
-  (a flat walk would see the ``.rank`` inside the laundering call's
-  argument and taint anyway).
+  ``alltoall`` results are per-rank and taint.  This requires the
+  expression evaluator to be recursive (a flat walk would see the
+  ``.rank`` inside the laundering call's argument and taint anyway).
 * **No taint through attribute access** — ``grid.q`` is uniform even
   when ``grid`` also carries ``grid.row``; only the rank-identifying
   attribute names themselves (:data:`RANK_ATTRS`) are taint sources.
@@ -57,19 +56,16 @@ __all__ = [
 #: collectives of the CommBackend surface (mirrors
 #: ``repro.mpisim.backend.COMM_OP_KINDS``; a unit test cross-checks)
 COLLECTIVE_OPS = frozenset({
-    "barrier", "bcast", "allgather", "gather", "scatter", "alltoall",
-    "reduce", "allreduce", "exscan", "split",
+    "barrier", "bcast", "allgather", "gather", "alltoall", "split",
 })
 SEND_OPS = frozenset({"send", "isend"})
-RECV_OPS = frozenset({"recv", "irecv", "tryrecv"})
+RECV_OPS = frozenset({"recv", "irecv"})
 
 #: collectives whose *result* is uniform across ranks (root-broadcast or
-#: symmetric reduction): calling them launders taint away
-LAUNDERING_OPS = frozenset({"bcast", "allgather", "allreduce", "barrier"})
+#: every rank's contribution): calling them launders taint away
+LAUNDERING_OPS = frozenset({"bcast", "allgather", "barrier"})
 #: comm ops whose result differs per rank: calling them introduces taint
-TAINTING_RESULT_OPS = frozenset(
-    {"gather", "scatter", "alltoall", "reduce", "exscan"} | RECV_OPS
-)
+TAINTING_RESULT_OPS = frozenset({"gather", "alltoall"} | RECV_OPS)
 
 #: attribute names whose value identifies the executing rank (world
 #: rank and the process-grid coordinates)

@@ -19,7 +19,7 @@ Each names a fault no tier-1 run does (the tool x fault matrix,
     The same p2p tag value — literal, or a module-level integer constant
     resolved through imports — bound to *different* protocols in
     different modules.  Tags are the only thing separating concurrently
-    in-flight protocols (sequence exchange 55, rebalance 77, ...); a
+    in-flight protocols (sequence exchange 55, diagonal swap 71, ...); a
     reused tag lets one protocol consume another's messages.  Two
     modules sharing one imported constant are one protocol and are
     never flagged.

@@ -1,6 +1,6 @@
 """Static communication-schedule extraction and matching.
 
-For every SPMD entry point (the rebalance stage, the SUMMA k-loop,
+For every SPMD entry point (the sequence exchange, the SUMMA k-loop,
 anything handed to ``run_spmd``), this pass collects
 the comm operations the entry's call closure performs **in program
 order**, then checks two halves of the SPMD contract statically:
@@ -121,13 +121,11 @@ def _op_kind(op: str) -> str:
 # ---------------------------------------------------------------------------
 
 #: positional index of the tag argument per op (after self)
-_TAG_ARG_INDEX = {"send": 2, "isend": 2, "recv": 1, "irecv": 1,
-                  "tryrecv": 1}
+_TAG_ARG_INDEX = {"send": 2, "isend": 2, "recv": 1, "irecv": 1}
 #: positional index of the peer (dest/source) argument per op
-_PEER_ARG_INDEX = {"send": 1, "isend": 1, "recv": 0, "irecv": 0,
-                   "tryrecv": 0}
+_PEER_ARG_INDEX = {"send": 1, "isend": 1, "recv": 0, "irecv": 0}
 _PEER_KEYWORD = {"send": "dest", "isend": "dest", "recv": "source",
-                 "irecv": "source", "tryrecv": "source"}
+                 "irecv": "source"}
 
 
 @dataclass
@@ -139,7 +137,7 @@ class P2pSite:
     #: tag arguments default to 0, as in the backend signatures);
     #: ("dyn",) when the tag is computed — matches anything
     tag: tuple
-    tag_label: str       # how the tag was written ("tag=_TAG_REBAL", ...)
+    tag_label: str       # how the tag was written ("tag=_TAG_SEQS", ...)
     peer_class: str      # "constant" | "rank-derived" | "dynamic"
 
     @property

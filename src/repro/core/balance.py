@@ -9,16 +9,18 @@ This module levels the triangles *deterministically*:
 1. :func:`estimate_task_cells` costs one :class:`~repro.align.batch.\
    AlignmentTask` in DP cells — the unit of alignment work — from the
    sequence lengths, the seed count, and (for x-drop) the corridor width;
-2. every rank allgathers its local cost vector and runs the *identical*
-   :func:`greedy_plan` (largest-task-first bin-pack with a
-   keep-at-home tie-break), so no negotiation round-trip is needed;
+2. every rank allgathers its local cost vector and runs
+   :func:`greedy_plan` (largest-task-first bin-pack with a keep-at-home
+   tie-break);
 3. :func:`encode_tasks` / :func:`decode_tasks` serialise the shipped tasks
    (encoded residues + seeds + global pair ids) into flat NumPy payloads so
    the traced wire size is honest and the destination rank needs nothing
    beyond the message itself.
 
-:func:`plan_and_ship` is steps 2-3 as one SPMD stage, and
-:func:`align_and_drain` the align stage that consumes what it shipped.
+:func:`plan_and_ship` is steps 2-3 as one SPMD stage: an allgather, then
+one alltoall that ships each rank's surplus.  A receiver needs no plan —
+only a task's source reads it — so every task is aligned exactly once
+even if the ranks' plans differed.
 
 Edges stay where they are computed — rank 0 gathers them all anyway — and
 because an :class:`~repro.align.batch.AlignmentTask` is aligned identically
@@ -28,9 +30,8 @@ invariant (a tested guarantee).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,7 +39,6 @@ from ..align.batch import AlignmentTask
 
 __all__ = [
     "RebalancePlan",
-    "align_and_drain",
     "decode_tasks",
     "encode_tasks",
     "estimate_batch_cells",
@@ -122,33 +122,6 @@ class RebalancePlan:
     pre_cells: np.ndarray
     post_cells: np.ndarray
 
-    @property
-    def nranks(self) -> int:
-        return len(self.dest)
-
-    def moved_tasks(self) -> int:
-        """Number of tasks shipped off their source rank."""
-        return sum(
-            int(np.count_nonzero(d != r)) for r, d in enumerate(self.dest)
-        )
-
-    def flows(self) -> list[tuple[int, int, int]]:
-        """Non-empty shipping flows ``(src, dst, ntasks)`` in deterministic
-        ``(src, dst)`` order — both endpoints derive their posts from this
-        one list, so no negotiation is needed."""
-        out: list[tuple[int, int, int]] = []
-        for src, d in enumerate(self.dest):
-            if len(d) == 0:
-                continue
-            moved = d[d != src]
-            if len(moved) == 0:
-                continue
-            dsts, counts = np.unique(moved, return_counts=True)
-            out.extend(
-                (src, int(t), int(c)) for t, c in zip(dsts, counts)
-            )
-        return out
-
 
 def greedy_plan(cost_vectors: Sequence[Sequence[int]]) -> RebalancePlan:
     """Greedy largest-task-first bin-pack of every rank's cost vector,
@@ -167,8 +140,8 @@ def greedy_plan(cost_vectors: Sequence[Sequence[int]]) -> RebalancePlan:
        ties, the source rank winning ties against itself).
 
     All inputs are integers and every scan order is total, hence the plan
-    is identical on every rank that feeds it identical cost vectors — the
-    property the SPMD stage relies on (and tests pin down).
+    is identical on every rank that feeds it identical cost vectors, and
+    the loads it predicts are the loads the ranks align.
     """
     nranks = len(cost_vectors)
     costs = [np.asarray(v, dtype=np.int64) for v in cost_vectors]
@@ -265,89 +238,44 @@ def decode_tasks(payload: tuple[np.ndarray, ...]) -> list[AlignmentTask]:
 
 
 # ---------------------------------------------------------------------------
-# the static plan, executed
+# the plan, executed
 # ---------------------------------------------------------------------------
-
-#: message tag of the static plan's shipped-task payloads (distinct from
-#: the sequence exchange so in-flight traffic can never cross-match)
-_TAG_REBAL = 77
 
 
 def plan_and_ship(
     comm,
     tasks: Sequence[AlignmentTask],
     costs: Sequence[int],
-) -> tuple[list[AlignmentTask], list[int], dict[int, object], dict]:
-    """Static rebalancing of one rank's tasks (SPMD body): one allgather
-    shares the cost vectors, every rank computes the identical
-    :func:`greedy_plan`, and surplus tasks ship point-to-point as flat
-    :func:`encode_tasks` payloads.  Returns the retained tasks and their
-    costs, the pending receives of the payloads shipped *to* this rank by
-    source (the align stage progresses them), and this rank's
-    ``pre_cells`` / ``post_cells`` / ``shipped_out`` / ``shipped_in``."""
+) -> tuple[list[AlignmentTask], dict]:
+    """Static rebalancing of one rank's tasks (SPMD body), two
+    collectives: one allgather shares the cost vectors, every rank
+    computes :func:`greedy_plan`, and one alltoall carries to every other
+    rank the :func:`encode_tasks` payload of the tasks this rank's plan
+    sends there.
+
+    Only a task's source reads the plan, so every task is aligned exactly
+    once whatever plan each rank computed: a plan that differs across
+    ranks costs balance, never a pair.  Returns the tasks to align here
+    (the kept ones, then the received ones by source rank) and this
+    rank's ``pre_cells`` / ``post_cells`` / ``shipped_out`` /
+    ``shipped_in``."""
     me = comm.rank
     plan = greedy_plan(comm.allgather(costs))
-    dest = plan.dest[me]
-    retained = [t for t, d in zip(tasks, dest) if d == me]
-    incoming: dict[int, object] = {}
-    shipped_in = 0
-    for src, dst, ntasks in plan.flows():
-        if src == me:
-            comm.isend(
-                encode_tasks([t for t, d in zip(tasks, dest) if d == dst]),
-                dest=dst, tag=_TAG_REBAL, kind="rebal",
-            )
-        elif dst == me:
-            incoming[src] = comm.irecv(src, tag=_TAG_REBAL)
-            shipped_in += ntasks
-    stats = {
+    by_dest: list[list[AlignmentTask]] = [[] for _ in range(comm.size)]
+    for task, d in zip(tasks, plan.dest[me]):
+        by_dest[d].append(task)
+    kept = by_dest[me]
+    outgoing = [None if r == me else encode_tasks(batch)
+                for r, batch in enumerate(by_dest)]
+    received = [
+        task
+        for src, payload in enumerate(comm.alltoall(outgoing))
+        if src != me
+        for task in decode_tasks(payload)
+    ]
+    return kept + received, {
         "pre_cells": int(plan.pre_cells[me]),
         "post_cells": int(plan.post_cells[me]),
-        "shipped_out": len(tasks) - len(retained),
-        "shipped_in": shipped_in,
-    }
-    retained_costs = [int(c) for c, d in zip(costs, dest) if d == me]
-    return retained, retained_costs, incoming, stats
-
-
-def align_and_drain(
-    tasks: Sequence[AlignmentTask],
-    costs: Sequence[int],
-    incoming: Mapping[int, object],
-    align_fn: Callable[[list[AlignmentTask]], list],
-    cost_fn: Callable[[list[AlignmentTask]], list[int]],
-) -> tuple[list[tuple[AlignmentTask, object]], dict]:
-    """The align stage of one rank: one batched ``align_fn`` call
-    for the local (retained) Fig.-11 triangle, then the ``incoming``
-    receives of :func:`plan_and_ship` — an eager ``test()`` sweep aligns
-    whatever has landed, and only when nothing has does the rank block in
-    ``wait()`` on the lowest pending source.  Returns the ``(task,
-    result)`` pairs plus the measured throughput; ``align_seconds`` times
-    *only* the engine calls, so a blocked communication wait never dilutes
-    the reported cells/sec."""
-    aligned: list[tuple[AlignmentTask, object]] = []
-    aligned_cells = 0.0
-    align_seconds = 0.0
-
-    def run(batch: Sequence[AlignmentTask], batch_costs) -> None:
-        nonlocal aligned_cells, align_seconds
-        t0 = time.perf_counter()
-        results = align_fn(batch)
-        align_seconds += time.perf_counter() - t0
-        aligned.extend(zip(batch, results))
-        aligned_cells += float(sum(batch_costs))
-
-    run(tasks, costs)
-    pending = dict(incoming)
-    while pending:
-        landed = [src for src in sorted(pending) if pending[src].test()[0]]
-        for src in landed or [min(pending)]:
-            # a completed request latches its payload: wait() returns it
-            shipped = decode_tasks(pending.pop(src).wait())
-            run(shipped, cost_fn(shipped))
-    rate = aligned_cells / align_seconds if align_seconds > 0 else 0.0
-    return aligned, {
-        "aligned_cells": aligned_cells,
-        "align_seconds": align_seconds,
-        "measured_cells_per_sec": rate,
+        "shipped_out": len(tasks) - len(kept),
+        "shipped_in": len(received),
     }

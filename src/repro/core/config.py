@@ -95,9 +95,9 @@ class PastisConfig:
         * ``"off"`` (the default) aligns each rank's Fig.-11 triangle
           where it was extracted;
         * ``"greedy"`` costs every task in DP cells, computes one
-          identical greedy bin-pack plan on all ranks
-          (:mod:`repro.core.balance`), and ships tasks so no rank waits
-          on the unluckiest triangle.
+          greedy bin-pack plan on every rank
+          (:mod:`repro.core.balance`), and ships surplus tasks in one
+          alltoall so no rank waits on the unluckiest triangle.
 
         The graph is byte-identical in both modes (a tested invariant —
         rebalancing moves work, never changes it).

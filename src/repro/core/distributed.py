@@ -18,11 +18,11 @@ Every stage executed SPMD over the process-per-rank MPI-style runtime:
    — filtered by the CK threshold on the counts, seeds joined for the
    survivors only, and one alignment task per survivor;
 8. optional cross-rank alignment rebalancing (``config.align_balance``):
-   every rank costs its tasks in DP cells and ships its surplus along one
-   deterministic plan (:func:`repro.core.balance.plan_and_ship`);
-9. local alignments and the similarity filter, progressing the shipped
-   tasks' receives meanwhile (:func:`repro.core.balance.align_and_drain`).
-   Edges stay where they are computed and are gathered on rank 0.
+   every rank costs its tasks in DP cells, allgathers the costs and ships
+   its surplus in one alltoall (:func:`repro.core.balance.plan_and_ship`);
+9. one batched alignment of the kept and the received tasks, and the
+   similarity filter.  Edges stay where they are computed and are
+   gathered on rank 0.
 
 Per-stage wall times are recorded under the component names of the paper's
 dissection plots (:data:`STAGES`); the schema is identical across variants
@@ -49,7 +49,7 @@ from ..sparse.coo import COOMatrix, sorted_unique
 from ..sparse.distmat import DistSparseMatrix
 from ..sparse.semiring import COUNTING
 from ..sparse.summa import summa, summa_with_panels
-from .balance import align_and_drain, estimate_batch_cells, plan_and_ship
+from .balance import estimate_batch_cells, plan_and_ship
 from .config import PastisConfig, check_ranks
 from .graph import SimilarityGraph
 from .overlap import (
@@ -289,26 +289,30 @@ def pastis_rank(
         estimate_batch_cells, mode=config.align_mode, k=config.k,
         xdrop=config.xdrop, gap_extend=config.gap_extend,
     )
-    costs, incoming, rebalance = [], {}, None
+    rebalance = None
     if config.align_balance != "off":
         with _timed(timings, "rebal."):
-            tasks, costs, incoming, rebalance = plan_and_ship(
-                comm, tasks, cost_fn(tasks)
-            )
+            tasks, rebalance = plan_and_ship(comm, tasks, cost_fn(tasks))
 
-    # -- 9. alignment + filter; shipped-task receives are progressed while
-    # the local lanes align
+    # -- 9. alignment + filter: the kept and the received tasks, one batch
     with _timed(timings, "align"):
-        aligned, stats = align_and_drain(
-            tasks, costs, incoming,
-            partial(align_batch, **align_kwargs(config)), cost_fn,
+        t0 = time.perf_counter()
+        results = align_batch(tasks, **align_kwargs(config))
+        align_seconds = time.perf_counter() - t0
+        edges = edges_from_alignments(zip(tasks, results), config)
+    if rebalance is not None:
+        # measured, not estimated: the engine call alone
+        cells = float(sum(cost_fn(tasks)))
+        rebalance.update(
+            aligned_cells=cells,
+            align_seconds=align_seconds,
+            measured_cells_per_sec=(
+                cells / align_seconds if align_seconds > 0 else 0.0
+            ),
         )
-        if rebalance is not None:
-            rebalance.update(stats)
-        edges = edges_from_alignments(aligned, config)
 
     return RankResult(
-        edges, timings, len(aligned), candidates, rebalance
+        edges, timings, len(tasks), candidates, rebalance
     )
 
 

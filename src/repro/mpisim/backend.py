@@ -2,7 +2,7 @@
 
 The distributed pipeline is written against a small MPI-shaped surface —
 point-to-point sends/receives with tags and non-blocking handles, the
-collectives SUMMA and the balance executors use, and ``split`` for the
+collectives the pipeline and its tools use, and ``split`` for the
 grid's row/column sub-communicators.  :class:`CommBackend` is that
 surface, one concrete class over the one transport
 (:mod:`repro.mpisim.mpcomm`: one OS process per rank, block payloads
@@ -21,7 +21,6 @@ pays for it.
 
 from __future__ import annotations
 
-import functools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
@@ -49,12 +48,10 @@ ANY_SOURCE = -1
 #: never imports runtime code; a unit test cross-checks the two).
 COMM_OP_KINDS: dict[str, str] = {
     "send": "send", "isend": "send",
-    "recv": "recv", "irecv": "recv", "tryrecv": "recv",
+    "recv": "recv", "irecv": "recv",
     "barrier": "collective", "bcast": "collective",
     "allgather": "collective", "gather": "collective",
-    "scatter": "collective", "alltoall": "collective",
-    "reduce": "collective", "allreduce": "collective",
-    "exscan": "collective", "split": "collective",
+    "alltoall": "collective", "split": "collective",
 }
 
 #: Watchdog timeout (seconds) converting deadlocks into failures.
@@ -103,29 +100,12 @@ class Request:
     _wait_fn: Callable[[], Any]
     _done: bool = False
     _value: Any = None
-    _test_fn: Callable[[], tuple[bool, Any]] | None = None
 
     def wait(self) -> Any:
         if not self._done:
             self._value = self._wait_fn()
             self._done = True
         return self._value
-
-    def test(self) -> tuple[bool, Any]:
-        """Non-blocking completion check (MPI_Test): a pending receive
-        polls the mailbox and, when a matching message is there, completes
-        by consuming it — it never blocks.  Once completed (here or in
-        :meth:`wait`) the value is latched and every later
-        ``test``/``wait`` returns it again."""
-        if self._done:
-            return True, self._value
-        if self._test_fn is not None:
-            ok, value = self._test_fn()
-            if ok:
-                self._value = value
-                self._done = True
-                return True, value
-        return False, None
 
 
 class CommBackend:
@@ -161,15 +141,12 @@ class CommBackend:
 
     # -- point-to-point -----------------------------------------------------
 
-    def send(self, obj: Any, dest: int, tag: int = 0,
-             kind: str = "p2p") -> None:
-        """Buffered send.  ``kind`` labels the traffic for the
-        :class:`~repro.mpisim.tracing.CommTracer` (default ``"p2p"``; the
-        alignment rebalancer tags its shipped tasks ``"rebal"``)."""
+    def send(self, obj: Any, dest: int, tag: int = 0) -> None:
+        """Buffered send, traced as kind ``"p2p"``."""
         if not 0 <= dest < self.size:
             raise ValueError(f"bad destination rank {dest}")
         if self._tracer is not None:
-            self._tracer.record(self.rank, dest, payload_bytes(obj), kind,
+            self._tracer.record(self.rank, dest, payload_bytes(obj), "p2p",
                                 self._label, "send")
         tp = self._transport
         tp.sent[(self._label, self._ranks[dest], tag)] += 1
@@ -187,37 +164,14 @@ class CommBackend:
         tp.recvd[(self._label, tag)] += 1
         return obj
 
-    def tryrecv(
-        self, source: int = ANY_SOURCE, tag: int = 0
-    ) -> tuple[bool, Any]:
-        """Non-blocking receive (MPI_Iprobe + recv fused): pop and return
-        the first queued message matching ``(source, tag)`` as
-        ``(True, payload)``, or report ``(False, None)`` without
-        blocking."""
-        tp = self._transport
-        ok, obj = tp.tryrecv_env(self._label, _CHAN_P2P, source, tag)
-        if ok:
-            tp.recvd[(self._label, tag)] += 1
-        return ok, obj
-
-    def isend(self, obj: Any, dest: int, tag: int = 0,
-              kind: str = "p2p") -> Request:
+    def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
         """Non-blocking send; buffered, hence complete on return."""
-        self.send(obj, dest, tag, kind=kind)
+        self.send(obj, dest, tag)
         return Request(lambda: None, _done=True)
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = 0) -> Request:
-        """Non-blocking receive; completion happens inside ``wait`` or an
-        eager :meth:`Request.test` poll."""
-        return Request(
-            lambda: self.recv(source, tag),
-            _test_fn=lambda: self.tryrecv(source, tag),
-        )
-
-    @staticmethod
-    def waitall(requests: Sequence[Request]) -> list[Any]:
-        """Complete every request (MPI_Waitall)."""
-        return [r.wait() for r in requests]
+        """Non-blocking receive; completion happens inside ``wait``."""
+        return Request(lambda: self.recv(source, tag))
 
     # -- the exchange round -------------------------------------------------
 
@@ -239,7 +193,7 @@ class CommBackend:
         gen = self._coll_gen
         self._coll_gen += 1
         cid = self._label
-        what = f"collective (comm={cid!r}, generation {gen})"
+        what = f"collective {op}() (comm={cid!r}, generation {gen})"
         if self.rank != 0:
             tp.send_env(
                 cid, _CHAN_COLL, self._ranks[0], self.rank, gen, (op, obj)
@@ -303,8 +257,8 @@ class CommBackend:
                 self._tracer.record(src, dst, nbytes, op, self._label, op)
 
     def _allgather(self, op: str, obj: Any) -> list[Any]:
-        """:meth:`allgather` for the collective ``op`` (the reductions
-        and ``split`` are allgathers on the wire and in the trace)."""
+        """:meth:`allgather` for the collective ``op`` (``split`` is an
+        allgather on the wire and in the trace)."""
         self._trace("allgather", self.rank, obj, range(self.size))
         return self._exchange(op, obj)
 
@@ -331,18 +285,6 @@ class CommBackend:
         vals = self._exchange("gather", obj)
         return vals if self.rank == root else None
 
-    def scatter(self, objs: Sequence[Any] | None, root: int = 0) -> Any:
-        """Rank ``r`` receives ``objs[r]`` provided by ``root``."""
-        if self.rank == root:
-            if objs is None or len(objs) != self.size:
-                raise ValueError("root must provide size objects")
-            for dst in range(self.size):
-                self._trace("scatter", root, objs[dst], (dst,))
-        vals = self._exchange(
-            "scatter", list(objs) if self.rank == root else None
-        )
-        return vals[root][self.rank]
-
     def alltoall(self, objs: Sequence[Any]) -> list[Any]:
         """Personalised all-to-all: rank ``r`` receives ``objs[r]`` from
         every rank."""
@@ -352,23 +294,6 @@ class CommBackend:
             self._trace("alltoall", self.rank, objs[dst], (dst,))
         mat = self._exchange("alltoall", list(objs))
         return [mat[src][self.rank] for src in range(self.size)]
-
-    def reduce(self, obj: Any, op: Callable[[Any, Any], Any],
-               root: int = 0) -> Any:
-        """Left-fold of the per-rank values on ``root`` (``None``
-        elsewhere)."""
-        self._trace("reduce", self.rank, obj, (root,))
-        vals = self._exchange("reduce", obj)
-        return functools.reduce(op, vals) if self.rank == root else None
-
-    def allreduce(self, obj: Any, op: Callable[[Any, Any], Any]) -> Any:
-        """Left-fold of the per-rank values, result on every rank."""
-        return functools.reduce(op, self._allgather("allreduce", obj))
-
-    def exscan(self, value: int) -> int:
-        """Exclusive prefix sum of integers (0 on rank 0) — PASTIS's
-        cooperative sequence-count prefix sums."""
-        return sum(self._allgather("exscan", value)[: self.rank])
 
     # -- sub-communicators ------------------------------------------------------
 

@@ -283,16 +283,6 @@ class _MPTransport:
             except queue.Empty:
                 pass
 
-    def tryrecv_env(
-        self, comm_id: str, chan: int, source: int, tag: int
-    ) -> tuple[bool, Any]:
-        self.check_abort()
-        self._drain(self.inboxes[self.world_rank])
-        hit = self._scan_stash(comm_id, chan, source, tag)
-        if hit is None:
-            return False, None
-        return True, _loads(hit[1], self.unlinked)
-
     def _drain(self, inbox) -> bool:
         """Move every already-delivered envelope to the stash; report
         whether there was any."""

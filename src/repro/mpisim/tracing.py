@@ -90,7 +90,7 @@ class MessageRecord:
     src: int
     dst: int
     nbytes: int
-    kind: str  # "p2p", "bcast", "gather", ... or a caller-supplied label
+    kind: str  # "p2p" for a send, else the collective ("bcast", ...)
     comm: str = "world"  # communicator label ("world", "world/0.1", ...)
     op: str = ""  # API op that produced the traffic ("send", "bcast", ...)
 

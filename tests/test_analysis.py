@@ -293,7 +293,7 @@ class TestPayloadDigest:
 def _clean_body(comm):
     """A representative mix: collectives, a split with subcomm traffic,
     and matched p2p — must pass the teardown audit silently."""
-    total = comm.allreduce(comm.rank, lambda a, b: a + b)
+    total = sum(comm.allgather(comm.rank))
     row = comm.split(comm.rank % 2, key=comm.rank)
     row_sum = sum(row.allgather(comm.rank))
     nxt = (comm.rank + 1) % comm.size

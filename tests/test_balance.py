@@ -18,6 +18,11 @@ from repro.core.balance import (
 from repro.mpisim import run_spmd
 
 
+def _moved(plan):
+    """Number of tasks the plan sends off their source rank."""
+    return sum(int(np.count_nonzero(d != r)) for r, d in enumerate(plan.dest))
+
+
 def _task(la, lb, nseeds=1, pair=(0, 1)):
     rng = np.random.default_rng(la * 1000 + lb)
     return AlignmentTask(
@@ -92,8 +97,7 @@ class TestGreedyPlan:
 
     def test_balanced_input_ships_nothing(self):
         plan = greedy_plan([[10], [10], [10], [10]])
-        assert plan.moved_tasks() == 0
-        assert plan.flows() == []
+        assert _moved(plan) == 0
         assert (plan.pre_cells == plan.post_cells).all()
 
     def test_balanced_multi_task_grid_ships_nothing(self):
@@ -101,14 +105,14 @@ class TestGreedyPlan:
         their home rank even when every rank was already at the achievable
         budget — paying shipping for zero load improvement."""
         plan = greedy_plan([[10] * 4] * 4)
-        assert plan.moved_tasks() == 0
+        assert _moved(plan) == 0
         assert plan.post_cells.tolist() == [40, 40, 40, 40]
         plan = greedy_plan([[10, 10], [10, 10]])
-        assert plan.moved_tasks() == 0
+        assert _moved(plan) == 0
         # near-balanced: only the genuine surplus moves
         plan = greedy_plan([[10, 10, 10], [10], [10, 10], [10, 10]])
         assert plan.post_cells.max() == 20
-        assert plan.moved_tasks() == 1
+        assert _moved(plan) == 1
 
     def test_skew_levelled(self):
         # one rank holds the whole triangle: 12 equal tasks over 4 ranks
@@ -116,37 +120,27 @@ class TestGreedyPlan:
         assert plan.pre_cells.tolist() == [1200, 0, 0, 0]
         assert plan.post_cells.tolist() == [300, 300, 300, 300]
         assert max(plan.post_cells) * 2 <= max(plan.pre_cells)
-        assert plan.moved_tasks() == 9
+        assert _moved(plan) == 9
 
     def test_empty_everything(self):
         plan = greedy_plan([[], [], [], []])
-        assert plan.moved_tasks() == 0
+        assert _moved(plan) == 0
         assert plan.post_cells.tolist() == [0, 0, 0, 0]
 
     def test_single_task_single_rank(self):
         plan = greedy_plan([[42]])
         assert plan.dest[0].tolist() == [0]
-        assert plan.flows() == []
 
     def test_single_task_stays_home(self):
         # all loads tie at zero, so the keep-at-home tie-break wins
         plan = greedy_plan([[], [7], [], []])
         assert plan.dest[1].tolist() == [1]
-        assert plan.moved_tasks() == 0
-
-    def test_flows_match_dest(self):
-        plan = greedy_plan([[9, 9, 9, 9], [1], [1], [1]])
-        flows = plan.flows()
-        assert flows == sorted(flows)
-        shipped = {(s, d): c for s, d, c in flows}
-        for src, dests in enumerate(plan.dest):
-            for dst, cnt in zip(*np.unique(dests[dests != src],
-                                           return_counts=True)):
-                assert shipped[(src, int(dst))] == int(cnt)
+        assert _moved(plan) == 0
 
     def test_identical_plan_on_every_rank(self):
-        """The SPMD contract: allgathered cost vectors produce the same
-        plan object on all ranks, with no negotiation round."""
+        """Allgathered cost vectors produce the same plan on all ranks,
+        with no negotiation round, so the loads a rank's plan predicts
+        are the loads the ranks align."""
         def body(comm):
             local = [(comm.rank + 1) * 10] * (comm.rank * 2)
             plan = greedy_plan(comm.allgather(local))

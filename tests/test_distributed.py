@@ -472,10 +472,40 @@ class TestAlignRebalancing:
         assert max(bal["post_cells"]) * 2 <= max(bal["pre_cells"])
         # every planned cell is aligned where the plan put it
         assert sum(bal["aligned_cells"]) == sum(bal["post_cells"])
-        assert tracer.bytes_by_kind()["rebal"] > 0
-        assert tracer.messages_by_kind()["rebal"] > 0
-        off = run_pastis_distributed(store, PastisConfig(), nranks=4)
+        # the shipped tasks ride the alltoall, and the tracer sees them
+        off_tracer = CommTracer()
+        off = run_pastis_distributed(store, PastisConfig(), nranks=4,
+                                     tracer=off_tracer)
+        assert (tracer.bytes_by_kind()["alltoall"]
+                > off_tracer.bytes_by_kind()["alltoall"])
         assert _edge_list(g) == _edge_list(off)
+
+    def test_divergent_plan_is_harmless(self, data, monkeypatch):
+        # every forked rank computes its own valid plan (keyed on its
+        # pid): a rank ships along its plan and aligns whatever it is
+        # sent, so disagreeing plans cost balance, never a pair
+        import os
+        from dataclasses import replace
+
+        from repro.core import balance
+
+        greedy_plan = balance.greedy_plan
+
+        def divergent_plan(costs):
+            rng = np.random.default_rng(os.getpid())
+            return replace(greedy_plan(costs), dest=tuple(
+                rng.integers(0, len(costs), len(v)) for v in costs
+            ))
+
+        monkeypatch.setattr(balance, "greedy_plan", divergent_plan)
+        cfg = PastisConfig(k=4, substitutes=0)
+        ref = run_pastis_distributed(data.store, cfg, nranks=4)
+        got = run_pastis_distributed(
+            data.store, replace(cfg, align_balance="greedy"), nranks=4
+        )
+        assert got.meta["align_balance"]["shipped_tasks"] > 0
+        assert got.meta["aligned_pairs"] == ref.meta["aligned_pairs"]
+        assert _edge_list(got) == _edge_list(ref)
 
 
 class TestSortBasedOverlap:

@@ -167,13 +167,12 @@ class TestPrecision:
         assert out == []
 
     def test_collective_results_launder_taint(self):
-        # allgather/bcast/allreduce results are uniform by construction,
-        # so branching on them is fine even though the argument is
-        # rank-local
+        # allgather/bcast results are uniform by construction, so
+        # branching on them is fine even though the argument is rank-local
         out = verify_source(src("""
             def body(comm):
                 counts = comm.allgather(comm.rank)
-                total = comm.allreduce(comm.rank, max)
+                total = max(comm.allgather(comm.rank))
                 if max(counts) > 2 and total > 1:
                     comm.barrier()
         """))
@@ -327,12 +326,15 @@ def _guarded_barrier(comm: str) -> str:
 
 _ISEND = (
     "            comm.isend(\n"
-    "                encode_tasks([t for t, d in zip(tasks, dest)"
-    " if d == dst]),\n"
-    "                dest=dst, tag=_TAG_REBAL, kind=\"rebal\",\n"
+    "                _pack(local_store, local_ids, my_owned[0]),\n"
+    "                dest=dst,\n"
+    "                tag=_TAG_SEQS,\n"
     "            )\n"
 )
-_IRECV = "            incoming[src] = comm.irecv(src, tag=_TAG_REBAL)\n"
+_IRECV = ("            exchange.recv_requests.append("
+          "comm.irecv(src, tag=_TAG_SEQS))\n")
+_SWAP = ("        self.comm.send(payload, dest=partner, tag=71)\n"
+         "        return self.comm.recv(source=partner, tag=71)\n")
 _N = "    n = index.total\n"
 _Q = "    inner_ranges = block_ranges(a.ncols, q)\n"
 
@@ -354,16 +356,28 @@ MATRIX = {
     "divergent-barrier-depth2-summa": Mutant(
         (("sparse/summa.py", _Q, "{anchor}" + _guarded_barrier("grid.comm")),),
         "rank-divergent-collective", TIMEOUT),
-    # p2p: a send nobody receives is the teardown audit's; a recv nobody
-    # sends to, or a tag two protocols share, only the analyzer's
-    "rebal-irecv-removed": Mutant(
-        (("core/balance.py", _IRECV, ""),),
-        None, "unmatched-send", retired="unmatched-send"),
-    "isend-skipped-in-plan_and_ship": Mutant(
-        (("core/balance.py", _ISEND, "            pass\n"),),
+    # p2p: a send nobody receives is the teardown audit's, or the missing
+    # sequences fail the exchange's test; a recv nobody sends to, or a
+    # tag two protocols share while neither is in flight, only the
+    # analyzer's
+    "exchange-isend-duplicated": Mutant(
+        (("core/exchange.py", _ISEND, _ISEND + _ISEND),),
+        None, "unmatched-send"),
+    "exchange-irecv-removed": Mutant(
+        (("core/exchange.py", _IRECV, "            pass\n"),),
+        None,
+        "tests/test_distributed.py::TestExchange::"
+        "test_exchange_delivers_all_needed",
+        retired="unmatched-send"),
+    "isend-skipped-in-start_exchange": Mutant(
+        (("core/exchange.py", _ISEND, "            pass\n"),),
         "unmatched-recv", TIMEOUT),
-    "rebal-tag-collides-with-exchange": Mutant(
-        (("core/balance.py", "_TAG_REBAL = 77\n", "_TAG_REBAL = 55\n"),),
+    "swap-tag-collides-with-exchange": Mutant(
+        (("mpisim/grid.py", _SWAP, _SWAP.replace("tag=71", "tag=55")),),
+        "duplicate-p2p-tag", PINS),
+    "pingpong-tag-collides-with-exchange": Mutant(
+        (("perfmodel/calibrate.py", "_TAG_PING = 93\n",
+          "_TAG_PING = 55\n"),),
         "duplicate-p2p-tag", MISSED),
     # plan nondeterminism: a set of integer tuples iterates in one order
     # on every rank, and an entropy source fails the plan's own test
@@ -381,23 +395,15 @@ MATRIX = {
         retired="plan-nondeterminism"),
     # wasted or reshaped traffic moves the pinned trace totals
     "bcast-of-a-module-constant": Mutant(
-        (("core/balance.py", "    plan = greedy_plan(",
-          "    comm.bcast(_TAG_REBAL, root=0)\n{anchor}"),),
+        (("core/exchange.py", "    my_owned = index.rank_range(me)\n",
+          "    comm.bcast(_TAG_SEQS, root=0)\n{anchor}"),),
         None, PINS, retired="redundant-collective"),
-    "per-element-isend-in-plan_and_ship": Mutant(
-        (("core/balance.py", "from ..align.batch import AlignmentTask\n",
-          "{anchor}from ..mpisim.backend import Request\n"),
-         ("core/balance.py", _ISEND,
-          "            for task in [t for t, d in zip(tasks, dest)"
-          " if d == dst]:\n"
-          "                comm.isend(task, dest=dst, tag=_TAG_REBAL,"
-          " kind=\"rebal\")\n"),
-         ("core/balance.py", _IRECV,
-          "            reqs = [comm.irecv(src, tag=_TAG_REBAL)"
-          " for _ in range(ntasks)]\n"
-          "            incoming[src] = Request(lambda reqs=reqs: "
-          "encode_tasks(\n"
-          "                [r.wait() for r in reqs]))\n")),
+    "per-element-send-in-swap_across_diagonal": Mutant(
+        (("mpisim/grid.py", _SWAP,
+          "        for part in payload:\n"
+          "            self.comm.send(part, dest=partner, tag=71)\n"
+          "        return tuple(self.comm.recv(source=partner, tag=71)\n"
+          "                     for _part in payload)\n"),),
         None, PINS, retired="per-element-send"),
     "grid-loop-bcast-in-summa": Mutant(
         (("sparse/summa.py", _Q, "{anchor}    for _t in range(grid.q):\n"
@@ -432,12 +438,12 @@ MATRIX = {
           "    except Exception:\n"),),
         "broad-except", MISSED),
     "misspelled-pragma": Mutant(
-        (("core/balance.py", "_TAG_REBAL = 77\n",
-          "_TAG_REBAL = 77  # spmd: tag-okay (reserved)\n"),),
+        (("core/exchange.py", "_TAG_SEQS = 55\n",
+          "_TAG_SEQS = 55  # spmd: tag-okay (reserved)\n"),),
         "unknown-pragma", MISSED),
     "stale-pragma": Mutant(
-        (("core/balance.py", "_TAG_REBAL = 77\n",
-          "_TAG_REBAL = 77  # spmd: tag-ok (reserved)\n"),),
+        (("core/exchange.py", "_TAG_SEQS = 55\n",
+          "_TAG_SEQS = 55  # spmd: tag-ok (reserved)\n"),),
         "unused-pragma", MISSED),
 }
 
@@ -626,7 +632,10 @@ class TestSubstrate:
             ("repro.a.STEAL_TAG", 78)
 
     def test_op_tables_mirror_backend(self):
-        from repro.mpisim.backend import COMM_OP_KINDS
+        from repro.mpisim.backend import COMM_OP_KINDS, CommBackend
+
+        assert all(callable(getattr(CommBackend, op, None))
+                   for op in COMM_OP_KINDS)
 
         assert COLLECTIVE_OPS == {
             op for op, kind in COMM_OP_KINDS.items()
