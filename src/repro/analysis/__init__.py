@@ -30,8 +30,8 @@ compares the op names the ranks entered and raises a named-ranks
 ``[rank-divergent-collective]`` :class:`~repro.mpisim.backend.SpmdError`
 instead of deadlocking or crossing values, always.  The runner's
 teardown audit (:func:`repro.mpisim.mpcomm.teardown_audit`) runs on
-every run that returns: unmatched sends and leaked ``mpcomm``
-shared-memory segments raise a named error, with no switch.
+every run that returns: an unmatched send raises a named error, with
+no switch.
 
 Submodules are imported lazily, so importing the package loads none of
 the analyzer.

@@ -6,8 +6,8 @@ communicator report under the stable finding codes of
 :data:`FINDING_CODES` — a static ``rank-divergent-collective`` is the
 compile-time shadow of the runtime collective mismatch every exchange
 round checks (:class:`~repro.mpisim.backend.CommBackend`), while
-``unmatched-send`` and ``shm-leak`` are the runner's teardown audit's
-alone (:func:`~repro.mpisim.mpcomm.teardown_audit`).  A code's
+``unmatched-send`` is the runner's teardown audit's alone
+(:func:`~repro.mpisim.mpcomm.teardown_audit`).  A code's
 ``tools`` say which of them names it; each row is earned by a row of
 the tool x fault matrix (``tests/test_verify.py``) that nothing else
 names.  ``docs/analysis.md`` renders the full table.
@@ -109,11 +109,6 @@ FINDING_CODES: Mapping[str, CodeInfo] = {
     "unused-pragma": CodeInfo(
         "warning", None, ("verify",),
         "a '# spmd:' pragma that no longer suppresses any finding",
-    ),
-    "shm-leak": CodeInfo(
-        "error", None, ("runtime",),
-        "a shared-memory segment created by the mpcomm transport and "
-        "never unlinked (runtime teardown audit)",
     ),
 }
 

@@ -5,11 +5,13 @@ point-to-point sends/receives with tags and non-blocking handles, the
 collectives the pipeline and its tools use, and ``split`` for the
 grid's row/column sub-communicators.  :class:`CommBackend` is that
 surface, one concrete class over the one transport
-(:mod:`repro.mpisim.mpcomm`: one OS process per rank, block payloads
-shipped through shared-memory ndarray segments).  Every collective,
+(:mod:`repro.mpisim.mpcomm`: one OS process per rank, every payload
+pickled through the destination rank's inbox pipe).  Every collective,
 ``split`` and the collectives' tracer records are written once, over one
-untraced exchange round that also checks the SPMD lockstep contract:
-each contribution carries the name of the collective its rank called,
+exchange round in which each rank sends every peer directly only the
+part meant for it, so the payloads the transport carries are the
+messages the tracer records.  The round also checks the SPMD lockstep
+contract: each part carries the name of the collective its rank called,
 and a rank that entered a different one makes every rank raise the same
 named :class:`SpmdError` in that round.
 
@@ -59,8 +61,7 @@ DEFAULT_TIMEOUT = 120.0
 
 # internal message channels (the public p2p API only sees _CHAN_P2P)
 _CHAN_P2P = 0
-_CHAN_COLL = 1  # rank-0-bound collective contributions, tag = generation
-_CHAN_FAN = 2  # rank-0 fan-out of collective results, tag = generation
+_CHAN_COLL = 1  # one collective's per-peer parts, tag = generation
 
 
 class SpmdError(RuntimeError):
@@ -123,7 +124,8 @@ class CommBackend:
     buffered (never block), and collectives synchronise all ranks.
     Collectives are traced as their logical point-to-point decomposition
     (a broadcast is ``size - 1`` messages from the root); the exchange
-    round under them is not traced.
+    round under them carries those payloads, and only its envelopes and
+    lockstep op names go untraced.
     """
 
     def __init__(self, transport: Any, comm_id: str,
@@ -175,42 +177,37 @@ class CommBackend:
 
     # -- the exchange round -------------------------------------------------
 
-    def _exchange(self, op: str, obj: Any) -> list[Any]:
-        """Untraced allgather of one object per rank for the collective
-        ``op``, synchronising every rank of the communicator.
+    def _exchange(self, op: str, outs: Sequence[Any]) -> list[Any]:
+        """One exchange round of the collective ``op``: ``outs[d]`` goes
+        to rank ``d``, and the parts every rank sent to this one come
+        back in rank order (this rank's own is ``outs[self.rank]``).
 
-        Rank 0 of the communicator collects one ``(op, obj)``
-        contribution per rank and fans the full list back out; a
-        per-communicator generation counter tags the round.  Every rank
-        then compares the op names, so a rank that entered a different
-        collective makes every rank raise the same named
-        :class:`SpmdError` in this round instead of silently crossing
-        values (rank 0 fans out before it checks, so no rank is left
-        waiting).  A single rank sends nothing."""
+        Each rank sends ``(op, outs[d])`` straight to every peer ``d``,
+        tagged by a per-communicator generation counter, then waits for
+        the ``size - 1`` parts addressed to it, which synchronises every
+        rank of the communicator.  Every rank then compares the op
+        names, so a rank that entered a different collective makes every
+        rank raise the same named :class:`SpmdError` in this round
+        instead of silently crossing values (every rank sends before it
+        checks, so no rank is left waiting).  A single rank sends
+        nothing."""
         if self.size == 1:
-            return [obj]
+            return list(outs)
         tp = self._transport
         gen = self._coll_gen
         self._coll_gen += 1
         cid = self._label
+        for dst in range(self.size):
+            if dst != self.rank:
+                tp.send_env(cid, _CHAN_COLL, self._ranks[dst], self.rank,
+                            gen, (op, outs[dst]))
+        entries: list[Any] = [None] * self.size
+        entries[self.rank] = (op, outs[self.rank])
         what = f"collective {op}() (comm={cid!r}, generation {gen})"
-        if self.rank != 0:
-            tp.send_env(
-                cid, _CHAN_COLL, self._ranks[0], self.rank, gen, (op, obj)
-            )
-            entries = tp.recv_env(cid, _CHAN_FAN, 0, gen, what)[1]
-        else:
-            entries = [None] * self.size
-            entries[0] = (op, obj)
-            for _ in range(self.size - 1):
-                # contributions arrive in any order; envelopes carry src
-                src, entry = tp.recv_env(cid, _CHAN_COLL, ANY_SOURCE, gen,
-                                         what)
-                entries[src] = entry
-            for dst in range(1, self.size):
-                tp.send_env(
-                    cid, _CHAN_FAN, self._ranks[dst], 0, gen, entries
-                )
+        for _ in range(self.size - 1):
+            # parts arrive in any order; envelopes carry src
+            src, entry = tp.recv_env(cid, _CHAN_COLL, ANY_SOURCE, gen, what)
+            entries[src] = entry
         if any(entry[0] != op for entry in entries):
             raise self._mismatch(gen, entries)
         return [entry[1] for entry in entries]
@@ -219,7 +216,7 @@ class CommBackend:
                   ) -> SpmdError:
         """The named error of a round whose ranks entered different
         collectives: the diverging *world* ranks, and each rank's op and
-        payload digest."""
+        the digest of the part it sent this rank."""
         ops = [op for op, _obj in entries]
         majority = Counter(ops).most_common(1)[0][0]
         divergers = sorted(
@@ -260,20 +257,20 @@ class CommBackend:
         """:meth:`allgather` for the collective ``op`` (``split`` is an
         allgather on the wire and in the trace)."""
         self._trace("allgather", self.rank, obj, range(self.size))
-        return self._exchange(op, obj)
+        return self._exchange(op, [obj] * self.size)
 
     def barrier(self) -> None:
         """Synchronise all ranks."""
         self._trace("barrier", self.rank, None, (0,), nbytes=0)
-        self._exchange("barrier", None)
+        self._exchange("barrier", [None] * self.size)
 
     def bcast(self, obj: Any, root: int = 0) -> Any:
         """Broadcast from ``root``."""
         if self.rank == root:
             self._trace("bcast", root, obj, range(self.size))
-        return self._exchange(
-            "bcast", obj if self.rank == root else None
-        )[root]
+        else:
+            obj = None
+        return self._exchange("bcast", [obj] * self.size)[root]
 
     def allgather(self, obj: Any) -> list[Any]:
         """Every rank receives ``[obj_of_rank_0, ..., obj_of_rank_p-1]``."""
@@ -282,7 +279,9 @@ class CommBackend:
     def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
         """``root`` receives the per-rank list; everyone else ``None``."""
         self._trace("gather", self.rank, obj, (root,))
-        vals = self._exchange("gather", obj)
+        vals = self._exchange(
+            "gather", [obj if d == root else None for d in range(self.size)]
+        )
         return vals if self.rank == root else None
 
     def alltoall(self, objs: Sequence[Any]) -> list[Any]:
@@ -292,8 +291,7 @@ class CommBackend:
             raise ValueError("alltoall requires size objects")
         for dst in range(self.size):
             self._trace("alltoall", self.rank, objs[dst], (dst,))
-        mat = self._exchange("alltoall", list(objs))
-        return [mat[src][self.rank] for src in range(self.size)]
+        return self._exchange("alltoall", objs)
 
     # -- sub-communicators ------------------------------------------------------
 
@@ -346,8 +344,7 @@ def run_spmd(
 
     Every run that returns passes the runner's teardown audit
     (:func:`~repro.mpisim.mpcomm.teardown_audit`) first: a send no rank
-    received or a shared-memory segment never unlinked raises a named
-    :class:`SpmdError`.
+    received raises a named :class:`SpmdError`.
 
     ``comm_backend`` accepts ``"mp"``, the one transport, and nothing
     else.

@@ -10,45 +10,31 @@ Transport
 ---------
 Each world rank owns one ``multiprocessing.Queue`` inbox; a message is an
 envelope ``(comm_id, channel, src, tag, payload)`` where ``payload`` is a
-pickle of the object.  Large ndarrays do **not** travel through the pipe:
-a :class:`pickle.Pickler` with a ``persistent_id`` hook diverts any
-ndarray of at least :data:`SHM_MIN_BYTES` into a
-``multiprocessing.shared_memory`` segment and pickles only its name and
-header, so block payloads (sequence buffers, alignment tasks, edge
-arrays) move between ranks as a single copy into and out of ``/dev/shm``
-while pickle carries just the small control structure around them.
+pickle of the object, taken at send time (sends are buffered, so the
+receiver sees the object as it was when sent).  Every payload, block
+arrays included, rides the destination's inbox pipe; there is no second
+path.
 
-Segment ownership transfers with the message: the sender creates, fills
-and unregisters the segment (so its resource tracker will not destroy it
-at sender exit), the receiver attaches, copies out and unlinks it.  Every
-segment name carries a run-unique prefix and the parent sweeps leftovers
-when the run ends, so an aborted rank cannot leak ``/dev/shm`` space.
+The communicator itself, its collectives and their exchange round (each
+rank sends every peer only its own part, tagged by a per-communicator
+generation counter) are :class:`~repro.mpisim.backend.CommBackend`; this
+module supplies the per-rank transport under it and the runner.  Every
+run ends in the runner's teardown audit (:func:`teardown_audit`): each
+rank whose body returned reports its transport's ledger (point-to-point
+sends and receives) with its result, and an unmatched send raises a
+named error.  Tracing records the *logical* messages (sender-side,
+collective decomposition), which are also the payloads the exchange
+round carries; child-process tracers are shipped back with the results
+and merged.
 
-The communicator itself, its collectives and their exchange round
-(tagged by a per-communicator generation counter; rank 0 of the
-communicator gathers and fans out) are
-:class:`~repro.mpisim.backend.CommBackend`; this module supplies the
-per-rank transport under it and the runner.  Every run ends in the
-runner's teardown audit (:func:`teardown_audit`): each rank whose body
-returned reports its transport's ledger (point-to-point sends and
-receives, shared-memory segments created and unlinked) with its result,
-and an unmatched send or a leaked segment raises a named error.  Tracing
-records the *logical* messages (sender-side, collective decomposition),
-not the transport traffic; child-process tracers are shipped back with
-the results and merged.
-
-``multiprocessing`` and its ``shared_memory`` module are imported only
-where processes or segments are created, so a 1-rank run loads neither.
-The ``fork`` start method is the supported one (ranks inherit the SPMD
-function, its arguments and any patch made before the run); ``spawn`` is
-not a target.
+``multiprocessing`` is imported only where processes are created, so a
+1-rank run does not load it.  The ``fork`` start method is the supported
+one (ranks inherit the SPMD function, its arguments and any patch made
+before the run); ``spawn`` is not a target.
 """
 
 from __future__ import annotations
 
-import io
-import itertools
-import os
 import pickle
 import queue
 import threading
@@ -56,124 +42,16 @@ import time
 from collections import Counter
 from typing import Any, Callable, Sequence
 
-import numpy as np
-
 from .backend import ANY_SOURCE, DEFAULT_TIMEOUT, CommBackend, SpmdError
 from .tracing import CommTracer
 
 __all__ = [
-    "SHM_MIN_BYTES",
     "run_spmd_mp",
     "teardown_audit",
 ]
 
-#: ndarrays at least this large travel through shared memory instead of
-#: the queue pipe (below it, the segment setup costs more than the copy)
-SHM_MIN_BYTES = 1 << 13  # 8 KiB
-
 #: what every surviving rank raises once another rank has failed
 ABORTED = "aborted by a failing rank"
-
-
-# ---------------------------------------------------------------------------
-# shared-memory pickling
-# ---------------------------------------------------------------------------
-
-def _unregister_segment(name: str) -> None:
-    """Detach a created segment from this process's resource tracker:
-    ownership moves to the receiver (or, after a crash, to the parent's
-    prefix sweep), so the tracker must not destroy it at sender exit."""
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister("/" + name, "shared_memory")
-    except Exception:  # spmd: broad-except-ok (tracker internals vary)
-        pass  # pragma: no cover
-
-
-class _ShmPickler(pickle.Pickler):
-    """Pickler diverting big plain-dtype ndarrays into shared memory."""
-
-    def __init__(self, file: io.BytesIO, name_iter):
-        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
-        self._name_iter = name_iter
-
-    def persistent_id(self, obj: Any):
-        if (
-            isinstance(obj, np.ndarray)
-            and type(obj) is np.ndarray
-            and not obj.dtype.hasobject
-            and obj.dtype.names is None
-            and obj.nbytes >= SHM_MIN_BYTES
-        ):
-            from multiprocessing import shared_memory
-
-            name = next(self._name_iter)
-            seg = shared_memory.SharedMemory(
-                name=name, create=True, size=int(obj.nbytes)
-            )
-            try:
-                dst = np.ndarray(obj.shape, dtype=obj.dtype, buffer=seg.buf)
-                dst[...] = obj
-            finally:
-                seg.close()
-            _unregister_segment(name)
-            return ("ndarray-shm", name, obj.shape, obj.dtype.str)
-        return None
-
-
-class _ShmUnpickler(pickle.Unpickler):
-    """Unpickler resolving shared-memory ndarray references (copy out,
-    then unlink — each message payload is consumed exactly once),
-    appending each segment's name to ``unlinked``."""
-
-    def __init__(self, file: io.BytesIO, unlinked: list[str]):
-        super().__init__(file)
-        self._unlinked = unlinked
-
-    def persistent_load(self, pid):
-        kind, name, shape, dtype = pid
-        if kind != "ndarray-shm":  # pragma: no cover - defensive
-            raise pickle.UnpicklingError(f"unknown persistent id {kind!r}")
-        from multiprocessing import shared_memory
-
-        seg = shared_memory.SharedMemory(name=name)
-        try:
-            src = np.ndarray(shape, dtype=np.dtype(dtype), buffer=seg.buf)
-            arr = src.copy()
-        finally:
-            seg.close()
-            try:
-                seg.unlink()
-            except FileNotFoundError:  # pragma: no cover - already swept
-                pass
-        self._unlinked.append(name)
-        return arr
-
-
-def _dumps(obj: Any, name_iter) -> bytes:
-    buf = io.BytesIO()
-    _ShmPickler(buf, name_iter).dump(obj)
-    return buf.getvalue()
-
-
-def _loads(payload: bytes, unlinked: list[str]) -> Any:
-    return _ShmUnpickler(io.BytesIO(payload), unlinked).load()
-
-
-def _sweep_shm(prefix: str) -> None:
-    """Unlink every leftover segment of this run (crash/abort cleanup)."""
-    shm_dir = "/dev/shm"
-    try:
-        names = os.listdir(shm_dir)
-    except OSError:  # pragma: no cover - non-POSIX shm layout
-        return
-    for name in names:
-        if name.startswith(prefix):
-            try:
-                os.unlink(os.path.join(shm_dir, name))
-            except OSError:  # pragma: no cover - concurrent unlink
-                pass
 
 
 # ---------------------------------------------------------------------------
@@ -193,17 +71,12 @@ class _MPTransport:
         abort,
         timeout: float,
         tracer: CommTracer | None,
-        shm_prefix: str,
     ):
         self.world_rank = world_rank
         self.inboxes = inboxes
         self.abort = abort
         self.timeout = timeout
         self.tracer = tracer
-        #: shared-memory segments this rank created / received and unlinked
-        self.created: list[str] = []
-        self.unlinked: list[str] = []
-        self.shm_names = self._segment_names(f"{shm_prefix}{world_rank}-")
         # envelopes received but not yet matched, in arrival order
         self._stash: list[tuple] = []
         #: (comm label, dest world rank, tag) -> p2p sends posted
@@ -211,19 +84,10 @@ class _MPTransport:
         #: (comm label, tag) -> p2p receives completed on this rank
         self.recvd: Counter = Counter()
 
-    def _segment_names(self, prefix: str):
-        """Run/rank-unique segment names; the pickler draws one per
-        segment it creates, so each is recorded in ``created`` here."""
-        for i in itertools.count():
-            name = f"{prefix}{i}"
-            self.created.append(name)
-            yield name
-
-    def ledger(self) -> tuple[dict, dict, list[str], list[str]]:
-        """A snapshot of ``(sent, recvd, created, unlinked)``, this
-        rank's entry of :func:`teardown_audit`."""
-        return (dict(self.sent), dict(self.recvd), list(self.created),
-                list(self.unlinked))
+    def ledger(self) -> tuple[dict, dict]:
+        """A snapshot of ``(sent, recvd)``, this rank's entry of
+        :func:`teardown_audit`."""
+        return dict(self.sent), dict(self.recvd)
 
     def check_abort(self) -> None:
         if self.abort.is_set():
@@ -234,7 +98,7 @@ class _MPTransport:
         obj: Any,
     ) -> None:
         self.check_abort()
-        payload = _dumps(obj, self.shm_names)
+        payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
         self.inboxes[dst_world].put((comm_id, chan, src, tag, payload))
 
     def _scan_stash(
@@ -258,40 +122,45 @@ class _MPTransport:
         matching ``(comm_id, chan, source, tag)`` as ``(src, obj)``.
 
         The deadline is fixed at the call.  Every pass re-scans the stash
-        before the abort flag, and a deadline pass first drains whatever
-        the inbox already holds, so an envelope already delivered is
-        consumed instead of surfacing as an abort or a spurious timeout;
+        first, and a pass past the deadline drains whatever the inbox
+        already holds, so an envelope already delivered is consumed
+        instead of surfacing as an abort or a spurious timeout.  Only
+        then is the abort flag read: ranks whose deadlines pass together
+        each report their own timeout, not the echo of whichever peer
+        set the flag first, and the runner blames the lowest of them.
         ``what`` names the wait in the timeout error."""
         inbox = self.inboxes[self.world_rank]
         deadline = time.monotonic() + self.timeout
         while True:
             hit = self._scan_stash(comm_id, chan, source, tag)
             if hit is not None:
-                return hit[0], _loads(hit[1], self.unlinked)
-            self.check_abort()
+                return hit[0], pickle.loads(hit[1])
             remaining = deadline - time.monotonic()
             if remaining <= 0:
-                if self._drain(inbox):
+                late = _drain_queue(inbox)
+                if late:
+                    self._stash.extend(late)
                     continue
                 self.abort.set()
                 raise SpmdError(
                     f"world rank {self.world_rank} {what} timed out after "
                     f"{self.timeout}s"
                 )
+            self.check_abort()
             try:
                 self._stash.append(inbox.get(timeout=min(remaining, 0.1)))
             except queue.Empty:
                 pass
 
-    def _drain(self, inbox) -> bool:
-        """Move every already-delivered envelope to the stash; report
-        whether there was any."""
-        before = len(self._stash)
-        while True:
-            try:
-                self._stash.append(inbox.get_nowait())
-            except queue.Empty:
-                return len(self._stash) > before
+
+def _drain_queue(q) -> list[tuple]:
+    """Every envelope already delivered to ``q``, without blocking."""
+    got = []
+    while True:
+        try:
+            got.append(q.get_nowait())
+        except queue.Empty:
+            return got
 
 
 # ---------------------------------------------------------------------------
@@ -303,11 +172,10 @@ def teardown_audit(per_rank: Sequence[tuple]) -> None:
     """The runner's teardown audit over one :meth:`_MPTransport.ledger`
     per rank, in world-rank order, reported once every rank's body
     returned (a failed run is not audited): one named
-    :class:`SpmdError` if any send was never received or any segment
-    was created but never unlinked."""
+    :class:`SpmdError` if any send was never received."""
     problems: list[str] = []
     sent_to: dict[tuple[int, str, int], list] = {}
-    for src, (sent, _recvd, _c, _u) in enumerate(per_rank):
+    for src, (sent, _recvd) in enumerate(per_rank):
         for (label, dest_world, tag), n in sent.items():
             entry = sent_to.setdefault((dest_world, label, tag), [0, []])
             entry[0] += n
@@ -321,24 +189,6 @@ def teardown_audit(per_rank: Sequence[tuple]) -> None:
                 f"{dest_world} (comm {label!r}, tag {tag}) from "
                 f"rank(s) {sorted(set(srcs))}"
             )
-
-    all_created: dict[str, int] = {}
-    all_unlinked: set[str] = set()
-    for world, (_s, _r, c_names, u_names) in enumerate(per_rank):
-        for name in c_names:
-            all_created[name] = world
-        all_unlinked.update(u_names)
-    leaked = sorted(set(all_created) - all_unlinked)
-    if leaked:
-        owners = sorted({all_created[n] for n in leaked})
-        problems.append(
-            f"[shm-leak] "
-            f"{len(leaked)} leaked shared-memory segment(s) "
-            f"created by rank(s) {owners} and never unlinked: "
-            f"{', '.join(leaked[:8])}"
-            + (" ..." if len(leaked) > 8 else "")
-        )
-
     if problems:
         raise SpmdError(
             "comm sanitizer: teardown audit failed: " + "; ".join(problems)
@@ -370,14 +220,11 @@ def _mp_worker(
     abort,
     timeout: float,
     trace: bool,
-    shm_prefix: str,
     fn: Callable[..., Any],
     args: tuple,
 ) -> None:
     tracer = CommTracer() if trace else None
-    transport = _MPTransport(
-        rank, inboxes, abort, timeout, tracer, shm_prefix
-    )
+    transport = _MPTransport(rank, inboxes, abort, timeout, tracer)
     comm = CommBackend(transport, "world", tuple(range(nranks)), rank)
     try:
         value = fn(comm, *args)
@@ -394,11 +241,9 @@ def _mp_worker(
             q.cancel_join_thread()
         return
     records = tracer.records if tracer is not None else None
-    # snapshot before the result is pickled: its segments are the
-    # parent's to unlink, outside the audit
-    ledger = transport.ledger()
-    payload = _dumps(value, transport.shm_names)
-    result_q.put(("ok", rank, payload, records, ledger))
+    # pickled here, so an unpicklable result fails in its rank
+    payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+    result_q.put(("ok", rank, payload, records, transport.ledger()))
 
 
 def run_spmd_mp(
@@ -428,23 +273,17 @@ def run_spmd_mp(
     """
     if nranks <= 0:
         raise ValueError("nranks must be positive")
-    shm_prefix = f"repromp-{os.getpid()}-{os.urandom(4).hex()}-"
     if nranks == 1:
         transport = _MPTransport(0, [queue.Queue()], threading.Event(),
-                                 timeout, tracer, shm_prefix)
+                                 timeout, tracer)
         try:
             comm = CommBackend(transport, "world", (0,), 0)
             value = fn(comm, *args)
         except Exception as exc:
             raise SpmdError(f"rank 0 failed: {exc!r}") from exc
-        finally:
-            _sweep_shm(shm_prefix)
         teardown_audit([transport.ledger()])
         return [value]
     import multiprocessing
-    # loaded before the fork, so the ranks share its pages instead of
-    # each importing a private copy (+3 MB peak RSS on a 4-rank run)
-    import multiprocessing.shared_memory  # noqa: F401
 
     ctx = multiprocessing.get_context("fork")
     inboxes = [ctx.Queue() for _ in range(nranks)]
@@ -454,7 +293,7 @@ def run_spmd_mp(
         ctx.Process(
             target=_mp_worker,
             args=(r, nranks, inboxes, result_q, abort, timeout,
-                  tracer is not None, shm_prefix, fn, args),
+                  tracer is not None, fn, args),
             name=f"spmd-mp-rank-{r}",
             daemon=True,
         )
@@ -494,17 +333,24 @@ def run_spmd_mp(
                     break
             if msg[0] == "ok":
                 _tag, rank, payload, records, ledgers[rank] = msg
-                results[rank] = _loads(payload, [])
+                results[rank] = pickle.loads(payload)
                 traces[rank] = records
             else:
                 _tag, rank, ename, etext, etb, is_spmd = msg
                 errors.append((rank, ename, etext, etb, is_spmd))
                 abort.set()
             pending -= 1
-        # shared shutdown deadline, then force the stragglers down
+        # shared shutdown deadline, then force the stragglers down.  Once
+        # every rank has reported, no rank reads its inbox again, so an
+        # envelope left there is an orphan (the audit names it): drain
+        # them, or its sender's exit blocks flushing it into the pipe
         grace = time.monotonic() + min(5.0, timeout)
         for p in procs:
-            p.join(timeout=max(0.0, grace - time.monotonic()))
+            while p.is_alive() and time.monotonic() < grace:
+                if not pending:
+                    for q in inboxes:
+                        _drain_queue(q)
+                p.join(timeout=0.05)
         stuck = [r for r in range(nranks)
                  if silent(r) and procs[r].is_alive()]
         for p in procs:
@@ -516,7 +362,6 @@ def run_spmd_mp(
         for q in [*inboxes, result_q]:
             q.cancel_join_thread()
             q.close()
-        _sweep_shm(shm_prefix)
 
     if tracer is not None:
         for records in traces:

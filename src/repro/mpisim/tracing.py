@@ -39,9 +39,8 @@ class _SizingPickler(pickle.Pickler):
 
     Each distinct ndarray object encountered in the payload graph is
     charged ``nbytes + ARRAY_HEADER_BYTES`` exactly once — repeated
-    references to the same array (``(a, a)``), structured dtypes, and the
-    arrays the mp transport diverts through shared memory all count their
-    buffer a single time, matching what actually crosses the wire.
+    references to the same array (``(a, a)``) and structured dtypes count
+    their buffer a single time, matching what actually crosses the wire.
     """
 
     def __init__(self, file) -> None:

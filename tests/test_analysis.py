@@ -11,14 +11,15 @@ proving no false positive.  (The one whole-tree run lives in
 The runtime half runs real SPMD programs at 1, 2 and 4 ranks: a
 divergent collective must raise a named
 :class:`SpmdError` (instead of deadlocking into the watchdog), and
-unmatched sends and leaked shared-memory segments must be reported by
-the runner's teardown audit, which every run passes through (the golden
-suite's distributed runs are its zero-false-positive check).
+an unmatched send of any size must be reported by the runner's teardown
+audit at once, which every run passes through (the golden suite's
+distributed runs are its zero-false-positive check).
 """
 
 from __future__ import annotations
 
 import textwrap
+import time
 
 import numpy as np
 import pytest
@@ -320,12 +321,12 @@ def _unmatched_body(comm):
     return comm.rank
 
 
-def _leak_body(comm):
-    # a >= 8 KiB ndarray rides the mpcomm shared-memory path; nobody
-    # receives it, so the segment is created and never unlinked
-    if comm.rank == 0:  # spmd: rank-divergent-ok (seeded fault)
-        comm.send(np.zeros(8192, dtype=np.int64), 1, tag=99)
+def _large_orphan_body(comm):
+    # 1 MiB that nobody receives: it fills the receiver's inbox pipe, so
+    # its sender's exit waits until the runner drains the inboxes
     comm.barrier()
+    if comm.rank == 0:  # spmd: rank-divergent-ok (seeded fault)
+        comm.send(np.zeros(1 << 17, dtype=np.int64), 1, tag=99)
     return comm.rank
 
 
@@ -362,6 +363,21 @@ class TestSanitizerRuntime:
         assert ("1 unmatched send(s) to world rank 1 "
                 "(comm 'world', tag 99) from rank(s) [0]") in msg
 
+    def test_clean_run_passes_audit(self):
+        # _clean_body sends a 32 KiB ndarray round a ring and every send
+        # is received: the audit must stay silent, and the array arrives
+        out = run_spmd(2, _clean_body, timeout=60.0)
+        assert [int(arr[7]) for _total, _row, arr in out] == [7, 7]
+
+    def test_large_orphan_send_reported_at_once(self):
+        start = time.monotonic()
+        with pytest.raises(SpmdError) as exc:
+            run_spmd(2, _large_orphan_body, timeout=60.0)
+        elapsed = time.monotonic() - start
+        assert ("[unmatched-send] 1 unmatched send(s) to world rank 1 "
+                "(comm 'world', tag 99) from rank(s) [0]") in str(exc.value)
+        assert elapsed < 2.0, f"orphan send held the run {elapsed:.2f}s"
+
     def test_inline_rank_audited(self):
         # the single rank runs inline, in this process, and is audited
         # all the same
@@ -369,23 +385,3 @@ class TestSanitizerRuntime:
             run_spmd(1, _self_send_body, timeout=60.0)
         assert ("[unmatched-send] 1 unmatched send(s) to world rank 0 "
                 "(comm 'world', tag 99) from rank(s) [0]") in str(exc.value)
-
-
-class TestSanitizerShmAudit:
-    def test_leaked_segment_reported_on_mp(self):
-        with pytest.raises(SpmdError) as exc:
-            run_spmd(2, _leak_body, timeout=60.0)
-        msg = str(exc.value)
-        assert "[shm-leak]" in msg
-        assert "leaked shared-memory segment(s)" in msg
-        assert "created by rank(s) [0]" in msg
-        # the orphan send is reported by the same audit
-        assert "unmatched send(s)" in msg
-
-    def test_received_segments_do_not_leak(self):
-        # _clean_body ships a 32 KiB ndarray ring through shared memory
-        # and every segment is consumed: the audit must stay silent.  It
-        # returns the array too, through a segment the runner unlinks
-        # after the rank's ledger was taken
-        out = run_spmd(2, _clean_body, timeout=60.0)
-        assert [int(arr[7]) for _total, _row, arr in out] == [7, 7]

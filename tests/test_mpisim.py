@@ -1,6 +1,7 @@
 """Tests for the SPMD runtime (one process per rank)."""
 
 import os
+import pickle
 import queue
 import threading
 import time
@@ -238,7 +239,7 @@ class TestSatelliteFixes:
         """A message delivered between a timed-out wait and the deadline
         check must be consumed, not reported as a spurious timeout."""
         from repro.mpisim.backend import _CHAN_P2P
-        from repro.mpisim.mpcomm import _MPTransport, _dumps
+        from repro.mpisim.mpcomm import _MPTransport
 
         class LateInbox(queue.Queue):
             def get(self, block=True, timeout=None):
@@ -248,12 +249,11 @@ class TestSatelliteFixes:
                     # drain closes
                     time.sleep(0.08)
                     self.put(("world", _CHAN_P2P, 1, 5,
-                              _dumps("late", iter(()))))
+                              pickle.dumps("late")))
                     raise queue.Empty
                 return super().get(block, timeout)
 
-        tp = _MPTransport(0, [LateInbox()], threading.Event(), 0.05, None,
-                          "unused-")
+        tp = _MPTransport(0, [LateInbox()], threading.Event(), 0.05, None)
         assert tp.recv_env("world", _CHAN_P2P, 1, 5, "recv") == (1, "late")
 
     def test_recv_timeout_not_postponed_by_unrelated_traffic(self):

@@ -417,15 +417,6 @@ MATRIX = {
         (("core/exchange.py", "_pack(local_store, local_ids, my_owned[0]),",
           "[*_pack(local_store, local_ids, my_owned[0])],"),),
         None, PINS),
-    # a leaked segment is the teardown audit's
-    "segment-never-unlinked": Mutant(
-        (("mpisim/mpcomm.py",
-          "            try:\n                seg.unlink()\n"
-          "            except FileNotFoundError:  # pragma: no cover - "
-          "already swept\n"
-          "                pass\n        self._unlinked.append(name)\n",
-          ""),),
-        None, "shm-leak"),
     # faults that leave every result unchanged
     "per-window-loop-in-sequence_kmers": Mutant(
         (("kmers/extraction.py", "    ids = windows @ weights\n",
