@@ -2,10 +2,9 @@
 
 Three AST checkers that need no more than one parsed module, each tied
 to one way the pipeline's contract has historically been broken.  They
-read the :class:`~repro.analysis.callgraph.ModuleInfo` parse the
-whole-program passes share and are run by ``python -m
-repro.analysis.verify``, the one analyzer, next to the schedule checks.
-Each names a fault no tier-1 run does (the tool x fault matrix,
+read the :class:`~repro.analysis.index.ModuleInfo` parse of the project
+index and are run by ``python -m repro.analysis.verify``, the one
+analyzer.  Each names a fault no tier-1 run does (the tool x fault matrix,
 ``tests/test_verify.py::TestToolFaultMatrix``):
 
 ``python-hot-loop``
@@ -38,8 +37,8 @@ nested loops)::
 
     def spgemm_hash(...):  # spmd: hot-loop-ok (reference kernel)
         ...
-    if comm.rank == 0:  # spmd: rank-divergent-ok (guarded symmetric)
-        comm.bcast(...)
+    except Exception:  # spmd: broad-except-ok (the caller re-raises)
+        ...
 
 The full pragma vocabulary is the finding-code table in
 :mod:`repro.analysis.report` (rendered in ``docs/analysis.md``); a
@@ -61,7 +60,7 @@ import tokenize
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .callgraph import ModuleInfo, ProjectIndex, dotted_name
+from .index import ModuleInfo, ProjectIndex, dotted_name
 from .report import Finding, pragma_map
 
 __all__ = [

@@ -1,16 +1,16 @@
 """Shared reporting layer of the analysis subsystem.
 
 One naming scheme ties the SPMD correctness tools together: the static
-analyzer (:mod:`repro.analysis.verify`) and the runtime checks of the
-communicator report under the stable finding codes of
-:data:`FINDING_CODES` — a static ``rank-divergent-collective`` is the
-compile-time shadow of the runtime collective mismatch every exchange
-round checks (:class:`~repro.mpisim.backend.CommBackend`), while
-``unmatched-send`` is the runner's teardown audit's alone
-(:func:`~repro.mpisim.mpcomm.teardown_audit`).  A code's
-``tools`` say which of them names it; each row is earned by a row of
-the tool x fault matrix (``tests/test_verify.py``) that nothing else
-names.  ``docs/analysis.md`` renders the full table.
+analyzer (:mod:`repro.analysis.verify`) and the runtime checks report
+under the stable finding codes of :data:`FINDING_CODES`.  The runtime
+names three: ``rank-divergent-collective`` (every collective's lockstep
+check, :class:`~repro.mpisim.backend.CommBackend`, and the runner's
+wait-for graph when ranks block in different collectives),
+``unmatched-recv`` (the wait-for graph) and ``unmatched-send`` (the
+runner's teardown audit, :func:`~repro.mpisim.mpcomm.teardown_audit`).
+A code's ``tools`` say which of them names it; each row is earned by a
+row of the tool x fault matrix (``tests/test_verify.py``).
+``docs/analysis.md`` renders the full table.
 
 This module also owns the analyzer's machine surface:
 
@@ -69,24 +69,24 @@ class CodeInfo:
 
 
 #: the stable finding-code table shared by the analyzer and the runtime
-#: checks (``runtime``: every collective's lockstep check and the
-#: runner's teardown audit, both on in every run)
+#: checks (``runtime``: every collective's lockstep check, the runner's
+#: wait-for graph of a run that timed out and its teardown audit, all
+#: on in every run)
 FINDING_CODES: Mapping[str, CodeInfo] = {
     "rank-divergent-collective": CodeInfo(
-        "error", "rank-divergent-ok", ("verify", "runtime"),
-        "a collective is executed by only some ranks (branch or loop "
-        "guarded by a rank-derived value; every collective's exchange "
-        "round reports the runtime counterpart as a collective "
-        "mismatch)",
+        "error", None, ("runtime",),
+        "ranks entered different collectives: met in one exchange round "
+        "(the lockstep check), or deadlocked waiting in different "
+        "collectives or on a rank that returned (the wait-for graph)",
     ),
     "unmatched-send": CodeInfo(
         "error", None, ("runtime",),
         "a p2p send that no rank ever received (runtime teardown audit)",
     ),
     "unmatched-recv": CodeInfo(
-        "warning", "unmatched-recv-ok", ("verify",),
-        "a p2p recv site whose tag no send site in the entry point's "
-        "schedule closure ever posts",
+        "error", None, ("runtime",),
+        "a deadlocked p2p recv with nothing in flight to it on its "
+        "(comm, tag) (the wait-for graph)",
     ),
     "python-hot-loop": CodeInfo(
         "warning", "hot-loop-ok", ("verify",),

@@ -1,15 +1,10 @@
 """The static SPMD analyzer: ``python -m repro.analysis.verify``.
 
-One run builds the project index and call graph
-(:mod:`repro.analysis.callgraph`), the interprocedural rank-taint
-fixpoint (:mod:`repro.analysis.dataflow`) and the static communication
-schedule of every SPMD entry point (:mod:`repro.analysis.schedule`)
-**once**, then runs every static checker over them:
+One run parses the tree once into the project index
+(:mod:`repro.analysis.index`) and runs every static checker over it:
 
 * the per-file checkers (:mod:`repro.analysis.filechecks`):
   ``python-hot-loop``, ``duplicate-p2p-tag``, ``broad-except``;
-* the schedule checkers: ``rank-divergent-collective`` (at any helper
-  depth) and ``unmatched-recv``;
 * pragma hygiene: ``unknown-pragma``, and one ``unused-pragma`` audit
   over every code above — each finding is suppressed through the one
   pragma index of its file, so a pragma is stale exactly when no checker
@@ -17,15 +12,15 @@ schedule of every SPMD entry point (:mod:`repro.analysis.schedule`)
 
 Each code is kept because some fault of the tool x fault matrix
 (``tests/test_verify.py::TestToolFaultMatrix``) is named by it and by no
-tier-1 run: a rank-divergent collective across two communicators (the
-runtime sees only a watchdog timeout), a recv nobody sends to (another
-timeout), a p2p tag shared by two protocols, a per-element loop in a
+tier-1 run: a p2p tag shared by two protocols, a per-element loop in a
 kernel and a swallowed exception (all three leave every result
-unchanged).  What a run already names — a send nobody receives, a
-hoistable or redundant collective, a nondeterministic plan — is left to
-the runner's teardown audit, the pinned trace totals and the tier-1
-tests.  The code table is :data:`repro.analysis.report.FINDING_CODES`
-(``docs/analysis.md``).
+unchanged).  What a run already names is left to the run: a
+rank-divergent collective or a recv nobody sends to (the runner's
+wait-for graph, :func:`repro.mpisim.mpcomm.diagnose_waits`), a send
+nobody receives (the teardown audit), a hoistable or redundant
+collective (the pinned trace totals) and a nondeterministic plan (the
+tier-1 tests).  The code table is
+:data:`repro.analysis.report.FINDING_CODES` (``docs/analysis.md``).
 
 Suppression is ``# spmd: <code>-ok (reason)`` on or above the flagged
 line.  For findings that are accepted long-term, a committed baseline
@@ -48,9 +43,8 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .callgraph import CallGraph, ProjectIndex, read_tree
-from .dataflow import RankTaint
 from .filechecks import PragmaIndex, duplicate_tag_findings, file_findings
+from .index import ProjectIndex, read_tree
 from .report import (
     Finding,
     diff_baseline,
@@ -58,7 +52,6 @@ from .report import (
     render_json,
     write_baseline,
 )
-from .schedule import ScheduleAnalysis
 
 __all__ = [
     "main",
@@ -73,22 +66,17 @@ def verify_sources(
 ) -> list[Finding]:
     """Analyze ``(path, source)`` pairs as one whole program."""
     index = ProjectIndex.build_from_sources(named_sources)
-    graph = CallGraph(index)
-    taint = RankTaint(index, graph)
-    schedule = ScheduleAnalysis(index, graph, taint)
-
     raw: list[Finding] = []
     for mod in index.modules.values():
         raw.extend(file_findings(mod))
     raw.extend(duplicate_tag_findings(index))
-    raw.extend(schedule.findings())
 
     pragmas = {
         mod.path: PragmaIndex(mod.path, mod.source, mod.tree)
         for mod in index.modules.values()
     }
     findings: list[Finding] = []
-    # a checker may reach one site twice (nested scopes); report it once
+    # two sites on one line may make one finding twice; report it once
     for finding in dict.fromkeys(raw):
         if not pragmas[finding.path].suppressed(finding.code, finding.line):
             findings.append(finding)
@@ -117,9 +105,8 @@ def verify_paths(
 def main(argv: Sequence[str] | None = None) -> int:
     ap = argparse.ArgumentParser(
         prog="python -m repro.analysis.verify",
-        description="static SPMD analyzer: per-file checks, "
-        "interprocedural rank-taint + communication-schedule matching "
-        "and the pragma audit in one run "
+        description="static SPMD analyzer: per-file checks and the "
+        "pragma audit in one run "
         "(exit 0 clean, 1 new findings, 2 usage error)",
     )
     ap.add_argument("paths", nargs="*",

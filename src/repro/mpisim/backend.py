@@ -45,9 +45,8 @@ __all__ = [
 ANY_SOURCE = -1
 
 #: Kind of every operation on this surface: ``"send"`` / ``"recv"`` /
-#: ``"collective"``.  This is the declarative op table the static
-#: analysis tools mirror (``repro.analysis`` keeps its own copy so it
-#: never imports runtime code; a unit test cross-checks the two).
+#: ``"collective"``.  The end-to-end benchmark's probes read it to sort
+#: traced records by kind.
 COMM_OP_KINDS: dict[str, str] = {
     "send": "send", "isend": "send",
     "recv": "recv", "irecv": "recv",
@@ -65,7 +64,15 @@ _CHAN_COLL = 1  # one collective's per-peer parts, tag = generation
 
 
 class SpmdError(RuntimeError):
-    """Raised when a rank fails or the program deadlocks/times out."""
+    """Raised when a rank fails or the program deadlocks/times out.
+
+    ``wait`` is the :class:`~repro.mpisim.mpcomm.Wait` a rank was blocked
+    in when its receive timed out or the abort reached it, else ``None``.
+    """
+
+    def __init__(self, message: str, wait: Any = None):
+        super().__init__(message)
+        self.wait = wait
 
 
 def payload_digest(obj: Any, _depth: int = 0) -> str:
@@ -160,8 +167,7 @@ class CommBackend:
         """Blocking receive matching ``(source, tag)`` in FIFO order."""
         tp = self._transport
         obj = tp.recv_env(
-            self._label, _CHAN_P2P, source, tag,
-            f"recv(comm={self._label!r}, source={source}, tag={tag})",
+            self._label, _CHAN_P2P, source, tag, ("recv", self._ranks, None)
         )[1]
         tp.recvd[(self._label, tag)] += 1
         return obj
@@ -203,10 +209,10 @@ class CommBackend:
                             gen, (op, outs[dst]))
         entries: list[Any] = [None] * self.size
         entries[self.rank] = (op, outs[self.rank])
-        what = f"collective {op}() (comm={cid!r}, generation {gen})"
+        wait = (op, self._ranks, entries)
         for _ in range(self.size - 1):
             # parts arrive in any order; envelopes carry src
-            src, entry = tp.recv_env(cid, _CHAN_COLL, ANY_SOURCE, gen, what)
+            src, entry = tp.recv_env(cid, _CHAN_COLL, ANY_SOURCE, gen, wait)
             entries[src] = entry
         if any(entry[0] != op for entry in entries):
             raise self._mismatch(gen, entries)
@@ -338,7 +344,8 @@ def run_spmd(
     carrying the root-cause failure (see
     :func:`~repro.mpisim.mpcomm.blame_order`) as ``__cause__``; a
     rank-divergent collective is one such failure, named in the round
-    where it happens.  At ``nranks == 1`` nothing is started: ``fn`` runs
+    where it happens.  A receive that times out is named from the run's
+    wait-for graph (:func:`~repro.mpisim.mpcomm.diagnose_waits`).  At ``nranks == 1`` nothing is started: ``fn`` runs
     inline in the calling thread on a 1-rank communicator, under no
     whole-run deadline (``timeout`` still bounds a blocked receive).
 

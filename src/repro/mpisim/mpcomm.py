@@ -22,7 +22,10 @@ module supplies the per-rank transport under it and the runner.  Every
 run ends in the runner's teardown audit (:func:`teardown_audit`): each
 rank whose body returned reports its transport's ledger (point-to-point
 sends and receives) with its result, and an unmatched send raises a
-named error.  Tracing records the *logical* messages (sender-side,
+named error.  A run whose receive timed out is named from its wait-for
+graph (:func:`diagnose_waits`): every rank blocked in a wait when its
+deadline passed or the abort reached it reports that :class:`Wait` and
+its ledger.  Tracing records the *logical* messages (sender-side,
 collective decomposition), which are also the payloads the exchange
 round carries; child-process tracers are shipped back with the results
 and merged.
@@ -40,12 +43,21 @@ import queue
 import threading
 import time
 from collections import Counter
-from typing import Any, Callable, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Collection, Mapping, Sequence
 
-from .backend import ANY_SOURCE, DEFAULT_TIMEOUT, CommBackend, SpmdError
+from .backend import (
+    _CHAN_COLL,
+    ANY_SOURCE,
+    DEFAULT_TIMEOUT,
+    CommBackend,
+    SpmdError,
+)
 from .tracing import CommTracer
 
 __all__ = [
+    "Wait",
+    "diagnose_waits",
     "run_spmd_mp",
     "teardown_audit",
 ]
@@ -57,6 +69,43 @@ ABORTED = "aborted by a failing rank"
 # ---------------------------------------------------------------------------
 # transport
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Wait:
+    """The wait a rank was blocked in when its run failed: one node of
+    the runner's wait-for graph (:func:`diagnose_waits`)."""
+
+    comm: str                # the communicator's label
+    op: str                  # "recv", or the collective's name
+    generation: int | None   # a collective's round on ``comm``
+    source: int | None       # a recv's source (comm rank, or ANY_SOURCE)
+    tag: int | None          # a recv's tag
+    #: world ranks whose part the wait still misses (a wildcard recv:
+    #: any one of them would do)
+    missing: tuple[int, ...]
+
+    @classmethod
+    def of(cls, comm_id: str, chan: int, source: int, tag: int,
+           wait: tuple) -> "Wait":
+        """The record of :meth:`_MPTransport.recv_env`'s ``wait``."""
+        op, ranks, parts = wait
+        if chan == _CHAN_COLL:
+            missing = tuple(r for r, part in zip(ranks, parts)
+                            if part is None)
+            return cls(comm_id, op, tag, None, None, missing)
+        if source == ANY_SOURCE:
+            missing = tuple(ranks)
+        else:
+            missing = (ranks[source],) if 0 <= source < len(ranks) else ()
+        return cls(comm_id, op, None, source, tag, missing)
+
+    def __str__(self) -> str:
+        if self.generation is None:
+            return (f"recv(comm={self.comm!r}, source={self.source}, "
+                    f"tag={self.tag})")
+        return (f"collective {self.op}() (comm={self.comm!r}, "
+                f"generation {self.generation})")
 
 
 class _MPTransport:
@@ -86,7 +135,7 @@ class _MPTransport:
 
     def ledger(self) -> tuple[dict, dict]:
         """A snapshot of ``(sent, recvd)``, this rank's entry of
-        :func:`teardown_audit`."""
+        :func:`teardown_audit` and :func:`diagnose_waits`."""
         return dict(self.sent), dict(self.recvd)
 
     def check_abort(self) -> None:
@@ -116,7 +165,7 @@ class _MPTransport:
         return None
 
     def recv_env(
-        self, comm_id: str, chan: int, source: int, tag: int, what: str
+        self, comm_id: str, chan: int, source: int, tag: int, wait: tuple
     ) -> tuple[int, Any]:
         """The one blocking wait of this transport: the first envelope
         matching ``(comm_id, chan, source, tag)`` as ``(src, obj)``.
@@ -128,9 +177,15 @@ class _MPTransport:
         then is the abort flag read: ranks whose deadlines pass together
         each report their own timeout, not the echo of whichever peer
         set the flag first, and the runner blames the lowest of them.
-        ``what`` names the wait in the timeout error."""
+
+        ``wait`` is ``(op, ranks, parts)``: the op's name, the
+        communicator's world ranks and, for a collective, the parts it
+        has so far (``None`` where one is missing).  It becomes the
+        :class:`Wait` record of the :class:`SpmdError` raised on the
+        deadline or on the abort echo, and is read only then."""
         inbox = self.inboxes[self.world_rank]
         deadline = time.monotonic() + self.timeout
+        blocked = False
         while True:
             hit = self._scan_stash(comm_id, chan, source, tag)
             if hit is not None:
@@ -142,11 +197,20 @@ class _MPTransport:
                     self._stash.extend(late)
                     continue
                 self.abort.set()
+                record = Wait.of(comm_id, chan, source, tag, wait)
                 raise SpmdError(
-                    f"world rank {self.world_rank} {what} timed out after "
-                    f"{self.timeout}s"
+                    f"world rank {self.world_rank} {record} timed out after "
+                    f"{self.timeout}s", record,
                 )
-            self.check_abort()
+            if self.abort.is_set():
+                # a wait entered after the flag went up was not blocked
+                # when it did: its rank was outside communication
+                raise SpmdError(
+                    ABORTED,
+                    Wait.of(comm_id, chan, source, tag, wait)
+                    if blocked else None,
+                )
+            blocked = True
             try:
                 self._stash.append(inbox.get(timeout=min(remaining, 0.1)))
             except queue.Empty:
@@ -196,6 +260,95 @@ def teardown_audit(per_rank: Sequence[tuple]) -> None:
 
 
 # ---------------------------------------------------------------------------
+# the wait-for graph of a run that timed out
+# ---------------------------------------------------------------------------
+
+
+def diagnose_waits(
+    waits: Mapping[int, Wait],
+    ledgers: Mapping[int, tuple],
+    returned: Collection[int],
+) -> str:
+    """What a run whose receive timed out was stuck on, named from the
+    :class:`Wait` each blocked rank reported (keyed by world rank), the
+    :meth:`_MPTransport.ledger` of every rank that reported and the ranks
+    whose body returned; ``""`` when there is nothing to name.
+
+    Each waiting rank has an edge to every rank its wait misses.  The
+    graph is reduced as a deadlock detector reduces it: a rank neither
+    waiting nor returned (in compute, or raised outside a wait) may
+    still act, and so may a waiting rank whose every missing rank (for
+    a wildcard recv: any one) may.  The ranks left over are deadlocked,
+    on a cycle or on a rank that returned:
+
+    * ``[unmatched-recv]`` when one of them waits in a recv with nothing
+      in flight to it on that ``(comm, tag)``, per the ledgers;
+    * else ``[rank-divergent-collective]`` when they wait in different
+      collectives (comm, op or generation), or on a rank that returned.
+      The diverging world ranks are those whose op (``return`` for a
+      returned rank) is not the one most of them are in.
+
+    When no rank is left over, every chain ends at a rank outside
+    communication, and the message names that rank, with no code."""
+    returned = set(returned)
+    free = ({v for w in waits.values() for v in w.missing}
+            - set(waits) - returned)
+    live = set(free)
+    grew = True
+    while grew:
+        grew = False
+        for r, w in waits.items():
+            some = w.op == "recv" and w.source == ANY_SOURCE
+            if r not in live and (any if some else all)(
+                    v in live for v in w.missing):
+                live.add(r)
+                grew = True
+    stuck = sorted(set(waits) - live)
+    graph = "; ".join(
+        f"world rank {r} in {w} misses world rank(s) {list(w.missing)}"
+        for r, w in sorted(waits.items())
+    )
+    if not stuck:
+        if not free:
+            return ""
+        return (f"wait-for graph: the waits end at world rank(s) "
+                f"{sorted(free)}, outside communication — {graph}")
+
+    def in_flight(r: int, w: Wait) -> int:
+        sent = sum(out.get((w.comm, r, w.tag), 0)
+                   for out, _got in ledgers.values())
+        return sent - ledgers[r][1].get((w.comm, w.tag), 0)
+
+    unmatched = [r for r in stuck
+                 if waits[r].op == "recv" and in_flight(r, waits[r]) <= 0]
+    if unmatched:
+        return (
+            "wait-for graph: [unmatched-recv] nothing is in flight to "
+            + ", ".join(f"world rank {r} in {waits[r]}" for r in unmatched)
+            + f" — {graph}"
+        )
+    gone = sorted({v for r in stuck for v in waits[r].missing} & returned)
+    rounds = {(waits[r].comm, waits[r].op, waits[r].generation)
+              for r in stuck if waits[r].generation is not None}
+    if len(rounds) + bool(gone) < 2:
+        return (f"wait-for graph: world rank(s) {stuck} wait on each "
+                f"other — {graph}")
+    ops = {r: waits[r].op for r in stuck} | dict.fromkeys(gone, "return")
+    counts = Counter(ops.values())
+    top = [op for op, n in counts.items() if n == max(counts.values())]
+    divergers = [r for r, op in sorted(ops.items())
+                 if len(top) == 1 and op != top[0]] or stuck
+    why = ["wait in different collectives"] if len(rounds) > 1 else []
+    if gone:
+        why.append(f"wait on world rank(s) {gone}, which returned")
+    return (
+        f"wait-for graph: [rank-divergent-collective] world rank(s) "
+        f"{', '.join(map(str, divergers))} diverged: the deadlocked ranks "
+        f"{' and '.join(why)} — {graph}"
+    )
+
+
+# ---------------------------------------------------------------------------
 # runner
 # ---------------------------------------------------------------------------
 
@@ -235,6 +388,7 @@ def _mp_worker(
         result_q.put((
             "err", rank, type(exc).__name__, str(exc),
             traceback.format_exc(), isinstance(exc, SpmdError),
+            getattr(exc, "wait", None), transport.ledger(),
         ))
         # peers may be dead: don't block process exit flushing inboxes
         for q in inboxes:
@@ -264,8 +418,12 @@ def run_spmd_mp(
     at the shared deadline are named first, as ``did not terminate`` —
     another rank's timeout is usually a victim of them — and ranks that
     died without a result are named with their exit codes; partial
-    results are never returned.  The caller's ``tracer``
-    receives every child's logical message records.
+    results are never returned.  Every message a rank queued before the
+    shutdown grace ends is read, so a rank that returned late still
+    counts as returned.  When the root cause is a receive that timed
+    out, the error also names what the run was stuck on
+    (:func:`diagnose_waits`, over every rank's :class:`Wait`).  The
+    caller's ``tracer`` receives every child's logical message records.
 
     ``nranks == 1`` forks nothing: ``fn`` runs inline in the calling
     thread on a 1-rank communicator over an in-process queue, under no
@@ -280,7 +438,12 @@ def run_spmd_mp(
             comm = CommBackend(transport, "world", (0,), 0)
             value = fn(comm, *args)
         except Exception as exc:
-            raise SpmdError(f"rank 0 failed: {exc!r}") from exc
+            wait = getattr(exc, "wait", None)
+            detail = (diagnose_waits({0: wait}, {0: transport.ledger()}, ())
+                      if wait is not None else "")
+            raise SpmdError(
+                f"rank 0 failed: {exc!r}" + (f"\n{detail}" if detail else "")
+            ) from exc
         teardown_audit([transport.ledger()])
         return [value]
     import multiprocessing
@@ -302,19 +465,32 @@ def run_spmd_mp(
     unfilled = object()
     results: list[Any] = [unfilled] * nranks
     traces: list[Any] = [None] * nranks
-    ledgers: list[Any] = [None] * nranks
+    ledgers: dict[int, tuple] = {}
+    waits: dict[int, Wait] = {}
     errors: list[tuple[int, str, str, str, bool]] = []
 
     def silent(r: int) -> bool:
         """Rank ``r`` has reported neither a result nor an error."""
         return results[r] is unfilled and not any(e[0] == r for e in errors)
 
+    def take(msg: tuple) -> None:
+        """Record one rank's report."""
+        if msg[0] == "ok":
+            _tag, rank, payload, records, ledgers[rank] = msg
+            results[rank] = pickle.loads(payload)
+            traces[rank] = records
+        else:
+            _tag, rank, ename, etext, etb, is_spmd, wait, ledgers[rank] = msg
+            errors.append((rank, ename, etext, etb, is_spmd))
+            if wait is not None:
+                waits[rank] = wait
+            abort.set()
+
     try:
         for p in procs:
             p.start()
         deadline = time.monotonic() + timeout * 2
-        pending = nranks
-        while pending:
+        while any(silent(r) for r in range(nranks)):
             try:
                 msg = result_q.get(timeout=0.2)
             except queue.Empty:
@@ -331,26 +507,23 @@ def run_spmd_mp(
                     msg = result_q.get(timeout=1.0)
                 except queue.Empty:
                     break
-            if msg[0] == "ok":
-                _tag, rank, payload, records, ledgers[rank] = msg
-                results[rank] = pickle.loads(payload)
-                traces[rank] = records
-            else:
-                _tag, rank, ename, etext, etb, is_spmd = msg
-                errors.append((rank, ename, etext, etb, is_spmd))
-                abort.set()
-            pending -= 1
-        # shared shutdown deadline, then force the stragglers down.  Once
-        # every rank has reported, no rank reads its inbox again, so an
-        # envelope left there is an orphan (the audit names it): drain
-        # them, or its sender's exit blocks flushing it into the pipe
+            take(msg)
+        # shared shutdown deadline, then force the stragglers down.  A
+        # rank that reports meanwhile is read.  Once every rank has
+        # reported, no rank reads its inbox again, so an envelope left
+        # there is an orphan (the audit names it): drain them, or its
+        # sender's exit blocks flushing it into the pipe
         grace = time.monotonic() + min(5.0, timeout)
         for p in procs:
             while p.is_alive() and time.monotonic() < grace:
-                if not pending:
+                for msg in _drain_queue(result_q):
+                    take(msg)
+                if not any(silent(r) for r in range(nranks)):
                     for q in inboxes:
                         _drain_queue(q)
                 p.join(timeout=0.05)
+        for msg in _drain_queue(result_q):
+            take(msg)
         stuck = [r for r in range(nranks)
                  if silent(r) and procs[r].is_alive()]
         for p in procs:
@@ -369,22 +542,28 @@ def run_spmd_mp(
                 with tracer._lock:
                     tracer.records.extend(records)
     errors.sort(key=lambda e: blame_order(e[0], e[4], e[2]))
-    cause = None
+    cause = detail = None
     if errors:
         rank, ename, etext, etb, _is_spmd = errors[0]
         cause = SpmdError(f"{ename}: {etext}\n{etb}")
+        if rank in waits and ABORTED not in etext:
+            returned = [r for r in range(nranks) if results[r] is not unfilled]
+            detail = diagnose_waits(waits, ledgers, returned)
+    tail = f"\n{detail}" if detail else ""
     if stuck:
         raise SpmdError(
             f"ranks {stuck} did not terminate within the timeout "
-            f"(stuck outside communication; abort cannot reach them)"
+            f"(stuck outside communication; abort cannot reach them)" + tail
         ) from cause
     if cause is not None:
-        raise SpmdError(f"rank {rank} failed: {ename}({etext!r})") from cause
+        raise SpmdError(
+            f"rank {rank} failed: {ename}({etext!r})" + tail
+        ) from cause
     missing = [r for r in range(nranks) if results[r] is unfilled]
     if missing:
         raise SpmdError(
             f"ranks {missing} terminated without producing a result "
             f"(exit codes {[procs[r].exitcode for r in missing]})"
         )
-    teardown_audit(ledgers)
+    teardown_audit([ledgers[r] for r in range(nranks)])
     return results

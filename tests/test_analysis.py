@@ -8,12 +8,13 @@ pragma'd variant proving the allowlist works, plus a clean variant
 proving no false positive.  (The one whole-tree run lives in
 ``tests/test_verify.py``.)
 
-The runtime half runs real SPMD programs at 1, 2 and 4 ranks: a
-divergent collective must raise a named
-:class:`SpmdError` (instead of deadlocking into the watchdog), and
-an unmatched send of any size must be reported by the runner's teardown
-audit at once, which every run passes through (the golden suite's
-distributed runs are its zero-false-positive check).
+The runtime half runs real SPMD programs at 1, 2, 3 and 4 ranks: a
+divergent collective must raise a named :class:`SpmdError` (the lockstep
+check when the ranks meet in one round, the wait-for graph when one
+waits on peers that returned), and an unmatched send of any size must be
+reported by the runner's teardown audit at once, which every run passes
+through (the golden suite's distributed runs are its zero-false-positive
+check).
 """
 
 from __future__ import annotations
@@ -42,54 +43,69 @@ def src(text: str) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _rank_branch(comm):
+    if comm.rank == 0:
+        comm.barrier()
+
+
+def _tainted_while(comm):
+    # rank flows through a tuple unpack into the loop condition
+    me, _peer = comm.rank, 1 - comm.rank
+    while me < 1:
+        comm.allgather(me)
+        me += 10
+
+
+def _uniform_branch(comm, n):
+    # branching on a value every rank computes identically is fine
+    if n > 4:
+        comm.barrier()
+    return n
+
+
 class TestLintRankDivergence:
+    """A collective only some ranks enter is the run's to name: the rank
+    in it waits on peers that returned, and the wait-for graph names it
+    within a second of the receive deadline."""
+
+    def _named(self, body) -> str:
+        t0 = time.monotonic()
+        with pytest.raises(SpmdError) as exc:
+            run_spmd(3, body, timeout=0.3)
+        assert time.monotonic() - t0 < 1.3
+        msg = str(exc.value)
+        assert ("[rank-divergent-collective] world rank(s) 0 diverged"
+                in msg), msg
+        return msg
+
     def test_direct_rank_branch_flagged(self):
-        out = verify_source(src("""
-            def body(comm):
-                if comm.rank == 0:
-                    comm.barrier()
-        """), "repro/core/x.py")
-        assert codes(out) == ["rank-divergent-collective"]
-        assert "barrier" in out[0].message
+        assert "collective barrier()" in self._named(_rank_branch)
 
     def test_tainted_variable_and_while_flagged(self):
-        # rank flows through a tuple unpack into the loop condition
-        out = verify_source(src("""
-            def body(comm):
-                me, peer = comm.rank, 1 - comm.rank
-                while me < 1:
-                    comm.allgather(me)
-                    me += 10
-        """), "repro/core/x.py")
-        assert codes(out) == ["rank-divergent-collective"]
+        assert "collective allgather()" in self._named(_tainted_while)
 
     def test_uniform_branch_not_flagged(self):
-        # branching on a value every rank computes identically is fine
-        out = verify_source(src("""
-            def body(comm, n):
-                if n > 4:
-                    comm.barrier()
-        """), "repro/core/x.py")
-        assert out == []
+        assert run_spmd(3, _uniform_branch, 5) == [5] * 3
 
-    def test_pragma_suppresses(self):
+    def test_retired_pragma_is_unknown(self):
+        # the static check is gone, so its pragma suppresses nothing
         out = verify_source(src("""
             def body(comm):
                 if comm.rank == 0:  # spmd: rank-divergent-ok (probe)
                     comm.barrier()
         """), "repro/core/x.py")
-        assert out == []
+        assert codes(out) == ["unknown-pragma"]
 
     def test_def_line_pragma_covers_whole_function(self):
         out = verify_source(src("""
-            # the whole body is intentionally divergent
-            # spmd: rank-divergent-ok (fault-injection helper)
-            def body(comm):
-                if comm.rank == 0:
-                    comm.barrier()
-                if comm.rank == 1:
-                    comm.allgather(None)
-        """), "repro/core/x.py")
+            # the whole body is the reference path
+            # spmd: hot-loop-ok (reference kernel)
+            def body(rows):
+                for r in rows:
+                    pass
+                while rows:
+                    rows.pop()
+        """), "repro/align/engine.py")
         assert out == []
 
 
@@ -307,7 +323,7 @@ def _clean_body(comm):
 
 def _diverge_body(comm):
     comm.bcast("warmup", root=0)
-    if comm.rank == comm.size - 1:  # spmd: rank-divergent-ok (seeded fault)
+    if comm.rank == comm.size - 1:
         comm.barrier()
     else:
         comm.allgather(comm.rank)
@@ -315,7 +331,7 @@ def _diverge_body(comm):
 
 
 def _unmatched_body(comm):
-    if comm.rank == 0:  # spmd: rank-divergent-ok (seeded fault)
+    if comm.rank == 0:
         comm.send("orphan", 1, tag=99)
     comm.barrier()
     return comm.rank
@@ -325,7 +341,7 @@ def _large_orphan_body(comm):
     # 1 MiB that nobody receives: it fills the receiver's inbox pipe, so
     # its sender's exit waits until the runner drains the inboxes
     comm.barrier()
-    if comm.rank == 0:  # spmd: rank-divergent-ok (seeded fault)
+    if comm.rank == 0:
         comm.send(np.zeros(1 << 17, dtype=np.int64), 1, tag=99)
     return comm.rank
 

@@ -20,7 +20,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from repro.analysis.report import FINDING_CODES
 from repro.mpisim import ProcessGrid, SpmdError, run_spmd
+from repro.mpisim.backend import ANY_SOURCE
+from repro.mpisim.mpcomm import Wait, diagnose_waits
 from repro.mpisim.tracing import CommTracer
 
 
@@ -128,7 +131,7 @@ def _split_mismatch(comm):
 def _diverge(comm):
     """The last rank enters a different collective than its peers."""
     comm.bcast("warmup", root=0)
-    if comm.rank == comm.size - 1:  # spmd: rank-divergent-ok (seeded fault)
+    if comm.rank == comm.size - 1:
         comm.barrier()
     else:
         comm.allgather(comm.rank)
@@ -140,7 +143,7 @@ def _row_diverge(comm):
     its row communicator."""
     grid = ProcessGrid.create(comm)
     grid.row_comm.bcast("warmup", root=0)
-    if comm.rank == 3:  # spmd: rank-divergent-ok (seeded fault)
+    if comm.rank == 3:
         grid.row_comm.barrier()
     else:
         grid.row_comm.allgather(comm.rank)
@@ -150,9 +153,9 @@ def _row_diverge(comm):
 def _barrier_against_row_bcast(comm):
     """World rank 0 enters a world barrier while its row peer enters a
     ``row_comm`` bcast: the two rounds are on different communicators,
-    so no round sees both ops and only the watchdog ends the run."""
+    so no round sees both ops and the wait-for graph names them."""
     grid = ProcessGrid.create(comm)
-    if comm.rank == 0:  # spmd: rank-divergent-ok (seeded fault)
+    if comm.rank == 0:
         comm.barrier()
     else:
         grid.row_comm.bcast("payload", root=0)
@@ -363,6 +366,98 @@ class TestLockstepCheck:
         assert "[rank-divergent-collective]" in msg
         assert "world rank(s) 3 diverged" in msg
         assert "world rank 2: allgather()" in msg
+
+
+def _slow_rank_before_barrier(comm):
+    """Rank 0 computes 2.5 s before a barrier its peers wait in: slow
+    work, not a deadlock."""
+    if comm.rank == 0:
+        time.sleep(2.5)
+    comm.barrier()
+    return comm.rank
+
+
+def _self_recv(comm):
+    return comm.recv(source=0, tag=9)
+
+
+def _coded(msg: str) -> list[str]:
+    """The finding codes ``msg`` names."""
+    return [code for code in FINDING_CODES if f"[{code}]" in msg]
+
+
+def _error_of(nranks, fn, timeout) -> str:
+    with pytest.raises(SpmdError) as exc_info:
+        spmd(nranks, fn, timeout=timeout)
+    return str(exc_info.value)
+
+
+class TestWaitForGraph:
+    """A run whose receive timed out is named from every blocked rank's
+    wait: a deadlock across different collectives, or through a recv
+    nothing is in flight to, carries its code; a chain that ends at a
+    rank outside communication names that rank, with no code."""
+
+    def test_slow_rank_is_named_without_a_code(self):
+        msg = _error_of(4, _slow_rank_before_barrier, 1.0)
+        assert ("the waits end at world rank(s) [0], outside "
+                "communication") in msg, msg
+        assert _coded(msg) == [], msg
+
+    def test_traffic_is_not_a_deadlock(self):
+        # rank 1 is sending, not waiting, when rank 0's barrier expires
+        msg = _error_of(3, _barrier_amid_traffic, 0.5)
+        assert "outside communication" in msg, msg
+        assert _coded(msg) == [], msg
+
+    def test_waits_on_different_communicators_diverge(self):
+        msg = _error_of(4, _barrier_against_row_bcast, 0.5)
+        assert _coded(msg) == ["rank-divergent-collective"], msg
+        assert ("world rank 1 in collective bcast() (comm='world/0.0', "
+                "generation 0) misses world rank(s) [0]") in msg
+
+    def test_recv_with_nothing_in_flight_is_unmatched(self):
+        msg = _error_of(2, _late_barrier_victim, 0.5)
+        assert ("[unmatched-recv] nothing is in flight to world rank 1 in "
+                "recv(comm='world', source=0, tag=404)") in msg, msg
+
+    def test_inline_rank_waiting_on_itself(self):
+        msg = _error_of(1, _self_recv, 0.3)
+        assert ("[unmatched-recv] nothing is in flight to world rank 0 in "
+                "recv(comm='world', source=0, tag=9)") in msg, msg
+
+    def test_majority_op_names_the_diverging_rank(self):
+        # the SUMMA mutant's graph: rank 0 in a world barrier, the others
+        # in row / column bcasts that miss it (or each other)
+        waits = {
+            0: Wait("world", "barrier", 6, None, None, (1, 2, 3)),
+            1: Wait("world/0.0", "bcast", 0, None, None, (0,)),
+            2: Wait("world/1.0", "bcast", 0, None, None, (0,)),
+            3: Wait("world/1.1", "bcast", 0, None, None, (1,)),
+        }
+        msg = diagnose_waits(waits, dict.fromkeys(waits, ({}, {})), ())
+        assert msg.startswith("wait-for graph: [rank-divergent-collective] "
+                              "world rank(s) 0 diverged"), msg
+
+    def test_wildcard_recv_needs_one_live_source(self):
+        # rank 0 waits for anyone; rank 2 is computing, so rank 0 (and
+        # rank 1, which waits on rank 0) may still complete
+        waits = {0: Wait("world", "recv", None, ANY_SOURCE, 5, (0, 1, 2)),
+                 1: Wait("world", "recv", None, 0, 5, (0,))}
+        msg = diagnose_waits(waits, dict.fromkeys(waits, ({}, {})), ())
+        assert "world rank(s) [2], outside communication" in msg, msg
+        assert _coded(msg) == [], msg
+
+    def test_a_message_in_flight_is_not_an_unmatched_recv(self):
+        # rank 0 waits on rank 1 while rank 2's tag-5 message to it sits
+        # unmatched; rank 1 waits in a barrier on rank 0
+        waits = {0: Wait("world", "recv", None, 1, 5, (1,)),
+                 1: Wait("world", "barrier", 0, None, None, (0,))}
+        ledgers = {0: ({}, {}), 1: ({}, {}),
+                   2: ({("world", 0, 5): 1}, {})}
+        msg = diagnose_waits(waits, ledgers, (2,))
+        assert "world rank(s) [0, 1] wait on each other" in msg, msg
+        assert _coded(msg) == [], msg
 
 
 def _where_am_i(comm):

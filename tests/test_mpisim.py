@@ -125,6 +125,17 @@ class TestRunSpmdFailureModes:
                                  r"producing a result \(exit codes \[3\]\)"):
             run_spmd(2, body, timeout=5.0)
 
+    def test_late_results_are_read(self):
+        """Ranks that return after the 2 x timeout cap, within the
+        shutdown grace, have queued their results: they are read, not
+        reported missing."""
+
+        def body(comm):
+            time.sleep(2.3)  # pure compute past the cap
+            return comm.rank
+
+        assert run_spmd(2, body, timeout=1.0) == [0, 1]
+
     def test_none_result_is_legitimate(self):
         # fn returning None must not be mistaken for an unfilled slot
         assert run_spmd(2, lambda comm: None) == [None, None]

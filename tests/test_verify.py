@@ -1,37 +1,35 @@
-"""Tests for the static SPMD analyzer's whole-program half
-(:mod:`repro.analysis.verify` and its substrate modules).
+"""Tests for the static SPMD analyzer (:mod:`repro.analysis.verify`)
+and for the runtime that took over its interprocedural checks.
 
-The backbone is seeded faults no per-scope pass can see: a divergent
-collective behind one or two helper calls, taint through a return value
-or a parameter.  The rest covers the substrate (project index, symbol
-resolution, call graph, taint laundering), the pragma/baseline
-suppression surfaces, the JSON schema and exit-code contract, the tool x
-fault matrix on the shipped tree (which static code and which run name
-each seeded fault, and so which codes the analyzer keeps), and the two
-whole-repo gates: the shipped tree analyzes clean (the one whole-tree
-run of tier-1), and the committed baseline file is valid and empty.
+The seeded faults the analyzer's retired rank-taint and schedule engines
+were built for — a divergent collective behind one or two helper calls,
+taint through a return value or a parameter, a recv nobody sends to —
+are run here instead, and the runner's wait-for graph must name them;
+their precision cases must run clean.  The rest covers the project
+index, the pragma/baseline suppression surfaces, the JSON schema and
+exit-code contract, the tool x fault matrix on the shipped tree (which
+static code and which run name each seeded fault, and so which codes
+the analyzer keeps), and the two whole-repo gates: the shipped tree
+analyzes clean (the one whole-tree run of tier-1), and the committed
+baseline file is valid and empty.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
 import textwrap
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.callgraph import CallGraph, ProjectIndex, read_tree
-from repro.analysis.dataflow import (
-    COLLECTIVE_OPS,
-    RECV_OPS,
-    SEND_OPS,
-    RankTaint,
-)
+from repro.analysis.index import ProjectIndex, read_tree
 from repro.analysis.report import (
     BASELINE_SCHEMA,
     FINDING_CODES,
@@ -39,13 +37,14 @@ from repro.analysis.report import (
     Finding,
     load_baseline,
 )
-from repro.analysis.schedule import ScheduleAnalysis
 from repro.analysis.verify import (
     main as verify_main,
     verify_paths,
     verify_source,
     verify_sources,
 )
+from repro.mpisim.backend import SpmdError, run_spmd
+from repro.mpisim.grid import ProcessGrid
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -58,207 +57,216 @@ def codes(findings) -> list[str]:
     return [f.code for f in findings]
 
 
-def build(named):
-    index = ProjectIndex.build_from_sources(named)
-    graph = CallGraph(index)
-    return index, graph, RankTaint(index, graph)
+def deadlock(nranks: int, body, timeout: float = 0.3) -> str:
+    """The error a run of ``body`` raises; it must come within a second
+    of the receive deadline."""
+    t0 = time.monotonic()
+    with pytest.raises(SpmdError) as exc_info:
+        run_spmd(nranks, body, timeout=timeout)
+    assert time.monotonic() - t0 < timeout + 1.0
+    return str(exc_info.value)
 
 
 # ---------------------------------------------------------------------------
-# seeded interprocedural faults (invisible to any per-scope pass)
+# seeded interprocedural faults: the run names them at any helper depth
 # ---------------------------------------------------------------------------
 
-ONE_DEEP = src("""
-    def helper(comm):
+
+def _barrier(comm):
+    comm.barrier()
+
+
+def _bcast_inner(comm):
+    comm.bcast(None, root=0)
+
+
+def _bcast_mid(comm):
+    _bcast_inner(comm)
+
+
+def _one_deep(comm):
+    if comm.rank == 0:
+        _barrier(comm)
+
+
+def _two_deep(comm):
+    if comm.rank == 0:
+        _bcast_mid(comm)
+
+
+def _leader(comm):
+    return comm.rank == 0
+
+
+def _taint_returned(comm):
+    # the branch test is laundered through a helper's return
+    if _leader(comm):
         comm.barrier()
 
-    def body(comm):
-        if comm.rank == 0:
-            helper(comm)
-""")
 
-TWO_DEEP = src("""
-    def inner(comm):
-        comm.bcast(None, root=0)
+def _guarded(comm, me):
+    if me == 0:
+        comm.barrier()
 
-    def mid(comm):
-        inner(comm)
 
-    def body(comm):
-        if comm.rank == 0:
-            mid(comm)
-""")
+def _taint_parameter(comm):
+    # rank enters a helper via its parameter and guards a collective
+    _guarded(comm, comm.rank)
+
+
+def _rank_bounded_loop(comm):
+    for _ in range(comm.rank):
+        comm.barrier()
+
+
+DIVERGED = "[rank-divergent-collective] world rank(s) {} diverged"
+
 
 class TestCatchesWhatLintMisses:
+    """A collective only some ranks enter, however deep in helpers: the
+    rank that entered it waits on peers that returned, and the wait-for
+    graph names it."""
+
     def test_divergent_collective_one_helper_deep(self):
-        named = [("repro/core/x.py", ONE_DEEP)]
-        out = verify_sources(named)
-        assert codes(out) == ["rank-divergent-collective"]
-        assert out[0].line == 6                   # at the branch
-        assert "barrier" in out[0].message
+        msg = deadlock(3, _one_deep)
+        assert DIVERGED.format(0) in msg
+        assert "collective barrier()" in msg
 
     def test_divergent_collective_two_helpers_deep(self):
-        named = [("repro/core/x.py", TWO_DEEP)]
-        out = verify_sources(named)
-        assert codes(out) == ["rank-divergent-collective"]
-        assert "bcast" in out[0].message
+        msg = deadlock(3, _two_deep)
+        assert DIVERGED.format(0) in msg
+        assert "collective bcast()" in msg
 
     def test_taint_returned_through_helper(self):
-        # the branch test itself is laundered through a helper's return
-        named = [("repro/core/x.py", src("""
-            def leader(comm):
-                return comm.rank == 0
-
-            def body(comm):
-                if leader(comm):
-                    comm.barrier()
-        """))]
-        assert codes(verify_sources(named)) == [
-            "rank-divergent-collective"
-        ]
+        assert DIVERGED.format(0) in deadlock(3, _taint_returned)
 
     def test_taint_through_helper_parameter(self):
-        # rank enters a helper via its parameter and guards a collective
-        named = [("repro/core/x.py", src("""
-            def guarded(comm, me):
-                if me == 0:
-                    comm.barrier()
-
-            def body(comm):
-                guarded(comm, comm.rank)
-        """))]
-        assert codes(verify_sources(named)) == [
-            "rank-divergent-collective"
-        ]
+        assert DIVERGED.format(0) in deadlock(3, _taint_parameter)
 
     def test_rank_bounded_loop_with_collective(self):
-        named = [("repro/core/x.py", src("""
-            def body(comm):
-                for _ in range(comm.rank):
-                    comm.barrier()
-        """))]
-        assert codes(verify_sources(named)) == [
-            "rank-divergent-collective"
-        ]
+        assert DIVERGED.format(1) in deadlock(2, _rank_bounded_loop)
 
 
 # ---------------------------------------------------------------------------
-# precision: what the verifier must NOT flag
+# precision: rank-dependent control flow with a uniform schedule runs clean
 # ---------------------------------------------------------------------------
+
+
+def _arm_a(comm):
+    comm.barrier()
+
+
+def _arm_b(comm):
+    comm.barrier()
+
+
+def _symmetric_arms(comm):
+    # both arms run the same collective sequence, through different
+    # helpers
+    if comm.rank == 0:
+        _arm_a(comm)
+    else:
+        _arm_b(comm)
+    return comm.rank
+
+
+def _branch_on_collective_results(comm):
+    counts = comm.allgather(comm.rank)
+    total = max(comm.allgather(comm.rank))
+    if max(counts) > 2 and total > 1:
+        comm.barrier()
+    return total
+
+
+def _grid_k_loop(comm):
+    # the SUMMA k-loop pattern: grid.q is uniform, grid.row is not
+    grid = ProcessGrid.create(comm)
+    for t in range(grid.q):
+        comm.bcast(t, root=t)
+    return grid.row
+
+
+def _rank_guarded_p2p(comm):
+    got = None
+    if comm.rank == 0:
+        comm.send(b"x", 1, tag=3)
+    else:
+        got = comm.recv(source=0, tag=3)
+    comm.barrier()
+    return got
+
+
+PAIR_TAG = 91
+
+
+def _fire(comm, peer):
+    comm.send(b"x", peer, tag=PAIR_TAG)
+
+
+def _take(comm, peer):
+    return comm.recv(source=peer, tag=PAIR_TAG)
+
+
+def _matched_pair(comm):
+    if comm.rank == 0:
+        return _fire(comm, 1)
+    return _take(comm, 0)
+
+
+def _computed_tag(comm, job):
+    if comm.rank == 0:
+        return comm.send(b"x", 1, tag=job * 2)
+    return comm.recv(source=0, tag=job * 2)
 
 
 class TestPrecision:
+    """What must not be flagged: rank-dependent control flow whose
+    collective schedule is uniform, and rank-guarded p2p that matches,
+    run to completion."""
+
     def test_symmetric_arms_pass(self):
-        # both arms run the same collective sequence (through different
-        # helpers): rank-dependent control, uniform schedule
-        out = verify_source(src("""
-            def a(comm):
-                comm.barrier()
-
-            def b(comm):
-                comm.barrier()
-
-            def body(comm):
-                if comm.rank == 0:
-                    a(comm)
-                else:
-                    b(comm)
-        """))
-        assert out == []
+        assert run_spmd(2, _symmetric_arms) == [0, 1]
 
     def test_collective_results_launder_taint(self):
-        # allgather/bcast results are uniform by construction, so
-        # branching on them is fine even though the argument is rank-local
-        out = verify_source(src("""
-            def body(comm):
-                counts = comm.allgather(comm.rank)
-                total = max(comm.allgather(comm.rank))
-                if max(counts) > 2 and total > 1:
-                    comm.barrier()
-        """))
-        assert out == []
+        assert run_spmd(4, _branch_on_collective_results) == [3] * 4
 
     def test_attribute_access_does_not_launder_rank_in(self):
-        # grid.q is uniform even when grid also carries grid.row — the
-        # SUMMA k-loop pattern must not be flagged
-        out = verify_source(src("""
-            def body(grid, comm):
-                q = grid.q
-                for t in range(q):
-                    comm.bcast(None, root=t)
-                if grid.row == 0:
-                    pass
-        """))
-        assert out == []
+        assert run_spmd(4, _grid_k_loop) == [0, 0, 1, 1]
 
     def test_rank_guarded_p2p_is_not_divergence(self):
-        # asymmetric send/recv under a rank branch is how protocols are
-        # written; only *collective* asymmetry is divergence
-        out = verify_source(src("""
-            def body(comm):
-                if comm.rank == 0:
-                    comm.send(b"x", 1, tag=3)
-                else:
-                    comm.recv(source=0, tag=3)
-                comm.barrier()
-        """))
-        assert out == []
+        assert run_spmd(2, _rank_guarded_p2p) == [None, b"x"]
 
     def test_matched_cross_module_pair_passes(self):
-        out = verify_sources([
-            ("repro/core/proto.py", src("""
-                PAIR_TAG = 91
-
-                def fire(comm, peer):
-                    comm.send(b"x", peer, tag=PAIR_TAG)
-
-                def take(comm, peer):
-                    return comm.recv(source=peer, tag=PAIR_TAG)
-            """)),
-            ("repro/core/x.py", src("""
-                from .proto import fire, take
-
-                def body(comm):
-                    if comm.rank == 0:
-                        fire(comm, 1)
-                    else:
-                        take(comm, 0)
-            """)),
-        ])
-        assert out == []
+        assert run_spmd(2, _matched_pair) == [None, b"x"]
 
     def test_dynamic_tag_matches_anything(self):
-        # a computed tag cannot be checked statically: under-report
-        out = verify_source(src("""
-            def body(comm, job):
-                comm.send(b"x", 1, tag=job * 2)
-        """))
-        assert out == []
+        assert run_spmd(2, _computed_tag, 7) == [None, b"x"]
+
+
+def _recv_nobody_sends(comm):
+    return comm.recv(source=0, tag=44)
 
 
 class TestUnmatchedRecvAndSuppression:
-    def test_unmatched_recv_is_a_warning(self):
-        out = verify_source(src("""
-            def body(comm):
-                return comm.recv(source=0, tag=44)
-        """))
-        assert codes(out) == ["unmatched-recv"]
-        assert out[0].severity == "warning"
+    def test_unmatched_recv_is_named(self):
+        # rank 0 waits on itself, rank 1 on rank 0; nothing is in
+        # flight on tag 44
+        msg = deadlock(2, _recv_nobody_sends)
+        assert ("[unmatched-recv] nothing is in flight to world rank 0 "
+                "in recv(comm='world', source=0, tag=44), world rank 1 "
+                "in recv(comm='world', source=0, tag=44)") in msg
 
     def test_pragma_suppresses_verifier_finding(self):
-        out = verify_source(src("""
-            def helper(comm):
-                comm.barrier()
-
-            def body(comm):
-                if comm.rank == 0:  # spmd: rank-divergent-ok (probe)
-                    helper(comm)
-        """))
+        out = verify_sources([
+            ("repro/core/a.py", "EXCHANGE_TAG = 55  # spmd: tag-ok (probe)\n"),
+            ("repro/core/b.py",
+             "def f(c):\n    c.send(1, 0, tag=55)  # spmd: tag-ok (probe)\n"),
+        ])
         assert out == []
 
     def test_used_pragma_of_either_tool_not_reported(self):
-        # the pragma suppresses a per-file finding only; the whole-program
-        # half must see that usage and not call it stale
+        # the pragma suppresses a per-file finding; the one audit must
+        # see that usage and not call it stale
         out = verify_sources([("repro/sparse/spgemm.py", src("""
             def kernel(rows):
                 for r in rows:  # spmd: hot-loop-ok (reference)
@@ -280,8 +288,8 @@ class TestUnmatchedRecvAndSuppression:
 # the tool x fault matrix: text mutants of the shipped source
 # ---------------------------------------------------------------------------
 
-#: the runtime verdicts that name nothing: the watchdog expires, or the
-#: mutated tree runs, and tier-1 passes, with the fault in it
+#: the runtime verdicts that name nothing: the watchdog expires unnamed,
+#: or the mutated tree runs, and tier-1 passes, with the fault in it
 TIMEOUT, MISSED = "timeout", "missed"
 #: the mutant is no fault: its run's edges equal the shipped tree's,
 #: and tier-1 passes
@@ -311,13 +319,15 @@ class Mutant:
     test that fails, :data:`TIMEOUT`, :data:`MISSED` or :data:`CORRECT`.
     ``retired`` is the deleted static code that reported the fault
     before; the runtime verdict is what that deletion rests on, so only
-    these rows run their oracle in tier-1.
+    these rows run their oracle in tier-1.  ``names`` are phrases the
+    run's error must contain.
     """
 
     edits: tuple[tuple[str, str, str], ...]
     static: str | None
     runtime: str
     retired: str | None = None
+    names: tuple[str, ...] = ()
 
 
 def _guarded_barrier(comm: str) -> str:
@@ -338,28 +348,31 @@ _SWAP = ("        self.comm.send(payload, dest=partner, tag=71)\n"
 _N = "    n = index.total\n"
 _Q = "    inner_ranges = block_ranges(a.ncols, q)\n"
 
+_DIVERGENT = "rank-divergent-collective"
+
 MATRIX = {
     # a collective only some ranks enter: the lockstep check names it
     # when the ranks meet on one communicator ...
     "divergent-barrier-depth0-pastis_rank": Mutant(
         (("core/distributed.py", _N, "{anchor}" + _guarded_barrier("comm")),),
-        "rank-divergent-collective", "rank-divergent-collective"),
+        None, _DIVERGENT, retired=_DIVERGENT),
     "divergent-barrier-depth1-block_pairs": Mutant(
         (("core/distributed.py", '    with _timed(timings, "tr. A"):\n',
           _guarded_barrier("comm") + "{anchor}"),),
-        "rank-divergent-collective", "rank-divergent-collective"),
+        None, _DIVERGENT, retired=_DIVERGENT),
     "allgather-in-rank-bounded-loop": Mutant(
         (("core/distributed.py", _N, "{anchor}    for _ in range(comm.rank):\n"
           "        comm.allgather(n)\n"),),
-        "rank-divergent-collective", "rank-divergent-collective"),
-    # ... and only the analyzer when they wait on different ones
+        None, _DIVERGENT, retired=_DIVERGENT),
+    # ... and the wait-for graph when they wait on different ones
     "divergent-barrier-depth2-summa": Mutant(
         (("sparse/summa.py", _Q, "{anchor}" + _guarded_barrier("grid.comm")),),
-        "rank-divergent-collective", TIMEOUT),
+        None, _DIVERGENT, retired=_DIVERGENT,
+        names=(f"[{_DIVERGENT}] world rank(s) 0 diverged",)),
     # p2p: a send nobody receives is the teardown audit's, or the missing
-    # sequences fail the exchange's test; a recv nobody sends to, or a
-    # tag two protocols share while neither is in flight, only the
-    # analyzer's
+    # sequences fail the exchange's test; a recv nobody sends to is the
+    # wait-for graph's; a tag two protocols share while neither is in
+    # flight, only the analyzer's
     "exchange-isend-duplicated": Mutant(
         (("core/exchange.py", _ISEND, _ISEND + _ISEND),),
         None, "unmatched-send"),
@@ -371,7 +384,10 @@ MATRIX = {
         retired="unmatched-send"),
     "isend-skipped-in-start_exchange": Mutant(
         (("core/exchange.py", _ISEND, "            pass\n"),),
-        "unmatched-recv", TIMEOUT),
+        None, "unmatched-recv", retired="unmatched-recv",
+        names=("[unmatched-recv] nothing is in flight to " + ", ".join(
+            f"world rank {r} in recv(comm='world', source={s}, tag=55)"
+            for r, s in ((0, 1), (1, 0), (2, 0), (3, 1))),)),
     "swap-tag-collides-with-exchange": Mutant(
         (("mpisim/grid.py", _SWAP, _SWAP.replace("tag=71", "tag=55")),),
         "duplicate-p2p-tag", PINS),
@@ -450,9 +466,13 @@ def _mutate(sources: dict[str, str], mutant: Mutant) -> dict[str, str]:
     return out
 
 
+#: the oracle's receive deadline (seconds)
+_TIMEOUT = 5.0
+
 #: the runtime oracle: the subs-CK-greedy pipeline on 4 ranks, its
-#: edges on stdout
-_PIPELINE = """\
+#: edges on stdout and the seconds ``run_spmd`` took on stderr
+_PIPELINE = f"""\
+import sys, time
 from repro.bio.generate import scope_like
 from repro.core.config import PastisConfig
 from repro.core.distributed import pastis_rank, store_to_fasta_bytes
@@ -460,8 +480,12 @@ from repro.mpisim.backend import run_spmd
 store = scope_like(n_families=6, seed=3).store
 config = PastisConfig(k=5, substitutes=4, common_kmer_threshold=1,
                       align_balance="greedy")
-ranks = run_spmd(4, pastis_rank, store_to_fasta_bytes(store), config,
-                 timeout=5.0)
+t0 = time.monotonic()
+try:
+    ranks = run_spmd(4, pastis_rank, store_to_fasta_bytes(store), config,
+                     timeout={_TIMEOUT})
+finally:
+    print(f"run_spmd: {{time.monotonic() - t0:.3f}}s", file=sys.stderr)
 print(sorted(e for r in ranks for e in r.edges))
 """
 
@@ -487,6 +511,10 @@ def _runtime_verdict_holds(mutant: Mutant, tree: Path) -> None:
         assert out.stdout == shipped.stdout
     else:
         assert f"[{mutant.runtime}]" in out.stderr, out.stderr[-2000:]
+        took = float(re.search(r"run_spmd: ([\d.]+)s", out.stderr)[1])
+        assert took < _TIMEOUT + 1.0, took
+    for phrase in mutant.names:
+        assert phrase in out.stderr, out.stderr[-2000:]
 
 
 @pytest.fixture(scope="module")
@@ -540,7 +568,7 @@ class TestToolFaultMatrix:
 
 
 # ---------------------------------------------------------------------------
-# substrate: index, resolution, call graph, op tables
+# substrate: the project index, the op table
 # ---------------------------------------------------------------------------
 
 
@@ -548,71 +576,15 @@ class TestSubstrate:
     def test_module_name_anchors_out_of_tree_paths(self):
         # absolute CLI arguments outside the installed tree must still
         # resolve imports: anchor at the first "repro" path component
-        from repro.analysis.callgraph import module_name as fn
+        from repro.analysis.index import module_name as fn
 
         assert fn("repro/core/balance.py") == "repro.core.balance"
         assert fn("repro/core/__init__.py") == "repro.core"
         assert (fn("/tmp/work/repro/demo/helpers.py")
                 == "repro.demo.helpers")
 
-    def test_symbol_resolution_chain(self):
-        index, graph, _ = build([
-            ("repro/pkg/helpers.py", src("""
-                def leaf(comm):
-                    comm.barrier()
-            """)),
-            ("repro/pkg/mid.py", src("""
-                from .helpers import leaf
-
-                def relay(comm):
-                    leaf(comm)
-            """)),
-            ("repro/main.py", src("""
-                from pkg.mid import relay
-
-                def top(comm):
-                    relay(comm)
-            """)),
-        ])
-        reach = graph.reachable(["repro.pkg.mid.relay"])
-        assert "repro.pkg.helpers.leaf" in reach
-
-    def test_method_and_nested_resolution(self):
-        index, graph, _ = build([("repro/m.py", src("""
-            class Widget:
-                def ping(self, comm):
-                    comm.barrier()
-
-                def run(self, comm):
-                    self.ping(comm)
-
-            def outer(comm):
-                def inner():
-                    comm.barrier()
-                inner()
-        """))])
-        assert ("repro.m.Widget.ping"
-                in graph.reachable(["repro.m.Widget.run"]))
-        assert ("repro.m.outer.<locals>.inner"
-                in graph.reachable(["repro.m.outer"]))
-
-    def test_run_spmd_argument_is_an_entry(self):
-        named = [("repro/m.py", src("""
-            from repro.mpisim.backend import run_spmd
-
-            def body(comm):
-                comm.barrier()
-
-            def launch():
-                return run_spmd(4, body)
-        """))]
-        index, graph, taint = build(named)
-        assert "repro.m.body" in graph.spmd_entries
-        sched = ScheduleAnalysis(index, graph, taint)
-        assert "repro.m.body" in sched.entry_points
-
     def test_constant_resolution_identity(self):
-        index, _, _ = build([
+        index = ProjectIndex.build_from_sources([
             ("repro/a.py", "STEAL_TAG = 78\n"),
             ("repro/b.py", "from .a import STEAL_TAG\n"),
         ])
@@ -623,19 +595,14 @@ class TestSubstrate:
             ("repro.a.STEAL_TAG", 78)
 
     def test_op_tables_mirror_backend(self):
+        # the benchmark's probes sort traced ops by this table: it names
+        # every comm operation of the backend, and nothing else
         from repro.mpisim.backend import COMM_OP_KINDS, CommBackend
 
-        assert all(callable(getattr(CommBackend, op, None))
-                   for op in COMM_OP_KINDS)
-
-        assert COLLECTIVE_OPS == {
-            op for op, kind in COMM_OP_KINDS.items()
-            if kind == "collective"
-        }
-        assert SEND_OPS == {op for op, kind in COMM_OP_KINDS.items()
-                            if kind == "send"}
-        assert RECV_OPS == {op for op, kind in COMM_OP_KINDS.items()
-                            if kind == "recv"}
+        ops = {name for name, attr in vars(CommBackend).items()
+               if callable(attr) and not name.startswith("_")}
+        assert set(COMM_OP_KINDS) == ops
+        assert set(COMM_OP_KINDS.values()) == {"send", "recv", "collective"}
 
     def test_every_finding_code_has_severity_and_tools(self):
         # the table is the matrix's: a code is static exactly when some
@@ -655,6 +622,16 @@ class TestSubstrate:
 # ---------------------------------------------------------------------------
 
 
+#: one broad-except finding (a warning)
+SWALLOW = src("""
+    def f():
+        try:
+            work()
+        except Exception:
+            pass
+""")
+
+
 class TestRepoAndCli:
     def test_repo_verifies_clean(self):
         out = verify_paths()
@@ -669,14 +646,14 @@ class TestRepoAndCli:
         clean.write_text("def f(comm):\n    comm.barrier()\n")
         assert verify_main([str(clean)]) == 0
         assert "clean" in capsys.readouterr().out
-        bad = tmp_path / "deep.py"
-        bad.write_text(ONE_DEEP)
+        bad = tmp_path / "swallow.py"
+        bad.write_text(SWALLOW)
         assert verify_main([str(bad)]) == 1
-        assert "rank-divergent-collective" in capsys.readouterr().out
+        assert "broad-except" in capsys.readouterr().out
 
     def test_cli_json_document(self, tmp_path, capsys):
-        bad = tmp_path / "deep.py"
-        bad.write_text(ONE_DEEP)
+        bad = tmp_path / "swallow.py"
+        bad.write_text(SWALLOW)
         out_file = tmp_path / "findings.json"
         rc = verify_main([str(bad), "--format", "json",
                           "--output", str(out_file)])
@@ -684,17 +661,17 @@ class TestRepoAndCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["schema"] == SCHEMA
         assert doc["tool"] == "verify"
-        assert doc["counts"]["error"] == 1
+        assert doc["counts"] == {"error": 0, "warning": 1}
         entry = doc["findings"][0]
-        assert entry["code"] == "rank-divergent-collective"
-        assert entry["severity"] == "error"
+        assert entry["code"] == "broad-except"
+        assert entry["severity"] == "warning"
         assert entry["fingerprint"]
         # the artifact file carries the identical document
         assert json.loads(out_file.read_text()) == doc
 
     def test_baseline_accepts_old_flags_new(self, tmp_path, capsys):
-        target = tmp_path / "deep.py"
-        target.write_text(ONE_DEEP)
+        target = tmp_path / "swallow.py"
+        target.write_text(SWALLOW)
         baseline = tmp_path / "baseline.json"
         assert verify_main([str(target), "--write-baseline",
                             str(baseline)]) == 0
@@ -710,22 +687,24 @@ class TestRepoAndCli:
 
         # fingerprints are line-insensitive: shifting the file keeps
         # the old finding suppressed
-        target.write_text("# a new leading comment\n" + ONE_DEEP)
+        target.write_text("# a new leading comment\n" + SWALLOW)
         assert verify_main([str(target), "--baseline",
                             str(baseline)]) == 0
         capsys.readouterr()
 
         # ... but a genuinely new finding still fails
-        target.write_text(ONE_DEEP + src("""
-            def extra(comm):
-                comm.recv(source=1, tag=93)
-                comm.barrier()
+        target.write_text(SWALLOW + src("""
+            def extra():
+                try:
+                    work()
+                except:
+                    pass
         """))
         assert verify_main([str(target), "--baseline",
                             str(baseline)]) == 1
         out = capsys.readouterr().out
-        assert "unmatched-recv" in out
-        assert "rank-divergent-collective" not in out
+        assert "bare 'except:'" in out
+        assert "'except Exception:'" not in out
 
     def test_unusable_baseline_exits_2(self, tmp_path, capsys):
         target = tmp_path / "clean.py"
