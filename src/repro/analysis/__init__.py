@@ -10,14 +10,12 @@ one vocabulary of finding codes both use (:mod:`repro.analysis.report`,
 rendered in ``docs/analysis.md``):
 
 ``repro.analysis.verify``
-    The static analyzer, ``python -m repro.analysis.verify``.  One run
-    parses the tree once into a project index (``index``) and runs the
-    per-file checkers (``filechecks`` — Python hot loops in vectorized
-    kernels, duplicate p2p tags with module-constant resolution, broad
-    excepts) and one ``# spmd: <code>-ok`` pragma audit over all of
-    them.  Supports ``--format json`` and a committed-baseline diff
-    mode.  Every static code names some fault no tier-1 run names (the
-    tool x fault matrix, ``tests/test_verify.py``).
+    The static analyzer, ``python -m repro.analysis.verify [paths]``.
+    One run parses each module once and runs the per-file checkers
+    (``filechecks`` — Python hot loops in vectorized kernels, broad
+    excepts) and one ``# spmd: <code>-ok`` pragma audit over them, and
+    prints its findings as text.  Every static code names some fault no
+    tier-1 run names (the tool x fault matrix, ``tests/test_verify.py``).
 
 The runtime checks live in the SPMD runtime, not here, with no switch:
 every collective's exchange round of
@@ -31,36 +29,6 @@ recv nothing was sent to (``[unmatched-recv]``); and the runner's
 teardown audit (:func:`repro.mpisim.mpcomm.teardown_audit`) names an
 unmatched send on every run that returns.
 
-Submodules are imported lazily, so importing the package loads none of
-the analyzer.
+Nothing under ``src/`` imports this package, so importing it loads none
+of the analyzer.
 """
-
-from __future__ import annotations
-
-__all__ = [
-    "FINDING_CODES",
-    "Finding",
-    "verify_paths",
-    "verify_source",
-    "verify_sources",
-]
-
-_LAZY = {
-    "FINDING_CODES": "report",
-    "Finding": "report",
-    "verify_paths": "verify",
-    "verify_source": "verify",
-    "verify_sources": "verify",
-}
-
-
-def __getattr__(name: str):
-    try:
-        modname = _LAZY[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    import importlib
-
-    return getattr(importlib.import_module(f".{modname}", __name__), name)

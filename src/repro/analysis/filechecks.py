@@ -1,10 +1,9 @@
 """Per-file checkers and the ``# spmd:`` pragma index.
 
-Three AST checkers that need no more than one parsed module, each tied
-to one way the pipeline's contract has historically been broken.  They
-read the :class:`~repro.analysis.index.ModuleInfo` parse of the project
-index and are run by ``python -m repro.analysis.verify``, the one
-analyzer.  Each names a fault no tier-1 run does (the tool x fault matrix,
+Two AST checkers that need no more than one parsed module, each tied
+to one way the pipeline's contract has historically been broken, run by
+``python -m repro.analysis.verify``, the one analyzer.  Each names a
+fault no tier-1 run does (the tool x fault matrix,
 ``tests/test_verify.py::TestToolFaultMatrix``):
 
 ``python-hot-loop``
@@ -13,15 +12,6 @@ analyzer.  Each names a fault no tier-1 run does (the tool x fault matrix,
     ``kmers/extraction.py``).  The intended per-row / per-lane /
     reference loops carry pragmas; anything new is a performance
     regression that leaves every result unchanged.
-
-``duplicate-p2p-tag``
-    The same p2p tag value — literal, or a module-level integer constant
-    resolved through imports — bound to *different* protocols in
-    different modules.  Tags are the only thing separating concurrently
-    in-flight protocols (sequence exchange 55, diagonal swap 71, ...); a
-    reused tag lets one protocol consume another's messages.  Two
-    modules sharing one imported constant are one protocol and are
-    never flagged.
 
 ``broad-except``
     ``except:`` / ``except Exception:`` handlers that neither re-raise
@@ -60,12 +50,10 @@ import tokenize
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .index import ModuleInfo, ProjectIndex, dotted_name
 from .report import Finding, pragma_map
 
 __all__ = [
     "PragmaIndex",
-    "duplicate_tag_findings",
     "file_findings",
 ]
 
@@ -78,7 +66,6 @@ _HOT_MODULE_MARKERS = (
 )
 
 _PRAGMA_RE = re.compile(r"#\s*spmd:\s*(.+?)\s*$")
-_TAG_NAME_RE = re.compile(r"(^|_)TAG(_|$)|TAG$", re.IGNORECASE)
 
 
 # ---------------------------------------------------------------------------
@@ -219,12 +206,22 @@ def _module_matches(path: str, markers: Iterable[str]) -> bool:
     return any(("/" + m) in norm for m in markers)
 
 
-class _FileChecks:
-    """All single-file checkers over one indexed module."""
+def _dotted_name(node: ast.AST) -> str | None:
+    """``grid.row_comm`` -> "grid.row_comm" for Name/Attribute chains."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = _dotted_name(node.value)
+        return f"{base}.{node.attr}" if base else None
+    return None
 
-    def __init__(self, mod: ModuleInfo):
-        self.path = mod.path
-        self.tree = mod.tree
+
+class _FileChecks:
+    """All single-file checkers over one parsed module."""
+
+    def __init__(self, path: str, tree: ast.Module):
+        self.path = path
+        self.tree = tree
         self.findings: list[Finding] = []
 
     def _flag(self, code: str, line: int, message: str) -> None:
@@ -263,7 +260,7 @@ class _FileChecks:
                          if isinstance(node.type, ast.Tuple)
                          else [node.type])
                 for t in types:
-                    dotted = dotted_name(t)
+                    dotted = _dotted_name(t)
                     if dotted:
                         names.add(dotted.rsplit(".", 1)[-1])
                 caught = names & {"Exception", "BaseException"}
@@ -299,59 +296,6 @@ class _FileChecks:
 # ---------------------------------------------------------------------------
 
 
-def file_findings(mod: ModuleInfo) -> list[Finding]:
-    """The single-file checks of one indexed module (unsuppressed)."""
-    return _FileChecks(mod).run()
-
-
-def duplicate_tag_findings(index: ProjectIndex) -> list[Finding]:
-    """Cross-module duplicate-tag check over every ``TAG``-named constant
-    definition and every ``tag=`` argument the index can resolve (an
-    unresolvable tag is skipped: no false positives).  A site's identity
-    is the *defining* ``module.NAME``, so N modules sharing one imported
-    constant are one protocol, not a collision."""
-    #: value -> [(path, line, context, identity)]
-    sites: dict[int, list[tuple[str, int, str, str]]] = {}
-    for mod in index.modules.values():
-        for name, value in mod.constants.items():
-            if value != 0 and _TAG_NAME_RE.search(name):
-                sites.setdefault(value, []).append((
-                    mod.path, mod.constant_lines[name],
-                    f"constant {name}", f"{mod.name}.{name}",
-                ))
-        for node in ast.walk(mod.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            for kw in node.keywords:
-                if kw.arg != "tag":
-                    continue
-                v = kw.value
-                if isinstance(v, ast.Constant) and type(v.value) is int:
-                    value, identity = v.value, f"literal {mod.path}"
-                    ctx = "tag= argument"
-                else:
-                    hit = index.resolve_int_constant(mod, v)
-                    if hit is None:
-                        continue
-                    identity, value = hit
-                    ctx = f"tag={dotted_name(v)}"
-                if value != 0:
-                    sites.setdefault(value, []).append(
-                        (mod.path, v.lineno, ctx, identity))
-    findings: list[Finding] = []
-    for value, occurrences in sorted(sites.items()):
-        files = {path for path, _l, _c, _i in occurrences}
-        identities = {i for _p, _l, _c, i in occurrences}
-        # one constant imported everywhere is one protocol; a collision
-        # needs distinct definitions spanning distinct modules
-        if len(files) < 2 or len(identities) < 2:
-            continue
-        for path, line, ctx, _identity in occurrences:
-            others = sorted(files - {path})
-            findings.append(Finding(
-                path, line, "duplicate-p2p-tag",
-                f"p2p tag {value} ({ctx}) is also used in "
-                f"{', '.join(others)}; in-flight protocols sharing "
-                f"a tag can consume each other's messages",
-            ))
-    return findings
+def file_findings(path: str, tree: ast.Module) -> list[Finding]:
+    """The single-file checks of one parsed module (unsuppressed)."""
+    return _FileChecks(path, tree).run()

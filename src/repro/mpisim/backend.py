@@ -163,8 +163,13 @@ class CommBackend:
             self._label, _CHAN_P2P, self._ranks[dest], self.rank, tag, obj
         )
 
+    def _check_source(self, source: int) -> None:
+        if source != ANY_SOURCE and not 0 <= source < self.size:
+            raise ValueError(f"bad source rank {source}")
+
     def recv(self, source: int = ANY_SOURCE, tag: int = 0) -> Any:
         """Blocking receive matching ``(source, tag)`` in FIFO order."""
+        self._check_source(source)
         tp = self._transport
         obj = tp.recv_env(
             self._label, _CHAN_P2P, source, tag, ("recv", self._ranks, None)
@@ -179,6 +184,7 @@ class CommBackend:
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = 0) -> Request:
         """Non-blocking receive; completion happens inside ``wait``."""
+        self._check_source(source)
         return Request(lambda: self.recv(source, tag))
 
     # -- the exchange round -------------------------------------------------

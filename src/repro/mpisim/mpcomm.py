@@ -94,10 +94,7 @@ class Wait:
             missing = tuple(r for r, part in zip(ranks, parts)
                             if part is None)
             return cls(comm_id, op, tag, None, None, missing)
-        if source == ANY_SOURCE:
-            missing = tuple(ranks)
-        else:
-            missing = (ranks[source],) if 0 <= source < len(ranks) else ()
+        missing = tuple(ranks) if source == ANY_SOURCE else (ranks[source],)
         return cls(comm_id, op, None, source, tag, missing)
 
     def __str__(self) -> str:
@@ -390,9 +387,6 @@ def _mp_worker(
             traceback.format_exc(), isinstance(exc, SpmdError),
             getattr(exc, "wait", None), transport.ledger(),
         ))
-        # peers may be dead: don't block process exit flushing inboxes
-        for q in inboxes:
-            q.cancel_join_thread()
         return
     records = tracer.records if tracer is not None else None
     # pickled here, so an unpicklable result fails in its rank
@@ -508,24 +502,27 @@ def run_spmd_mp(
                 except queue.Empty:
                     break
             take(msg)
-        # shared shutdown deadline, then force the stragglers down.  A
-        # rank that reports meanwhile is read.  Once every rank has
-        # reported, no rank reads its inbox again, so an envelope left
-        # there is an orphan (the audit names it): drain them, or its
-        # sender's exit blocks flushing it into the pipe
+        # shared shutdown grace: a straggler that reports meanwhile is
+        # read.  After it, a live rank is either stuck (named below) or
+        # has reported and reads no inbox again, flushing at most an
+        # envelope nobody will read (an orphan the audit names, or a
+        # failing rank's last send): join briefly, then force them down.
+        # The runner reads no inbox, so an envelope the kill tears is
+        # never read
         grace = time.monotonic() + min(5.0, timeout)
-        for p in procs:
-            while p.is_alive() and time.monotonic() < grace:
-                for msg in _drain_queue(result_q):
-                    take(msg)
-                if not any(silent(r) for r in range(nranks)):
-                    for q in inboxes:
-                        _drain_queue(q)
-                p.join(timeout=0.05)
+        while (any(silent(r) and procs[r].is_alive() for r in range(nranks))
+               and time.monotonic() < grace):
+            try:
+                take(result_q.get(timeout=0.05))
+            except queue.Empty:
+                pass
         for msg in _drain_queue(result_q):
             take(msg)
         stuck = [r for r in range(nranks)
                  if silent(r) and procs[r].is_alive()]
+        settle = time.monotonic() + 0.5
+        for p in procs:
+            p.join(timeout=max(0.0, settle - time.monotonic()))
         for p in procs:
             if p.is_alive():
                 p.terminate()

@@ -67,8 +67,8 @@ def _fit_mode(points: list[tuple[float, int, float]]) -> tuple[float, float]:
 #: pipeline runs pay the SPMD microbench once per process
 _COMM_MODEL_CACHE: dict[tuple, CommCostModel] = {}
 
-#: p2p tags of the ping-pong microbench (module constants so the verifier
-#: can match the send/recv sites and the tag linter can audit collisions)
+#: p2p tags of the ping-pong microbench; it runs in a world of its own,
+#: so no other protocol's message ever shares its inbox
 _TAG_PING = 93
 _TAG_PONG = 94
 

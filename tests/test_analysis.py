@@ -2,10 +2,10 @@
 analyzer — and the runtime checks that share its finding codes.
 
 The static half works on seeded faults, each run through the one entry
-point (``verify_source`` / ``verify_sources``): each checker gets a small
-source snippet carrying exactly the defect it exists to catch, plus a
-pragma'd variant proving the allowlist works, plus a clean variant
-proving no false positive.  (The one whole-tree run lives in
+point (``verify_source``): each checker gets a small source snippet
+carrying exactly the defect it exists to catch, plus a pragma'd variant
+proving the allowlist works, plus a clean variant proving no false
+positive.  (The one whole-tree run lives in
 ``tests/test_verify.py``.)
 
 The runtime half runs real SPMD programs at 1, 2, 3 and 4 ranks: a
@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.report import FINDING_CODES, Finding, pragma_map
-from repro.analysis.verify import verify_source, verify_sources
+from repro.analysis.verify import verify_source
 from repro.mpisim.backend import SpmdError, payload_digest, run_spmd
 
 
@@ -151,62 +151,11 @@ class TestLintHotLoop:
 
 
 # ---------------------------------------------------------------------------
-# duplicate p2p tags and broad excepts
+# broad excepts
 # ---------------------------------------------------------------------------
 
 
 class TestLintTagsAndExcepts:
-    def test_duplicate_tag_across_files_flagged(self):
-        out = verify_sources([
-            ("repro/core/a.py", "EXCHANGE_TAG = 55\n"),
-            ("repro/core/b.py", "def f(c):\n    c.send(1, 0, tag=55)\n"),
-        ])
-        assert codes(out) == ["duplicate-p2p-tag"] * 2
-        assert {v.path for v in out} == {"repro/core/a.py",
-                                         "repro/core/b.py"}
-
-    def test_same_tag_within_one_file_not_flagged(self):
-        out = verify_sources([
-            ("repro/core/a.py",
-             "MY_TAG = 55\n\ndef f(c):\n    c.send(1, 0, tag=55)\n"),
-        ])
-        assert out == []
-
-    def test_constant_named_tag_collision_resolved(self):
-        # the tag rides a module constant in one file and a literal in
-        # the other: the resolver must see they collide
-        out = verify_sources([
-            ("repro/core/a.py", src("""
-                STEAL_TAG = 78
-
-                def f(c):
-                    c.send(1, 0, tag=STEAL_TAG)
-            """)),
-            ("repro/core/b.py",
-             "def g(c):\n    c.recv(0, tag=78)\n"),
-        ])
-        assert codes(out) == ["duplicate-p2p-tag"] * 3
-        assert any("tag=STEAL_TAG" in v.message for v in out)
-
-    def test_shared_imported_constant_is_one_protocol(self):
-        # two modules using the *same* imported constant are one
-        # protocol, not a collision
-        out = verify_sources([
-            ("repro/core/a.py", src("""
-                EXCH_TAG = 55
-
-                def f(c):
-                    c.send(1, 0, tag=EXCH_TAG)
-            """)),
-            ("repro/core/b.py", src("""
-                from .a import EXCH_TAG
-
-                def g(c):
-                    c.recv(0, tag=EXCH_TAG)
-            """)),
-        ])
-        assert out == []
-
     def test_broad_except_flagged_and_narrow_ok(self):
         out = verify_source(src("""
             def risky():
@@ -339,7 +288,7 @@ def _unmatched_body(comm):
 
 def _large_orphan_body(comm):
     # 1 MiB that nobody receives: it fills the receiver's inbox pipe, so
-    # its sender's exit waits until the runner drains the inboxes
+    # its sender's exit waits until the runner forces it down
     comm.barrier()
     if comm.rank == 0:
         comm.send(np.zeros(1 << 17, dtype=np.int64), 1, tag=99)

@@ -490,7 +490,16 @@ class TestSingleRankRunsInline:
     def test_unmatched_recv_still_times_out(self):
         t0 = time.monotonic()
         with pytest.raises(SpmdError, match="timed out after 0.3s"):
-            spmd(1, _recv_never_satisfied, timeout=0.3)
+            spmd(1, _self_recv, timeout=0.3)
+        assert time.monotonic() - t0 < 2.0
+
+    def test_source_outside_the_communicator_fails_at_once(self):
+        # the same check send makes: recv(source=1) on a 1-rank world
+        # raises instead of waiting out the timeout
+        t0 = time.monotonic()
+        with pytest.raises(SpmdError,
+                           match=r"ValueError\('bad source rank 1'\)"):
+            spmd(1, _recv_never_satisfied, timeout=60.0)
         assert time.monotonic() - t0 < 2.0
 
     def test_failure_is_an_spmd_error_with_the_original_cause(self):

@@ -3,12 +3,15 @@
 import os
 import pickle
 import queue
+import subprocess
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
 
+import repro
 from repro.mpisim import ANY_SOURCE, SpmdError, run_spmd
 from repro.mpisim.grid import (
     ProcessGrid,
@@ -135,6 +138,32 @@ class TestRunSpmdFailureModes:
             return comm.rank
 
         assert run_spmd(2, body, timeout=1.0) == [0, 1]
+
+    def test_failing_rank_mid_send_does_not_hang(self):
+        """Rank 0 fails while its 8 MiB envelope to rank 1 is still
+        flowing into the pipe, and rank 1 fails without reading it: the
+        runner used to block forever reading the torn envelope.  Run in
+        a subprocess, so a regression fails instead of hanging."""
+        program = (
+            "import time\n"
+            "import numpy as np\n"
+            "from repro.mpisim import run_spmd\n"
+            "def body(comm):\n"
+            "    if comm.rank == 0:\n"
+            "        comm.send(np.zeros(1 << 20), 1, tag=3)\n"
+            "        time.sleep(0.2)\n"
+            "    raise RuntimeError(f'rank {comm.rank} fails')\n"
+            "run_spmd(2, body, timeout=5.0)\n"
+        )
+        t0 = time.monotonic()
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            repro.__file__)))
+        out = subprocess.run([sys.executable, "-c", program],
+                             capture_output=True, text=True, timeout=20,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.returncode == 1
+        assert "rank 0 failed: RuntimeError('rank 0 fails')" in out.stderr
+        assert time.monotonic() - t0 < 5.0
 
     def test_none_result_is_legitimate(self):
         # fn returning None must not be mistaken for an unfilled slot
